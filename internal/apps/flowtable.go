@@ -1,9 +1,10 @@
 package apps
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"harmonia/internal/net"
 )
@@ -17,6 +18,15 @@ import (
 type FlowTable struct {
 	conns map[net.FlowKey]net.IPAddr
 	max   int
+	// sorted is the table as of the last Snapshot, in key order, and
+	// pinned lists the entries pinned under new keys since then: the
+	// next Snapshot sorts only pinned and merges it in. stale means some
+	// change since the last Snapshot was not a new-key pin (a restore,
+	// an eviction, an overwritten pin, or no Snapshot yet), so the next
+	// one rebuilds from the map and pinned is not kept meanwhile.
+	sorted []ConnEntry
+	pinned []ConnEntry
+	stale  bool
 	// hits/misses count lookups against established flows vs new-flow
 	// pins; tableFull counts pins refused because the table was at
 	// capacity — those flows silently lose stickiness, so the counter
@@ -26,7 +36,7 @@ type FlowTable struct {
 
 // NewFlowTable returns an empty table bounded at max entries.
 func NewFlowTable(max int) *FlowTable {
-	return &FlowTable{conns: make(map[net.FlowKey]net.IPAddr), max: max}
+	return &FlowTable{conns: make(map[net.FlowKey]net.IPAddr), max: max, stale: true}
 }
 
 // Len reports the established flow count.
@@ -64,7 +74,14 @@ func (t *FlowTable) Pin(k net.FlowKey, b net.IPAddr) bool {
 		t.tableFull++
 		return false
 	}
+	n := len(t.conns)
 	t.conns[k] = b
+	switch {
+	case len(t.conns) == n:
+		t.stale = true // overwrote an existing key
+	case !t.stale:
+		t.pinned = append(t.pinned, ConnEntry{Key: k, Backend: b})
+	}
 	return true
 }
 
@@ -78,6 +95,9 @@ func (t *FlowTable) EvictBackend(b net.IPAddr) int {
 			delete(t.conns, k)
 			evicted++
 		}
+	}
+	if evicted > 0 {
+		t.stale = true
 	}
 	return evicted
 }
@@ -93,16 +113,49 @@ type ConnEntry struct {
 	Backend net.IPAddr
 }
 
-// Snapshot exports the table as a deterministic (key-sorted) entry
-// list — the consistent capture the export side of migration stages.
+// Snapshot exports the table as a deterministic entry list, sorted by
+// the key's wire bytes (SrcIP, DstIP, Proto, SrcPort, DstPort) — the
+// consistent capture the export side of migration stages. It sorts only
+// the flows pinned since the last Snapshot and merges them into the
+// previous capture; a restore, an eviction or an overwritten pin makes
+// it rebuild from the table instead.
+//
+// The result is shared with the table and with every later Snapshot
+// that finds nothing new: callers must only read it. The table never
+// writes to a slice it has returned, so a capture stays valid, and
+// unchanged, across later mutations.
 func (t *FlowTable) Snapshot() []ConnEntry {
-	out := make([]ConnEntry, 0, len(t.conns))
-	for k, b := range t.conns {
-		out = append(out, ConnEntry{Key: k, Backend: b})
+	switch {
+	case t.stale:
+		out := make([]ConnEntry, 0, len(t.conns))
+		for k, b := range t.conns {
+			out = append(out, ConnEntry{Key: k, Backend: b})
+		}
+		slices.SortFunc(out, compareEntries)
+		t.sorted, t.stale = out, false
+	case len(t.pinned) > 0:
+		slices.SortFunc(t.pinned, compareEntries)
+		out := make([]ConnEntry, 0, len(t.sorted)+len(t.pinned))
+		rest := t.sorted
+		for _, e := range t.pinned {
+			i, _ := slices.BinarySearchFunc(rest, e, compareEntries)
+			out = append(append(out, rest[:i]...), e)
+			rest = rest[i:]
+		}
+		t.sorted = append(out, rest...)
 	}
-	sort.Slice(out, func(i, j int) bool { return lessKey(out[i].Key, out[j].Key) })
-	return out
+	// Keep a small pin list's array for the next round of pins, but let
+	// a burst (a table filling between two captures) go rather than hold
+	// its peak size for the table's lifetime.
+	t.pinned = t.pinned[:0]
+	if cap(t.pinned) > pinnedKeep {
+		t.pinned = nil
+	}
+	return t.sorted
 }
+
+// pinnedKeep is the largest pin list whose array Snapshot keeps.
+const pinnedKeep = 32
 
 // Restore replays snapshot entries into the table, respecting the
 // capacity bound; it reports how many were added and how many dropped.
@@ -117,23 +170,29 @@ func (t *FlowTable) Restore(entries []ConnEntry) (added, dropped int) {
 		t.conns[e.Key] = e.Backend
 		added++
 	}
+	if added > 0 {
+		t.stale = true
+	}
 	return added, dropped
 }
 
-// lessKey orders flow keys by their packed wire bytes.
-func lessKey(a, b net.FlowKey) bool {
-	return packKey(a) < packKey(b)
+// keyOrder packs a flow key into two words whose (hi, lo) order is the
+// byte order of the key on the wire: SrcIP, DstIP, then Proto, SrcPort
+// and DstPort big-endian.
+func keyOrder(k net.FlowKey) (hi, lo uint64) {
+	hi = uint64(binary.BigEndian.Uint32(k.SrcIP[:]))<<32 | uint64(binary.BigEndian.Uint32(k.DstIP[:]))
+	lo = uint64(k.Proto)<<32 | uint64(k.SrcPort)<<16 | uint64(k.DstPort)
+	return hi, lo
 }
 
-// packKey packs a flow key into a comparable 13-byte-equivalent tuple.
-func packKey(k net.FlowKey) string {
-	var buf [13]byte
-	copy(buf[0:4], k.SrcIP[:])
-	copy(buf[4:8], k.DstIP[:])
-	buf[8] = k.Proto
-	binary.BigEndian.PutUint16(buf[9:11], k.SrcPort)
-	binary.BigEndian.PutUint16(buf[11:13], k.DstPort)
-	return string(buf[:])
+// compareEntries orders snapshot entries by keyOrder.
+func compareEntries(a, b ConnEntry) int {
+	ah, al := keyOrder(a.Key)
+	bh, bl := keyOrder(b.Key)
+	if c := cmp.Compare(ah, bh); c != 0 {
+		return c
+	}
+	return cmp.Compare(al, bl)
 }
 
 // Flow snapshot wire encoding (version 1): the word stream table-read/
@@ -162,18 +221,38 @@ func wordIP(w uint32) net.IPAddr {
 
 // EncodeFlowSnapshot serializes entries into the versioned word stream.
 func EncodeFlowSnapshot(entries []ConnEntry) []uint32 {
-	out := make([]uint32, 0, flowSnapHeaderWords+flowSnapEntryWords*len(entries))
-	out = append(out, flowSnapMagic<<16|FlowSnapshotVersion, uint32(len(entries)))
-	for _, e := range entries {
-		out = append(out,
+	n := FlowSnapshotLen(len(entries))
+	return AppendFlowSnapshot(make([]uint32, 0, n), entries, 0, n)
+}
+
+// FlowSnapshotLen reports how many words the stream of n entries holds.
+func FlowSnapshotLen(n int) int { return flowSnapHeaderWords + flowSnapEntryWords*n }
+
+// AppendFlowSnapshot appends words [lo, hi) of the entries' encoded
+// stream to dst, so a reader can be served one row of a capture at a
+// time without staging the whole stream. hi must not exceed
+// FlowSnapshotLen(len(entries)).
+func AppendFlowSnapshot(dst []uint32, entries []ConnEntry, lo, hi int) []uint32 {
+	header := [flowSnapHeaderWords]uint32{flowSnapMagic<<16 | FlowSnapshotVersion, uint32(len(entries))}
+	if lo < flowSnapHeaderWords {
+		dst = append(dst, header[lo:min(hi, flowSnapHeaderWords)]...)
+		lo = flowSnapHeaderWords
+	}
+	for lo < hi {
+		i, off := (lo-flowSnapHeaderWords)/flowSnapEntryWords, (lo-flowSnapHeaderWords)%flowSnapEntryWords
+		e := entries[i]
+		words := [flowSnapEntryWords]uint32{
 			ipWord(e.Key.SrcIP),
 			ipWord(e.Key.DstIP),
-			uint32(e.Key.SrcPort)<<16|uint32(e.Key.DstPort),
+			uint32(e.Key.SrcPort)<<16 | uint32(e.Key.DstPort),
 			uint32(e.Key.Proto),
 			ipWord(e.Backend),
-		)
+		}
+		n := min(flowSnapEntryWords-off, hi-lo)
+		dst = append(dst, words[off:off+n]...)
+		lo += n
 	}
-	return out
+	return dst
 }
 
 // FlowSnapshotWords validates a snapshot's header and returns the total
@@ -189,7 +268,7 @@ func FlowSnapshotWords(words []uint32) (int, error) {
 	if v := words[0] & 0xffff; v != FlowSnapshotVersion {
 		return 0, fmt.Errorf("apps: flow snapshot version %d, want %d", v, FlowSnapshotVersion)
 	}
-	return flowSnapHeaderWords + flowSnapEntryWords*int(words[1]), nil
+	return FlowSnapshotLen(int(words[1])), nil
 }
 
 // DecodeFlowSnapshot parses the versioned word stream back into
@@ -204,6 +283,10 @@ func DecodeFlowSnapshot(words []uint32) ([]ConnEntry, error) {
 	}
 	entries := make([]ConnEntry, 0, words[1])
 	for i := flowSnapHeaderWords; i < want; i += flowSnapEntryWords {
+		if words[i+3] > 0xff {
+			return nil, fmt.Errorf("apps: flow snapshot entry %d proto word %#x out of range",
+				(i-flowSnapHeaderWords)/flowSnapEntryWords, words[i+3])
+		}
 		entries = append(entries, ConnEntry{
 			Key: net.FlowKey{
 				SrcIP:   wordIP(words[i]),

@@ -398,6 +398,12 @@ type Cluster struct {
 	pools      map[string]*apps.Maglev
 	snapshots  map[string]flowSnap
 	migrations []MigrationRecord
+	// tableRow is the buffer every flow table source encodes the row
+	// being read into, and tableWords the buffer readFlowSnapshot joins
+	// rows in. Both are reused across reads: table reads run only on the
+	// serial control-plane path, and each row is copied out, and each
+	// stream decoded, before the next read starts.
+	tableRow, tableWords []uint32
 
 	now           sim.Time
 	nextHeartbeat sim.Time

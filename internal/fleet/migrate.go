@@ -44,18 +44,16 @@ type flowState struct {
 	c       *Cluster
 	service string
 	table   *apps.FlowTable
-	// export is the row staging of the snapshot being read out: reading
-	// row 0 captures and frames the table, later rows drain the staging.
-	export [][]uint32
+	// export is the capture being read out: reading row 0 takes the
+	// table's Snapshot, and every row encodes its words from it on
+	// demand.
+	export []apps.ConnEntry
 	// importBuf accumulates written rows until the framed length
 	// (declared by the row-0 header) is reached, then restores.
 	importBuf  []uint32
 	importNext uint32
 	// restored/dropped report the last completed import.
 	restored, dropped int
-	// sincePins counts flows pinned since the last periodic snapshot
-	// capture — the exact staleness a dead-node fallback loses.
-	sincePins int
 	// dirty, while armed, logs every pin made after a rebalance move's
 	// pre-copy capture; the delta replayed before cutover. Appends happen
 	// on the shard worker owning this replica's packets, arming and
@@ -73,11 +71,7 @@ func (fs *flowState) process(k net.FlowKey) {
 		return
 	}
 	b := fs.pool().Lookup(k)
-	if !fs.table.Pin(k, b) {
-		return
-	}
-	fs.sincePins++
-	if fs.dirtyArmed {
+	if fs.table.Pin(k, b) && fs.dirtyArmed {
 		fs.dirty = append(fs.dirty, apps.ConnEntry{Key: k, Backend: b})
 	}
 }
@@ -92,16 +86,21 @@ func (fs *flowState) assignment(k net.FlowKey) net.IPAddr {
 	return fs.pool().Lookup(k)
 }
 
-// exportRow serves TableRead: row 0 snapshots and frames the table,
-// every row returns its slice of the framed stream.
+// exportRow serves TableRead: row 0 snapshots the table, and every row
+// returns its command-sized slice of the framed stream, encoded into the
+// cluster's shared row buffer: it is only valid until the next table
+// read, and readFlowSnapshot copies each row out.
 func (fs *flowState) exportRow(index uint32) ([]uint32, bool) {
 	if index == 0 {
-		fs.export = cmdif.SplitRows(apps.EncodeFlowSnapshot(fs.table.Snapshot()))
+		fs.export = fs.table.Snapshot()
 	}
-	if int(index) >= len(fs.export) {
+	total := apps.FlowSnapshotLen(len(fs.export))
+	lo := int(index) * cmdif.MaxTableRowWords
+	if lo >= total {
 		return nil, false
 	}
-	return fs.export[index], true
+	fs.c.tableRow = apps.AppendFlowSnapshot(fs.c.tableRow[:0], fs.export, lo, min(lo+cmdif.MaxTableRowWords, total))
+	return fs.c.tableRow, true
 }
 
 // importRow accepts TableWrite: rows arrive in order starting at 0;
@@ -181,11 +180,11 @@ func (c *Cluster) readFlowSnapshot(n *Node, r *Replica) ([]apps.ConnEntry, error
 	if err != nil {
 		return nil, err
 	}
-	words = append([]uint32(nil), words...)
 	total, err := apps.FlowSnapshotWords(words)
 	if err != nil {
 		return nil, err
 	}
+	words = append(c.tableWords[:0], words...)
 	for row := uint32(1); len(words) < total; row++ {
 		next, err := n.Inst.ReadTable(device.RBBRole, 0, tid, row)
 		if err != nil {
@@ -196,6 +195,7 @@ func (c *Cluster) readFlowSnapshot(n *Node, r *Replica) ([]apps.ConnEntry, error
 		}
 		words = append(words, next...)
 	}
+	c.tableWords = words
 	if len(words) > total {
 		return nil, fmt.Errorf("fleet: flow snapshot overran framed length %d", total)
 	}
@@ -235,7 +235,6 @@ func (c *Cluster) snapshotNode(now sim.Time, n *Node) {
 			continue
 		}
 		c.snapshots[r.Name()] = flowSnap{at: now, entries: entries}
-		r.flows.sincePins = 0
 		if c.ctrl != nil {
 			e := obs.Instant(obs.CatMigration, "snapshot", now)
 			e.K1, e.V1 = "replica", r.Name()
