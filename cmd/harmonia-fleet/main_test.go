@@ -42,16 +42,19 @@ func TestRunDrill(t *testing.T) {
 
 func TestRunBench(t *testing.T) {
 	// Tiny fleet sizes keep the serial baseline fast; the real sweep
-	// (100/300/1000) runs in CI's bench-smoke job.
+	// (100/300/1000/10000) runs in CI's bench-smoke job. The toy sweep
+	// measures none of the gated points, so the gates fail closed: the
+	// report is still written, and the run fails naming every gate.
 	o := opts("bench", 0)
 	o.nodes = "2,4"
 	o.jsonPath = filepath.Join(t.TempDir(), "BENCH_fleet.json")
 	var out bytes.Buffer
-	if err := run(&out, o); err != nil {
-		t.Fatalf("bench scenario: %v", err)
+	err := run(&out, o)
+	if err == nil || strings.Count(err.Error(), "missing:") != 3 {
+		t.Fatalf("bench scenario err = %v, want all three gates failing as missing", err)
 	}
 	s := out.String()
-	for _, want := range []string{"base-ns/pkt", "fast-ns/pkt", "wrote"} {
+	for _, want := range []string{"base-ns/pkt", "fast-ns/pkt", "wrote", "rack flat 10k/1k: 0.000 (bound 1.25): false (missing:"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("bench output missing %q:\n%s", want, s)
 		}

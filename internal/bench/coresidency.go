@@ -127,8 +127,8 @@ type CoResReport struct {
 	//   - FailoverPreempts: at least one failover PR load provably
 	//     started ahead of an earlier-requested elective, with the
 	//     concurrent-load cap intact.
-	SLOOrderHeld    bool `json:"slo_order_held"`
-	ShedOrderHeld   bool `json:"shed_order_held"`
+	SLOOrderHeld     bool `json:"slo_order_held"`
+	ShedOrderHeld    bool `json:"shed_order_held"`
 	FailoverPreempts bool `json:"failover_preempts"`
 
 	// Repro rebuilds this exact report from the seed.

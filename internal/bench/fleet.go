@@ -141,30 +141,33 @@ type ControlPlaneReport struct {
 	Points      []ControlPlanePoint `json:"points"`
 
 	// Scale gate: rack-path ns/pkt at 10000 nodes over the 1000-node
-	// point, against RackFlatBound. True (ratio 0) when the sweep did
-	// not cover both sizes.
-	RackFlatRatio float64 `json:"rack_flat_ratio"`
-	RackFlatBound float64 `json:"rack_flat_bound"`
-	RackFlat      bool    `json:"rack_flat"`
+	// point, against RackFlatBound.
+	RackFlatRatio  float64 `json:"rack_flat_ratio"`
+	RackFlatBound  float64 `json:"rack_flat_bound"`
+	RackFlat       bool    `json:"rack_flat"`
+	RackFlatReason string  `json:"rack_flat_reason,omitempty"`
 
 	// Allocation gate: fast and rack allocs/pkt at or below AllocBound
-	// at every swept size.
-	AllocBound float64 `json:"alloc_bound"`
-	AllocsFlat bool    `json:"allocs_flat"`
+	// at every swept size of at least AllocGateMinNodes.
+	AllocBound   float64 `json:"alloc_bound"`
+	AllocsFlat   bool    `json:"allocs_flat"`
+	AllocsReason string  `json:"allocs_reason,omitempty"`
 
 	// Batched-dispatch gate: fast-path ns/pkt at FastBatchedGateNodes
-	// at or below FastBatchedBoundNs. True (ns 0) when the sweep did
-	// not cover that size.
+	// at or below FastBatchedBoundNs.
 	FastGateNodes    int     `json:"fast_gate_nodes"`
 	FastGateBoundNs  float64 `json:"fast_gate_bound_ns"`
 	FastGateNsPerPkt float64 `json:"fast_gate_ns_per_pkt,omitempty"`
 	FastGate         bool    `json:"fast_gate"`
+	FastGateReason   string  `json:"fast_gate_reason,omitempty"`
 }
+
+// Every gate fails closed: a sweep that did not measure a gated point
+// fails that gate with a reason starting "missing".
 
 // gateRackFlat computes the scale gate over the sweep's points.
 func (r *ControlPlaneReport) gateRackFlat() {
 	r.RackFlatBound = RackFlatBound
-	r.RackFlat = true
 	var at1k, at10k float64
 	for _, p := range r.Points {
 		switch p.Nodes {
@@ -174,10 +177,15 @@ func (r *ControlPlaneReport) gateRackFlat() {
 			at10k = p.RackNsPerPkt
 		}
 	}
-	if at1k > 0 && at10k > 0 {
+	if at1k <= 0 || at10k <= 0 {
+		r.RackFlatReason = "missing: the sweep has no rack-path point at both 1000 and 10000 nodes"
+	} else {
 		r.RackFlatRatio = at10k / at1k
-		r.RackFlat = r.RackFlatRatio <= RackFlatBound
+		if r.RackFlatRatio > RackFlatBound {
+			r.RackFlatReason = fmt.Sprintf("rack path 10k/1k ns/pkt ratio %.3f exceeds %.2f", r.RackFlatRatio, RackFlatBound)
+		}
 	}
+	r.RackFlat = r.RackFlatReason == ""
 }
 
 // gateAllocs computes the allocation gate: every swept fleet-scale
@@ -185,15 +193,21 @@ func (r *ControlPlaneReport) gateRackFlat() {
 // allocation.
 func (r *ControlPlaneReport) gateAllocs() {
 	r.AllocBound = AllocBound
-	r.AllocsFlat = true
+	gated := 0
 	for _, p := range r.Points {
 		if p.Nodes < AllocGateMinNodes {
 			continue
 		}
-		if p.FastAllocsPerPkt > AllocBound || p.RackAllocsPerPkt > AllocBound {
-			r.AllocsFlat = false
+		gated++
+		if r.AllocsReason == "" && (p.FastAllocsPerPkt > AllocBound || p.RackAllocsPerPkt > AllocBound) {
+			r.AllocsReason = fmt.Sprintf("%d nodes: fast %.3f / rack %.3f allocs/pkt exceed %.2f",
+				p.Nodes, p.FastAllocsPerPkt, p.RackAllocsPerPkt, AllocBound)
 		}
 	}
+	if gated == 0 {
+		r.AllocsReason = fmt.Sprintf("missing: the sweep has no point of at least %d nodes", AllocGateMinNodes)
+	}
+	r.AllocsFlat = r.AllocsReason == ""
 }
 
 // gateFastBatched computes the batched-dispatch gate at the 1000-node
@@ -201,13 +215,30 @@ func (r *ControlPlaneReport) gateAllocs() {
 func (r *ControlPlaneReport) gateFastBatched() {
 	r.FastGateNodes = FastBatchedGateNodes
 	r.FastGateBoundNs = FastBatchedBoundNs
-	r.FastGate = true
 	for _, p := range r.Points {
 		if p.Nodes == FastBatchedGateNodes {
 			r.FastGateNsPerPkt = p.FastNsPerPkt
-			r.FastGate = p.FastNsPerPkt <= FastBatchedBoundNs
 		}
 	}
+	if r.FastGateNsPerPkt <= 0 {
+		r.FastGateReason = fmt.Sprintf("missing: the sweep has no %d-node fast-path point", FastBatchedGateNodes)
+	} else if r.FastGateNsPerPkt > FastBatchedBoundNs {
+		r.FastGateReason = fmt.Sprintf("fast path %.1f ns/pkt at %d nodes exceeds %.0f",
+			r.FastGateNsPerPkt, FastBatchedGateNodes, FastBatchedBoundNs)
+	}
+	r.FastGate = r.FastGateReason == ""
+}
+
+// Failures lists the reason of every failed gate, in gate order; empty
+// when all pass.
+func (r *ControlPlaneReport) Failures() []string {
+	var out []string
+	for _, reason := range []string{r.RackFlatReason, r.AllocsReason, r.FastGateReason} {
+		if reason != "" {
+			out = append(out, reason)
+		}
+	}
+	return out
 }
 
 // cpCohorts picks the heartbeat cohort count for a fleet size, mirroring

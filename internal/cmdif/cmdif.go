@@ -101,59 +101,69 @@ var (
 // WireBytes reports the marshalled size: header + payload + checksum.
 func (p *Packet) WireBytes() int { return (headerWords+len(p.Data))*4 + 4 }
 
-// checksum32 is the ones-complement sum over 32-bit words.
-func checksum32(words []uint32) uint32 {
-	var sum uint64
-	for _, w := range words {
-		sum += uint64(w)
-	}
+// fold32 folds a running sum of 32-bit words into the ones-complement
+// checksum.
+func fold32(sum uint64) uint32 {
 	for sum>>32 != 0 {
 		sum = (sum & 0xffffffff) + (sum >> 32)
 	}
 	return ^uint32(sum)
 }
 
-// words serializes the packet's header+payload into 32-bit words
-// (checksum excluded).
-func (p *Packet) words() ([]uint32, error) {
+// check validates the fields Marshal encodes into bounded bit fields.
+func (p *Packet) check() error {
 	if len(p.Data) > MaxPayloadWords {
-		return nil, ErrTooLarge
+		return ErrTooLarge
 	}
 	if p.Version > 0xf {
-		return nil, fmt.Errorf("cmdif: version %d exceeds 4 bits", p.Version)
+		return fmt.Errorf("cmdif: version %d exceeds 4 bits", p.Version)
 	}
-	w := make([]uint32, 0, headerWords+len(p.Data))
+	return nil
+}
+
+// WireLen reports the length Marshal produces, with the same
+// validation, without marshalling.
+func (p *Packet) WireLen() (int, error) {
+	if err := p.check(); err != nil {
+		return 0, err
+	}
+	return p.WireBytes(), nil
+}
+
+// AppendMarshal appends the serialized packet — header, payload, then
+// the checksum over both — to dst and returns the extended slice. A
+// caller that reuses dst marshals without allocating.
+func (p *Packet) AppendMarshal(dst []byte) ([]byte, error) {
+	if err := p.check(); err != nil {
+		return dst, err
+	}
 	w0 := uint32(p.Version&0xf)<<28 |
 		uint32(headerWords&0xf)<<24 |
 		uint32(len(p.Data)&0xff)<<16 |
 		uint32(p.SrcID)<<8 |
 		uint32(p.DstID)
-	w = append(w, w0)
 	w1 := uint32(p.RBBID)<<24 | uint32(p.InstanceID)<<16 | uint32(p.Code)
-	w = append(w, w1)
-	w = append(w, p.Options)
-	w = append(w, p.Data...)
-	return w, nil
+	dst = binary.BigEndian.AppendUint32(dst, w0)
+	dst = binary.BigEndian.AppendUint32(dst, w1)
+	dst = binary.BigEndian.AppendUint32(dst, p.Options)
+	sum := uint64(w0) + uint64(w1) + uint64(p.Options)
+	for _, w := range p.Data {
+		dst = binary.BigEndian.AppendUint32(dst, w)
+		sum += uint64(w)
+	}
+	return binary.BigEndian.AppendUint32(dst, fold32(sum)), nil
 }
 
 // Marshal serializes the packet with its checksum appended.
 func (p *Packet) Marshal() ([]byte, error) {
-	w, err := p.words()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, (len(w)+1)*4)
-	for _, word := range w {
-		buf = binary.BigEndian.AppendUint32(buf, word)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, checksum32(w))
-	return buf, nil
+	return p.AppendMarshal(make([]byte, 0, p.WireBytes()))
 }
 
 // Unmarshal parses a packet, validating lengths and checksum. The
 // header and payload lengths delimit the command boundary, so packets
 // can be parsed from a contiguous command stream (parsing step 3 of the
-// §3.3.3 walkthrough); the remainder is returned.
+// §3.3.3 walkthrough); the remainder is returned. The packet owns its
+// payload: nothing it holds aliases b.
 func Unmarshal(b []byte) (p *Packet, rest []byte, err error) {
 	if len(b) < (headerWords+1)*4 {
 		return nil, b, ErrTruncated
@@ -172,15 +182,15 @@ func Unmarshal(b []byte) (p *Packet, rest []byte, err error) {
 	if len(b) < total {
 		return nil, b, ErrTruncated
 	}
-	words := make([]uint32, hdLen+payLen)
-	for i := range words {
-		words[i] = binary.BigEndian.Uint32(b[i*4:])
+	body := b[:(hdLen+payLen)*4]
+	var sum uint64
+	for i := 0; i < len(body); i += 4 {
+		sum += uint64(binary.BigEndian.Uint32(body[i:]))
 	}
-	gotSum := binary.BigEndian.Uint32(b[(hdLen+payLen)*4:])
-	if gotSum != checksum32(words) {
+	if binary.BigEndian.Uint32(b[len(body):]) != fold32(sum) {
 		return nil, b, ErrChecksum
 	}
-	w1 := words[1]
+	w1 := binary.BigEndian.Uint32(b[4:])
 	p = &Packet{
 		Version:    version,
 		SrcID:      uint8(w0 >> 8),
@@ -188,8 +198,13 @@ func Unmarshal(b []byte) (p *Packet, rest []byte, err error) {
 		RBBID:      uint8(w1 >> 24),
 		InstanceID: uint8(w1 >> 16),
 		Code:       Code(w1),
-		Options:    words[2],
-		Data:       append([]uint32(nil), words[hdLen:hdLen+payLen]...),
+		Options:    binary.BigEndian.Uint32(b[8:]),
+	}
+	if payLen > 0 {
+		p.Data = make([]uint32, payLen)
+		for i := range p.Data {
+			p.Data[i] = binary.BigEndian.Uint32(body[(hdLen+i)*4:])
+		}
 	}
 	return p, b[total:], nil
 }

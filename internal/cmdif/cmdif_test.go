@@ -116,6 +116,18 @@ func TestMarshalValidation(t *testing.T) {
 	if _, err := p2.Marshal(); err == nil {
 		t.Error("5-bit version should fail")
 	}
+	// WireLen and AppendMarshal reject what Marshal rejects, and a
+	// failed append leaves dst as it was.
+	if _, err := p.WireLen(); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversize WireLen error = %v", err)
+	}
+	if _, err := p2.WireLen(); err == nil {
+		t.Error("5-bit version WireLen should fail")
+	}
+	dst := []byte{0xaa}
+	if out, err := p.AppendMarshal(dst); err == nil || len(out) != 1 {
+		t.Errorf("oversize AppendMarshal = %x, %v; want dst unchanged and an error", out, err)
+	}
 }
 
 func TestResponseSwapsEndpoints(t *testing.T) {

@@ -87,7 +87,7 @@ func TestRouteUnknownService(t *testing.T) {
 	now := 2 * c.Config().ReconfigTime
 	c.advance(now)
 	before := c.rawRouterStats()
-	d, err := c.Route(now, "no-such-app", ph.pkts[0])
+	d, err := c.Route(now, "no-such-app", &ph.pkts[0])
 	if err == nil || !strings.Contains(err.Error(), "unknown service") {
 		t.Fatalf("Route(unknown) err = %v, want unknown service", err)
 	}
@@ -123,7 +123,7 @@ func TestRouteNoReadyReplica(t *testing.T) {
 	now := c.Now() + sim.Time(cfg.FailedAfter+2)*cfg.Heartbeat + 2*cfg.ReconfigTime
 	c.RunMonitorUntil(now)
 	before := c.rawRouterStats()
-	d, err := c.Route(now, testApp, ph.pkts[0])
+	d, err := c.Route(now, testApp, &ph.pkts[0])
 	if err == nil || !strings.Contains(err.Error(), "no live replica") {
 		t.Fatalf("Route(dead fleet) err = %v, want no live replica", err)
 	}

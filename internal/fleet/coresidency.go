@@ -110,12 +110,12 @@ type ShedObservation struct {
 // PreemptionPair is one grant-log proof of priority inversion avoided:
 // the elective was requested first, yet the failover started first.
 type PreemptionPair struct {
-	ElectiveNode   string
-	ElectiveReqAt  sim.Time
-	ElectiveStart  sim.Time
-	FailoverNode   string
-	FailoverReqAt  sim.Time
-	FailoverStart  sim.Time
+	ElectiveNode  string
+	ElectiveReqAt sim.Time
+	ElectiveStart sim.Time
+	FailoverNode  string
+	FailoverReqAt sim.Time
+	FailoverStart sim.Time
 }
 
 // CoResResult is the fleet8 report.
@@ -141,8 +141,8 @@ type CoResResult struct {
 	// observation, plus how many of them proved the order (zero bulk
 	// served on the banded node) and how many violated it (bulk served
 	// there anyway).
-	ShedObservations   []ShedObservation
-	ShedOrderProofs    int
+	ShedObservations    []ShedObservation
+	ShedOrderProofs     int
 	ShedOrderViolations int
 	// LCShed is the latency-critical services' total class-shed drops —
 	// zero by construction of the shedding order.

@@ -320,7 +320,7 @@ type Node struct {
 	// ([0] latency-critical, [1] bulk), written by the owning shard's
 	// worker like busyUntil — the per-node shed-order evidence.
 	classServed [2]int64
-	replicas  map[string]*Replica
+	replicas    map[string]*Replica
 	// svcCounts tracks replicas per service (anti-affinity input),
 	// maintained at admit/evict so placement never iterates replicas.
 	svcCounts map[string]int
@@ -404,6 +404,11 @@ type Cluster struct {
 	// serial control-plane path, and each row is copied out, and each
 	// stream decoded, before the next read starts.
 	tableRow, tableWords []uint32
+	// spare is the workload storage the last phase to run handed back,
+	// taken by the next prepare; flowHash memoizes the flow hash of
+	// each generated flow index (scenario.go).
+	spare    *phaseBufs
+	flowHash []uint64
 
 	now           sim.Time
 	nextHeartbeat sim.Time

@@ -327,8 +327,8 @@ func (c *Cluster) evacuate(now sim.Time, n *Node, reason string, evict bool) Fai
 			if err := c.writeFlowSnapshot(target, r, flows); err == nil {
 				mr := MigrationRecord{
 					Replica: r.Name(), From: n.ID, To: target.ID, At: r.ReadyAt,
-					Live:     live,
-					Flows:    len(flows), Restored: r.flows.restored, Dropped: r.flows.dropped,
+					Live:  live,
+					Flows: len(flows), Restored: r.flows.restored, Dropped: r.flows.dropped,
 					CutoverAt: r.ReadyAt,
 				}
 				if !live {

@@ -23,18 +23,18 @@ import (
 
 // Standard fleet metric names.
 const (
-	mRouterSent    = "harmonia_router_sent_total"
-	mRouterServed  = "harmonia_router_served_total"
-	mRouterDropped = "harmonia_router_dropped_total"
-	mRouterHealthy = "harmonia_router_healthy_served_total"
-	mRouterBytes   = "harmonia_router_bytes_total"
-	mRouteLatency  = "harmonia_route_latency_window_ps"
-	mCmdIssued     = "harmonia_cmd_issued_total"
-	mCmdRetries    = "harmonia_cmd_retries_total"
-	mCmdDrops      = "harmonia_cmd_drops_total"
-	mNodes         = "harmonia_fleet_nodes"
-	mReplicas      = "harmonia_fleet_replicas"
-	mReplicasReady = "harmonia_fleet_replicas_placed"
+	mRouterSent      = "harmonia_router_sent_total"
+	mRouterServed    = "harmonia_router_served_total"
+	mRouterDropped   = "harmonia_router_dropped_total"
+	mRouterHealthy   = "harmonia_router_healthy_served_total"
+	mRouterBytes     = "harmonia_router_bytes_total"
+	mRouteLatency    = "harmonia_route_latency_window_ps"
+	mCmdIssued       = "harmonia_cmd_issued_total"
+	mCmdRetries      = "harmonia_cmd_retries_total"
+	mCmdDrops        = "harmonia_cmd_drops_total"
+	mNodes           = "harmonia_fleet_nodes"
+	mReplicas        = "harmonia_fleet_replicas"
+	mReplicasReady   = "harmonia_fleet_replicas_placed"
 	mLoads           = "harmonia_pr_loads_total"
 	mLoadsQueued     = "harmonia_pr_loads_queued_total"
 	mLoadFailures    = "harmonia_pr_load_failures_total"
@@ -48,17 +48,17 @@ const (
 	mSLOP99Viol = "harmonia_slo_p99_violation_fraction"
 	mAlerts     = "harmonia_alerts_total"
 
-	mSvcSent    = "harmonia_service_sent_total"
-	mSvcServed  = "harmonia_service_served_total"
-	mSvcDropped = "harmonia_service_dropped_total"
-	mSvcHealthy = "harmonia_service_healthy_served_total"
-	mSvcShed    = "harmonia_service_shed_total"
-	mSvcBytes   = "harmonia_service_bytes_total"
-	mFailovers     = "harmonia_failovers_total"
-	mTransitions   = "harmonia_transitions_total"
-	mMigrations    = "harmonia_migrations_total"
-	mThermalMax    = "harmonia_thermal_max_milli_c"
-	mSimNow        = "harmonia_sim_now_ps"
+	mSvcSent     = "harmonia_service_sent_total"
+	mSvcServed   = "harmonia_service_served_total"
+	mSvcDropped  = "harmonia_service_dropped_total"
+	mSvcHealthy  = "harmonia_service_healthy_served_total"
+	mSvcShed     = "harmonia_service_shed_total"
+	mSvcBytes    = "harmonia_service_bytes_total"
+	mFailovers   = "harmonia_failovers_total"
+	mTransitions = "harmonia_transitions_total"
+	mMigrations  = "harmonia_migrations_total"
+	mThermalMax  = "harmonia_thermal_max_milli_c"
+	mSimNow      = "harmonia_sim_now_ps"
 
 	mFragmentation  = "harmonia_fleet_fragmentation"
 	mStrandedQueues = "harmonia_fleet_stranded_queues"

@@ -32,7 +32,7 @@ func BenchmarkRoutedPacket(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Route(now, testApp, ph.pkts[i%len(ph.pkts)])
+		c.Route(now, testApp, &ph.pkts[i%len(ph.pkts)])
 	}
 }
 
@@ -46,7 +46,7 @@ func BenchmarkRoutedPacketTraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Route(now, testApp, ph.pkts[i%len(ph.pkts)])
+		c.Route(now, testApp, &ph.pkts[i%len(ph.pkts)])
 	}
 }
 
@@ -59,6 +59,6 @@ func BenchmarkRoutedPacketSampled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Route(now, testApp, ph.pkts[i%len(ph.pkts)])
+		c.Route(now, testApp, &ph.pkts[i%len(ph.pkts)])
 	}
 }

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,11 +58,18 @@ type PhaseStats struct {
 // (packet contents and arrival times) generated up front, ready to run
 // against the cluster. Preparing and running are split so the
 // control-plane benchmark can measure the serving path alone.
+//
+// A phase runs once. Its workload lives in storage the cluster
+// recycles: Run (or RunBaseline) hands it back to the cluster for the
+// next prepare, and a second run of the same phase returns an error.
 type Phase struct {
-	c        *Cluster
-	t        Traffic
-	dur      sim.Time
-	pkts     []*net.Packet
+	c   *Cluster
+	t   Traffic
+	dur sim.Time
+	n   int
+	// bufs owns the slices below until the phase runs; nil after.
+	bufs     *phaseBufs
+	pkts     []net.Packet
 	arrivals []sim.Time
 	// hashes caches each packet's flow hash — the NIC-RSS analogue:
 	// computed once at prepare time, reused by dispatch, the flow cache
@@ -77,8 +86,51 @@ type Phase struct {
 	sis    []*svcIndex
 }
 
+// stream is one generated packet stream: the packet slab, arrival
+// offsets, and each packet's flow index and flow hash.
+type stream struct {
+	pkts   []net.Packet
+	arr    []sim.Time
+	flows  []int32
+	hashes []uint64
+}
+
+// phaseBufs is the storage a prepared phase owns until it runs: its
+// merged stream and service indexes, the per-service streams a
+// co-resident phase merges from, and the shard queues Run fills. The
+// cluster keeps the set the last phase handed back, so a steady
+// prepare → run sequence reuses one set instead of allocating a slab
+// per window.
+type phaseBufs struct {
+	stream
+	svcIdx  []uint8
+	streams []stream
+	queues  [][]int
+	work    []int
+}
+
+// takeBufs returns the cluster's spare phase storage, or a new set.
+func (c *Cluster) takeBufs() *phaseBufs {
+	b := c.spare
+	c.spare = nil
+	if b == nil {
+		b = &phaseBufs{}
+	}
+	return b
+}
+
+// errPhaseRan rejects a second run of a phase whose storage has gone
+// back to the cluster.
+var errPhaseRan = errors.New("fleet: phase already ran; prepare a new one")
+
+// release hands the phase's storage back to the cluster.
+func (ph *Phase) release() {
+	ph.c.spare = ph.bufs
+	ph.bufs, ph.pkts, ph.arrivals, ph.hashes, ph.svcIdx = nil, nil, nil, nil, nil
+}
+
 // Packets reports how many packets the phase offers.
-func (ph *Phase) Packets() int { return len(ph.pkts) }
+func (ph *Phase) Packets() int { return ph.n }
 
 // Shards reports the cluster's router shard count (0 until the router
 // first freezes, i.e. before any phase has been prepared or run).
@@ -90,44 +142,66 @@ func (ph *Phase) Shards() int { return len(ph.c.router.shards) }
 // (and its allocations) out of the measured serving window that
 // Phase.Run times.
 func (c *Cluster) PreparePhase(dur sim.Time, t Traffic) (*Phase, error) {
-	pkts, arrivals, err := c.genWorkload(dur, t)
-	if err != nil {
+	b := c.takeBufs()
+	if err := c.genWorkload(&b.stream, dur, t); err != nil {
+		c.spare = b
 		return nil, err
-	}
-	hashes := make([]uint64, len(pkts))
-	for i, p := range pkts {
-		hashes[i] = p.Flow().Hash()
 	}
 	c.router.freeze()
 	c.router.idx.mature(c.now)
-	return &Phase{c: c, t: t, dur: dur, pkts: pkts, arrivals: arrivals, hashes: hashes}, nil
+	return &Phase{
+		c: c, t: t, dur: dur, n: len(b.pkts), bufs: b,
+		pkts: b.pkts, arrivals: b.arr, hashes: b.hashes,
+	}, nil
 }
 
+// flowHashMemo bounds the flow-hash memo: traffic spread over more
+// flows hashes each packet instead.
+const flowHashMemo = 1 << 16
+
 // genWorkload validates one traffic shape and generates its seeded
-// packet stream and arrival times.
-func (c *Cluster) genWorkload(dur sim.Time, t Traffic) ([]*net.Packet, []sim.Time, error) {
+// packet stream, arrival offsets and flow hashes into s, reusing s's
+// storage. A flow's key is a pure function of its index, so its hash
+// comes from the cluster's per-index memo rather than from each packet.
+func (c *Cluster) genWorkload(s *stream, dur sim.Time, t Traffic) error {
 	if dur <= 0 || t.OfferedGbps <= 0 || t.PktBytes < net.MinFrame {
-		return nil, nil, fmt.Errorf("fleet: invalid traffic phase %+v over %v", t, dur)
+		return fmt.Errorf("fleet: invalid traffic phase %+v over %v", t, dur)
 	}
 	if _, ok := c.services[t.Service]; !ok {
-		return nil, nil, fmt.Errorf("fleet: unknown service %q", t.Service)
+		return fmt.Errorf("fleet: unknown service %q", t.Service)
 	}
 	gap := sim.Time(float64((t.PktBytes+net.FrameOverhead)*8) / t.OfferedGbps * float64(sim.Nanosecond))
 	if gap < 1 {
 		gap = 1
 	}
 	count := int(dur/gap) + 1
-	pkts, err := workload.Packets(workload.PacketConfig{
-		Count: count, Size: t.PktBytes, Flows: t.Flows, Seed: t.Seed,
-	})
-	if err != nil {
-		return nil, nil, err
+	if cap(s.pkts) > 2*count {
+		// Storage sized for a much longer phase (a warm-up) would stay
+		// live between windows; let it go.
+		*s = stream{}
 	}
-	arrivals, err := workload.Arrivals(count, gap, t.Jitter, t.Seed+1)
-	if err != nil {
-		return nil, nil, err
+	cfg := workload.PacketConfig{Count: count, Size: t.PktBytes, Flows: t.Flows, Seed: t.Seed}
+	var err error
+	if s.pkts, s.flows, err = workload.AppendPacketFlows(s.pkts[:0], s.flows[:0], cfg); err != nil {
+		return err
 	}
-	return pkts, arrivals, nil
+	if s.arr, err = workload.AppendArrivals(s.arr[:0], count, gap, t.Jitter, t.Seed+1); err != nil {
+		return err
+	}
+	s.hashes = slices.Grow(s.hashes[:0], count)
+	if flows := max(t.Flows, 1); flows <= flowHashMemo {
+		for f := len(c.flowHash); f < flows; f++ {
+			c.flowHash = append(c.flowHash, cfg.FlowKey(f).Hash())
+		}
+		for _, f := range s.flows {
+			s.hashes = append(s.hashes, c.flowHash[f])
+		}
+	} else {
+		for i := range s.pkts {
+			s.hashes = append(s.hashes, s.pkts[i].Flow().Hash())
+		}
+	}
+	return nil
 }
 
 // PrepareMultiPhase validates a co-resident traffic phase — one shape
@@ -146,34 +220,35 @@ func (c *Cluster) PrepareMultiPhase(dur sim.Time, traffics []Traffic) (*Phase, e
 	if len(traffics) > 255 {
 		return nil, fmt.Errorf("fleet: co-resident phase supports at most 255 services, got %d", len(traffics))
 	}
-	seen := make(map[string]bool, len(traffics))
-	type stream struct {
-		pkts []*net.Packet
-		arr  []sim.Time
+	for ti, t := range traffics {
+		for _, u := range traffics[:ti] {
+			if u.Service == t.Service {
+				return nil, fmt.Errorf("fleet: duplicate traffic for service %q", t.Service)
+			}
+		}
 	}
-	streams := make([]stream, len(traffics))
+	b := c.takeBufs()
+	for len(b.streams) < len(traffics) {
+		b.streams = append(b.streams, stream{})
+	}
+	streams := b.streams[:len(traffics)]
 	total := 0
 	for ti, t := range traffics {
-		if seen[t.Service] {
-			return nil, fmt.Errorf("fleet: duplicate traffic for service %q", t.Service)
-		}
-		seen[t.Service] = true
-		pkts, arr, err := c.genWorkload(dur, t)
-		if err != nil {
+		if err := c.genWorkload(&streams[ti], dur, t); err != nil {
+			c.spare = b
 			return nil, err
 		}
-		streams[ti] = stream{pkts: pkts, arr: arr}
-		total += len(pkts)
+		total += len(streams[ti].pkts)
 	}
-	ph := &Phase{
-		c: c, t: traffics[0], dur: dur,
-		multi:    append([]Traffic(nil), traffics...),
-		pkts:     make([]*net.Packet, 0, total),
-		arrivals: make([]sim.Time, 0, total),
-		svcIdx:   make([]uint8, 0, total),
-		sis:      make([]*svcIndex, len(traffics)),
+	m := &b.stream
+	if cap(m.pkts) > 2*total {
+		*m, b.svcIdx = stream{}, nil
 	}
-	next := make([]int, len(streams))
+	m.pkts = slices.Grow(m.pkts[:0], total)
+	m.arr = slices.Grow(m.arr[:0], total)
+	m.hashes = slices.Grow(m.hashes[:0], total)
+	b.svcIdx = slices.Grow(b.svcIdx[:0], total)
+	var next [255]int
 	for {
 		best := -1
 		for ti := range streams {
@@ -187,18 +262,24 @@ func (c *Cluster) PrepareMultiPhase(dur sim.Time, traffics []Traffic) (*Phase, e
 		if best < 0 {
 			break
 		}
-		ph.pkts = append(ph.pkts, streams[best].pkts[next[best]])
-		ph.arrivals = append(ph.arrivals, streams[best].arr[next[best]])
-		ph.svcIdx = append(ph.svcIdx, uint8(best))
+		s, k := &streams[best], next[best]
+		m.pkts = append(m.pkts, s.pkts[k])
+		m.arr = append(m.arr, s.arr[k])
+		m.hashes = append(m.hashes, s.hashes[k])
+		b.svcIdx = append(b.svcIdx, uint8(best))
 		next[best]++
-	}
-	ph.hashes = make([]uint64, len(ph.pkts))
-	for i, p := range ph.pkts {
-		ph.hashes[i] = p.Flow().Hash()
 	}
 	c.router.freeze()
 	c.router.idx.mature(c.now)
-	return ph, nil
+	return &Phase{
+		c: c, t: traffics[0], dur: dur, n: total, bufs: b,
+		multi:    append([]Traffic(nil), traffics...),
+		pkts:     m.pkts,
+		arrivals: m.arr,
+		hashes:   m.hashes,
+		svcIdx:   b.svcIdx,
+		sis:      make([]*svcIndex, len(traffics)),
+	}, nil
 }
 
 // Serve runs one traffic phase of the given duration starting at the
@@ -259,6 +340,10 @@ const defaultBatchQuantum = 8192
 // global. Results do depend on the shard count, which is part of the
 // seeded configuration.
 func (ph *Phase) Run() (PhaseStats, error) {
+	if ph.bufs == nil {
+		return PhaseStats{}, errPhaseRan
+	}
+	defer ph.release()
 	c := ph.c
 	r := c.router
 	r.freeze()
@@ -285,8 +370,11 @@ func (ph *Phase) Run() (PhaseStats, error) {
 	before := c.RouterStats()
 	r.resetWindow()
 
-	queues := make([][]int, len(r.shards))
-	work := make([]int, 0, len(r.shards))
+	b := ph.bufs
+	for len(b.queues) < len(r.shards) {
+		b.queues = append(b.queues, nil)
+	}
+	queues, work := b.queues[:len(r.shards)], &b.work
 	nextHB := c.nextHeartbeat
 	if nextHB == 0 {
 		nextHB = c.cfg.Heartbeat
@@ -313,7 +401,7 @@ func (ph *Phase) Run() (PhaseStats, error) {
 			if k > j {
 				k = j
 			}
-			ph.runQuantum(queues, &work, i, k, workers)
+			ph.runQuantum(queues, work, i, k, workers)
 			i = k
 		}
 	}
@@ -407,7 +495,7 @@ func (ph *Phase) runShard(s int, idxs []int, si *svcIndex) {
 	var served, dropped, healthy, shed, bytes int64
 	for _, k := range idxs {
 		now := start + ph.arrivals[k]
-		p := ph.pkts[k]
+		p := &ph.pkts[k]
 		res := c.routeCached(sh, d, ph.hashes[k], now, p)
 		if !res.served {
 			dropped++
@@ -538,7 +626,7 @@ func (ph *Phase) runShardMulti(s int, idxs []int) {
 		a := &accs[ti]
 		a.sent++
 		now := start + ph.arrivals[k]
-		p := ph.pkts[k]
+		p := &ph.pkts[k]
 		res := c.routeCached(sh, d, ph.hashes[k], now, p)
 		if !res.served {
 			a.dropped++
@@ -590,21 +678,25 @@ func (ph *Phase) runShardMulti(s int, idxs []int) {
 // It is the before-side of the fleet3 control-plane benchmark and the
 // behavioral oracle for the fast path.
 func (ph *Phase) RunBaseline() (PhaseStats, error) {
+	if ph.bufs == nil {
+		return PhaseStats{}, errPhaseRan
+	}
 	if ph.multi != nil {
 		return PhaseStats{}, fmt.Errorf("fleet: baseline path does not serve co-resident phases")
 	}
+	defer ph.release()
 	c := ph.c
 	start := c.now
 	before := c.RouterStats()
 	c.router.resetWindow()
-	for i, p := range ph.pkts {
+	for i := range ph.pkts {
 		at := start + ph.arrivals[i]
 		if at > start+ph.dur {
 			break
 		}
 		// Fire every heartbeat due before this packet.
 		c.RunMonitorUntil(at)
-		_, _ = c.routeBaseline(at, ph.t.Service, p) // drops are part of the result
+		_, _ = c.routeBaseline(at, ph.t.Service, &ph.pkts[i]) // drops are part of the result
 	}
 	c.RunMonitorUntil(start + ph.dur)
 	return ph.stats(start, before, c.router.base.lat), nil

@@ -28,6 +28,10 @@ type CmdDriver struct {
 	// trace records command-path anomalies (retried commands, drops);
 	// nil is the zero-cost disabled state.
 	trace *obs.Buffer
+	// wire is the driver's command buffer, reused by every Do: the
+	// kernel parses a copy of the payload out of it, so nothing a
+	// response holds aliases it.
+	wire []byte
 }
 
 // NewCmdDriver builds a driver over a DMA engine and a control kernel.
@@ -62,10 +66,11 @@ func (d *CmdDriver) Drops() int64 { return d.drops }
 // failures are NAKed and retransmitted (the CheckSum error handling of
 // Fig. 9).
 func (d *CmdDriver) Do(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time, error) {
-	buf, err := p.Marshal()
+	buf, err := p.AppendMarshal(d.wire[:0])
 	if err != nil {
 		return nil, now, err
 	}
+	d.wire = buf
 	t := now
 	for attempt := 0; ; attempt++ {
 		wire := buf
@@ -105,11 +110,11 @@ func (d *CmdDriver) Do(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time, 
 			return nil, execDone, err
 		}
 		// Response upload through the same engine.
-		respBuf, err := resp.Marshal()
+		respLen, err := resp.WireLen()
 		if err != nil {
 			return nil, execDone, err
 		}
-		done := d.engine.Link().Transfer(execDone, len(respBuf))
+		done := d.engine.Link().Transfer(execDone, respLen)
 		d.issued++
 		if d.trace != nil && attempt > 0 {
 			e := obs.Span(obs.CatCmd, "cmd-retry", now, done)

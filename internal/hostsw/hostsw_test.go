@@ -6,6 +6,7 @@ import (
 	"harmonia/internal/cmdif"
 	"harmonia/internal/pcie"
 	"harmonia/internal/platform"
+	"harmonia/internal/sim"
 	"harmonia/internal/uck"
 )
 
@@ -157,7 +158,7 @@ func TestMigrationCostCToD(t *testing.T) {
 	}
 }
 
-func newCmdDriver(t *testing.T) (*CmdDriver, *uck.Module) {
+func newCmdDriver(t testing.TB) (*CmdDriver, *uck.Module) {
 	t.Helper()
 	link, err := pcie.NewLink("l", 4, 16)
 	if err != nil {
@@ -203,6 +204,51 @@ func TestCmdDriverRoundTrip(t *testing.T) {
 	}
 	if d.Issued() != 2 {
 		t.Errorf("Issued = %d", d.Issued())
+	}
+}
+
+// statsDriver returns a driver whose module answers StatsRead with a
+// fixed three-word payload, and that command.
+func statsDriver(t testing.TB) (*CmdDriver, *cmdif.Packet) {
+	d, m := newCmdDriver(t)
+	stats := []uint32{45000, 850, 21000}
+	m.SetStatsFn(func() []uint32 { return stats })
+	return d, cmdif.New(1, 0, cmdif.StatsRead)
+}
+
+// TestCmdDriverRoundTripAllocs bounds a steady-state StatsRead round
+// trip: the driver reuses its wire buffer and sizes the response
+// without marshalling it, so only the parsed command and the response
+// packet are allocated.
+func TestCmdDriverRoundTripAllocs(t *testing.T) {
+	d, cmd := statsDriver(t)
+	var now sim.Time
+	do := func() {
+		resp, done, err := d.Do(now, cmd)
+		if err != nil || len(resp.Data) != 3 {
+			t.Fatalf("Do = %v, %v", resp, err)
+		}
+		now = done
+	}
+	do() // warm the wire buffer and the control queue
+	if got := testing.AllocsPerRun(100, do); got > 2 {
+		t.Errorf("StatsRead round trip allocates %.1f objects, want <= 2", got)
+	}
+}
+
+// BenchmarkCmdRoundTrip measures one StatsRead command through the
+// driver: marshal, control-queue transfer, parse, kernel execution and
+// the response upload.
+func BenchmarkCmdRoundTrip(b *testing.B) {
+	d, cmd := statsDriver(b)
+	var now sim.Time
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, done, err := d.Do(now, cmd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		now = done
 	}
 }
 

@@ -62,9 +62,9 @@ func TestSLOTrackerIdleWindows(t *testing.T) {
 
 func TestSLOTrackerValidation(t *testing.T) {
 	for name, f := range map[string]func(){
-		"availability 1":  func() { NewSLOTracker(1, testWindows()) },
-		"no windows":      func() { NewSLOTracker(0.99, nil) },
-		"zero-tick":       func() { NewSLOTracker(0.99, []SLOWindow{{Name: "0t"}}) },
+		"availability 1": func() { NewSLOTracker(1, testWindows()) },
+		"no windows":     func() { NewSLOTracker(0.99, nil) },
+		"zero-tick":      func() { NewSLOTracker(0.99, []SLOWindow{{Name: "0t"}}) },
 	} {
 		func() {
 			defer func() {

@@ -129,6 +129,33 @@ func TestEnginePostAndDrain(t *testing.T) {
 	}
 }
 
+// TestEngineSteadyCycleAllocsNothing verifies that a queue drained to
+// empty reuses its backing array: a steady post → step cycle on the
+// control queue and on a data queue allocates nothing.
+func TestEngineSteadyCycleAllocsNothing(t *testing.T) {
+	e := newTestEngine(t, DefaultEngineConfig())
+	var now sim.Time
+	cycle := func() {
+		if err := e.PostControl(now, 64); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Post(now, 3, HostToDevice, 256); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			done, ok := e.Step(now)
+			if !ok {
+				t.Fatal("posted transfer not dispatched")
+			}
+			now = done
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("post → step cycle allocates %.1f objects, want 0", got)
+	}
+}
+
 func TestEnginePostValidation(t *testing.T) {
 	e := newTestEngine(t, DefaultEngineConfig())
 	if err := e.Post(0, -1, DeviceToHost, 64); err == nil {

@@ -48,6 +48,20 @@ type queue struct {
 	stats   QueueStats
 }
 
+// pop dequeues the oldest pending transfer. A queue that drains
+// rewinds to the start of its backing array, so the next post reuses
+// it instead of reallocating.
+func (q *queue) pop() Transfer {
+	tr := q.pending[0]
+	q.pending[0] = Transfer{}
+	if len(q.pending) == 1 {
+		q.pending = q.pending[:0]
+	} else {
+		q.pending = q.pending[1:]
+	}
+	return tr
+}
+
 // SchedulerMode selects how the engine finds work.
 type SchedulerMode int
 
@@ -221,8 +235,7 @@ func (e *Engine) dispatchControl(now sim.Time) (sim.Time, bool) {
 	if len(e.ctrl.pending) == 0 {
 		return 0, false
 	}
-	tr := e.ctrl.pending[0]
-	e.ctrl.pending = e.ctrl.pending[1:]
+	tr := e.ctrl.pop()
 	done := e.link.Transfer(now, tr.Bytes)
 	e.ctrl.stats.Completed++
 	e.ctrl.stats.Bytes += int64(tr.Bytes)
@@ -243,8 +256,7 @@ func (e *Engine) Step(now sim.Time) (done sim.Time, ok bool) {
 		return 0, false
 	}
 	q := &e.queues[idx]
-	tr := q.pending[0]
-	q.pending = q.pending[1:]
+	tr := q.pop()
 	done = e.link.Transfer(ready, tr.Bytes)
 	q.stats.Completed++
 	q.stats.Bytes += int64(tr.Bytes)

@@ -45,8 +45,8 @@ type Module struct {
 	tableSources map[uint32]func(index uint32) ([]uint32, bool)
 	tableSinks   map[uint32]func(index uint32, entry []uint32) error
 	statsFn      func() []uint32
-	inits   int64
-	resets  int64
+	inits        int64
+	resets       int64
 	// regOps counts register accesses the kernel performed on this
 	// module — the work commands abstract away from the host.
 	regOps int64

@@ -8,7 +8,9 @@ package workload
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"harmonia/internal/net"
 	"harmonia/internal/sim"
@@ -39,35 +41,87 @@ type PacketConfig struct {
 	Seed int64
 }
 
-// Packets generates a deterministic stream.
+// Packets generates a deterministic stream. The packets live in one
+// value slab (AppendPackets); the returned pointers index into it.
 func Packets(cfg PacketConfig) ([]*net.Packet, error) {
+	slab, err := AppendPackets(nil, cfg)
+	if err != nil {
+		return nil, err
+	}
+	pkts := make([]*net.Packet, len(slab))
+	for i := range slab {
+		pkts[i] = &slab[i]
+	}
+	return pkts, nil
+}
+
+// AppendPackets appends the stream Packets generates to dst as values
+// and returns the extended slice. A caller that recycles dst between
+// streams generates without allocating.
+func AppendPackets(dst []net.Packet, cfg PacketConfig) ([]net.Packet, error) {
+	dst, _, err := appendPackets(dst, nil, false, cfg)
+	return dst, err
+}
+
+// AppendPacketFlows is AppendPackets that also appends each packet's
+// flow index, in [0, cfg.Flows), to flows. Every packet of flow f
+// carries the key cfg.FlowKey(f), so per-flow work (a flow hash) can be
+// done once per index instead of once per packet.
+func AppendPacketFlows(dst []net.Packet, flows []int32, cfg PacketConfig) ([]net.Packet, []int32, error) {
+	return appendPackets(dst, flows, true, cfg)
+}
+
+func appendPackets(dst []net.Packet, flows []int32, withFlows bool, cfg PacketConfig) ([]net.Packet, []int32, error) {
 	if cfg.Count <= 0 || cfg.Size < net.MinFrame {
-		return nil, fmt.Errorf("workload: invalid packet config %+v", cfg)
+		return dst, flows, fmt.Errorf("workload: invalid packet config %+v", cfg)
 	}
 	if cfg.Flows <= 0 {
 		cfg.Flows = 1
 	}
+	if withFlows && cfg.Flows > math.MaxInt32 {
+		return dst, flows, fmt.Errorf("workload: %d flows exceed the int32 flow index", cfg.Flows)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pkts := make([]*net.Packet, cfg.Count)
-	for i := range pkts {
+	base := len(dst)
+	dst = slices.Grow(dst, cfg.Count)[:base+cfg.Count]
+	if withFlows {
+		flows = slices.Grow(flows, cfg.Count)
+	}
+	for i := range dst[base:] {
 		flow := rng.Intn(cfg.Flows)
-		dstIP := net.IPv4(10, 1, byte(flow>>8), byte(flow))
-		if len(cfg.VIPs) > 0 {
-			dstIP = cfg.VIPs[flow%len(cfg.VIPs)]
-		}
-		pkts[i] = &net.Packet{
+		k := cfg.FlowKey(flow)
+		dst[base+i] = net.Packet{
 			DstMAC:    cfg.DstMAC,
 			SrcMAC:    net.HWAddr{0x02, 0xcc, byte(flow >> 16), byte(flow >> 8), byte(flow), 0x01},
-			SrcIP:     net.IPv4(172, 16, byte(flow>>8), byte(flow)),
-			DstIP:     dstIP,
-			Proto:     net.ProtoTCP,
-			SrcPort:   uint16(1024 + flow%50000),
-			DstPort:   443,
+			SrcIP:     k.SrcIP,
+			DstIP:     k.DstIP,
+			Proto:     k.Proto,
+			SrcPort:   k.SrcPort,
+			DstPort:   k.DstPort,
 			Seq:       uint32(i),
 			WireBytes: cfg.Size,
 		}
+		if withFlows {
+			flows = append(flows, int32(flow))
+		}
 	}
-	return pkts, nil
+	return dst, flows, nil
+}
+
+// FlowKey returns the 5-tuple the stream gives flow index flow: a pure
+// function of the index and cfg.VIPs.
+func (cfg PacketConfig) FlowKey(flow int) net.FlowKey {
+	dstIP := net.IPv4(10, 1, byte(flow>>8), byte(flow))
+	if len(cfg.VIPs) > 0 {
+		dstIP = cfg.VIPs[flow%len(cfg.VIPs)]
+	}
+	return net.FlowKey{
+		SrcIP:   net.IPv4(172, 16, byte(flow>>8), byte(flow)),
+		DstIP:   dstIP,
+		Proto:   net.ProtoTCP,
+		SrcPort: uint16(1024 + flow%50000),
+		DstPort: 443,
+	}
 }
 
 // AccessMode selects the memory access pattern (Figs. 10c, 18c).
@@ -252,14 +306,22 @@ func Dot(a, b []float32) float32 {
 // makes fleet scenarios and failover drills reproducible: the same
 // seed yields the identical arrival process.
 func Arrivals(n int, gap sim.Time, jitter float64, seed int64) ([]sim.Time, error) {
+	return AppendArrivals(nil, n, gap, jitter, seed)
+}
+
+// AppendArrivals appends the offsets Arrivals generates to dst and
+// returns the extended slice.
+func AppendArrivals(dst []sim.Time, n int, gap sim.Time, jitter float64, seed int64) ([]sim.Time, error) {
 	if n <= 0 || gap <= 0 {
-		return nil, fmt.Errorf("workload: invalid arrival config n=%d gap=%v", n, gap)
+		return dst, fmt.Errorf("workload: invalid arrival config n=%d gap=%v", n, gap)
 	}
 	if jitter < 0 || jitter >= 1 {
-		return nil, fmt.Errorf("workload: jitter %v outside [0, 1)", jitter)
+		return dst, fmt.Errorf("workload: jitter %v outside [0, 1)", jitter)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]sim.Time, n)
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	out := dst[base:]
 	var t sim.Time
 	for i := range out {
 		g := gap
@@ -272,7 +334,7 @@ func Arrivals(n int, gap sim.Time, jitter float64, seed int64) ([]sim.Time, erro
 		t += g
 		out[i] = t
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ZipfFlows draws per-packet flow indices from a Zipf distribution over

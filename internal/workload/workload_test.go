@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"harmonia/internal/net"
@@ -22,6 +24,106 @@ func TestPacketsDeterministic(t *testing.T) {
 	}
 	if len(a) != 100 || a[0].WireBytes != 256 {
 		t.Errorf("stream shape wrong")
+	}
+}
+
+// refPackets is the pointer-per-packet generator the value slab
+// replaced, kept as the oracle for the stream's exact contents.
+func refPackets(cfg PacketConfig) []*net.Packet {
+	if cfg.Flows <= 0 {
+		cfg.Flows = 1
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	pkts := make([]*net.Packet, cfg.Count)
+	for i := range pkts {
+		flow := rng.Intn(cfg.Flows)
+		dstIP := net.IPv4(10, 1, byte(flow>>8), byte(flow))
+		if len(cfg.VIPs) > 0 {
+			dstIP = cfg.VIPs[flow%len(cfg.VIPs)]
+		}
+		pkts[i] = &net.Packet{
+			DstMAC:    cfg.DstMAC,
+			SrcMAC:    net.HWAddr{0x02, 0xcc, byte(flow >> 16), byte(flow >> 8), byte(flow), 0x01},
+			SrcIP:     net.IPv4(172, 16, byte(flow>>8), byte(flow)),
+			DstIP:     dstIP,
+			Proto:     net.ProtoTCP,
+			SrcPort:   uint16(1024 + flow%50000),
+			DstPort:   443,
+			Seq:       uint32(i),
+			WireBytes: cfg.Size,
+		}
+	}
+	return pkts
+}
+
+// TestAppendPacketsGolden checks the value-slab generators against the
+// reference stream field by field, over several seeds, flow counts and
+// a VIP set: Packets, AppendPackets onto a non-empty recycled slab, and
+// AppendPacketFlows, whose flow indices must key each packet's tuple.
+func TestAppendPacketsGolden(t *testing.T) {
+	vips := []net.IPAddr{net.IPv4(20, 0, 0, 1), net.IPv4(20, 0, 0, 2), net.IPv4(20, 0, 0, 3)}
+	slab := make([]net.Packet, 0, 4096)
+	var flows []int32
+	for seed := int64(1); seed <= 6; seed++ {
+		cfg := PacketConfig{
+			Count: 500 + int(seed)*37, Size: 64 * int(seed), Flows: []int{0, 1, 7, 300, 70000, 1 << 20}[seed-1],
+			DstMAC: net.HWAddr{0x02, 0, 0, 0, 0, byte(seed)}, Seed: seed,
+		}
+		if seed%2 == 0 {
+			cfg.VIPs = vips
+		}
+		want := refPackets(cfg)
+		ptrs, err := Packets(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sentinel := net.Packet{Seq: 99}
+		slab = append(slab[:0], sentinel)
+		if slab, err = AppendPackets(slab, cfg); err != nil {
+			t.Fatal(err)
+		}
+		vals, fl, err := AppendPacketFlows(nil, flows[:0], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows = fl
+		if len(ptrs) != len(want) || len(slab) != len(want)+1 || len(vals) != len(want) || len(flows) != len(want) {
+			t.Fatalf("seed %d: lengths %d/%d/%d/%d, want %d", seed, len(ptrs), len(slab)-1, len(vals), len(flows), len(want))
+		}
+		if !reflect.DeepEqual(slab[0], sentinel) {
+			t.Fatalf("seed %d: AppendPackets overwrote dst's prefix", seed)
+		}
+		for i, w := range want {
+			if !reflect.DeepEqual(*ptrs[i], *w) || !reflect.DeepEqual(slab[i+1], *w) || !reflect.DeepEqual(vals[i], *w) {
+				t.Fatalf("seed %d packet %d: got %+v / %+v / %+v, want %+v", seed, i, *ptrs[i], slab[i+1], vals[i], *w)
+			}
+			if k := cfg.FlowKey(int(flows[i])); k != w.Flow() {
+				t.Fatalf("seed %d packet %d: FlowKey(%d) = %+v, packet flow %+v", seed, i, flows[i], k, w.Flow())
+			}
+		}
+	}
+}
+
+// TestAppendArrivalsMatchesArrivals checks the appending form against
+// Arrivals and that it keeps dst's prefix.
+func TestAppendArrivalsMatchesArrivals(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		want, err := Arrivals(300, 7*sim.Nanosecond, 0.3*float64(seed-1), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendArrivals([]sim.Time{-1}, 300, 7*sim.Nanosecond, 0.3*float64(seed-1), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want)+1 || got[0] != -1 {
+			t.Fatalf("seed %d: AppendArrivals = %d offsets with prefix %v", seed, len(got), got[0])
+		}
+		for i := range want {
+			if got[i+1] != want[i] {
+				t.Fatalf("seed %d offset %d: %v, want %v", seed, i, got[i+1], want[i])
+			}
+		}
 	}
 }
 
