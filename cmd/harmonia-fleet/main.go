@@ -41,11 +41,17 @@
 // the rack-hierarchical path's per-packet cost staying flat (within
 // 1.25x) from 1000 to 10000 nodes.
 //
-// The chaos drill always runs with a flight recorder attached: when a
-// gate fails, the last -flight events dump to chaos-flight.json next
-// to the repro line. Passing -trace upgrades to full recording and
-// writes a Chrome trace-event file Perfetto loads directly; -metrics
-// writes the merged per-case registries as Prometheus text.
+// Each artifact-writing drill (bench, migrate, gossip, chaos,
+// coresidency, rebalance, slo) is one row of the drills table, and one
+// driver runs them all: it writes BENCH_<scenario>.json (bench writes
+// BENCH_fleet.json; -json overrides the path and -json "" skips it),
+// checks the drill's gates, and fails with a one-command repro line
+// when one does not hold. The recording drills (chaos, coresidency,
+// rebalance, slo) always fly with a flight recorder: when a gate fails,
+// the last -flight events per track dump to <scenario>-flight.json.
+// Passing -trace upgrades to full recording and writes a Chrome
+// trace-event file Perfetto loads directly; -metrics writes the
+// drill's registries as Prometheus text.
 package main
 
 import (
@@ -72,13 +78,13 @@ type options struct {
 	devices  int
 	gbps     float64
 	seed     int64
-	budget   int // chaos: concurrent PR-load cap
+	budget   int // concurrent PR-load cap for the budgeted cases
 	racks    int // rack count override (0 = auto, one rack per 64 nodes)
 	// bench scenario only.
 	nodes    string // comma-separated fleet sizes
-	jsonPath string // where to write the machine-readable report
-	// observability (chaos and tracecheck scenarios).
-	tracePath   string // Chrome trace-event output (chaos) / input (tracecheck)
+	jsonPath string // where a drill writes its report (empty to skip)
+	// observability (recording drills and tracecheck).
+	tracePath   string // Chrome trace-event output (drills) / input (tracecheck)
 	metricsPath string // Prometheus text exposition output
 	flightN     int    // flight-recorder ring size per track
 	cats        string // tracecheck: required-category override
@@ -88,34 +94,27 @@ func main() {
 	var o options
 	flag.StringVar(&o.scenario, "scenario", "scale", "scale | drill | bench | migrate | chaos | gossip | coresidency | rebalance | slo | tracecheck")
 	flag.StringVar(&o.app, "app", "layer4-lb", "application to replicate across the fleet")
-	flag.IntVar(&o.devices, "devices", 4, "fleet size (sweep upper bound for scale)")
+	flag.IntVar(&o.devices, "devices", 4, "fleet size (sweep upper bound for scale; artifact drills default to their own)")
 	flag.Float64Var(&o.gbps, "gbps", 40, "offered load per device (Gbps)")
 	flag.Int64Var(&o.seed, "seed", 7, "workload and router seed")
-	flag.IntVar(&o.budget, "budget", 8, "chaos/coresidency: concurrent PR-load cap for the budgeted cases")
+	flag.IntVar(&o.budget, "budget", 0, "concurrent PR-load cap for the budgeted cases (default: the drill's own)")
 	flag.IntVar(&o.racks, "racks", 0, "rack count (0 = auto, one rack per 64 nodes)")
 	flag.StringVar(&o.nodes, "nodes", "", "bench: comma-separated fleet sizes (default 100,300,1000,10000)")
-	flag.StringVar(&o.jsonPath, "json", "BENCH_fleet.json", "bench: report path (empty to skip)")
-	flag.StringVar(&o.tracePath, "trace", "", "chaos: write a Chrome trace-event file; tracecheck: file to validate")
-	flag.StringVar(&o.metricsPath, "metrics", "", "chaos: write the merged registries as Prometheus text")
-	flag.IntVar(&o.flightN, "flight", 2048, "chaos: flight-recorder ring size per track (when -trace is not set)")
+	flag.StringVar(&o.jsonPath, "json", "", "drill report path (default BENCH_<scenario>.json, bench: BENCH_fleet.json; empty to skip)")
+	flag.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event file; tracecheck: file to validate")
+	flag.StringVar(&o.metricsPath, "metrics", "", "write the drill's registries as Prometheus text")
+	flag.IntVar(&o.flightN, "flight", 2048, "flight-recorder ring size per track (when -trace is not set)")
 	flag.StringVar(&o.cats, "cats", "", "tracecheck: comma-separated required categories (default: the chaos taxonomy)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	// The generic -devices default (4) suits scale/drill; the chaos,
-	// gossip and co-residency drills carry their own tentpole fleet
-	// sizes. Only an explicit -devices overrides them.
-	if o.scenario == "chaos" || o.scenario == "gossip" || o.scenario == "coresidency" || o.scenario == "rebalance" || o.scenario == "slo" {
-		devicesGiven := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "devices" {
-				devicesGiven = true
-			}
-		})
-		if !devicesGiven {
-			o.devices = 0
-		}
+	// A drill's own fleet size, budget and artifact path apply unless
+	// the user gave the flag.
+	if d, ok := lookupDrill(o.scenario); ok {
+		given := make(map[string]bool)
+		flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+		o = d.withDefaults(o, given)
 	}
 
 	if *cpuprofile != "" {
@@ -152,6 +151,9 @@ func fatal(err error) {
 }
 
 func run(w io.Writer, o options) error {
+	if d, ok := lookupDrill(o.scenario); ok {
+		return runDrill(w, d, o)
+	}
 	traffic := fleet.DefaultTraffic(o.app)
 	traffic.OfferedGbps = o.gbps
 	traffic.Seed = o.seed
@@ -163,26 +165,144 @@ func run(w io.Writer, o options) error {
 	case "scale":
 		return runScale(w, cfg, o.app, o.devices, traffic)
 	case "drill":
-		return runDrill(w, cfg, o.app, o.devices, traffic)
-	case "bench":
-		return runBench(w, o)
-	case "migrate":
-		return runMigrate(w, o)
-	case "chaos":
-		return runChaos(w, o)
-	case "gossip":
-		return runGossip(w, o)
-	case "coresidency":
-		return runCoResidency(w, o)
-	case "rebalance":
-		return runRebalance(w, o)
-	case "slo":
-		return runSLO(w, o)
+		return runKillDrill(w, cfg, o.app, o.devices, traffic)
 	case "tracecheck":
 		return runTraceCheck(w, o)
 	default:
 		return fmt.Errorf("unknown scenario %q (want scale, drill, bench, migrate, chaos, gossip, coresidency, rebalance, slo or tracecheck)", o.scenario)
 	}
+}
+
+// A drill is one artifact-writing scenario. Its row holds only what
+// differs between drills; runDrill owns the rest of the lifecycle.
+type drill struct {
+	name     string
+	artifact string // default -json path
+	devices  int    // default -devices (0: the drill sizes its own fleet)
+	budget   int    // default -budget (0: the drill has no PR-load cap)
+	records  bool   // flies a recorder: honours -trace, -metrics and -flight
+	// run executes the drill and prints its table; rec is nil unless
+	// the drill records.
+	run func(w io.Writer, o options, rec *obs.Recorder) (outcome, error)
+}
+
+// outcome is what a drill hands back to the driver.
+type outcome struct {
+	report interface{ Gates() bool } // the JSON artifact, gates pre-evaluated
+	repro  string                    // one command that rebuilds this run
+	regs   []*obs.Registry           // what -metrics exports
+}
+
+var drills = []drill{
+	{name: "bench", artifact: "BENCH_fleet.json", run: runBench},
+	{name: "migrate", artifact: "BENCH_migrate.json", run: runMigrate},
+	{name: "gossip", artifact: "BENCH_gossip.json", devices: 300, run: runGossip},
+	{name: "chaos", artifact: "BENCH_chaos.json", records: true, run: runChaos,
+		devices: fleet.DefaultChaosOptions().Devices, budget: fleet.DefaultChaosOptions().Budget},
+	{name: "coresidency", artifact: "BENCH_coresidency.json", records: true, run: runCoResidency,
+		devices: fleet.DefaultCoResOptions().Devices, budget: fleet.DefaultCoResOptions().Budget},
+	{name: "rebalance", artifact: "BENCH_rebalance.json", records: true, run: runRebalance,
+		devices: fleet.DefaultRebalanceOptions().Devices, budget: fleet.DefaultRebalanceOptions().Budget},
+	{name: "slo", artifact: "BENCH_slo.json", records: true, run: runSLO,
+		devices: fleet.DefaultSLOOptions().Devices, budget: fleet.DefaultSLOOptions().Budget},
+}
+
+func lookupDrill(name string) (drill, bool) {
+	for _, d := range drills {
+		if d.name == name {
+			return d, true
+		}
+	}
+	return drill{}, false
+}
+
+// withDefaults applies the row's -devices, -budget and -json defaults
+// to every one of those flags the user did not give.
+func (d drill) withDefaults(o options, given map[string]bool) options {
+	if !given["devices"] {
+		o.devices = d.devices
+	}
+	if !given["budget"] {
+		o.budget = d.budget
+	}
+	if !given["json"] {
+		o.jsonPath = d.artifact
+	}
+	return o
+}
+
+// runDrill runs one drill and owns what every drill shares: the
+// recorder, the JSON artifact, the trace and metrics files (written
+// before the gate check, so a failing run keeps its evidence), the gate
+// check, the flight dump and the repro line.
+func runDrill(w io.Writer, d drill, o options) error {
+	if !d.records && (o.tracePath != "" || o.metricsPath != "") {
+		return fmt.Errorf("scenario %s records no trace or metrics; drop -trace and -metrics", d.name)
+	}
+	var rec *obs.Recorder
+	switch {
+	case !d.records:
+	case o.tracePath != "":
+		rec = obs.NewRecorder()
+	default:
+		rec = obs.NewFlightRecorder(o.flightN)
+	}
+	out, err := d.run(w, o, rec)
+	if err != nil {
+		return err
+	}
+	if o.jsonPath != "" {
+		data, err := json.MarshalIndent(out.report, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(o.jsonPath, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\nwrote %s\n", o.jsonPath)
+	}
+	if o.tracePath != "" {
+		if err := writeFile(o.tracePath, rec.WriteTrace); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s\n", o.tracePath)
+	}
+	if o.metricsPath != "" {
+		prom := func(f io.Writer) error { return obs.WriteProm(f, out.regs...) }
+		if err := writeFile(o.metricsPath, prom); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s\n", o.metricsPath)
+	}
+	if out.report.Gates() {
+		return nil
+	}
+	msg := d.name + " gates failed"
+	if f, ok := out.report.(interface{ Failures() []string }); ok {
+		msg += ": " + strings.Join(f.Failures(), "; ")
+	}
+	if rec != nil && o.tracePath == "" {
+		// The last -flight events per track: the forensic record of the
+		// moments before the gate went red.
+		flightPath := d.name + "-flight.json"
+		if err := writeFile(flightPath, rec.WriteTrace); err == nil {
+			msg += "; flight recording in " + flightPath
+		}
+	}
+	return fmt.Errorf("%s; reproduce with: %s", msg, out.repro)
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }
 
 // runScale sweeps the fleet 1..n devices and prints the aggregate
@@ -203,8 +323,8 @@ func runScale(w io.Writer, cfg fleet.Config, app string, n int, t fleet.Traffic)
 	return nil
 }
 
-// runDrill kills a device mid-run and prints the failover timeline.
-func runDrill(w io.Writer, cfg fleet.Config, app string, n int, t fleet.Traffic) error {
+// runKillDrill kills a device mid-run and prints the failover timeline.
+func runKillDrill(w io.Writer, cfg fleet.Config, app string, n int, t fleet.Traffic) error {
 	fmt.Fprintf(w, "kill-a-device drill: %s on %d devices, %.0f Gbps offered\n\n",
 		app, n, t.OfferedGbps)
 	d, err := fleet.KillDrill(cfg, app, n, t)
@@ -234,25 +354,28 @@ func runDrill(w io.Writer, cfg fleet.Config, app string, n int, t fleet.Traffic)
 }
 
 // runBench runs the fleet3 control-plane overhead sweep (default sizes
-// include the 10000-node scale point), prints the scaling table, writes
-// the machine-readable report, and gates on three invariants: the rack
+// include the 10000-node scale point) and prints the scaling table. Its
+// report gates on three invariants: the rack
 // path staying flat from 1k to 10k nodes, per-packet allocations on
 // both batched paths staying under bench.AllocBound at every swept
 // size, and the batched fast path staying under bench.FastBatchedBoundNs
 // at the 1000-node point. The gates fail closed: a -nodes sweep that
 // skips a gated size writes its report, then exits non-zero naming the
 // missing point.
-func runBench(w io.Writer, o options) error {
+func runBench(w io.Writer, o options, _ *obs.Recorder) (outcome, error) {
 	sizes, err := parseSizes(o.nodes)
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
+	repro := "go run ./cmd/harmonia-fleet -scenario bench"
 	if sizes == nil {
 		sizes = bench.ControlPlaneScaleSizes
+	} else {
+		repro += " -nodes " + o.nodes
 	}
 	rep, err := bench.FleetControlPlaneReport(sizes)
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
 	fmt.Fprintf(w, "control-plane overhead: %s, %.0f Gbps/node, %v phase\n\n",
 		rep.App, rep.GbpsPerNode, sim.Time(rep.PhasePs))
@@ -285,20 +408,7 @@ func runBench(w io.Writer, o options) error {
 	gate(fmt.Sprintf("allocs/pkt <= %.2f at every size", rep.AllocBound), rep.AllocsFlat, rep.AllocsReason)
 	gate(fmt.Sprintf("fast path at %d nodes: %.1f ns/pkt (bound %.0f)",
 		rep.FastGateNodes, rep.FastGateNsPerPkt, rep.FastGateBoundNs), rep.FastGate, rep.FastGateReason)
-	if o.jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", o.jsonPath)
-	}
-	if fails := rep.Failures(); len(fails) > 0 {
-		return fmt.Errorf("fleet3 gates failed: %s", strings.Join(fails, "; "))
-	}
-	return nil
+	return outcome{report: rep, repro: repro}, nil
 }
 
 // gossipReport is the machine-readable fleet7 smoke artifact
@@ -351,11 +461,8 @@ func (r *gossipReport) Gates() bool {
 // with gossip health and rack-first dispatch, falsely suspect a live
 // node (must refute, no failover), then kill a node (must be suspected,
 // confirmed within the detection bound, and failed over).
-func runGossip(w io.Writer, o options) error {
+func runGossip(w io.Writer, o options, _ *obs.Recorder) (outcome, error) {
 	n := o.devices
-	if n <= 0 {
-		n = 300
-	}
 	cfg := fleet.DefaultConfig()
 	cfg.Seed = o.seed
 	cfg.Racks = o.racks
@@ -363,7 +470,7 @@ func runGossip(w io.Writer, o options) error {
 	cfg.RackP2C = true
 	c, err := fleet.BuildCluster(cfg, o.app, n, n)
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
 	c.RunMonitorUntil(2 * cfg.ReconfigTime)
 	// A short serving burst freezes the rack layout and exercises the
@@ -372,7 +479,7 @@ func runGossip(w io.Writer, o options) error {
 	t.OfferedGbps = o.gbps * float64(n)
 	t.Seed = o.seed
 	if _, err := c.Serve(50*sim.Microsecond, t); err != nil {
-		return err
+		return outcome{}, err
 	}
 	bound := c.GossipDetectionBound()
 	nodes := c.Nodes()
@@ -389,7 +496,7 @@ func runGossip(w io.Writer, o options) error {
 	suspect := nodes[1].ID
 	rep.SuspectedNode = suspect
 	if _, err := c.InjectGossipSuspicion(suspect); err != nil {
-		return err
+		return outcome{}, err
 	}
 	c.RunMonitorUntil(c.Now() + bound)
 	failoversBefore := len(c.Failovers())
@@ -408,7 +515,7 @@ func runGossip(w io.Writer, o options) error {
 	rep.KilledNode = killed
 	faultAt := c.Now()
 	if err := c.Kill(killed); err != nil {
-		return err
+		return outcome{}, err
 	}
 	c.RunMonitorUntil(faultAt + bound + cfg.Heartbeat)
 	for _, tr := range c.Transitions() {
@@ -440,35 +547,18 @@ func runGossip(w io.Writer, o options) error {
 	}
 	fmt.Fprintf(w, "\nstats: ticks=%d probes=%d digests=%d suspicions=%d refutations=%d confirmations=%d\n",
 		s.Ticks, s.Probes, s.Digests, s.Suspicions, s.Refutations, s.Confirmations)
-
-	path := o.jsonPath
-	if path == "BENCH_fleet.json" { // the -json flag default belongs to bench
-		path = "BENCH_gossip.json"
-	}
-	if path != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", path)
-	}
-	if !rep.Gates() {
-		return fmt.Errorf("gossip smoke incomplete: refuted=%v clean=%v confirmed=%v failover=%v",
-			rep.Refuted, rep.RefuteClean, rep.Confirmed, rep.FailoverDone)
-	}
-	return nil
+	repro := fmt.Sprintf("go run ./cmd/harmonia-fleet -scenario gossip -app %s -devices %d -gbps %g -seed %d -racks %d",
+		o.app, n, o.gbps, o.seed, o.racks)
+	return outcome{report: rep, repro: repro}, nil
 }
 
 // runMigrate runs the fleet4 live-migration drill: the same stateful-LB
 // failover cold and with the connection table carried across, judged
 // against the Maglev re-hash bound.
-func runMigrate(w io.Writer, o options) error {
+func runMigrate(w io.Writer, _ options, _ *obs.Recorder) (outcome, error) {
 	rep, d, err := bench.FleetMigrationReport()
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
 	fmt.Fprintf(w, "live-migration drill: %s on %d devices, %d backends, killed %s\n\n",
 		rep.App, rep.Devices, rep.Backends, rep.Killed)
@@ -495,22 +585,7 @@ func runMigrate(w io.Writer, o options) error {
 		fmt.Fprintf(w, "  %s: %s -> %s at %v (%s, %d/%d flows restored, age %v)\n",
 			m.Replica, m.From, m.To, m.At, mode, m.Restored, m.Flows, m.SnapshotAge)
 	}
-	if o.jsonPath == "" {
-		return nil
-	}
-	path := o.jsonPath
-	if path == "BENCH_fleet.json" { // the -json flag default belongs to bench
-		path = "BENCH_migrate.json"
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", path)
-	return nil
+	return outcome{report: rep, repro: "go run ./cmd/harmonia-fleet -scenario migrate"}, nil
 }
 
 // runChaos runs the fleet5 failure-storm drill: one seeded injection
@@ -518,26 +593,12 @@ func runMigrate(w io.Writer, o options) error {
 // budgeted/static, budgeted/derived-shedding), gated on the PR-load
 // budget holding, the unbudgeted fleet exceeding it, and derived
 // shedding keeping packets off alarmed nodes.
-func runChaos(w io.Writer, o options) error {
-	opts := fleet.DefaultChaosOptions()
-	if o.devices > 0 {
-		opts.Devices = o.devices
-	}
-	opts.Budget = o.budget
-	opts.Seed = o.seed
-	// The drill always flies with a recorder: full recording when the
-	// operator asked for a trace, otherwise a bounded flight recorder
-	// whose last events dump on gate failure.
-	var rec *obs.Recorder
-	if o.tracePath != "" {
-		rec = obs.NewRecorder()
-	} else {
-		rec = obs.NewFlightRecorder(o.flightN)
-	}
-	opts.Trace = rec
-	rep, d, err := bench.FleetChaosReport(opts)
+func runChaos(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
+	rep, d, err := bench.FleetChaosReport(fleet.ChaosOptions{
+		Devices: o.devices, Budget: o.budget, Seed: o.seed, Trace: rec,
+	})
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
 	fmt.Fprintf(w, "failure-storm drill: %s on %d devices, rack size %d, seed %d, budget %d\n",
 		rep.App, rep.Devices, rep.RackSize, rep.Seed, rep.Budget)
@@ -552,62 +613,11 @@ func runChaos(w io.Writer, o options) error {
 	}
 	fmt.Fprintf(w, "\nbudget bounded:         %v\nunbudgeted exceeds:     %v\nno traffic after alarm: %v\n",
 		rep.BudgetBounded, rep.UnbudgetedExceeds, rep.NoTrafficAfterAlarm)
-	path := o.jsonPath
-	if path == "BENCH_fleet.json" { // the -json flag default belongs to bench
-		path = "BENCH_chaos.json"
+	var regs []*obs.Registry
+	for _, c := range d.Cases {
+		regs = append(regs, c.Registry)
 	}
-	if path != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", path)
-	}
-	// Observability artifacts are written before the gate check so a
-	// failing run still leaves its evidence behind.
-	if o.tracePath != "" {
-		if err := writeTraceFile(o.tracePath, rec); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", o.tracePath)
-	}
-	if o.metricsPath != "" {
-		var regs []*obs.Registry
-		for _, c := range d.Cases {
-			if c.Registry != nil {
-				regs = append(regs, c.Registry)
-			}
-		}
-		f, err := os.Create(o.metricsPath)
-		if err != nil {
-			return err
-		}
-		werr := obs.WriteProm(f, regs...)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(w, "wrote %s\n", o.metricsPath)
-	}
-	if !rep.Gates() {
-		if o.tracePath == "" {
-			// Dump the flight recorder: the last -flight events per
-			// track, the forensic record of the moments before the gate
-			// went red.
-			const flightPath = "chaos-flight.json"
-			if werr := writeTraceFile(flightPath, rec); werr == nil {
-				return fmt.Errorf("chaos gates failed; flight recording in %s; reproduce with: %s",
-					flightPath, rep.Repro)
-			}
-		}
-		return fmt.Errorf("chaos gates failed; reproduce with: %s", rep.Repro)
-	}
-	return nil
+	return outcome{report: rep, repro: rep.Repro, regs: regs}, nil
 }
 
 // runCoResidency runs the fleet8 multi-service co-residency drill: the
@@ -616,29 +626,12 @@ func runChaos(w io.Writer, o options) error {
 // and the fleet-wide aggregate, bulk shedding strictly before
 // latency-critical on banded nodes, and failover PR loads provably
 // preempting the elective scale-out queue.
-func runCoResidency(w io.Writer, o options) error {
-	opts := fleet.DefaultCoResOptions()
-	if o.devices > 0 {
-		opts.Devices = o.devices
-	}
-	// The drill's tentpole budget (6) differs from the -budget default
-	// tuned for chaos; only an explicit flag overrides it.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "budget" {
-			opts.Budget = o.budget
-		}
+func runCoResidency(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
+	rep, d, err := bench.FleetCoResReport(fleet.CoResOptions{
+		Devices: o.devices, Budget: o.budget, Seed: o.seed, Trace: rec,
 	})
-	opts.Seed = o.seed
-	var rec *obs.Recorder
-	if o.tracePath != "" {
-		rec = obs.NewRecorder()
-	} else {
-		rec = obs.NewFlightRecorder(o.flightN)
-	}
-	opts.Trace = rec
-	rep, d, err := bench.FleetCoResReport(opts)
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
 	fmt.Fprintf(w, "co-residency drill: %d services on %d devices, rack size %d, seed %d, budget %d\n",
 		len(rep.Services), rep.Devices, rep.RackSize, rep.Seed, rep.Budget)
@@ -658,51 +651,7 @@ func runCoResidency(w io.Writer, o options) error {
 		rep.LoadsPreempted, len(rep.PreemptionPairs), rep.PeakConcurrentLoads, rep.Budget)
 	fmt.Fprintf(w, "\nslo order held:    %v\nshed order held:   %v\nfailover preempts: %v\n",
 		rep.SLOOrderHeld, rep.ShedOrderHeld, rep.FailoverPreempts)
-	path := o.jsonPath
-	if path == "BENCH_fleet.json" { // the -json flag default belongs to bench
-		path = "BENCH_coresidency.json"
-	}
-	if path != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", path)
-	}
-	if o.tracePath != "" {
-		if err := writeTraceFile(o.tracePath, rec); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", o.tracePath)
-	}
-	if o.metricsPath != "" {
-		f, err := os.Create(o.metricsPath)
-		if err != nil {
-			return err
-		}
-		werr := obs.WriteProm(f, d.Registry)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(w, "wrote %s\n", o.metricsPath)
-	}
-	if !rep.Gates() {
-		if o.tracePath == "" {
-			const flightPath = "coresidency-flight.json"
-			if werr := writeTraceFile(flightPath, rec); werr == nil {
-				return fmt.Errorf("co-residency gates failed; flight recording in %s; reproduce with: %s",
-					flightPath, rep.Repro)
-			}
-		}
-		return fmt.Errorf("co-residency gates failed; reproduce with: %s", rep.Repro)
-	}
-	return nil
+	return outcome{report: rep, repro: rep.Repro, regs: []*obs.Registry{d.Registry}}, nil
 }
 
 // runRebalance runs the fleet9 crash-safe rebalancing drill: a
@@ -710,29 +659,12 @@ func runCoResidency(w io.Writer, o options) error {
 // a corrupted delta frame and a stalled table read, a source kill
 // mid-pre-copy degrading to snapshot-fallback failover, and a budget-1
 // run where a concurrent failover preempts the pending moves.
-func runRebalance(w io.Writer, o options) error {
-	opts := fleet.DefaultRebalanceOptions()
-	if o.devices > 0 {
-		opts.Devices = o.devices
-	}
-	// The drill's tentpole budget (2) differs from the -budget default
-	// tuned for chaos; only an explicit flag overrides it.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "budget" {
-			opts.Budget = o.budget
-		}
+func runRebalance(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
+	rep, d, err := bench.FleetRebalanceReport(fleet.RebalanceOptions{
+		Devices: o.devices, Budget: o.budget, Seed: o.seed, Trace: rec,
 	})
-	opts.Seed = o.seed
-	var rec *obs.Recorder
-	if o.tracePath != "" {
-		rec = obs.NewRecorder()
-	} else {
-		rec = obs.NewFlightRecorder(o.flightN)
-	}
-	opts.Trace = rec
-	rep, d, err := bench.FleetRebalanceReport(opts)
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
 	fmt.Fprintf(w, "crash-safe rebalancing drill: %s on %d devices, seed %d, budget %d, cold-restart bound %.4f\n\n",
 		rep.App, rep.Devices, rep.Seed, rep.Budget, rep.ColdRestartBound)
@@ -753,66 +685,20 @@ func runRebalance(w io.Writer, o options) error {
 			if m.PlannedAt == 0 {
 				continue
 			}
-			outcome := "done"
+			result := "done"
 			if m.Aborted {
-				outcome = "aborted"
+				result = "aborted"
 			}
 			fmt.Fprintf(w, "  %s: %s %s -> %s planned %v pre-copy %d delta %d retries %d %s\n",
 				cc.Name, m.Replica, m.From, m.To, m.PlannedAt,
-				m.PreCopyRows, m.DeltaRows, m.Retries, outcome)
+				m.PreCopyRows, m.DeltaRows, m.Retries, result)
 		}
 	}
-	path := o.jsonPath
-	if path == "BENCH_fleet.json" { // the -json flag default belongs to bench
-		path = "BENCH_rebalance.json"
+	var regs []*obs.Registry
+	for _, cc := range d.Cases {
+		regs = append(regs, cc.Registry)
 	}
-	if path != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", path)
-	}
-	if o.tracePath != "" {
-		if err := writeTraceFile(o.tracePath, rec); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", o.tracePath)
-	}
-	if o.metricsPath != "" {
-		var regs []*obs.Registry
-		for _, cc := range d.Cases {
-			if cc.Registry != nil {
-				regs = append(regs, cc.Registry)
-			}
-		}
-		f, err := os.Create(o.metricsPath)
-		if err != nil {
-			return err
-		}
-		werr := obs.WriteProm(f, regs...)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(w, "wrote %s\n", o.metricsPath)
-	}
-	if !rep.Gates() {
-		if o.tracePath == "" {
-			const flightPath = "rebalance-flight.json"
-			if werr := writeTraceFile(flightPath, rec); werr == nil {
-				return fmt.Errorf("rebalance gates failed; flight recording in %s; reproduce with: %s",
-					flightPath, rep.Repro)
-			}
-		}
-		return fmt.Errorf("rebalance gates failed; reproduce with: %s", rep.Repro)
-	}
-	return nil
+	return outcome{report: rep, repro: rep.Repro, regs: regs}, nil
 }
 
 // runSLO runs the fleet10 SLO drill: the failure storm against the
@@ -821,29 +707,12 @@ func runRebalance(w io.Writer, o options) error {
 // latency-critical alerts, a fault-free control staying silent, every
 // alert resolving inside the recovery bound, and byte-identical alert
 // state across the batch-quantum/worker sweep.
-func runSLO(w io.Writer, o options) error {
-	opts := fleet.DefaultSLOOptions()
-	if o.devices > 0 {
-		opts.Devices = o.devices
-	}
-	// The drill's tentpole budget (6) differs from the -budget default
-	// tuned for chaos; only an explicit flag overrides it.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "budget" {
-			opts.Budget = o.budget
-		}
+func runSLO(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
+	rep, d, err := bench.FleetSLOReport(fleet.SLOOptions{
+		Devices: o.devices, Budget: o.budget, Seed: o.seed, Trace: rec,
 	})
-	opts.Seed = o.seed
-	var rec *obs.Recorder
-	if o.tracePath != "" {
-		rec = obs.NewRecorder()
-	} else {
-		rec = obs.NewFlightRecorder(o.flightN)
-	}
-	opts.Trace = rec
-	rep, d, err := bench.FleetSLOReport(opts)
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
 	fmt.Fprintf(w, "slo drill: %d services on %d devices, rack size %d, seed %d, budget %d\n",
 		len(rep.Services), rep.Devices, rep.RackSize, rep.Seed, rep.Budget)
@@ -867,64 +736,7 @@ func runSLO(w io.Writer, o options) error {
 	}
 	fmt.Fprintf(w, "\nalerts attributed: %v\nalerts resolved:   %v\ndeterministic:     %v\n",
 		rep.AlertsAttributed, rep.AlertsResolved, rep.Deterministic)
-	path := o.jsonPath
-	if path == "BENCH_fleet.json" { // the -json flag default belongs to bench
-		path = "BENCH_slo.json"
-	}
-	if path != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", path)
-	}
-	if o.tracePath != "" {
-		if err := writeTraceFile(o.tracePath, rec); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", o.tracePath)
-	}
-	if o.metricsPath != "" {
-		f, err := os.Create(o.metricsPath)
-		if err != nil {
-			return err
-		}
-		werr := obs.WriteProm(f, d.Registry)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(w, "wrote %s\n", o.metricsPath)
-	}
-	if !rep.Gates() {
-		if o.tracePath == "" {
-			const flightPath = "slo-flight.json"
-			if werr := writeTraceFile(flightPath, rec); werr == nil {
-				return fmt.Errorf("slo gates failed; flight recording in %s; reproduce with: %s",
-					flightPath, rep.Repro)
-			}
-		}
-		return fmt.Errorf("slo gates failed; reproduce with: %s", rep.Repro)
-	}
-	return nil
-}
-
-// writeTraceFile exports a recorder as Chrome trace-event JSON.
-func writeTraceFile(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := rec.WriteTrace(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
+	return outcome{report: rep, repro: rep.Repro, regs: []*obs.Registry{d.Registry}}, nil
 }
 
 // traceRequiredCats lists the span kinds a chaos trace must carry —

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"harmonia/internal/obs"
 )
 
 func opts(scenario string, devices int) options {
@@ -154,7 +157,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunChaos(t *testing.T) {
 	// A small storm keeps the smoke test fast; the tentpole 300-node
-	// drill runs in CI's bench-smoke job.
+	// drill runs in CI's drill matrix.
 	o := opts("chaos", 24)
 	o.seed = 11
 	o.budget = 2
@@ -166,7 +169,7 @@ func TestRunChaos(t *testing.T) {
 	s := out.String()
 	for _, want := range []string{"unbudgeted-static", "budgeted-static", "budgeted-derived",
 		"budget bounded:         true", "unbudgeted exceeds:     true",
-		"no traffic after alarm: true", "wrote"} {
+		"no traffic after alarm: true", "wrote " + o.jsonPath} {
 		if !strings.Contains(s, want) {
 			t.Errorf("chaos output missing %q:\n%s", want, s)
 		}
@@ -220,7 +223,7 @@ func TestRunChaosTraceAndMetrics(t *testing.T) {
 		t.Errorf("missing artifact confirmations:\n%s", s)
 	}
 
-	// The trace must survive the same validation CI's trace-smoke runs.
+	// The trace must survive the same validation CI's trace smoke runs.
 	var check bytes.Buffer
 	co := options{scenario: "tracecheck", tracePath: o.tracePath}
 	if err := run(&check, co); err != nil {
@@ -248,6 +251,126 @@ func TestRunChaosTraceAndMetrics(t *testing.T) {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+}
+
+// inTempDir runs the test from a fresh directory, so the flight
+// recordings failing drills dump next to the binary land there.
+func inTempDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+	return dir
+}
+
+func TestRunCoResidencyHonoursBudget(t *testing.T) {
+	// run() reads its options, not the process's flags: a budget given
+	// in options must reach the drill. The toy fleet may fail its gates;
+	// only the artifact's budget matters here.
+	dir := inTempDir(t)
+	o := opts("coresidency", 8)
+	o.budget = 3
+	o.flightN = 16
+	o.jsonPath = filepath.Join(dir, "BENCH_coresidency.json")
+	if err := run(&bytes.Buffer{}, o); err != nil && !strings.Contains(err.Error(), "gates failed") {
+		t.Fatalf("coresidency scenario: %v", err)
+	}
+	data, err := os.ReadFile(o.jsonPath)
+	if err != nil {
+		t.Fatalf("report not written: %v", err)
+	}
+	if !bytes.Contains(data, []byte(`"budget": 3,`)) {
+		t.Errorf("artifact does not carry budget 3:\n%.400s", data)
+	}
+}
+
+// failingReport is a drill artifact whose gates never hold.
+type failingReport struct {
+	Experiment string `json:"experiment"`
+}
+
+func (failingReport) Gates() bool { return false }
+
+func TestRunDrillFailingGates(t *testing.T) {
+	// The driver's failure path, shared by every drill: the artifact is
+	// still written, an untraced run dumps its flight recording, and the
+	// error carries the repro line.
+	dir := inTempDir(t)
+	fake := drill{name: "fake", artifact: "BENCH_fake.json", records: true,
+		run: func(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
+			rec.Process("fake").Track("control").Add(obs.Instant(obs.CatFault, "kill", 0))
+			return outcome{report: failingReport{Experiment: "fake"}, repro: "go run fake -seed 3"}, nil
+		}}
+	o := fake.withDefaults(options{flightN: 16}, nil)
+	var out bytes.Buffer
+	err := runDrill(&out, fake, o)
+	if err == nil {
+		t.Fatal("failing gates accepted")
+	}
+	for _, want := range []string{"fake gates failed", "flight recording in fake-flight.json",
+		"reproduce with: go run fake -seed 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+	if !strings.Contains(out.String(), "wrote BENCH_fake.json") {
+		t.Errorf("missing artifact confirmation:\n%s", out.String())
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, "BENCH_fake.json")); err != nil || !bytes.Contains(data, []byte(`"fake"`)) {
+		t.Errorf("artifact = %q, %v", data, err)
+	}
+	flight, err := os.ReadFile(filepath.Join(dir, "fake-flight.json"))
+	if err != nil {
+		t.Fatalf("flight recording not dumped: %v", err)
+	}
+	if !bytes.Contains(flight, []byte(`"kill"`)) {
+		t.Errorf("flight recording lacks the recorded event:\n%s", flight)
+	}
+}
+
+func TestRunRejectsRecordingFlags(t *testing.T) {
+	// Drills that record nothing refuse -trace and -metrics instead of
+	// dropping them; the check runs before the drill does.
+	for _, scenario := range []string{"bench", "migrate", "gossip"} {
+		for _, flagName := range []string{"trace", "metrics"} {
+			o := opts(scenario, 0)
+			if flagName == "trace" {
+				o.tracePath = "t.json"
+			} else {
+				o.metricsPath = "m.prom"
+			}
+			err := run(&bytes.Buffer{}, o)
+			if err == nil || !strings.Contains(err.Error(), "scenario "+scenario) {
+				t.Errorf("%s with -%s: err = %v, want a rejection naming the scenario", scenario, flagName, err)
+			}
+		}
+	}
+}
+
+func TestDrillDefaults(t *testing.T) {
+	d, ok := lookupDrill("coresidency")
+	if !ok {
+		t.Fatal("coresidency is not a drill")
+	}
+	o := d.withDefaults(options{devices: 4, budget: 9, jsonPath: "x.json"}, nil)
+	if o.devices != 120 || o.budget != 6 || o.jsonPath != "BENCH_coresidency.json" {
+		t.Errorf("unset flags resolved to %+v, want the drill's 120 devices, budget 6, BENCH_coresidency.json", o)
+	}
+	given := map[string]bool{"devices": true, "budget": true, "json": true}
+	o = d.withDefaults(options{devices: 10, budget: 3, jsonPath: ""}, given)
+	if o.devices != 10 || o.budget != 3 || o.jsonPath != "" {
+		t.Errorf("given flags overridden: %+v", o)
 	}
 }
 

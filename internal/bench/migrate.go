@@ -86,3 +86,6 @@ func FleetMigrationReport() (*MigrationReport, *fleet.MigrationDrillResult, erro
 
 // RecoveryTime re-exposes a point's recovery as sim.Time for printing.
 func (p MigrationPoint) RecoveryTime() sim.Time { return sim.Time(p.RecoveryPs) }
+
+// Gates reports whether every fleet4 acceptance gate held.
+func (r *MigrationReport) Gates() bool { return r.StrictlyFewer && r.WithinBound }
