@@ -1,6 +1,7 @@
 package harmonia
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,6 +163,77 @@ func TestDeviceTables(t *testing.T) {
 	}
 	if _, err := dev.ReadTable(RBBNetwork, 0, 1, 99); err == nil {
 		t.Error("missing entry should fail")
+	}
+}
+
+// TestDeviceDoResponseIsOwned checks that Do returns a packet its
+// caller owns, and that ReadTable returns a slice its caller owns:
+// later commands — other rows, a table source that reuses one buffer,
+// and the typed operations that reuse the device's own packets — leave
+// earlier results unchanged.
+func TestDeviceDoResponseIsOwned(t *testing.T) {
+	fw := New()
+	dep, err := fw.Deploy("device-a", testRole(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := dep.Device()
+	if err := dev.WriteTable(RBBNetwork, 0, 1, 1, 0xA1, 0xA2); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.WriteTable(RBBNetwork, 0, 1, 2, 0xB1, 0xB2, 0xB3); err != nil {
+		t.Fatal(err)
+	}
+	role, ok := dev.Kernel().Module(RBBRole, 0)
+	if !ok {
+		t.Fatal("no role module")
+	}
+	row := make([]uint32, 3)
+	role.SetTableSource(7, func(index uint32) ([]uint32, bool) {
+		for i := range row {
+			row[i] = index
+		}
+		return row, true
+	})
+	stored, err := dev.Do(cmdif.New(RBBNetwork, 0, cmdif.TableRead, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sourced, err := dev.Do(cmdif.New(RBBRole, 0, cmdif.TableRead, 7, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := dev.ReadTable(RBBRole, 0, 7, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Later commands through every path.
+	if _, err := dev.Do(cmdif.New(RBBNetwork, 0, cmdif.TableRead, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.ReadTable(RBBRole, 0, 7, 9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.Status(RBBNetwork, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := dev.Sensors(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []uint32
+	}{
+		{"stored row", stored.Data, []uint32{0xA1, 0xA2}},
+		{"sourced row", sourced.Data, []uint32{5, 5, 5}},
+		{"ReadTable row", entry, []uint32{6, 6, 6}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s changed to %x after later commands, want %x", c.name, c.got, c.want)
+		}
+	}
+	if stored.Code != cmdif.TableRead || stored.RBBID != RBBNetwork {
+		t.Errorf("response header changed: %+v", stored)
 	}
 }
 

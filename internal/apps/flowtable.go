@@ -117,8 +117,8 @@ type ConnEntry struct {
 // the key's wire bytes (SrcIP, DstIP, Proto, SrcPort, DstPort) — the
 // consistent capture the export side of migration stages. It sorts only
 // the flows pinned since the last Snapshot and merges them into the
-// previous capture; a restore, an eviction or an overwritten pin makes
-// it rebuild from the table instead.
+// previous capture in one sequential pass; a restore, an eviction or an
+// overwritten pin makes it rebuild from the table instead.
 //
 // The result is shared with the table and with every later Snapshot
 // that finds nothing new: callers must only read it. The table never
@@ -134,15 +134,7 @@ func (t *FlowTable) Snapshot() []ConnEntry {
 		slices.SortFunc(out, compareEntries)
 		t.sorted, t.stale = out, false
 	case len(t.pinned) > 0:
-		slices.SortFunc(t.pinned, compareEntries)
-		out := make([]ConnEntry, 0, len(t.sorted)+len(t.pinned))
-		rest := t.sorted
-		for _, e := range t.pinned {
-			i, _ := slices.BinarySearchFunc(rest, e, compareEntries)
-			out = append(append(out, rest[:i]...), e)
-			rest = rest[i:]
-		}
-		t.sorted = append(out, rest...)
+		t.sorted = mergePins(make([]ConnEntry, 0, len(t.sorted)+len(t.pinned)), t.sorted, t.pinned)
 	}
 	// Keep a small pin list's array for the next round of pins, but let
 	// a burst (a table filling between two captures) go rather than hold
@@ -154,8 +146,74 @@ func (t *FlowTable) Snapshot() []ConnEntry {
 	return t.sorted
 }
 
+// packedEntry is a pinned entry with its key packed by keyOrder, so
+// sorting and merging pins compare words.
+type packedEntry struct {
+	hi, lo uint64
+	e      ConnEntry
+}
+
+// comparePacked orders entries by their packed keys.
+func comparePacked(a, b packedEntry) int {
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.lo, b.lo)
+}
+
+// sortsBefore reports whether e's key orders before the packed key
+// (hi, lo).
+func sortsBefore(e *ConnEntry, hi, lo uint64) bool {
+	h, l := keyOrder(e.Key)
+	return h < hi || h == hi && l < lo
+}
+
+// mergePins appends to dst the merge of a sorted entry list and the
+// pins, none of whose keys is in a. The pins are packed and sorted on
+// the stack when there are at most packedOnStack of them. The merge
+// walks a once, front to back: each run of a that sorts before the
+// next pin is found by galloping forward from the run's start and
+// copied in one append, so it reads only entries it is about to copy.
+func mergePins(dst, a, pins []ConnEntry) []ConnEntry {
+	var stack [packedOnStack]packedEntry
+	packed := stack[:0]
+	if len(pins) > len(stack) {
+		packed = make([]packedEntry, 0, len(pins))
+	}
+	for _, e := range pins {
+		hi, lo := keyOrder(e.Key)
+		packed = append(packed, packedEntry{hi: hi, lo: lo, e: e})
+	}
+	slices.SortFunc(packed, comparePacked)
+	for i := range packed {
+		p := &packed[i]
+		// Probe a[0], a[1], a[3], a[7], ... until one sorts after p,
+		// then bisect the last step.
+		step := 1
+		for step <= len(a) && sortsBefore(&a[step-1], p.hi, p.lo) {
+			step *= 2
+		}
+		lo, hi := step/2, min(step, len(a))
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if sortsBefore(&a[mid], p.hi, p.lo) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		dst = append(append(dst, a[:lo]...), p.e)
+		a = a[lo:]
+	}
+	return append(dst, a...)
+}
+
 // pinnedKeep is the largest pin list whose array Snapshot keeps.
 const pinnedKeep = 32
+
+// packedOnStack is the largest pin list mergePins packs without
+// allocating: a few probe intervals' worth of new flows.
+const packedOnStack = 64
 
 // Restore replays snapshot entries into the table, respecting the
 // capacity bound; it reports how many were added and how many dropped.
@@ -231,28 +289,54 @@ func FlowSnapshotLen(n int) int { return flowSnapHeaderWords + flowSnapEntryWord
 // AppendFlowSnapshot appends words [lo, hi) of the entries' encoded
 // stream to dst, so a reader can be served one row of a capture at a
 // time without staging the whole stream. hi must not exceed
-// FlowSnapshotLen(len(entries)).
+// FlowSnapshotLen(len(entries)). Whole entries encode straight into
+// dst; only an entry a row edge splits is staged.
 func AppendFlowSnapshot(dst []uint32, entries []ConnEntry, lo, hi int) []uint32 {
-	header := [flowSnapHeaderWords]uint32{flowSnapMagic<<16 | FlowSnapshotVersion, uint32(len(entries))}
 	if lo < flowSnapHeaderWords {
+		header := [flowSnapHeaderWords]uint32{flowSnapMagic<<16 | FlowSnapshotVersion, uint32(len(entries))}
 		dst = append(dst, header[lo:min(hi, flowSnapHeaderWords)]...)
 		lo = flowSnapHeaderWords
 	}
-	for lo < hi {
-		i, off := (lo-flowSnapHeaderWords)/flowSnapEntryWords, (lo-flowSnapHeaderWords)%flowSnapEntryWords
-		e := entries[i]
-		words := [flowSnapEntryWords]uint32{
-			ipWord(e.Key.SrcIP),
-			ipWord(e.Key.DstIP),
-			uint32(e.Key.SrcPort)<<16 | uint32(e.Key.DstPort),
-			uint32(e.Key.Proto),
-			ipWord(e.Backend),
-		}
+	if lo >= hi {
+		return dst
+	}
+	i, off := (lo-flowSnapHeaderWords)/flowSnapEntryWords, (lo-flowSnapHeaderWords)%flowSnapEntryWords
+	if off > 0 {
+		words := entryWords(entries[i])
 		n := min(flowSnapEntryWords-off, hi-lo)
 		dst = append(dst, words[off:off+n]...)
 		lo += n
+		i++
+	}
+	whole := (hi - lo) / flowSnapEntryWords
+	start := len(dst)
+	dst = slices.Grow(dst, whole*flowSnapEntryWords)[:start+whole*flowSnapEntryWords]
+	out := dst[start:]
+	for j := range entries[i : i+whole] {
+		e := &entries[i+j]
+		w := out[j*flowSnapEntryWords : (j+1)*flowSnapEntryWords : (j+1)*flowSnapEntryWords]
+		w[0] = ipWord(e.Key.SrcIP)
+		w[1] = ipWord(e.Key.DstIP)
+		w[2] = uint32(e.Key.SrcPort)<<16 | uint32(e.Key.DstPort)
+		w[3] = uint32(e.Key.Proto)
+		w[4] = ipWord(e.Backend)
+	}
+	if lo += whole * flowSnapEntryWords; lo < hi {
+		words := entryWords(entries[i+whole])
+		dst = append(dst, words[:hi-lo]...)
 	}
 	return dst
+}
+
+// entryWords encodes one entry's words.
+func entryWords(e ConnEntry) [flowSnapEntryWords]uint32 {
+	return [flowSnapEntryWords]uint32{
+		ipWord(e.Key.SrcIP),
+		ipWord(e.Key.DstIP),
+		uint32(e.Key.SrcPort)<<16 | uint32(e.Key.DstPort),
+		uint32(e.Key.Proto),
+		ipWord(e.Backend),
+	}
 }
 
 // FlowSnapshotWords validates a snapshot's header and returns the total
@@ -274,29 +358,43 @@ func FlowSnapshotWords(words []uint32) (int, error) {
 // DecodeFlowSnapshot parses the versioned word stream back into
 // entries, validating magic, version and length.
 func DecodeFlowSnapshot(words []uint32) ([]ConnEntry, error) {
+	return DecodeFlowSnapshotInto(nil, words)
+}
+
+// DecodeFlowSnapshotInto is DecodeFlowSnapshot decoding into dst's
+// storage: the entries overwrite dst from index 0, reusing its array
+// when it holds them and allocating exactly their count when not. The
+// whole stream is validated before the first write, so a failed decode
+// returns dst untouched.
+func DecodeFlowSnapshotInto(dst []ConnEntry, words []uint32) ([]ConnEntry, error) {
 	want, err := FlowSnapshotWords(words)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if len(words) != want {
-		return nil, fmt.Errorf("apps: flow snapshot has %d words, header declares %d", len(words), want)
+		return dst, fmt.Errorf("apps: flow snapshot has %d words, header declares %d", len(words), want)
 	}
-	entries := make([]ConnEntry, 0, words[1])
 	for i := flowSnapHeaderWords; i < want; i += flowSnapEntryWords {
 		if words[i+3] > 0xff {
-			return nil, fmt.Errorf("apps: flow snapshot entry %d proto word %#x out of range",
+			return dst, fmt.Errorf("apps: flow snapshot entry %d proto word %#x out of range",
 				(i-flowSnapHeaderWords)/flowSnapEntryWords, words[i+3])
 		}
-		entries = append(entries, ConnEntry{
-			Key: net.FlowKey{
-				SrcIP:   wordIP(words[i]),
-				DstIP:   wordIP(words[i+1]),
-				SrcPort: uint16(words[i+2] >> 16),
-				DstPort: uint16(words[i+2]),
-				Proto:   uint8(words[i+3]),
-			},
-			Backend: wordIP(words[i+4]),
-		})
 	}
-	return entries, nil
+	n := int(words[1])
+	if cap(dst) < n {
+		dst = make([]ConnEntry, n)
+	}
+	dst = dst[:n]
+	body := words[flowSnapHeaderWords:]
+	for i := range dst {
+		w := body[i*flowSnapEntryWords : (i+1)*flowSnapEntryWords : (i+1)*flowSnapEntryWords]
+		e := &dst[i]
+		e.Key.SrcIP = wordIP(w[0])
+		e.Key.DstIP = wordIP(w[1])
+		e.Key.SrcPort = uint16(w[2] >> 16)
+		e.Key.DstPort = uint16(w[2])
+		e.Key.Proto = uint8(w[3])
+		e.Backend = wordIP(w[4])
+	}
+	return dst, nil
 }

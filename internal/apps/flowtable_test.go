@@ -231,6 +231,78 @@ func TestFlowTableSnapshotProperty(t *testing.T) {
 			t.Errorf("seed %d: %d refused pins, %d merging snapshots; want both exercised", seed, refused, merges)
 		}
 	}
+
+	// Placed pins: batches that land below, between and above the keys
+	// already captured, merged and checked against the oracle, with
+	// restores, evictions and overwrites forcing rebuilds in between.
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ft := NewFlowTable(1 << 14)
+		used := map[int]bool{}
+		for i := 1024; i < 3072; i += 4 {
+			ft.Pin(keyAt(i), backends[0])
+			used[i] = true
+		}
+		ft.Snapshot()
+		var earlier [][]ConnEntry
+		var wants [][]ConnEntry
+		for round := 0; round < 30; round++ {
+			for pins := 1 + rng.Intn(24); pins > 0; {
+				var i int
+				switch rng.Intn(3) {
+				case 0:
+					i = rng.Intn(1024) // below every captured key
+				case 1:
+					i = 1024 + rng.Intn(2048) // between captured keys
+				default:
+					i = 3072 + rng.Intn(1024) // above every captured key
+				}
+				if used[i] {
+					continue
+				}
+				used[i] = true
+				ft.Pin(keyAt(i), backends[rng.Intn(len(backends))])
+				pins--
+			}
+			if ft.stale || len(ft.pinned) == 0 {
+				t.Fatalf("seed %d round %d: pins did not queue a merge", seed, round)
+			}
+			got, want := ft.Snapshot(), oracleSnapshot(ft)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d round %d: merged snapshot differs from a full rebuild", seed, round)
+			}
+			earlier, wants = append(earlier, got), append(wants, want)
+			switch round % 5 {
+			case 1:
+				ft.Restore([]ConnEntry{{Key: keyAt(5000 + round), Backend: backends[1]}})
+			case 2:
+				ft.EvictBackend(backends[2])
+			case 3:
+				ft.Pin(got[rng.Intn(len(got))].Key, backends[0]) // overwrite
+			default:
+				continue
+			}
+			if !ft.stale {
+				t.Fatalf("seed %d round %d: mutation did not force a rebuild", seed, round)
+			}
+			if got, want := ft.Snapshot(), oracleSnapshot(ft); !slices.Equal(got, want) {
+				t.Fatalf("seed %d round %d: rebuilt snapshot differs from the oracle", seed, round)
+			}
+		}
+		for i := range earlier {
+			if !slices.Equal(earlier[i], wants[i]) {
+				t.Fatalf("seed %d: merged snapshot %d changed after later mutations", seed, i)
+			}
+		}
+	}
+}
+
+// keyAt is the i-th key of a space whose wire order is index order.
+func keyAt(i int) net.FlowKey {
+	return net.FlowKey{
+		SrcIP: net.IPv4(10, byte(i>>16), byte(i>>8), byte(i)), DstIP: net.IPv4(20, 0, 0, 1),
+		Proto: net.ProtoTCP, SrcPort: 1024, DstPort: 80,
+	}
 }
 
 // TestFlowSnapshotRestoreIdempotent replays one snapshot into a table
@@ -271,7 +343,10 @@ func TestFlowSnapshotRestoreIdempotent(t *testing.T) {
 }
 
 // TestFlowSnapshotEncodeRange serves a stream in command-sized pieces
-// and checks the pieces join to the whole encoding.
+// and checks the pieces join to the whole encoding, then checks every
+// (lo, hi) range of small streams, the empty one included, so each
+// split inside, at and across entry boundaries appends exactly
+// whole[lo:hi] after what dst held.
 func TestFlowSnapshotEncodeRange(t *testing.T) {
 	entries := make([]ConnEntry, 120)
 	for i := range entries {
@@ -285,6 +360,19 @@ func TestFlowSnapshotEncodeRange(t *testing.T) {
 		}
 		if !slices.Equal(joined, whole) {
 			t.Errorf("step %d: pieces differ from the whole stream", step)
+		}
+	}
+	prefix := []uint32{0xAAAA, 0xBBBB}
+	for _, n := range []int{0, 1, 2, 4} {
+		small := entries[:n]
+		whole := EncodeFlowSnapshot(small)
+		for lo := 0; lo <= len(whole); lo++ {
+			for hi := lo; hi <= len(whole); hi++ {
+				got := AppendFlowSnapshot(slices.Clip(prefix), small, lo, hi)
+				if want := append(slices.Clip(prefix), whole[lo:hi]...); !slices.Equal(got, want) {
+					t.Fatalf("%d entries [%d, %d): got %x, want %x", n, lo, hi, got, want)
+				}
+			}
 		}
 	}
 }

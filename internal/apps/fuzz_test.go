@@ -11,7 +11,9 @@ import (
 // FuzzDecodeFlowSnapshot drives the flow snapshot decoder with arbitrary
 // word streams (little-endian bytes, trailing partial word ignored): it
 // must never panic, and any stream it accepts must re-encode to the
-// same words.
+// same words. Decoding into a reused destination — a previous capture,
+// larger or smaller than the stream — must equal a fresh decode, and a
+// rejected stream must leave that capture unchanged.
 func FuzzDecodeFlowSnapshot(f *testing.F) {
 	toBytes := func(words []uint32) []byte {
 		var out []byte
@@ -33,6 +35,26 @@ func FuzzDecodeFlowSnapshot(f *testing.F) {
 			words[i] = binary.LittleEndian.Uint32(raw[4*i:])
 		}
 		entries, err := DecodeFlowSnapshot(words)
+		for _, n := range []int{0, 3, 64} {
+			prev := make([]ConnEntry, n)
+			for i := range prev {
+				prev[i] = ConnEntry{Key: ftKey(uint16(i)), Backend: net.IPv4(10, 9, 9, byte(i))}
+			}
+			kept := slices.Clone(prev)
+			got, rerr := DecodeFlowSnapshotInto(prev, words)
+			if (rerr == nil) != (err == nil) {
+				t.Fatalf("into %d-entry capture: err %v, fresh decode err %v", n, rerr, err)
+			}
+			if rerr != nil {
+				if !slices.Equal(got, kept) || !slices.Equal(prev, kept) {
+					t.Fatalf("rejected stream changed the %d-entry capture", n)
+				}
+				continue
+			}
+			if !slices.Equal(got, entries) {
+				t.Fatalf("decode into %d-entry capture = %v, fresh decode %v", n, got, entries)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -165,22 +165,35 @@ func (p *Packet) Marshal() ([]byte, error) {
 // §3.3.3 walkthrough); the remainder is returned. The packet owns its
 // payload: nothing it holds aliases b.
 func Unmarshal(b []byte) (p *Packet, rest []byte, err error) {
+	p = new(Packet)
+	if rest, err = p.Parse(b); err != nil {
+		return nil, b, err
+	}
+	return p, rest, nil
+}
+
+// Parse is Unmarshal into p: it overwrites every field of p with the
+// packet at the front of b, decoding the payload into p's own Data
+// array when that holds it, and returns the remainder. A caller that
+// parses every command into one packet parses without allocating. On
+// error p is left untouched.
+func (p *Packet) Parse(b []byte) (rest []byte, err error) {
 	if len(b) < (headerWords+1)*4 {
-		return nil, b, ErrTruncated
+		return b, ErrTruncated
 	}
 	w0 := binary.BigEndian.Uint32(b)
 	version := uint8(w0 >> 28)
 	hdLen := int(w0 >> 24 & 0xf)
 	payLen := int(w0 >> 16 & 0xff)
 	if version != Version {
-		return nil, b, fmt.Errorf("%w: %d", ErrVersion, version)
+		return b, fmt.Errorf("%w: %d", ErrVersion, version)
 	}
 	if hdLen < headerWords {
-		return nil, b, fmt.Errorf("cmdif: header length %d too small", hdLen)
+		return b, fmt.Errorf("cmdif: header length %d too small", hdLen)
 	}
 	total := (hdLen + payLen + 1) * 4
 	if len(b) < total {
-		return nil, b, ErrTruncated
+		return b, ErrTruncated
 	}
 	body := b[:(hdLen+payLen)*4]
 	var sum uint64
@@ -188,10 +201,20 @@ func Unmarshal(b []byte) (p *Packet, rest []byte, err error) {
 		sum += uint64(binary.BigEndian.Uint32(body[i:]))
 	}
 	if binary.BigEndian.Uint32(b[len(body):]) != fold32(sum) {
-		return nil, b, ErrChecksum
+		return b, ErrChecksum
 	}
 	w1 := binary.BigEndian.Uint32(b[4:])
-	p = &Packet{
+	data := p.Data[:0]
+	if payLen > 0 {
+		if cap(data) < payLen {
+			data = make([]uint32, 0, payLen)
+		}
+		data = data[:payLen]
+		for i := range data {
+			data[i] = binary.BigEndian.Uint32(body[(hdLen+i)*4:])
+		}
+	}
+	*p = Packet{
 		Version:    version,
 		SrcID:      uint8(w0 >> 8),
 		DstID:      uint8(w0),
@@ -199,21 +222,17 @@ func Unmarshal(b []byte) (p *Packet, rest []byte, err error) {
 		InstanceID: uint8(w1 >> 16),
 		Code:       Code(w1),
 		Options:    binary.BigEndian.Uint32(b[8:]),
+		Data:       data,
 	}
-	if payLen > 0 {
-		p.Data = make([]uint32, payLen)
-		for i := range p.Data {
-			p.Data[i] = binary.BigEndian.Uint32(body[(hdLen+i)*4:])
-		}
-	}
-	return p, b[total:], nil
+	return b[total:], nil
 }
 
 // Response builds a reply to p carrying data: source and destination
 // swap so the driver can deliver it to the issuing controller (§3.3.3
-// step 7).
-func (p *Packet) Response(data []uint32) *Packet {
-	return &Packet{
+// step 7). It returns a value, so a caller can build the reply in a
+// packet it already holds.
+func (p *Packet) Response(data []uint32) Packet {
+	return Packet{
 		Version:    p.Version,
 		SrcID:      p.DstID,
 		DstID:      p.SrcID,

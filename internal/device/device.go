@@ -12,6 +12,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -81,6 +82,13 @@ type Device struct {
 	// thermalOffset raises the sensed die temperature (milli-degC);
 	// fault injection uses it to simulate cooling failures.
 	thermalOffset uint32
+	// cmd and resp are the command and response packets of the
+	// device's own typed operations (Status, Sensors, ReadTable, ...),
+	// and sensors the sampled telemetry the management module serves.
+	// All are reused by the next command: those operations copy out
+	// what they return, and Do answers into a new packet instead.
+	cmd, resp cmdif.Packet
+	sensors   [3]uint32
 }
 
 // rbbIDFor maps shell component names to RBB IDs.
@@ -189,11 +197,12 @@ func (d *Device) readSensors() []uint32 {
 	// below throttling levels; fault injection can add an offset.
 	baseTemp := uint32(45_000) // 45 C
 	activity := uint32(d.kernel.Executed() % 64)
-	return []uint32{
+	d.sensors = [3]uint32{
 		baseTemp + activity*100 + d.thermalOffset, // temperature, milli-degC
 		850,    // VCCINT, mV
 		62_000, // board power, mW
 	}
+	return d.sensors[:]
 }
 
 // SetThermalThreshold arms the thermal watchdog: CheckHealth raises an
@@ -247,10 +256,11 @@ func (d *Device) CheckHealth() (tempMilliC uint32, err error) {
 // Sensors reads the board telemetry through the command interface:
 // temperature (milli-degC), core voltage (mV), power (mW).
 func (d *Device) Sensors() (temp, vccint, power uint32, err error) {
-	data, err := d.Stats(RBBMgmt, 0)
+	resp, err := d.call(RBBMgmt, 0, cmdif.StatsRead)
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	data := resp.Data
 	if len(data) != 3 {
 		return 0, 0, 0, fmt.Errorf("harmonia: malformed sensor response")
 	}
@@ -295,13 +305,13 @@ func (d *Device) RaiseEvent(rbbID, instanceID uint8, code, data uint32) error {
 // EraseFlash erases one sector of the management module's configuration
 // flash.
 func (d *Device) EraseFlash(sector uint32) error {
-	_, err := d.Do(cmdif.New(RBBMgmt, 0, cmdif.FlashErase, sector))
+	_, err := d.call(RBBMgmt, 0, cmdif.FlashErase, sector)
 	return err
 }
 
 // Time reads the device's time counter in nanoseconds.
 func (d *Device) Time() (uint64, error) {
-	resp, err := d.Do(cmdif.New(RBBUCK, 0, cmdif.TimeCount))
+	resp, err := d.call(RBBUCK, 0, cmdif.TimeCount)
 	if err != nil {
 		return 0, err
 	}
@@ -335,22 +345,44 @@ func (d *Device) Modules() []ModuleInfo {
 // Uptime reports elapsed simulated time on the instance.
 func (d *Device) Uptime() sim.Time { return d.now }
 
-// Do issues a raw command packet and returns the response.
+// Do issues a raw command packet and returns the response, a new
+// packet the caller owns: later commands never change it.
 func (d *Device) Do(p *cmdif.Packet) (*cmdif.Packet, error) {
-	resp, done, err := d.driver.Do(d.now, p)
-	if done > d.now {
-		d.now = done
-	}
-	if err != nil {
+	resp := new(cmdif.Packet)
+	if err := d.exchange(p, resp); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
+// call issues one command built in the device's own packet and returns
+// the device's own response packet, both reused by the next command.
+func (d *Device) call(rbbID, instanceID uint8, code cmdif.Code, args ...uint32) (*cmdif.Packet, error) {
+	d.cmd = cmdif.Packet{
+		Version: cmdif.Version, SrcID: cmdif.SrcApplication, DstID: cmdif.DstShell,
+		RBBID: rbbID, InstanceID: instanceID, Code: code,
+		Data: append(d.cmd.Data[:0], args...),
+	}
+	if err := d.exchange(&d.cmd, &d.resp); err != nil {
+		return nil, err
+	}
+	return &d.resp, nil
+}
+
+// exchange runs one command round trip at the device's clock, which
+// advances to the response's arrival even when the command fails.
+func (d *Device) exchange(p, resp *cmdif.Packet) error {
+	done, err := d.driver.DoInto(d.now, p, resp)
+	if done > d.now {
+		d.now = done
+	}
+	return err
+}
+
 // Init initializes a module: one command replaces the platform's whole
 // register choreography.
 func (d *Device) Init(rbbID, instanceID uint8) error {
-	resp, err := d.Do(cmdif.New(rbbID, instanceID, cmdif.ModuleInit))
+	resp, err := d.call(rbbID, instanceID, cmdif.ModuleInit)
 	if err != nil {
 		return err
 	}
@@ -372,7 +404,7 @@ func (d *Device) InitAll() error {
 
 // Status reads a module's status register.
 func (d *Device) Status(rbbID, instanceID uint8) (uint32, error) {
-	resp, err := d.Do(cmdif.New(rbbID, instanceID, cmdif.StatusRead))
+	resp, err := d.call(rbbID, instanceID, cmdif.StatusRead)
 	if err != nil {
 		return 0, err
 	}
@@ -393,34 +425,40 @@ func (d *Device) Ready(rbbID, instanceID uint8) (bool, error) {
 
 // Reset resets a module.
 func (d *Device) Reset(rbbID, instanceID uint8) error {
-	_, err := d.Do(cmdif.New(rbbID, instanceID, cmdif.ModuleReset))
+	_, err := d.call(rbbID, instanceID, cmdif.ModuleReset)
 	return err
 }
 
 // WriteTable programs a table entry on a module.
 func (d *Device) WriteTable(rbbID, instanceID uint8, table, index uint32, entry ...uint32) error {
-	data := append([]uint32{table, index}, entry...)
-	_, err := d.Do(cmdif.New(rbbID, instanceID, cmdif.TableWrite, data...))
+	_, err := d.call(rbbID, instanceID, cmdif.TableWrite, append([]uint32{table, index}, entry...)...)
 	return err
 }
 
-// ReadTable reads a table entry back.
+// ReadTable reads a table entry back into a new slice.
 func (d *Device) ReadTable(rbbID, instanceID uint8, table, index uint32) ([]uint32, error) {
-	resp, err := d.Do(cmdif.New(rbbID, instanceID, cmdif.TableRead, table, index))
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
+	return d.AppendTableRow(nil, rbbID, instanceID, table, index)
 }
 
-// Stats reads a module's monitoring statistics. Modules expose stats
-// via SetStatsSource.
+// AppendTableRow is ReadTable appending the entry to dst: a reader
+// that joins a multi-row table into one buffer reads without
+// allocating. On error it returns dst unchanged.
+func (d *Device) AppendTableRow(dst []uint32, rbbID, instanceID uint8, table, index uint32) ([]uint32, error) {
+	resp, err := d.call(rbbID, instanceID, cmdif.TableRead, table, index)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, resp.Data...), nil
+}
+
+// Stats reads a module's monitoring statistics into a new slice.
+// Modules expose stats via SetStatsSource.
 func (d *Device) Stats(rbbID, instanceID uint8) ([]uint32, error) {
-	resp, err := d.Do(cmdif.New(rbbID, instanceID, cmdif.StatsRead))
+	resp, err := d.call(rbbID, instanceID, cmdif.StatsRead)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Data, nil
+	return slices.Clone(resp.Data), nil
 }
 
 // SetStatsSource installs the monitoring callback for a module —

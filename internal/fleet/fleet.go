@@ -282,10 +282,18 @@ type Replica struct {
 	// elective marks a scale-out replica still waiting on the elective
 	// queue for budget headroom; Place skips it (placement.go).
 	elective bool
+	// name is Name, built once at creation: the barrier keys captures
+	// by it on every probe.
+	name string
+}
+
+// newReplica creates replica index of a service.
+func newReplica(service string, index int, vip net.IPAddr) *Replica {
+	return &Replica{Service: service, Index: index, VIP: vip, name: fmt.Sprintf("%s/%d", service, index)}
 }
 
 // Name identifies the replica, e.g. "layer4-lb/2".
-func (r *Replica) Name() string { return fmt.Sprintf("%s/%d", r.Service, r.Index) }
+func (r *Replica) Name() string { return r.name }
 
 // Node is one commissioned device under fleet control.
 type Node struct {
@@ -327,9 +335,10 @@ type Node struct {
 	// hostErr caches the static placement-compatibility outcome per
 	// service (see staticHostErr).
 	hostErr map[string]error
-	// flows holds the stateful replicas' connection-table state, keyed
-	// by replica name.
-	flows map[string]*flowState
+	// stateful lists the replicas whose connection tables are bound to
+	// this node's role module, in name order: the order the barrier
+	// captures them in.
+	stateful []*Replica
 	// shard is the router shard owning this node's dispatch state
 	// (assigned when the router freezes its shard layout).
 	shard int
@@ -749,7 +758,6 @@ func (c *Cluster) Commission(id string, plat *platform.Device) (*Node, error) {
 		state:     Healthy,
 		replicas:  make(map[string]*Replica),
 		svcCounts: make(map[string]int),
-		flows:     make(map[string]*flowState),
 	}
 	if slots > 0 {
 		mgr, err := tenancy.NewManager(tenancy.SlotConfig{

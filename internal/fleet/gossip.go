@@ -126,7 +126,7 @@ func (c *Cluster) gossipProbe(now sim.Time, n *Node) bool {
 		c.setState(now, n, Healthy, "temperature recovered")
 	}
 	n.probes++
-	if c.cfg.MigrateFlows && len(n.flows) > 0 && n.probes%c.snapshotEvery() == 0 {
+	if c.cfg.MigrateFlows && len(n.stateful) > 0 && n.probes%c.snapshotEvery() == 0 {
 		c.snapshotNode(now, n)
 	}
 	return true

@@ -192,7 +192,7 @@ func (c *Cluster) Heartbeat(now sim.Time) []Transition {
 		// falls back to. A node that stops answering keeps its last
 		// capture, which is exactly the staleness the fallback carries.
 		n.probes++
-		if c.cfg.MigrateFlows && len(n.flows) > 0 && n.probes%c.snapshotEvery() == 0 {
+		if c.cfg.MigrateFlows && len(n.stateful) > 0 && n.probes%c.snapshotEvery() == 0 {
 			c.snapshotNode(now, n)
 		}
 	}

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"harmonia/internal/apps"
 	"harmonia/internal/cmdif"
@@ -152,7 +154,7 @@ func (c *Cluster) attachFlowState(n *Node, r *Replica) {
 	tid := flowTableID(r)
 	m.SetTableSource(tid, fs.exportRow)
 	m.SetTableSink(tid, fs.importRow)
-	n.flows[r.Name()] = fs
+	n.addStateful(r)
 	r.flows = fs
 }
 
@@ -160,7 +162,8 @@ func (c *Cluster) attachFlowState(n *Node, r *Replica) {
 // module (eviction, failover). The replica keeps its fs pointer only
 // until the next attach.
 func (c *Cluster) detachFlowState(n *Node, r *Replica) {
-	if _, ok := n.flows[r.Name()]; !ok {
+	i, ok := n.statefulIndex(r)
+	if !ok {
 		return
 	}
 	if m, ok := n.Inst.Kernel().Module(device.RBBRole, 0); ok {
@@ -168,38 +171,55 @@ func (c *Cluster) detachFlowState(n *Node, r *Replica) {
 		m.SetTableSource(tid, nil)
 		m.SetTableSink(tid, nil)
 	}
-	delete(n.flows, r.Name())
+	n.stateful = slices.Delete(n.stateful, i, i+1)
+}
+
+// statefulIndex finds r's position in the node's name-ordered stateful
+// list, or where it would go.
+func (n *Node) statefulIndex(r *Replica) (int, bool) {
+	return slices.BinarySearchFunc(n.stateful, r.Name(), func(have *Replica, name string) int {
+		return strings.Compare(have.Name(), name)
+	})
+}
+
+// addStateful inserts r into the node's stateful list, keeping name
+// order.
+func (n *Node) addStateful(r *Replica) {
+	if i, ok := n.statefulIndex(r); !ok {
+		n.stateful = slices.Insert(n.stateful, i, r)
+	}
 }
 
 // readFlowSnapshot pulls a replica's connection table off its device
 // through TableRead transactions: row 0 carries the framed header
-// declaring the stream length, later rows follow until complete.
-func (c *Cluster) readFlowSnapshot(n *Node, r *Replica) ([]apps.ConnEntry, error) {
+// declaring the stream length, later rows follow until complete. The
+// entries decode into dst's storage (apps.DecodeFlowSnapshotInto); a
+// nil dst returns a new slice.
+func (c *Cluster) readFlowSnapshot(n *Node, r *Replica, dst []apps.ConnEntry) ([]apps.ConnEntry, error) {
 	tid := flowTableID(r)
-	words, err := n.Inst.ReadTable(device.RBBRole, 0, tid, 0)
+	words, err := n.Inst.AppendTableRow(c.tableWords[:0], device.RBBRole, 0, tid, 0)
 	if err != nil {
 		return nil, err
 	}
+	c.tableWords = words
 	total, err := apps.FlowSnapshotWords(words)
 	if err != nil {
 		return nil, err
 	}
-	words = append(c.tableWords[:0], words...)
 	for row := uint32(1); len(words) < total; row++ {
-		next, err := n.Inst.ReadTable(device.RBBRole, 0, tid, row)
-		if err != nil {
+		have := len(words)
+		if words, err = n.Inst.AppendTableRow(words, device.RBBRole, 0, tid, row); err != nil {
 			return nil, err
 		}
-		if len(next) == 0 {
+		c.tableWords = words
+		if len(words) == have {
 			return nil, fmt.Errorf("fleet: flow snapshot truncated at row %d", row)
 		}
-		words = append(words, next...)
 	}
-	c.tableWords = words
 	if len(words) > total {
 		return nil, fmt.Errorf("fleet: flow snapshot overran framed length %d", total)
 	}
-	return apps.DecodeFlowSnapshot(words)
+	return apps.DecodeFlowSnapshotInto(dst, words)
 }
 
 // writeFlowSnapshot replays a connection table into a replica through
@@ -225,12 +245,15 @@ type flowSnap struct {
 // heartbeat sweep; a node that stops answering commands keeps its last
 // successful capture — that staleness is exactly what dead-node
 // failover inherits.
+//
+// Each capture decodes into the storage of the one it replaces, once
+// every row has arrived and the stream has been validated: a failed
+// read leaves the last good capture intact, a table that did not grow
+// is captured without allocating, and one that grew gets an array of
+// exactly its size.
 func (c *Cluster) snapshotNode(now sim.Time, n *Node) {
-	for _, r := range n.Replicas() {
-		if r.flows == nil {
-			continue
-		}
-		entries, err := c.readFlowSnapshot(n, r)
+	for _, r := range n.stateful {
+		entries, err := c.readFlowSnapshot(n, r, c.snapshots[r.Name()].entries)
 		if err != nil {
 			continue
 		}
@@ -296,7 +319,7 @@ func (c *Cluster) flowsForMigration(n *Node, r *Replica, live bool) (entries []a
 		return nil, false, 0
 	}
 	if live {
-		if e, err := c.readFlowSnapshot(n, r); err == nil {
+		if e, err := c.readFlowSnapshot(n, r, nil); err == nil {
 			return e, true, 0
 		}
 	}

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"harmonia/internal/apps"
@@ -10,7 +12,7 @@ import (
 
 // buildStateful builds an n-device fleet hosting n replicas of a
 // stateful layer4-lb service with the drill's 8-backend pool.
-func buildStateful(t *testing.T, cfg Config, n int) *Cluster {
+func buildStateful(t testing.TB, cfg Config, n int) *Cluster {
 	t.Helper()
 	info, err := apps.Lookup(testApp)
 	if err != nil {
@@ -93,7 +95,7 @@ func TestFlowSnapshotTravelsCommandPath(t *testing.T) {
 		t.Errorf("target table holds %d flows, want %d", got, pinned)
 	}
 	// And it is readable back over the target's command path.
-	entries, err := c.readFlowSnapshot(tgt, r)
+	entries, err := c.readFlowSnapshot(tgt, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,5 +354,98 @@ func TestDrainRacingSourceDeath(t *testing.T) {
 	}
 	if mr.SnapshotAge <= 0 {
 		t.Errorf("snapshot age = %v, want > 0 (capture predates the drain)", mr.SnapshotAge)
+	}
+}
+
+// pinRandomFlows pins n new flows with random keys into a table.
+func pinRandomFlows(ft *apps.FlowTable, rng *rand.Rand, n int) {
+	for added := 0; added < n; {
+		k := net.FlowKey{
+			SrcIP: net.IPv4(172, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))),
+			DstIP: net.IPv4(20, 0, 0, 1), Proto: net.ProtoTCP,
+			SrcPort: uint16(rng.Intn(1 << 16)), DstPort: 80,
+		}
+		if _, ok := ft.Peek(k); !ok && ft.Pin(k, migrationBackends()[rng.Intn(8)]) {
+			added++
+		}
+	}
+}
+
+// captureFixture returns a fleet whose first node hosts one stateful
+// replica holding a 650-entry connection table, already captured.
+func captureFixture(t testing.TB) (*Cluster, *Node, *Replica) {
+	c := buildStateful(t, DefaultConfig(), 3)
+	n := c.Nodes()[0]
+	if len(n.stateful) != 1 {
+		t.Fatalf("node %s hosts %d stateful replicas, want 1", n.ID, len(n.stateful))
+	}
+	r := n.stateful[0]
+	pinRandomFlows(r.flows.table, rand.New(rand.NewSource(1)), 650)
+	c.snapshotNode(c.Now(), n)
+	return c, n, r
+}
+
+// TestFlowCaptureAllocatesNothing captures an unchanged 650-entry table
+// over the command path, probe after probe: once the first capture
+// holds the table, no layer of the round trip allocates.
+func TestFlowCaptureAllocatesNothing(t *testing.T) {
+	c, n, r := captureFixture(t)
+	capture := func() { c.snapshotNode(c.Now(), n) }
+	if got := testing.AllocsPerRun(20, capture); got != 0 {
+		t.Errorf("capturing an unchanged table allocates %.1f objects, want 0", got)
+	}
+	if got := c.snapshots[r.Name()].entries; !slices.Equal(got, r.flows.table.Snapshot()) {
+		t.Errorf("capture holds %d entries, want the table's %d", len(got), r.flows.table.Len())
+	}
+}
+
+// TestFlowCaptureFailureKeepsLastGood makes a periodic capture fail
+// mid-read: the previous capture must survive intact, and the next
+// successful probe must capture the table as it is.
+func TestFlowCaptureFailureKeepsLastGood(t *testing.T) {
+	c, n, r := captureFixture(t)
+	before := slices.Clone(c.snapshots[r.Name()].entries)
+	pinRandomFlows(r.flows.table, rand.New(rand.NewSource(2)), 300)
+	cmds := 0
+	n.Inst.SetWireFaultInjector(func(attempt int, buf []byte) []byte {
+		if attempt == 0 {
+			cmds++
+		}
+		if cmds > 1 {
+			buf[0] ^= 0xFF // every row after the first is lost
+		}
+		return buf
+	})
+	c.snapshotNode(c.Now(), n)
+	if got := c.snapshots[r.Name()].entries; !slices.Equal(got, before) {
+		t.Fatalf("failed capture changed the last good one: %d entries, had %d", len(got), len(before))
+	}
+	n.Inst.SetWireFaultInjector(nil)
+	c.snapshotNode(c.Now(), n)
+	if got := c.snapshots[r.Name()].entries; !slices.Equal(got, r.flows.table.Snapshot()) {
+		t.Errorf("recovered capture holds %d entries, want the table's %d", len(got), r.flows.table.Len())
+	}
+}
+
+// BenchmarkFlowCapture measures one probe's periodic capture of a
+// ~650-entry connection table that took 20 new pins since the last
+// probe: the pins, the merge, the row encode, the TableRead round trips
+// and the decode into the recycled capture.
+func BenchmarkFlowCapture(b *testing.B) {
+	c, n, r := captureFixture(b)
+	rng := rand.New(rand.NewSource(3))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%4 == 3 {
+			// Back to 650 entries, so the table stays near that size.
+			b.StopTimer()
+			r.flows.table = apps.NewFlowTable(flowTableCap)
+			pinRandomFlows(r.flows.table, rng, 650)
+			c.snapshotNode(c.Now(), n)
+			b.StartTimer()
+		}
+		pinRandomFlows(r.flows.table, rng, 20)
+		c.snapshotNode(c.Now(), n)
 	}
 }

@@ -207,7 +207,7 @@ func (c *Cluster) Place(now sim.Time) ([]*Replica, error) {
 	for _, name := range c.svcOrder {
 		svc := c.services[name]
 		for i := 0; i < svc.Replicas; i++ {
-			r := &Replica{Service: name, Index: i, VIP: vipFor(svc.VIPBase, i)}
+			r := newReplica(name, i, vipFor(svc.VIPBase, i))
 			if !have[r.Name()] {
 				c.replicas = append(c.replicas, r)
 			}
@@ -267,7 +267,8 @@ func (c *Cluster) ScaleService(now sim.Time, name string, extra int) error {
 	base := svc.Replicas
 	svc.Replicas += extra
 	for i := 0; i < extra; i++ {
-		r := &Replica{Service: name, Index: base + i, VIP: vipFor(svc.VIPBase, base+i), elective: true}
+		r := newReplica(name, base+i, vipFor(svc.VIPBase, base+i))
+		r.elective = true
 		c.replicas = append(c.replicas, r)
 		c.electives = append(c.electives, electiveEntry{r: r, reqAt: now})
 	}

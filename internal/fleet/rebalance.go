@@ -429,7 +429,7 @@ func (c *Cluster) stepPreCopy(now sim.Time, mv *rebalanceMove) {
 			c.failMoveAttempt(now, mv, "table read stalled past deadline")
 			return
 		}
-		entries, err := c.readFlowSnapshot(mv.src, r)
+		entries, err := c.readFlowSnapshot(mv.src, r, nil)
 		if err != nil {
 			c.failMoveAttempt(now, mv, "pre-copy read failed")
 			return
@@ -508,7 +508,7 @@ func (c *Cluster) cutoverMove(now sim.Time, mv *rebalanceMove) {
 	dst.svcCounts[r.Service]++
 	r.flows = mv.dstFlows
 	if mv.dstFlows != nil {
-		dst.flows[r.Name()] = mv.dstFlows
+		dst.addStateful(r)
 	}
 	c.router.idx.noteAdmit(r, now)
 	mv.phase = moveDone

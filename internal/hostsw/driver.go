@@ -28,10 +28,12 @@ type CmdDriver struct {
 	// trace records command-path anomalies (retried commands, drops);
 	// nil is the zero-cost disabled state.
 	trace *obs.Buffer
-	// wire is the driver's command buffer, reused by every Do: the
-	// kernel parses a copy of the payload out of it, so nothing a
-	// response holds aliases it.
-	wire []byte
+	// wire is the driver's command buffer and parsed the command the
+	// kernel parses out of it, both reused by every command: the kernel
+	// copies out whatever it keeps of a command, and builds the response
+	// in the caller's packet, so nothing a response holds aliases them.
+	wire   []byte
+	parsed cmdif.Packet
 }
 
 // NewCmdDriver builds a driver over a DMA engine and a control kernel.
@@ -64,11 +66,24 @@ func (d *CmdDriver) Drops() int64 { return d.drops }
 // arrival time back at the host. The command really crosses the wire in
 // marshalled form: the kernel executes what it parses, and checksum
 // failures are NAKed and retransmitted (the CheckSum error handling of
-// Fig. 9).
+// Fig. 9). The response is a new packet the caller owns.
 func (d *CmdDriver) Do(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time, error) {
+	resp := new(cmdif.Packet)
+	done, err := d.DoInto(now, p, resp)
+	if err != nil {
+		return nil, done, err
+	}
+	return resp, done, nil
+}
+
+// DoInto is Do building the response in resp, reusing its Data array:
+// a caller that keeps one response packet round-trips without
+// allocating. resp must not be p; on error its contents are
+// unspecified.
+func (d *CmdDriver) DoInto(now sim.Time, p, resp *cmdif.Packet) (sim.Time, error) {
 	buf, err := p.AppendMarshal(d.wire[:0])
 	if err != nil {
-		return nil, now, err
+		return now, err
 	}
 	d.wire = buf
 	t := now
@@ -80,14 +95,13 @@ func (d *CmdDriver) Do(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time, 
 		// Command transfer: the dedicated control queue keeps this
 		// isolated from data traffic.
 		if err := d.engine.PostControl(t, len(wire)); err != nil {
-			return nil, t, err
+			return t, err
 		}
 		arrive, ok := d.engine.Step(t)
 		if !ok {
-			return nil, t, fmt.Errorf("hostsw: control transfer not dispatched")
+			return t, fmt.Errorf("hostsw: control transfer not dispatched")
 		}
-		parsed, _, perr := cmdif.Unmarshal(wire)
-		if perr != nil {
+		if _, perr := d.parsed.Parse(wire); perr != nil {
 			// NAK: the kernel rejects the corrupted command; the driver
 			// retransmits.
 			if attempt >= d.MaxRetries {
@@ -97,7 +111,7 @@ func (d *CmdDriver) Do(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time, 
 					e.K2, e.V2 = "attempts", int64(attempt+1)
 					d.trace.Add(e)
 				}
-				return nil, arrive, fmt.Errorf("hostsw: command dropped after %d attempts: %w",
+				return arrive, fmt.Errorf("hostsw: command dropped after %d attempts: %w",
 					attempt+1, perr)
 			}
 			d.retries++
@@ -105,14 +119,14 @@ func (d *CmdDriver) Do(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time, 
 			continue
 		}
 		// Parse + execute in the control kernel.
-		resp, execDone, err := d.kernel.Execute(arrive, parsed)
+		execDone, err := d.kernel.ExecuteInto(arrive, &d.parsed, resp)
 		if err != nil {
-			return nil, execDone, err
+			return execDone, err
 		}
 		// Response upload through the same engine.
 		respLen, err := resp.WireLen()
 		if err != nil {
-			return nil, execDone, err
+			return execDone, err
 		}
 		done := d.engine.Link().Transfer(execDone, respLen)
 		d.issued++
@@ -121,7 +135,7 @@ func (d *CmdDriver) Do(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time, 
 			e.K2, e.V2 = "attempts", int64(attempt+1)
 			d.trace.Add(e)
 		}
-		return resp, done, nil
+		return done, nil
 	}
 }
 

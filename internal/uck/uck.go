@@ -206,13 +206,19 @@ func (m *Module) runInit() int {
 // (used for timing).
 type Handler func(m *Module, p *cmdif.Packet) (data []uint32, regOps int, err error)
 
+// appendHandler is the form the kernel runs a command code in: the
+// response payload is appended to dst, the response packet's own
+// storage, so the built-in codes answer without allocating. Extend
+// adapts a Handler to it.
+type appendHandler func(m *Module, p *cmdif.Packet, dst []uint32) (data []uint32, regOps int, err error)
+
 // Kernel is the unified control kernel.
 type Kernel struct {
 	clk      *sim.Clock
 	buffer   []*cmdif.Packet
 	depth    int
 	modules  map[[2]uint8]*Module
-	handlers map[cmdif.Code]Handler
+	handlers map[cmdif.Code]appendHandler
 	executed int64
 	busy     sim.Time
 	// execAt is the start time of the command being executed, read by
@@ -237,7 +243,7 @@ func NewKernel(bufferDepth int) (*Kernel, error) {
 		clk:      sim.NewClock("uck", 200),
 		depth:    bufferDepth,
 		modules:  make(map[[2]uint8]*Module),
-		handlers: make(map[cmdif.Code]Handler),
+		handlers: make(map[cmdif.Code]appendHandler),
 	}
 	k.handlers[cmdif.StatusRead] = handleStatusRead
 	k.handlers[cmdif.StatusWrite] = handleStatusWrite
@@ -279,7 +285,10 @@ func (k *Kernel) Extend(code cmdif.Code, h Handler) error {
 	if h == nil {
 		return fmt.Errorf("uck: nil handler")
 	}
-	k.handlers[code] = h
+	k.handlers[code] = func(m *Module, p *cmdif.Packet, dst []uint32) ([]uint32, int, error) {
+		data, regOps, err := h(m, p)
+		return append(dst, data...), regOps, err
+	}
 	return nil
 }
 
@@ -339,6 +348,20 @@ func (k *Kernel) ExecuteNext(now sim.Time) (resp *cmdif.Packet, done sim.Time, o
 // core cost model. Execution is sequential: commands serialize on the
 // kernel.
 func (k *Kernel) Execute(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time, error) {
+	resp := new(cmdif.Packet)
+	done, err := k.ExecuteInto(now, p, resp)
+	if err != nil {
+		return nil, done, err
+	}
+	return resp, done, nil
+}
+
+// ExecuteInto is Execute building the response in resp, whose Data
+// array carries the payload when it is large enough: a caller that
+// answers every command into one packet executes without allocating.
+// The payload never aliases module state. resp must not be p; on error
+// its contents are unspecified.
+func (k *Kernel) ExecuteInto(now sim.Time, p, resp *cmdif.Packet) (sim.Time, error) {
 	start := k.clk.NextEdge(now)
 	if k.busy > start {
 		start = k.busy
@@ -349,113 +372,117 @@ func (k *Kernel) Execute(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time
 	h, ok := k.handlers[p.Code]
 	if !ok {
 		k.busy = start + k.clk.CyclesTime(cycles)
-		return nil, k.busy, fmt.Errorf("uck: no handler for %v", p.Code)
+		return k.busy, fmt.Errorf("uck: no handler for %v", p.Code)
 	}
 	m, ok := k.Module(p.RBBID, p.InstanceID)
 	if !ok {
 		k.busy = start + k.clk.CyclesTime(cycles)
-		return nil, k.busy, fmt.Errorf("uck: no module at %d/%d", p.RBBID, p.InstanceID)
+		return k.busy, fmt.Errorf("uck: no module at %d/%d", p.RBBID, p.InstanceID)
 	}
 	k.execAt = start
-	data, regOps, err := h(m, p)
+	data, regOps, err := h(m, p, resp.Data[:0])
 	cycles += int64(cyclesPerRegOp * regOps)
 	k.busy = start + k.clk.CyclesTime(cycles)
 	if err != nil {
-		return nil, k.busy, err
+		return k.busy, err
 	}
 	k.executed++
-	return p.Response(data), k.busy, nil
+	*resp = p.Response(data)
+	return k.busy, nil
 }
 
-func handleStatusRead(m *Module, _ *cmdif.Packet) ([]uint32, int, error) {
-	return []uint32{m.RegRead(StatusAddr)}, 1, nil
+func handleStatusRead(m *Module, _ *cmdif.Packet, dst []uint32) ([]uint32, int, error) {
+	return append(dst, m.RegRead(StatusAddr)), 1, nil
 }
 
-func handleStatusWrite(m *Module, p *cmdif.Packet) ([]uint32, int, error) {
+func handleStatusWrite(m *Module, p *cmdif.Packet, dst []uint32) ([]uint32, int, error) {
 	if len(p.Data) < 1 {
-		return nil, 0, fmt.Errorf("uck: status-write needs a value")
+		return dst, 0, fmt.Errorf("uck: status-write needs a value")
 	}
 	m.RegWrite(StatusAddr, p.Data[0])
-	return nil, 1, nil
+	return dst, 1, nil
 }
 
-func handleModuleInit(m *Module, _ *cmdif.Packet) ([]uint32, int, error) {
+func handleModuleInit(m *Module, _ *cmdif.Packet, dst []uint32) ([]uint32, int, error) {
 	steps := m.runInit()
-	return []uint32{m.Status()}, steps, nil
+	return append(dst, m.Status()), steps, nil
 }
 
-func handleModuleReset(m *Module, _ *cmdif.Packet) ([]uint32, int, error) {
+func handleModuleReset(m *Module, _ *cmdif.Packet, dst []uint32) ([]uint32, int, error) {
 	m.RegWrite(StatusAddr, StatusReset)
 	m.resets++
-	return []uint32{m.Status()}, 1, nil
+	return append(dst, m.Status()), 1, nil
 }
 
-func handleTableWrite(m *Module, p *cmdif.Packet) ([]uint32, int, error) {
+// handleTableWrite copies the written entries out of the command, whose
+// storage the issuing driver reuses for the next one.
+func handleTableWrite(m *Module, p *cmdif.Packet, dst []uint32) ([]uint32, int, error) {
 	if len(p.Data) < 3 {
-		return nil, 0, fmt.Errorf("uck: table-write needs table, index and entries")
+		return dst, 0, fmt.Errorf("uck: table-write needs table, index and entries")
 	}
 	tableID, index := p.Data[0], p.Data[1]
 	entries := append([]uint32(nil), p.Data[2:]...)
 	if sink, ok := m.tableSinks[tableID]; ok {
 		if err := sink(index, entries); err != nil {
-			return nil, 1, fmt.Errorf("uck: table %d sink: %w", tableID, err)
+			return dst, 1, fmt.Errorf("uck: table %d sink: %w", tableID, err)
 		}
-		return nil, len(entries) + 1, nil
+		return dst, len(entries) + 1, nil
 	}
 	if m.tables[tableID] == nil {
 		m.tables[tableID] = make(map[uint32][]uint32)
 	}
 	m.tables[tableID][index] = entries
 	// One register write per entry word plus the index setup.
-	return nil, len(entries) + 1, nil
+	return dst, len(entries) + 1, nil
 }
 
-func handleTableRead(m *Module, p *cmdif.Packet) ([]uint32, int, error) {
+// handleTableRead copies the row into the response, so the reply never
+// aliases a stored row or a table source's buffer.
+func handleTableRead(m *Module, p *cmdif.Packet, dst []uint32) ([]uint32, int, error) {
 	if len(p.Data) < 2 {
-		return nil, 0, fmt.Errorf("uck: table-read needs table and index")
+		return dst, 0, fmt.Errorf("uck: table-read needs table and index")
 	}
-	if src, ok := m.tableSources[p.Data[0]]; ok {
-		entries, ok := src(p.Data[1])
-		if !ok {
-			return nil, 1, fmt.Errorf("uck: table %d index %d not present", p.Data[0], p.Data[1])
-		}
-		return entries, len(entries) + 1, nil
+	var entries []uint32
+	ok := false
+	if src, sourced := m.tableSources[p.Data[0]]; sourced {
+		entries, ok = src(p.Data[1])
+	} else {
+		entries, ok = m.Table(p.Data[0], p.Data[1])
 	}
-	entries, ok := m.Table(p.Data[0], p.Data[1])
 	if !ok {
-		return nil, 1, fmt.Errorf("uck: table %d index %d not present", p.Data[0], p.Data[1])
+		return dst, 1, fmt.Errorf("uck: table %d index %d not present", p.Data[0], p.Data[1])
 	}
-	return entries, len(entries) + 1, nil
+	return append(dst, entries...), len(entries) + 1, nil
 }
 
-func handleStatsRead(m *Module, _ *cmdif.Packet) ([]uint32, int, error) {
+func handleStatsRead(m *Module, _ *cmdif.Packet, dst []uint32) ([]uint32, int, error) {
 	if m.statsFn == nil {
-		return nil, 1, fmt.Errorf("uck: module %s has no stats", m.Name())
+		return dst, 1, fmt.Errorf("uck: module %s has no stats", m.Name())
 	}
 	data := m.statsFn()
-	return data, len(data), nil
+	return append(dst, data...), len(data), nil
 }
 
-func handleFlashErase(m *Module, p *cmdif.Packet) ([]uint32, int, error) {
+func handleFlashErase(m *Module, p *cmdif.Packet, dst []uint32) ([]uint32, int, error) {
 	if m.flash == nil {
-		return nil, 0, fmt.Errorf("uck: module %s has no flash", m.Name())
+		return dst, 0, fmt.Errorf("uck: module %s has no flash", m.Name())
 	}
 	if len(p.Data) < 1 {
-		return nil, 0, fmt.Errorf("uck: flash-erase needs a sector")
+		return dst, 0, fmt.Errorf("uck: flash-erase needs a sector")
 	}
 	sector := p.Data[0]
 	if sector >= m.flashSectors {
-		return nil, 0, fmt.Errorf("uck: sector %d out of range [0,%d)", sector, m.flashSectors)
+		return dst, 0, fmt.Errorf("uck: sector %d out of range [0,%d)", sector, m.flashSectors)
 	}
 	m.flash[sector] = true
 	// Erasing is slow: model it as many register-op equivalents so the
 	// kernel charges milliseconds-scale time.
-	return []uint32{sector}, 4096, nil
+	return append(dst, sector), 4096, nil
 }
 
 // handleTimeCount returns the kernel's current time in nanoseconds as
 // (high, low) words — the time-count operation of §3.3.3.
-func (k *Kernel) handleTimeCount(_ *Module, _ *cmdif.Packet) ([]uint32, int, error) {
+func (k *Kernel) handleTimeCount(_ *Module, _ *cmdif.Packet, dst []uint32) ([]uint32, int, error) {
 	ns := uint64(k.execAt / sim.Nanosecond)
-	return []uint32{uint32(ns >> 32), uint32(ns)}, 1, nil
+	return append(dst, uint32(ns>>32), uint32(ns)), 1, nil
 }
