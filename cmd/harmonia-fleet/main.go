@@ -379,22 +379,13 @@ func runBench(w io.Writer, o options, _ *obs.Recorder) (outcome, error) {
 	}
 	fmt.Fprintf(w, "control-plane overhead: %s, %.0f Gbps/node, %v phase\n\n",
 		rep.App, rep.GbpsPerNode, sim.Time(rep.PhasePs))
-	fmt.Fprintf(w, "%-7s %-7s %-7s %-8s %-9s %-13s %-13s %-13s %-12s %-12s %-9s\n",
+	fmt.Fprintf(w, "%-7s %-7s %-7s %-8s %-9s %-13s %-13s %-12s %-12s\n",
 		"nodes", "shards", "racks", "cohorts", "packets",
-		"base-ns/pkt", "fast-ns/pkt", "rack-ns/pkt",
-		"fast-allocs", "rack-allocs", "speedup")
+		"fast-ns/pkt", "rack-ns/pkt", "fast-allocs", "rack-allocs")
 	for _, p := range rep.Points {
-		baseNs, speedup := "-", "-"
-		if p.BaselineNsPerPkt != nil {
-			baseNs = fmt.Sprintf("%.0f", *p.BaselineNsPerPkt)
-		}
-		if p.SpeedupWall != nil {
-			speedup = fmt.Sprintf("%.1f", *p.SpeedupWall)
-		}
-		fmt.Fprintf(w, "%-7d %-7d %-7d %-8d %-9d %-13s %-13.0f %-13.0f %-12.3f %-12.3f %-9s\n",
+		fmt.Fprintf(w, "%-7d %-7d %-7d %-8d %-9d %-13.0f %-13.0f %-12.3f %-12.3f\n",
 			p.Nodes, p.Shards, p.Racks, p.Cohorts, p.Packets,
-			baseNs, p.FastNsPerPkt, p.RackNsPerPkt,
-			p.FastAllocsPerPkt, p.RackAllocsPerPkt, speedup)
+			p.FastNsPerPkt, p.RackNsPerPkt, p.FastAllocsPerPkt, p.RackAllocsPerPkt)
 	}
 	gate := func(name string, ok bool, reason string) {
 		if reason != "" {

@@ -44,7 +44,7 @@ func TestRunDrill(t *testing.T) {
 }
 
 func TestRunBench(t *testing.T) {
-	// Tiny fleet sizes keep the serial baseline fast; the real sweep
+	// Tiny fleet sizes keep the sweep fast; the real sweep
 	// (100/300/1000/10000) runs in CI's bench-smoke job. The toy sweep
 	// measures none of the gated points, so the gates fail closed: the
 	// report is still written, and the run fails naming every gate.
@@ -57,7 +57,7 @@ func TestRunBench(t *testing.T) {
 		t.Fatalf("bench scenario err = %v, want all three gates failing as missing", err)
 	}
 	s := out.String()
-	for _, want := range []string{"base-ns/pkt", "fast-ns/pkt", "wrote", "rack flat 10k/1k: 0.000 (bound 1.25): false (missing:"} {
+	for _, want := range []string{"fast-ns/pkt", "rack-ns/pkt", "wrote", "rack flat 10k/1k: 0.000 (bound 1.25): false (missing:"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("bench output missing %q:\n%s", want, s)
 		}
@@ -69,10 +69,10 @@ func TestRunBench(t *testing.T) {
 	var rep struct {
 		Experiment string `json:"experiment"`
 		Points     []struct {
-			Nodes            int     `json:"nodes"`
-			Packets          int64   `json:"packets"`
-			BaselineNsPerPkt float64 `json:"baseline_ns_per_pkt"`
-			FastNsPerPkt     float64 `json:"fast_ns_per_pkt"`
+			Nodes        int     `json:"nodes"`
+			Packets      int64   `json:"packets"`
+			FastNsPerPkt float64 `json:"fast_ns_per_pkt"`
+			RackNsPerPkt float64 `json:"rack_ns_per_pkt"`
 		} `json:"points"`
 	}
 	if err := json.Unmarshal(data, &rep); err != nil {
@@ -82,7 +82,7 @@ func TestRunBench(t *testing.T) {
 		t.Fatalf("report = %+v, want fleet3 with 2 points", rep)
 	}
 	for _, p := range rep.Points {
-		if p.Packets == 0 || p.BaselineNsPerPkt <= 0 || p.FastNsPerPkt <= 0 {
+		if p.Packets == 0 || p.FastNsPerPkt <= 0 || p.RackNsPerPkt <= 0 {
 			t.Errorf("point %+v has empty measurements", p)
 		}
 	}

@@ -42,20 +42,12 @@ func FleetScaleOut() (*metrics.Figure, error) {
 	return fig, nil
 }
 
-// ControlPlaneSizes is the default fleet3 sweep: the sizes where the
-// per-packet candidate scan stops being noise and starts being the
-// bottleneck.
+// ControlPlaneSizes is the default fleet3 figure sweep.
 var ControlPlaneSizes = []int{100, 300, 1000}
 
 // ControlPlaneScaleSizes extends the sweep to the 10k-node scale point
-// the rack-hierarchical path exists for. The serial baseline is skipped
-// above cpBaselineMax (it would dominate the run without informing the
-// comparison); the flat fast path and the rack path both run.
+// the rack-hierarchical path exists for.
 var ControlPlaneScaleSizes = []int{100, 300, 1000, 10000}
-
-// cpBaselineMax is the largest fleet the serial probe-every-node
-// baseline still runs at. Beyond it the point records BaselineSkipped.
-const cpBaselineMax = 1000
 
 // RackFlatBound is the fleet3 scale gate: the rack path's ns/pkt at
 // 10000 nodes must stay within this factor of its 1000-node cost —
@@ -84,9 +76,9 @@ const (
 	FastBatchedGateNodes = 1000
 )
 
-// Fixed fleet3 workload: a short phase keeps the serial baseline at
-// 1000 nodes affordable in CI while still routing tens of thousands of
-// packets per point.
+// Fixed fleet3 workload: a short phase keeps the 10000-node point
+// affordable in CI while still routing tens of thousands of packets per
+// point.
 const (
 	cpPhase       = 50 * sim.Microsecond
 	cpGbpsPerNode = 40.0
@@ -94,10 +86,9 @@ const (
 )
 
 // ControlPlanePoint is one fleet-size measurement of control-plane
-// routing overhead: the same prepared workload run on the pre-shard
-// serial path (per-packet candidate scan, probe-every-node monitor) and
-// on the sharded fast path (incremental replica index, cohort
-// heartbeats, histogram latency window).
+// routing overhead: the same prepared workload run on the flat sharded
+// path (incremental replica index, cohort heartbeats, histogram latency
+// window) and on the rack path.
 type ControlPlanePoint struct {
 	Nodes   int   `json:"nodes"`
 	Shards  int   `json:"shards"`
@@ -105,30 +96,18 @@ type ControlPlanePoint struct {
 	Racks   int   `json:"racks"`
 	Packets int64 `json:"packets"`
 
-	// BaselineSkipped marks points above cpBaselineMax, where the
-	// serial scan is no longer affordable (or interesting). The
-	// baseline-derived fields below are pointers so skipped points omit
-	// them entirely instead of emitting a 0 that downstream tooling
-	// would read as a 0 ns baseline.
-	BaselineSkipped bool `json:"baseline_skipped,omitempty"`
-
-	BaselineNsPerPkt     *float64 `json:"baseline_ns_per_pkt,omitempty"`
-	FastNsPerPkt         float64  `json:"fast_ns_per_pkt"`
-	BaselineAllocsPerPkt *float64 `json:"baseline_allocs_per_pkt,omitempty"`
-	FastAllocsPerPkt     float64  `json:"fast_allocs_per_pkt"`
-	SpeedupWall          *float64 `json:"speedup_wall,omitempty"`
-	AllocReduction       *float64 `json:"alloc_reduction,omitempty"`
+	FastNsPerPkt     float64 `json:"fast_ns_per_pkt"`
+	FastAllocsPerPkt float64 `json:"fast_allocs_per_pkt"`
 
 	// Rack path: RackP2C dispatch with gossip health, the
 	// configuration the 10k point scales on.
 	RackNsPerPkt     float64 `json:"rack_ns_per_pkt"`
 	RackAllocsPerPkt float64 `json:"rack_allocs_per_pkt"`
 
-	// Goodput on every path — the sanity check that the cheaper paths
-	// routed the same workload, not a cheaper one.
-	BaselineGoodputGbps *float64 `json:"baseline_goodput_gbps,omitempty"`
-	FastGoodputGbps     float64  `json:"fast_goodput_gbps"`
-	RackGoodputGbps     float64  `json:"rack_goodput_gbps"`
+	// Goodput on both paths — the sanity check that they routed the
+	// same workload.
+	FastGoodputGbps float64 `json:"fast_goodput_gbps"`
+	RackGoodputGbps float64 `json:"rack_goodput_gbps"`
 }
 
 // ControlPlaneReport is the machine-readable fleet3 artifact
@@ -293,10 +272,8 @@ func cpPrepare(cfg fleet.Config, n int) (*fleet.Phase, error) {
 }
 
 // ControlPlaneSweep measures routing overhead at each fleet size. Each
-// point builds two identically configured clusters over the same seeded
-// workload: one runs Phase.RunBaseline (the pre-shard serial path with
-// a probe-every-node monitor), the other Phase.Run (sharded fast path
-// with cohort heartbeats).
+// point runs the same seeded workload on two clusters: the flat sharded
+// path with cohort heartbeats, and the rack path with gossip health.
 func ControlPlaneSweep(sizes []int) ([]ControlPlanePoint, error) {
 	var out []ControlPlanePoint
 	for _, n := range sizes {
@@ -304,27 +281,6 @@ func ControlPlaneSweep(sizes []int) ([]ControlPlanePoint, error) {
 			return out, fmt.Errorf("bench: invalid fleet size %d", n)
 		}
 		p := ControlPlanePoint{Nodes: n, Cohorts: cpCohorts(n)}
-
-		// Baseline: every heartbeat probes every node, as the serial
-		// monitor did before cohorts existed. Skipped past the size
-		// where the serial scan stops being an interesting comparison.
-		if n <= cpBaselineMax {
-			base := fleet.DefaultConfig()
-			base.HeartbeatCohorts = 1
-			bph, err := cpPrepare(base, n)
-			if err != nil {
-				return out, err
-			}
-			bst, bNs, bAllocs, err := measuredPhase(bph.RunBaseline)
-			if err != nil {
-				return out, err
-			}
-			goodput := bst.GoodputGbps
-			p.BaselineNsPerPkt, p.BaselineAllocsPerPkt = &bNs, &bAllocs
-			p.BaselineGoodputGbps = &goodput
-		} else {
-			p.BaselineSkipped = true
-		}
 
 		fast := fleet.DefaultConfig()
 		fast.HeartbeatCohorts = cpCohorts(n)
@@ -357,15 +313,6 @@ func ControlPlaneSweep(sizes []int) ([]ControlPlanePoint, error) {
 		p.Racks = rph.Shards()
 		p.RackNsPerPkt, p.RackAllocsPerPkt = rNs, rAllocs
 		p.RackGoodputGbps = rst.GoodputGbps
-
-		if fNs > 0 && p.BaselineNsPerPkt != nil {
-			spd := *p.BaselineNsPerPkt / fNs
-			p.SpeedupWall = &spd
-		}
-		if fAllocs > 0 && p.BaselineAllocsPerPkt != nil {
-			red := *p.BaselineAllocsPerPkt / fAllocs
-			p.AllocReduction = &red
-		}
 		out = append(out, p)
 	}
 	return out, nil
@@ -393,13 +340,11 @@ func FleetControlPlaneReport(sizes []int) (*ControlPlaneReport, error) {
 }
 
 // FleetControlPlane is the fleet3 figure: control-plane overhead per
-// routed packet as the fleet scales, serial scan vs sharded fast path.
+// routed packet as the fleet scales, flat sharded path vs rack path.
 func FleetControlPlane() (*metrics.Figure, error) {
 	fig := &metrics.Figure{ID: "fleet3", Title: "Fleet control-plane overhead scaling"}
-	bNs := &metrics.Series{Label: "baseline-ns-per-pkt", XLabel: "devices", YLabel: "ns/pkt"}
-	fNs := &metrics.Series{Label: "fastpath-ns-per-pkt"}
+	fNs := &metrics.Series{Label: "fastpath-ns-per-pkt", XLabel: "devices", YLabel: "ns/pkt"}
 	rNs := &metrics.Series{Label: "rackpath-ns-per-pkt"}
-	bAl := &metrics.Series{Label: "baseline-allocs-per-pkt"}
 	fAl := &metrics.Series{Label: "fastpath-allocs-per-pkt"}
 	pts, err := ControlPlaneSweep(ControlPlaneSizes)
 	if err != nil {
@@ -407,15 +352,11 @@ func FleetControlPlane() (*metrics.Figure, error) {
 	}
 	for _, p := range pts {
 		x := float64(p.Nodes)
-		if p.BaselineNsPerPkt != nil {
-			bNs.Add(x, *p.BaselineNsPerPkt)
-			bAl.Add(x, *p.BaselineAllocsPerPkt)
-		}
 		fNs.Add(x, p.FastNsPerPkt)
 		rNs.Add(x, p.RackNsPerPkt)
 		fAl.Add(x, p.FastAllocsPerPkt)
 	}
-	fig.Series = append(fig.Series, bNs, fNs, rNs, bAl, fAl)
+	fig.Series = append(fig.Series, fNs, rNs, fAl)
 	return fig, nil
 }
 

@@ -32,6 +32,7 @@ import (
 	"harmonia/internal/sim"
 	"harmonia/internal/tenancy"
 	"harmonia/internal/toolchain"
+	"harmonia/internal/workload"
 )
 
 // State is a device's position in the fleet health state machine.
@@ -414,9 +415,11 @@ type Cluster struct {
 	// stream decoded, before the next read starts.
 	tableRow, tableWords []uint32
 	// spare is the workload storage the last phase to run handed back,
-	// taken by the next prepare; flowHash memoizes the flow hash of
-	// each generated flow index (scenario.go).
+	// taken by the next prepare; gen is the seeded stream generator
+	// every prepare reuses; flowHash memoizes the flow hash of each
+	// generated flow index (scenario.go).
 	spare    *phaseBufs
+	gen      workload.Gen
 	flowHash []uint64
 
 	now           sim.Time

@@ -79,7 +79,7 @@ const (
 func (c *Cluster) registerMetrics() {
 	reg := c.reg
 
-	// Router shards (merged with the baseline path).
+	// Router shards, merged.
 	reg.Counter(mRouterSent, "Packets offered to the fleet router.",
 		func() int64 { return c.rawRouterStats().Sent })
 	reg.Counter(mRouterServed, "Packets a replica's datapath accepted.",

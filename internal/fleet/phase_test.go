@@ -4,20 +4,26 @@ import (
 	"errors"
 	"testing"
 
+	"harmonia/internal/apps"
+	"harmonia/internal/hdl"
 	"harmonia/internal/net"
 )
 
+// phaseWindowAllocs bounds one steady heartbeat window in
+// TestPhaseWindowAllocs: what remains is per window, not per packet or
+// per service — the phase itself and the barrier's control plane.
+const phaseWindowAllocs = 5
+
 // TestPhaseRunsOnce checks the phase lifecycle: a phase's storage goes
-// back to the cluster when it runs, so a second Run or RunBaseline of
-// the same phase is refused, while Packets keeps reporting its size.
+// back to the cluster when it runs, so a second Run of the same phase
+// is refused, while Packets keeps reporting its size.
 func TestPhaseRunsOnce(t *testing.T) {
 	c, err := BuildCluster(DefaultConfig(), testApp, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.RunMonitorUntil(2 * c.Config().ReconfigTime)
-	hb := c.Config().Heartbeat
-	ph, err := c.PreparePhase(hb-1, DefaultTraffic(testApp))
+	ph, err := c.PreparePhase(c.Config().Heartbeat-1, DefaultTraffic(testApp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,22 +35,8 @@ func TestPhaseRunsOnce(t *testing.T) {
 	if _, err := ph.Run(); !errors.Is(err, errPhaseRan) {
 		t.Errorf("second Run err = %v, want %v", err, errPhaseRan)
 	}
-	if _, err := ph.RunBaseline(); !errors.Is(err, errPhaseRan) {
-		t.Errorf("RunBaseline after Run err = %v, want %v", err, errPhaseRan)
-	}
 	if ph.Packets() != n {
 		t.Errorf("Packets after Run = %d, want %d", ph.Packets(), n)
-	}
-
-	bph, err := c.PreparePhase(hb-1, DefaultTraffic(testApp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bph.RunBaseline(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bph.Run(); !errors.Is(err, errPhaseRan) {
-		t.Errorf("Run after RunBaseline err = %v, want %v", err, errPhaseRan)
 	}
 }
 
@@ -113,5 +105,60 @@ func TestPhaseWindowRecyclesStorage(t *testing.T) {
 	// generators, the phase itself and the barrier's control plane.
 	if allocs > 40 {
 		t.Errorf("steady window allocates %.0f objects for %d packets, want <= 40", allocs, sent)
+	}
+}
+
+// TestPhaseWindowAllocs checks that serving several services costs no
+// more allocations than serving one: on a sharded three-service fleet,
+// a steady heartbeat window (prepare, run, barrier) offering all three
+// services' traffic allocates no more than one offering a single
+// service's, and neither exceeds a fixed per-window bound.
+func TestPhaseWindowAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ServeWorkers = 1
+	cfg.RouterShards = 4
+	cfg.SlotRes = hdl.Resources{LUT: 200_000, REG: 300_000, BRAM: 512, URAM: 96, DSP: 2_048}
+	const devices = 8
+	var svcs []Service
+	for i, app := range []string{testApp, coresBulkApp, testSecApp} {
+		info, err := apps.Lookup(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svcs = append(svcs, AppService(info, devices/(i+1), net.IPv4(20+10*byte(i), 0, 0, 1)))
+	}
+	three := coresTraffics(1, 0)
+	window := func(traffics []Traffic) (allocs float64, sent int64) {
+		c, err := BuildCoResidentCluster(cfg, svcs, devices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.RunMonitorUntil(2 * cfg.ReconfigTime)
+		run := func() {
+			ph, err := c.PrepareMultiPhase(cfg.Heartbeat-1, traffics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := ph.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent = st.Sent
+			c.RunMonitorUntil(c.Now() + 1)
+		}
+		run()
+		return testing.AllocsPerRun(10, run), sent
+	}
+	one, oneSent := window(three[:1])
+	multi, multiSent := window(three)
+	if oneSent < 1000 || multiSent <= oneSent {
+		t.Fatalf("windows sent %d (one service) and %d (three); the bound needs real windows", oneSent, multiSent)
+	}
+	t.Logf("allocs per window: one service %.0f (%d pkts), three services %.0f (%d pkts)", one, oneSent, multi, multiSent)
+	if multi > one {
+		t.Errorf("three-service window allocates %.0f objects, one-service %.0f: per-service scratch is allocated per window", multi, one)
+	}
+	if one > phaseWindowAllocs {
+		t.Errorf("one-service window allocates %.0f objects, want <= %d", one, phaseWindowAllocs)
 	}
 }

@@ -39,7 +39,7 @@ const maxRouterShards = 16
 const autoShardNodes = 64
 
 // shardSeedStride separates per-shard RNG streams (shard 0 keeps the
-// configured seed, matching the pre-shard router stream).
+// configured seed).
 const shardSeedStride int64 = 0x5851F42D4C957F2D
 
 // flowCacheSize is the per-(service, shard) flow route cache capacity —
@@ -91,8 +91,13 @@ type nodeHot struct {
 	healthy  bool
 }
 
-// hotCost is the routing metric over the SoA view — cost() with the
-// penalty inputs frozen at the last barrier, which they are anyway:
+// hotCost is the routing metric over the SoA view: outstanding
+// backlog, inflated on thermally stressed devices. Statically a
+// degraded device pays a flat ×4; with derived shedding the penalty
+// follows the throttling model — it grows continuously with the node's
+// last heartbeat temperature as the thermal margin erodes, reaching ×4
+// at the alarm line (past which the node is not routable at all). The
+// penalty inputs are frozen at the last barrier, which they are anyway:
 // state and lastTemp only change on the control-plane path, and every
 // such change bumps the dispatch epoch.
 func (sh *routerShard) hotCost(slot int32, now sim.Time) sim.Time {
@@ -174,9 +179,7 @@ func (sh *routerShard) traceDrop(now sim.Time, node string) {
 	sh.trace.Add(e)
 }
 
-// router holds the sharded dispatch state plus the unsharded baseline
-// path used as the before-side of the fleet3 control-plane benchmark
-// and as the oracle in consistency tests.
+// router holds the sharded dispatch state.
 type router struct {
 	c      *Cluster
 	seed   int64
@@ -188,24 +191,11 @@ type router struct {
 	// the per-shard SoA views and flow route caches; all bumps happen on
 	// the serial control-plane path.
 	epoch uint64
-
-	// base is the pre-shard serial path: naive candidate scan, exact
-	// sample buffer.
-	base struct {
-		rng                   *rand.Rand
-		sent, served, dropped int64
-		healthy               int64
-		bytes                 int64
-		lat                   *metrics.Latencies
-	}
 }
 
 func newRouter(c *Cluster, seed int64) *router {
 	// epoch starts at 1 so zero-valued dispatch views are born stale.
-	r := &router{c: c, seed: seed, idx: newReplicaIndex(c), epoch: 1}
-	r.base.rng = rand.New(rand.NewSource(seed))
-	r.base.lat = &metrics.Latencies{}
-	return r
+	return &router{c: c, seed: seed, idx: newReplicaIndex(c), epoch: 1}
 }
 
 // bumpEpoch invalidates every shard's dispatch view and flow cache.
@@ -274,31 +264,11 @@ type Dispatch struct {
 	Dropped bool
 }
 
-// cost is the routing metric: outstanding backlog, inflated on
-// thermally stressed devices. Statically a degraded device pays a flat
-// ×4; with derived shedding the penalty follows the throttling model —
-// it grows continuously with the node's last heartbeat temperature as
-// the thermal margin erodes, reaching ×4 at the alarm line (past which
-// the node is not routable at all).
-func (r *router) cost(n *Node, now sim.Time) sim.Time {
-	d := n.QueueDepth(now)
-	if r.c.cfg.DerivedShedding {
-		if p := r.c.thermalPenalty(n.lastTemp); p > 1 {
-			return sim.Time(float64(d+sim.Microsecond) * p)
-		}
-		return d
-	}
-	if n.state == Degraded {
-		return (d + sim.Microsecond) * degradedPenalty
-	}
-	return d
-}
-
 // candidates lists the service's dispatchable replicas at now by
 // scanning every replica: placed, reconfiguration complete, device
-// serving traffic. This is the naive O(replicas) path the replica
-// index replaces; it remains the baseline router's source and the
-// oracle the index is cross-checked against.
+// serving traffic. This is the naive O(replicas) scan the replica
+// index replaces; tests keep it as the oracle the index is
+// cross-checked against.
 func (c *Cluster) candidates(svc string, now sim.Time) []*Replica {
 	var out []*Replica
 	for _, r := range c.replicas {
@@ -592,65 +562,6 @@ func (c *Cluster) Route(now sim.Time, svc string, p *net.Packet) (Dispatch, erro
 	return Dispatch{Replica: res.rep, Node: res.node.ID, Queue: int(res.queue), Done: res.done}, nil
 }
 
-// routeBaseline is the pre-shard serial path: per-packet candidate
-// scan, unsharded RNG, exact sample buffer. Phase.RunBaseline drives it
-// as the before-side of the control-plane benchmark.
-func (c *Cluster) routeBaseline(now sim.Time, svc string, p *net.Packet) (Dispatch, error) {
-	c.advance(now)
-	r := c.router
-	r.base.sent++
-	cands := c.candidates(svc, now)
-	if len(cands) == 0 {
-		r.base.dropped++
-		return Dispatch{Dropped: true}, fmt.Errorf("fleet: no live replica of %s", svc)
-	}
-	pick := cands[0]
-	if len(cands) > 1 {
-		i := r.base.rng.Intn(len(cands))
-		j := r.base.rng.Intn(len(cands) - 1)
-		if j >= i {
-			j++
-		}
-		a, b := cands[i], cands[j]
-		ca, cb := r.cost(c.byID[a.Node], now), r.cost(c.byID[b.Node], now)
-		switch {
-		case ca < cb:
-			pick = a
-		case cb < ca:
-			pick = b
-		case a.Node <= b.Node:
-			pick = a
-		default:
-			pick = b
-		}
-	}
-	n := c.byID[pick.Node]
-	p.DstIP = pick.VIP
-	queue, _, err := n.Tenants.Route(p)
-	if err != nil {
-		r.base.dropped++
-		return Dispatch{Replica: pick, Node: n.ID, Dropped: true}, err
-	}
-	done, _, ok := n.Net.Ingress(now, p)
-	if !ok {
-		r.base.dropped++
-		return Dispatch{Replica: pick, Node: n.ID, Queue: queue, Dropped: true}, nil
-	}
-	if done > n.busyUntil {
-		n.busyUntil = done
-	}
-	r.base.served++
-	if n.state == Healthy {
-		r.base.healthy++
-	}
-	r.base.bytes += int64(p.WireBytes)
-	r.base.lat.Add(done - now)
-	if pick.flows != nil {
-		pick.flows.process(p.Flow())
-	}
-	return Dispatch{Replica: pick, Node: n.ID, Queue: queue, Done: done}, nil
-}
-
 // RouterSnapshot is the router's cumulative view. HealthyServed counts
 // served packets that landed on a Healthy node; HealthyServed/Sent is
 // the chaos drill's availability.
@@ -660,15 +571,11 @@ type RouterSnapshot struct {
 	Bytes                 int64
 }
 
-// rawRouterStats merges the dispatch counters across shards and the
-// baseline path. It feeds the registry's router callbacks; the public
+// rawRouterStats merges the dispatch counters across shards. It feeds the registry's router callbacks; the public
 // RouterStats accessor (obs.go) reads back through the registry.
 func (c *Cluster) rawRouterStats() RouterSnapshot {
 	r := c.router
-	snap := RouterSnapshot{
-		Sent: r.base.sent, Served: r.base.served,
-		Dropped: r.base.dropped, HealthyServed: r.base.healthy, Bytes: r.base.bytes,
-	}
+	var snap RouterSnapshot
 	for _, sh := range r.shards {
 		snap.Sent += sh.sent
 		snap.Served += sh.served
@@ -679,8 +586,8 @@ func (c *Cluster) rawRouterStats() RouterSnapshot {
 	return snap
 }
 
-// resetWindow starts a fresh latency measurement window on every shard
-// and the baseline path, including each service's share.
+// resetWindow starts a fresh latency measurement window on every shard,
+// including each service's share.
 func (r *router) resetWindow() {
 	for _, sh := range r.shards {
 		sh.hist.Reset()
@@ -690,7 +597,6 @@ func (r *router) resetWindow() {
 			si.stats[i].hist.Reset()
 		}
 	}
-	r.base.lat = &metrics.Latencies{}
 }
 
 // windowHist merges the shard windows. Histogram merging is exact, so

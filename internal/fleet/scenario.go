@@ -59,29 +59,30 @@ type PhaseStats struct {
 // against the cluster. Preparing and running are split so the
 // control-plane benchmark can measure the serving path alone.
 //
+// A phase carries one traffic shape per service; a single-service phase
+// is the one-shape case of a co-resident one, and both run through the
+// same loop.
+//
 // A phase runs once. Its workload lives in storage the cluster
-// recycles: Run (or RunBaseline) hands it back to the cluster for the
-// next prepare, and a second run of the same phase returns an error.
+// recycles: Run hands it back to the cluster for the next prepare, and
+// a second run of the same phase returns an error.
 type Phase struct {
 	c   *Cluster
-	t   Traffic
 	dur sim.Time
 	n   int
 	// bufs owns the slices below until the phase runs; nil after.
 	bufs     *phaseBufs
+	traffics []Traffic
 	pkts     []net.Packet
 	arrivals []sim.Time
 	// hashes caches each packet's flow hash — the NIC-RSS analogue:
 	// computed once at prepare time, reused by dispatch, the flow cache
 	// and shard partitioning instead of re-hashing per use.
 	hashes []uint64
-	// multi/svcIdx carry a co-resident phase (PrepareMultiPhase): the
-	// per-service traffic shapes and each packet's index into them. nil
-	// for a single-service phase, which keeps the single-service run
-	// loop untouched. sis caches the per-traffic service indexes for the
-	// current quantum (resolved serially — freeze rebuilds the index
-	// map, so they cannot be captured at prepare time).
-	multi  []Traffic
+	// svcIdx is each packet's index into traffics. sis caches the
+	// per-traffic service indexes for the current quantum (resolved
+	// serially — freeze rebuilds the index map, so they cannot be
+	// captured at prepare time).
 	svcIdx []uint8
 	sis    []*svcIndex
 }
@@ -96,17 +97,19 @@ type stream struct {
 }
 
 // phaseBufs is the storage a prepared phase owns until it runs: its
-// merged stream and service indexes, the per-service streams a
-// co-resident phase merges from, and the shard queues Run fills. The
-// cluster keeps the set the last phase handed back, so a steady
-// prepare → run sequence reuses one set instead of allocating a slab
-// per window.
+// traffic shapes, merged stream and service indexes, the per-service
+// streams a co-resident phase merges from, the per-quantum service
+// indexes, and the shard queues Run fills. The cluster keeps the set the
+// last phase handed back, so a steady prepare → run sequence reuses one
+// set instead of allocating a slab per window.
 type phaseBufs struct {
 	stream
-	svcIdx  []uint8
-	streams []stream
-	queues  [][]int
-	work    []int
+	traffics []Traffic
+	svcIdx   []uint8
+	sis      []*svcIndex
+	streams  []stream
+	queues   [][]int
+	work     []int
 }
 
 // takeBufs returns the cluster's spare phase storage, or a new set.
@@ -126,7 +129,7 @@ var errPhaseRan = errors.New("fleet: phase already ran; prepare a new one")
 // release hands the phase's storage back to the cluster.
 func (ph *Phase) release() {
 	ph.c.spare = ph.bufs
-	ph.bufs, ph.pkts, ph.arrivals, ph.hashes, ph.svcIdx = nil, nil, nil, nil, nil
+	ph.bufs, ph.traffics, ph.pkts, ph.arrivals, ph.hashes, ph.svcIdx, ph.sis = nil, nil, nil, nil, nil, nil, nil
 }
 
 // Packets reports how many packets the phase offers.
@@ -147,12 +150,33 @@ func (c *Cluster) PreparePhase(dur sim.Time, t Traffic) (*Phase, error) {
 		c.spare = b
 		return nil, err
 	}
+	// One service: the generated stream is the merged timeline, and
+	// every packet indexes the one traffic shape.
+	n := len(b.pkts)
+	if cap(b.svcIdx) > 2*n {
+		b.svcIdx = nil
+	}
+	b.svcIdx = slices.Grow(b.svcIdx[:0], n)[:n]
+	clear(b.svcIdx)
+	return c.newPhase(b, dur, append(b.traffics[:0], t)), nil
+}
+
+// newPhase freezes the router layout, drains due maturations and wraps
+// prepared storage as a phase over the given traffic shapes.
+func (c *Cluster) newPhase(b *phaseBufs, dur sim.Time, traffics []Traffic) *Phase {
 	c.router.freeze()
 	c.router.idx.mature(c.now)
+	b.traffics = traffics
+	b.sis = slices.Grow(b.sis[:0], len(traffics))[:len(traffics)]
 	return &Phase{
-		c: c, t: t, dur: dur, n: len(b.pkts), bufs: b,
-		pkts: b.pkts, arrivals: b.arr, hashes: b.hashes,
-	}, nil
+		c: c, dur: dur, n: len(b.pkts), bufs: b,
+		traffics: traffics,
+		pkts:     b.pkts,
+		arrivals: b.arr,
+		hashes:   b.hashes,
+		svcIdx:   b.svcIdx,
+		sis:      b.sis,
+	}
 }
 
 // flowHashMemo bounds the flow-hash memo: traffic spread over more
@@ -182,10 +206,10 @@ func (c *Cluster) genWorkload(s *stream, dur sim.Time, t Traffic) error {
 	}
 	cfg := workload.PacketConfig{Count: count, Size: t.PktBytes, Flows: t.Flows, Seed: t.Seed}
 	var err error
-	if s.pkts, s.flows, err = workload.AppendPacketFlows(s.pkts[:0], s.flows[:0], cfg); err != nil {
+	if s.pkts, s.flows, err = c.gen.AppendPacketFlows(s.pkts[:0], s.flows[:0], cfg); err != nil {
 		return err
 	}
-	if s.arr, err = workload.AppendArrivals(s.arr[:0], count, gap, t.Jitter, t.Seed+1); err != nil {
+	if s.arr, err = c.gen.AppendArrivals(s.arr[:0], count, gap, t.Jitter, t.Seed+1); err != nil {
 		return err
 	}
 	s.hashes = slices.Grow(s.hashes[:0], count)
@@ -269,17 +293,7 @@ func (c *Cluster) PrepareMultiPhase(dur sim.Time, traffics []Traffic) (*Phase, e
 		b.svcIdx = append(b.svcIdx, uint8(best))
 		next[best]++
 	}
-	c.router.freeze()
-	c.router.idx.mature(c.now)
-	return &Phase{
-		c: c, t: traffics[0], dur: dur, n: total, bufs: b,
-		multi:    append([]Traffic(nil), traffics...),
-		pkts:     m.pkts,
-		arrivals: m.arr,
-		hashes:   m.hashes,
-		svcIdx:   b.svcIdx,
-		sis:      make([]*svcIndex, len(traffics)),
-	}, nil
+	return c.newPhase(b, dur, append(b.traffics[:0], traffics...)), nil
 }
 
 // Serve runs one traffic phase of the given duration starting at the
@@ -415,32 +429,33 @@ func (ph *Phase) Run() (PhaseStats, error) {
 	return ph.stats(start, before, r.windowHist()), nil
 }
 
-// runQuantum partitions packets [i, j) onto shards by flow hash and
-// routes each shard's subsequence, fanning out to workers when the
-// quantum is large enough to pay for it.
+// runQuantum partitions packets [i, j) onto shards and routes each
+// shard's subsequence, fanning out to workers when the quantum is large
+// enough to pay for it. Each packet partitions onto the shard its *own*
+// service's dispatch chooses, so two services' flows with the same hash
+// can land on different shards (per-service active sets differ). Shard
+// subsequences stay fixed by (service, flow hash), whatever the worker
+// count.
 func (ph *Phase) runQuantum(queues [][]int, work *[]int, i, j, workers int) {
 	if i >= j {
 		return
 	}
-	if ph.multi != nil {
-		ph.runQuantumMulti(queues, work, i, j, workers)
-		return
+	r := ph.c.router
+	for ti, t := range ph.traffics {
+		ph.sis[ti] = r.idx.svc(t.Service)
 	}
-	c := ph.c
-	r := c.router
-	si := r.idx.svc(ph.t.Service)
-	active := si.active
 	for s := range queues {
 		queues[s] = queues[s][:0]
 	}
 	for k := i; k < j; k++ {
 		h := ph.hashes[k]
+		si := ph.sis[ph.svcIdx[k]]
 		var s int
-		if len(active) > 0 {
+		if len(si.active) > 0 {
 			s = r.dispatchShard(si, h)
 		} else {
-			// Nothing can serve: spread the drops over all shards so
-			// counters stay shard-consistent.
+			// Nothing can serve this service: spread the drops over all
+			// shards so counters stay shard-consistent.
 			s = int(h % uint64(len(queues)))
 		}
 		queues[s] = append(queues[s], k)
@@ -453,7 +468,7 @@ func (ph *Phase) runQuantum(queues [][]int, work *[]int, i, j, workers int) {
 	}
 	if workers <= 1 || len(*work) == 1 || j-i < serialQuantum {
 		for _, s := range *work {
-			ph.runShard(s, queues[s], si)
+			ph.runShard(s, queues[s])
 		}
 		return
 	}
@@ -472,20 +487,34 @@ func (ph *Phase) runQuantum(queues [][]int, work *[]int, i, j, workers int) {
 					return
 				}
 				s := (*work)[k]
-				ph.runShard(s, queues[s], si)
+				ph.runShard(s, queues[s])
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// runShard routes one shard's packet subsequence in arrival order —
-// the batched inner loop: the dispatch view refreshes at most once per
+// runShard routes one shard's packet subsequence in arrival order, one
+// run of consecutive same-service packets at a time; a single-service
+// shard is one run.
+func (ph *Phase) runShard(s int, idxs []int) {
+	for len(idxs) > 0 {
+		ti := ph.svcIdx[idxs[0]]
+		n := 1
+		for n < len(idxs) && ph.svcIdx[idxs[n]] == ti {
+			n++
+		}
+		ph.routeRun(s, ph.sis[ti], idxs[:n])
+		idxs = idxs[n:]
+	}
+}
+
+// routeRun routes one run of a service's packets on shard s — the
+// batched inner loop: the dispatch view refreshes at most once per
 // epoch, every packet reuses its precomputed flow hash, and the shard
-// counters accumulate in locals flushed once per run instead of five
-// read-modify-writes per packet. The service's own per-shard counters
-// (svcShardStats) accumulate alongside and flush with them.
-func (ph *Phase) runShard(s int, idxs []int, si *svcIndex) {
+// and service counters accumulate in locals flushed once per run
+// instead of read-modify-writes per packet.
+func (ph *Phase) routeRun(s int, si *svcIndex, idxs []int) {
 	c := ph.c
 	r := c.router
 	sh := r.shards[s]
@@ -536,181 +565,9 @@ func (ph *Phase) runShard(s int, idxs []int, si *svcIndex) {
 	st.bytes += bytes
 }
 
-// runQuantumMulti is runQuantum for a co-resident phase: each packet
-// partitions onto the shard its *own* service's dispatch chooses, so
-// two services' flows with the same hash can land on different shards
-// (per-service active sets differ). Shard subsequences stay fixed by
-// (service, flow hash) — worker-count invariant exactly as the single-
-// service path.
-func (ph *Phase) runQuantumMulti(queues [][]int, work *[]int, i, j, workers int) {
-	c := ph.c
-	r := c.router
-	for ti, t := range ph.multi {
-		ph.sis[ti] = r.idx.svc(t.Service)
-	}
-	for s := range queues {
-		queues[s] = queues[s][:0]
-	}
-	for k := i; k < j; k++ {
-		h := ph.hashes[k]
-		si := ph.sis[ph.svcIdx[k]]
-		var s int
-		if len(si.active) > 0 {
-			s = r.dispatchShard(si, h)
-		} else {
-			// Nothing can serve this service: spread the drops over all
-			// shards so counters stay shard-consistent.
-			s = int(h % uint64(len(queues)))
-		}
-		queues[s] = append(queues[s], k)
-	}
-	*work = (*work)[:0]
-	for s := range queues {
-		if len(queues[s]) > 0 {
-			*work = append(*work, s)
-		}
-	}
-	if workers <= 1 || len(*work) == 1 || j-i < serialQuantum {
-		for _, s := range *work {
-			ph.runShardMulti(s, queues[s])
-		}
-		return
-	}
-	if workers > len(*work) {
-		workers = len(*work)
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				k := atomic.AddInt64(&next, 1) - 1
-				if k >= int64(len(*work)) {
-					return
-				}
-				s := (*work)[k]
-				ph.runShardMulti(s, queues[s])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// svcAcc is one service's per-run counter accumulator in runShardMulti.
-type svcAcc struct {
-	sent, served, dropped, healthy, shed, bytes int64
-}
-
-// runShardMulti routes one shard's merged subsequence: packets of all
-// services interleave in arrival order, each dispatching through its
-// own service's view (refreshed at most once per run), with counters
-// accumulated per service and flushed once.
-func (ph *Phase) runShardMulti(s int, idxs []int) {
-	c := ph.c
-	r := c.router
-	sh := r.shards[s]
-	start := c.now
-	nsvc := len(ph.multi)
-	ds := make([]*shardDisp, nsvc)
-	accs := make([]svcAcc, nsvc)
-	for _, k := range idxs {
-		ti := ph.svcIdx[k]
-		si := ph.sis[ti]
-		d := ds[ti]
-		if d == nil {
-			d = r.refreshDisp(si, s)
-			ds[ti] = d
-		}
-		a := &accs[ti]
-		a.sent++
-		now := start + ph.arrivals[k]
-		p := &ph.pkts[k]
-		res := c.routeCached(sh, d, ph.hashes[k], now, p)
-		if !res.served {
-			a.dropped++
-			if res.node == nil && d.shed > 0 {
-				a.shed++
-			}
-			if sh.trace != nil {
-				node := ""
-				if res.node != nil {
-					node = res.node.ID
-				}
-				sh.traceDrop(now, node)
-			}
-			continue
-		}
-		a.served++
-		if res.healthy {
-			a.healthy++
-		}
-		a.bytes += int64(p.WireBytes)
-		sh.hist.Add(res.done - now)
-		si.stats[s].hist.Add(res.done - now)
-		if sh.trace != nil {
-			sh.tracePacket(now, res.done, res.node.ID, int64(p.WireBytes))
-		}
-	}
-	for ti := range accs {
-		a := &accs[ti]
-		if a.sent == 0 {
-			continue
-		}
-		st := &ph.sis[ti].stats[s]
-		st.sent += a.sent
-		st.served += a.served
-		st.dropped += a.dropped
-		st.healthy += a.healthy
-		st.shed += a.shed
-		st.bytes += a.bytes
-		sh.sent += a.sent
-		sh.served += a.served
-		sh.dropped += a.dropped
-		sh.healthy += a.healthy
-		sh.bytes += a.bytes
-	}
-}
-
-// RunBaseline executes the phase on the pre-shard serial path: a
-// per-packet candidate scan with the monitor probing every node inline.
-// It is the before-side of the fleet3 control-plane benchmark and the
-// behavioral oracle for the fast path.
-func (ph *Phase) RunBaseline() (PhaseStats, error) {
-	if ph.bufs == nil {
-		return PhaseStats{}, errPhaseRan
-	}
-	if ph.multi != nil {
-		return PhaseStats{}, fmt.Errorf("fleet: baseline path does not serve co-resident phases")
-	}
-	defer ph.release()
-	c := ph.c
-	start := c.now
-	before := c.RouterStats()
-	c.router.resetWindow()
-	for i := range ph.pkts {
-		at := start + ph.arrivals[i]
-		if at > start+ph.dur {
-			break
-		}
-		// Fire every heartbeat due before this packet.
-		c.RunMonitorUntil(at)
-		_, _ = c.routeBaseline(at, ph.t.Service, &ph.pkts[i]) // drops are part of the result
-	}
-	c.RunMonitorUntil(start + ph.dur)
-	return ph.stats(start, before, c.router.base.lat), nil
-}
-
-// percentiler is the latency window view PhaseStats needs: the sharded
-// path's merged histogram or the baseline's exact sample buffer.
-type percentiler interface {
-	Percentile(p float64) sim.Time
-}
-
 // stats assembles PhaseStats from the counter delta and the phase's
-// latency window.
-func (ph *Phase) stats(start sim.Time, before RouterSnapshot, lat percentiler) PhaseStats {
+// merged latency window.
+func (ph *Phase) stats(start sim.Time, before RouterSnapshot, lat *metrics.Histogram) PhaseStats {
 	c := ph.c
 	after := c.RouterStats()
 	elapsed := c.now - start

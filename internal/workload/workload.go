@@ -16,6 +16,24 @@ import (
 	"harmonia/internal/sim"
 )
 
+// Gen generates the seeded packet and arrival streams into caller
+// storage. It keeps one random source and reseeds it for every stream,
+// which yields the same stream a fresh rand.NewSource(seed) would, so a
+// caller that keeps a Gen and recycles its storage generates without
+// allocating. The zero value is ready to use; a Gen is not safe for
+// concurrent use.
+type Gen struct{ rng *rand.Rand }
+
+// seeded returns g's source reseeded with seed.
+func (g *Gen) seeded(seed int64) *rand.Rand {
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(seed))
+	} else {
+		g.rng.Seed(seed)
+	}
+	return g.rng
+}
+
 // PacketSizes is the paper's packet-size sweep (Figs. 10a, 17a-c).
 var PacketSizes = []int{64, 128, 256, 512, 1024}
 
@@ -57,9 +75,9 @@ func Packets(cfg PacketConfig) ([]*net.Packet, error) {
 
 // AppendPackets appends the stream Packets generates to dst as values
 // and returns the extended slice. A caller that recycles dst between
-// streams generates without allocating.
+// streams allocates no packet storage.
 func AppendPackets(dst []net.Packet, cfg PacketConfig) ([]net.Packet, error) {
-	dst, _, err := appendPackets(dst, nil, false, cfg)
+	dst, _, err := new(Gen).appendPackets(dst, nil, false, cfg)
 	return dst, err
 }
 
@@ -67,11 +85,11 @@ func AppendPackets(dst []net.Packet, cfg PacketConfig) ([]net.Packet, error) {
 // flow index, in [0, cfg.Flows), to flows. Every packet of flow f
 // carries the key cfg.FlowKey(f), so per-flow work (a flow hash) can be
 // done once per index instead of once per packet.
-func AppendPacketFlows(dst []net.Packet, flows []int32, cfg PacketConfig) ([]net.Packet, []int32, error) {
-	return appendPackets(dst, flows, true, cfg)
+func (g *Gen) AppendPacketFlows(dst []net.Packet, flows []int32, cfg PacketConfig) ([]net.Packet, []int32, error) {
+	return g.appendPackets(dst, flows, true, cfg)
 }
 
-func appendPackets(dst []net.Packet, flows []int32, withFlows bool, cfg PacketConfig) ([]net.Packet, []int32, error) {
+func (g *Gen) appendPackets(dst []net.Packet, flows []int32, withFlows bool, cfg PacketConfig) ([]net.Packet, []int32, error) {
 	if cfg.Count <= 0 || cfg.Size < net.MinFrame {
 		return dst, flows, fmt.Errorf("workload: invalid packet config %+v", cfg)
 	}
@@ -81,7 +99,7 @@ func appendPackets(dst []net.Packet, flows []int32, withFlows bool, cfg PacketCo
 	if withFlows && cfg.Flows > math.MaxInt32 {
 		return dst, flows, fmt.Errorf("workload: %d flows exceed the int32 flow index", cfg.Flows)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := g.seeded(cfg.Seed)
 	base := len(dst)
 	dst = slices.Grow(dst, cfg.Count)[:base+cfg.Count]
 	if withFlows {
@@ -306,19 +324,19 @@ func Dot(a, b []float32) float32 {
 // makes fleet scenarios and failover drills reproducible: the same
 // seed yields the identical arrival process.
 func Arrivals(n int, gap sim.Time, jitter float64, seed int64) ([]sim.Time, error) {
-	return AppendArrivals(nil, n, gap, jitter, seed)
+	return new(Gen).AppendArrivals(nil, n, gap, jitter, seed)
 }
 
 // AppendArrivals appends the offsets Arrivals generates to dst and
 // returns the extended slice.
-func AppendArrivals(dst []sim.Time, n int, gap sim.Time, jitter float64, seed int64) ([]sim.Time, error) {
+func (g *Gen) AppendArrivals(dst []sim.Time, n int, gap sim.Time, jitter float64, seed int64) ([]sim.Time, error) {
 	if n <= 0 || gap <= 0 {
 		return dst, fmt.Errorf("workload: invalid arrival config n=%d gap=%v", n, gap)
 	}
 	if jitter < 0 || jitter >= 1 {
 		return dst, fmt.Errorf("workload: jitter %v outside [0, 1)", jitter)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := g.seeded(seed)
 	base := len(dst)
 	dst = slices.Grow(dst, n)[:base+n]
 	out := dst[base:]

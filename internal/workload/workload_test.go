@@ -59,11 +59,13 @@ func refPackets(cfg PacketConfig) []*net.Packet {
 // TestAppendPacketsGolden checks the value-slab generators against the
 // reference stream field by field, over several seeds, flow counts and
 // a VIP set: Packets, AppendPackets onto a non-empty recycled slab, and
-// AppendPacketFlows, whose flow indices must key each packet's tuple.
+// AppendPacketFlows from one Gen reseeded for every stream, whose flow
+// indices must key each packet's tuple.
 func TestAppendPacketsGolden(t *testing.T) {
 	vips := []net.IPAddr{net.IPv4(20, 0, 0, 1), net.IPv4(20, 0, 0, 2), net.IPv4(20, 0, 0, 3)}
 	slab := make([]net.Packet, 0, 4096)
 	var flows []int32
+	var gen Gen
 	for seed := int64(1); seed <= 6; seed++ {
 		cfg := PacketConfig{
 			Count: 500 + int(seed)*37, Size: 64 * int(seed), Flows: []int{0, 1, 7, 300, 70000, 1 << 20}[seed-1],
@@ -82,7 +84,7 @@ func TestAppendPacketsGolden(t *testing.T) {
 		if slab, err = AppendPackets(slab, cfg); err != nil {
 			t.Fatal(err)
 		}
-		vals, fl, err := AppendPacketFlows(nil, flows[:0], cfg)
+		vals, fl, err := gen.AppendPacketFlows(nil, flows[:0], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,15 +106,17 @@ func TestAppendPacketsGolden(t *testing.T) {
 	}
 }
 
-// TestAppendArrivalsMatchesArrivals checks the appending form against
-// Arrivals and that it keeps dst's prefix.
+// TestAppendArrivalsMatchesArrivals checks the appending form, from one
+// Gen reseeded for every stream, against Arrivals and that it keeps
+// dst's prefix.
 func TestAppendArrivalsMatchesArrivals(t *testing.T) {
+	var gen Gen
 	for seed := int64(1); seed <= 3; seed++ {
 		want, err := Arrivals(300, 7*sim.Nanosecond, 0.3*float64(seed-1), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AppendArrivals([]sim.Time{-1}, 300, 7*sim.Nanosecond, 0.3*float64(seed-1), seed)
+		got, err := gen.AppendArrivals([]sim.Time{-1}, 300, 7*sim.Nanosecond, 0.3*float64(seed-1), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,6 +128,28 @@ func TestAppendArrivalsMatchesArrivals(t *testing.T) {
 				t.Fatalf("seed %d offset %d: %v, want %v", seed, i, got[i+1], want[i])
 			}
 		}
+	}
+}
+
+// TestGenReuseAllocatesNothing checks that a kept Gen generating into
+// recycled storage allocates nothing.
+func TestGenReuseAllocatesNothing(t *testing.T) {
+	var gen Gen
+	cfg := PacketConfig{Count: 256, Size: 128, Flows: 32, Seed: 5}
+	pkts, flows, err := gen.AppendPacketFlows(nil, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := gen.AppendArrivals(nil, 256, 7*sim.Nanosecond, 0.3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		pkts, flows, _ = gen.AppendPacketFlows(pkts[:0], flows[:0], cfg)
+		arr, _ = gen.AppendArrivals(arr[:0], 256, 7*sim.Nanosecond, 0.3, 6)
+	})
+	if allocs != 0 {
+		t.Errorf("a kept Gen generating into recycled storage allocates %.1f objects, want 0", allocs)
 	}
 }
 
