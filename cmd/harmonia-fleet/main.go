@@ -42,8 +42,9 @@
 // 1.25x) from 1000 to 10000 nodes.
 //
 // Each artifact-writing drill (bench, migrate, gossip, chaos,
-// coresidency, rebalance, slo) is one row of the drills table, and one
-// driver runs them all: it writes BENCH_<scenario>.json (bench writes
+// coresidency, rebalance, slo) is one row of the drills table, which
+// holds its default -devices, -budget and -seed, and one driver runs
+// them all: it writes BENCH_<scenario>.json (bench writes
 // BENCH_fleet.json; -json overrides the path and -json "" skips it),
 // checks the drill's gates, and fails with a one-command repro line
 // when one does not hold. The recording drills (chaos, coresidency,
@@ -67,6 +68,7 @@ import (
 
 	"harmonia/internal/bench"
 	"harmonia/internal/fleet"
+	"harmonia/internal/gossip"
 	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 )
@@ -96,7 +98,7 @@ func main() {
 	flag.StringVar(&o.app, "app", "layer4-lb", "application to replicate across the fleet")
 	flag.IntVar(&o.devices, "devices", 4, "fleet size (sweep upper bound for scale; artifact drills default to their own)")
 	flag.Float64Var(&o.gbps, "gbps", 40, "offered load per device (Gbps)")
-	flag.Int64Var(&o.seed, "seed", 7, "workload and router seed")
+	flag.Int64Var(&o.seed, "seed", 7, "workload and router seed (artifact drills default to their own)")
 	flag.IntVar(&o.budget, "budget", 0, "concurrent PR-load cap for the budgeted cases (default: the drill's own)")
 	flag.IntVar(&o.racks, "racks", 0, "rack count (0 = auto, one rack per 64 nodes)")
 	flag.StringVar(&o.nodes, "nodes", "", "bench: comma-separated fleet sizes (default 100,300,1000,10000)")
@@ -109,8 +111,8 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	// A drill's own fleet size, budget and artifact path apply unless
-	// the user gave the flag.
+	// A drill's own fleet size, budget, seed and artifact path apply
+	// unless the user gave the flag.
 	if d, ok := lookupDrill(o.scenario); ok {
 		given := make(map[string]bool)
 		flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
@@ -180,6 +182,7 @@ type drill struct {
 	artifact string // default -json path
 	devices  int    // default -devices (0: the drill sizes its own fleet)
 	budget   int    // default -budget (0: the drill has no PR-load cap)
+	seed     int64  // default -seed: the one the committed artifact was built from (0: the drill takes no seed)
 	records  bool   // flies a recorder: honours -trace, -metrics and -flight
 	// run executes the drill and prints its table; rec is nil unless
 	// the drill records.
@@ -196,15 +199,11 @@ type outcome struct {
 var drills = []drill{
 	{name: "bench", artifact: "BENCH_fleet.json", run: runBench},
 	{name: "migrate", artifact: "BENCH_migrate.json", run: runMigrate},
-	{name: "gossip", artifact: "BENCH_gossip.json", devices: 300, run: runGossip},
-	{name: "chaos", artifact: "BENCH_chaos.json", records: true, run: runChaos,
-		devices: fleet.DefaultChaosOptions().Devices, budget: fleet.DefaultChaosOptions().Budget},
-	{name: "coresidency", artifact: "BENCH_coresidency.json", records: true, run: runCoResidency,
-		devices: fleet.DefaultCoResOptions().Devices, budget: fleet.DefaultCoResOptions().Budget},
-	{name: "rebalance", artifact: "BENCH_rebalance.json", records: true, run: runRebalance,
-		devices: fleet.DefaultRebalanceOptions().Devices, budget: fleet.DefaultRebalanceOptions().Budget},
-	{name: "slo", artifact: "BENCH_slo.json", records: true, run: runSLO,
-		devices: fleet.DefaultSLOOptions().Devices, budget: fleet.DefaultSLOOptions().Budget},
+	{name: "gossip", artifact: "BENCH_gossip.json", devices: 300, seed: 11, run: runGossip},
+	{name: "chaos", artifact: "BENCH_chaos.json", devices: 300, budget: 8, seed: 7, records: true, run: runChaos},
+	{name: "coresidency", artifact: "BENCH_coresidency.json", devices: 120, budget: 6, seed: 7, records: true, run: runCoResidency},
+	{name: "rebalance", artifact: "BENCH_rebalance.json", devices: 24, budget: 2, seed: 7, records: true, run: runRebalance},
+	{name: "slo", artifact: "BENCH_slo.json", devices: 120, budget: 6, seed: 7, records: true, run: runSLO},
 }
 
 func lookupDrill(name string) (drill, bool) {
@@ -216,8 +215,8 @@ func lookupDrill(name string) (drill, bool) {
 	return drill{}, false
 }
 
-// withDefaults applies the row's -devices, -budget and -json defaults
-// to every one of those flags the user did not give.
+// withDefaults applies the row's -devices, -budget, -seed and -json
+// defaults to every one of those flags the user did not give.
 func (d drill) withDefaults(o options, given map[string]bool) options {
 	if !given["devices"] {
 		o.devices = d.devices
@@ -225,10 +224,19 @@ func (d drill) withDefaults(o options, given map[string]bool) options {
 	if !given["budget"] {
 		o.budget = d.budget
 	}
+	if !given["seed"] {
+		o.seed = d.seed
+	}
 	if !given["json"] {
 		o.jsonPath = d.artifact
 	}
 	return o
+}
+
+// drillOptions hands a storm or rebalance drill its fleet size, budget,
+// seed and recorder.
+func (o options) drillOptions(rec *obs.Recorder) fleet.DrillOptions {
+	return fleet.DrillOptions{Devices: o.devices, Budget: o.budget, Seed: o.seed, Trace: rec}
 }
 
 // runDrill runs one drill and owns what every drill shares: the
@@ -428,17 +436,7 @@ type gossipReport struct {
 	ReplicasReplaced int    `json:"replicas_replaced"`
 
 	Events []fleet.GossipEvent `json:"events"`
-	Stats  gossipStatsJSON     `json:"stats"`
-}
-
-// gossipStatsJSON mirrors gossip.Stats with json tags for the artifact.
-type gossipStatsJSON struct {
-	Ticks         int64 `json:"ticks"`
-	Probes        int64 `json:"probes"`
-	Digests       int64 `json:"digests"`
-	Suspicions    int64 `json:"suspicions"`
-	Refutations   int64 `json:"refutations"`
-	Confirmations int64 `json:"confirmations"`
+	Stats  gossip.Stats        `json:"stats"`
 }
 
 // Gates reports whether the smoke cycle completed: false suspicion
@@ -526,12 +524,8 @@ func runGossip(w io.Writer, o options, _ *obs.Recorder) (outcome, error) {
 		killed, faultAt, sim.Time(rep.DetectPs), bound, rep.FailoverDone, rep.ReplicasReplaced)
 
 	rep.Events = c.GossipEvents()
-	s := c.GossipStats()
-	rep.Stats = gossipStatsJSON{
-		Ticks: s.Ticks, Probes: s.Probes, Digests: s.Digests,
-		Suspicions: s.Suspicions, Refutations: s.Refutations,
-		Confirmations: s.Confirmations,
-	}
+	rep.Stats = c.GossipStats()
+	s := rep.Stats
 	fmt.Fprintln(w, "\nprotocol events:")
 	for _, ev := range rep.Events {
 		fmt.Fprintf(w, "  %v %-10s %s (incarnation %d)\n", ev.At, ev.Kind, ev.Node, ev.Incarnation)
@@ -555,13 +549,13 @@ func runMigrate(w io.Writer, _ options, _ *obs.Recorder) (outcome, error) {
 		rep.App, rep.Devices, rep.Backends, rep.Killed)
 	fmt.Fprintf(w, "%-10s %-12s %-11s %-12s %-9s %-10s\n",
 		"case", "established", "disrupted", "disruption", "carried", "recovery")
-	for _, p := range []bench.MigrationPoint{rep.Cold, rep.Migrated} {
+	for _, p := range []fleet.MigrationCase{rep.Cold, rep.Migrated} {
 		name := "cold"
 		if p.Migrated {
 			name = "migrated"
 		}
 		fmt.Fprintf(w, "%-10s %-12d %-11d %-12.4f %-9d %-10v\n",
-			name, p.Established, p.Disrupted, p.Disruption, p.FlowsCarried, p.RecoveryTime())
+			name, p.Established, p.Disrupted, p.Disruption, p.FlowsCarried, p.RecoveryTime)
 	}
 	fmt.Fprintf(w, "\nmaglev re-hash bound: %.4f (backend drain remapped this fraction)\n",
 		rep.MaglevBound)
@@ -585,27 +579,25 @@ func runMigrate(w io.Writer, _ options, _ *obs.Recorder) (outcome, error) {
 // budget holding, the unbudgeted fleet exceeding it, and derived
 // shedding keeping packets off alarmed nodes.
 func runChaos(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
-	rep, d, err := bench.FleetChaosReport(fleet.ChaosOptions{
-		Devices: o.devices, Budget: o.budget, Seed: o.seed, Trace: rec,
-	})
+	rep, err := bench.FleetChaosReport(o.drillOptions(rec))
 	if err != nil {
 		return outcome{}, err
 	}
 	fmt.Fprintf(w, "failure-storm drill: %s on %d devices, rack size %d, seed %d, budget %d\n",
 		rep.App, rep.Devices, rep.RackSize, rep.Seed, rep.Budget)
 	fmt.Fprintf(w, "storm: %d injections over [%v, %v]\n\n",
-		len(rep.Injections), d.StormStart, d.StormEnd)
+		len(rep.Injections), rep.StormStart, rep.StormEnd)
 	fmt.Fprintf(w, "%-18s %-13s %-10s %-8s %-9s %-10s %-11s %-11s %-8s\n",
 		"case", "availability", "peak-load", "queued", "failures", "failovers", "p99-recov", "disruption", "alarmed")
 	for _, c := range rep.Cases {
 		fmt.Fprintf(w, "%-18s %-13.4f %-10d %-8d %-9d %-10d %-11v %-11.4f %-8d\n",
 			c.Name, c.Availability, c.PeakConcurrentLoads, c.LoadsQueued, c.LoadFailures,
-			c.Failovers, sim.Time(c.P99RecoveryPs), c.Disruption, c.AlarmedNodePackets)
+			c.Failovers, c.P99Recovery, c.Disruption, c.AlarmedNodePackets)
 	}
 	fmt.Fprintf(w, "\nbudget bounded:         %v\nunbudgeted exceeds:     %v\nno traffic after alarm: %v\n",
 		rep.BudgetBounded, rep.UnbudgetedExceeds, rep.NoTrafficAfterAlarm)
 	var regs []*obs.Registry
-	for _, c := range d.Cases {
+	for _, c := range rep.Cases {
 		regs = append(regs, c.Registry)
 	}
 	return outcome{report: rep, repro: rep.Repro, regs: regs}, nil
@@ -618,22 +610,20 @@ func runChaos(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
 // latency-critical on banded nodes, and failover PR loads provably
 // preempting the elective scale-out queue.
 func runCoResidency(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
-	rep, d, err := bench.FleetCoResReport(fleet.CoResOptions{
-		Devices: o.devices, Budget: o.budget, Seed: o.seed, Trace: rec,
-	})
+	rep, err := bench.FleetCoResReport(o.drillOptions(rec))
 	if err != nil {
 		return outcome{}, err
 	}
 	fmt.Fprintf(w, "co-residency drill: %d services on %d devices, rack size %d, seed %d, budget %d\n",
 		len(rep.Services), rep.Devices, rep.RackSize, rep.Seed, rep.Budget)
 	fmt.Fprintf(w, "storm: %d injections over [%v, %v]; fleet availability %.4f\n\n",
-		len(rep.Injections), d.StormStart, d.StormEnd, rep.FleetAvailability)
+		len(rep.Injections), rep.StormStart, rep.StormEnd, rep.FleetAvailability)
 	fmt.Fprintf(w, "%-14s %-18s %-6s %-13s %-9s %-9s %-7s %-10s\n",
 		"service", "class", "slo", "availability", "sent", "dropped", "shed", "p99")
 	for _, s := range rep.Services {
 		fmt.Fprintf(w, "%-14s %-18s %-6.3f %-13.4f %-9d %-9d %-7d %-10v\n",
 			s.Name, s.Class, s.SLOAvailability, s.Availability, s.Sent, s.Dropped,
-			s.Shed, sim.Time(s.P99Ps))
+			s.Shed, s.P99)
 	}
 	fmt.Fprintf(w, "\nshed order: %d banded window-node observations, %d proofs, %d violations, %d lc packets shed\n",
 		len(rep.ShedObservations), rep.ShedOrderProofs, rep.ShedOrderViolations, rep.LCShed)
@@ -642,7 +632,7 @@ func runCoResidency(w io.Writer, o options, rec *obs.Recorder) (outcome, error) 
 		rep.LoadsPreempted, len(rep.PreemptionPairs), rep.PeakConcurrentLoads, rep.Budget)
 	fmt.Fprintf(w, "\nslo order held:    %v\nshed order held:   %v\nfailover preempts: %v\n",
 		rep.SLOOrderHeld, rep.ShedOrderHeld, rep.FailoverPreempts)
-	return outcome{report: rep, repro: rep.Repro, regs: []*obs.Registry{d.Registry}}, nil
+	return outcome{report: rep, repro: rep.Repro, regs: []*obs.Registry{rep.Registry}}, nil
 }
 
 // runRebalance runs the fleet9 crash-safe rebalancing drill: a
@@ -651,9 +641,7 @@ func runCoResidency(w io.Writer, o options, rec *obs.Recorder) (outcome, error) 
 // mid-pre-copy degrading to snapshot-fallback failover, and a budget-1
 // run where a concurrent failover preempts the pending moves.
 func runRebalance(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
-	rep, d, err := bench.FleetRebalanceReport(fleet.RebalanceOptions{
-		Devices: o.devices, Budget: o.budget, Seed: o.seed, Trace: rec,
-	})
+	rep, d, err := bench.FleetRebalanceReport(o.drillOptions(rec))
 	if err != nil {
 		return outcome{}, err
 	}
@@ -699,9 +687,7 @@ func runRebalance(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
 // alert resolving inside the recovery bound, and byte-identical alert
 // state across the batch-quantum/worker sweep.
 func runSLO(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
-	rep, d, err := bench.FleetSLOReport(fleet.SLOOptions{
-		Devices: o.devices, Budget: o.budget, Seed: o.seed, Trace: rec,
-	})
+	rep, d, err := bench.FleetSLOReport(o.drillOptions(rec))
 	if err != nil {
 		return outcome{}, err
 	}

@@ -363,14 +363,20 @@ func TestDrillDefaults(t *testing.T) {
 	if !ok {
 		t.Fatal("coresidency is not a drill")
 	}
-	o := d.withDefaults(options{devices: 4, budget: 9, jsonPath: "x.json"}, nil)
-	if o.devices != 120 || o.budget != 6 || o.jsonPath != "BENCH_coresidency.json" {
-		t.Errorf("unset flags resolved to %+v, want the drill's 120 devices, budget 6, BENCH_coresidency.json", o)
+	o := d.withDefaults(options{devices: 4, budget: 9, seed: 3, jsonPath: "x.json"}, nil)
+	if o.devices != 120 || o.budget != 6 || o.seed != 7 || o.jsonPath != "BENCH_coresidency.json" {
+		t.Errorf("unset flags resolved to %+v, want the drill's 120 devices, budget 6, seed 7, BENCH_coresidency.json", o)
 	}
-	given := map[string]bool{"devices": true, "budget": true, "json": true}
-	o = d.withDefaults(options{devices: 10, budget: 3, jsonPath: ""}, given)
-	if o.devices != 10 || o.budget != 3 || o.jsonPath != "" {
+	given := map[string]bool{"devices": true, "budget": true, "seed": true, "json": true}
+	o = d.withDefaults(options{devices: 10, budget: 3, seed: 5, jsonPath: ""}, given)
+	if o.devices != 10 || o.budget != 3 || o.seed != 5 || o.jsonPath != "" {
 		t.Errorf("given flags overridden: %+v", o)
+	}
+	// The gossip artifact was built from seed 11, so a bare run must
+	// use it.
+	g, _ := lookupDrill("gossip")
+	if o := g.withDefaults(options{seed: 7}, nil); o.seed != 11 {
+		t.Errorf("gossip default seed = %d, want 11", o.seed)
 	}
 }
 
@@ -393,5 +399,46 @@ func TestRunChaosBadBudget(t *testing.T) {
 	o.budget = 0
 	if err := run(&bytes.Buffer{}, o); err == nil {
 		t.Error("zero budget accepted")
+	}
+}
+
+// TestCommittedDrillArtifacts regenerates every simulated-time drill
+// artifact at its row defaults and requires it to equal the committed
+// copy byte for byte: a change that moves a drill's result, or its
+// JSON layout, fails here before CI's drill matrix sees it.
+func TestCommittedDrillArtifacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every committed drill artifact")
+	}
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := inTempDir(t)
+	for _, d := range drills {
+		if d.name == "bench" {
+			// fleet3 records wall-clock costs; it is never committed-equal.
+			continue
+		}
+		t.Run(d.name, func(t *testing.T) {
+			o := d.withDefaults(opts(d.name, 0), nil)
+			o.flightN = 2048
+			want, err := os.ReadFile(filepath.Join(root, o.jsonPath))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.jsonPath = filepath.Join(dir, o.jsonPath)
+			if err := run(io.Discard, o); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(o.jsonPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("regenerated %s differs from the committed copy (if the change is intended, commit the output of go run ./cmd/harmonia-fleet -scenario %s)",
+					filepath.Base(o.jsonPath), d.name)
+			}
+		})
 	}
 }

@@ -16,81 +16,15 @@ import (
 // it, and derived shedding kept packets off alarmed nodes — plus the
 // one-command repro line CI prints when a gate fails.
 
-// ChaosWindowPoint is one measurement window flattened for the report.
-type ChaosWindowPoint struct {
-	AtPs           int64   `json:"at_ps"`
-	Availability   float64 `json:"availability"`
-	Sent           int64   `json:"sent"`
-	Served         int64   `json:"served"`
-	Dropped        int64   `json:"dropped"`
-	Healthy        int     `json:"healthy"`
-	Degraded       int     `json:"degraded"`
-	Down           int     `json:"down"`
-	LoadsInflight  int     `json:"loads_inflight"`
-	LoadsQueued    int     `json:"loads_queued"`
-	RampPenalty    float64 `json:"ramp_penalty"`
-	AlarmedPackets int64   `json:"alarmed_packets"`
-}
-
-// ChaosCasePoint is one storm replay flattened for the report.
-type ChaosCasePoint struct {
-	Name            string `json:"name"`
-	Budgeted        bool   `json:"budgeted"`
-	Budget          int    `json:"budget"`
-	DerivedShedding bool   `json:"derived_shedding"`
-
-	Availability float64 `json:"availability"`
-	Sent         int64   `json:"sent"`
-	Served       int64   `json:"served"`
-	Dropped      int64   `json:"dropped"`
-
-	PeakConcurrentLoads int   `json:"peak_concurrent_loads"`
-	LoadsQueued         int   `json:"loads_queued"`
-	LoadFailures        int64 `json:"load_failures"`
-
-	Failovers     int   `json:"failovers"`
-	P99RecoveryPs int64 `json:"p99_recovery_ps"`
-	MaxRecoveryPs int64 `json:"max_recovery_ps"`
-
-	FlowsEstablished int     `json:"flows_established"`
-	FlowsDisrupted   int     `json:"flows_disrupted"`
-	Disruption       float64 `json:"disruption"`
-
-	MigrationsLive     int   `json:"migrations_live"`
-	MigrationsSnapshot int   `json:"migrations_snapshot"`
-	MaxSnapshotAgePs   int64 `json:"max_snapshot_age_ps"`
-
-	AlarmedNodePackets int64 `json:"alarmed_node_packets"`
-	Unplaced           int   `json:"unplaced"`
-
-	CmdIssued  int64 `json:"cmd_issued"`
-	CmdRetries int64 `json:"cmd_retries"`
-	CmdDrops   int64 `json:"cmd_drops"`
-
-	// Metrics is the case cluster's full registry snapshot (summaries
-	// expanded to _count/_sum/quantile keys) — the same series the
-	// Prometheus exposition carries, embedded so the drill artifact is
-	// self-contained.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-
-	Windows []ChaosWindowPoint `json:"windows"`
-}
-
 // ChaosReport is the machine-readable fleet5 artifact
 // (BENCH_chaos.json).
 type ChaosReport struct {
 	Experiment string `json:"experiment"` // always "fleet5"
 	App        string `json:"app"`
-	Devices    int    `json:"devices"`
-	RackSize   int    `json:"rack_size"`
-	Seed       int64  `json:"seed"`
-	Budget     int    `json:"budget"`
 
-	StormStartPs int64    `json:"storm_start_ps"`
-	StormEndPs   int64    `json:"storm_end_ps"`
-	Injections   []string `json:"injections"`
-
-	Cases []ChaosCasePoint `json:"cases"`
+	// The drill result is the artifact's body: the storm and every
+	// case, laid out by its own JSON tags.
+	*fleet.ChaosResult
 
 	// The acceptance gates, pre-evaluated so CI can assert on the
 	// artifact without re-deriving them:
@@ -108,76 +42,21 @@ type ChaosReport struct {
 	Repro string `json:"repro"`
 }
 
-func chaosCasePoint(c fleet.ChaosCase) ChaosCasePoint {
-	p := ChaosCasePoint{
-		Name:                c.Name,
-		Budgeted:            c.Budgeted,
-		Budget:              c.Budget,
-		DerivedShedding:     c.DerivedShedding,
-		Availability:        c.Availability,
-		Sent:                c.Sent,
-		Served:              c.Served,
-		Dropped:             c.Dropped,
-		PeakConcurrentLoads: c.PeakConcurrentLoads,
-		LoadsQueued:         c.LoadsQueued,
-		LoadFailures:        c.LoadFailures,
-		Failovers:           c.Failovers,
-		P99RecoveryPs:       int64(c.P99Recovery),
-		MaxRecoveryPs:       int64(c.MaxRecovery),
-		FlowsEstablished:    c.FlowsEstablished,
-		FlowsDisrupted:      c.FlowsDisrupted,
-		Disruption:          c.Disruption,
-		MigrationsLive:      c.MigrationsLive,
-		MigrationsSnapshot:  c.MigrationsSnapshot,
-		MaxSnapshotAgePs:    int64(c.MaxSnapshotAge),
-		AlarmedNodePackets:  c.AlarmedNodePackets,
-		Unplaced:            c.Unplaced,
-		CmdIssued:           c.Cmd.Issued,
-		CmdRetries:          c.Cmd.Retries,
-		CmdDrops:            c.Cmd.Drops,
-		Metrics:             c.Metrics,
-	}
-	for _, w := range c.Windows {
-		p.Windows = append(p.Windows, ChaosWindowPoint{
-			AtPs:           int64(w.At),
-			Availability:   w.Availability,
-			Sent:           w.Sent,
-			Served:         w.Served,
-			Dropped:        w.Dropped,
-			Healthy:        w.Healthy,
-			Degraded:       w.Degraded,
-			Down:           w.Down,
-			LoadsInflight:  w.LoadsInflight,
-			LoadsQueued:    w.LoadsQueued,
-			RampPenalty:    w.RampPenalty,
-			AlarmedPackets: w.AlarmedPackets,
-		})
-	}
-	return p
-}
-
 // FleetChaosReport runs the fleet5 drill and evaluates its gates.
-func FleetChaosReport(opts fleet.ChaosOptions) (*ChaosReport, *fleet.ChaosResult, error) {
+func FleetChaosReport(opts fleet.DrillOptions) (*ChaosReport, error) {
 	d, err := fleet.ChaosDrill(opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep := &ChaosReport{
-		Experiment:   "fleet5",
-		App:          cpApp,
-		Devices:      d.Devices,
-		RackSize:     d.RackSize,
-		Seed:         d.Seed,
-		Budget:       d.Budget,
-		StormStartPs: int64(d.StormStart),
-		StormEndPs:   int64(d.StormEnd),
-		Injections:   d.Injections,
+		Experiment:  "fleet5",
+		App:         cpApp,
+		ChaosResult: d,
 		Repro: fmt.Sprintf("go run ./cmd/harmonia-fleet -scenario chaos -devices %d -seed %d -budget %d",
 			d.Devices, d.Seed, d.Budget),
 	}
 	rep.BudgetBounded = true
 	for _, c := range d.Cases {
-		rep.Cases = append(rep.Cases, chaosCasePoint(c))
 		switch {
 		case c.Budgeted && c.PeakConcurrentLoads > c.Budget:
 			rep.BudgetBounded = false
@@ -188,7 +67,7 @@ func FleetChaosReport(opts fleet.ChaosOptions) (*ChaosReport, *fleet.ChaosResult
 			rep.NoTrafficAfterAlarm = c.AlarmedNodePackets == 0
 		}
 	}
-	return rep, d, nil
+	return rep, nil
 }
 
 // Gates reports whether every fleet5 acceptance gate held.

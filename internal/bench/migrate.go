@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"harmonia/internal/fleet"
-	"harmonia/internal/sim"
-)
+import "harmonia/internal/fleet"
 
 // fleet4 — the live-migration drill. The same deterministic failover
 // (backend drained mid-run, then the most-loaded device killed) runs
@@ -17,16 +14,6 @@ import (
 // migrateDevices is the fleet4 drill size: big enough for real
 // failover choices, small enough for CI's bench-smoke job.
 const migrateDevices = 3
-
-// MigrationPoint is one drill case flattened for the report.
-type MigrationPoint struct {
-	Migrated     bool    `json:"migrated"`
-	Established  int     `json:"established_flows"`
-	Disrupted    int     `json:"disrupted_flows"`
-	Disruption   float64 `json:"disruption"`
-	FlowsCarried int     `json:"flows_carried"`
-	RecoveryPs   int64   `json:"recovery_ps"`
-}
 
 // MigrationReport is the machine-readable fleet4 artifact
 // (BENCH_migrate.json).
@@ -42,24 +29,13 @@ type MigrationReport struct {
 	// failover strategy is judged against.
 	MaglevBound float64 `json:"maglev_bound"`
 
-	Cold     MigrationPoint `json:"cold"`
-	Migrated MigrationPoint `json:"migrated"`
+	Cold     fleet.MigrationCase `json:"cold"`
+	Migrated fleet.MigrationCase `json:"migrated"`
 
 	// The acceptance gates, pre-evaluated so CI can assert on the
 	// artifact without re-deriving them.
 	StrictlyFewer bool `json:"strictly_fewer"`
 	WithinBound   bool `json:"within_bound"`
-}
-
-func migrationPoint(c fleet.MigrationCase) MigrationPoint {
-	return MigrationPoint{
-		Migrated:     c.Migrated,
-		Established:  c.Established,
-		Disrupted:    c.Disrupted,
-		Disruption:   c.Disruption,
-		FlowsCarried: c.FlowsCarried,
-		RecoveryPs:   int64(c.RecoveryTime),
-	}
 }
 
 // FleetMigrationReport runs the fleet4 drill and evaluates its gates.
@@ -76,16 +52,13 @@ func FleetMigrationReport() (*MigrationReport, *fleet.MigrationDrillResult, erro
 		Backends:    d.Backends,
 		Killed:      d.Killed,
 		MaglevBound: d.MaglevBound,
-		Cold:        migrationPoint(d.Cold),
-		Migrated:    migrationPoint(d.Migrated),
+		Cold:        d.Cold,
+		Migrated:    d.Migrated,
 	}
 	rep.StrictlyFewer = d.Migrated.Disrupted < d.Cold.Disrupted
 	rep.WithinBound = d.Migrated.Disruption <= d.MaglevBound
 	return rep, d, nil
 }
-
-// RecoveryTime re-exposes a point's recovery as sim.Time for printing.
-func (p MigrationPoint) RecoveryTime() sim.Time { return sim.Time(p.RecoveryPs) }
 
 // Gates reports whether every fleet4 acceptance gate held.
 func (r *MigrationReport) Gates() bool { return r.StrictlyFewer && r.WithinBound }

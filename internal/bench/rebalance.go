@@ -130,7 +130,7 @@ func rebalanceMovesClean(cc fleet.RebalanceCase) bool {
 }
 
 // FleetRebalanceReport runs the fleet9 drill and evaluates its gates.
-func FleetRebalanceReport(opts fleet.RebalanceOptions) (*RebalanceReport, *fleet.RebalanceDrillResult, error) {
+func FleetRebalanceReport(opts fleet.DrillOptions) (*RebalanceReport, *fleet.RebalanceDrillResult, error) {
 	d, err := fleet.RebalanceDrill(opts)
 	if err != nil {
 		return nil, nil, err

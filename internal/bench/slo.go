@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"harmonia/internal/fleet"
+	"harmonia/internal/obs"
 )
 
 // fleet10 — SLO error budgets, burn-rate alerting and causal
@@ -18,28 +19,6 @@ import (
 // fault-free control replay stays silent, every alert resolves inside
 // the measured recovery bound, and the alert log plus final burn
 // state are byte-identical across batch quanta and worker counts.
-
-// SLOServicePoint is one service's storm outcome through the SLO
-// engine, flattened for the report.
-type SLOServicePoint struct {
-	Name         string  `json:"name"`
-	Class        string  `json:"class"`
-	Target       float64 `json:"target"`
-	Availability float64 `json:"availability"`
-	PeakFastBurn float64 `json:"peak_fast_burn"`
-	Firings      int64   `json:"firings"`
-	Resolves     int64   `json:"resolves"`
-}
-
-// SLOAlertPoint is one alert transition flattened for the report.
-type SLOAlertPoint struct {
-	AtPs     int64   `json:"at_ps"`
-	Service  string  `json:"service"`
-	Severity string  `json:"severity"`
-	State    string  `json:"state"`
-	BurnFast float64 `json:"burn_fast"`
-	BurnSlow float64 `json:"burn_slow"`
-}
 
 // SLOCausePoint is one ranked attribution inside a postmortem.
 type SLOCausePoint struct {
@@ -62,13 +41,6 @@ type SLOPostmortemPoint struct {
 	Causes        []SLOCausePoint `json:"causes"`
 }
 
-// SLOWindowPoint is one measurement window flattened for the report.
-type SLOWindowPoint struct {
-	AtPs           int64   `json:"at_ps"`
-	LCAvailability float64 `json:"lc_availability"`
-	ActiveAlerts   int     `json:"active_alerts"`
-}
-
 // SLOReport is the machine-readable fleet10 artifact (BENCH_slo.json).
 type SLOReport struct {
 	Experiment string `json:"experiment"` // always "fleet10"
@@ -86,10 +58,10 @@ type SLOReport struct {
 	Windows []string `json:"windows"`
 	Rules   []string `json:"rules"`
 
-	Services []SLOServicePoint `json:"services"`
+	Services []fleet.SLOServiceResult `json:"services"`
 
-	Alerts   []SLOAlertPoint `json:"alerts"`
-	AlertLog string          `json:"alert_log"`
+	Alerts   []obs.AlertEvent `json:"alerts"`
+	AlertLog string           `json:"alert_log"`
 
 	LookbackPs  int64                `json:"lookback_ps"`
 	Postmortems []SLOPostmortemPoint `json:"postmortems"`
@@ -107,7 +79,7 @@ type SLOReport struct {
 
 	SweepVariants []string `json:"sweep_variants"`
 
-	Samples []SLOWindowPoint `json:"samples"`
+	Samples []fleet.SLOWindowSample `json:"samples"`
 
 	// Metrics is the baseline case's full registry snapshot so the
 	// artifact is self-contained.
@@ -134,7 +106,7 @@ type SLOReport struct {
 }
 
 // FleetSLOReport runs the fleet10 drill and evaluates its gates.
-func FleetSLOReport(opts fleet.SLOOptions) (*SLOReport, *fleet.SLOResult, error) {
+func FleetSLOReport(opts fleet.DrillOptions) (*SLOReport, *fleet.SLOResult, error) {
 	d, err := fleet.SLODrill(opts)
 	if err != nil {
 		return nil, nil, err
@@ -148,6 +120,8 @@ func FleetSLOReport(opts fleet.SLOOptions) (*SLOReport, *fleet.SLOResult, error)
 		StormStartPs: int64(d.StormStart),
 		StormEndPs:   int64(d.StormEnd),
 		Injections:   d.Injections,
+		Services:     d.Services,
+		Alerts:       d.Alerts,
 		AlertLog:     d.AlertLog,
 		LookbackPs:   int64(d.Lookback),
 		Timeline:     d.Timeline,
@@ -163,6 +137,7 @@ func FleetSLOReport(opts fleet.SLOOptions) (*SLOReport, *fleet.SLOResult, error)
 		RecoveryBoundPs:  int64(d.RecoveryBound),
 
 		SweepVariants: d.SweepVariants,
+		Samples:       d.Samples,
 		Metrics:       d.Metrics,
 		Repro: fmt.Sprintf("go run ./cmd/harmonia-fleet -scenario slo -devices %d -seed %d -budget %d",
 			d.Devices, d.Seed, d.Budget),
@@ -174,20 +149,6 @@ func FleetSLOReport(opts fleet.SLOOptions) (*SLOReport, *fleet.SLOResult, error)
 		rep.Rules = append(rep.Rules, fmt.Sprintf("%s %s burn>=%g over (%s,%s)",
 			r.Service, r.Severity, r.Threshold,
 			d.Windows[r.FastWin].Name, d.Windows[r.SlowWin].Name))
-	}
-	for _, s := range d.Services {
-		rep.Services = append(rep.Services, SLOServicePoint{
-			Name: s.Name, Class: string(s.Class), Target: s.Target,
-			Availability: s.Availability, PeakFastBurn: s.PeakFastBurn,
-			Firings: s.Firings, Resolves: s.Resolves,
-		})
-	}
-	for _, ev := range d.Alerts {
-		rep.Alerts = append(rep.Alerts, SLOAlertPoint{
-			AtPs: int64(ev.At), Service: ev.Service,
-			Severity: string(ev.Severity), State: string(ev.State),
-			BurnFast: ev.BurnFast, BurnSlow: ev.BurnSlow,
-		})
 	}
 	for _, pm := range d.Postmortems {
 		pp := SLOPostmortemPoint{
@@ -206,12 +167,6 @@ func FleetSLOReport(opts fleet.SLOOptions) (*SLOReport, *fleet.SLOResult, error)
 			})
 		}
 		rep.Postmortems = append(rep.Postmortems, pp)
-	}
-	for _, s := range d.Samples {
-		rep.Samples = append(rep.Samples, SLOWindowPoint{
-			AtPs: int64(s.At), LCAvailability: s.LCAvailability,
-			ActiveAlerts: s.ActiveAlerts,
-		})
 	}
 	rep.AlertsAttributed = d.FiringsLC >= 1 && d.UnattributedFirings == 0 &&
 		d.ControlFirings == 0 && d.ControlAttributions == 0

@@ -25,119 +25,98 @@ import (
 // chaosApp is the stateful service the drill storms.
 const chaosApp = "layer4-lb"
 
-// chaosWindowDur is the measurement window; injections due inside a
-// window are applied at its start (deterministic discretization).
-const chaosWindowDur = 100 * sim.Microsecond
-
-// chaosWindows spans the storm plus the recovery tail.
-const chaosWindows = 160
-
-// chaosWarmup is the pre-storm serving phase establishing flows.
-const chaosWarmup = 200 * sim.Microsecond
-
-// ChaosOptions shapes the fleet5 drill.
-type ChaosOptions struct {
-	// Devices is the fleet size (the tentpole configuration is 300).
-	Devices int
-	// Budget is the concurrent PR-load cap the budgeted cases enforce.
-	Budget int
-	// Seed drives the storm schedule, traffic and router sampling.
-	Seed int64
-	// Trace, when set, records each case into its own trace process
-	// (plus a storm-plan process carrying the injection schedule). Use
-	// an unbounded recorder for full exports or a flight recorder for
-	// the always-on gate-failure dump.
-	Trace *obs.Recorder
-}
-
-// DefaultChaosOptions returns the tentpole storm configuration.
-func DefaultChaosOptions() ChaosOptions {
-	return ChaosOptions{Devices: 300, Budget: 8, Seed: 11}
-}
-
 // ChaosWindow is one measurement window of a chaos case.
 type ChaosWindow struct {
 	// At is the window's end on the cluster clock.
-	At sim.Time
+	At sim.Time `json:"at_ps"`
 	// Availability is healthy-served/sent within the window (1 when the
 	// window offered nothing).
-	Availability   float64
-	Sent           int64
-	Served         int64
-	Dropped        int64
-	Healthy        int
-	Degraded       int
-	Down           int
-	LoadsInflight  int
-	LoadsQueued    int
-	RampPenalty    float64
-	AlarmedPackets int64
+	Availability   float64 `json:"availability"`
+	Sent           int64   `json:"sent"`
+	Served         int64   `json:"served"`
+	Dropped        int64   `json:"dropped"`
+	Healthy        int     `json:"healthy"`
+	Degraded       int     `json:"degraded"`
+	Down           int     `json:"down"`
+	LoadsInflight  int     `json:"loads_inflight"`
+	LoadsQueued    int     `json:"loads_queued"`
+	RampPenalty    float64 `json:"ramp_penalty"`
+	AlarmedPackets int64   `json:"alarmed_packets"`
 }
 
 // ChaosCase is one full storm replay under one defense configuration.
 type ChaosCase struct {
-	Name            string
-	Budgeted        bool
-	Budget          int
-	DerivedShedding bool
+	Name            string `json:"name"`
+	Budgeted        bool   `json:"budgeted"`
+	Budget          int    `json:"budget"`
+	DerivedShedding bool   `json:"derived_shedding"`
 
 	// Availability is healthy-served/sent over the whole storm.
-	Availability          float64
-	Sent, Served, Dropped int64
+	Availability float64 `json:"availability"`
+	Sent         int64   `json:"sent"`
+	Served       int64   `json:"served"`
+	Dropped      int64   `json:"dropped"`
 
 	// PeakConcurrentLoads is the highest concurrent PR-load count the
 	// storm reached; the budgeted cases must keep it at or under Budget.
-	PeakConcurrentLoads int
-	LoadsQueued         int
-	LoadFailures        int64
+	PeakConcurrentLoads int   `json:"peak_concurrent_loads"`
+	LoadsQueued         int   `json:"loads_queued"`
+	LoadFailures        int64 `json:"load_failures"`
 
 	// Failovers and the recovery distribution (detection → last
 	// replacement ready).
-	Failovers   int
-	P99Recovery sim.Time
-	MaxRecovery sim.Time
+	Failovers   int      `json:"failovers"`
+	P99Recovery sim.Time `json:"p99_recovery_ps"`
+	MaxRecovery sim.Time `json:"max_recovery_ps"`
 
 	// Flow disruption: of the flows established before the storm, how
 	// many land on a different backend after it.
-	FlowsEstablished int
-	FlowsDisrupted   int
-	Disruption       float64
+	FlowsEstablished int     `json:"flows_established"`
+	FlowsDisrupted   int     `json:"flows_disrupted"`
+	Disruption       float64 `json:"disruption"`
 
 	// Migration path split: live table reads vs periodic-snapshot
 	// fallbacks, and the stalest snapshot restored.
-	MigrationsLive     int
-	MigrationsSnapshot int
-	MaxSnapshotAge     sim.Time
+	MigrationsLive     int      `json:"migrations_live"`
+	MigrationsSnapshot int      `json:"migrations_snapshot"`
+	MaxSnapshotAge     sim.Time `json:"max_snapshot_age_ps"`
 
 	// AlarmedNodePackets counts packets that landed on a node during
 	// windows it spent fully degraded (alarm fired). Derived shedding
 	// must hold this at zero; the static penalty does not.
-	AlarmedNodePackets int64
+	AlarmedNodePackets int64 `json:"alarmed_node_packets"`
 
 	// Unplaced is how many replicas ended the storm without a home.
-	Unplaced int
+	Unplaced int `json:"unplaced"`
 
-	Cmd     CmdPathStats
-	Windows []ChaosWindow
+	// The storm's command-path traffic: transactions issued, retried
+	// and lost.
+	CmdIssued  int64 `json:"cmd_issued"`
+	CmdRetries int64 `json:"cmd_retries"`
+	CmdDrops   int64 `json:"cmd_drops"`
 
-	// Metrics is the case's end-of-storm registry snapshot (flat map,
-	// embedded in the drill JSON); Registry is the live registry for
-	// Prometheus export — the cluster itself is discarded per case.
-	Metrics  map[string]float64
-	Registry *obs.Registry
+	// Metrics is the case's end-of-storm registry snapshot (summaries
+	// expanded to _count/_sum/quantile keys) — the same series the
+	// Prometheus exposition carries, embedded so the artifact is
+	// self-contained. Registry is the live registry for that export;
+	// the cluster itself is discarded per case.
+	Metrics  map[string]float64 `json:"metrics,omitempty"`
+	Windows  []ChaosWindow      `json:"windows"`
+	Registry *obs.Registry      `json:"-"`
 }
 
 // ChaosResult is the fleet5 report.
 type ChaosResult struct {
-	Devices  int
-	RackSize int
-	Seed     int64
-	Budget   int
+	Devices  int   `json:"devices"`
+	RackSize int   `json:"rack_size"`
+	Seed     int64 `json:"seed"`
+	Budget   int   `json:"budget"`
 	// StormStart/StormEnd bound the replayed schedule; Injections is
 	// the human-readable storm script.
-	StormStart, StormEnd sim.Time
-	Injections           []string
-	Cases                []ChaosCase
+	StormStart sim.Time    `json:"storm_start_ps"`
+	StormEnd   sim.Time    `json:"storm_end_ps"`
+	Injections []string    `json:"injections"`
+	Cases      []ChaosCase `json:"cases"`
 }
 
 // chaosBackends is the drill's initial backend pool.
@@ -150,12 +129,12 @@ func chaosBackends() []net.IPAddr {
 }
 
 // chaosTraffic derives one window's deterministic traffic phase.
-func chaosTraffic(seed int64, window int) Traffic {
-	return Traffic{
+func chaosTraffic(seed int64, window int) []Traffic {
+	return []Traffic{{
 		Service: chaosApp, OfferedGbps: 400, PktBytes: 1024,
 		Flows: 2048, Jitter: 0.2,
 		Seed: seed*1_000_003 + int64(window+1)*1000,
-	}
+	}}
 }
 
 // applyInjection maps one schedule entry onto control-plane actions.
@@ -216,29 +195,7 @@ func applyInjection(c *Cluster, nodes []*Node, inj faults.Injection) error {
 
 // runChaosCase replays the schedule against a fresh fleet under one
 // defense configuration.
-func runChaosCase(opts ChaosOptions, sched *faults.Schedule, name string, budgeted, derived bool) (*ChaosCase, error) {
-	cfg := DefaultConfig()
-	cfg.Seed = opts.Seed
-	// Health dissemination runs on the gossip detector and dispatch on
-	// the rack-first path — the scale-plane configuration the 10k bench
-	// gates — so the storm validates detection bounds and availability
-	// under exactly that plane. A wide fanout keeps thermal readings
-	// fresh enough for derived shedding on a 300-node fleet.
-	cfg.GossipHealth = true
-	cfg.GossipFanout = 32
-	cfg.GossipPiggyback = 8
-	cfg.RackP2C = true
-	// Gossip probes reach a given node only once per rotation period, so
-	// capture a connection-table snapshot on every successful probe to
-	// keep dead-node fallbacks reasonably fresh.
-	cfg.SnapshotEvery = 1
-	cfg.DerivedShedding = derived
-	// The storm's runaway ramps 6°C every 50µs, so the default 10°C shed
-	// span would be crossed inside one measurement window; a wider span
-	// spreads the derating across several windows, making the gradual
-	// shedding observable in the penalty series.
-	cfg.ShedStartMilliC = cfg.DegradeMilliC - 40_000
-
+func runChaosCase(opts DrillOptions, sched *faults.Schedule, name string, budgeted, derived bool) (*ChaosCase, error) {
 	info, err := apps.Lookup(chaosApp)
 	if err != nil {
 		return nil, err
@@ -246,7 +203,7 @@ func runChaosCase(opts ChaosOptions, sched *faults.Schedule, name string, budget
 	svc := AppService(info, opts.Devices, net.IPv4(20, 0, 0, 1))
 	svc.Stateful = true
 	svc.Backends = chaosBackends()
-	c, err := BuildServiceCluster(cfg, svc, opts.Devices)
+	c, err := BuildServiceCluster(stormConfig(opts.Seed, derived), svc, opts.Devices)
 	if err != nil {
 		return nil, err
 	}
@@ -254,34 +211,20 @@ func runChaosCase(opts ChaosOptions, sched *faults.Schedule, name string, budget
 	if opts.Trace != nil {
 		c.SetTrace(opts.Trace.Process(name))
 	}
-	c.RunMonitorUntil(2 * cfg.ReconfigTime)
-	if _, err := c.Serve(chaosWarmup, chaosTraffic(opts.Seed, -1)); err != nil {
-		return nil, err
-	}
-
-	// Pre-storm flow pins: the disruption measurement's ground truth.
-	pins := make(map[string][]apps.ConnEntry)
-	for _, r := range c.Replicas() {
-		if r.flows != nil {
-			pins[r.Name()] = r.flows.table.Snapshot()
-		}
-	}
-
-	// Arm the defense under test; this also resets the budget's grant
-	// history so warmup placement does not contaminate the peak.
+	// Arm the defense under test.
 	limit := 0
 	if budgeted {
 		limit = opts.Budget
 	}
-	c.SetLoadBudget(limit)
-	stormStart := c.Now()
-	if stormStart != sched.Spec.Start {
-		return nil, fmt.Errorf("fleet: storm scheduled for %v but warmup ended at %v",
-			sched.Spec.Start, stormStart)
+	st, err := startStorm(c, sched, limit, func(w int) []Traffic { return chaosTraffic(opts.Seed, w) })
+	if err != nil {
+		return nil, err
 	}
+	// Pre-storm flow pins: the disruption measurement's ground truth.
+	pins := flowPins(c.Replicas())
 
 	cc := &ChaosCase{Name: name, Budgeted: budgeted, Budget: limit, DerivedShedding: derived}
-	nodes := c.Nodes()
+	nodes := st.nodes
 	preStats := c.RouterStats()
 	preCmd := c.CmdPath()
 	var rampNode *Node
@@ -289,27 +232,20 @@ func runChaosCase(opts ChaosOptions, sched *faults.Schedule, name string, budget
 		rampNode = nodes[sched.Ramped[0]]
 	}
 
-	injIdx := 0
 	degradedRx := make(map[int]int64)
-	for w := 0; w < chaosWindows; w++ {
-		winEnd := stormStart + sim.Time(w+1)*chaosWindowDur
-		for injIdx < len(sched.Injections) && sched.Injections[injIdx].At < winEnd {
-			if err := applyInjection(c, nodes, sched.Injections[injIdx]); err != nil {
-				return nil, fmt.Errorf("fleet: injection %v: %w", sched.Injections[injIdx], err)
-			}
-			injIdx++
+	for w := 0; w < stormWindows; w++ {
+		if err := st.inject(w); err != nil {
+			return nil, err
 		}
 		// Nodes fully degraded across the window: record ingress before.
-		for k := range degradedRx {
-			delete(degradedRx, k)
-		}
+		clear(degradedRx)
 		for i, n := range nodes {
 			if n.state == Degraded {
 				degradedRx[i] = n.Net.RxStats().Units
 			}
 		}
 		before := c.RouterStats()
-		if _, err := c.Serve(chaosWindowDur, chaosTraffic(opts.Seed, w)); err != nil {
+		if err := st.serve(w); err != nil {
 			return nil, err
 		}
 		after := c.RouterStats()
@@ -370,16 +306,14 @@ func runChaosCase(opts ChaosOptions, sched *faults.Schedule, name string, budget
 	cc.LoadsQueued = c.LoadsQueued()
 	cc.LoadFailures = c.LoadFailures()
 	postCmd := c.CmdPath()
-	cc.Cmd = CmdPathStats{
-		Issued:  postCmd.Issued - preCmd.Issued,
-		Retries: postCmd.Retries - preCmd.Retries,
-		Drops:   postCmd.Drops - preCmd.Drops,
-	}
+	cc.CmdIssued = postCmd.Issued - preCmd.Issued
+	cc.CmdRetries = postCmd.Retries - preCmd.Retries
+	cc.CmdDrops = postCmd.Drops - preCmd.Drops
 
 	// Recovery distribution over the storm's failovers.
 	var recoveries []sim.Time
 	for _, f := range c.Failovers() {
-		if f.DetectedAt < stormStart {
+		if f.DetectedAt < st.start {
 			continue
 		}
 		cc.Failovers++
@@ -387,11 +321,7 @@ func runChaosCase(opts ChaosOptions, sched *faults.Schedule, name string, budget
 	}
 	sort.Slice(recoveries, func(i, j int) bool { return recoveries[i] < recoveries[j] })
 	if n := len(recoveries); n > 0 {
-		idx := (n*99 + 99) / 100
-		if idx > n {
-			idx = n
-		}
-		cc.P99Recovery = recoveries[idx-1]
+		cc.P99Recovery = recoveries[min((n*99+99)/100, n)-1]
 		cc.MaxRecovery = recoveries[n-1]
 	}
 
@@ -410,17 +340,8 @@ func runChaosCase(opts ChaosOptions, sched *faults.Schedule, name string, budget
 	// Flow disruption vs the pre-storm pins; a replica that lost its
 	// home disrupts every flow it held.
 	for _, r := range c.Replicas() {
-		entries := pins[r.Name()]
-		for _, e := range entries {
-			cc.FlowsEstablished++
-			if r.Node == "" || r.flows == nil {
-				cc.FlowsDisrupted++
-				continue
-			}
-			if r.flows.assignment(e.Key) != e.Backend {
-				cc.FlowsDisrupted++
-			}
-		}
+		cc.FlowsEstablished += len(pins[r.Name()])
+		cc.FlowsDisrupted += disrupted(r, pins[r.Name()])
 		if r.Node == "" {
 			cc.Unplaced++
 		}
@@ -439,31 +360,19 @@ func runChaosCase(opts ChaosOptions, sched *faults.Schedule, name string, budget
 // ChaosDrill runs the fleet5 experiment: one seeded storm, replayed
 // against three fleets — unbudgeted/static, budgeted/static and
 // budgeted/derived-shedding.
-func ChaosDrill(opts ChaosOptions) (*ChaosResult, error) {
-	if opts.Devices < 4 {
-		return nil, fmt.Errorf("fleet: chaos drill needs at least 4 devices, got %d", opts.Devices)
+func ChaosDrill(opts DrillOptions) (*ChaosResult, error) {
+	if err := opts.check("chaos", 4); err != nil {
+		return nil, err
 	}
-	if opts.Budget <= 0 {
-		return nil, fmt.Errorf("fleet: chaos drill needs a positive budget, got %d", opts.Budget)
-	}
-	spec := faults.DefaultStorm(opts.Devices, opts.Seed)
-	spec.Start = 2*DefaultConfig().ReconfigTime + chaosWarmup
-	sched, err := faults.Storm(spec)
+	sched, err := stormPlan(opts, false)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Trace != nil {
-		// The planned schedule gets its own process, so the Perfetto view
-		// shows what the storm intended alongside what each case applied.
-		sched.Trace(opts.Trace.Process("storm-plan").Track("schedule"))
-	}
 	res := &ChaosResult{
-		Devices: opts.Devices, RackSize: spec.RackSize,
+		Devices: opts.Devices, RackSize: sched.Spec.RackSize,
 		Seed: opts.Seed, Budget: opts.Budget,
-		StormStart: spec.Start, StormEnd: sched.End(),
-	}
-	for _, inj := range sched.Injections {
-		res.Injections = append(res.Injections, inj.String())
+		StormStart: sched.Spec.Start, StormEnd: sched.End(),
+		Injections: injections(sched),
 	}
 	for _, cs := range []struct {
 		name              string

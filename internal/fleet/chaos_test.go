@@ -9,8 +9,8 @@ import (
 
 // chaosTestOptions is a storm small enough for the unit suite but big
 // enough that the rack kill outruns a 2-load budget.
-func chaosTestOptions() ChaosOptions {
-	return ChaosOptions{Devices: 24, Budget: 2, Seed: 11}
+func chaosTestOptions() DrillOptions {
+	return DrillOptions{Devices: 24, Budget: 2, Seed: 11}
 }
 
 // chaosOnce shares one drill run across the package's chaos tests —
@@ -93,13 +93,27 @@ func TestChaosDrillDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosDrillValidation rejects configurations the storm cannot run.
-func TestChaosDrillValidation(t *testing.T) {
-	if _, err := ChaosDrill(ChaosOptions{Devices: 2, Budget: 2, Seed: 1}); err == nil {
-		t.Error("2-device storm accepted")
-	}
-	if _, err := ChaosDrill(ChaosOptions{Devices: 24, Budget: 0, Seed: 1}); err == nil {
-		t.Error("zero budget accepted")
+// TestDrillValidation rejects configurations the drills cannot run:
+// a fleet below each drill's minimum and a zero PR-load budget.
+func TestDrillValidation(t *testing.T) {
+	for _, d := range []struct {
+		name       string
+		minDevices int
+		run        func(DrillOptions) error
+	}{
+		{"chaos", 4, func(o DrillOptions) error { _, err := ChaosDrill(o); return err }},
+		{"coresidency", 8, func(o DrillOptions) error { _, err := CoResidencyDrill(o); return err }},
+		{"rebalance", 8, func(o DrillOptions) error { _, err := RebalanceDrill(o); return err }},
+		{"slo", 8, func(o DrillOptions) error { _, err := SLODrill(o); return err }},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			if err := d.run(DrillOptions{Devices: d.minDevices - 1, Budget: 2, Seed: 1}); err == nil {
+				t.Errorf("%d-device fleet accepted", d.minDevices-1)
+			}
+			if err := d.run(DrillOptions{Devices: 24, Budget: 0, Seed: 1}); err == nil {
+				t.Error("zero budget accepted")
+			}
+		})
 	}
 }
 

@@ -1,11 +1,7 @@
 package fleet
 
 import (
-	"fmt"
-
 	"harmonia/internal/apps"
-	"harmonia/internal/faults"
-	"harmonia/internal/hdl"
 	"harmonia/internal/metrics"
 	"harmonia/internal/net"
 	"harmonia/internal/obs"
@@ -36,58 +32,45 @@ const (
 // preempt.
 func coresScaleOutFor(budget int) int { return 2*budget + 4 }
 
-// CoResOptions shapes the fleet8 drill.
-type CoResOptions struct {
-	// Devices is the shared fleet size (the tentpole configuration
-	// is 120: large enough for the storm's rack event, small enough
-	// for CI).
-	Devices int
-	// Budget is the concurrent PR-load cap.
-	Budget int
-	// Seed drives the storm schedule, traffic and router sampling.
-	Seed int64
-	// Trace, when set, records the drill into a trace process.
-	Trace *obs.Recorder
-}
-
-// DefaultCoResOptions returns the tentpole co-residency configuration.
-func DefaultCoResOptions() CoResOptions {
-	return CoResOptions{Devices: 120, Budget: 6, Seed: 11}
-}
-
 // CoResServiceResult is one service's storm outcome.
 type CoResServiceResult struct {
-	Name  string
-	Class ServiceClass
+	Name  string       `json:"name"`
+	Class ServiceClass `json:"class"`
 	// SLOAvailability is the registered target; Availability the
 	// measured healthy-served/sent over the storm.
-	SLOAvailability float64
-	Availability    float64
-	Sent, Served    int64
-	Dropped, Shed   int64
+	SLOAvailability float64 `json:"slo_availability"`
+	Availability    float64 `json:"availability"`
+	Sent            int64   `json:"sent"`
+	Served          int64   `json:"served"`
+	Dropped         int64   `json:"dropped"`
+	Shed            int64   `json:"shed"`
 	// P50/P99 are per-packet transit latencies over the whole storm
 	// (window histograms merged exactly).
-	P50, P99 sim.Time
+	P50 sim.Time `json:"p50_ps"`
+	P99 sim.Time `json:"p99_ps"`
 }
 
 // CoResWindowService is one service's slice of a measurement window.
 type CoResWindowService struct {
-	Name         string
-	Sent, Served int64
-	Shed         int64
-	Availability float64
+	Name         string  `json:"name"`
+	Sent         int64   `json:"sent"`
+	Served       int64   `json:"served"`
+	Shed         int64   `json:"shed"`
+	Availability float64 `json:"availability"`
 }
 
 // CoResWindow is one measurement window of the drill.
 type CoResWindow struct {
-	At       sim.Time
-	Services []CoResWindowService
+	At sim.Time `json:"at_ps"`
 	// Healthy/Degraded/Down count nodes at the window's end;
 	// BulkShedNodes counts nodes inside the bulk-shed band.
-	Healthy, Degraded, Down int
-	BulkShedNodes           int
-	LoadsInflight           int
-	ElectivesQueued         int
+	Healthy         int                  `json:"healthy"`
+	Degraded        int                  `json:"degraded"`
+	Down            int                  `json:"down"`
+	BulkShedNodes   int                  `json:"bulk_shed_nodes"`
+	LoadsInflight   int                  `json:"loads_inflight"`
+	ElectivesQueued int                  `json:"electives_queued"`
+	Services        []CoResWindowService `json:"services"`
 }
 
 // ShedObservation is one (window, node) proof point for the shedding
@@ -100,70 +83,74 @@ type CoResWindow struct {
 // (LCShed stays 0) and still lands on the banded node itself whenever
 // its rack peers are loaded enough (LCServed > 0 in some windows).
 type ShedObservation struct {
-	Window     int
-	Node       string
-	TempMilliC uint32
-	LCServed   int64
-	BulkServed int64
+	Window     int    `json:"window"`
+	Node       string `json:"node"`
+	TempMilliC uint32 `json:"temp_milli_c"`
+	LCServed   int64  `json:"lc_served"`
+	BulkServed int64  `json:"bulk_served"`
 }
 
 // PreemptionPair is one grant-log proof of priority inversion avoided:
 // the elective was requested first, yet the failover started first.
 type PreemptionPair struct {
-	ElectiveNode  string
-	ElectiveReqAt sim.Time
-	ElectiveStart sim.Time
-	FailoverNode  string
-	FailoverReqAt sim.Time
-	FailoverStart sim.Time
+	ElectiveNode  string   `json:"elective_node"`
+	ElectiveReqAt sim.Time `json:"elective_req_ps"`
+	ElectiveStart sim.Time `json:"elective_start_ps"`
+	FailoverNode  string   `json:"failover_node"`
+	FailoverReqAt sim.Time `json:"failover_req_ps"`
+	FailoverStart sim.Time `json:"failover_start_ps"`
 }
 
 // CoResResult is the fleet8 report.
 type CoResResult struct {
-	Devices  int
-	RackSize int
-	Seed     int64
-	Budget   int
-	ScaleOut int
+	Devices  int   `json:"devices"`
+	RackSize int   `json:"rack_size"`
+	Seed     int64 `json:"seed"`
+	Budget   int   `json:"budget"`
+	ScaleOut int   `json:"scale_out"`
 
-	StormStart, StormEnd sim.Time
-	Injections           []string
+	StormStart sim.Time `json:"storm_start_ps"`
+	StormEnd   sim.Time `json:"storm_end_ps"`
+	Injections []string `json:"injections"`
 
 	// FleetAvailability is the aggregate healthy-served/sent over the
 	// storm — the PR 4-style fleet-wide number the per-service columns
 	// decompose.
-	FleetAvailability     float64
-	Sent, Served, Dropped int64
+	FleetAvailability float64 `json:"fleet_availability"`
+	Sent              int64   `json:"sent"`
+	Served            int64   `json:"served"`
+	Dropped           int64   `json:"dropped"`
 
-	Services []CoResServiceResult
+	Services []CoResServiceResult `json:"services"`
 
 	// Shedding-order evidence: every fully-banded (window, node)
 	// observation, plus how many of them proved the order (zero bulk
 	// served on the banded node) and how many violated it (bulk served
 	// there anyway).
-	ShedObservations    []ShedObservation
-	ShedOrderProofs     int
-	ShedOrderViolations int
+	ShedObservations    []ShedObservation `json:"shed_observations"`
+	ShedOrderProofs     int               `json:"shed_order_proofs"`
+	ShedOrderViolations int               `json:"shed_order_violations"`
 	// LCShed is the latency-critical services' total class-shed drops —
 	// zero by construction of the shedding order.
-	LCShed int64
+	LCShed int64 `json:"lc_shed"`
 
 	// Preemption evidence from the budget grant log.
-	ElectivesRequested  int
-	ElectivesCompleted  int
-	ElectivesUnplaced   int
-	LoadsPreempted      int
-	PeakConcurrentLoads int
-	PreemptionPairs     []PreemptionPair
+	ElectivesRequested  int              `json:"electives_requested"`
+	ElectivesCompleted  int              `json:"electives_completed"`
+	ElectivesUnplaced   int              `json:"electives_unplaced"`
+	LoadsPreempted      int              `json:"loads_preempted"`
+	PeakConcurrentLoads int              `json:"peak_concurrent_loads"`
+	PreemptionPairs     []PreemptionPair `json:"preemption_pairs"`
 
-	Failovers int
+	Failovers int `json:"failovers"`
 
-	Windows []CoResWindow
+	Windows []CoResWindow `json:"windows"`
 
 	// Metrics is the end-of-storm registry snapshot (per-service series
-	// included); Registry the live registry for Prometheus export.
-	Metrics  map[string]float64
-	Registry *obs.Registry
+	// included) so the artifact is self-contained; Registry the live
+	// registry for Prometheus export.
+	Metrics  map[string]float64 `json:"metrics,omitempty"`
+	Registry *obs.Registry      `json:"-"`
 }
 
 // coresTraffics derives one window's deterministic per-service traffic.
@@ -210,52 +197,19 @@ func coresServices(devices int) ([]Service, error) {
 
 // CoResidencyDrill runs the fleet8 experiment: one seeded storm against
 // the co-resident fleet with every defense armed.
-func CoResidencyDrill(opts CoResOptions) (*CoResResult, error) {
-	if opts.Devices < 8 {
-		return nil, fmt.Errorf("fleet: co-residency drill needs at least 8 devices, got %d", opts.Devices)
+func CoResidencyDrill(opts DrillOptions) (*CoResResult, error) {
+	if err := opts.check("co-residency", 8); err != nil {
+		return nil, err
 	}
-	if opts.Budget <= 0 {
-		return nil, fmt.Errorf("fleet: co-residency drill needs a positive budget, got %d", opts.Budget)
-	}
-	spec := faults.DefaultStorm(opts.Devices, opts.Seed)
-	spec.Start = 2*DefaultConfig().ReconfigTime + chaosWarmup
-	// fleet5's ramp climbs 6°C per half-window — it crosses the whole
-	// bulk-shed band inside one measurement window, leaving no window
-	// fully inside the band. Slow the ramp to one step every two
-	// windows (and ramp more nodes, cooling after the full climb) so
-	// band residency is observable at window granularity.
-	spec.ThermalEvery = 2 * chaosWindowDur
-	spec.ThermalCoolAt = 40 * chaosWindowDur
-	spec.ThermalNodes = opts.Devices / 40
-	if spec.ThermalNodes < 2 {
-		spec.ThermalNodes = 2
-	}
-	sched, err := faults.Storm(spec)
+	sched, err := stormPlan(opts, true)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Trace != nil {
-		sched.Trace(opts.Trace.Process("storm-plan").Track("schedule"))
-	}
 
 	// The scale-plane configuration fleet5's budgeted-derived case
-	// gates: gossip health, rack-first dispatch, per-probe snapshots,
-	// derived shedding with the widened shed span (the class shedding
-	// order needs the pre-alarm band to be observable across windows).
-	cfg := DefaultConfig()
-	cfg.Seed = opts.Seed
-	cfg.GossipHealth = true
-	cfg.GossipFanout = 32
-	cfg.GossipPiggyback = 8
-	cfg.RackP2C = true
-	cfg.SnapshotEvery = 1
-	cfg.DerivedShedding = true
-	cfg.ShedStartMilliC = cfg.DegradeMilliC - 40_000
-	// Retrieval's role logic (180k LUT, 2048 DSP) outgrows the default
-	// slot budget, so the co-resident fleet carves bigger slots — the
-	// catalog's large chips still yield 2-3 per device.
-	cfg.SlotRes = hdl.Resources{LUT: 200_000, REG: 300_000, BRAM: 512, URAM: 96, DSP: 2_048}
-
+	// gates, on the co-resident fleet's bigger slots.
+	cfg := stormConfig(opts.Seed, true)
+	cfg.SlotRes = coresSlotRes
 	svcs, err := coresServices(opts.Devices)
 	if err != nil {
 		return nil, err
@@ -267,34 +221,25 @@ func CoResidencyDrill(opts CoResOptions) (*CoResResult, error) {
 	if opts.Trace != nil {
 		c.SetTrace(opts.Trace.Process("coresidency"))
 	}
-	c.RunMonitorUntil(2 * cfg.ReconfigTime)
-	if _, err := c.ServeMulti(chaosWarmup, coresTraffics(opts.Seed, -1)); err != nil {
+	st, err := startStorm(c, sched, opts.Budget, func(w int) []Traffic { return coresTraffics(opts.Seed, w) })
+	if err != nil {
 		return nil, err
 	}
 
-	// Arm the budget (resets the grant history so warmup placements do
-	// not contaminate the storm's log) and fire the elective scale-out:
-	// the bulk service grows by more replicas than the budget admits at
-	// once, so a queue forms for the storm's failovers to preempt.
-	c.SetLoadBudget(opts.Budget)
-	stormStart := c.Now()
-	if stormStart != sched.Spec.Start {
-		return nil, fmt.Errorf("fleet: storm scheduled for %v but warmup ended at %v",
-			sched.Spec.Start, stormStart)
-	}
+	// Fire the elective scale-out: the bulk service grows by more
+	// replicas than the budget admits at once, so a queue forms for the
+	// storm's failovers to preempt.
 	scaleOut := coresScaleOutFor(opts.Budget)
 	bulkBase := c.services[coresBulkApp].Replicas
-	if err := c.ScaleService(stormStart, coresBulkApp, scaleOut); err != nil {
+	if err := c.ScaleService(st.start, coresBulkApp, scaleOut); err != nil {
 		return nil, err
 	}
 
 	res := &CoResResult{
-		Devices: opts.Devices, RackSize: spec.RackSize,
+		Devices: opts.Devices, RackSize: sched.Spec.RackSize,
 		Seed: opts.Seed, Budget: opts.Budget, ScaleOut: scaleOut,
-		StormStart: spec.Start, StormEnd: sched.End(),
-	}
-	for _, inj := range sched.Injections {
-		res.Injections = append(res.Injections, inj.String())
+		StormStart: sched.Spec.Start, StormEnd: sched.End(),
+		Injections: injections(sched),
 	}
 
 	names := c.Services()
@@ -305,7 +250,7 @@ func CoResidencyDrill(opts CoResOptions) (*CoResResult, error) {
 		hists[name] = &metrics.Histogram{}
 	}
 	preFleet := c.RouterStats()
-	nodes := c.Nodes()
+	nodes := st.nodes
 
 	type nodeProbe struct {
 		banded   bool
@@ -313,15 +258,10 @@ func CoResidencyDrill(opts CoResOptions) (*CoResResult, error) {
 	}
 	probes := make([]nodeProbe, len(nodes))
 
-	injIdx := 0
 	winStats := make(map[string]ServiceSnapshot, len(names))
-	for w := 0; w < chaosWindows; w++ {
-		winEnd := stormStart + sim.Time(w+1)*chaosWindowDur
-		for injIdx < len(sched.Injections) && sched.Injections[injIdx].At < winEnd {
-			if err := applyInjection(c, nodes, sched.Injections[injIdx]); err != nil {
-				return nil, fmt.Errorf("fleet: injection %v: %w", sched.Injections[injIdx], err)
-			}
-			injIdx++
+	for w := 0; w < stormWindows; w++ {
+		if err := st.inject(w); err != nil {
+			return nil, err
 		}
 		// Band membership and per-class serve counts at the window's
 		// start — the same lastTemp the first dispatch views freeze.
@@ -335,7 +275,7 @@ func CoResidencyDrill(opts CoResOptions) (*CoResResult, error) {
 		for _, name := range names {
 			winStats[name] = c.ServiceStats(name)
 		}
-		if _, err := c.ServeMulti(chaosWindowDur, coresTraffics(opts.Seed, w)); err != nil {
+		if err := st.serve(w); err != nil {
 			return nil, err
 		}
 
@@ -425,29 +365,8 @@ func CoResidencyDrill(opts CoResOptions) (*CoResResult, error) {
 		res.Services = append(res.Services, sr)
 	}
 
-	// Preemption evidence: every (elective, failover) grant pair where
-	// the elective asked first but the failover started first.
-	events := c.LoadEvents()
-	for _, f := range events {
-		if f.Class != LoadFailover {
-			continue
-		}
-		for _, e := range events {
-			if e.Class != LoadElective || e.ReqAt >= f.ReqAt || f.Start >= e.Start {
-				continue
-			}
-			res.PreemptionPairs = append(res.PreemptionPairs, PreemptionPair{
-				ElectiveNode: e.Node, ElectiveReqAt: e.ReqAt, ElectiveStart: e.Start,
-				FailoverNode: f.Node, FailoverReqAt: f.ReqAt, FailoverStart: f.Start,
-			})
-			if len(res.PreemptionPairs) >= 16 {
-				break
-			}
-		}
-		if len(res.PreemptionPairs) >= 16 {
-			break
-		}
-	}
+	// Preemption evidence from the grant log.
+	res.PreemptionPairs = preemptionPairs(c.LoadEvents())
 	res.LoadsPreempted = c.LoadsPreempted()
 	res.PeakConcurrentLoads = c.LoadBudgetPeak()
 	res.ElectivesRequested = scaleOut
@@ -462,7 +381,7 @@ func CoResidencyDrill(opts CoResOptions) (*CoResResult, error) {
 		}
 	}
 	for _, f := range c.Failovers() {
-		if f.DetectedAt >= stormStart {
+		if f.DetectedAt >= st.start {
 			res.Failovers++
 		}
 	}

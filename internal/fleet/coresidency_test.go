@@ -288,7 +288,7 @@ func TestCoResidencyDrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet8 drill is seconds-long; skipped in -short")
 	}
-	res, err := CoResidencyDrill(DefaultCoResOptions())
+	res, err := CoResidencyDrill(DrillOptions{Devices: 120, Budget: 6, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

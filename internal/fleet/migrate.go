@@ -376,14 +376,15 @@ func (c *Cluster) RemoveBackend(service string, backend net.IPAddr, evict bool) 
 // MigrationCase is one side of the migration drill: a failover with or
 // without carrying connection tables.
 type MigrationCase struct {
-	Migrated bool
+	Migrated bool `json:"migrated"`
 	// Established counts the victim's pinned flows at the kill;
 	// Disrupted of those land on a different backend after failover.
-	Established, Disrupted int
-	Disruption             float64
+	Established int     `json:"established_flows"`
+	Disrupted   int     `json:"disrupted_flows"`
+	Disruption  float64 `json:"disruption"`
 	// FlowsCarried counts table entries replayed into replacements.
-	FlowsCarried int
-	RecoveryTime sim.Time
+	FlowsCarried int      `json:"flows_carried"`
+	RecoveryTime sim.Time `json:"recovery_ps"`
 }
 
 // MigrationDrillResult reports the fleet4 drill: the same deterministic
@@ -458,12 +459,7 @@ func runMigrationCase(cfg Config, n int, t Traffic, migrate bool) (*MigrationCas
 		return nodes[i].ID < nodes[j].ID
 	})
 	victim := nodes[0]
-	established := map[string][]apps.ConnEntry{}
-	for _, r := range victim.Replicas() {
-		if r.flows != nil {
-			established[r.Name()] = r.flows.table.Snapshot()
-		}
-	}
+	established := flowPins(victim.Replicas())
 	faultAt := c.Now()
 	if err := c.Kill(victim.ID); err != nil {
 		return nil, nil, "", 0, err
@@ -503,12 +499,8 @@ func runMigrationCase(cfg Config, n int, t Traffic, migrate bool) (*MigrationCas
 		if r == nil || r.Node == "" || r.flows == nil {
 			return nil, nil, "", 0, fmt.Errorf("fleet: %s was not re-placed", name)
 		}
-		for _, e := range entries {
-			mc.Established++
-			if r.flows.assignment(e.Key) != e.Backend {
-				mc.Disrupted++
-			}
-		}
+		mc.Established += len(entries)
+		mc.Disrupted += disrupted(r, entries)
 	}
 	if mc.Established > 0 {
 		mc.Disruption = float64(mc.Disrupted) / float64(mc.Established)

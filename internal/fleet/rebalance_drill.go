@@ -30,23 +30,6 @@ const rebalWindowDur = 100 * sim.Microsecond
 // before the rebalancer starts.
 const rebalChurnRounds = 4
 
-// RebalanceOptions shapes the fleet9 drill.
-type RebalanceOptions struct {
-	// Devices is the fleet size.
-	Devices int
-	// Budget is the concurrent PR-load cap (the preempt case forces 1).
-	Budget int
-	// Seed drives traffic and router sampling.
-	Seed int64
-	// Trace, when set, records each case into its own trace process.
-	Trace *obs.Recorder
-}
-
-// DefaultRebalanceOptions returns the tentpole drill configuration.
-func DefaultRebalanceOptions() RebalanceOptions {
-	return RebalanceOptions{Devices: 24, Budget: 2, Seed: 11}
-}
-
 // RebalanceCase is one run of the drill under one fault scenario.
 type RebalanceCase struct {
 	Name    string
@@ -153,7 +136,7 @@ func pickUnrelatedNode(c *Cluster) *Node {
 }
 
 // runRebalanceCase builds, fragments and rebalances one fleet.
-func runRebalanceCase(opts RebalanceOptions, spec rebalanceCaseSpec) (*RebalanceCase, error) {
+func runRebalanceCase(opts DrillOptions, spec rebalanceCaseSpec) (*RebalanceCase, error) {
 	cfg := DefaultConfig()
 	cfg.Seed = opts.Seed
 	// The drill's windows are short relative to the production snapshot
@@ -207,12 +190,7 @@ func runRebalanceCase(opts RebalanceOptions, spec rebalanceCaseSpec) (*Rebalance
 	}
 
 	// Ground truth: every pin established before the rebalancer starts.
-	pins := make(map[string][]apps.ConnEntry)
-	for _, r := range c.Replicas() {
-		if r.flows != nil {
-			pins[r.Name()] = r.flows.table.Snapshot()
-		}
-	}
+	pins := flowPins(c.Replicas())
 
 	cc := &RebalanceCase{Name: spec.name, Windows: spec.windows, Budget: spec.budget}
 	cc.FragBefore = c.Fragmentation()
@@ -259,45 +237,15 @@ func runRebalanceCase(opts RebalanceOptions, spec rebalanceCaseSpec) (*Rebalance
 		byName[r.Name()] = r
 	}
 	for name, entries := range pins {
-		r := byName[name]
-		for _, e := range entries {
-			cc.Established++
-			if r == nil || r.Node == "" || r.flows == nil {
-				cc.Disrupted++
-				continue
-			}
-			if r.flows.assignment(e.Key) != e.Backend {
-				cc.Disrupted++
-			}
-		}
+		cc.Established += len(entries)
+		cc.Disrupted += disrupted(byName[name], entries)
 	}
 	if cc.Established > 0 {
 		cc.Disruption = float64(cc.Disrupted) / float64(cc.Established)
 	}
 
-	// Preemption evidence: every (elective, failover) grant pair where
-	// the elective asked first but the failover started first.
-	events := c.LoadEvents()
-	for _, f := range events {
-		if f.Class != LoadFailover {
-			continue
-		}
-		for _, e := range events {
-			if e.Class != LoadElective || e.ReqAt >= f.ReqAt || f.Start >= e.Start {
-				continue
-			}
-			cc.PreemptionPairs = append(cc.PreemptionPairs, PreemptionPair{
-				ElectiveNode: e.Node, ElectiveReqAt: e.ReqAt, ElectiveStart: e.Start,
-				FailoverNode: f.Node, FailoverReqAt: f.ReqAt, FailoverStart: f.Start,
-			})
-			if len(cc.PreemptionPairs) >= 16 {
-				break
-			}
-		}
-		if len(cc.PreemptionPairs) >= 16 {
-			break
-		}
-	}
+	// Preemption evidence from the grant log.
+	cc.PreemptionPairs = preemptionPairs(c.LoadEvents())
 	cc.LoadsPreempted = c.LoadsPreempted()
 	cc.PeakConcurrentLoads = c.LoadBudgetPeak()
 	cc.Registry = c.Metrics()
@@ -311,12 +259,9 @@ func runRebalanceCase(opts RebalanceOptions, spec rebalanceCaseSpec) (*Rebalance
 // source kill mid-pre-copy (degrading to snapshot-fallback failover),
 // and a budget-1 run where a concurrent failover preempts the pending
 // moves.
-func RebalanceDrill(opts RebalanceOptions) (*RebalanceDrillResult, error) {
-	if opts.Devices < 8 {
-		return nil, fmt.Errorf("fleet: rebalance drill needs at least 8 devices, got %d", opts.Devices)
-	}
-	if opts.Budget <= 0 {
-		return nil, fmt.Errorf("fleet: rebalance drill needs a positive budget, got %d", opts.Budget)
+func RebalanceDrill(opts DrillOptions) (*RebalanceDrillResult, error) {
+	if err := opts.check("rebalance", 8); err != nil {
+		return nil, err
 	}
 	specs := []rebalanceCaseSpec{
 		{name: "planned", windows: 80, budget: opts.Budget,

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"harmonia/internal/faults"
-	"harmonia/internal/hdl"
 	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 )
@@ -34,49 +33,31 @@ var sloWindowTicks = []int{2, 8, 24, 48}
 // every variant.
 var sloSweep = [][2]int{{0, 1}, {64, 2}, {4096, 8}}
 
-// SLOOptions shapes the fleet10 drill.
-type SLOOptions struct {
-	// Devices is the shared fleet size (tentpole configuration 120).
-	Devices int
-	// Budget is the concurrent PR-load cap.
-	Budget int
-	// Seed drives the storm schedule, traffic and router sampling.
-	Seed int64
-	// Trace, when set, records the baseline storm case (plus the
-	// storm plan) into a trace process.
-	Trace *obs.Recorder
-}
-
-// DefaultSLOOptions returns the tentpole fleet10 configuration.
-func DefaultSLOOptions() SLOOptions {
-	return SLOOptions{Devices: 120, Budget: 6, Seed: 11}
-}
-
 // SLOWindowSample is one measurement window of the drill's baseline
 // storm case.
 type SLOWindowSample struct {
-	At sim.Time
+	At sim.Time `json:"at_ps"`
 	// LCAvailability is the layer-4 LB's healthy-served/sent inside
 	// the window (1 when it offered nothing).
-	LCAvailability float64
+	LCAvailability float64 `json:"lc_availability"`
 	// ActiveAlerts counts rules pending or firing at the window edge.
-	ActiveAlerts int
+	ActiveAlerts int `json:"active_alerts"`
 }
 
 // SLOServiceResult is one service's storm outcome through the SLO
 // engine's eyes.
 type SLOServiceResult struct {
-	Name   string
-	Class  ServiceClass
-	Target float64
+	Name   string       `json:"name"`
+	Class  ServiceClass `json:"class"`
+	Target float64      `json:"target"`
 	// Availability is healthy-served/sent over the whole storm.
-	Availability float64
+	Availability float64 `json:"availability"`
 	// PeakFastBurn is the highest fast-window burn rate any barrier
 	// saw (sampled at window edges).
-	PeakFastBurn float64
+	PeakFastBurn float64 `json:"peak_fast_burn"`
 	// Firings/Resolves count this service's alert transitions.
-	Firings  int64
-	Resolves int64
+	Firings  int64 `json:"firings"`
+	Resolves int64 `json:"resolves"`
 }
 
 // SLOResult is the fleet10 report.
@@ -159,14 +140,7 @@ func burnState(c *Cluster) string {
 // runSLOCase replays the storm (or, with inject false, a fault-free
 // control) against a fresh co-resident fleet with the SLO windows
 // armed and the given determinism-sweep variant.
-func runSLOCase(opts SLOOptions, sched *faults.Schedule, quantum, workers int, inject bool, trace *obs.Recorder) (*sloCase, error) {
-	cfg := DefaultConfig()
-	cfg.Seed = opts.Seed
-	cfg.GossipHealth = true
-	cfg.GossipFanout = 32
-	cfg.GossipPiggyback = 8
-	cfg.RackP2C = true
-	cfg.SnapshotEvery = 1
+func runSLOCase(opts DrillOptions, sched *faults.Schedule, quantum, workers int, inject bool, trace *obs.Recorder) (*sloCase, error) {
 	// Static shedding, deliberately: with the derived-shedding defense
 	// armed the co-resident fleet heals the storm losslessly (fleet8's
 	// artifact records availability 1.0), so there is nothing for an
@@ -175,8 +149,8 @@ func runSLOCase(opts SLOOptions, sched *faults.Schedule, quantum, workers int, i
 	// nodes serving (unhealthy serves burn the error budget, exactly
 	// as in fleet5's static cases) and gives the storm a real,
 	// attributable availability signature.
-	cfg.DerivedShedding = false
-	cfg.SlotRes = hdl.Resources{LUT: 200_000, REG: 300_000, BRAM: 512, URAM: 96, DSP: 2_048}
+	cfg := stormConfig(opts.Seed, false)
+	cfg.SlotRes = coresSlotRes
 	cfg.SLOWindowTicks = sloWindowTicks
 	cfg.BatchQuantum = quantum
 	cfg.ServeWorkers = workers
@@ -192,17 +166,11 @@ func runSLOCase(opts SLOOptions, sched *faults.Schedule, quantum, workers int, i
 	if trace != nil {
 		c.SetTrace(trace.Process("slo-storm"))
 	}
-	c.RunMonitorUntil(2 * cfg.ReconfigTime)
-	if _, err := c.ServeMulti(chaosWarmup, coresTraffics(opts.Seed, -1)); err != nil {
+	st, err := startStorm(c, sched, opts.Budget, func(w int) []Traffic { return coresTraffics(opts.Seed, w) })
+	if err != nil {
 		return nil, err
 	}
-	c.SetLoadBudget(opts.Budget)
-	stormStart := c.Now()
-	if stormStart != sched.Spec.Start {
-		return nil, fmt.Errorf("fleet: storm scheduled for %v but warmup ended at %v",
-			sched.Spec.Start, stormStart)
-	}
-	if err := c.ScaleService(stormStart, coresBulkApp, coresScaleOutFor(opts.Budget)); err != nil {
+	if err := c.ScaleService(st.start, coresBulkApp, coresScaleOutFor(opts.Budget)); err != nil {
 		return nil, err
 	}
 
@@ -215,23 +183,17 @@ func runSLOCase(opts SLOOptions, sched *faults.Schedule, quantum, workers int, i
 	for _, name := range names {
 		cs.pre[name] = c.ServiceStats(name)
 	}
-	nodes := c.Nodes()
 	winStats := make(map[string]ServiceSnapshot, len(names))
-	injIdx := 0
-	for w := 0; w < chaosWindows; w++ {
-		winEnd := stormStart + sim.Time(w+1)*chaosWindowDur
+	for w := 0; w < stormWindows; w++ {
 		if inject {
-			for injIdx < len(sched.Injections) && sched.Injections[injIdx].At < winEnd {
-				if err := applyInjection(c, nodes, sched.Injections[injIdx]); err != nil {
-					return nil, fmt.Errorf("fleet: injection %v: %w", sched.Injections[injIdx], err)
-				}
-				injIdx++
+			if err := st.inject(w); err != nil {
+				return nil, err
 			}
 		}
 		for _, name := range names {
 			winStats[name] = c.ServiceStats(name)
 		}
-		if _, err := c.ServeMulti(chaosWindowDur, coresTraffics(opts.Seed, w)); err != nil {
+		if err := st.serve(w); err != nil {
 			return nil, err
 		}
 		sample := SLOWindowSample{At: c.Now(), ActiveAlerts: c.ActiveAlerts()}
@@ -263,11 +225,11 @@ func runSLOCase(opts SLOOptions, sched *faults.Schedule, quantum, workers int, i
 	cs.alerts = c.AlertEvents()
 	cs.alertLog = c.AlertLogBytes()
 	cs.burn = burnState(c)
-	cs.causal = append(cs.causal, c.CausalEvents(stormStart)...)
+	cs.causal = append(cs.causal, c.CausalEvents(st.start)...)
 	if inject {
 		ids := func(node int) string {
-			if node >= 0 && node < len(nodes) {
-				return nodes[node].ID
+			if node >= 0 && node < len(st.nodes) {
+				return st.nodes[node].ID
 			}
 			return fmt.Sprintf("node-%d", node)
 		}
@@ -279,38 +241,19 @@ func runSLOCase(opts SLOOptions, sched *faults.Schedule, quantum, workers int, i
 // SLODrill runs the fleet10 experiment: the seeded storm over the
 // co-resident fleet with the SLO engine judging it, plus the
 // fault-free control and the determinism sweep.
-func SLODrill(opts SLOOptions) (*SLOResult, error) {
-	if opts.Devices < 8 {
-		return nil, fmt.Errorf("fleet: SLO drill needs at least 8 devices, got %d", opts.Devices)
+func SLODrill(opts DrillOptions) (*SLOResult, error) {
+	if err := opts.check("SLO", 8); err != nil {
+		return nil, err
 	}
-	if opts.Budget <= 0 {
-		return nil, fmt.Errorf("fleet: SLO drill needs a positive budget, got %d", opts.Budget)
-	}
-	spec := faults.DefaultStorm(opts.Devices, opts.Seed)
-	spec.Start = 2*DefaultConfig().ReconfigTime + chaosWarmup
-	// Same ramp slowdown as the co-residency drill: band residency
-	// must be observable at window granularity.
-	spec.ThermalEvery = 2 * chaosWindowDur
-	spec.ThermalCoolAt = 40 * chaosWindowDur
-	spec.ThermalNodes = opts.Devices / 40
-	if spec.ThermalNodes < 2 {
-		spec.ThermalNodes = 2
-	}
-	sched, err := faults.Storm(spec)
+	sched, err := stormPlan(opts, true)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Trace != nil {
-		sched.Trace(opts.Trace.Process("storm-plan").Track("schedule"))
-	}
-
 	res := &SLOResult{
-		Devices: opts.Devices, RackSize: spec.RackSize,
+		Devices: opts.Devices, RackSize: sched.Spec.RackSize,
 		Seed: opts.Seed, Budget: opts.Budget,
-		StormStart: spec.Start, StormEnd: sched.End(),
-	}
-	for _, inj := range sched.Injections {
-		res.Injections = append(res.Injections, inj.String())
+		StormStart: sched.Spec.Start, StormEnd: sched.End(),
+		Injections: injections(sched),
 	}
 
 	// The determinism sweep: the first variant is the baseline the

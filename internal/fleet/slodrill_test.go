@@ -72,7 +72,7 @@ func TestSLODrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet10 drill replays the storm four times; skipped in -short")
 	}
-	res, err := SLODrill(DefaultSLOOptions())
+	res, err := SLODrill(DrillOptions{Devices: 120, Budget: 6, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

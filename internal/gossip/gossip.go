@@ -132,13 +132,15 @@ func DefaultConfig(seed int64) Config {
 // Stats counts protocol activity since construction.
 type Stats struct {
 	// Ticks is how many protocol rounds ran.
-	Ticks int64
+	Ticks int64 `json:"ticks"`
 	// Probes counts direct probes (rotation plus confirmation).
-	Probes int64
+	Probes int64 `json:"probes"`
 	// Digests counts piggybacked peer liveness observations.
-	Digests int64
+	Digests int64 `json:"digests"`
 	// Suspicions, Refutations and Confirmations count emitted events.
-	Suspicions, Refutations, Confirmations int64
+	Suspicions    int64 `json:"suspicions"`
+	Refutations   int64 `json:"refutations"`
+	Confirmations int64 `json:"confirmations"`
 }
 
 // member is one member's protocol state.

@@ -59,14 +59,14 @@ type BurnRule struct {
 // AlertEvent is one state transition, appended to the AlertLog and
 // emitted as an alert-category trace instant.
 type AlertEvent struct {
-	At       sim.Time
-	Service  string
-	Severity AlertSeverity
-	State    AlertState
+	At       sim.Time      `json:"at_ps"`
+	Service  string        `json:"service"`
+	Severity AlertSeverity `json:"severity"`
+	State    AlertState    `json:"state"`
 	// BurnFast/BurnSlow snapshot the two window burns at transition
 	// time (for resolved, the burns that cleared).
-	BurnFast float64
-	BurnSlow float64
+	BurnFast float64 `json:"burn_fast"`
+	BurnSlow float64 `json:"burn_slow"`
 }
 
 // ruleState is a rule plus its live state-machine position.
