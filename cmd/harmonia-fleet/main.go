@@ -1,20 +1,20 @@
 // Command harmonia-fleet drives the multi-device control plane: it
 // commissions a heterogeneous fleet of catalog devices, places service
-// replicas into their PR slots, and runs the operator drills —
-// the scale-out sweep (aggregate throughput vs device count), the
+// replicas into their PR slots, and runs the operator drills — the
+// scale-out sweep (aggregate throughput vs device count), the
 // kill-a-device drill (health-driven failover with measured recovery
-// time), the control-plane overhead bench (serial scan vs sharded
-// fast path, emitted as BENCH_fleet.json), and the live-migration
-// drill (stateful LB failover with and without carrying the connection
-// table across, emitted as BENCH_migrate.json), the failure-storm
-// chaos drill (one seeded injection schedule replayed unbudgeted vs
-// budgeted and static vs derived shedding, emitted as
-// BENCH_chaos.json), the gossip smoke drill (a full
-// suspect/refute/confirm protocol cycle on a seeded fleet, emitted as
-// BENCH_gossip.json), the multi-service co-residency drill (the
-// storm replayed against three services of different classes sharing
-// one fleet, emitted as BENCH_coresidency.json), the crash-safe
-// rebalancing drill (a fragmented fleet rebalanced through
+// time), the control-plane overhead bench (the sharded fast path and
+// the rack-hierarchical path across fleet sizes, emitted as
+// BENCH_fleet.json), the live-migration drill (stateful LB failover
+// with and without carrying the connection table across, emitted as
+// BENCH_migrate.json), the failure-storm chaos drill (one seeded
+// injection schedule replayed unbudgeted vs budgeted and static vs
+// derived shedding, emitted as BENCH_chaos.json), the gossip smoke
+// drill (a full suspect/refute/confirm protocol cycle on a seeded
+// fleet, emitted as BENCH_gossip.json), the multi-service co-residency
+// drill (the storm replayed against three services of different
+// classes sharing one fleet, emitted as BENCH_coresidency.json), the
+// crash-safe rebalancing drill (a fragmented fleet rebalanced through
 // pre-copy + delta-replay moves under migration-targeted fault
 // injection, emitted as BENCH_rebalance.json), and the SLO drill (the
 // storm judged by error-budget windows, burn-rate alerts and causal
@@ -36,20 +36,20 @@
 //	harmonia-fleet -scenario tracecheck -trace trace.json
 //	harmonia-fleet -scenario tracecheck -trace rebal.json -cats packet,prload,heartbeat,rebalance
 //
-// The bench sweep's default sizes now reach the 10000-node scale
-// point: the serial baseline is skipped there, and the report gates on
-// the rack-hierarchical path's per-packet cost staying flat (within
-// 1.25x) from 1000 to 10000 nodes.
+// The bench sweep's default sizes reach the 10000-node scale point, and
+// the report gates on the rack-hierarchical path's per-packet cost
+// staying flat (within 1.25x) from 1000 to 10000 nodes.
 //
 // Each artifact-writing drill (bench, migrate, gossip, chaos,
 // coresidency, rebalance, slo) is one row of the drills table, which
 // holds its default -devices, -budget and -seed, and one driver runs
 // them all: it writes BENCH_<scenario>.json (bench writes
 // BENCH_fleet.json; -json overrides the path and -json "" skips it),
-// checks the drill's gates, and fails with a one-command repro line
-// when one does not hold. The recording drills (chaos, coresidency,
-// rebalance, slo) always fly with a flight recorder: when a gate fails,
-// the last -flight events per track dump to <scenario>-flight.json.
+// asks the report which gates failed, and fails naming them with a
+// one-command repro line when any did. The recording drills (chaos,
+// coresidency, rebalance, slo) always fly with a flight recorder: when
+// a gate fails, the last -flight events per track dump to
+// <scenario>-flight.json.
 // Passing -trace upgrades to full recording and writes a Chrome
 // trace-event file Perfetto loads directly; -metrics writes the
 // drill's registries as Prometheus text.
@@ -191,9 +191,9 @@ type drill struct {
 
 // outcome is what a drill hands back to the driver.
 type outcome struct {
-	report interface{ Gates() bool } // the JSON artifact, gates pre-evaluated
-	repro  string                    // one command that rebuilds this run
-	regs   []*obs.Registry           // what -metrics exports
+	report interface{ Failures() []string } // the JSON artifact; Failures names its failed gates
+	repro  string                           // one command that rebuilds this run
+	regs   []*obs.Registry                  // what -metrics exports
 }
 
 var drills = []drill{
@@ -282,13 +282,11 @@ func runDrill(w io.Writer, d drill, o options) error {
 		}
 		fmt.Fprintf(w, "wrote %s\n", o.metricsPath)
 	}
-	if out.report.Gates() {
+	failed := out.report.Failures()
+	if len(failed) == 0 {
 		return nil
 	}
-	msg := d.name + " gates failed"
-	if f, ok := out.report.(interface{ Failures() []string }); ok {
-		msg += ": " + strings.Join(f.Failures(), "; ")
-	}
+	msg := d.name + " gates failed: " + strings.Join(failed, "; ")
 	if rec != nil && o.tracePath == "" {
 		// The last -flight events per track: the forensic record of the
 		// moments before the gate went red.
@@ -439,11 +437,25 @@ type gossipReport struct {
 	Stats  gossip.Stats        `json:"stats"`
 }
 
-// Gates reports whether the smoke cycle completed: false suspicion
-// refuted without failover, real failure confirmed within the bound,
-// failover done.
-func (r *gossipReport) Gates() bool {
-	return r.Refuted && r.RefuteClean && r.Confirmed && r.FailoverDone
+// Failures names every smoke-cycle gate that did not hold: false
+// suspicion refuted without failover, real failure confirmed within the
+// bound, failover done.
+func (r *gossipReport) Failures() []string {
+	var out []string
+	for _, g := range []struct {
+		name string
+		ok   bool
+	}{
+		{"refuted", r.Refuted},
+		{"refute_no_failover", r.RefuteClean},
+		{"confirmed_within_bound", r.Confirmed},
+		{"failover_completed", r.FailoverDone},
+	} {
+		if !g.ok {
+			out = append(out, g.name)
+		}
+	}
+	return out
 }
 
 // runGossip runs the fleet7 gossip smoke drill: build a seeded fleet
@@ -541,7 +553,7 @@ func runGossip(w io.Writer, o options, _ *obs.Recorder) (outcome, error) {
 // failover cold and with the connection table carried across, judged
 // against the Maglev re-hash bound.
 func runMigrate(w io.Writer, _ options, _ *obs.Recorder) (outcome, error) {
-	rep, d, err := bench.FleetMigrationReport()
+	rep, err := fleet.MigrationDrill()
 	if err != nil {
 		return outcome{}, err
 	}
@@ -562,7 +574,7 @@ func runMigrate(w io.Writer, _ options, _ *obs.Recorder) (outcome, error) {
 	fmt.Fprintf(w, "strictly fewer disrupted: %v\nwithin maglev bound:      %v\n",
 		rep.StrictlyFewer, rep.WithinBound)
 	fmt.Fprintln(w, "\nmigrations:")
-	for _, m := range d.Records {
+	for _, m := range rep.Records {
 		mode := "snapshot"
 		if m.Live {
 			mode = "live"
@@ -570,7 +582,7 @@ func runMigrate(w io.Writer, _ options, _ *obs.Recorder) (outcome, error) {
 		fmt.Fprintf(w, "  %s: %s -> %s at %v (%s, %d/%d flows restored, age %v)\n",
 			m.Replica, m.From, m.To, m.At, mode, m.Restored, m.Flows, m.SnapshotAge)
 	}
-	return outcome{report: rep, repro: "go run ./cmd/harmonia-fleet -scenario migrate"}, nil
+	return outcome{report: rep, repro: rep.Repro}, nil
 }
 
 // runChaos runs the fleet5 failure-storm drill: one seeded injection
@@ -579,7 +591,7 @@ func runMigrate(w io.Writer, _ options, _ *obs.Recorder) (outcome, error) {
 // budget holding, the unbudgeted fleet exceeding it, and derived
 // shedding keeping packets off alarmed nodes.
 func runChaos(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
-	rep, err := bench.FleetChaosReport(o.drillOptions(rec))
+	rep, err := fleet.ChaosDrill(o.drillOptions(rec))
 	if err != nil {
 		return outcome{}, err
 	}
@@ -610,7 +622,7 @@ func runChaos(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
 // latency-critical on banded nodes, and failover PR loads provably
 // preempting the elective scale-out queue.
 func runCoResidency(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
-	rep, err := bench.FleetCoResReport(o.drillOptions(rec))
+	rep, err := fleet.CoResidencyDrill(o.drillOptions(rec))
 	if err != nil {
 		return outcome{}, err
 	}
@@ -641,7 +653,7 @@ func runCoResidency(w io.Writer, o options, rec *obs.Recorder) (outcome, error) 
 // mid-pre-copy degrading to snapshot-fallback failover, and a budget-1
 // run where a concurrent failover preempts the pending moves.
 func runRebalance(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
-	rep, d, err := bench.FleetRebalanceReport(o.drillOptions(rec))
+	rep, err := fleet.RebalanceDrill(o.drillOptions(rec))
 	if err != nil {
 		return outcome{}, err
 	}
@@ -654,12 +666,12 @@ func runRebalance(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
 		fmt.Fprintf(w, "%-12s %-9.4f %-9.4f %-8d %-8d %-8d %-11.4f %-10d %-10d %-6d %-6d %-7d\n",
 			cc.Name, cc.FragScoreBefore, cc.FragScoreAfter, cc.MovesDone, cc.MovesAborted,
 			cc.Retries, cc.Disruption, cc.QueuesReclaimed, cc.SnapshotFallbacks,
-			cc.PeakLoads, cc.PreemptionPairs, cc.Budget)
+			cc.PeakConcurrentLoads, cc.PreemptionPairs, cc.Budget)
 	}
 	fmt.Fprintf(w, "\ncarries all flows:   %v\nfrag decreases:      %v\nfaulted within bound: %v\nfailover preempts:   %v\n",
 		rep.CarriesAllFlows, rep.FragDecreases, rep.FaultedWithinBound, rep.FailoverPreempts)
 	fmt.Fprintln(w, "\nrebalance moves:")
-	for _, cc := range d.Cases {
+	for _, cc := range rep.Cases {
 		for _, m := range cc.Records {
 			if m.PlannedAt == 0 {
 				continue
@@ -674,7 +686,7 @@ func runRebalance(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
 		}
 	}
 	var regs []*obs.Registry
-	for _, cc := range d.Cases {
+	for _, cc := range rep.Cases {
 		regs = append(regs, cc.Registry)
 	}
 	return outcome{report: rep, repro: rep.Repro, regs: regs}, nil
@@ -687,15 +699,15 @@ func runRebalance(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
 // alert resolving inside the recovery bound, and byte-identical alert
 // state across the batch-quantum/worker sweep.
 func runSLO(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
-	rep, d, err := bench.FleetSLOReport(o.drillOptions(rec))
+	rep, err := fleet.SLODrill(o.drillOptions(rec))
 	if err != nil {
 		return outcome{}, err
 	}
 	fmt.Fprintf(w, "slo drill: %d services on %d devices, rack size %d, seed %d, budget %d\n",
 		len(rep.Services), rep.Devices, rep.RackSize, rep.Seed, rep.Budget)
 	fmt.Fprintf(w, "storm: %d injections over [%v, %v]; windows %s; lookback %v\n\n",
-		len(rep.Injections), d.StormStart, d.StormEnd,
-		strings.Join(rep.Windows, ","), d.Lookback)
+		len(rep.Injections), rep.StormStart, rep.StormEnd,
+		strings.Join(rep.Windows, ","), rep.Lookback)
 	fmt.Fprintf(w, "%-14s %-18s %-9s %-13s %-10s %-8s %-9s\n",
 		"service", "class", "target", "availability", "peak-burn", "firings", "resolves")
 	for _, s := range rep.Services {
@@ -706,14 +718,14 @@ func runSLO(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
 		rep.FiringsTotal, rep.FiringsLC, rep.UnattributedFirings,
 		rep.ControlFirings, rep.ControlAttributions)
 	fmt.Fprintf(w, "resolution: all resolved %v, last at %v, bound %v\n",
-		rep.AllResolved, d.LastResolvedAt, d.RecoveryBound)
+		rep.AllResolved, rep.LastResolvedAt, rep.RecoveryBound)
 	fmt.Fprintf(w, "sweep: %s\n", strings.Join(rep.SweepVariants, "; "))
 	if rep.Timeline != "" {
 		fmt.Fprintf(w, "\n%s", rep.Timeline)
 	}
 	fmt.Fprintf(w, "\nalerts attributed: %v\nalerts resolved:   %v\ndeterministic:     %v\n",
 		rep.AlertsAttributed, rep.AlertsResolved, rep.Deterministic)
-	return outcome{report: rep, repro: rep.Repro, regs: []*obs.Registry{d.Registry}}, nil
+	return outcome{report: rep, repro: rep.Repro, regs: []*obs.Registry{rep.Registry}}, nil
 }
 
 // traceRequiredCats lists the span kinds a chaos trace must carry —

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -300,12 +301,12 @@ type failingReport struct {
 	Experiment string `json:"experiment"`
 }
 
-func (failingReport) Gates() bool { return false }
+func (failingReport) Failures() []string { return []string{"always_false"} }
 
 func TestRunDrillFailingGates(t *testing.T) {
 	// The driver's failure path, shared by every drill: the artifact is
 	// still written, an untraced run dumps its flight recording, and the
-	// error carries the repro line.
+	// error names the failed gate and carries the repro line.
 	dir := inTempDir(t)
 	fake := drill{name: "fake", artifact: "BENCH_fake.json", records: true,
 		run: func(w io.Writer, o options, rec *obs.Recorder) (outcome, error) {
@@ -318,7 +319,7 @@ func TestRunDrillFailingGates(t *testing.T) {
 	if err == nil {
 		t.Fatal("failing gates accepted")
 	}
-	for _, want := range []string{"fake gates failed", "flight recording in fake-flight.json",
+	for _, want := range []string{"fake gates failed: always_false;", "flight recording in fake-flight.json",
 		"reproduce with: go run fake -seed 3"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
@@ -336,6 +337,15 @@ func TestRunDrillFailingGates(t *testing.T) {
 	}
 	if !bytes.Contains(flight, []byte(`"kill"`)) {
 		t.Errorf("flight recording lacks the recorded event:\n%s", flight)
+	}
+}
+
+// TestGossipGatesFailClosed checks the gossip smoke artifact fails
+// closed: a report whose legs never ran lists every gate by JSON key.
+func TestGossipGatesFailClosed(t *testing.T) {
+	want := []string{"refuted", "refute_no_failover", "confirmed_within_bound", "failover_completed"}
+	if got := (&gossipReport{}).Failures(); !slices.Equal(got, want) {
+		t.Errorf("zero report fails %q, want %q", got, want)
 	}
 }
 

@@ -2,7 +2,9 @@
 // evaluation (§2 motivation and §5). Each experiment returns a
 // metrics.Figure or metrics.Table whose series/rows mirror what the
 // paper reports; cmd/harmonia-bench prints them and EXPERIMENTS.md
-// records paper-vs-measured values.
+// records paper-vs-measured values. The fleet1–3 experiments (scale-out,
+// failover recovery and the control-plane overhead sweep) live here too;
+// the fleet4+ drills judge themselves in internal/fleet.
 package bench
 
 import (

@@ -220,9 +220,6 @@ func (r *ControlPlaneReport) Failures() []string {
 	return out
 }
 
-// Gates reports whether every fleet3 gate held.
-func (r *ControlPlaneReport) Gates() bool { return len(r.Failures()) == 0 }
-
 // cpCohorts picks the heartbeat cohort count for a fleet size, mirroring
 // the router's auto shard policy: one cohort per 64 devices, capped.
 func cpCohorts(n int) int {

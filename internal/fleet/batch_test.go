@@ -73,42 +73,36 @@ func TestBatchQuantumInvariant(t *testing.T) {
 	}
 }
 
-// TestRouteUnknownService verifies Route rejects a service the cluster
-// never commissioned before any router counter moves.
-func TestRouteUnknownService(t *testing.T) {
-	c, err := BuildCluster(DefaultConfig(), testApp, 4, 4)
+// TestPreparePhaseUnknownService verifies a phase for a service the
+// cluster never commissioned is rejected before any router counter
+// moves.
+func TestPreparePhaseUnknownService(t *testing.T) {
+	cfg := DefaultConfig()
+	c, err := BuildCluster(cfg, testApp, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := c.PreparePhase(sim.Millisecond, DefaultTraffic(testApp))
-	if err != nil {
+	c.RunMonitorUntil(2 * cfg.ReconfigTime)
+	if _, err := c.Serve(100*sim.Microsecond, DefaultTraffic(testApp)); err != nil {
 		t.Fatal(err)
 	}
-	now := 2 * c.Config().ReconfigTime
-	c.advance(now)
 	before := c.rawRouterStats()
-	d, err := c.Route(now, "no-such-app", &ph.pkts[0])
-	if err == nil || !strings.Contains(err.Error(), "unknown service") {
-		t.Fatalf("Route(unknown) err = %v, want unknown service", err)
-	}
-	if !d.Dropped {
-		t.Errorf("Route(unknown) dispatch = %+v, want Dropped", d)
+	tr := DefaultTraffic(testApp)
+	tr.Service = "no-such-app"
+	if _, err := c.PreparePhase(sim.Millisecond, tr); err == nil || !strings.Contains(err.Error(), "unknown service") {
+		t.Fatalf("PreparePhase(unknown) err = %v, want unknown service", err)
 	}
 	if after := c.rawRouterStats(); after != before {
 		t.Errorf("unknown service moved router counters: before %+v, after %+v", before, after)
 	}
 }
 
-// TestRouteNoReadyReplica verifies the zero-ready-replica path: once
-// every node is dead the service is still known, so the packet counts
-// as sent and dropped and the error names the service.
-func TestRouteNoReadyReplica(t *testing.T) {
+// TestServeDeadFleet verifies the zero-ready-replica path: once every
+// node is dead the service is still known, so every packet of the
+// phase counts as sent and dropped.
+func TestServeDeadFleet(t *testing.T) {
 	cfg := DefaultConfig()
 	c, err := BuildCluster(cfg, testApp, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ph, err := c.PreparePhase(sim.Millisecond, DefaultTraffic(testApp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,22 +114,18 @@ func TestRouteNoReadyReplica(t *testing.T) {
 	}
 	// Let the monitor confirm both deaths; with no survivors the
 	// replicas stay unplaced and the ready set empties.
-	now := c.Now() + sim.Time(cfg.FailedAfter+2)*cfg.Heartbeat + 2*cfg.ReconfigTime
-	c.RunMonitorUntil(now)
+	c.RunMonitorUntil(c.Now() + sim.Time(cfg.FailedAfter+2)*cfg.Heartbeat + 2*cfg.ReconfigTime)
 	before := c.rawRouterStats()
-	d, err := c.Route(now, testApp, &ph.pkts[0])
-	if err == nil || !strings.Contains(err.Error(), "no live replica") {
-		t.Fatalf("Route(dead fleet) err = %v, want no live replica", err)
+	st, err := c.Serve(100*sim.Microsecond, DefaultTraffic(testApp))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !d.Dropped {
-		t.Errorf("Route(dead fleet) dispatch = %+v, want Dropped", d)
+	if st.Sent == 0 || st.Dropped != st.Sent || st.Served != 0 {
+		t.Errorf("dead fleet phase = %+v, want every packet sent and dropped", st)
 	}
 	after := c.rawRouterStats()
-	if after.Sent != before.Sent+1 || after.Dropped != before.Dropped+1 {
-		t.Errorf("drop not counted: before %+v, after %+v", before, after)
-	}
-	if after.Served != before.Served {
-		t.Errorf("dead fleet served a packet: before %+v, after %+v", before, after)
+	if after.Sent-before.Sent != st.Sent || after.Dropped-before.Dropped != st.Sent {
+		t.Errorf("drops not counted: before %+v, after %+v, phase %+v", before, after, st)
 	}
 }
 

@@ -105,8 +105,14 @@ type ChaosCase struct {
 	Registry *obs.Registry      `json:"-"`
 }
 
-// ChaosResult is the fleet5 report.
+// ChaosResult is the fleet5 report and the machine-readable artifact
+// (BENCH_chaos.json): a header, the storm and every case, the
+// acceptance gates pre-evaluated so CI can assert on the artifact
+// without re-deriving them, and the one-command repro line.
 type ChaosResult struct {
+	Experiment string `json:"experiment"` // always "fleet5"
+	App        string `json:"app"`
+
 	Devices  int   `json:"devices"`
 	RackSize int   `json:"rack_size"`
 	Seed     int64 `json:"seed"`
@@ -117,6 +123,29 @@ type ChaosResult struct {
 	StormEnd   sim.Time    `json:"storm_end_ps"`
 	Injections []string    `json:"injections"`
 	Cases      []ChaosCase `json:"cases"`
+
+	// The acceptance gates:
+	//   - BudgetBounded: every budgeted case kept concurrent PR loads
+	//     at or under the configured cap;
+	//   - UnbudgetedExceeds: the unbudgeted fleet blew past that cap
+	//     during the mass failover (the budget is load-bearing);
+	//   - NoTrafficAfterAlarm: under derived shedding no packet landed
+	//     on a node during a window it spent degraded.
+	BudgetBounded       bool `json:"budget_bounded"`
+	UnbudgetedExceeds   bool `json:"unbudgeted_exceeds"`
+	NoTrafficAfterAlarm bool `json:"no_traffic_after_alarm"`
+
+	// Repro rebuilds this exact report from the seed.
+	Repro string `json:"repro"`
+}
+
+// Failures names every fleet5 gate that did not hold.
+func (r *ChaosResult) Failures() []string {
+	return failedGates(
+		gate{"budget_bounded", r.BudgetBounded},
+		gate{"unbudgeted_exceeds", r.UnbudgetedExceeds},
+		gate{"no_traffic_after_alarm", r.NoTrafficAfterAlarm},
+	)
 }
 
 // chaosBackends is the drill's initial backend pool.
@@ -369,6 +398,7 @@ func ChaosDrill(opts DrillOptions) (*ChaosResult, error) {
 		return nil, err
 	}
 	res := &ChaosResult{
+		Experiment: "fleet5", App: chaosApp,
 		Devices: opts.Devices, RackSize: sched.Spec.RackSize,
 		Seed: opts.Seed, Budget: opts.Budget,
 		StormStart: sched.Spec.Start, StormEnd: sched.End(),
@@ -388,5 +418,18 @@ func ChaosDrill(opts DrillOptions) (*ChaosResult, error) {
 		}
 		res.Cases = append(res.Cases, *cc)
 	}
+	res.BudgetBounded = true
+	for _, c := range res.Cases {
+		switch {
+		case c.Budgeted && c.PeakConcurrentLoads > c.Budget:
+			res.BudgetBounded = false
+		case !c.Budgeted && c.PeakConcurrentLoads > res.Budget:
+			res.UnbudgetedExceeds = true
+		}
+		if c.DerivedShedding {
+			res.NoTrafficAfterAlarm = c.AlarmedNodePackets == 0
+		}
+	}
+	res.Repro = stormRepro("chaos", opts)
 	return res, nil
 }

@@ -101,8 +101,11 @@ type PreemptionPair struct {
 	FailoverStart sim.Time `json:"failover_start_ps"`
 }
 
-// CoResResult is the fleet8 report.
+// CoResResult is the fleet8 report and the machine-readable artifact
+// (BENCH_coresidency.json), gates and repro line included.
 type CoResResult struct {
+	Experiment string `json:"experiment"` // always "fleet8"
+
 	Devices  int   `json:"devices"`
 	RackSize int   `json:"rack_size"`
 	Seed     int64 `json:"seed"`
@@ -151,6 +154,32 @@ type CoResResult struct {
 	// registry for Prometheus export.
 	Metrics  map[string]float64 `json:"metrics,omitempty"`
 	Registry *obs.Registry      `json:"-"`
+
+	// The acceptance gates:
+	//   - SLOOrderHeld: every latency-critical service's availability
+	//     cleared its SLO, the bulk service's, and the fleet-wide
+	//     aggregate;
+	//   - ShedOrderHeld: at least one fully-banded window-node
+	//     observation, zero banded nodes serving bulk, and zero
+	//     latency-critical packets shed anywhere;
+	//   - FailoverPreempts: at least one failover PR load provably
+	//     started ahead of an earlier-requested elective, with the
+	//     concurrent-load cap intact.
+	SLOOrderHeld     bool `json:"slo_order_held"`
+	ShedOrderHeld    bool `json:"shed_order_held"`
+	FailoverPreempts bool `json:"failover_preempts"`
+
+	// Repro rebuilds this exact report from the seed.
+	Repro string `json:"repro"`
+}
+
+// Failures names every fleet8 gate that did not hold.
+func (r *CoResResult) Failures() []string {
+	return failedGates(
+		gate{"slo_order_held", r.SLOOrderHeld},
+		gate{"shed_order_held", r.ShedOrderHeld},
+		gate{"failover_preempts", r.FailoverPreempts},
+	)
 }
 
 // coresTraffics derives one window's deterministic per-service traffic.
@@ -236,7 +265,8 @@ func CoResidencyDrill(opts DrillOptions) (*CoResResult, error) {
 	}
 
 	res := &CoResResult{
-		Devices: opts.Devices, RackSize: sched.Spec.RackSize,
+		Experiment: "fleet8",
+		Devices:    opts.Devices, RackSize: sched.Spec.RackSize,
 		Seed: opts.Seed, Budget: opts.Budget, ScaleOut: scaleOut,
 		StormStart: sched.Spec.Start, StormEnd: sched.End(),
 		Injections: injections(sched),
@@ -387,5 +417,23 @@ func CoResidencyDrill(opts DrillOptions) (*CoResResult, error) {
 	}
 	res.Registry = c.Metrics()
 	res.Metrics = res.Registry.Values()
+
+	bulkAvail := 1.0
+	for _, s := range res.Services {
+		if s.Class == ClassBulk && s.Availability < bulkAvail {
+			bulkAvail = s.Availability
+		}
+	}
+	res.SLOOrderHeld = true
+	for _, s := range res.Services {
+		if s.Class == ClassLatencyCritical && (s.Availability < s.SLOAvailability ||
+			s.Availability < bulkAvail || s.Availability < res.FleetAvailability) {
+			res.SLOOrderHeld = false
+		}
+	}
+	res.ShedOrderHeld = res.ShedOrderProofs >= 1 && res.ShedOrderViolations == 0 && res.LCShed == 0
+	res.FailoverPreempts = res.LoadsPreempted >= 1 && len(res.PreemptionPairs) >= 1 &&
+		res.PeakConcurrentLoads <= res.Budget
+	res.Repro = stormRepro("coresidency", opts)
 	return res, nil
 }

@@ -282,8 +282,8 @@ func TestElectiveDrainAndPreemption(t *testing.T) {
 }
 
 // TestCoResidencyDrill runs the fleet8 drill at its tentpole
-// configuration and asserts every acceptance gate directly on the
-// fleet-level result.
+// configuration: every acceptance gate the result evaluates must hold,
+// and the evidence behind them must be real.
 func TestCoResidencyDrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet8 drill is seconds-long; skipped in -short")
@@ -292,51 +292,23 @@ func TestCoResidencyDrill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if f := res.Failures(); len(f) != 0 {
+		t.Errorf("gates failed: %v (services %+v, fleet %.6f, shed %d/%d/%d, preempted %d, pairs %d, peak %d/%d)",
+			f, res.Services, res.FleetAvailability, res.ShedOrderProofs, res.ShedOrderViolations,
+			res.LCShed, res.LoadsPreempted, len(res.PreemptionPairs), res.PeakConcurrentLoads, res.Budget)
+	}
 	if len(res.Services) != 3 {
 		t.Fatalf("drill ran %d services, want 3", len(res.Services))
 	}
-	var bulkAvail float64 = 1
 	for _, s := range res.Services {
 		if s.Sent == 0 || s.Served == 0 {
 			t.Errorf("service %s saw no traffic: %+v", s.Name, s)
 		}
-		if s.Class == ClassBulk && s.Availability < bulkAvail {
-			bulkAvail = s.Availability
-		}
-	}
-	for _, s := range res.Services {
-		if s.Class != ClassLatencyCritical {
-			continue
-		}
-		if s.Availability < s.SLOAvailability {
-			t.Errorf("lc service %s availability %.6f below SLO %.3f", s.Name, s.Availability, s.SLOAvailability)
-		}
-		if s.Availability < bulkAvail {
-			t.Errorf("lc service %s availability %.6f below bulk's %.6f", s.Name, s.Availability, bulkAvail)
-		}
-		if s.Availability < res.FleetAvailability {
-			t.Errorf("lc service %s availability %.6f below fleet-wide %.6f", s.Name, s.Availability, res.FleetAvailability)
-		}
-	}
-	if res.ShedOrderProofs < 1 {
-		t.Errorf("ShedOrderProofs = %d, want >= 1", res.ShedOrderProofs)
-	}
-	if res.ShedOrderViolations != 0 {
-		t.Errorf("ShedOrderViolations = %d, want 0: %+v", res.ShedOrderViolations, res.ShedObservations)
-	}
-	if res.LCShed != 0 {
-		t.Errorf("LCShed = %d latency-critical packets shed, want 0", res.LCShed)
-	}
-	if res.LoadsPreempted < 1 || len(res.PreemptionPairs) < 1 {
-		t.Errorf("preemption not proven: preempted=%d pairs=%d", res.LoadsPreempted, len(res.PreemptionPairs))
 	}
 	for _, p := range res.PreemptionPairs {
 		if p.ElectiveReqAt >= p.FailoverReqAt || p.FailoverStart >= p.ElectiveStart {
 			t.Errorf("invalid preemption pair: %+v", p)
 		}
-	}
-	if res.PeakConcurrentLoads > res.Budget {
-		t.Errorf("peak concurrent loads %d breached budget %d", res.PeakConcurrentLoads, res.Budget)
 	}
 	if res.Failovers == 0 {
 		t.Error("storm produced no failovers")

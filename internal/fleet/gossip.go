@@ -73,7 +73,7 @@ func (c *Cluster) gossipHeartbeat(now sim.Time) []Transition {
 	events := g.Tick(
 		func(i int) bool {
 			probed++
-			return c.gossipProbe(now, c.nodes[i])
+			return c.probe(now, c.nodes[i])
 		},
 		// A peer's digest reflects data-plane liveness: a killed device
 		// is dark on the LAN, a device with a corrupted command wire
@@ -107,29 +107,6 @@ func (c *Cluster) gossipHeartbeat(now sim.Time) []Transition {
 		c.ctrl.Add(e)
 	}
 	return c.transitions[before:]
-}
-
-// gossipProbe is one direct probe over the command path — the same
-// per-node body as the central sweep minus the failure decision, which
-// belongs to the detector.
-func (c *Cluster) gossipProbe(now sim.Time, n *Node) bool {
-	temp, err := n.Inst.CheckHealth()
-	if err != nil {
-		n.missed++
-		return false
-	}
-	n.missed = 0
-	n.lastTemp = temp
-	// CheckHealth already raised the thermal irq if over threshold; the
-	// handler degraded the node. Here we also detect recovery.
-	if temp < c.cfg.DegradeMilliC && n.state == Degraded {
-		c.setState(now, n, Healthy, "temperature recovered")
-	}
-	n.probes++
-	if c.cfg.MigrateFlows && len(n.stateful) > 0 && n.probes%c.snapshotEvery() == 0 {
-		c.snapshotNode(now, n)
-	}
-	return true
 }
 
 // InjectGossipSuspicion plants a (possibly false) suspicion of a node

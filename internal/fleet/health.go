@@ -172,28 +172,8 @@ func (c *Cluster) Heartbeat(now sim.Time) []Transition {
 			continue
 		}
 		probed++
-		temp, err := n.Inst.CheckHealth()
-		if err != nil {
-			n.missed++
-			if n.missed >= c.cfg.FailedAfter {
-				c.failNode(now, n, fmt.Sprintf("%d consecutive missed heartbeats", n.missed))
-			}
-			continue
-		}
-		n.missed = 0
-		n.lastTemp = temp
-		// CheckHealth already raised the thermal irq if over threshold;
-		// the handler degraded the node. Here we also detect recovery.
-		if temp < c.cfg.DegradeMilliC && n.state == Degraded {
-			c.setState(now, n, Healthy, "temperature recovered")
-		}
-		// A responsive probe also refreshes the node's periodic
-		// connection-table snapshots — the state dead-node failover
-		// falls back to. A node that stops answering keeps its last
-		// capture, which is exactly the staleness the fallback carries.
-		n.probes++
-		if c.cfg.MigrateFlows && len(n.stateful) > 0 && n.probes%c.snapshotEvery() == 0 {
-			c.snapshotNode(now, n)
+		if !c.probe(now, n) && n.missed >= c.cfg.FailedAfter {
+			c.failNode(now, n, fmt.Sprintf("%d consecutive missed heartbeats", n.missed))
 		}
 	}
 	if c.ctrl != nil {
@@ -204,6 +184,33 @@ func (c *Cluster) Heartbeat(now sim.Time) []Transition {
 	}
 	c.barrierTail(now)
 	return c.transitions[before:]
+}
+
+// probe is one direct health probe over the command path, shared by the
+// central sweep and the gossip detector; the failure decision stays
+// with the caller. It reports whether the node answered.
+func (c *Cluster) probe(now sim.Time, n *Node) bool {
+	temp, err := n.Inst.CheckHealth()
+	if err != nil {
+		n.missed++
+		return false
+	}
+	n.missed = 0
+	n.lastTemp = temp
+	// CheckHealth already raised the thermal irq if over threshold; the
+	// handler degraded the node. Here we also detect recovery.
+	if temp < c.cfg.DegradeMilliC && n.state == Degraded {
+		c.setState(now, n, Healthy, "temperature recovered")
+	}
+	// A responsive probe also refreshes the node's periodic
+	// connection-table snapshots — the state dead-node failover falls
+	// back to. A node that stops answering keeps its last capture, which
+	// is exactly the staleness the fallback carries.
+	n.probes++
+	if c.cfg.MigrateFlows && len(n.stateful) > 0 && n.probes%c.snapshotEvery() == 0 {
+		c.snapshotNode(now, n)
+	}
+	return true
 }
 
 // barrierTail is the serial end-of-barrier work both heartbeat paths

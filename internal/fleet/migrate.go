@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"harmonia/internal/apps"
@@ -387,20 +386,46 @@ type MigrationCase struct {
 	RecoveryTime sim.Time `json:"recovery_ps"`
 }
 
-// MigrationDrillResult reports the fleet4 drill: the same deterministic
-// failover run cold and with migration, against the consistent-hashing
-// disruption bound.
+// migrateDevices is the fleet4 drill size: big enough for real
+// failover choices, small enough for CI's bench-smoke job.
+const migrateDevices = 3
+
+// MigrationDrillResult reports the fleet4 drill — the same
+// deterministic failover run cold and with migration, against the
+// consistent-hashing disruption bound — and is the machine-readable
+// artifact (BENCH_migrate.json), gates included.
 type MigrationDrillResult struct {
-	Devices  int
-	Backends int
-	Killed   string
+	Experiment string `json:"experiment"` // always "fleet4"
+	App        string `json:"app"`
+	Devices    int    `json:"devices"`
+	Backends   int    `json:"backends"`
+	Killed     string `json:"killed"`
 	// MaglevBound is the pool-change disruption floor: the fraction of
 	// the hash table the mid-run backend drain remapped. A cold restart
 	// re-hashes established flows at this rate; migration must beat it.
-	MaglevBound    float64
-	Cold, Migrated MigrationCase
-	Records        []MigrationRecord
-	Transitions    []Transition
+	MaglevBound float64       `json:"maglev_bound"`
+	Cold        MigrationCase `json:"cold"`
+	Migrated    MigrationCase `json:"migrated"`
+
+	// The acceptance gates: the migrated failover disrupted strictly
+	// fewer flows than the cold one, and no more than the pool change
+	// itself forced.
+	StrictlyFewer bool `json:"strictly_fewer"`
+	WithinBound   bool `json:"within_bound"`
+
+	// Repro rebuilds this report; the fleet4 artifact does not carry it.
+	Repro string `json:"-"`
+
+	// Records are the migrated case's flow-table migrations.
+	Records []MigrationRecord `json:"-"`
+}
+
+// Failures names every fleet4 gate that did not hold.
+func (r *MigrationDrillResult) Failures() []string {
+	return failedGates(
+		gate{"strictly_fewer", r.StrictlyFewer},
+		gate{"within_bound", r.WithinBound},
+	)
 }
 
 // migrationBackends is the drill's initial backend pool.
@@ -417,26 +442,28 @@ func migrationBackends() []net.IPAddr {
 // pinned under — the condition that makes a cold restart disruptive),
 // kills the most loaded node and measures how many established flows
 // changed backend.
-func runMigrationCase(cfg Config, n int, t Traffic, migrate bool) (*MigrationCase, *Cluster, string, float64, error) {
+func runMigrationCase(migrate bool) (*MigrationCase, *Cluster, string, float64, error) {
+	cfg := DefaultConfig()
 	cfg.MigrateFlows = migrate
 	// The drill's serving phases are short relative to the heartbeat, so
 	// snapshot on every other probe — with the production cadence the
 	// victim could die before its first post-traffic capture.
 	cfg.SnapshotEvery = 2
-	info, err := apps.Lookup("layer4-lb")
+	info, err := apps.Lookup(chaosApp)
 	if err != nil {
 		return nil, nil, "", 0, err
 	}
-	svc := AppService(info, n, net.IPv4(20, 0, 0, 1))
+	svc := AppService(info, migrateDevices, net.IPv4(20, 0, 0, 1))
 	svc.Stateful = true
 	svc.Backends = migrationBackends()
-	c, err := BuildServiceCluster(cfg, svc, n)
+	c, err := BuildServiceCluster(cfg, svc, migrateDevices)
 	if err != nil {
 		return nil, nil, "", 0, err
 	}
 	c.RunMonitorUntil(cfg.ReconfigTime * 2)
 
 	// Establish flows across the fleet.
+	t := DefaultTraffic(chaosApp)
 	if _, err := c.Serve(300*sim.Microsecond, t); err != nil {
 		return nil, nil, "", 0, err
 	}
@@ -449,42 +476,14 @@ func runMigrationCase(cfg Config, n int, t Traffic, migrate bool) (*MigrationCas
 	}
 	bound := oldPool.Disruption(c.pools[svc.Name])
 
-	// Kill the most loaded node (lowest ID breaks ties) — the same
-	// victim in both cases, since both run the same seeds.
-	nodes := c.Nodes()
-	sort.Slice(nodes, func(i, j int) bool {
-		if li, lj := len(nodes[i].replicas), len(nodes[j].replicas); li != lj {
-			return li > lj
-		}
-		return nodes[i].ID < nodes[j].ID
-	})
-	victim := nodes[0]
+	// Kill the most loaded node — the same victim in both cases, since
+	// both run the same seeds — and serve through detection and
+	// re-placement.
+	victim := mostLoaded(c)
 	established := flowPins(victim.Replicas())
-	faultAt := c.Now()
-	if err := c.Kill(victim.ID); err != nil {
+	faultAt, report, err := c.killAndDetect(victim, t)
+	if err != nil {
 		return nil, nil, "", 0, err
-	}
-
-	// Serve through detection and re-placement.
-	cohorts := cfg.HeartbeatCohorts
-	if cohorts < 1 {
-		cohorts = 1
-	}
-	detectBudget := sim.Time((cfg.FailedAfter+2)*cohorts)*cfg.Heartbeat + 2*cfg.ReconfigTime
-	mid := t
-	mid.Seed = t.Seed + 100
-	if _, err := c.Serve(detectBudget, mid); err != nil {
-		return nil, nil, "", 0, err
-	}
-	var report *FailoverReport
-	for i := range c.failovers {
-		if c.failovers[i].Node == victim.ID {
-			report = &c.failovers[i]
-			break
-		}
-	}
-	if report == nil {
-		return nil, nil, "", 0, fmt.Errorf("fleet: %s was never declared failed", victim.ID)
 	}
 
 	// Measure: where does each of the victim's established flows land
@@ -508,19 +507,16 @@ func runMigrationCase(cfg Config, n int, t Traffic, migrate bool) (*MigrationCas
 	return mc, c, victim.ID, bound, nil
 }
 
-// MigrationDrill runs the fleet4 experiment: the identical seeded
-// failover twice — cold (connection tables die with the node) and with
-// live migration — and reports each side's flow disruption against the
-// Maglev re-hash bound.
-func MigrationDrill(cfg Config, n int, t Traffic) (*MigrationDrillResult, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("fleet: migration drill needs at least 2 devices, got %d", n)
-	}
-	cold, _, killedCold, bound, err := runMigrationCase(cfg, n, t, false)
+// MigrationDrill runs the fleet4 experiment on a migrateDevices-node
+// stateful layer-4 LB fleet: the identical seeded failover twice — cold
+// (connection tables die with the node) and with live migration — and
+// judges each side's flow disruption against the Maglev re-hash bound.
+func MigrationDrill() (*MigrationDrillResult, error) {
+	cold, _, killedCold, bound, err := runMigrationCase(false)
 	if err != nil {
 		return nil, err
 	}
-	mig, c, killed, _, err := runMigrationCase(cfg, n, t, true)
+	mig, c, killed, _, err := runMigrationCase(true)
 	if err != nil {
 		return nil, err
 	}
@@ -528,10 +524,13 @@ func MigrationDrill(cfg Config, n int, t Traffic) (*MigrationDrillResult, error)
 		return nil, fmt.Errorf("fleet: drill cases diverged (%s vs %s killed)", killedCold, killed)
 	}
 	return &MigrationDrillResult{
-		Devices: n, Backends: len(migrationBackends()), Killed: killed,
+		Experiment: "fleet4", App: chaosApp,
+		Devices: migrateDevices, Backends: len(migrationBackends()), Killed: killed,
 		MaglevBound: bound,
 		Cold:        *cold, Migrated: *mig,
-		Records:     c.Migrations(),
-		Transitions: c.Transitions(),
+		StrictlyFewer: mig.Disrupted < cold.Disrupted,
+		WithinBound:   mig.Disruption <= bound,
+		Repro:         "go run ./cmd/harmonia-fleet -scenario migrate",
+		Records:       c.Migrations(),
 	}, nil
 }

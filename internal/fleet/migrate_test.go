@@ -196,7 +196,7 @@ func TestClusterRemoveBackendEvicts(t *testing.T) {
 }
 
 func TestMigrationDrillBeatsColdRestart(t *testing.T) {
-	d, err := MigrationDrill(DefaultConfig(), 3, DefaultTraffic(testApp))
+	d, err := MigrationDrill()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,16 +210,12 @@ func TestMigrationDrillBeatsColdRestart(t *testing.T) {
 	// The headline: cold restart re-hashes established flows at the
 	// pool-change rate; migration carries pins across, disrupting
 	// strictly fewer and staying within the Maglev re-hash bound.
-	if d.Cold.Disrupted <= d.Migrated.Disrupted {
-		t.Errorf("cold disrupted %d flows, migrated %d — migration must be strictly better",
-			d.Cold.Disrupted, d.Migrated.Disrupted)
+	if f := d.Failures(); len(f) != 0 {
+		t.Errorf("gates failed: %v (cold disrupted %d, migrated %d at %.4f, bound %.4f)",
+			f, d.Cold.Disrupted, d.Migrated.Disrupted, d.Migrated.Disruption, d.MaglevBound)
 	}
 	if d.MaglevBound <= 0 {
 		t.Errorf("maglev bound = %v, want > 0 after a backend drain", d.MaglevBound)
-	}
-	if d.Migrated.Disruption > d.MaglevBound {
-		t.Errorf("migrated disruption %.4f above maglev bound %.4f",
-			d.Migrated.Disruption, d.MaglevBound)
 	}
 	if d.Migrated.FlowsCarried == 0 {
 		t.Error("migrated case carried no flows")

@@ -4,61 +4,51 @@ import (
 	"testing"
 
 	"harmonia/internal/obs"
-	"harmonia/internal/sim"
 )
 
-// benchRouteSetup builds a serving fleet and a prepared workload for
-// the routed-packet hot path, with replicas already past ReadyAt.
-func benchRouteSetup(b *testing.B) (*Cluster, *Phase, sim.Time) {
-	b.Helper()
-	c, err := BuildCluster(DefaultConfig(), testApp, 8, 8)
+// benchRoutedPacket measures the routed-packet path: each iteration
+// prepares one heartbeat window of traffic outside the timer and runs it
+// inside, so the timed work is dispatch plus that window's barrier. It
+// reports ns/pkt over every packet the windows offered. trace, when
+// set, attaches a recorder first.
+func benchRoutedPacket(b *testing.B, trace *obs.Recorder) {
+	cfg := DefaultConfig()
+	c, err := BuildCluster(cfg, testApp, 8, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ph, err := c.PreparePhase(sim.Millisecond, DefaultTraffic(testApp))
-	if err != nil {
-		b.Fatal(err)
+	if trace != nil {
+		c.SetTrace(trace.Process("bench"))
 	}
-	now := 2 * c.Config().ReconfigTime
-	c.advance(now)
-	return c, ph, now
-}
-
-// BenchmarkRoutedPacket measures the dispatch hot path with tracing
-// detached — the default state. The acceptance bar is zero allocations
-// and no regression against the pre-observability router.
-func BenchmarkRoutedPacket(b *testing.B) {
-	c, ph, now := benchRouteSetup(b)
+	c.RunMonitorUntil(2 * cfg.ReconfigTime)
+	t := DefaultTraffic(testApp)
+	var pkts int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Route(now, testApp, &ph.pkts[i%len(ph.pkts)])
+		b.StopTimer()
+		ph, err := c.PreparePhase(cfg.Heartbeat, t)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pkts += ph.Packets()
+		b.StartTimer()
+		if _, err := ph.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(pkts, 1)), "ns/pkt")
 }
+
+// BenchmarkRoutedPacket measures the dispatch hot path with tracing
+// detached — the default state.
+func BenchmarkRoutedPacket(b *testing.B) { benchRoutedPacket(b, nil) }
 
 // BenchmarkRoutedPacketTraced measures the same path with a flight
 // recorder attached (sampling divisor 1, every packet records into the
 // bounded ring) — the worst-case tracing overhead.
-func BenchmarkRoutedPacketTraced(b *testing.B) {
-	c, ph, now := benchRouteSetup(b)
-	rec := obs.NewFlightRecorder(4096)
-	c.SetTrace(rec.Process("bench"))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Route(now, testApp, &ph.pkts[i%len(ph.pkts)])
-	}
-}
+func BenchmarkRoutedPacketTraced(b *testing.B) { benchRoutedPacket(b, obs.NewFlightRecorder(4096)) }
 
 // BenchmarkRoutedPacketSampled measures the full-recorder default:
 // 1-in-64 packet sampling, unbounded buffers.
-func BenchmarkRoutedPacketSampled(b *testing.B) {
-	c, ph, now := benchRouteSetup(b)
-	rec := obs.NewRecorder()
-	c.SetTrace(rec.Process("bench"))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Route(now, testApp, &ph.pkts[i%len(ph.pkts)])
-	}
-}
+func BenchmarkRoutedPacketSampled(b *testing.B) { benchRoutedPacket(b, obs.NewRecorder()) }

@@ -30,54 +30,124 @@ const rebalWindowDur = 100 * sim.Microsecond
 // before the rebalancer starts.
 const rebalChurnRounds = 4
 
+// coldRestartDisruptionBound is the fleet4 cold-restart disruption
+// baseline (BENCH_migrate.json: cold.disruption = 0.1220). A rebalance
+// source killed mid-move must degrade no worse than a fleet that never
+// migrated at all.
+const coldRestartDisruptionBound = 0.122
+
 // RebalanceCase is one run of the drill under one fault scenario.
 type RebalanceCase struct {
-	Name    string
-	Windows int
-	Budget  int
+	Name    string `json:"name"`
+	Windows int    `json:"windows"`
+	Budget  int    `json:"budget"`
 	// Armed lists the migration faults latched before the run.
-	Armed []string
+	Armed []string `json:"armed,omitempty"`
 
-	// FragBefore/FragAfter are the fleet fragmentation scores at the
+	// The fleet fragmentation score and stranded host queues at the
 	// rebalancer's start and end — the planned case must strictly
 	// decrease the score.
-	FragBefore, FragAfter FragmentationStats
+	FragScoreBefore float64 `json:"frag_score_before"`
+	FragScoreAfter  float64 `json:"frag_score_after"`
+	StrandedBefore  int     `json:"stranded_queues_before"`
+	StrandedAfter   int     `json:"stranded_queues_after"`
+
+	// The rebalancer's rebuild and move counters.
+	QueuesReclaimed int `json:"queues_reclaimed"`
+	Rebuilds        int `json:"rebuilds"`
+	MovesPlanned    int `json:"moves_planned"`
+	MovesDone       int `json:"moves_done"`
+	MovesAborted    int `json:"moves_aborted"`
+	Retries         int `json:"retries"`
 
 	// Flow disruption against the pre-rebalance pins: of the flows
 	// established before the rebalancer started, how many land on a
 	// different backend after it.
-	Established, Disrupted int
-	Disruption             float64
+	Established int     `json:"established_flows"`
+	Disrupted   int     `json:"disrupted_flows"`
+	Disruption  float64 `json:"disruption"`
 
-	// Stats are the rebalancer's move and rebuild counters; Records
-	// every migration (rebalance moves carry PlannedAt > 0, failover
-	// evacuations do not).
-	Stats   RebalanceStats
-	Records []MigrationRecord
-
-	// Budget evidence.
-	PeakConcurrentLoads int
-	LoadsPreempted      int
-	PreemptionPairs     []PreemptionPair
+	// Budget evidence: PreemptionPairs counts the grant-log pairs where
+	// a failover started ahead of an earlier-requested move.
+	PeakConcurrentLoads int `json:"peak_concurrent_loads"`
+	LoadsPreempted      int `json:"loads_preempted"`
+	PreemptionPairs     int `json:"preemption_pairs"`
 
 	// Failovers counts node evacuations during the rebalance phase;
-	// SnapshotMigrations of the migrations took the periodic-snapshot
+	// SnapshotFallbacks of the migrations took the periodic-snapshot
 	// fallback (the kill-source degradation path).
-	Failovers          int
-	SnapshotMigrations int
+	Failovers         int `json:"failovers"`
+	SnapshotFallbacks int `json:"snapshot_fallbacks"`
 
-	// Metrics is the end-of-run registry snapshot; Registry the live
-	// registry for Prometheus export.
-	Metrics  map[string]float64
-	Registry *obs.Registry
+	// Records carries every rebalance move's migration record (per-phase
+	// timestamps, row accounting, retries, abort flag); failover
+	// evacuations during the case ride along with PlannedAt == 0.
+	Records []MigrationRecord `json:"records"`
+
+	// Registry is the end-of-run registry for Prometheus export.
+	Registry *obs.Registry `json:"-"`
 }
 
-// RebalanceDrillResult is the fleet9 report.
+// movesClean reports whether every completed rebalance move in the case
+// restored exactly what it carried.
+func (cc *RebalanceCase) movesClean() bool {
+	for _, m := range cc.Records {
+		if m.PlannedAt == 0 || m.Aborted {
+			continue
+		}
+		if m.Dropped != 0 || m.Restored != m.Flows {
+			return false
+		}
+	}
+	return true
+}
+
+// RebalanceDrillResult is the fleet9 report and the machine-readable
+// artifact (BENCH_rebalance.json), gates and repro line included.
 type RebalanceDrillResult struct {
-	Devices int
-	Seed    int64
-	Budget  int
-	Cases   []RebalanceCase
+	Experiment string `json:"experiment"` // always "fleet9"
+	App        string `json:"app"`
+	Devices    int    `json:"devices"`
+	Seed       int64  `json:"seed"`
+	Budget     int    `json:"budget"`
+
+	// ColdRestartBound is the fleet4 cold-restart disruption baseline
+	// the kill-source case is judged against.
+	ColdRestartBound float64 `json:"cold_restart_bound"`
+
+	Cases []RebalanceCase `json:"cases"`
+
+	// The acceptance gates:
+	//   - CarriesAllFlows: the planned cycle completed moves, every
+	//     completed move restored exactly the rows it carried (pre-copy
+	//     + delta, nothing dropped), the injected faults were absorbed
+	//     by retries, and disruption is exactly zero;
+	//   - FragDecreases: the planned cycle strictly decreased the
+	//     fragmentation score and rebuilt at least one node;
+	//   - FaultedWithinBound: the kill-source case aborted the move,
+	//     fell back to snapshot failover, and stayed within the
+	//     cold-restart disruption bound without ever exceeding the
+	//     PR-load cap;
+	//   - FailoverPreempts: at budget 1, the concurrent failover's grant
+	//     jumped ahead of a move planned earlier (grant-log pairs exist)
+	//     and the cap held.
+	CarriesAllFlows    bool `json:"carries_all_flows"`
+	FragDecreases      bool `json:"frag_decreases"`
+	FaultedWithinBound bool `json:"faulted_within_bound"`
+	FailoverPreempts   bool `json:"failover_preempts"`
+
+	// Repro rebuilds this exact report from the seed.
+	Repro string `json:"repro"`
+}
+
+// Failures names every fleet9 gate that did not hold.
+func (r *RebalanceDrillResult) Failures() []string {
+	return failedGates(
+		gate{"carries_all_flows", r.CarriesAllFlows},
+		gate{"frag_decreases", r.FragDecreases},
+		gate{"faulted_within_bound", r.FaultedWithinBound},
+		gate{"failover_preempts", r.FailoverPreempts},
+	)
 }
 
 // rebalanceCaseSpec fixes one case's windows, budget and fault plan.
@@ -193,7 +263,8 @@ func runRebalanceCase(opts DrillOptions, spec rebalanceCaseSpec) (*RebalanceCase
 	pins := flowPins(c.Replicas())
 
 	cc := &RebalanceCase{Name: spec.name, Windows: spec.windows, Budget: spec.budget}
-	cc.FragBefore = c.Fragmentation()
+	before := c.Fragmentation()
+	cc.FragScoreBefore, cc.StrandedBefore = before.Score, before.StrandedQueues
 	c.SetLoadBudget(spec.budget)
 	c.SetRebalance(true)
 	for _, kind := range spec.arm {
@@ -220,13 +291,16 @@ func runRebalanceCase(opts DrillOptions, spec rebalanceCaseSpec) (*RebalanceCase
 		}
 	}
 	c.SetRebalance(false)
-	cc.FragAfter = c.Fragmentation()
-	cc.Stats = c.RebalanceStats()
+	after := c.Fragmentation()
+	cc.FragScoreAfter, cc.StrandedAfter = after.Score, after.StrandedQueues
+	st := c.RebalanceStats()
+	cc.QueuesReclaimed, cc.Rebuilds, cc.Retries = st.QueuesReclaimed, st.Rebuilds, st.Retries
+	cc.MovesPlanned, cc.MovesDone, cc.MovesAborted = st.MovesPlanned, st.MovesDone, st.MovesAborted
 	cc.Records = c.Migrations()
 	cc.Failovers = len(c.Failovers()) - preFailovers
 	for _, m := range cc.Records {
 		if !m.Live {
-			cc.SnapshotMigrations++
+			cc.SnapshotFallbacks++
 		}
 	}
 
@@ -245,11 +319,10 @@ func runRebalanceCase(opts DrillOptions, spec rebalanceCaseSpec) (*RebalanceCase
 	}
 
 	// Preemption evidence from the grant log.
-	cc.PreemptionPairs = preemptionPairs(c.LoadEvents())
+	cc.PreemptionPairs = len(preemptionPairs(c.LoadEvents()))
 	cc.LoadsPreempted = c.LoadsPreempted()
 	cc.PeakConcurrentLoads = c.LoadBudgetPeak()
 	cc.Registry = c.Metrics()
-	cc.Metrics = cc.Registry.Values()
 	return cc, nil
 }
 
@@ -272,13 +345,31 @@ func RebalanceDrill(opts DrillOptions) (*RebalanceDrillResult, error) {
 			killUnrelatedAt: -1},
 		{name: "preempt", windows: 150, budget: 1, killUnrelatedAt: 6},
 	}
-	res := &RebalanceDrillResult{Devices: opts.Devices, Seed: opts.Seed, Budget: opts.Budget}
+	res := &RebalanceDrillResult{
+		Experiment: "fleet9", App: chaosApp,
+		Devices: opts.Devices, Seed: opts.Seed, Budget: opts.Budget,
+		ColdRestartBound: coldRestartDisruptionBound,
+		Repro: fmt.Sprintf("go run ./cmd/harmonia-fleet -scenario rebalance -devices %d -budget %d -seed %d",
+			opts.Devices, opts.Budget, opts.Seed),
+	}
 	for _, spec := range specs {
 		cc, err := runRebalanceCase(opts, spec)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: rebalance case %s: %w", spec.name, err)
 		}
 		res.Cases = append(res.Cases, *cc)
+		switch cc.Name {
+		case "planned":
+			res.CarriesAllFlows = cc.MovesDone >= 1 && cc.Disrupted == 0 &&
+				cc.Retries >= len(cc.Armed) && cc.movesClean()
+			res.FragDecreases = cc.FragScoreAfter < cc.FragScoreBefore && cc.Rebuilds >= 1
+		case "kill-source":
+			res.FaultedWithinBound = cc.MovesAborted >= 1 && cc.SnapshotFallbacks >= 1 &&
+				cc.Disruption <= coldRestartDisruptionBound && cc.PeakConcurrentLoads <= cc.Budget
+		case "preempt":
+			res.FailoverPreempts = cc.PreemptionPairs >= 1 && cc.LoadsPreempted >= 1 &&
+				cc.PeakConcurrentLoads <= cc.Budget
+		}
 	}
 	return res, nil
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"math/rand"
 
 	"harmonia/internal/metrics"
@@ -255,15 +254,6 @@ func (r *router) freeze() {
 	r.c.rackRefresh(r.c.now)
 }
 
-// Dispatch is the outcome of routing one packet.
-type Dispatch struct {
-	Replica *Replica
-	Node    string
-	Queue   int
-	Done    sim.Time
-	Dropped bool
-}
-
 // candidates lists the service's dispatchable replicas at now by
 // scanning every replica: placed, reconfiguration complete, device
 // serving traffic. This is the naive O(replicas) scan the replica
@@ -487,79 +477,6 @@ func (r *router) dispatchShard(si *svcIndex, h uint64) int {
 	default:
 		return b
 	}
-}
-
-// Route dispatches one packet of a service's traffic across the fleet
-// through the same batched machinery Serve's workers run: the flow
-// hashes onto a router shard, the cached candidate pair competes on
-// the SoA cost view, and the packet crosses the chosen device.
-// Unknown services are rejected before any counter moves; a known
-// service with zero ready replicas counts a drop.
-func (c *Cluster) Route(now sim.Time, svc string, p *net.Packet) (Dispatch, error) {
-	c.advance(now)
-	if _, known := c.services[svc]; !known {
-		return Dispatch{Dropped: true}, fmt.Errorf("fleet: unknown service %q", svc)
-	}
-	r := c.router
-	r.freeze()
-	r.idx.mature(now)
-	si := r.idx.svc(svc)
-	if len(si.active) == 0 {
-		sh := r.shards[0]
-		sh.sent++
-		sh.dropped++
-		si.stats[0].sent++
-		si.stats[0].dropped++
-		if sh.trace != nil {
-			sh.traceDrop(now, "")
-		}
-		return Dispatch{Dropped: true}, fmt.Errorf("fleet: no live replica of %s", svc)
-	}
-	h := p.Flow().Hash()
-	s := r.dispatchShard(si, h)
-	sh := r.shards[s]
-	d := r.refreshDisp(si, s)
-	st := &si.stats[s]
-	sh.sent++
-	st.sent++
-	res := c.routeCached(sh, d, h, now, p)
-	if !res.served {
-		sh.dropped++
-		st.dropped++
-		if res.node == nil {
-			// Class shedding emptied this shard's view: every ready
-			// replica sits on a node past the bulk-shed line.
-			st.shed++
-			if sh.trace != nil {
-				sh.traceDrop(now, "")
-			}
-			return Dispatch{Dropped: true}, fmt.Errorf("fleet: %s shed from all shard replicas", svc)
-		}
-		if sh.trace != nil {
-			sh.traceDrop(now, res.node.ID)
-		}
-		// done is 0 only on the steering-drop path: a tail drop still
-		// carries the wire arrival time.
-		if res.done == 0 {
-			return Dispatch{Replica: res.rep, Node: res.node.ID, Dropped: true},
-				fmt.Errorf("fleet: steering unresolved for %s on %s", svc, res.node.ID)
-		}
-		return Dispatch{Replica: res.rep, Node: res.node.ID, Queue: int(res.queue), Dropped: true}, nil
-	}
-	sh.served++
-	st.served++
-	if res.healthy {
-		sh.healthy++
-		st.healthy++
-	}
-	sh.bytes += int64(p.WireBytes)
-	st.bytes += int64(p.WireBytes)
-	sh.hist.Add(res.done - now)
-	st.hist.Add(res.done - now)
-	if sh.trace != nil {
-		sh.tracePacket(now, res.done, res.node.ID, int64(p.WireBytes))
-	}
-	return Dispatch{Replica: res.rep, Node: res.node.ID, Queue: int(res.queue), Done: res.done}, nil
 }
 
 // RouterSnapshot is the router's cumulative view. HealthyServed counts

@@ -764,43 +764,10 @@ func KillDrill(cfg Config, appName string, n int, t Traffic) (*DrillResult, erro
 		return nil, err
 	}
 
-	// Kill the device hosting the most replicas (lowest ID breaks ties).
-	nodes := c.Nodes()
-	sort.Slice(nodes, func(i, j int) bool {
-		if li, lj := len(nodes[i].replicas), len(nodes[j].replicas); li != lj {
-			return li > lj
-		}
-		return nodes[i].ID < nodes[j].ID
-	})
-	victim := nodes[0]
-	faultAt := c.Now()
-	if err := c.Kill(victim.ID); err != nil {
+	victim := mostLoaded(c)
+	faultAt, report, err := c.killAndDetect(victim, t)
+	if err != nil {
 		return nil, err
-	}
-
-	// Serve through detection + reconfiguration: the router sheds load
-	// to the survivors while the monitor counts missed heartbeats. With
-	// cohort heartbeats the victim is only probed every C-th tick, so
-	// the detection budget scales with the cohort count.
-	cohorts := cfg.HeartbeatCohorts
-	if cohorts < 1 {
-		cohorts = 1
-	}
-	detectBudget := sim.Time((cfg.FailedAfter+2)*cohorts)*cfg.Heartbeat + 2*cfg.ReconfigTime
-	mid := t
-	mid.Seed = t.Seed + 100
-	if _, err := c.Serve(detectBudget, mid); err != nil {
-		return nil, err
-	}
-	var report *FailoverReport
-	for i := range c.failovers {
-		if c.failovers[i].Node == victim.ID {
-			report = &c.failovers[i]
-			break
-		}
-	}
-	if report == nil {
-		return nil, fmt.Errorf("fleet: %s was never declared failed", victim.ID)
 	}
 
 	post := t
@@ -818,4 +785,42 @@ func KillDrill(cfg Config, appName string, n int, t Traffic) (*DrillResult, erro
 		Pre: pre, Post: postStats,
 		Transitions: c.Transitions(),
 	}, nil
+}
+
+// mostLoaded picks the device hosting the most replicas (lowest ID
+// breaks ties): the victim the kill and migration drills fail.
+func mostLoaded(c *Cluster) *Node {
+	nodes := c.Nodes()
+	sort.Slice(nodes, func(i, j int) bool {
+		if li, lj := len(nodes[i].replicas), len(nodes[j].replicas); li != lj {
+			return li > lj
+		}
+		return nodes[i].ID < nodes[j].ID
+	})
+	return nodes[0]
+}
+
+// killAndDetect silently kills victim now and serves t, reseeded,
+// through detection and reconfiguration: the router sheds load to the
+// survivors while the monitor counts missed heartbeats. With cohort
+// heartbeats the victim is only probed every C-th tick, so the
+// detection budget scales with the cohort count. It returns the fault
+// time and the victim's failover report.
+func (c *Cluster) killAndDetect(victim *Node, t Traffic) (sim.Time, FailoverReport, error) {
+	faultAt := c.Now()
+	if err := c.Kill(victim.ID); err != nil {
+		return 0, FailoverReport{}, err
+	}
+	detectBudget := sim.Time((c.cfg.FailedAfter+2)*c.cohorts())*c.cfg.Heartbeat + 2*c.cfg.ReconfigTime
+	mid := t
+	mid.Seed = t.Seed + 100
+	if _, err := c.Serve(detectBudget, mid); err != nil {
+		return 0, FailoverReport{}, err
+	}
+	for _, f := range c.failovers {
+		if f.Node == victim.ID {
+			return faultAt, f, nil
+		}
+	}
+	return 0, FailoverReport{}, fmt.Errorf("fleet: %s was never declared failed", victim.ID)
 }

@@ -60,56 +60,110 @@ type SLOServiceResult struct {
 	Resolves int64 `json:"resolves"`
 }
 
-// SLOResult is the fleet10 report.
+// SLOCause is one ranked attribution inside a postmortem.
+type SLOCause struct {
+	Kind      string   `json:"kind"`
+	Count     int      `json:"count"`
+	Scheduled bool     `json:"scheduled"`
+	First     sim.Time `json:"first_ps"`
+	Last      sim.Time `json:"last_ps"`
+	Example   string   `json:"example"`
+}
+
+// SLOPostmortem is one firing's causal attribution.
+type SLOPostmortem struct {
+	Service     string            `json:"service"`
+	Severity    obs.AlertSeverity `json:"severity"`
+	FiringAt    sim.Time          `json:"firing_at_ps"`
+	WindowStart sim.Time          `json:"window_start_ps"`
+	WindowEnd   sim.Time          `json:"window_end_ps"`
+	// Attributed marks a firing with at least one scheduled-fault cause.
+	Attributed bool       `json:"attributed"`
+	Causes     []SLOCause `json:"causes"`
+}
+
+// SLOResult is the fleet10 report and the machine-readable artifact
+// (BENCH_slo.json), gates and repro line included.
 type SLOResult struct {
-	Devices  int
-	RackSize int
-	Seed     int64
-	Budget   int
+	Experiment string `json:"experiment"` // always "fleet10"
+	Devices    int    `json:"devices"`
+	RackSize   int    `json:"rack_size"`
+	Seed       int64  `json:"seed"`
+	Budget     int    `json:"budget"`
 
-	StormStart, StormEnd sim.Time
-	Injections           []string
-	Windows              []obs.SLOWindow
-	Rules                []obs.BurnRule
+	StormStart sim.Time `json:"storm_start_ps"`
+	StormEnd   sim.Time `json:"storm_end_ps"`
+	Injections []string `json:"injections"`
+	// Windows are the rolling error-budget windows ("2t" = 2 heartbeat
+	// ticks), Rules the burn-rate alert rules derived per service.
+	Windows []string `json:"windows"`
+	Rules   []string `json:"rules"`
 
-	Services []SLOServiceResult
-	Samples  []SLOWindowSample
+	Services []SLOServiceResult `json:"services"`
 
 	// Alerts is the baseline storm case's full transition log;
 	// AlertLog its fixed-format rendering.
-	Alerts   []obs.AlertEvent
-	AlertLog string
+	Alerts   []obs.AlertEvent `json:"alerts"`
+	AlertLog string           `json:"alert_log"`
 
 	// Lookback is the attribution window each firing is correlated
 	// over, derived from the detection bound and the PR-load retry
 	// budget.
-	Lookback    sim.Time
-	Postmortems []obs.AlertPostmortem
+	Lookback    sim.Time        `json:"lookback_ps"`
+	Postmortems []SLOPostmortem `json:"postmortems"`
 	// Timeline is the human-readable postmortem report.
-	Timeline string
+	Timeline string `json:"timeline"`
 
-	// Gate (a): firings and attribution.
-	FiringsTotal        int
-	FiringsLC           int
-	UnattributedFirings int
+	// Firings and attribution.
+	FiringsTotal        int `json:"firings_total"`
+	FiringsLC           int `json:"firings_lc"`
+	UnattributedFirings int `json:"unattributed_firings"`
 	// Control case: the same fleet, traffic and scale-out with zero
 	// injections.
-	ControlFirings      int
-	ControlAttributions int
+	ControlFirings      int `json:"control_firings"`
+	ControlAttributions int `json:"control_attributions"`
 
-	// Gate (b): resolution.
-	AllResolved    bool
-	LastResolvedAt sim.Time
-	RecoveryBound  sim.Time
+	// Resolution.
+	AllResolved    bool     `json:"all_resolved"`
+	LastResolvedAt sim.Time `json:"last_resolved_at_ps"`
+	RecoveryBound  sim.Time `json:"recovery_bound_ps"`
 
-	// Gate (c): determinism sweep over (quantum, workers).
-	SweepVariants      []string
-	DeterministicSweep bool
+	// SweepVariants are the (quantum, workers) determinism-sweep runs.
+	SweepVariants []string `json:"sweep_variants"`
+
+	Samples []SLOWindowSample `json:"samples"`
 
 	// Metrics is the baseline case's end-of-storm registry snapshot;
 	// Registry the live registry for Prometheus export.
-	Metrics  map[string]float64
-	Registry *obs.Registry
+	Metrics  map[string]float64 `json:"metrics,omitempty"`
+	Registry *obs.Registry      `json:"-"`
+
+	// The acceptance gates:
+	//   - AlertsAttributed: the storm fired at least one
+	//     latency-critical burn alert, every firing carries at least
+	//     one scheduled-fault attribution, and the fault-free control
+	//     produced zero firings and zero attributions;
+	//   - AlertsResolved: no alert was still pending or firing at
+	//     drill end and the last resolution landed inside the
+	//     measured recovery bound;
+	//   - Deterministic: the alert log and final burn state were
+	//     byte-identical across every (batch quantum, worker count)
+	//     sweep variant.
+	AlertsAttributed bool `json:"alerts_attributed"`
+	AlertsResolved   bool `json:"alerts_resolved"`
+	Deterministic    bool `json:"deterministic"`
+
+	// Repro rebuilds this exact report from the seed.
+	Repro string `json:"repro"`
+}
+
+// Failures names every fleet10 gate that did not hold.
+func (r *SLOResult) Failures() []string {
+	return failedGates(
+		gate{"alerts_attributed", r.AlertsAttributed},
+		gate{"alerts_resolved", r.AlertsResolved},
+		gate{"deterministic", r.Deterministic},
+	)
 }
 
 // sloCase is one full replay's outcome.
@@ -250,7 +304,8 @@ func SLODrill(opts DrillOptions) (*SLOResult, error) {
 		return nil, err
 	}
 	res := &SLOResult{
-		Devices: opts.Devices, RackSize: sched.Spec.RackSize,
+		Experiment: "fleet10",
+		Devices:    opts.Devices, RackSize: sched.Spec.RackSize,
 		Seed: opts.Seed, Budget: opts.Budget,
 		StormStart: sched.Spec.Start, StormEnd: sched.End(),
 		Injections: injections(sched),
@@ -260,7 +315,7 @@ func SLODrill(opts DrillOptions) (*SLOResult, error) {
 	// report describes; every later variant must reproduce its alert
 	// log and burn state byte for byte.
 	var base *sloCase
-	res.DeterministicSweep = true
+	deterministic := true
 	for i, v := range sloSweep {
 		var tr *obs.Recorder
 		if i == 0 {
@@ -276,14 +331,20 @@ func SLODrill(opts DrillOptions) (*SLOResult, error) {
 			continue
 		}
 		if !bytes.Equal(cs.alertLog, base.alertLog) || cs.burn != base.burn {
-			res.DeterministicSweep = false
+			deterministic = false
 		}
 	}
 	c := base.c
 	cfg := c.Config()
 
-	res.Windows = c.SLOWindows()
-	res.Rules = c.AlertRules()
+	windows := c.SLOWindows()
+	for _, w := range windows {
+		res.Windows = append(res.Windows, w.Name)
+	}
+	for _, r := range c.AlertRules() {
+		res.Rules = append(res.Rules, fmt.Sprintf("%s %s burn>=%g over (%s,%s)",
+			r.Service, r.Severity, r.Threshold, windows[r.FastWin].Name, windows[r.SlowWin].Name))
+	}
 	res.Samples = base.samples
 	res.Alerts = base.alerts
 	res.AlertLog = string(base.alertLog)
@@ -295,16 +356,25 @@ func SLODrill(opts DrillOptions) (*SLOResult, error) {
 	res.Lookback = c.GossipDetectionBound() +
 		sim.Time(cfg.LoadRetries+1)*cfg.ReconfigTime +
 		sim.Time(sloWindowTicks[1])*cfg.Heartbeat
-	res.Postmortems = obs.Correlate(base.alerts, base.causal, res.Lookback)
-	res.Timeline = string(obs.RenderTimeline(res.Postmortems))
-
-	classOf := func(svc string) ServiceClass { return c.services[svc].Class }
-	for _, pm := range res.Postmortems {
+	pms := obs.Correlate(base.alerts, base.causal, res.Lookback)
+	res.Timeline = string(obs.RenderTimeline(pms))
+	for _, pm := range pms {
+		p := SLOPostmortem{
+			Service: pm.Alert.Service, Severity: pm.Alert.Severity, FiringAt: pm.Alert.At,
+			WindowStart: pm.WindowStart, WindowEnd: pm.WindowEnd, Attributed: pm.Scheduled(),
+		}
+		for _, a := range pm.Causes {
+			p.Causes = append(p.Causes, SLOCause{
+				Kind: a.Kind, Count: a.Count, Scheduled: a.Scheduled,
+				First: a.First, Last: a.Last, Example: a.Example,
+			})
+		}
+		res.Postmortems = append(res.Postmortems, p)
 		res.FiringsTotal++
-		if classOf(pm.Alert.Service) == ClassLatencyCritical {
+		if c.services[p.Service].Class == ClassLatencyCritical {
 			res.FiringsLC++
 		}
-		if !pm.Scheduled() {
+		if !p.Attributed {
 			res.UnattributedFirings++
 		}
 	}
@@ -364,5 +434,11 @@ func SLODrill(opts DrillOptions) (*SLOResult, error) {
 
 	res.Registry = c.Metrics()
 	res.Metrics = res.Registry.Values()
+
+	res.AlertsAttributed = res.FiringsLC >= 1 && res.UnattributedFirings == 0 &&
+		res.ControlFirings == 0 && res.ControlAttributions == 0
+	res.AlertsResolved = res.AllResolved && res.LastResolvedAt <= res.RecoveryBound
+	res.Deterministic = deterministic
+	res.Repro = stormRepro("slo", opts)
 	return res, nil
 }

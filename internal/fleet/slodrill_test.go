@@ -63,11 +63,12 @@ func TestSLOEngineRules(t *testing.T) {
 	}
 }
 
-// TestSLODrill runs the fleet10 drill at its tentpole configuration
-// and asserts every acceptance gate directly on the fleet-level
-// result: attributed latency-critical firings, a silent fault-free
-// control, resolution inside the recovery bound, and byte-identical
-// alert state across the quantum/worker sweep.
+// TestSLODrill runs the fleet10 drill at its tentpole configuration:
+// every acceptance gate the result evaluates must hold (attributed
+// latency-critical firings, a silent fault-free control, resolution
+// inside the recovery bound, byte-identical alert state across the
+// quantum/worker sweep), and the evidence behind them must be
+// self-consistent.
 func TestSLODrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet10 drill replays the storm four times; skipped in -short")
@@ -76,28 +77,11 @@ func TestSLODrill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FiringsLC < 1 {
-		t.Errorf("storm fired %d latency-critical alerts, want >= 1", res.FiringsLC)
+	if f := res.Failures(); len(f) != 0 {
+		t.Errorf("gates failed: %v\n%s\n%s", f, res.Timeline, res.AlertLog)
 	}
 	if res.FiringsTotal < res.FiringsLC {
 		t.Errorf("FiringsTotal %d < FiringsLC %d", res.FiringsTotal, res.FiringsLC)
-	}
-	if res.UnattributedFirings != 0 {
-		t.Errorf("%d firings with no scheduled-fault attribution:\n%s",
-			res.UnattributedFirings, res.Timeline)
-	}
-	if res.ControlFirings != 0 || res.ControlAttributions != 0 {
-		t.Errorf("fault-free control produced %d firings / %d attributions, want 0/0",
-			res.ControlFirings, res.ControlAttributions)
-	}
-	if !res.AllResolved {
-		t.Errorf("alerts still active at drill end:\n%s", res.AlertLog)
-	}
-	if res.LastResolvedAt > res.RecoveryBound {
-		t.Errorf("last resolution at %v, after recovery bound %v", res.LastResolvedAt, res.RecoveryBound)
-	}
-	if !res.DeterministicSweep {
-		t.Errorf("alert state diverged across sweep %v", res.SweepVariants)
 	}
 	if len(res.Postmortems) != res.FiringsTotal {
 		t.Errorf("%d postmortems for %d firings", len(res.Postmortems), res.FiringsTotal)

@@ -14,9 +14,10 @@ import (
 // fleet8 co-residency, fleet10 SLO): one options type, the seeded
 // storm plan, the scale-plane fleet configuration, the warm-up up to
 // the storm's start, and the window loop's injection cursor. The
-// drills keep only what they measure around each window; the
-// evidence helpers at the bottom (flow pins, disruption, preemption
-// pairs) also serve the fleet4 and fleet9 drills.
+// drills keep only what they measure around each window; the gate
+// helpers and the evidence helpers at the bottom (flow pins,
+// disruption, preemption pairs) also serve the fleet4 and fleet9
+// drills.
 
 // stormWindowDur is the measurement window; injections due inside a
 // window are applied at its start (deterministic discretization).
@@ -41,6 +42,30 @@ type DrillOptions struct {
 	// an unbounded recorder for full exports or a flight recorder for
 	// the always-on gate-failure dump.
 	Trace *obs.Recorder
+}
+
+// gate is one drill acceptance check, named by its artifact JSON key.
+type gate struct {
+	name string
+	ok   bool
+}
+
+// failedGates names every gate that did not hold, in artifact order.
+// A result whose gates were never evaluated fails every one of them.
+func failedGates(gates ...gate) []string {
+	var out []string
+	for _, g := range gates {
+		if !g.ok {
+			out = append(out, g.name)
+		}
+	}
+	return out
+}
+
+// stormRepro is the one-command reproduction line of a storm drill run.
+func stormRepro(scenario string, o DrillOptions) string {
+	return fmt.Sprintf("go run ./cmd/harmonia-fleet -scenario %s -devices %d -seed %d -budget %d",
+		scenario, o.Devices, o.Seed, o.Budget)
 }
 
 // check rejects a fleet too small for the drill or a missing budget.

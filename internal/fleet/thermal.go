@@ -57,9 +57,6 @@ func (c *Cluster) shedsBulk(temp uint32) bool {
 	return throttleFactor(temp, c.shedStart(), c.cfg.DegradeMilliC) <= bulkShedFactor
 }
 
-// ShedsBulk exposes the bulk-shed line for drills and validation.
-func (c *Cluster) ShedsBulk(temp uint32) bool { return c.shedsBulk(temp) }
-
 // shedStart resolves the temperature where derived shedding begins.
 func (c *Cluster) shedStart() uint32 {
 	if c.cfg.ShedStartMilliC > 0 {
