@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"harmonia/internal/obs"
@@ -156,28 +157,73 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunChaos(t *testing.T) {
-	// A small storm keeps the smoke test fast; the tentpole 300-node
-	// drill runs in CI's drill matrix.
-	o := opts("chaos", 24)
-	o.seed = 11
-	o.budget = 2
-	o.jsonPath = filepath.Join(t.TempDir(), "BENCH_chaos.json")
-	var out bytes.Buffer
-	if err := run(&out, o); err != nil {
-		t.Fatalf("chaos scenario: %v", err)
+// chaosRun is the one traced small storm both chaos tests check:
+// its stdout, the JSON report, the tracecheck verdict on its trace and
+// its metrics exposition, read back before the files are removed.
+type chaosRun struct {
+	once                  sync.Once
+	o                     options
+	out, check            string
+	report, prom          []byte
+	runErr, checkErr, err error
+}
+
+var tracedChaos chaosRun
+
+// testTracedChaos runs chaos with every artifact on (24 devices, budget
+// 2, seed 11) once per test binary. A small storm keeps the smoke tests
+// fast; the tentpole 300-node drill runs in CI's drill matrix.
+func testTracedChaos(t *testing.T) *chaosRun {
+	t.Helper()
+	c := &tracedChaos
+	c.once.Do(func() {
+		dir, err := os.MkdirTemp("", "harmonia-chaos-")
+		if err != nil {
+			c.err = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		c.o = opts("chaos", 24)
+		c.o.seed = 11
+		c.o.budget = 2
+		c.o.jsonPath = filepath.Join(dir, "BENCH_chaos.json")
+		c.o.tracePath = filepath.Join(dir, "trace.json")
+		c.o.metricsPath = filepath.Join(dir, "metrics.prom")
+		var out bytes.Buffer
+		c.runErr = run(&out, c.o)
+		c.out = out.String()
+		if c.report, err = os.ReadFile(c.o.jsonPath); err != nil {
+			c.err = err
+			return
+		}
+		if c.prom, err = os.ReadFile(c.o.metricsPath); err != nil {
+			c.err = err
+			return
+		}
+		// The trace must survive the same validation CI's trace smoke runs.
+		var check bytes.Buffer
+		c.checkErr = run(&check, options{scenario: "tracecheck", tracePath: c.o.tracePath})
+		c.check = check.String()
+	})
+	if c.runErr != nil {
+		t.Fatalf("chaos scenario: %v", c.runErr)
 	}
-	s := out.String()
+	if c.err != nil {
+		t.Fatalf("chaos artifacts not written: %v", c.err)
+	}
+	return c
+}
+
+// TestRunChaos checks the traced storm's stdout table, JSON gates and
+// repro line.
+func TestRunChaos(t *testing.T) {
+	c := testTracedChaos(t)
 	for _, want := range []string{"unbudgeted-static", "budgeted-static", "budgeted-derived",
 		"budget bounded:         true", "unbudgeted exceeds:     true",
-		"no traffic after alarm: true", "wrote " + o.jsonPath} {
-		if !strings.Contains(s, want) {
-			t.Errorf("chaos output missing %q:\n%s", want, s)
+		"no traffic after alarm: true", "wrote " + c.o.jsonPath} {
+		if !strings.Contains(c.out, want) {
+			t.Errorf("chaos output missing %q:\n%s", want, c.out)
 		}
-	}
-	data, err := os.ReadFile(o.jsonPath)
-	if err != nil {
-		t.Fatalf("report not written: %v", err)
 	}
 	var rep struct {
 		Experiment string `json:"experiment"`
@@ -192,7 +238,7 @@ func TestRunChaos(t *testing.T) {
 		UnbudgetedExceeds   bool `json:"unbudgeted_exceeds"`
 		NoTrafficAfterAlarm bool `json:"no_traffic_after_alarm"`
 	}
-	if err := json.Unmarshal(data, &rep); err != nil {
+	if err := json.Unmarshal(c.report, &rep); err != nil {
 		t.Fatalf("report not valid JSON: %v", err)
 	}
 	if rep.Experiment != "fleet5" || len(rep.Cases) != 3 {
@@ -207,41 +253,26 @@ func TestRunChaos(t *testing.T) {
 	}
 }
 
+// TestRunChaosTraceAndMetrics checks the same traced storm's trace
+// (through tracecheck) and metrics exposition.
 func TestRunChaosTraceAndMetrics(t *testing.T) {
-	dir := t.TempDir()
-	o := opts("chaos", 24)
-	o.seed = 11
-	o.budget = 2
-	o.jsonPath = ""
-	o.tracePath = filepath.Join(dir, "trace.json")
-	o.metricsPath = filepath.Join(dir, "metrics.prom")
-	var out bytes.Buffer
-	if err := run(&out, o); err != nil {
-		t.Fatalf("traced chaos scenario: %v", err)
+	c := testTracedChaos(t)
+	for _, want := range []string{"wrote " + c.o.tracePath, "wrote " + c.o.metricsPath} {
+		if !strings.Contains(c.out, want) {
+			t.Errorf("missing artifact confirmation %q:\n%s", want, c.out)
+		}
 	}
-	s := out.String()
-	if !strings.Contains(s, "wrote "+o.tracePath) || !strings.Contains(s, "wrote "+o.metricsPath) {
-		t.Errorf("missing artifact confirmations:\n%s", s)
-	}
-
-	// The trace must survive the same validation CI's trace smoke runs.
-	var check bytes.Buffer
-	co := options{scenario: "tracecheck", tracePath: o.tracePath}
-	if err := run(&check, co); err != nil {
-		t.Fatalf("tracecheck on fresh trace: %v", err)
+	if c.checkErr != nil {
+		t.Fatalf("tracecheck on fresh trace: %v", c.checkErr)
 	}
 	for _, cat := range []string{"packet", "prload", "heartbeat", "migration", "fault"} {
-		if !strings.Contains(check.String(), cat) {
-			t.Errorf("tracecheck output missing category %q:\n%s", cat, check.String())
+		if !strings.Contains(c.check, cat) {
+			t.Errorf("tracecheck output missing category %q:\n%s", cat, c.check)
 		}
 	}
 
 	// The metrics exposition must carry the registry families from
 	// every case, labelled by case name.
-	prom, err := os.ReadFile(o.metricsPath)
-	if err != nil {
-		t.Fatalf("metrics not written: %v", err)
-	}
 	for _, want := range []string{
 		"# TYPE harmonia_router_sent_total counter",
 		"# TYPE harmonia_route_latency_window_ps summary",
@@ -249,7 +280,7 @@ func TestRunChaosTraceAndMetrics(t *testing.T) {
 		`case="budgeted-derived"`,
 		"harmonia_pr_loads_peak_concurrent",
 	} {
-		if !strings.Contains(string(prom), want) {
+		if !strings.Contains(string(c.prom), want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
 	}

@@ -86,13 +86,13 @@ func TestPreparePhaseUnknownService(t *testing.T) {
 	if _, err := c.Serve(100*sim.Microsecond, DefaultTraffic(testApp)); err != nil {
 		t.Fatal(err)
 	}
-	before := c.rawRouterStats()
+	before := c.RouterStats()
 	tr := DefaultTraffic(testApp)
 	tr.Service = "no-such-app"
 	if _, err := c.PreparePhase(sim.Millisecond, tr); err == nil || !strings.Contains(err.Error(), "unknown service") {
 		t.Fatalf("PreparePhase(unknown) err = %v, want unknown service", err)
 	}
-	if after := c.rawRouterStats(); after != before {
+	if after := c.RouterStats(); after != before {
 		t.Errorf("unknown service moved router counters: before %+v, after %+v", before, after)
 	}
 }
@@ -115,7 +115,7 @@ func TestServeDeadFleet(t *testing.T) {
 	// Let the monitor confirm both deaths; with no survivors the
 	// replicas stay unplaced and the ready set empties.
 	c.RunMonitorUntil(c.Now() + sim.Time(cfg.FailedAfter+2)*cfg.Heartbeat + 2*cfg.ReconfigTime)
-	before := c.rawRouterStats()
+	before := c.RouterStats()
 	st, err := c.Serve(100*sim.Microsecond, DefaultTraffic(testApp))
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestServeDeadFleet(t *testing.T) {
 	if st.Sent == 0 || st.Dropped != st.Sent || st.Served != 0 {
 		t.Errorf("dead fleet phase = %+v, want every packet sent and dropped", st)
 	}
-	after := c.rawRouterStats()
+	after := c.RouterStats()
 	if after.Sent-before.Sent != st.Sent || after.Dropped-before.Dropped != st.Sent {
 		t.Errorf("drops not counted: before %+v, after %+v, phase %+v", before, after, st)
 	}

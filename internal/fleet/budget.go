@@ -208,8 +208,28 @@ func peakConcurrent(events []LoadEvent) int {
 	return peak
 }
 
-// LoadBudgetPeak, LoadsQueued and LoadFailures read through the
-// registry; see obs.go.
+// LoadFailures sums injected bitstream-load failures across every
+// node's tenancy manager.
+func (c *Cluster) LoadFailures() int64 {
+	var total int64
+	for _, n := range c.nodes {
+		if n.Tenants != nil {
+			total += n.Tenants.LoadFailures()
+		}
+	}
+	return total
+}
+
+// LoadBudgetPeak reports the highest concurrent PR-load count observed
+// since the budget was last reset.
+func (c *Cluster) LoadBudgetPeak() int { return peakConcurrent(c.budget.events) }
+
+// LoadsQueued reports how many loads the budget delayed.
+func (c *Cluster) LoadsQueued() int { return c.budget.queued }
+
+// LoadsPreempted reports how many failover grants jumped the elective
+// queue.
+func (c *Cluster) LoadsPreempted() int { return c.budget.preempted }
 
 // LoadEvents returns every budget grant since the last reset, in grant
 // order.

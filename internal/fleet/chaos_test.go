@@ -86,16 +86,14 @@ func TestDrillGatesFailClosed(t *testing.T) {
 
 // TestChaosDrillDeterministic re-runs the drill from the same seed and
 // requires a byte-identical report — the reproducibility contract the
-// CI artifact and the printed repro line rely on.
+// CI artifact and the printed repro line rely on. The second run is
+// the shared traced one, so it also proves tracing changes no result.
 func TestChaosDrillDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("second full drill run")
 	}
 	res := testChaosResult(t)
-	again, err := ChaosDrill(chaosTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	again, _ := testTracedChaos(t)
 	a, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +103,7 @@ func TestChaosDrillDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("two drills from the same seed produced different reports")
+		t.Fatal("an untraced and a traced drill from the same seed produced different reports")
 	}
 }
 

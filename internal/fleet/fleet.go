@@ -63,11 +63,6 @@ type Config struct {
 	// partial-reconfiguration layout (URAM is folded into BRAM on chips
 	// without UltraRAM).
 	SlotRes hdl.Resources
-	// MaxSlots caps slots per device; the structural headroom of the
-	// chip may support fewer.
-	MaxSlots int
-	// QueuesPerTenant is each tenant's host-queue allocation.
-	QueuesPerTenant int
 	// ReconfigTime is the partial-bitstream load time per slot — the
 	// dominant term of failover recovery.
 	ReconfigTime sim.Time
@@ -103,17 +98,6 @@ type Config struct {
 	// SnapshotEvery is the periodic connection-table snapshot cadence,
 	// in successful heartbeat probes per node (0 = every 8th probe).
 	SnapshotEvery int
-	// MaxConcurrentLoads caps concurrent partial-bitstream loads
-	// fleet-wide (0 = unlimited). Mass failover past the cap queues
-	// loads behind the earliest in-flight completion; SetLoadBudget
-	// changes the cap at runtime.
-	MaxConcurrentLoads int
-	// LoadRetries bounds per-slot retries of a failed bitstream load
-	// before placement falls back to another device.
-	LoadRetries int
-	// LoadBackoff is the delay before the first load retry, doubling
-	// per attempt.
-	LoadBackoff sim.Time
 	// Racks groups the fleet into this many contiguous racks — the
 	// digest, metrics and gossip aggregation domains (and, with RackP2C,
 	// the dispatch tier). 0 picks one rack per 64 nodes. Without
@@ -142,28 +126,12 @@ type Config struct {
 	// GossipPiggyback is how many peer liveness observations each
 	// answered probe carries back (0 = 4).
 	GossipPiggyback int
-	// SuspectAfter is how many ticks an unrefuted gossip suspicion
-	// stands before escalating to per-tick confirmation probes (0 = 2).
-	SuspectAfter int
 	// Rebalance arms the background rebalancer: at heartbeat barriers it
 	// scores fragmentation (stranded queue ranges, slot imbalance,
 	// placement drift), drains the worst node through crash-safe
 	// pre-copy + delta-replay moves, and rebuilds its queue allocator.
 	// SetRebalance toggles it at runtime.
 	Rebalance bool
-	// RebalanceEvery is the planning cadence in heartbeat barriers
-	// (0 = 8). Active moves still step every barrier.
-	RebalanceEvery int
-	// RebalanceTimeout bounds each move phase; a phase outliving it
-	// aborts the move back to the still-serving source
-	// (0 = 4×ReconfigTime).
-	RebalanceTimeout sim.Time
-	// RebalanceRetries bounds failed attempts per move phase before the
-	// move aborts (0 = 2).
-	RebalanceRetries int
-	// RebalanceBackoff delays a phase retry, doubling per attempt
-	// (0 = 2×Heartbeat).
-	RebalanceBackoff sim.Time
 	// DerivedShedding replaces the static ×4 degraded-node routing
 	// penalty with one derived from thermal margin: cost scales with
 	// the die's modeled throttling as temperature erodes the margin to
@@ -180,21 +148,32 @@ type Config struct {
 	SLOWindowTicks []int
 }
 
+// Per-device tenancy settings every fleet shares.
+const (
+	// maxSlots caps slots per device; the structural headroom of the
+	// chip may support fewer.
+	maxSlots = 4
+	// queuesPerTenant is each tenant's host-queue allocation.
+	queuesPerTenant = 64
+	// loadRetries bounds per-slot retries of a failed bitstream load
+	// before placement falls back to another device.
+	loadRetries = 2
+	// loadBackoff is the delay before the first load retry, doubling
+	// per attempt.
+	loadBackoff = 250 * sim.Microsecond
+)
+
 // DefaultConfig returns production-shaped control plane settings.
 func DefaultConfig() Config {
 	return Config{
-		Heartbeat:       50 * sim.Microsecond,
-		FailedAfter:     3,
-		DegradeMilliC:   95_000,
-		SlotRes:         hdl.Resources{LUT: 160_000, REG: 240_000, BRAM: 420, URAM: 64, DSP: 1_024},
-		MaxSlots:        4,
-		QueuesPerTenant: 64,
-		ReconfigTime:    2 * sim.Millisecond,
-		Seed:            1,
-		MigrateFlows:    true,
-		SnapshotEvery:   defaultSnapshotEvery,
-		LoadRetries:     2,
-		LoadBackoff:     250 * sim.Microsecond,
+		Heartbeat:     50 * sim.Microsecond,
+		FailedAfter:   3,
+		DegradeMilliC: 95_000,
+		SlotRes:       hdl.Resources{LUT: 160_000, REG: 240_000, BRAM: 420, URAM: 64, DSP: 1_024},
+		ReconfigTime:  2 * sim.Millisecond,
+		Seed:          1,
+		MigrateFlows:  true,
+		SnapshotEvery: defaultSnapshotEvery,
 	}
 }
 
@@ -450,8 +429,8 @@ type Cluster struct {
 	slo *sloEngine
 
 	// reg is the cluster's metrics registry: every layer registers
-	// read-through callbacks at construction, and the public stats
-	// accessors read back out of it (single source of truth).
+	// read-through callbacks over its public stats accessors at
+	// construction.
 	reg *obs.Registry
 	// tp is the attached trace process (nil when tracing is off); ctrl
 	// and cmdTrack are its control-plane and command-path tracks.
@@ -462,16 +441,10 @@ type Cluster struct {
 
 // NewCluster returns an empty control plane.
 func NewCluster(cfg Config) (*Cluster, error) {
-	if cfg.Heartbeat <= 0 || cfg.FailedAfter <= 0 || cfg.MaxSlots <= 0 ||
-		cfg.QueuesPerTenant <= 0 || cfg.ReconfigTime <= 0 ||
+	if cfg.Heartbeat <= 0 || cfg.FailedAfter <= 0 || cfg.ReconfigTime <= 0 ||
 		cfg.RouterShards < 0 || cfg.HeartbeatCohorts < 0 || cfg.ServeWorkers < 0 ||
-		cfg.BatchQuantum < 0 ||
-		cfg.SnapshotEvery < 0 || cfg.MaxConcurrentLoads < 0 ||
-		cfg.LoadRetries < 0 || cfg.LoadBackoff < 0 ||
-		cfg.Racks < 0 || cfg.GossipFanout < 0 || cfg.GossipPiggyback < 0 ||
-		cfg.SuspectAfter < 0 ||
-		cfg.RebalanceEvery < 0 || cfg.RebalanceTimeout < 0 ||
-		cfg.RebalanceRetries < 0 || cfg.RebalanceBackoff < 0 {
+		cfg.BatchQuantum < 0 || cfg.SnapshotEvery < 0 ||
+		cfg.Racks < 0 || cfg.GossipFanout < 0 || cfg.GossipPiggyback < 0 {
 		return nil, fmt.Errorf("fleet: invalid config %+v", cfg)
 	}
 	if cfg.ShedStartMilliC > 0 && cfg.ShedStartMilliC >= cfg.DegradeMilliC {
@@ -495,7 +468,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	c.router = newRouter(c, cfg.Seed)
 	c.racks = &rackTier{c: c}
-	c.budget = &reconfigBudget{limit: cfg.MaxConcurrentLoads}
+	c.budget = &reconfigBudget{} // unlimited until SetLoadBudget
 	c.slo = newSLOEngine(cfg)
 	c.reg = obs.NewRegistry()
 	c.registerMetrics()
@@ -679,8 +652,9 @@ func fleetBaseLogic() *hdl.Module {
 }
 
 // slotBudget computes how many PR slots the chip's structural headroom
-// supports after the deployed shell+base image is subtracted.
-func slotBudget(capacity, used, slotRes hdl.Resources, maxSlots int) int {
+// supports after the deployed shell+base image is subtracted, up to
+// maxSlots.
+func slotBudget(capacity, used, slotRes hdl.Resources) int {
 	free := capacity.Sub(used)
 	budget := maxSlots
 	for _, kind := range hdl.ResourceKinds {
@@ -750,8 +724,8 @@ func (c *Cluster) Commission(id string, plat *platform.Device) (*Node, error) {
 
 	hasURAM := plat.Chip.Capacity.URAM > 0
 	slotRes := foldURAM(c.cfg.SlotRes, hasURAM)
-	slots := slotBudget(plat.Chip.Capacity, proj.Bitstream.Res, slotRes, c.cfg.MaxSlots)
-	if max := hostRBB.Spec().QueueCount / c.cfg.QueuesPerTenant; slots > max {
+	slots := slotBudget(plat.Chip.Capacity, proj.Bitstream.Res, slotRes)
+	if max := hostRBB.Spec().QueueCount / queuesPerTenant; slots > max {
 		slots = max
 	}
 	n := &Node{
@@ -767,9 +741,9 @@ func (c *Cluster) Commission(id string, plat *platform.Device) (*Node, error) {
 			Slots:           slots,
 			SlotRes:         slotRes,
 			ReconfigTime:    c.cfg.ReconfigTime,
-			QueuesPerTenant: c.cfg.QueuesPerTenant,
-			LoadRetries:     c.cfg.LoadRetries,
-			LoadBackoff:     c.cfg.LoadBackoff,
+			QueuesPerTenant: queuesPerTenant,
+			LoadRetries:     loadRetries,
+			LoadBackoff:     loadBackoff,
 		}, netRBB.Director, hostRBB)
 		if err != nil {
 			return nil, err
@@ -940,4 +914,14 @@ type CmdPathStats struct {
 	Issued, Retries, Drops int64
 }
 
-// CmdPath reads through the registry; see obs.go.
+// CmdPath sums the command-path counters across every node's driver.
+func (c *Cluster) CmdPath() CmdPathStats {
+	var s CmdPathStats
+	for _, n := range c.nodes {
+		issued, retries, drops := n.Inst.CmdStats()
+		s.Issued += issued
+		s.Retries += retries
+		s.Drops += drops
+	}
+	return s
+}

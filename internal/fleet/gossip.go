@@ -46,9 +46,6 @@ func (c *Cluster) ensureGossip() *gossip.Group {
 	if c.cfg.GossipPiggyback > 0 {
 		gc.Piggyback = c.cfg.GossipPiggyback
 	}
-	if c.cfg.SuspectAfter > 0 {
-		gc.SuspectAfter = c.cfg.SuspectAfter
-	}
 	g, err := gossip.New(len(c.nodes), gc)
 	if err != nil {
 		// NewCluster validated every knob and the fleet is non-empty by
@@ -129,22 +126,9 @@ func (c *Cluster) GossipEvents() []GossipEvent {
 	return append([]GossipEvent(nil), c.gossipEvents...)
 }
 
-// GossipStats reports the detector's cumulative counters, read through
-// the registry (all zero while gossip health is off or idle).
+// GossipStats reports the detector's cumulative counters (all zero
+// while gossip health is off or idle).
 func (c *Cluster) GossipStats() gossip.Stats {
-	return gossip.Stats{
-		Ticks:         c.reg.Int(mGossipTicks),
-		Probes:        c.reg.Int(mGossipProbes),
-		Digests:       c.reg.Int(mGossipDigests),
-		Suspicions:    c.reg.Int(mGossipSuspects),
-		Refutations:   c.reg.Int(mGossipRefutes),
-		Confirmations: c.reg.Int(mGossipConfirms),
-	}
-}
-
-// rawGossipStats reads the detector directly; the registry callbacks
-// own it.
-func (c *Cluster) rawGossipStats() gossip.Stats {
 	if c.gossip == nil {
 		return gossip.Stats{}
 	}

@@ -331,7 +331,7 @@ func (c *Cluster) evacuate(now sim.Time, n *Node, reason string, evict bool) Fai
 			rep.RecoveredAt = r.ReadyAt
 		}
 		if len(flows) > 0 && r.flows != nil {
-			if err := c.writeFlowSnapshot(target, r, flows); err == nil {
+			if err := c.writeFlowRows(target, flowTableID(r), flows, false); err == nil {
 				mr := MigrationRecord{
 					Replica: r.Name(), From: n.ID, To: target.ID, At: r.ReadyAt,
 					Live:  live,

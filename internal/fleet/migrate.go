@@ -137,22 +137,41 @@ func (fs *flowState) importRow(index uint32, entry []uint32) error {
 // flowTableID is the replica's table ID on its node's role module.
 func flowTableID(r *Replica) uint32 { return FlowTableBase | uint32(r.Tenant) }
 
-// attachFlowState creates a replica's flow state on its new node and
-// binds it to the role control module, making the connection table
-// reachable over the command path. No-op for stateless services.
-func (c *Cluster) attachFlowState(n *Node, r *Replica) {
-	svc := c.services[r.Service]
-	if !svc.Stateful {
-		return
-	}
+// newFlowState returns an empty connection table for one replica of
+// service.
+func newFlowState(c *Cluster, service string) *flowState {
+	return &flowState{c: c, service: service, table: apps.NewFlowTable(flowTableCap)}
+}
+
+// bindFlowTable binds fs to table tid on n's role control module,
+// making the connection table reachable over the command path; a nil
+// fs unbinds the table. It reports false when the node has no role
+// module.
+func bindFlowTable(n *Node, tid uint32, fs *flowState) bool {
 	m, ok := n.Inst.Kernel().Module(device.RBBRole, 0)
 	if !ok {
+		return false
+	}
+	if fs == nil {
+		m.SetTableSource(tid, nil)
+		m.SetTableSink(tid, nil)
+	} else {
+		m.SetTableSource(tid, fs.exportRow)
+		m.SetTableSink(tid, fs.importRow)
+	}
+	return true
+}
+
+// attachFlowState creates a replica's flow state on its new node and
+// binds it to the role control module. No-op for stateless services.
+func (c *Cluster) attachFlowState(n *Node, r *Replica) {
+	if !c.services[r.Service].Stateful {
 		return
 	}
-	fs := &flowState{c: c, service: r.Service, table: apps.NewFlowTable(flowTableCap)}
-	tid := flowTableID(r)
-	m.SetTableSource(tid, fs.exportRow)
-	m.SetTableSink(tid, fs.importRow)
+	fs := newFlowState(c, r.Service)
+	if !bindFlowTable(n, flowTableID(r), fs) {
+		return
+	}
 	n.addStateful(r)
 	r.flows = fs
 }
@@ -165,11 +184,7 @@ func (c *Cluster) detachFlowState(n *Node, r *Replica) {
 	if !ok {
 		return
 	}
-	if m, ok := n.Inst.Kernel().Module(device.RBBRole, 0); ok {
-		tid := flowTableID(r)
-		m.SetTableSource(tid, nil)
-		m.SetTableSink(tid, nil)
-	}
+	bindFlowTable(n, flowTableID(r), nil)
 	n.stateful = slices.Delete(n.stateful, i, i+1)
 }
 
@@ -219,18 +234,6 @@ func (c *Cluster) readFlowSnapshot(n *Node, r *Replica, dst []apps.ConnEntry) ([
 		return nil, fmt.Errorf("fleet: flow snapshot overran framed length %d", total)
 	}
 	return apps.DecodeFlowSnapshotInto(dst, words)
-}
-
-// writeFlowSnapshot replays a connection table into a replica through
-// TableWrite transactions against its new node's role module.
-func (c *Cluster) writeFlowSnapshot(n *Node, r *Replica, entries []apps.ConnEntry) error {
-	tid := flowTableID(r)
-	for i, row := range cmdif.SplitRows(apps.EncodeFlowSnapshot(entries)) {
-		if err := n.Inst.WriteTable(device.RBBRole, 0, tid, uint32(i), row...); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // flowSnap is one periodic connection-table capture.

@@ -16,10 +16,10 @@ import (
 // rule as the shard RNG and counters), which keeps traces
 // byte-deterministic under parallel serving.
 //
-// The registry is the single source of truth for fleet statistics:
-// the public accessors (CmdPath, RouterStats, LoadBudgetPeak, ...)
-// read back through it, so drill JSON and registry snapshots can
-// never disagree.
+// The public stats accessors (CmdPath, RouterStats, LoadBudgetPeak,
+// ...) sum the live counters directly, and the registry's callbacks
+// call those same accessors, so drill JSON and registry snapshots read
+// one source and can never disagree.
 
 // Standard fleet metric names.
 const (
@@ -73,23 +73,23 @@ const (
 	mGossipPerTick  = "harmonia_gossip_msgs_per_tick"
 )
 
-// registerMetrics wires every layer's live counters into the registry
-// as read-through callbacks. Nothing here runs on the serving hot
-// path; callbacks evaluate only at snapshot time.
+// registerMetrics wires every layer's stats accessors into the
+// registry as read-through callbacks. Nothing here runs on the serving
+// hot path; callbacks evaluate only at snapshot time.
 func (c *Cluster) registerMetrics() {
 	reg := c.reg
 
 	// Router shards, merged.
 	reg.Counter(mRouterSent, "Packets offered to the fleet router.",
-		func() int64 { return c.rawRouterStats().Sent })
+		func() int64 { return c.RouterStats().Sent })
 	reg.Counter(mRouterServed, "Packets a replica's datapath accepted.",
-		func() int64 { return c.rawRouterStats().Served })
+		func() int64 { return c.RouterStats().Served })
 	reg.Counter(mRouterDropped, "Packets dropped (no replica, steering reject, tail drop).",
-		func() int64 { return c.rawRouterStats().Dropped })
+		func() int64 { return c.RouterStats().Dropped })
 	reg.Counter(mRouterHealthy, "Served packets that landed on a Healthy node.",
-		func() int64 { return c.rawRouterStats().HealthyServed })
+		func() int64 { return c.RouterStats().HealthyServed })
 	reg.Counter(mRouterBytes, "Wire bytes the router served.",
-		func() int64 { return c.rawRouterStats().Bytes })
+		func() int64 { return c.RouterStats().Bytes })
 	reg.SummaryM(mRouteLatency, "Routed-packet latency over the current window (ps).",
 		func() obs.Summary {
 			h := c.router.windowHist()
@@ -115,11 +115,11 @@ func (c *Cluster) registerMetrics() {
 
 	// Command path (CmdDriver counters summed across nodes).
 	reg.Counter(mCmdIssued, "Commands completed over every node's command path.",
-		func() int64 { return c.rawCmdPath().Issued })
+		func() int64 { return c.CmdPath().Issued })
 	reg.Counter(mCmdRetries, "Checksum-triggered command retransmissions.",
-		func() int64 { return c.rawCmdPath().Retries })
+		func() int64 { return c.CmdPath().Retries })
 	reg.Counter(mCmdDrops, "Commands abandoned after exhausting retries.",
-		func() int64 { return c.rawCmdPath().Drops })
+		func() int64 { return c.CmdPath().Drops })
 
 	// Fleet health.
 	for _, st := range []State{Healthy, Degraded, Failed, Drained} {
@@ -168,21 +168,21 @@ func (c *Cluster) registerMetrics() {
 	reg.Counter(mLoads, "Partial-bitstream load grants since the last budget reset.",
 		func() int64 { return int64(len(c.budget.events)) })
 	reg.Counter(mLoadsQueued, "Loads the budget delayed past their request time.",
-		func() int64 { return int64(c.budget.queued) })
+		func() int64 { return int64(c.LoadsQueued()) })
 	reg.Counter(mLoadFailures, "Injected bitstream-load failures across tenancy managers.",
-		func() int64 { return c.rawLoadFailures() })
+		func() int64 { return c.LoadFailures() })
 	reg.Gauge(mLoadsPeak, "Peak concurrent PR loads since the last budget reset.",
-		func() float64 { return float64(peakConcurrent(c.budget.events)) })
+		func() float64 { return float64(c.LoadBudgetPeak()) })
 	reg.Counter(mLoadsPreempted, "Failover grants issued while elective loads were queued.",
-		func() int64 { return int64(c.budget.preempted) })
+		func() int64 { return int64(c.LoadsPreempted()) })
 	reg.Gauge(mElectivesQueued, "Elective scale-out loads waiting for budget headroom.",
 		func() float64 { return float64(len(c.electives)) })
 
 	// Fragmentation and background rebalancing.
 	reg.Gauge(mFragmentation, "Fleet fragmentation score (0.6 queue frag + 0.2 slot imbalance + 0.2 drift).",
-		func() float64 { return c.rawFragmentation().Score })
+		func() float64 { return c.Fragmentation().Score })
 	reg.Gauge(mStrandedQueues, "Host queues retired by evictions and not yet reclaimed, fleet-wide.",
-		func() float64 { return float64(c.rawFragmentation().StrandedQueues) })
+		func() float64 { return float64(c.Fragmentation().StrandedQueues) })
 	for _, outcome := range []string{"done", "aborted"} {
 		outcome := outcome
 		reg.CounterL(mRebalanceMoves, map[string]string{"outcome": outcome},
@@ -198,20 +198,20 @@ func (c *Cluster) registerMetrics() {
 
 	// Gossip health dissemination (all zero while the detector is off).
 	reg.Counter(mGossipTicks, "Gossip detector protocol rounds.",
-		func() int64 { return c.rawGossipStats().Ticks })
+		func() int64 { return c.GossipStats().Ticks })
 	reg.Counter(mGossipProbes, "Direct gossip probes (rotation plus confirmation).",
-		func() int64 { return c.rawGossipStats().Probes })
+		func() int64 { return c.GossipStats().Probes })
 	reg.Counter(mGossipDigests, "Piggybacked peer liveness observations.",
-		func() int64 { return c.rawGossipStats().Digests })
+		func() int64 { return c.GossipStats().Digests })
 	reg.Counter(mGossipSuspects, "Gossip suspicion events.",
-		func() int64 { return c.rawGossipStats().Suspicions })
+		func() int64 { return c.GossipStats().Suspicions })
 	reg.Counter(mGossipRefutes, "Gossip refutation events (incarnation bumps).",
-		func() int64 { return c.rawGossipStats().Refutations })
+		func() int64 { return c.GossipStats().Refutations })
 	reg.Counter(mGossipConfirms, "Gossip dead-confirmation events.",
-		func() int64 { return c.rawGossipStats().Confirmations })
+		func() int64 { return c.GossipStats().Confirmations })
 	reg.Gauge(mGossipPerTick, "Mean gossip messages (probes+digests) per tick.",
 		func() float64 {
-			s := c.rawGossipStats()
+			s := c.GossipStats()
 			if s.Ticks == 0 {
 				return 0
 			}
@@ -242,40 +242,18 @@ func (c *Cluster) registerServiceMetrics(name string) {
 	labels := map[string]string{"service": name}
 	reg := c.reg
 	reg.CounterL(mSvcSent, labels, "Packets offered per service.",
-		func() int64 { return c.rawServiceStats(name).Sent })
+		func() int64 { return c.ServiceStats(name).Sent })
 	reg.CounterL(mSvcServed, labels, "Packets served per service.",
-		func() int64 { return c.rawServiceStats(name).Served })
+		func() int64 { return c.ServiceStats(name).Served })
 	reg.CounterL(mSvcDropped, labels, "Packets dropped per service.",
-		func() int64 { return c.rawServiceStats(name).Dropped })
+		func() int64 { return c.ServiceStats(name).Dropped })
 	reg.CounterL(mSvcHealthy, labels, "Served packets landing on Healthy nodes, per service.",
-		func() int64 { return c.rawServiceStats(name).HealthyServed })
+		func() int64 { return c.ServiceStats(name).HealthyServed })
 	reg.CounterL(mSvcShed, labels, "Drops caused by the class shedding order, per service.",
-		func() int64 { return c.rawServiceStats(name).Shed })
+		func() int64 { return c.ServiceStats(name).Shed })
 	reg.CounterL(mSvcBytes, labels, "Wire bytes served per service.",
-		func() int64 { return c.rawServiceStats(name).Bytes })
+		func() int64 { return c.ServiceStats(name).Bytes })
 }
-
-// ServiceStats reports one service's cumulative dispatch counters, read
-// through the registry like RouterStats.
-func (c *Cluster) ServiceStats(name string) ServiceSnapshot {
-	labels := map[string]string{"service": name}
-	intL := func(metric string) int64 {
-		v, _ := c.reg.ValueL(metric, labels)
-		return int64(v)
-	}
-	return ServiceSnapshot{
-		Sent:          intL(mSvcSent),
-		Served:        intL(mSvcServed),
-		Dropped:       intL(mSvcDropped),
-		HealthyServed: intL(mSvcHealthy),
-		Shed:          intL(mSvcShed),
-		Bytes:         intL(mSvcBytes),
-	}
-}
-
-// LoadsPreempted reports how many failover grants jumped the elective
-// queue, read through the registry.
-func (c *Cluster) LoadsPreempted() int { return int(c.reg.Int(mLoadsPreempted)) }
 
 // Metrics returns the cluster's metrics registry.
 func (c *Cluster) Metrics() *obs.Registry { return c.reg }
@@ -326,69 +304,3 @@ func (c *Cluster) traceFault(kind string, node string, arg int64) {
 	e.K2, e.V2 = "arg", arg
 	c.ctrl.Add(e)
 }
-
-// --- Read-through stats accessors -----------------------------------
-//
-// The public accessors fetch their values back out of the registry by
-// name rather than re-deriving them, so a drill JSON field and a
-// registry snapshot taken at the same instant are definitionally
-// equal. The raw* helpers below are the only places that sum the
-// underlying counters; the registry callbacks own them.
-
-// rawCmdPath sums command-path counters across every node's driver.
-func (c *Cluster) rawCmdPath() CmdPathStats {
-	var s CmdPathStats
-	for _, n := range c.nodes {
-		issued, retries, drops := n.Inst.CmdStats()
-		s.Issued += issued
-		s.Retries += retries
-		s.Drops += drops
-	}
-	return s
-}
-
-// rawLoadFailures sums injected bitstream-load failures across every
-// node's tenancy manager.
-func (c *Cluster) rawLoadFailures() int64 {
-	var total int64
-	for _, n := range c.nodes {
-		if n.Tenants != nil {
-			total += n.Tenants.LoadFailures()
-		}
-	}
-	return total
-}
-
-// CmdPath reports the fleet's command-path counters, read through the
-// registry.
-func (c *Cluster) CmdPath() CmdPathStats {
-	return CmdPathStats{
-		Issued:  c.reg.Int(mCmdIssued),
-		Retries: c.reg.Int(mCmdRetries),
-		Drops:   c.reg.Int(mCmdDrops),
-	}
-}
-
-// RouterStats reports cumulative dispatch counters, read through the
-// registry.
-func (c *Cluster) RouterStats() RouterSnapshot {
-	return RouterSnapshot{
-		Sent:          c.reg.Int(mRouterSent),
-		Served:        c.reg.Int(mRouterServed),
-		Dropped:       c.reg.Int(mRouterDropped),
-		HealthyServed: c.reg.Int(mRouterHealthy),
-		Bytes:         c.reg.Int(mRouterBytes),
-	}
-}
-
-// LoadBudgetPeak reports the highest concurrent PR-load count observed
-// since the budget was last reset, read through the registry.
-func (c *Cluster) LoadBudgetPeak() int { return int(c.reg.Int(mLoadsPeak)) }
-
-// LoadsQueued reports how many loads the budget delayed, read through
-// the registry.
-func (c *Cluster) LoadsQueued() int { return int(c.reg.Int(mLoadsQueued)) }
-
-// LoadFailures sums injected bitstream-load failures fleet-wide, read
-// through the registry.
-func (c *Cluster) LoadFailures() int64 { return c.reg.Int(mLoadFailures) }

@@ -126,37 +126,14 @@ func (c *Cluster) admit(now sim.Time, n *Node, r *Replica) error {
 }
 
 // admitLoad places one replica on a node through the node's tenancy
-// manager: the slot partially reconfigures and the flow director and
-// host queues take the replica's steering rules. The fleet-wide
-// reconfiguration budget gates the bitstream load — past the cap the
-// load queues behind the earliest in-flight completion, so its slot
-// reconfiguration (and the replica's ReadyAt) starts later. reqAt is
-// when the load was first requested (earlier than now for elective
-// loads drained from the queue); class is the budget priority class. A
-// failover grant issued while electives wait is a preemption: the
-// failover chains only behind in-flight loads, never behind the queue.
+// manager (see loadSlot) and binds it there: the flow director and host
+// queues take the replica's steering rules and the routing index
+// admits it.
 func (c *Cluster) admitLoad(reqAt, now sim.Time, n *Node, r *Replica, class LoadClass) error {
-	logic := foldURAM(c.services[r.Service].Logic, n.Platform.Chip.Capacity.URAM > 0)
-	start := c.budget.acquire(now)
-	if class == LoadFailover && c.budget.limit > 0 &&
-		(len(c.electives) > 0 || c.pendingRebalanceMoves() > 0) {
-		c.budget.preempted++
-	}
-	t, err := n.Tenants.Admit(start, r.Name(), logic, []net.IPAddr{r.VIP})
+	t, err := c.loadSlot(reqAt, now, n, r, class)
 	if err != nil {
-		var le *tenancy.LoadError
-		if errors.As(err, &le) {
-			// The failed loads still held bitstream bandwidth.
-			c.budget.commit(reqAt, start, le.BusyUntil, n.ID, class, false)
-			c.tracePRLoad(reqAt, start, le.BusyUntil, n.ID, false)
-		} else {
-			c.budget.commit(reqAt, start, start, n.ID, class, false)
-			c.tracePRLoad(reqAt, start, start, n.ID, false)
-		}
 		return err
 	}
-	c.budget.commit(reqAt, start, t.ReadyAt, n.ID, class, true)
-	c.tracePRLoad(reqAt, start, t.ReadyAt, n.ID, true)
 	r.Node = n.ID
 	r.node = n
 	r.Tenant = t.ID
@@ -166,6 +143,39 @@ func (c *Cluster) admitLoad(reqAt, now sim.Time, n *Node, r *Replica, class Load
 	c.attachFlowState(n, r)
 	c.router.idx.noteAdmit(r, now)
 	return nil
+}
+
+// loadSlot is the one PR-load grant path: it admits r's tenant on n,
+// partially reconfiguring a slot. The fleet-wide reconfiguration
+// budget gates the bitstream load — past the cap the load queues
+// behind the earliest in-flight completion, so its slot
+// reconfiguration (and the tenant's ReadyAt) starts later. reqAt is
+// when the load was first requested (earlier than now for elective
+// loads drained from the queue); class is the budget priority class. A
+// failover grant issued while electives wait is a preemption: the
+// failover chains only behind in-flight loads, never behind the queue.
+// Every grant, failed ones included, lands in the budget log and on
+// the control track.
+func (c *Cluster) loadSlot(reqAt, now sim.Time, n *Node, r *Replica, class LoadClass) (*tenancy.Tenant, error) {
+	logic := foldURAM(c.services[r.Service].Logic, n.Platform.Chip.Capacity.URAM > 0)
+	start := c.budget.acquire(now)
+	if class == LoadFailover && c.budget.limit > 0 &&
+		(len(c.electives) > 0 || c.pendingRebalanceMoves() > 0) {
+		c.budget.preempted++
+	}
+	t, err := n.Tenants.Admit(start, r.Name(), logic, []net.IPAddr{r.VIP})
+	done := start
+	var le *tenancy.LoadError
+	switch {
+	case err == nil:
+		done = t.ReadyAt
+	case errors.As(err, &le):
+		// The failed loads still held bitstream bandwidth.
+		done = le.BusyUntil
+	}
+	c.budget.commit(reqAt, start, done, n.ID, class, err == nil)
+	c.tracePRLoad(reqAt, start, done, n.ID, err == nil)
+	return t, err
 }
 
 // tracePRLoad records one PR-load span on the control track: request

@@ -1,14 +1,12 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 
 	"harmonia/internal/apps"
 	"harmonia/internal/cmdif"
 	"harmonia/internal/device"
 	"harmonia/internal/faults"
-	"harmonia/internal/net"
 	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 	"harmonia/internal/tenancy"
@@ -34,39 +32,22 @@ import (
 // preempt them. All decisions run on the serial barrier path —
 // results are byte-identical across worker and quantum settings.
 
-// Rebalancer cadence and bounds (Config zero-value fallbacks).
+// Rebalancer cadence and bounds.
 const (
-	defaultRebalanceEvery   = 8
-	defaultRebalanceRetries = 2
+	// rebalanceEvery is the planning cadence in heartbeat barriers.
+	// Active moves still step every barrier.
+	rebalanceEvery = 8
+	// rebalanceRetries bounds failed attempts per move phase before the
+	// move aborts.
+	rebalanceRetries = 2
 )
 
-func (c *Cluster) rebalanceEvery() int64 {
-	if c.cfg.RebalanceEvery > 0 {
-		return int64(c.cfg.RebalanceEvery)
-	}
-	return defaultRebalanceEvery
-}
+// rebalanceTimeout bounds each move phase: a phase outliving it aborts
+// the move back to the still-serving source.
+func (c *Cluster) rebalanceTimeout() sim.Time { return 4 * c.cfg.ReconfigTime }
 
-func (c *Cluster) rebalanceTimeout() sim.Time {
-	if c.cfg.RebalanceTimeout > 0 {
-		return c.cfg.RebalanceTimeout
-	}
-	return 4 * c.cfg.ReconfigTime
-}
-
-func (c *Cluster) rebalanceRetries() int {
-	if c.cfg.RebalanceRetries > 0 {
-		return c.cfg.RebalanceRetries
-	}
-	return defaultRebalanceRetries
-}
-
-func (c *Cluster) rebalanceBackoff() sim.Time {
-	if c.cfg.RebalanceBackoff > 0 {
-		return c.cfg.RebalanceBackoff
-	}
-	return 2 * c.cfg.Heartbeat
-}
+// rebalanceBackoff delays a phase retry, doubling per attempt.
+func (c *Cluster) rebalanceBackoff() sim.Time { return 2 * c.cfg.Heartbeat }
 
 // movePhase is a rebalance move's position in its state machine.
 type movePhase string
@@ -200,7 +181,7 @@ func (c *Cluster) consumeMigrationFault(kind faults.Kind, mv *rebalanceMove) boo
 
 // pendingRebalanceMoves counts moves still waiting on budget headroom —
 // the elective demand a concurrent failover grant preempts
-// (placement.go: admitLoad).
+// (placement.go: loadSlot).
 func (c *Cluster) pendingRebalanceMoves() int {
 	if c.rebalance == nil {
 		return 0
@@ -223,7 +204,7 @@ func (c *Cluster) stepRebalance(now sim.Time) {
 		return
 	}
 	rb.tick++
-	due := rb.tick%c.rebalanceEvery() == 0
+	due := rb.tick%rebalanceEvery == 0
 	switch {
 	case rb.victim == nil:
 		if due {
@@ -347,7 +328,7 @@ func (c *Cluster) stepMove(now sim.Time, mv *rebalanceMove) {
 // the bound is reached.
 func (c *Cluster) failMoveAttempt(now sim.Time, mv *rebalanceMove, reason string) {
 	mv.attempts++
-	if mv.attempts > c.rebalanceRetries() {
+	if mv.attempts > rebalanceRetries {
 		c.abortMove(now, mv, reason+" (retries exhausted)")
 		return
 	}
@@ -379,35 +360,18 @@ func (c *Cluster) stepPlanned(now sim.Time, mv *rebalanceMove) {
 		c.failMoveAttempt(now, mv, "no placement candidate")
 		return
 	}
-	logic := foldURAM(svc.Logic, dst.Platform.Chip.Capacity.URAM > 0)
-	start := c.budget.acquire(now)
-	t, err := dst.Tenants.Admit(start, r.Name(), logic, []net.IPAddr{r.VIP})
+	t, err := c.loadSlot(mv.reqAt, now, dst, r, LoadElective)
 	if err != nil {
-		var le *tenancy.LoadError
-		if errors.As(err, &le) {
-			c.budget.commit(mv.reqAt, start, le.BusyUntil, dst.ID, LoadElective, false)
-			c.tracePRLoad(mv.reqAt, start, le.BusyUntil, dst.ID, false)
-		} else {
-			c.budget.commit(mv.reqAt, start, start, dst.ID, LoadElective, false)
-			c.tracePRLoad(mv.reqAt, start, start, dst.ID, false)
-		}
 		c.failMoveAttempt(now, mv, "shadow admit failed")
 		return
 	}
-	c.budget.commit(mv.reqAt, start, t.ReadyAt, dst.ID, LoadElective, true)
-	c.tracePRLoad(mv.reqAt, start, t.ReadyAt, dst.ID, true)
 	mv.dst, mv.shadow = dst, t
 	// Bind a fresh connection table for the shadow on the target's role
 	// module: pre-copy and delta rows land there, and it becomes the
 	// replica's table at cutover.
 	if svc.Stateful {
-		fs := &flowState{c: c, service: r.Service, table: apps.NewFlowTable(flowTableCap)}
-		if m, ok := dst.Inst.Kernel().Module(device.RBBRole, 0); ok {
-			tid := FlowTableBase | uint32(t.ID)
-			m.SetTableSource(tid, fs.exportRow)
-			m.SetTableSink(tid, fs.importRow)
-		}
-		mv.dstFlows = fs
+		mv.dstFlows = newFlowState(c, r.Service)
+		bindFlowTable(dst, mv.shadowTableID(), mv.dstFlows)
 	}
 	mv.phase = movePreCopy
 	mv.phaseAt = now
@@ -533,11 +497,7 @@ func (c *Cluster) abortMove(now sim.Time, mv *rebalanceMove, reason string) {
 	}
 	if mv.shadow != nil {
 		if mv.dstFlows != nil {
-			if m, ok := mv.dst.Inst.Kernel().Module(device.RBBRole, 0); ok {
-				tid := mv.shadowTableID()
-				m.SetTableSource(tid, nil)
-				m.SetTableSink(tid, nil)
-			}
+			bindFlowTable(mv.dst, mv.shadowTableID(), nil)
 		}
 		// Pure control-plane bookkeeping, so it is safe on a dead target
 		// too (a revive would blank the slot anyway).
@@ -649,7 +609,7 @@ type FragmentationStats struct {
 	// not yet reclaimed, fleet-wide.
 	StrandedQueues int
 	// QueueFrag is stranded queues over the queue horizon the fleet's
-	// slots can ever address (slots × QueuesPerTenant, summed).
+	// slots can ever address (slots × queuesPerTenant, summed).
 	QueueFrag float64
 	// SlotImbalance is the mean absolute deviation of per-node slot
 	// occupancy across serving nodes.
@@ -661,9 +621,7 @@ type FragmentationStats struct {
 
 // Fragmentation computes the fleet's current fragmentation score. Pure
 // read; safe at any barrier.
-func (c *Cluster) Fragmentation() FragmentationStats { return c.rawFragmentation() }
-
-func (c *Cluster) rawFragmentation() FragmentationStats {
+func (c *Cluster) Fragmentation() FragmentationStats {
 	var fs FragmentationStats
 	horizon := 0
 	var occs []float64
@@ -672,7 +630,7 @@ func (c *Cluster) rawFragmentation() FragmentationStats {
 			continue
 		}
 		fs.StrandedQueues += n.Tenants.QueuesRetired()
-		horizon += n.slots * c.cfg.QueuesPerTenant
+		horizon += n.slots * queuesPerTenant
 		if n.state == Healthy || n.state == Degraded {
 			occs = append(occs, float64(n.slots-n.Tenants.FreeSlots())/float64(n.slots))
 		}

@@ -488,9 +488,9 @@ type RouterSnapshot struct {
 	Bytes                 int64
 }
 
-// rawRouterStats merges the dispatch counters across shards. It feeds the registry's router callbacks; the public
-// RouterStats accessor (obs.go) reads back through the registry.
-func (c *Cluster) rawRouterStats() RouterSnapshot {
+// RouterStats reports cumulative dispatch counters, merged across
+// shards.
+func (c *Cluster) RouterStats() RouterSnapshot {
 	r := c.router
 	var snap RouterSnapshot
 	for _, sh := range r.shards {
@@ -537,12 +537,11 @@ type ServiceSnapshot struct {
 	Bytes                 int64
 }
 
-// rawServiceStats merges one service's dispatch counters across shards.
-// It feeds the registry's per-service callbacks; the public
-// ServiceStats accessor (obs.go) reads back through the registry. The
-// svcIndex is looked up at call time — freeze rebuilds the index map,
-// so callbacks must not capture the pre-freeze *svcIndex.
-func (c *Cluster) rawServiceStats(name string) ServiceSnapshot {
+// ServiceStats reports one service's cumulative dispatch counters,
+// merged across shards. The svcIndex is looked up at call time —
+// freeze rebuilds the index map, so the registry's per-service
+// callbacks must not capture the pre-freeze *svcIndex.
+func (c *Cluster) ServiceStats(name string) ServiceSnapshot {
 	var snap ServiceSnapshot
 	si, ok := c.router.idx.svcs[name]
 	if !ok {

@@ -11,7 +11,7 @@ import (
 // and multi-window burn-rate alerting, advanced exclusively from the
 // heartbeat barrier's serial tail (barrierTail → stepSLO). The
 // accounting reads the same shard counters the metrics registry reads
-// through, and every window advance happens at a barrier — after the
+// (ServiceStats), and every window advance happens at a barrier — after the
 // worker pool has joined — so burn rates, alert transitions and the
 // AlertLog are byte-identical across worker counts and batch quanta.
 // Nothing here runs on the packet hot path. The autoscaler the
@@ -145,7 +145,7 @@ func (c *Cluster) stepSLO(now sim.Time) {
 		return
 	}
 	for _, name := range e.order {
-		cur := c.rawServiceStats(name)
+		cur := c.ServiceStats(name)
 		prev := e.prev[name]
 		e.prev[name] = cur
 		total := cur.Sent - prev.Sent

@@ -354,7 +354,7 @@ func SLODrill(opts DrillOptions) (*SLOResult, error) {
 	// full PR-load retry budget (failed loads re-place and retry
 	// before demand recovers) plus one mid window of burn accumulation.
 	res.Lookback = c.GossipDetectionBound() +
-		sim.Time(cfg.LoadRetries+1)*cfg.ReconfigTime +
+		sim.Time(loadRetries+1)*cfg.ReconfigTime +
 		sim.Time(sloWindowTicks[1])*cfg.Heartbeat
 	pms := obs.Correlate(base.alerts, base.causal, res.Lookback)
 	res.Timeline = string(obs.RenderTimeline(pms))

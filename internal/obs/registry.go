@@ -11,13 +11,12 @@ import (
 )
 
 // The metrics registry is read-through: a metric registers a callback
-// over the owning subsystem's live counters instead of maintaining a
-// second copy. Nothing touches the serving hot path — counters keep
-// incrementing plain int64 fields where they live today, and the
-// registry reads them only at snapshot time. That makes the registry
-// the single source of truth: drill JSON, Prometheus text and the
-// public stats accessors all evaluate the same callbacks, so they can
-// never disagree.
+// over the owning subsystem's live counters (typically its public stats
+// accessor) instead of maintaining a second copy. Nothing touches the
+// serving hot path — counters keep incrementing plain int64 fields
+// where they live today, and the registry reads them only at snapshot
+// time, so drill JSON, Prometheus text and the accessors read one
+// source and can never disagree.
 
 // Summary is a quantile snapshot a summary metric's callback returns,
 // typically rendered from a metrics.Histogram.
@@ -187,12 +186,6 @@ func (r *Registry) HistogramM(name, help string, read func() HistSnapshot) {
 // Value reads one unlabeled counter or gauge by name. ok is false for
 // unknown names.
 func (r *Registry) Value(name string) (float64, bool) {
-	return r.ValueL(name, nil)
-}
-
-// ValueL reads one series by name and label set.
-func (r *Registry) ValueL(name string, labels map[string]string) (float64, bool) {
-	want := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fam := r.families[name]
@@ -200,19 +193,11 @@ func (r *Registry) ValueL(name string, labels map[string]string) (float64, bool)
 		return 0, false
 	}
 	for _, s := range fam.series {
-		if s.labels == want && s.readF != nil {
+		if s.labels == "" && s.readF != nil {
 			return s.readF(), true
 		}
 	}
 	return 0, false
-}
-
-// Int reads one unlabeled counter/gauge as an int64 (0 when absent).
-// Counter magnitudes stay far below 2^53, so the float round trip is
-// exact.
-func (r *Registry) Int(name string) int64 {
-	v, _ := r.Value(name)
-	return int64(v)
 }
 
 // Values snapshots every series into a flat map for embedding in
