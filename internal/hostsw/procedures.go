@@ -8,6 +8,7 @@ package hostsw
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"harmonia/internal/cmdif"
 	"harmonia/internal/platform"
@@ -138,15 +139,39 @@ var moduleRegBudget = map[string]int{
 	"uck":      8,
 }
 
-// ModuleInitRegisters generates the register-level init sequence for a
-// module category on a device.
+// initSeqKey names one init sequence: the sequence depends only on the
+// device's vendor and the module category.
+type initSeqKey struct {
+	vendor   platform.Vendor
+	category string
+}
+
+// initSeqs memoises ModuleInitRegisters (initSeqKey → []uck.RegOp).
+var initSeqs sync.Map
+
+// ModuleInitRegisters returns the register-level init sequence for a
+// module category on a device. Every device of one vendor shares the
+// returned slice, so it is read-only.
 func ModuleInitRegisters(dev *platform.Device, category string) ([]uck.RegOp, error) {
+	k := initSeqKey{dev.Vendor, category}
+	if ops, ok := initSeqs.Load(k); ok {
+		return ops.([]uck.RegOp), nil
+	}
+	ops, err := buildModuleInitRegisters(dev.Vendor, category)
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := initSeqs.LoadOrStore(k, ops)
+	return shared.([]uck.RegOp), nil
+}
+
+func buildModuleInitRegisters(vendor platform.Vendor, category string) ([]uck.RegOp, error) {
 	n, ok := moduleRegBudget[category]
 	if !ok {
 		return nil, fmt.Errorf("hostsw: unknown module category %q", category)
 	}
-	salt := vendorSalt(dev.Vendor) + uint32(len(category))*0x100
-	wait := usesWaitStyle(dev.Vendor)
+	salt := vendorSalt(vendor) + uint32(len(category))*0x100
+	wait := usesWaitStyle(vendor)
 	ops := make([]uck.RegOp, 0, n)
 	for i := 0; len(ops) < n; i++ {
 		addr := salt + uint32(i)*4

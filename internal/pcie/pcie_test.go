@@ -1,6 +1,8 @@
 package pcie
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"harmonia/internal/sim"
@@ -169,6 +171,64 @@ func TestEnginePostValidation(t *testing.T) {
 	}
 	if _, err := e.QueueStats(-1); err == nil {
 		t.Error("QueueStats(-1) should fail")
+	}
+}
+
+// TestEngineQueuesMaterialiseOnFirstPost checks that queue state is
+// created lazily without moving any bound or cost: untouched queues
+// read as zero, range errors still name cfg.Queues, and FullScan still
+// charges a scan of every configured slot.
+func TestEngineQueuesMaterialiseOnFirstPost(t *testing.T) {
+	cfg := DefaultEngineConfig()
+	e := newTestEngine(t, cfg)
+	if len(e.queues) != 0 || cap(e.queues) != 0 {
+		t.Fatalf("fresh engine holds %d queues (cap %d), want none", len(e.queues), cap(e.queues))
+	}
+	for id := 0; id < cfg.Queues; id++ {
+		if st, err := e.QueueStats(id); err != nil || st != (QueueStats{}) {
+			t.Fatalf("QueueStats(%d) = %+v, %v; want zero, nil", id, st, err)
+		}
+	}
+	if len(e.queues) != 0 {
+		t.Fatalf("QueueStats materialised %d queues", len(e.queues))
+	}
+	bound := fmt.Sprintf("[0,%d)", cfg.Queues)
+	for _, id := range []int{-1, cfg.Queues} {
+		if err := e.Post(0, id, DeviceToHost, 64); err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("Post(queue %d) error %v, want one naming %s", id, err, bound)
+		}
+		if _, err := e.QueueStats(id); err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("QueueStats(%d) error %v, want one naming %s", id, err, bound)
+		}
+	}
+
+	cfg.Mode = FullScan
+	scan := newTestEngine(t, cfg)
+	last := cfg.Queues - 1
+	if err := scan.Post(0, last, DeviceToHost, 64); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := scan.Step(0); !ok {
+		t.Fatal("posted transfer not dispatched")
+	}
+	if want := sim.Time(cfg.Queues) * cfg.SchedCycle; scan.SchedulingTime() != want {
+		t.Errorf("FullScan to queue %d charged %v, want %v (%d slots)", last, scan.SchedulingTime(), want, cfg.Queues)
+	}
+	if st, _ := scan.QueueStats(last); st.Completed != 1 {
+		t.Errorf("QueueStats(%d) = %+v, want one completion", last, st)
+	}
+	// Only queue 0 exists here, yet an idle decision still scans every
+	// configured slot.
+	idle := newTestEngine(t, cfg)
+	if err := idle.Post(0, 0, DeviceToHost, 64); err != nil {
+		t.Fatal(err)
+	}
+	idle.Step(0)
+	if _, ok := idle.Step(0); ok {
+		t.Fatal("idle engine dispatched")
+	}
+	if want := sim.Time(1+cfg.Queues) * cfg.SchedCycle; idle.SchedulingTime() != want {
+		t.Errorf("FullScan hit on queue 0 then idle charged %v, want %v", idle.SchedulingTime(), want)
 	}
 }
 

@@ -103,6 +103,12 @@ func DefaultEngineConfig() EngineConfig {
 // Engine is a multi-queue DMA engine over a PCIe link. Descriptors post
 // to per-queue rings; a scheduler picks the next active queue
 // round-robin and serializes its transfer on the link.
+//
+// Queue state is materialised on first post: queues grows to cover the
+// highest id posted so far, and every slot in [len(queues), cfg.Queues)
+// is an empty queue nobody has used. Range checks and the FullScan
+// cost still follow cfg.Queues, so an engine whose data queues are
+// never posted to (the command driver's) holds no per-queue storage.
 type Engine struct {
 	cfg    EngineConfig
 	link   *Link
@@ -128,7 +134,7 @@ func NewEngine(link *Link, cfg EngineConfig) (*Engine, error) {
 	if cfg.SchedCycle <= 0 {
 		cfg.SchedCycle = 4 * sim.Nanosecond
 	}
-	return &Engine{cfg: cfg, link: link, queues: make([]queue, cfg.Queues)}, nil
+	return &Engine{cfg: cfg, link: link}, nil
 }
 
 // Config returns the engine configuration.
@@ -137,12 +143,23 @@ func (e *Engine) Config() EngineConfig { return e.cfg }
 // Link returns the underlying link.
 func (e *Engine) Link() *Link { return e.link }
 
-// QueueStats returns statistics for queue id.
+// QueueStats returns statistics for queue id; a queue nobody has
+// posted to reports zero.
 func (e *Engine) QueueStats(id int) (QueueStats, error) {
-	if id < 0 || id >= len(e.queues) {
-		return QueueStats{}, fmt.Errorf("pcie: queue %d out of range [0,%d)", id, len(e.queues))
+	if err := e.checkQueue(id); err != nil {
+		return QueueStats{}, err
+	}
+	if id >= len(e.queues) {
+		return QueueStats{}, nil
 	}
 	return e.queues[id].stats, nil
+}
+
+func (e *Engine) checkQueue(id int) error {
+	if id < 0 || id >= e.cfg.Queues {
+		return fmt.Errorf("pcie: queue %d out of range [0,%d)", id, e.cfg.Queues)
+	}
+	return nil
 }
 
 // ActiveQueues reports how many queues currently hold pending work.
@@ -157,11 +174,14 @@ func (e *Engine) Completed() int64 { return e.completed }
 // Post enqueues a transfer on queue id at time now. The transfer is
 // dispatched by Run.
 func (e *Engine) Post(now sim.Time, id int, dir Direction, bytes int) error {
-	if id < 0 || id >= len(e.queues) {
-		return fmt.Errorf("pcie: queue %d out of range [0,%d)", id, len(e.queues))
+	if err := e.checkQueue(id); err != nil {
+		return err
 	}
 	if bytes <= 0 {
 		return fmt.Errorf("pcie: transfer size %d must be positive", bytes)
+	}
+	if id >= len(e.queues) {
+		e.queues = append(e.queues, make([]queue, id+1-len(e.queues))...)
 	}
 	q := &e.queues[id]
 	q.pending = append(q.pending, Transfer{Queue: id, Dir: dir, Bytes: bytes, Posted: now})
@@ -196,17 +216,19 @@ func (e *Engine) schedule(now sim.Time) (qIdx int, ready sim.Time) {
 	}
 	switch e.cfg.Mode {
 	case FullScan:
-		// Hardware scans queue slots sequentially each decision.
+		// Hardware scans all cfg.Queues slots sequentially each
+		// decision; a slot not yet materialised is empty.
+		n := e.cfg.Queues
 		scanned := 0
-		for i := 0; i < len(e.queues); i++ {
-			idx := (e.ringPos + i) % len(e.queues)
+		for i := 0; i < n; i++ {
+			idx := (e.ringPos + i) % n
 			scanned++
-			if len(e.queues[idx].pending) > 0 {
+			if idx < len(e.queues) && len(e.queues[idx].pending) > 0 {
 				cost := sim.Time(scanned) * e.cfg.SchedCycle
 				e.schedCost += cost
 				ready += cost
 				e.schedBusy = ready
-				e.ringPos = (idx + 1) % len(e.queues)
+				e.ringPos = (idx + 1) % n
 				return idx, ready
 			}
 		}

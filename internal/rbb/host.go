@@ -32,11 +32,7 @@ func NewHost(vendor platform.Vendor, gen, lanes int, variant ip.DMAVariant, user
 	if err != nil {
 		return nil, err
 	}
-	mod, err := ip.DMAModule(vendor, gen, lanes, variant)
-	if err != nil {
-		return nil, err
-	}
-	wrapped, overhead, err := wrapper.Wrap(mod)
+	desc, err := NewHostDesc(vendor, gen, lanes, variant)
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +40,10 @@ func NewHost(vendor platform.Vendor, gen, lanes int, variant ip.DMAVariant, user
 	if err != nil {
 		return nil, err
 	}
-	engine, err := pcie.NewEngine(link, pcie.DefaultEngineConfig())
+	// The engine's queue bound is the spec's, the one AssignQueue checks.
+	cfg := pcie.DefaultEngineConfig()
+	cfg.Queues = spec.QueueCount
+	engine, err := pcie.NewEngine(link, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +53,7 @@ func NewHost(vendor platform.Vendor, gen, lanes int, variant ip.DMAVariant, user
 		return nil, err
 	}
 	return &HostRBB{
-		desc:       hostDesc(wrapped, overhead),
+		desc:       desc,
 		spec:       spec,
 		Engine:     engine,
 		path:       path,

@@ -92,11 +92,7 @@ func NewMemory(vendor platform.Vendor, kind ip.MemKind, userClk *sim.Clock, user
 	if err != nil {
 		return nil, err
 	}
-	mod, err := ip.MemModule(vendor, kind)
-	if err != nil {
-		return nil, err
-	}
-	wrapped, overhead, err := wrapper.Wrap(mod)
+	desc, err := NewMemoryDesc(vendor, kind)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +108,7 @@ func NewMemory(vendor platform.Vendor, kind ip.MemKind, userClk *sim.Clock, user
 		return nil, err
 	}
 	m := &MemoryRBB{
-		desc:  memoryDesc(wrapped, overhead),
+		desc:  desc,
 		spec:  spec,
 		dev:   mem.NewDevice(cfg),
 		Cache: NewHotCache(4096, 64, 12*sim.Nanosecond),

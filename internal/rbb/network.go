@@ -196,11 +196,7 @@ func NewNetwork(vendor platform.Vendor, speed ip.Speed, userClk *sim.Clock, user
 	if err != nil {
 		return nil, err
 	}
-	mod, err := ip.MACModule(vendor, speed)
-	if err != nil {
-		return nil, err
-	}
-	wrapped, overhead, err := wrapper.Wrap(mod)
+	desc, err := NewNetworkDesc(vendor, speed)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +210,7 @@ func NewNetwork(vendor platform.Vendor, speed ip.Speed, userClk *sim.Clock, user
 		return nil, err
 	}
 	return &NetworkRBB{
-		desc:     networkDesc(wrapped, overhead),
+		desc:     desc,
 		spec:     spec,
 		rxLink:   net.NewLink(fmt.Sprintf("wire-%dg-rx", speed), float64(speed), 0),
 		txLink:   net.NewLink(fmt.Sprintf("wire-%dg-tx", speed), float64(speed), 0),

@@ -1,6 +1,8 @@
 package rbb
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"harmonia/internal/ip"
@@ -129,6 +131,36 @@ func TestDescConstructors(t *testing.T) {
 	}
 	if _, err := NewHostDesc(platform.Xilinx, 9, 16, ip.BDMA); err == nil {
 		t.Error("bad generation accepted")
+	}
+}
+
+// TestDescConstructorsShareAcrossGoroutines checks that concurrent
+// first calls with one argument tuple all get the same Desc, equal to
+// a fresh build.
+func TestDescConstructorsShareAcrossGoroutines(t *testing.T) {
+	const callers = 8
+	got := make([]*Desc, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			d, err := NewHostDesc(platform.Intel, 5, 8, ip.BDMA)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = d
+		}(i)
+	}
+	wg.Wait()
+	for i, d := range got {
+		if d != got[0] {
+			t.Fatalf("caller %d got a different Desc", i)
+		}
+	}
+	fresh, err := buildHostDesc(platform.Intel, 5, 8, ip.BDMA)
+	if err != nil || !reflect.DeepEqual(got[0], fresh) {
+		t.Errorf("shared Desc differs from a fresh build (%v)", err)
 	}
 }
 

@@ -33,7 +33,9 @@ type Module struct {
 	name string
 	regs map[uint32]uint32
 	// initSeq is the register choreography ModuleInit runs; platforms
-	// differ here (Fig. 3d) but hosts never see it.
+	// differ here (Fig. 3d) but hosts never see it. It may be shared
+	// with other modules (hostsw memoises one per vendor and category),
+	// so it is only read.
 	initSeq []RegOp
 	tables  map[uint32]map[uint32][]uint32
 	// Dynamic tables: live module state exposed through the ordinary
