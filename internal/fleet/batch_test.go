@@ -1,77 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
-	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 )
-
-// batchPhases runs the determinism workload (clean phase + mid-phase
-// kill) with an explicit batch quantum and worker count, returning
-// both PhaseStats and the exported trace bytes.
-func batchPhases(t *testing.T, quantum, workers int) (PhaseStats, PhaseStats, []byte) {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.RouterShards = 4
-	cfg.BatchQuantum = quantum
-	cfg.ServeWorkers = workers
-	c, err := BuildCluster(cfg, testApp, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder()
-	c.SetTrace(rec.Process("fleet"))
-	c.RunMonitorUntil(2 * cfg.ReconfigTime)
-	tr := DefaultTraffic(testApp)
-	tr.OfferedGbps = 200
-	first, err := c.Serve(120*sim.Microsecond, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Kill(c.Nodes()[2].ID); err != nil {
-		t.Fatal(err)
-	}
-	tr2 := tr
-	tr2.Seed = tr.Seed + 50
-	second, err := c.Serve(
-		sim.Time(cfg.FailedAfter+2)*cfg.Heartbeat+2*cfg.ReconfigTime, tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return first, second, buf.Bytes()
-}
-
-// TestBatchQuantumInvariant is the batched dispatch determinism
-// contract: the quantum only chunks the barrier window — no
-// control-plane work runs at a quantum split and the flow caches
-// survive it — so same-seed PhaseStats AND trace bytes are
-// byte-identical across quantum sizes and worker counts, including
-// through a mid-phase failover.
-func TestBatchQuantumInvariant(t *testing.T) {
-	base1, base2, baseTrace := batchPhases(t, 0, 1)
-	if base1.Served == 0 || base2.Served == 0 {
-		t.Fatalf("phases served nothing: %+v / %+v", base1, base2)
-	}
-	for _, tc := range []struct{ quantum, workers int }{
-		{1, 1}, {64, 1}, {64, 2}, {4096, 8}, {0, 8},
-	} {
-		got1, got2, trace := batchPhases(t, tc.quantum, tc.workers)
-		if got1 != base1 || got2 != base2 {
-			t.Errorf("quantum=%d workers=%d: stats diverge:\n base: %+v / %+v\n got:  %+v / %+v",
-				tc.quantum, tc.workers, base1, base2, got1, got2)
-		}
-		if !bytes.Equal(trace, baseTrace) {
-			t.Errorf("quantum=%d workers=%d: trace bytes diverge from base", tc.quantum, tc.workers)
-		}
-	}
-}
 
 // TestPreparePhaseUnknownService verifies a phase for a service the
 // cluster never commissioned is rejected before any router counter

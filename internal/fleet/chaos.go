@@ -274,7 +274,7 @@ func runChaosCase(opts DrillOptions, sched *faults.Schedule, name string, budget
 			}
 		}
 		before := c.RouterStats()
-		if err := st.serve(w); err != nil {
+		if _, err := st.serve(w); err != nil {
 			return nil, err
 		}
 		after := c.RouterStats()

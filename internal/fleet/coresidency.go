@@ -305,7 +305,7 @@ func CoResidencyDrill(opts DrillOptions) (*CoResResult, error) {
 		for _, name := range names {
 			winStats[name] = c.ServiceStats(name)
 		}
-		if err := st.serve(w); err != nil {
+		if _, err := st.serve(w); err != nil {
 			return nil, err
 		}
 

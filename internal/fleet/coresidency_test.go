@@ -1,13 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"harmonia/internal/apps"
 	"harmonia/internal/net"
-	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 )
 
@@ -48,80 +46,6 @@ func coResTraffics(seedBump int64) []Traffic {
 	sec.Flows = 128
 	sec.Seed = lb.Seed + 1009
 	return []Traffic{lb, sec}
-}
-
-// multiPhases runs the co-residency determinism workload (clean
-// multi-service phase + mid-phase kill) with an explicit batch quantum
-// and worker count, returning PhaseStats, the per-service snapshots,
-// and the exported trace bytes.
-func multiPhases(t *testing.T, quantum, workers int) (PhaseStats, PhaseStats, [2]ServiceSnapshot, []byte) {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.RouterShards = 4
-	cfg.BatchQuantum = quantum
-	cfg.ServeWorkers = workers
-	c := coResTestCluster(t, cfg, 8)
-	rec := obs.NewRecorder()
-	c.SetTrace(rec.Process("fleet"))
-	c.RunMonitorUntil(2 * cfg.ReconfigTime)
-	first, err := c.ServeMulti(120*sim.Microsecond, coResTraffics(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Kill(c.Nodes()[2].ID); err != nil {
-		t.Fatal(err)
-	}
-	second, err := c.ServeMulti(
-		sim.Time(cfg.FailedAfter+2)*cfg.Heartbeat+2*cfg.ReconfigTime, coResTraffics(50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snaps := [2]ServiceSnapshot{c.ServiceStats(testApp), c.ServiceStats(testSecApp)}
-	return first, second, snaps, buf.Bytes()
-}
-
-// TestMultiServeDeterminism is the co-residency determinism contract:
-// the merged multi-service phase partitions packets by each packet's
-// own service dispatch, so same-seed PhaseStats, per-service
-// snapshots AND trace bytes are byte-identical across batch quanta and
-// worker counts, including through a mid-phase failover.
-func TestMultiServeDeterminism(t *testing.T) {
-	base1, base2, baseSnaps, baseTrace := multiPhases(t, 0, 1)
-	if base1.Served == 0 || base2.Served == 0 {
-		t.Fatalf("phases served nothing: %+v / %+v", base1, base2)
-	}
-	for i, s := range baseSnaps {
-		if s.Sent == 0 || s.Served == 0 {
-			t.Fatalf("service %d saw no traffic: %+v", i, s)
-		}
-	}
-	// The per-service decomposition must re-sum to the fleet totals.
-	if got := baseSnaps[0].Sent + baseSnaps[1].Sent; got != base1.Sent+base2.Sent {
-		t.Errorf("per-service sent %d != phase sent %d", got, base1.Sent+base2.Sent)
-	}
-	if got := baseSnaps[0].Served + baseSnaps[1].Served; got != base1.Served+base2.Served {
-		t.Errorf("per-service served %d != phase served %d", got, base1.Served+base2.Served)
-	}
-	for _, tc := range []struct{ quantum, workers int }{
-		{64, 1}, {64, 2}, {4096, 8}, {0, 8},
-	} {
-		got1, got2, snaps, trace := multiPhases(t, tc.quantum, tc.workers)
-		if got1 != base1 || got2 != base2 {
-			t.Errorf("quantum=%d workers=%d: stats diverge:\n base: %+v / %+v\n got:  %+v / %+v",
-				tc.quantum, tc.workers, base1, base2, got1, got2)
-		}
-		if snaps != baseSnaps {
-			t.Errorf("quantum=%d workers=%d: service snapshots diverge:\n base: %+v\n got:  %+v",
-				tc.quantum, tc.workers, baseSnaps, snaps)
-		}
-		if !bytes.Equal(trace, baseTrace) {
-			t.Errorf("quantum=%d workers=%d: trace bytes diverge from base", tc.quantum, tc.workers)
-		}
-	}
 }
 
 // TestFlowCacheIsolation pins the per-(service, shard) flow cache

@@ -1,253 +1,443 @@
 package fleet
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
-	"harmonia/internal/hdl"
+	"harmonia/internal/apps"
+	"harmonia/internal/faults"
+	"harmonia/internal/net"
+	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 )
 
-// servePhases builds a fresh sharded cluster and runs two identically
-// seeded phases — one clean, one spanning a device failure — returning
-// both PhaseStats. Everything observable is derived from explicit
-// seeds, so two calls with the same worker count must match, and the
-// determinism contract says worker count must not matter either.
-func servePhases(t *testing.T, workers int) (PhaseStats, PhaseStats) {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.RouterShards = 4
-	cfg.ServeWorkers = workers
-	c, err := BuildCluster(cfg, testApp, 8, 8)
-	if err != nil {
-		t.Fatal(err)
+// The determinism harness. Seeded results must not depend on the batch
+// quantum, the worker count or (without RackP2C) the rack count. Each
+// row runs under its base Config and every variant, traced, and each run
+// must match the base on PhaseStats, Digest, trace bytes and burnState.
+
+// detVariant sets a row's batch quantum and worker count and, when
+// non-zero, its rack count.
+type detVariant struct{ quantum, workers, racks int }
+
+// detRow is one workload: a base Config, a build, a script serving
+// every phase through detRun.phase, and the variants that must
+// reproduce the base. -short runs only the first, a multi-worker one.
+type detRow struct {
+	name     string
+	base     Config
+	build    func(t *testing.T, cfg Config) *Cluster
+	script   func(r *detRun)
+	variants []detVariant
+}
+
+// detRun is one traced run of a row.
+type detRun struct {
+	t         *testing.T
+	c         *Cluster
+	digest    *Digest
+	phases    []PhaseStats
+	problems  []string
+	sum, burn string // set when the run ends
+	trace     []byte
+}
+
+// phase records one served phase: it folds it into the digest and
+// checks conservation from the services' counter deltas — sent = served
+// + dropped ≥ shed for each, and the services summing to the phase.
+func (r *detRun) phase(st PhaseStats, err error) {
+	r.t.Helper()
+	r.must(err)
+	var sum ServiceSnapshot
+	for i, d := range r.digest.Phase(st) {
+		if d.Sent != d.Served+d.Dropped || d.Shed > d.Dropped {
+			r.problems = append(r.problems, fmt.Sprintf("phase %d: %s %+v does not conserve", len(r.phases), r.c.Services()[i], d))
+		}
+		sum.Sent, sum.Served, sum.Dropped = sum.Sent+d.Sent, sum.Served+d.Served, sum.Dropped+d.Dropped
 	}
-	c.RunMonitorUntil(2 * cfg.ReconfigTime)
+	if sum.Sent != st.Sent || sum.Served != st.Served || sum.Dropped != st.Dropped {
+		r.problems = append(r.problems, fmt.Sprintf("phase %d: services sum to %+v, phase is %+v", len(r.phases), sum, st))
+	}
+	r.phases = append(r.phases, st)
+}
+
+// must fails the test on a script step's error.
+func (r *detRun) must(err error) {
+	r.t.Helper()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// runDet builds and scripts one traced run of row under cfg.
+func runDet(t *testing.T, row detRow, cfg Config) *detRun {
+	t.Helper()
+	c := row.build(t, cfg)
+	rec := obs.NewRecorder()
+	c.SetTrace(rec.Process("fleet"))
+	r := &detRun{t: t, c: c, digest: NewDigest(c)}
+	row.script(r)
+	var buf bytes.Buffer
+	r.must(rec.WriteTrace(&buf))
+	r.sum, r.burn, r.trace = r.digest.Sum(), burnState(c), buf.Bytes()
+	return r
+}
+
+// determinism runs row's base and variants and returns every
+// divergence from the base, conservation violation and empty phase.
+func determinism(t *testing.T, row detRow) []string {
+	t.Helper()
+	variants := row.variants
+	if testing.Short() {
+		variants = variants[:1]
+	}
+	base := runDet(t, row, row.base)
+	out := base.problems
+	if len(base.phases) == 0 || slices.ContainsFunc(base.phases, func(st PhaseStats) bool { return st.Served == 0 }) ||
+		slices.ContainsFunc(base.c.Services(), func(s string) bool { return base.c.ServiceStats(s).Served == 0 }) {
+		out = append(out, fmt.Sprintf("base run served nothing in a phase or for a service: %+v", base.phases))
+	}
+	for _, v := range variants {
+		cfg := row.base
+		cfg.BatchQuantum, cfg.ServeWorkers = v.quantum, v.workers
+		if v.racks != 0 {
+			cfg.Racks = v.racks
+		}
+		got := runDet(t, row, cfg)
+		diverge := func(what string, d bool) {
+			if d {
+				out = append(out, fmt.Sprintf("%+v: %s", v, what))
+			}
+		}
+		for _, p := range got.problems {
+			diverge(p, true)
+		}
+		diverge(fmt.Sprintf("phase stats diverge:\n base: %+v\n got:  %+v", base.phases, got.phases),
+			!slices.Equal(got.phases, base.phases))
+		diverge(fmt.Sprintf("digest %s != base %s", got.sum, base.sum), got.sum != base.sum)
+		diverge("trace bytes diverge from base", !bytes.Equal(got.trace, base.trace))
+		diverge(fmt.Sprintf("burn state diverges:\nbase:\n%s\ngot:\n%s", base.burn, got.burn), got.burn != base.burn)
+	}
+	return out
+}
+
+// TestDeterminism is the fleet's determinism contract, one row per
+// workload shape. CI's race job runs the full matrix under -race.
+func TestDeterminism(t *testing.T) {
+	for _, row := range determinismRows() {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			checkRow(t, row)
+		})
+	}
+}
+
+// checkRow reports every problem determinism finds in row.
+func checkRow(t *testing.T, row detRow) {
+	t.Helper()
+	for _, d := range determinism(t, row) {
+		t.Error(d)
+	}
+}
+
+// serveRow is the sharded kill workload — a clean phase, then one
+// through a mid-phase failover — run at base and at each variant.
+func serveRow(base Config, variants ...detVariant) detRow {
+	return detRow{name: "serve", base: base, build: lbFleet(8),
+		script: killScript(lbTraffic, heartbeatDetect), variants: variants}
+}
+
+// shardedConfig is the default Config on 4 router shards and one worker.
+func shardedConfig() Config {
+	cfg := DefaultConfig()
+	cfg.RouterShards, cfg.ServeWorkers = 4, 1
+	return cfg
+}
+
+// TestBatchQuantumInvariant: the quantum only chunks the barrier window
+// — no control-plane work runs at a split and the flow caches survive
+// it — so the serve workload matches across quantum sizes and worker
+// counts, through its failover.
+func TestBatchQuantumInvariant(t *testing.T) {
+	t.Parallel()
+	checkRow(t, serveRow(shardedConfig(), detVariant{64, 2, 0}, detVariant{1, 1, 0},
+		detVariant{64, 1, 0}, detVariant{4096, 8, 0}, detVariant{0, 8, 0}))
+}
+
+// TestServeDeterministicAcrossWorkers: the serve workload does not
+// depend on how many workers route the shards.
+func TestServeDeterministicAcrossWorkers(t *testing.T) {
+	t.Parallel()
+	checkRow(t, serveRow(shardedConfig(), detVariant{0, 2, 0}, detVariant{0, 8, 0}))
+}
+
+// TestServeDeterministicRepeatable: two runs of the serve workload on
+// GOMAXPROCS workers are equal.
+func TestServeDeterministicRepeatable(t *testing.T) {
+	t.Parallel()
+	cfg := shardedConfig()
+	cfg.ServeWorkers = 0
+	checkRow(t, serveRow(cfg, detVariant{0, 0, 0}))
+}
+
+// TestDeterminismHarnessDetectsDivergence checks that the harness can
+// fail: a script whose traffic seed reads the worker count or the batch
+// quantum must be reported as divergent.
+func TestDeterminismHarnessDetectsDivergence(t *testing.T) {
+	for name, knob := range map[string]func(Config) int{
+		"workers": func(cfg Config) int { return cfg.ServeWorkers },
+		"quantum": func(cfg Config) int { return cfg.BatchQuantum },
+	} {
+		row := detRow{name: name, base: DefaultConfig(), build: lbFleet(8), variants: []detVariant{{64, 2, 0}},
+			script: func(r *detRun) { r.phase(lbTraffic(r.c, 4*sim.Millisecond, int64(knob(r.c.cfg)))) }}
+		if !slices.ContainsFunc(determinism(t, row), func(d string) bool { return strings.Contains(d, "digest") }) {
+			t.Errorf("seed read from %s: the harness reported no digest divergence", name)
+		}
+	}
+}
+
+// lbFleet builds n layer4-lb nodes hosting n replicas.
+func lbFleet(n int) func(t *testing.T, cfg Config) *Cluster {
+	return func(t *testing.T, cfg Config) *Cluster {
+		c, err := BuildCluster(cfg, testApp, n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+}
+
+// lbTraffic serves d of layer4-lb traffic with its seed bumped.
+func lbTraffic(c *Cluster, d sim.Time, bump int64) (PhaseStats, error) {
 	tr := DefaultTraffic(testApp)
 	tr.OfferedGbps = 200
-	first, err := c.Serve(120*sim.Microsecond, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill a device mid-phase: failover runs at a heartbeat barrier
-	// inside the serving loop, exercising index updates under way.
-	if err := c.Kill(c.Nodes()[2].ID); err != nil {
-		t.Fatal(err)
-	}
-	tr2 := tr
-	tr2.Seed = tr.Seed + 50
-	second, err := c.Serve(
-		sim.Time(cfg.FailedAfter+2)*cfg.Heartbeat+2*cfg.ReconfigTime, tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return first, second
+	tr.Seed += bump
+	return c.Serve(d, tr)
 }
 
-// TestServeDeterministicAcrossWorkers is the determinism contract: two
-// identically seeded Serve phases on a sharded cluster produce
-// byte-identical PhaseStats regardless of how many workers route the
-// shards — including through a mid-phase failover. CI's race job runs
-// this under -race, which also validates that parallel shard routing
-// shares no unsynchronized state.
-func TestServeDeterministicAcrossWorkers(t *testing.T) {
-	base1, base2 := servePhases(t, 1)
-	if base1.Served == 0 || base2.Served == 0 {
-		t.Fatalf("phases served nothing: %+v / %+v", base1, base2)
-	}
-	for _, workers := range []int{2, 8} {
-		got1, got2 := servePhases(t, workers)
-		if got1 != base1 {
-			t.Errorf("workers=%d: clean phase diverges:\n 1 worker: %+v\n %d workers: %+v",
-				workers, base1, workers, got1)
-		}
-		if got2 != base2 {
-			t.Errorf("workers=%d: failover phase diverges:\n 1 worker: %+v\n %d workers: %+v",
-				workers, base2, workers, got2)
-		}
+// killScript settles the fleet, serves a clean phase, kills a device
+// and serves a reseeded phase of detect(c) through its failover.
+func killScript(serve func(c *Cluster, d sim.Time, bump int64) (PhaseStats, error), detect func(c *Cluster) sim.Time) func(r *detRun) {
+	return func(r *detRun) {
+		c := r.c
+		c.RunMonitorUntil(2 * c.cfg.ReconfigTime)
+		r.phase(serve(c, 120*sim.Microsecond, 0))
+		r.must(c.Kill(c.Nodes()[2].ID))
+		r.phase(serve(c, detect(c), 50))
 	}
 }
 
-// TestServeDeterministicRepeatable guards the simpler property: the
-// same seeded phase on two identically built clusters is repeatable.
-func TestServeDeterministicRepeatable(t *testing.T) {
-	a1, a2 := servePhases(t, 0) // 0 = GOMAXPROCS, whatever this host has
-	b1, b2 := servePhases(t, 0)
-	if a1 != b1 || a2 != b2 {
-		t.Errorf("seeded phases not repeatable:\n a=%+v/%+v\n b=%+v/%+v", a1, a2, b1, b2)
-	}
+// heartbeatDetect and gossipDetect outlast detection and re-placement
+// under the central sweep and under gossip health.
+func heartbeatDetect(c *Cluster) sim.Time {
+	return sim.Time(c.cfg.FailedAfter+2)*c.cfg.Heartbeat + 2*c.cfg.ReconfigTime
 }
 
-// alertPhase builds a small co-resident fleet with SLO windows armed
-// and replays a fixed mini-storm — a device kill plus a thermal
-// excursion on serving nodes under static shedding — returning the
-// alert transition log and the final burn state. Everything observable
-// advances only at heartbeat barriers, so the bytes must not depend on
-// the batch quantum or the worker count.
-func alertPhase(t *testing.T, quantum, workers int) (string, string) {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.RouterShards = 4
-	cfg.BatchQuantum = quantum
-	cfg.ServeWorkers = workers
-	cfg.SLOWindowTicks = []int{2, 8, 24, 48}
-	cfg.SlotRes = hdl.Resources{LUT: 200_000, REG: 300_000, BRAM: 512, URAM: 96, DSP: 2_048}
-	const devices = 24
-	svcs, err := coresServices(devices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := BuildCoResidentCluster(cfg, svcs, devices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunMonitorUntil(2 * cfg.ReconfigTime)
-	serve := func(d sim.Time, seed int64) {
-		t.Helper()
-		if _, err := c.ServeMulti(d, coresTraffics(seed, int(seed))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	serve(200*sim.Microsecond, 1)
-	// Thermal excursion: three serving nodes pushed past the degrade
-	// alarm keep taking traffic under static shedding — unhealthy
-	// serves burn the error budget and the page rules trip.
-	for _, n := range c.Nodes()[:3] {
-		if err := c.Overheat(n.ID, 70_000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	serve(400*sim.Microsecond, 2)
-	if err := c.Kill(c.Nodes()[5].ID); err != nil {
-		t.Fatal(err)
-	}
-	serve(400*sim.Microsecond, 3)
-	for _, n := range c.Nodes()[:3] {
-		if err := c.Cool(n.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Tail: long enough for the slowest window (48 ticks) to drain and
-	// every alert to resolve.
-	serve(4*sim.Millisecond, 4)
-	return string(c.AlertLogBytes()), burnState(c)
-}
+func gossipDetect(c *Cluster) sim.Time { return 2*c.GossipDetectionBound() + 2*c.cfg.ReconfigTime }
 
-// TestAlertDeterminism is the SLO layer's determinism contract: the
-// alert transition log and the final burn-rate state are byte-identical
-// across every batch quantum and worker count, because the SLO engine
-// advances only at heartbeat barriers on the serial control-plane path.
-func TestAlertDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alert determinism sweep is seconds-long; skipped in -short")
-	}
-	var baseLog, baseBurn string
-	first := true
-	for _, quantum := range []int{0, 64, 4096} {
-		for _, workers := range []int{1, 2, 8} {
-			log, burn := alertPhase(t, quantum, workers)
-			if first {
-				if !strings.Contains(log, "state=firing") {
-					t.Fatalf("mini-storm fired no alerts; log:\n%s", log)
+// determinismRows lists the harness's workloads.
+func determinismRows() []detRow {
+	wide := []detVariant{{64, 2, 0}, {64, 1, 0}, {4096, 1, 0}, {0, 2, 0}, {4096, 2, 0}, {0, 8, 0}, {64, 8, 0}, {4096, 8, 0}}
+	drill := []detVariant{{64, 2, 0}, {4096, 8, 0}, {0, 8, 0}}
+	sharded, gossip := shardedConfig(), DefaultConfig()
+	gossip.GossipHealth, gossip.ServeWorkers = true, 1
+	racks, rackP2C, gossipDrill := gossip, gossip, gossip
+	racks.Racks, racks.ServeWorkers = 1, 0
+	rackP2C.Racks, rackP2C.RackP2C = 4, true
+	gossipDrill.Racks, gossipDrill.RackP2C = 2, true
+	alert, rebalance := sharded, sharded
+	alert.SLOWindowTicks, alert.SlotRes = []int{2, 8, 24, 48}, coresSlotRes
+	rebalance.SnapshotEvery = 2
+	migrate := DefaultConfig()
+	migrate.ServeWorkers, migrate.SnapshotEvery = 1, 2
+	stormCfg := stormConfig(11, true)
+	stormCfg.ServeWorkers = 1
+	coresStorm := stormCfg
+	coresStorm.SlotRes = coresSlotRes
+	stateful := func(t *testing.T, cfg Config) *Cluster { return buildStateful(t, cfg, 6) }
+
+	return []detRow{
+		{
+			// Two co-resident services in one merged phase.
+			name: "coresident", base: sharded,
+			build: func(t *testing.T, cfg Config) *Cluster { return coResTestCluster(t, cfg, 8) },
+			script: killScript(func(c *Cluster, d sim.Time, bump int64) (PhaseStats, error) {
+				return c.ServeMulti(d, coResTraffics(bump))
+			}, heartbeatDetect),
+			variants: []detVariant{{64, 2, 0}, {64, 1, 0}, {4096, 8, 0}, {0, 8, 0}},
+		},
+		{
+			// Without RackP2C the racks only group; gossip health on.
+			name: "rack-count", base: racks, build: lbFleet(8),
+			script:   killScript(lbTraffic, gossipDetect),
+			variants: []detVariant{{0, 8, 4}, {0, 0, 2}, {0, 0, 4}},
+		},
+		{
+			// Rack-first dispatch: barrier-frozen digests, hash-drawn racks.
+			name: "rack-p2c", base: rackP2C, build: lbFleet(8),
+			script:   killScript(lbTraffic, gossipDetect),
+			variants: []detVariant{{0, 2, 0}, {0, 8, 0}},
+		},
+		{
+			// fleet10's SLO layer: a thermal excursion under static shedding
+			// and a kill fire alerts that all resolve by the tail.
+			name: "alert", base: alert, build: coresFleet(24),
+			script: func(r *detRun) {
+				c := r.c
+				c.RunMonitorUntil(2 * c.cfg.ReconfigTime)
+				serve := func(d sim.Time, seed int64) { r.phase(c.ServeMulti(d, coresTraffics(seed, int(seed)))) }
+				serve(200*sim.Microsecond, 1)
+				for _, n := range c.Nodes()[:3] {
+					r.must(c.Overheat(n.ID, 70_000))
 				}
-				if !strings.Contains(log, "state=resolved") {
-					t.Fatalf("alerts never resolved; log:\n%s", log)
+				serve(400*sim.Microsecond, 2)
+				r.must(c.Kill(c.Nodes()[5].ID))
+				serve(400*sim.Microsecond, 3)
+				for _, n := range c.Nodes()[:3] {
+					r.must(c.Cool(n.ID))
 				}
-				baseLog, baseBurn = log, burn
-				first = false
-				continue
-			}
-			if log != baseLog {
-				t.Errorf("quantum=%d workers=%d: alert log diverges:\nbase:\n%s\ngot:\n%s",
-					quantum, workers, baseLog, log)
-			}
-			if burn != baseBurn {
-				t.Errorf("quantum=%d workers=%d: burn state diverges:\nbase:\n%s\ngot:\n%s",
-					quantum, workers, baseBurn, burn)
-			}
+				serve(4*sim.Millisecond, 4) // the slowest window (48 ticks) drains
+				if log := string(c.AlertLogBytes()); !strings.Contains(log, "state=firing") ||
+					!strings.Contains(log, "state=resolved") {
+					r.t.Fatalf("mini-storm alerts did not fire and resolve; log:\n%s", log)
+				}
+			},
+			variants: wide,
+		},
+		{
+			// fleet9: churn strands queue ranges, then the rebalancer runs
+			// with a kill of a move's target armed.
+			name: "rebalance", base: rebalance, build: stateful,
+			script: func(r *detRun) {
+				c := r.c
+				tr := DefaultTraffic(testApp)
+				tr.Flows = 512
+				r.phase(c.Serve(200*sim.Microsecond, tr))
+				churnFragment(r.t, c, 2, r.phase)
+				c.SetLoadBudget(2)
+				c.SetRebalance(true)
+				r.must(c.ArmMigrationFault(faults.RebalanceKillTarget))
+				tr.Seed += 40
+				r.phase(c.Serve(600*sim.Microsecond, tr))
+				tr.Seed++
+				r.phase(c.Serve(3*sim.Millisecond, tr))
+			},
+			variants: wide,
+		},
+		{
+			// fleet4: a planned drain carries live tables, then a kill falls
+			// back to the dead node's last periodic snapshot.
+			name: "migrate", base: migrate, build: stateful,
+			script: func(r *detRun) {
+				c := r.c
+				r.phase(c.Serve(300*sim.Microsecond, DefaultTraffic(chaosApp)))
+				_, err := c.RemoveBackend(chaosApp, migrationBackends()[0], false)
+				r.must(err)
+				_, err = c.DrainNode(c.Now(), c.Nodes()[1].ID)
+				r.must(err)
+				r.phase(lbTraffic(c, 300*sim.Microsecond, 100))
+				r.must(c.Kill(mostLoaded(c).ID))
+				r.phase(lbTraffic(c, heartbeatDetect(c), 200))
+				live := 0
+				for _, m := range c.Migrations() {
+					if m.Live {
+						live++
+					}
+				}
+				if live == 0 || live == len(c.Migrations()) {
+					r.t.Fatalf("%d of %d migrations live, want both paths", live, len(c.Migrations()))
+				}
+			},
+			variants: drill,
+		},
+		{
+			// fleet5: the chaos drill's storm on the scale plane.
+			name: "storm", base: stormCfg,
+			build: func(t *testing.T, cfg Config) *Cluster {
+				info, err := apps.Lookup(chaosApp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				svc := AppService(info, 24, net.IPv4(20, 0, 0, 1))
+				svc.Stateful, svc.Backends = true, chaosBackends()
+				c, err := BuildServiceCluster(cfg, svc, 24)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			},
+			script:   stormScript(24, false, chaosTraffic, nil),
+			variants: drill,
+		},
+		{
+			// fleet8: the storm against three co-resident services while
+			// an elective scale-out queues behind the PR-load budget.
+			name: "coresident-storm", base: coresStorm, build: coresFleet(16),
+			script: stormScript(16, true, coresTraffics, func(r *detRun, st *storm) {
+				r.must(r.c.ScaleService(st.start, coresBulkApp, coresScaleOutFor(2)))
+			}),
+			variants: drill,
+		},
+		{
+			// fleet7: a false suspicion is refuted, then a kill is
+			// confirmed, with traffic served through both.
+			name: "gossip", base: gossipDrill, build: lbFleet(16),
+			script: func(r *detRun) {
+				c := r.c
+				c.RunMonitorUntil(2 * c.cfg.ReconfigTime)
+				r.phase(lbTraffic(c, 50*sim.Microsecond, 0))
+				_, err := c.InjectGossipSuspicion(c.Nodes()[1].ID)
+				r.must(err)
+				r.phase(lbTraffic(c, c.GossipDetectionBound(), 1))
+				r.must(c.Kill(c.Nodes()[8].ID))
+				r.phase(lbTraffic(c, gossipDetect(c), 2))
+				kinds := map[string]bool{}
+				for _, ev := range c.GossipEvents() {
+					kinds[ev.Kind] = true
+				}
+				if !kinds["refuted"] || !kinds["confirmed"] {
+					r.t.Fatalf("gossip events %v, want a refutation and a confirmation", kinds)
+				}
+			},
+			variants: drill,
+		},
+	}
+}
+
+// stormScript replays the first ten windows of a seeded failure storm
+// on a devices-node fleet; armed, when set, runs once the storm is.
+func stormScript(devices int, slowRamp bool, traffics func(seed int64, w int) []Traffic, armed func(r *detRun, st *storm)) func(r *detRun) {
+	const seed, budget = 11, 2
+	return func(r *detRun) {
+		sched, err := stormPlan(DrillOptions{Devices: devices, Budget: budget, Seed: seed}, slowRamp)
+		r.must(err)
+		st, err := startStorm(r.c, sched, budget, func(w int) []Traffic { return traffics(seed, w) })
+		r.must(err)
+		r.phase(st.warmup, nil)
+		if armed != nil {
+			armed(r, st)
+		}
+		for w := 0; w < 10; w++ {
+			r.must(st.inject(w))
+			r.phase(st.serve(w))
 		}
 	}
 }
 
-// TestCohortHeartbeatDetection verifies the cohort monitor's bounded
-// failure detection: with C cohorts each sweep probes only ~N/C
-// devices, yet a silent device is still declared failed after
-// FailedAfter consecutive missed probes, within FailedAfter*C ticks.
-func TestCohortHeartbeatDetection(t *testing.T) {
-	const nodes, cohorts = 6, 3
-	cfg := DefaultConfig()
-	cfg.HeartbeatCohorts = cohorts
-	c, err := BuildCluster(cfg, testApp, nodes, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunMonitorUntil(2 * cfg.ReconfigTime)
-
-	victim := c.Nodes()[0].ID
-	faultAt := c.Now()
-	if err := c.Kill(victim); err != nil {
-		t.Fatal(err)
-	}
-	// The worst-case detection budget: FailedAfter missed probes at
-	// cohort cadence, plus one full rotation of probe-phase skew.
-	budget := sim.Time((cfg.FailedAfter+1)*cohorts) * cfg.Heartbeat
-	c.RunMonitorUntil(faultAt + budget)
-
-	n, err := c.Node(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.State() != Drained {
-		t.Fatalf("victim state = %s after %v, want drained (cohort detection)", n.State(), budget)
-	}
-	reports := c.Failovers()
-	if len(reports) != 1 {
-		t.Fatalf("got %d failover reports, want 1", len(reports))
-	}
-	detect := reports[0].DetectedAt - faultAt
-	if detect <= 0 || detect > budget {
-		t.Errorf("detection latency %v outside (0, %v]", detect, budget)
-	}
-	// FailedAfter semantics: detection cannot beat FailedAfter probes
-	// of this node, which are cohorts ticks apart.
-	if min := sim.Time((cfg.FailedAfter-1)*cohorts) * cfg.Heartbeat; detect < min {
-		t.Errorf("detection latency %v beats %d probes at cohort cadence (%v)",
-			detect, cfg.FailedAfter, min)
-	}
-}
-
-// TestCohortHeartbeatProbesSubset verifies the amortization itself:
-// one sweep with C cohorts touches only the due cohort's devices.
-func TestCohortHeartbeatProbesSubset(t *testing.T) {
-	const nodes, cohorts = 6, 3
-	cfg := DefaultConfig()
-	cfg.HeartbeatCohorts = cohorts
-	c, err := BuildCluster(cfg, testApp, nodes, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One sweep: exactly the nodes with index % cohorts == 0 get a
-	// fresh temperature reading.
-	c.Heartbeat(cfg.Heartbeat)
-	probed := 0
-	for i, n := range c.Nodes() {
-		if n.LastTemp() != 0 {
-			probed++
-			if i%cohorts != 0 {
-				t.Errorf("node %d (cohort %d) probed on cohort 0's tick", i, i%cohorts)
-			}
+// coresFleet builds the co-resident drills' three-service fleet.
+func coresFleet(devices int) func(t *testing.T, cfg Config) *Cluster {
+	return func(t *testing.T, cfg Config) *Cluster {
+		svcs, err := coresServices(devices)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if want := nodes / cohorts; probed != want {
-		t.Errorf("first sweep probed %d nodes, want %d", probed, want)
-	}
-	// After a full rotation every node has been probed.
-	for i := 1; i < cohorts; i++ {
-		c.Heartbeat(cfg.Heartbeat * sim.Time(i+1))
-	}
-	for _, n := range c.Nodes() {
-		if n.LastTemp() == 0 {
-			t.Errorf("node %s never probed after a full cohort rotation", n.ID)
+		c, err := BuildCoResidentCluster(cfg, svcs, devices)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return c
 	}
 }

@@ -355,3 +355,86 @@ func TestPlaceRejectsUnsatisfiableService(t *testing.T) {
 		t.Error("Place succeeded with an unsatisfiable PCIe floor")
 	}
 }
+
+// TestCohortHeartbeatDetection verifies the cohort monitor's bounded
+// failure detection: with C cohorts each sweep probes only ~N/C
+// devices, yet a silent device is still declared failed after
+// FailedAfter consecutive missed probes, within FailedAfter*C ticks.
+func TestCohortHeartbeatDetection(t *testing.T) {
+	const nodes, cohorts = 6, 3
+	cfg := DefaultConfig()
+	cfg.HeartbeatCohorts = cohorts
+	c, err := BuildCluster(cfg, testApp, nodes, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunMonitorUntil(2 * cfg.ReconfigTime)
+
+	victim := c.Nodes()[0].ID
+	faultAt := c.Now()
+	if err := c.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	// The worst-case detection budget: FailedAfter missed probes at
+	// cohort cadence, plus one full rotation of probe-phase skew.
+	budget := sim.Time((cfg.FailedAfter+1)*cohorts) * cfg.Heartbeat
+	c.RunMonitorUntil(faultAt + budget)
+
+	n, err := c.Node(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.State() != Drained {
+		t.Fatalf("victim state = %s after %v, want drained (cohort detection)", n.State(), budget)
+	}
+	reports := c.Failovers()
+	if len(reports) != 1 {
+		t.Fatalf("got %d failover reports, want 1", len(reports))
+	}
+	detect := reports[0].DetectedAt - faultAt
+	if detect <= 0 || detect > budget {
+		t.Errorf("detection latency %v outside (0, %v]", detect, budget)
+	}
+	// FailedAfter semantics: detection cannot beat FailedAfter probes
+	// of this node, which are cohorts ticks apart.
+	if min := sim.Time((cfg.FailedAfter-1)*cohorts) * cfg.Heartbeat; detect < min {
+		t.Errorf("detection latency %v beats %d probes at cohort cadence (%v)",
+			detect, cfg.FailedAfter, min)
+	}
+}
+
+// TestCohortHeartbeatProbesSubset verifies the amortization itself:
+// one sweep with C cohorts touches only the due cohort's devices.
+func TestCohortHeartbeatProbesSubset(t *testing.T) {
+	const nodes, cohorts = 6, 3
+	cfg := DefaultConfig()
+	cfg.HeartbeatCohorts = cohorts
+	c, err := BuildCluster(cfg, testApp, nodes, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One sweep: exactly the nodes with index % cohorts == 0 get a
+	// fresh temperature reading.
+	c.Heartbeat(cfg.Heartbeat)
+	probed := 0
+	for i, n := range c.Nodes() {
+		if n.LastTemp() != 0 {
+			probed++
+			if i%cohorts != 0 {
+				t.Errorf("node %d (cohort %d) probed on cohort 0's tick", i, i%cohorts)
+			}
+		}
+	}
+	if want := nodes / cohorts; probed != want {
+		t.Errorf("first sweep probed %d nodes, want %d", probed, want)
+	}
+	// After a full rotation every node has been probed.
+	for i := 1; i < cohorts; i++ {
+		c.Heartbeat(cfg.Heartbeat * sim.Time(i+1))
+	}
+	for _, n := range c.Nodes() {
+		if n.LastTemp() == 0 {
+			t.Errorf("node %s never probed after a full cohort rotation", n.ID)
+		}
+	}
+}

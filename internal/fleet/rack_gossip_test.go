@@ -1,96 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"testing"
 
 	"harmonia/internal/faults"
-	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 )
-
-// rackPhases runs the determinism workload (clean phase + mid-phase
-// kill) on a gossip-health fleet with the given rack count and worker
-// count, returning both PhaseStats and the exported trace bytes.
-func rackPhases(t *testing.T, racks, workers int, rackP2C bool) (PhaseStats, PhaseStats, []byte) {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Racks = racks
-	cfg.RackP2C = rackP2C
-	cfg.GossipHealth = true
-	cfg.ServeWorkers = workers
-	c, err := BuildCluster(cfg, testApp, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder()
-	c.SetTrace(rec.Process("fleet"))
-	c.RunMonitorUntil(2 * cfg.ReconfigTime)
-	tr := DefaultTraffic(testApp)
-	tr.OfferedGbps = 200
-	first, err := c.Serve(120*sim.Microsecond, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Kill(c.Nodes()[2].ID); err != nil {
-		t.Fatal(err)
-	}
-	tr2 := tr
-	tr2.Seed = tr.Seed + 50
-	second, err := c.Serve(2*c.GossipDetectionBound()+2*cfg.ReconfigTime, tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return first, second, buf.Bytes()
-}
-
-// TestRackCountInvariantByDefault is the rack tier's determinism
-// contract: without RackP2C the racks are an observational grouping,
-// so same-seed runs produce byte-identical PhaseStats AND trace bytes
-// across rack counts — with gossip health on and a mid-phase failover
-// in the loop.
-func TestRackCountInvariantByDefault(t *testing.T) {
-	base1, base2, baseTrace := rackPhases(t, 1, 0, false)
-	if base1.Served == 0 || base2.Served == 0 {
-		t.Fatalf("phases served nothing: %+v / %+v", base1, base2)
-	}
-	for _, racks := range []int{2, 4} {
-		got1, got2, trace := rackPhases(t, racks, 0, false)
-		if got1 != base1 || got2 != base2 {
-			t.Errorf("racks=%d: stats diverge:\n racks=1: %+v / %+v\n racks=%d: %+v / %+v",
-				racks, base1, base2, racks, got1, got2)
-		}
-		if !bytes.Equal(trace, baseTrace) {
-			t.Errorf("racks=%d: trace bytes diverge from racks=1", racks)
-		}
-	}
-}
-
-// TestRackP2CDeterministicAcrossWorkers extends the worker-count
-// determinism contract to rack-first dispatch: the rack digests are
-// frozen at control-plane barriers and candidate racks derive from the
-// flow hash, so PhaseStats and traces cannot depend on how many
-// workers route the racks.
-func TestRackP2CDeterministicAcrossWorkers(t *testing.T) {
-	base1, base2, baseTrace := rackPhases(t, 4, 1, true)
-	if base1.Served == 0 || base2.Served == 0 {
-		t.Fatalf("phases served nothing: %+v / %+v", base1, base2)
-	}
-	for _, workers := range []int{2, 8} {
-		got1, got2, trace := rackPhases(t, 4, workers, true)
-		if got1 != base1 || got2 != base2 {
-			t.Errorf("workers=%d: stats diverge:\n 1 worker: %+v / %+v\n %d workers: %+v / %+v",
-				workers, base1, base2, workers, got1, got2)
-		}
-		if !bytes.Equal(trace, baseTrace) {
-			t.Errorf("workers=%d: trace bytes diverge from 1 worker", workers)
-		}
-	}
-}
 
 // TestRackP2CServesAndGroups sanity-checks the rack-first path: the
 // shard layout nests in the racks, traffic serves, and the per-rack

@@ -1,20 +1,19 @@
 package fleet
 
 import (
-	"bytes"
 	"testing"
 
 	"harmonia/internal/apps"
 	"harmonia/internal/faults"
 	"harmonia/internal/net"
-	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 )
 
 // churnFragment strands retired queue ranges by draining nodes (each
 // eviction retires the tenant's host queues), reviving them empty, and
-// serving so re-placements land on the churned topology.
-func churnFragment(t *testing.T, c *Cluster, rounds int) {
+// serving so re-placements land on the churned topology. phase, when
+// set, receives each serve's result.
+func churnFragment(t *testing.T, c *Cluster, rounds int, phase func(PhaseStats, error)) {
 	t.Helper()
 	cfg := c.Config()
 	nodes := c.Nodes()
@@ -30,7 +29,10 @@ func churnFragment(t *testing.T, c *Cluster, rounds int) {
 		tr := DefaultTraffic(testApp)
 		tr.Flows = 512
 		tr.Seed = int64(100 + round)
-		if _, err := c.Serve(100*sim.Microsecond, tr); err != nil {
+		st, err := c.Serve(100*sim.Microsecond, tr)
+		if phase != nil {
+			phase(st, err)
+		} else if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +70,7 @@ func TestRebalancePlannedCarriesAllFlows(t *testing.T) {
 	if _, err := c.Serve(200*sim.Microsecond, tr); err != nil {
 		t.Fatal(err)
 	}
-	churnFragment(t, c, 2)
+	churnFragment(t, c, 2, nil)
 
 	pins := make(map[string][]apps.ConnEntry)
 	for _, r := range c.Replicas() {
@@ -180,7 +182,7 @@ func TestRebalanceKillTargetAborts(t *testing.T) {
 	if _, err := c.Serve(200*sim.Microsecond, tr); err != nil {
 		t.Fatal(err)
 	}
-	churnFragment(t, c, 2)
+	churnFragment(t, c, 2, nil)
 	c.SetLoadBudget(2)
 	c.SetRebalance(true)
 	if err := c.ArmMigrationFault(faults.RebalanceKillTarget); err != nil {
@@ -234,7 +236,7 @@ func TestRebalanceKillSourceSnapshotFallback(t *testing.T) {
 	if _, err := c.Serve(200*sim.Microsecond, tr); err != nil {
 		t.Fatal(err)
 	}
-	churnFragment(t, c, 2)
+	churnFragment(t, c, 2, nil)
 	c.SetLoadBudget(2)
 	c.SetRebalance(true)
 	if err := c.ArmMigrationFault(faults.RebalanceKillSource); err != nil {
@@ -287,79 +289,6 @@ func TestRebalanceKillSourceSnapshotFallback(t *testing.T) {
 	}
 }
 
-// rebalancePhases runs the rebalance determinism workload — churn, then
-// serving with the rebalancer on and a kill-target fault armed — under
-// an explicit batch quantum and worker count, returning both PhaseStats
-// and the exported trace bytes.
-func rebalancePhases(t *testing.T, quantum, workers int) (PhaseStats, PhaseStats, []byte) {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.RouterShards = 4
-	cfg.BatchQuantum = quantum
-	cfg.ServeWorkers = workers
-	cfg.SnapshotEvery = 2
-	c := buildStateful(t, cfg, 6)
-	rec := obs.NewRecorder()
-	c.SetTrace(rec.Process("fleet"))
-	tr := DefaultTraffic(testApp)
-	tr.Flows = 512
-	if _, err := c.Serve(200*sim.Microsecond, tr); err != nil {
-		t.Fatal(err)
-	}
-	churnFragment(t, c, 2)
-	c.SetLoadBudget(2)
-	c.SetRebalance(true)
-	if err := c.ArmMigrationFault(faults.RebalanceKillTarget); err != nil {
-		t.Fatal(err)
-	}
-	tr1 := tr
-	tr1.Seed = tr.Seed + 40
-	first, err := c.Serve(600*sim.Microsecond, tr1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2 := tr
-	tr2.Seed = tr.Seed + 41
-	second, err := c.Serve(3*sim.Millisecond, tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return first, second, buf.Bytes()
-}
-
-// TestRebalanceDeterminism is the crash-safety determinism contract:
-// with the rebalancer running and a mid-migration kill armed, same-seed
-// PhaseStats AND trace bytes are byte-identical across batch quanta and
-// worker counts — every rebalance decision lives on the serial barrier
-// path.
-func TestRebalanceDeterminism(t *testing.T) {
-	base1, base2, baseTrace := rebalancePhases(t, 0, 1)
-	if base1.Served == 0 || base2.Served == 0 {
-		t.Fatalf("phases served nothing: %+v / %+v", base1, base2)
-	}
-	matrix := []struct{ quantum, workers int }{
-		{64, 1}, {4096, 1}, {0, 2}, {64, 2}, {4096, 8}, {0, 8},
-	}
-	if !testing.Short() {
-		matrix = append(matrix, struct{ quantum, workers int }{4096, 2},
-			struct{ quantum, workers int }{64, 8})
-	}
-	for _, tc := range matrix {
-		got1, got2, trace := rebalancePhases(t, tc.quantum, tc.workers)
-		if got1 != base1 || got2 != base2 {
-			t.Errorf("quantum=%d workers=%d: stats diverge:\n base: %+v / %+v\n got:  %+v / %+v",
-				tc.quantum, tc.workers, base1, base2, got1, got2)
-		}
-		if !bytes.Equal(trace, baseTrace) {
-			t.Errorf("quantum=%d workers=%d: trace bytes diverge from base", tc.quantum, tc.workers)
-		}
-	}
-}
-
 // TestRebalancePreemptedByFailover pins the budget contract: at budget
 // 1, a failover grant issued while rebalance moves wait must start
 // before an earlier-requested move (grant-log preemption pair) and the
@@ -387,7 +316,7 @@ func TestRebalancePreemptedByFailover(t *testing.T) {
 	if _, err := c.Serve(200*sim.Microsecond, tr); err != nil {
 		t.Fatal(err)
 	}
-	churnFragment(t, c, 2)
+	churnFragment(t, c, 2, nil)
 	c.SetLoadBudget(1)
 	c.SetRebalance(true)
 	// Let the rebalancer plan a cycle with queued moves (the first cycle

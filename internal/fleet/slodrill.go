@@ -247,7 +247,7 @@ func runSLOCase(opts DrillOptions, sched *faults.Schedule, quantum, workers int,
 		for _, name := range names {
 			winStats[name] = c.ServiceStats(name)
 		}
-		if err := st.serve(w); err != nil {
+		if _, err := st.serve(w); err != nil {
 			return nil, err
 		}
 		sample := SLOWindowSample{At: c.Now(), ActiveAlerts: c.ActiveAlerts()}

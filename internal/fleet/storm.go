@@ -162,6 +162,8 @@ type storm struct {
 	// traffics derives one window's deterministic traffic (window -1 is
 	// the warm-up).
 	traffics func(window int) []Traffic
+	// warmup is the warm-up phase's statistics.
+	warmup PhaseStats
 }
 
 // startStorm brings a freshly built fleet to the storm's start: the
@@ -171,11 +173,12 @@ type storm struct {
 // the storm's peak.
 func startStorm(c *Cluster, sched *faults.Schedule, budget int, traffics func(window int) []Traffic) (*storm, error) {
 	c.RunMonitorUntil(2 * c.cfg.ReconfigTime)
-	if _, err := c.ServeMulti(stormWarmup, traffics(-1)); err != nil {
+	warmup, err := c.ServeMulti(stormWarmup, traffics(-1))
+	if err != nil {
 		return nil, err
 	}
 	c.SetLoadBudget(budget)
-	s := &storm{c: c, sched: sched, nodes: c.Nodes(), start: c.Now(), traffics: traffics}
+	s := &storm{c: c, sched: sched, nodes: c.Nodes(), start: c.Now(), traffics: traffics, warmup: warmup}
 	if s.start != sched.Spec.Start {
 		return nil, fmt.Errorf("fleet: storm scheduled for %v but warmup ended at %v",
 			sched.Spec.Start, s.start)
@@ -196,9 +199,8 @@ func (s *storm) inject(w int) error {
 }
 
 // serve runs window w's traffic.
-func (s *storm) serve(w int) error {
-	_, err := s.c.ServeMulti(stormWindowDur, s.traffics(w))
-	return err
+func (s *storm) serve(w int) (PhaseStats, error) {
+	return s.c.ServeMulti(stormWindowDur, s.traffics(w))
 }
 
 // flowPins captures every stateful replica's pinned flows by replica

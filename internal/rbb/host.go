@@ -20,10 +20,14 @@ type HostRBB struct {
 	spec   ip.DMASpec
 	Engine *pcie.Engine
 	path   *wrapper.DataPath
-	// queueOwner maps queue id to tenant for isolation accounting.
-	queueOwner map[int]int
-	traffic    Counters
+	// owned lists the tenant-owned queue ranges for isolation
+	// accounting: one entry per admitted tenant, not one per queue.
+	owned   []queueRange
+	traffic Counters
 }
+
+// queueRange is queues [lo, hi) owned by one tenant.
+type queueRange struct{ lo, hi, tenant int }
 
 // NewHost builds a Host RBB for a vendor DMA engine at the given PCIe
 // generation/lanes, with the role side at userClk and userWidth.
@@ -40,7 +44,7 @@ func NewHost(vendor platform.Vendor, gen, lanes int, variant ip.DMAVariant, user
 	if err != nil {
 		return nil, err
 	}
-	// The engine's queue bound is the spec's, the one AssignQueue checks.
+	// The engine's queue bound is the spec's, the one AssignQueues checks.
 	cfg := pcie.DefaultEngineConfig()
 	cfg.Queues = spec.QueueCount
 	engine, err := pcie.NewEngine(link, cfg)
@@ -53,11 +57,10 @@ func NewHost(vendor platform.Vendor, gen, lanes int, variant ip.DMAVariant, user
 		return nil, err
 	}
 	return &HostRBB{
-		desc:       desc,
-		spec:       spec,
-		Engine:     engine,
-		path:       path,
-		queueOwner: make(map[int]int),
+		desc:   desc,
+		spec:   spec,
+		Engine: engine,
+		path:   path,
 	}, nil
 }
 
@@ -88,29 +91,45 @@ func (h *HostRBB) Desc() *Desc { return h.desc }
 // Spec returns the DMA engine specification.
 func (h *HostRBB) Spec() ip.DMASpec { return h.spec }
 
-// AssignQueue binds a queue to a tenant; a queue may serve one tenant.
-func (h *HostRBB) AssignQueue(queue, tenant int) error {
-	if queue < 0 || queue >= h.spec.QueueCount {
-		return fmt.Errorf("rbb: queue %d out of range [0,%d)", queue, h.spec.QueueCount)
+// AssignQueues binds queues [lo, hi) to a tenant; a queue may serve
+// one tenant, so a range overlapping another tenant's is refused.
+func (h *HostRBB) AssignQueues(lo, hi, tenant int) error {
+	if lo < 0 || hi > h.spec.QueueCount || lo >= hi {
+		return fmt.Errorf("rbb: queues [%d,%d) out of range [0,%d)", lo, hi, h.spec.QueueCount)
 	}
-	if owner, taken := h.queueOwner[queue]; taken && owner != tenant {
-		return fmt.Errorf("rbb: queue %d already owned by tenant %d", queue, owner)
+	for _, r := range h.owned {
+		if r.tenant != tenant && lo < r.hi && r.lo < hi {
+			return fmt.Errorf("rbb: queues [%d,%d) overlap tenant %d's [%d,%d)", lo, hi, r.tenant, r.lo, r.hi)
+		}
 	}
-	h.queueOwner[queue] = tenant
+	h.owned = append(h.owned, queueRange{lo, hi, tenant})
 	return nil
 }
 
-// ReleaseQueue returns a queue to the unowned pool — the host half of
-// reclaiming a retired tenant range on rebuild. Releasing an unowned
-// queue is a no-op.
-func (h *HostRBB) ReleaseQueue(queue int) {
-	delete(h.queueOwner, queue)
+// ReleaseQueues returns queues [lo, hi) to the unowned pool — the host
+// half of reclaiming retired tenant ranges on rebuild. Releasing
+// unowned queues is a no-op.
+func (h *HostRBB) ReleaseQueues(lo, hi int) {
+	kept := h.owned[:0]
+	for _, r := range h.owned {
+		if r.lo < lo {
+			kept = append(kept, queueRange{r.lo, min(r.hi, lo), r.tenant})
+		}
+		if r.hi > hi {
+			kept = append(kept, queueRange{max(r.lo, hi), r.hi, r.tenant})
+		}
+	}
+	h.owned = kept
 }
 
 // Owner reports the tenant owning a queue.
 func (h *HostRBB) Owner(queue int) (int, bool) {
-	t, ok := h.queueOwner[queue]
-	return t, ok
+	for _, r := range h.owned {
+		if r.lo <= queue && queue < r.hi {
+			return r.tenant, true
+		}
+	}
+	return 0, false
 }
 
 // Send moves bytes to the host on a queue. The data crosses the wrapper

@@ -47,27 +47,57 @@ func TestHostSendReceive(t *testing.T) {
 
 func TestHostQueueIsolation(t *testing.T) {
 	h := newHostRBB(t, 4, 16)
-	if err := h.AssignQueue(0, 1); err != nil {
+	if err := h.AssignQueues(0, 8, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Same tenant can re-assign; another tenant cannot steal.
-	if err := h.AssignQueue(0, 1); err != nil {
+	// Same tenant can re-assign; another tenant cannot steal, not even
+	// by a range straddling the owned one.
+	if err := h.AssignQueues(0, 8, 1); err != nil {
 		t.Errorf("re-assign same tenant failed: %v", err)
 	}
-	if err := h.AssignQueue(0, 2); err == nil {
-		t.Error("queue stolen by another tenant")
+	if err := h.AssignQueues(0, 8, 2); err == nil {
+		t.Error("queues stolen by another tenant")
 	}
-	if err := h.AssignQueue(-1, 1); err == nil {
+	if err := h.AssignQueues(4, 12, 2); err == nil {
+		t.Error("range straddling another tenant's accepted")
+	}
+	if err := h.AssignQueues(-1, 1, 1); err == nil {
 		t.Error("negative queue accepted")
 	}
-	if err := h.AssignQueue(1024, 1); err == nil {
+	if err := h.AssignQueues(1020, 1025, 1); err == nil {
 		t.Error("out-of-range queue accepted")
+	}
+	if err := h.AssignQueues(16, 16, 1); err == nil {
+		t.Error("empty range accepted")
+	}
+	if err := h.AssignQueues(8, 16, 2); err != nil {
+		t.Errorf("adjacent range refused: %v", err)
 	}
 	if owner, ok := h.Owner(0); !ok || owner != 1 {
 		t.Errorf("Owner(0) = %d, %v", owner, ok)
 	}
-	if _, ok := h.Owner(9); ok {
+	if owner, ok := h.Owner(8); !ok || owner != 2 {
+		t.Errorf("Owner(8) = %d, %v", owner, ok)
+	}
+	if _, ok := h.Owner(16); ok {
 		t.Error("unassigned queue has owner")
+	}
+	// Releasing unowned queues is a no-op; a partial release keeps the
+	// rest of a range owned.
+	h.ReleaseQueues(100, 200)
+	h.ReleaseQueues(4, 12)
+	for q, want := range map[int]int{0: 1, 3: 1, 12: 2, 15: 2} {
+		if owner, ok := h.Owner(q); !ok || owner != want {
+			t.Errorf("after release Owner(%d) = %d, %v, want %d", q, owner, ok, want)
+		}
+	}
+	for _, q := range []int{4, 8, 11} {
+		if owner, ok := h.Owner(q); ok {
+			t.Errorf("released queue %d still owned by tenant %d", q, owner)
+		}
+	}
+	if err := h.AssignQueues(4, 12, 3); err != nil {
+		t.Errorf("released range not reusable: %v", err)
 	}
 }
 

@@ -194,25 +194,42 @@ type Desc struct {
 // "harmonia" at the composite level, with the instance's deployment
 // dependencies carried through.
 func (d *Desc) Module() *hdl.Module {
-	fmax := d.Instance.FmaxMHz
-	if fmax == 0 || fmax > ReusableFmaxMHz {
-		fmax = ReusableFmaxMHz
-	}
-	m := &hdl.Module{
+	return &hdl.Module{
 		Name:     fmt.Sprintf("rbb-%s(%s)", d.Kind, d.Instance.Name),
 		Vendor:   "harmonia",
 		Category: string(d.Kind),
 		Ports:    d.Instance.Ports,
-		Params:   append(append([]hdl.Param(nil), d.Instance.Params...), d.Reusable.Params...),
-		Res:      d.Instance.Res.Add(d.Reusable.Res),
-		Code:     d.Instance.Code.Add(d.Reusable.Total()).Add(d.InstanceGlue),
+		Params:   d.Params(),
+		Res:      d.TotalRes(),
+		Code:     d.Code(),
 		Deps:     d.Instance.Deps,
-		FmaxMHz:  fmax,
+		FmaxMHz:  d.FmaxMHz(),
 	}
-	return m
 }
 
 // TotalRes reports the RBB's full resource footprint.
 func (d *Desc) TotalRes() hdl.Resources {
 	return d.Instance.Res.Add(d.Reusable.Res)
+}
+
+// Params returns a fresh copy of the RBB's configuration inventory:
+// the instance's parameters, then the reusable logic's.
+func (d *Desc) Params() []hdl.Param {
+	return append(append([]hdl.Param(nil), d.Instance.Params...), d.Reusable.Params...)
+}
+
+// Code reports the RBB's full development volume: the instance, its
+// glue and the reusable logic.
+func (d *Desc) Code() hdl.LoC {
+	return d.Instance.Code.Add(d.Reusable.Total()).Add(d.InstanceGlue)
+}
+
+// FmaxMHz reports the RBB's timing closure: the instance's, capped by
+// the reusable logic's (an instance without one takes the cap).
+func (d *Desc) FmaxMHz() float64 {
+	fmax := d.Instance.FmaxMHz
+	if fmax == 0 || fmax > ReusableFmaxMHz {
+		fmax = ReusableFmaxMHz
+	}
+	return fmax
 }

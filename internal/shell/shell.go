@@ -43,7 +43,7 @@ func (c Component) Resources() hdl.Resources {
 // LoC reports the component development volume.
 func (c Component) LoC() hdl.LoC {
 	if c.RBB != nil {
-		return c.RBB.Module().Code
+		return c.RBB.Code()
 	}
 	return c.Code
 }
@@ -51,7 +51,7 @@ func (c Component) LoC() hdl.LoC {
 // AllParams reports the component's full configuration inventory.
 func (c Component) AllParams() []hdl.Param {
 	if c.RBB != nil {
-		return c.RBB.Module().Params
+		return c.RBB.Params()
 	}
 	return c.Params
 }
@@ -60,7 +60,7 @@ func (c Component) AllParams() []hdl.Param {
 // constraint).
 func (c Component) Fmax() float64 {
 	if c.RBB != nil {
-		return c.RBB.Module().FmaxMHz
+		return c.RBB.FmaxMHz()
 	}
 	return c.FmaxMHz
 }

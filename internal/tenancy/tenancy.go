@@ -224,10 +224,8 @@ func (m *Manager) Admit(now sim.Time, name string, logic hdl.Resources, vips []n
 			return nil, err
 		}
 	}
-	for q := lo; q < hi; q++ {
-		if err := m.host.AssignQueue(q, id); err != nil {
-			return nil, err
-		}
+	if err := m.host.AssignQueues(lo, hi, id); err != nil {
+		return nil, err
 	}
 	m.nextQ = hi
 
@@ -293,9 +291,7 @@ func (m *Manager) Rebuild() (reclaimed int, err error) {
 	for id := 0; id < m.nextID; id++ {
 		m.director.RemoveTenant(id)
 	}
-	for q := 0; q < m.nextQ; q++ {
-		m.host.ReleaseQueue(q)
-	}
+	m.host.ReleaseQueues(0, m.nextQ)
 	m.nextQ = 0
 	return reclaimed, nil
 }

@@ -68,9 +68,16 @@ func TestAdmitAllocatesIsolatedResources(t *testing.T) {
 		t.Error("tenants share a PR slot")
 	}
 	// Host RBB queue ownership matches.
-	owner, ok := h.Owner(a.QueueLo)
-	if !ok || owner != a.ID {
-		t.Errorf("queue %d owner = %d, want %d", a.QueueLo, owner, a.ID)
+	for _, tn := range []*Tenant{a, b} {
+		for _, q := range []int{tn.QueueLo, tn.QueueHi - 1} {
+			if owner, ok := h.Owner(q); !ok || owner != tn.ID {
+				t.Errorf("queue %d owner = %d, want %d", q, owner, tn.ID)
+			}
+		}
+	}
+	// A range straddling the two tenants' ranges belongs to neither.
+	if err := h.AssignQueues(a.QueueHi-1, b.QueueLo+1, b.ID+1); err == nil {
+		t.Error("host accepted a range straddling two tenants")
 	}
 	if m.FreeSlots() != DefaultSlotConfig().Slots-2 {
 		t.Errorf("FreeSlots = %d", m.FreeSlots())
