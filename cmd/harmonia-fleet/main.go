@@ -464,6 +464,11 @@ func (r *gossipReport) Failures() []string {
 // confirmed within the detection bound, and failed over).
 func runGossip(w io.Writer, o options, _ *obs.Recorder) (outcome, error) {
 	n := o.devices
+	// The suspected node (nodes[1]) and the killed one (nodes[n/2])
+	// must be two different nodes.
+	if n < 4 {
+		return outcome{}, fmt.Errorf("gossip drill needs at least 4 devices, got %d", n)
+	}
 	cfg := fleet.DefaultConfig()
 	cfg.Seed = o.seed
 	cfg.Racks = o.racks

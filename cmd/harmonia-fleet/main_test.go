@@ -150,6 +150,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run(&out, opts("drill", 1)); err == nil {
 		t.Error("1-device drill accepted (needs survivors)")
 	}
+	for _, n := range []int{1, 3} {
+		if err := run(&out, opts("gossip", n)); err == nil || !strings.Contains(err.Error(), "gossip drill") {
+			t.Errorf("%d-device gossip drill: err = %v, want a gossip drill error", n, err)
+		}
+	}
 	bad := opts("scale", 2)
 	bad.app = "ghost-app"
 	if err := run(&out, bad); err == nil {

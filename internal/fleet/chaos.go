@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"harmonia/internal/apps"
 	"harmonia/internal/faults"
-	"harmonia/internal/net"
 	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 )
@@ -148,24 +146,6 @@ func (r *ChaosResult) Failures() []string {
 	)
 }
 
-// chaosBackends is the drill's initial backend pool.
-func chaosBackends() []net.IPAddr {
-	out := make([]net.IPAddr, 8)
-	for i := range out {
-		out[i] = net.IPv4(10, 2, 0, byte(i+1))
-	}
-	return out
-}
-
-// chaosTraffic derives one window's deterministic traffic phase.
-func chaosTraffic(seed int64, window int) []Traffic {
-	return []Traffic{{
-		Service: chaosApp, OfferedGbps: 400, PktBytes: 1024,
-		Flows: 2048, Jitter: 0.2,
-		Seed: seed*1_000_003 + int64(window+1)*1000,
-	}}
-}
-
 // applyInjection maps one schedule entry onto control-plane actions.
 func applyInjection(c *Cluster, nodes []*Node, inj faults.Injection) error {
 	id := ""
@@ -216,45 +196,31 @@ func applyInjection(c *Cluster, nodes []*Node, inj faults.Injection) error {
 		c.SetPRLoadFault(nil)
 		return nil
 	case faults.DrainBackend:
-		_, err := c.RemoveBackend(chaosApp, chaosBackends()[inj.Arg], false)
+		_, err := c.RemoveBackend(chaosApp, backends(chaosPool)[inj.Arg], false)
 		return err
 	}
 	return fmt.Errorf("fleet: unknown injection kind %q", inj.Kind)
 }
 
-// runChaosCase replays the schedule against a fresh fleet under one
+// runChaosCase replays the storm against a fresh fleet under one
 // defense configuration.
-func runChaosCase(opts DrillOptions, sched *faults.Schedule, name string, budgeted, derived bool) (*ChaosCase, error) {
-	info, err := apps.Lookup(chaosApp)
+func runChaosCase(opts DrillOptions, wl Workload, sched *faults.Schedule, name string, budgeted, derived bool) (*ChaosCase, error) {
+	// Arm the defenses under test.
+	wl.Config.DerivedShedding = derived
+	if !budgeted {
+		wl.Budget = 0
+	}
+	run, err := startTraced(&wl, opts.Trace, name, map[string]string{"case": name})
 	if err != nil {
 		return nil, err
 	}
-	svc := AppService(info, opts.Devices, net.IPv4(20, 0, 0, 1))
-	svc.Stateful = true
-	svc.Backends = chaosBackends()
-	c, err := BuildServiceCluster(stormConfig(opts.Seed, derived), svc, opts.Devices)
-	if err != nil {
-		return nil, err
-	}
-	c.Metrics().SetConstLabels(map[string]string{"case": name})
-	if opts.Trace != nil {
-		c.SetTrace(opts.Trace.Process(name))
-	}
-	// Arm the defense under test.
-	limit := 0
-	if budgeted {
-		limit = opts.Budget
-	}
-	st, err := startStorm(c, sched, limit, func(w int) []Traffic { return chaosTraffic(opts.Seed, w) })
-	if err != nil {
-		return nil, err
-	}
+	c := run.Cluster
 	// Pre-storm flow pins: the disruption measurement's ground truth.
 	pins := flowPins(c.Replicas())
 
-	cc := &ChaosCase{Name: name, Budgeted: budgeted, Budget: limit, DerivedShedding: derived}
-	nodes := st.nodes
-	preStats := c.RouterStats()
+	cc := &ChaosCase{Name: name, Budgeted: budgeted, Budget: wl.Budget, DerivedShedding: derived}
+	nodes := c.Nodes()
+	storm := newServiceDeltas(c)
 	preCmd := c.CmdPath()
 	var rampNode *Node
 	if len(sched.Ramped) > 0 {
@@ -262,8 +228,8 @@ func runChaosCase(opts DrillOptions, sched *faults.Schedule, name string, budget
 	}
 
 	degradedRx := make(map[int]int64)
-	for w := 0; w < stormWindows; w++ {
-		if err := st.inject(w); err != nil {
+	for w := 0; w < wl.Windows; w++ {
+		if err := run.Script(w); err != nil {
 			return nil, err
 		}
 		// Nodes fully degraded across the window: record ingress before.
@@ -273,22 +239,13 @@ func runChaosCase(opts DrillOptions, sched *faults.Schedule, name string, budget
 				degradedRx[i] = n.Net.RxStats().Units
 			}
 		}
-		before := c.RouterStats()
-		if _, err := st.serve(w); err != nil {
+		_, deltas, err := run.Serve(w)
+		if err != nil {
 			return nil, err
 		}
-		after := c.RouterStats()
-
-		win := ChaosWindow{
-			At:      c.Now(),
-			Sent:    after.Sent - before.Sent,
-			Served:  after.Served - before.Served,
-			Dropped: after.Dropped - before.Dropped,
-		}
-		win.Availability = 1
-		if win.Sent > 0 {
-			win.Availability = float64(after.HealthyServed-before.HealthyServed) / float64(win.Sent)
-		}
+		d := deltas[0]
+		win := ChaosWindow{At: c.Now(), Sent: d.Sent, Served: d.Served, Dropped: d.Dropped,
+			Availability: ratio(d.HealthyServed, d.Sent, 1)}
 		for i, n := range nodes {
 			switch n.state {
 			case Healthy:
@@ -324,13 +281,9 @@ func runChaosCase(opts DrillOptions, sched *faults.Schedule, name string, budget
 		}
 	}
 
-	post := c.RouterStats()
-	cc.Sent = post.Sent - preStats.Sent
-	cc.Served = post.Served - preStats.Served
-	cc.Dropped = post.Dropped - preStats.Dropped
-	if cc.Sent > 0 {
-		cc.Availability = float64(post.HealthyServed-preStats.HealthyServed) / float64(cc.Sent)
-	}
+	d := storm.step()[0]
+	cc.Sent, cc.Served, cc.Dropped = d.Sent, d.Served, d.Dropped
+	cc.Availability = ratio(d.HealthyServed, d.Sent, 0)
 	cc.PeakConcurrentLoads = c.LoadBudgetPeak()
 	cc.LoadsQueued = c.LoadsQueued()
 	cc.LoadFailures = c.LoadFailures()
@@ -342,7 +295,7 @@ func runChaosCase(opts DrillOptions, sched *faults.Schedule, name string, budget
 	// Recovery distribution over the storm's failovers.
 	var recoveries []sim.Time
 	for _, f := range c.Failovers() {
-		if f.DetectedAt < st.start {
+		if f.DetectedAt < run.Start {
 			continue
 		}
 		cc.Failovers++
@@ -375,9 +328,7 @@ func runChaosCase(opts DrillOptions, sched *faults.Schedule, name string, budget
 			cc.Unplaced++
 		}
 	}
-	if cc.FlowsEstablished > 0 {
-		cc.Disruption = float64(cc.FlowsDisrupted) / float64(cc.FlowsEstablished)
-	}
+	cc.Disruption = ratio(cc.FlowsDisrupted, cc.FlowsEstablished, 0)
 	// The cluster is discarded with the case; carry its registry out so
 	// the drill can embed the snapshot in JSON and export Prometheus
 	// text per case.
@@ -390,10 +341,7 @@ func runChaosCase(opts DrillOptions, sched *faults.Schedule, name string, budget
 // against three fleets — unbudgeted/static, budgeted/static and
 // budgeted/derived-shedding.
 func ChaosDrill(opts DrillOptions) (*ChaosResult, error) {
-	if err := opts.check("chaos", 4); err != nil {
-		return nil, err
-	}
-	sched, err := stormPlan(opts, false)
+	wl, sched, err := opts.storm("chaos", 4, ChaosWorkload)
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +360,7 @@ func ChaosDrill(opts DrillOptions) (*ChaosResult, error) {
 		{"budgeted-static", true, false},
 		{"budgeted-derived", true, true},
 	} {
-		cc, err := runChaosCase(opts, sched, cs.name, cs.budgeted, cs.derived)
+		cc, err := runChaosCase(opts, wl, sched, cs.name, cs.budgeted, cs.derived)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: chaos case %s: %w", cs.name, err)
 		}

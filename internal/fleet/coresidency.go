@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"harmonia/internal/apps"
 	"harmonia/internal/metrics"
-	"harmonia/internal/net"
 	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 )
@@ -196,73 +194,21 @@ func coresTraffics(seed int64, window int) []Traffic {
 	}
 }
 
-// coresServices builds the drill's service set against one fleet size.
-func coresServices(devices int) ([]Service, error) {
-	lbInfo, err := apps.Lookup(chaosApp)
-	if err != nil {
-		return nil, err
-	}
-	bulkInfo, err := apps.Lookup(coresBulkApp)
-	if err != nil {
-		return nil, err
-	}
-	secInfo, err := apps.Lookup(coresSecApp)
-	if err != nil {
-		return nil, err
-	}
-	lb := AppService(lbInfo, devices, net.IPv4(20, 0, 0, 1))
-	lb.Class = ClassLatencyCritical
-	lb.SLO = SLO{Availability: 0.999}
-	lb.Stateful = true
-	lb.Backends = chaosBackends()
-	bulk := AppService(bulkInfo, devices/2, net.IPv4(30, 0, 0, 1))
-	bulk.Class = ClassBulk
-	bulk.SLO = SLO{Availability: 0.90}
-	sec := AppService(secInfo, devices/4, net.IPv4(40, 0, 0, 1))
-	sec.Class = ClassLatencyCritical
-	sec.SLO = SLO{Availability: 0.999}
-	return []Service{lb, bulk, sec}, nil
-}
-
 // CoResidencyDrill runs the fleet8 experiment: one seeded storm against
 // the co-resident fleet with every defense armed.
 func CoResidencyDrill(opts DrillOptions) (*CoResResult, error) {
-	if err := opts.check("co-residency", 8); err != nil {
-		return nil, err
-	}
-	sched, err := stormPlan(opts, true)
+	wl, sched, err := opts.storm("co-residency", 8, CoResidencyWorkload)
 	if err != nil {
 		return nil, err
 	}
-
-	// The scale-plane configuration fleet5's budgeted-derived case
-	// gates, on the co-resident fleet's bigger slots.
-	cfg := stormConfig(opts.Seed, true)
-	cfg.SlotRes = coresSlotRes
-	svcs, err := coresServices(opts.Devices)
+	run, err := startTraced(&wl, opts.Trace, "coresidency", nil)
 	if err != nil {
 		return nil, err
 	}
-	c, err := BuildCoResidentCluster(cfg, svcs, opts.Devices)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Trace != nil {
-		c.SetTrace(opts.Trace.Process("coresidency"))
-	}
-	st, err := startStorm(c, sched, opts.Budget, func(w int) []Traffic { return coresTraffics(opts.Seed, w) })
-	if err != nil {
-		return nil, err
-	}
-
-	// Fire the elective scale-out: the bulk service grows by more
-	// replicas than the budget admits at once, so a queue forms for the
-	// storm's failovers to preempt.
-	scaleOut := coresScaleOutFor(opts.Budget)
-	bulkBase := c.services[coresBulkApp].Replicas
-	if err := c.ScaleService(st.start, coresBulkApp, scaleOut); err != nil {
-		return nil, err
-	}
+	// Start fired the elective scale-out: the bulk service's last
+	// scaleOut replicas.
+	c, scaleOut := run.Cluster, coresScaleOutFor(opts.Budget)
+	bulkBase := c.services[coresBulkApp].Replicas - scaleOut
 
 	res := &CoResResult{
 		Experiment: "fleet8",
@@ -273,14 +219,9 @@ func CoResidencyDrill(opts DrillOptions) (*CoResResult, error) {
 	}
 
 	names := c.Services()
-	pre := make(map[string]ServiceSnapshot, len(names))
-	hists := make(map[string]*metrics.Histogram, len(names))
-	for _, name := range names {
-		pre[name] = c.ServiceStats(name)
-		hists[name] = &metrics.Histogram{}
-	}
-	preFleet := c.RouterStats()
-	nodes := st.nodes
+	hists := make([]metrics.Histogram, len(names))
+	storm := newServiceDeltas(c)
+	nodes := c.Nodes()
 
 	type nodeProbe struct {
 		banded   bool
@@ -288,9 +229,8 @@ func CoResidencyDrill(opts DrillOptions) (*CoResResult, error) {
 	}
 	probes := make([]nodeProbe, len(nodes))
 
-	winStats := make(map[string]ServiceSnapshot, len(names))
-	for w := 0; w < stormWindows; w++ {
-		if err := st.inject(w); err != nil {
+	for w := 0; w < wl.Windows; w++ {
+		if err := run.Script(w); err != nil {
 			return nil, err
 		}
 		// Band membership and per-class serve counts at the window's
@@ -302,33 +242,24 @@ func CoResidencyDrill(opts DrillOptions) (*CoResResult, error) {
 				lc:     lc, bulk: bulk,
 			}
 		}
-		for _, name := range names {
-			winStats[name] = c.ServiceStats(name)
-		}
-		if _, err := st.serve(w); err != nil {
+		_, deltas, err := run.Serve(w)
+		if err != nil {
 			return nil, err
 		}
 
 		win := CoResWindow{At: c.Now(), ElectivesQueued: c.ElectivesQueued()}
 		var bulkSentThisWindow int64
-		for _, name := range names {
-			before := winStats[name]
-			after := c.ServiceStats(name)
+		for i, name := range names {
+			d := deltas[i]
 			ws := CoResWindowService{
-				Name:   name,
-				Sent:   after.Sent - before.Sent,
-				Served: after.Served - before.Served,
-				Shed:   after.Shed - before.Shed,
-			}
-			ws.Availability = 1
-			if ws.Sent > 0 {
-				ws.Availability = float64(after.HealthyServed-before.HealthyServed) / float64(ws.Sent)
+				Name: name, Sent: d.Sent, Served: d.Served, Shed: d.Shed,
+				Availability: ratio(d.HealthyServed, d.Sent, 1),
 			}
 			if c.services[name].Class == ClassBulk {
 				bulkSentThisWindow += ws.Sent
 			}
 			win.Services = append(win.Services, ws)
-			hists[name].Merge(c.ServiceWindowLatencies(name))
+			hists[i].Merge(c.ServiceWindowLatencies(name))
 		}
 		for i, n := range nodes {
 			switch n.State() {
@@ -366,34 +297,25 @@ func CoResidencyDrill(opts DrillOptions) (*CoResResult, error) {
 		res.Windows = append(res.Windows, win)
 	}
 
-	postFleet := c.RouterStats()
-	res.Sent = postFleet.Sent - preFleet.Sent
-	res.Served = postFleet.Served - preFleet.Served
-	res.Dropped = postFleet.Dropped - preFleet.Dropped
-	if res.Sent > 0 {
-		res.FleetAvailability = float64(postFleet.HealthyServed-preFleet.HealthyServed) / float64(res.Sent)
-	}
-	for _, name := range names {
+	var healthy int64 // the fleet's, summed over its services
+	for i, d := range storm.step() {
+		res.Sent, res.Served, res.Dropped = res.Sent+d.Sent, res.Served+d.Served, res.Dropped+d.Dropped
+		healthy += d.HealthyServed
+		name := names[i]
 		svc := c.services[name]
-		before := pre[name]
-		after := c.ServiceStats(name)
 		sr := CoResServiceResult{
 			Name: name, Class: svc.Class, SLOAvailability: svc.SLO.Availability,
-			Sent:    after.Sent - before.Sent,
-			Served:  after.Served - before.Served,
-			Dropped: after.Dropped - before.Dropped,
-			Shed:    after.Shed - before.Shed,
-			P50:     hists[name].Percentile(50),
-			P99:     hists[name].Percentile(99),
-		}
-		if sr.Sent > 0 {
-			sr.Availability = float64(after.HealthyServed-before.HealthyServed) / float64(sr.Sent)
+			Availability: ratio(d.HealthyServed, d.Sent, 0),
+			Sent:         d.Sent, Served: d.Served, Dropped: d.Dropped, Shed: d.Shed,
+			P50: hists[i].Percentile(50),
+			P99: hists[i].Percentile(99),
 		}
 		if svc.Class == ClassLatencyCritical {
 			res.LCShed += sr.Shed
 		}
 		res.Services = append(res.Services, sr)
 	}
+	res.FleetAvailability = ratio(healthy, res.Sent, 0)
 
 	// Preemption evidence from the grant log.
 	res.PreemptionPairs = preemptionPairs(c.LoadEvents())
@@ -411,7 +333,7 @@ func CoResidencyDrill(opts DrillOptions) (*CoResResult, error) {
 		}
 	}
 	for _, f := range c.Failovers() {
-		if f.DetectedAt >= st.start {
+		if f.DetectedAt >= run.Start {
 			res.Failovers++
 		}
 	}

@@ -169,7 +169,6 @@ func TestElectiveDrainAndPreemption(t *testing.T) {
 	}
 	events := c.LoadEvents()
 	var electives, failovers int
-	pair := false
 	for _, e := range events {
 		switch e.Class {
 		case LoadElective:
@@ -178,23 +177,13 @@ func TestElectiveDrainAndPreemption(t *testing.T) {
 			failovers++
 		}
 	}
-	for _, f := range events {
-		if f.Class != LoadFailover {
-			continue
-		}
-		for _, e := range events {
-			if e.Class == LoadElective && e.ReqAt < f.ReqAt && f.Start < e.Start {
-				pair = true
-			}
-		}
-	}
 	if electives != 3 {
 		t.Errorf("grant log holds %d elective grants, want 3", electives)
 	}
 	if failovers == 0 {
 		t.Error("grant log holds no failover grants after a kill")
 	}
-	if !pair {
+	if len(preemptionPairs(events)) == 0 {
 		t.Errorf("no preemption pair in grant log: %+v", events)
 	}
 	// Every scaled-out replica eventually landed.

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"harmonia/internal/apps"
 	"harmonia/internal/faults"
-	"harmonia/internal/net"
 	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 )
@@ -127,7 +125,7 @@ func determinism(t *testing.T, row detRow) []string {
 // TestDeterminism is the fleet's determinism contract, one row per
 // workload shape. CI's race job runs the full matrix under -race.
 func TestDeterminism(t *testing.T) {
-	for _, row := range determinismRows() {
+	for _, row := range determinismRows(t) {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
 			checkRow(t, row)
@@ -239,7 +237,7 @@ func heartbeatDetect(c *Cluster) sim.Time {
 func gossipDetect(c *Cluster) sim.Time { return 2*c.GossipDetectionBound() + 2*c.cfg.ReconfigTime }
 
 // determinismRows lists the harness's workloads.
-func determinismRows() []detRow {
+func determinismRows(t *testing.T) []detRow {
 	wide := []detVariant{{64, 2, 0}, {64, 1, 0}, {4096, 1, 0}, {0, 2, 0}, {4096, 2, 0}, {0, 8, 0}, {64, 8, 0}, {4096, 8, 0}}
 	drill := []detVariant{{64, 2, 0}, {4096, 8, 0}, {0, 8, 0}}
 	sharded, gossip := shardedConfig(), DefaultConfig()
@@ -253,11 +251,14 @@ func determinismRows() []detRow {
 	rebalance.SnapshotEvery = 2
 	migrate := DefaultConfig()
 	migrate.ServeWorkers, migrate.SnapshotEvery = 1, 2
-	stormCfg := stormConfig(11, true)
-	stormCfg.ServeWorkers = 1
-	coresStorm := stormCfg
-	coresStorm.SlotRes = coresSlotRes
-	stateful := func(t *testing.T, cfg Config) *Cluster { return buildStateful(t, cfg, 6) }
+	// The storm rows run the first ten windows of the drills' workloads
+	// at seed 11 and budget 2.
+	storm, coresStorm := mustWorkload(t)(ChaosWorkload(24, 11)), mustWorkload(t)(CoResidencyWorkload(16, 11))
+	alertFleet := mustWorkload(t)(CoResidencyWorkload(24, 11))
+	for _, w := range []*Workload{&storm, &coresStorm} {
+		w.Config.ServeWorkers, w.Budget, w.Windows = 1, 2, 10
+	}
+	stateful := func(t *testing.T, cfg Config) *Cluster { return buildStateful(t, cfg, 6, 6) }
 
 	return []detRow{
 		{
@@ -284,7 +285,7 @@ func determinismRows() []detRow {
 		{
 			// fleet10's SLO layer: a thermal excursion under static shedding
 			// and a kill fire alerts that all resolve by the tail.
-			name: "alert", base: alert, build: coresFleet(24),
+			name: "alert", base: alert, build: buildWorkload(alertFleet),
 			script: func(r *detRun) {
 				c := r.c
 				c.RunMonitorUntil(2 * c.cfg.ReconfigTime)
@@ -334,7 +335,7 @@ func determinismRows() []detRow {
 			script: func(r *detRun) {
 				c := r.c
 				r.phase(c.Serve(300*sim.Microsecond, DefaultTraffic(chaosApp)))
-				_, err := c.RemoveBackend(chaosApp, migrationBackends()[0], false)
+				_, err := c.RemoveBackend(chaosApp, backends(migrationPool)[0], false)
 				r.must(err)
 				_, err = c.DrainNode(c.Now(), c.Nodes()[1].ID)
 				r.must(err)
@@ -353,34 +354,11 @@ func determinismRows() []detRow {
 			},
 			variants: drill,
 		},
-		{
-			// fleet5: the chaos drill's storm on the scale plane.
-			name: "storm", base: stormCfg,
-			build: func(t *testing.T, cfg Config) *Cluster {
-				info, err := apps.Lookup(chaosApp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				svc := AppService(info, 24, net.IPv4(20, 0, 0, 1))
-				svc.Stateful, svc.Backends = true, chaosBackends()
-				c, err := BuildServiceCluster(cfg, svc, 24)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			},
-			script:   stormScript(24, false, chaosTraffic, nil),
-			variants: drill,
-		},
-		{
-			// fleet8: the storm against three co-resident services while
-			// an elective scale-out queues behind the PR-load budget.
-			name: "coresident-storm", base: coresStorm, build: coresFleet(16),
-			script: stormScript(16, true, coresTraffics, func(r *detRun, st *storm) {
-				r.must(r.c.ScaleService(st.start, coresBulkApp, coresScaleOutFor(2)))
-			}),
-			variants: drill,
-		},
+		// fleet5: the chaos drill's storm on the scale plane.
+		workloadRow("storm", storm, drill),
+		// fleet8: the storm against three co-resident services while an
+		// elective scale-out queues behind the PR-load budget.
+		workloadRow("coresident-storm", coresStorm, drill),
 		{
 			// fleet7: a false suspicion is refuted, then a kill is
 			// confirmed, with traffic served through both.
@@ -407,34 +385,40 @@ func determinismRows() []detRow {
 	}
 }
 
-// stormScript replays the first ten windows of a seeded failure storm
-// on a devices-node fleet; armed, when set, runs once the storm is.
-func stormScript(devices int, slowRamp bool, traffics func(seed int64, w int) []Traffic, armed func(r *detRun, st *storm)) func(r *detRun) {
-	const seed, budget = 11, 2
-	return func(r *detRun) {
-		sched, err := stormPlan(DrillOptions{Devices: devices, Budget: budget, Seed: seed}, slowRamp)
-		r.must(err)
-		st, err := startStorm(r.c, sched, budget, func(w int) []Traffic { return traffics(seed, w) })
-		r.must(err)
-		r.phase(st.warmup, nil)
-		if armed != nil {
-			armed(r, st)
-		}
-		for w := 0; w < 10; w++ {
-			r.must(st.inject(w))
-			r.phase(st.serve(w))
-		}
-	}
+// workloadRow runs wl's warm-up and windows as one row, wl.Config
+// being its base.
+func workloadRow(name string, wl Workload, variants []detVariant) detRow {
+	return detRow{name: name, base: wl.Config, build: buildWorkload(wl), variants: variants,
+		script: func(r *detRun) {
+			run, err := wl.Start(r.c)
+			r.must(err)
+			r.phase(run.Warmup, nil)
+			for w := 0; w < wl.Windows; w++ {
+				r.must(run.Script(w))
+				st, _, err := run.Serve(w)
+				r.phase(st, err)
+			}
+		}}
 }
 
-// coresFleet builds the co-resident drills' three-service fleet.
-func coresFleet(devices int) func(t *testing.T, cfg Config) *Cluster {
-	return func(t *testing.T, cfg Config) *Cluster {
-		svcs, err := coresServices(devices)
+// mustWorkload unwraps a workload constructor's result.
+func mustWorkload(t *testing.T) func(Workload, *faults.Schedule, error) Workload {
+	return func(wl Workload, _ *faults.Schedule, err error) Workload {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := BuildCoResidentCluster(cfg, svcs, devices)
+		return wl
+	}
+}
+
+// buildWorkload commissions and places wl's fleet under cfg.
+func buildWorkload(wl Workload) func(t *testing.T, cfg Config) *Cluster {
+	return func(t *testing.T, cfg Config) *Cluster {
+		wl.Config = cfg
+		c, err := wl.Commission()
+		if err == nil {
+			_, err = c.Place(0)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,23 +19,15 @@ import (
 // part of it: it is read back as floats at the end of a run, and the
 // determinism tests compare it on its own (burnState).
 type Digest struct {
-	c      *Cluster
+	serviceDeltas
 	h      hash.Hash
-	svcs   []string
-	prev   []ServiceSnapshot
-	delta  []ServiceSnapshot
 	phases int
 }
 
 // NewDigest starts a digest of c's run from here on: per-service
 // deltas count from the services' current counters.
 func NewDigest(c *Cluster) *Digest {
-	d := &Digest{c: c, h: sha256.New(), svcs: c.Services()}
-	for _, s := range d.svcs {
-		d.prev = append(d.prev, c.ServiceStats(s))
-	}
-	d.delta = make([]ServiceSnapshot, len(d.svcs))
-	return d
+	return &Digest{serviceDeltas: newServiceDeltas(c), h: sha256.New()}
 }
 
 // Phase folds one served phase: each service's counter delta since the
@@ -45,17 +37,9 @@ func NewDigest(c *Cluster) *Digest {
 func (d *Digest) Phase(st PhaseStats) []ServiceSnapshot {
 	w := d.phases
 	d.phases++
-	for i, s := range d.svcs {
-		cur := d.c.ServiceStats(s)
-		p := d.prev[i]
-		dt := ServiceSnapshot{
-			Sent: cur.Sent - p.Sent, Served: cur.Served - p.Served,
-			Dropped: cur.Dropped - p.Dropped, HealthyServed: cur.HealthyServed - p.HealthyServed,
-			Shed: cur.Shed - p.Shed, Bytes: cur.Bytes - p.Bytes,
-		}
-		d.prev[i], d.delta[i] = cur, dt
+	for i, dt := range d.step() {
 		fmt.Fprintf(d.h, "%d %s %d %d %d %d %d %d\n",
-			w, s, dt.Sent, dt.Served, dt.Dropped, dt.HealthyServed, dt.Shed, dt.Bytes)
+			w, d.svcs[i], dt.Sent, dt.Served, dt.Dropped, dt.HealthyServed, dt.Shed, dt.Bytes)
 	}
 	fmt.Fprintf(d.h, "%d %d %d %d %d %d %d %d %d\n",
 		w, st.From, st.To, st.Sent, st.Served, st.Dropped, st.Bytes, st.P50, st.P99)

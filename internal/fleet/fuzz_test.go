@@ -38,7 +38,7 @@ func FuzzFlowImportRows(f *testing.F) {
 				SrcIP: net.IPv4(172, 16, 0, byte(i)), DstIP: net.IPv4(20, 0, 0, 1),
 				Proto: net.ProtoTCP, SrcPort: uint16(1024 + i), DstPort: 80,
 			},
-			Backend: migrationBackends()[i%8],
+			Backend: backends(migrationPool)[i%8],
 		}
 	}
 	inOrder := func(i int) byte { return byte(i) }

@@ -431,15 +431,6 @@ func (r *MigrationDrillResult) Failures() []string {
 	)
 }
 
-// migrationBackends is the drill's initial backend pool.
-func migrationBackends() []net.IPAddr {
-	out := make([]net.IPAddr, 8)
-	for i := range out {
-		out[i] = net.IPv4(10, 1, 0, byte(i+1))
-	}
-	return out
-}
-
 // runMigrationCase builds a stateful fleet, establishes flows, drains
 // one backend (so the pool at failover differs from the pool the flows
 // pinned under — the condition that makes a cold restart disruptive),
@@ -458,8 +449,8 @@ func runMigrationCase(migrate bool) (*MigrationCase, *Cluster, string, float64, 
 	}
 	svc := AppService(info, migrateDevices, net.IPv4(20, 0, 0, 1))
 	svc.Stateful = true
-	svc.Backends = migrationBackends()
-	c, err := BuildServiceCluster(cfg, svc, migrateDevices)
+	svc.Backends = backends(migrationPool)
+	c, err := BuildCoResidentCluster(cfg, []Service{svc}, migrateDevices)
 	if err != nil {
 		return nil, nil, "", 0, err
 	}
@@ -474,7 +465,7 @@ func runMigrationCase(migrate bool) (*MigrationCase, *Cluster, string, float64, 
 	// Drain one backend: unpinned flows re-hash minimally, established
 	// flows keep their pins. From here the pool disagrees with the pins.
 	oldPool := c.pools[svc.Name]
-	if _, err := c.RemoveBackend(svc.Name, migrationBackends()[0], false); err != nil {
+	if _, err := c.RemoveBackend(svc.Name, backends(migrationPool)[0], false); err != nil {
 		return nil, nil, "", 0, err
 	}
 	bound := oldPool.Disruption(c.pools[svc.Name])
@@ -504,9 +495,7 @@ func runMigrationCase(migrate bool) (*MigrationCase, *Cluster, string, float64, 
 		mc.Established += len(entries)
 		mc.Disrupted += disrupted(r, entries)
 	}
-	if mc.Established > 0 {
-		mc.Disruption = float64(mc.Disrupted) / float64(mc.Established)
-	}
+	mc.Disruption = ratio(mc.Disrupted, mc.Established, 0)
 	return mc, c, victim.ID, bound, nil
 }
 
@@ -528,7 +517,7 @@ func MigrationDrill() (*MigrationDrillResult, error) {
 	}
 	return &MigrationDrillResult{
 		Experiment: "fleet4", App: chaosApp,
-		Devices: migrateDevices, Backends: len(migrationBackends()), Killed: killed,
+		Devices: migrateDevices, Backends: len(backends(migrationPool)), Killed: killed,
 		MaglevBound: bound,
 		Cold:        *cold, Migrated: *mig,
 		StrictlyFewer: mig.Disrupted < cold.Disrupted,

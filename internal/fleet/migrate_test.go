@@ -10,20 +10,20 @@ import (
 	"harmonia/internal/sim"
 )
 
-// buildStateful builds an n-device fleet hosting n replicas of a
-// stateful layer4-lb service with the drill's 8-backend pool.
-func buildStateful(t testing.TB, cfg Config, n int) *Cluster {
+// buildStateful builds and settles an n-device fleet hosting replicas
+// replicas of a stateful layer4-lb service with fleet4's backend pool.
+func buildStateful(t testing.TB, cfg Config, n, replicas int) *Cluster {
 	t.Helper()
 	info, err := apps.Lookup(testApp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := AppService(info, n, net.IPv4(20, 0, 0, 1))
+	svc := AppService(info, replicas, net.IPv4(20, 0, 0, 1))
 	svc.Stateful = true
-	svc.Backends = migrationBackends()
-	c, err := BuildServiceCluster(cfg, svc, n)
+	svc.Backends = backends(migrationPool)
+	c, err := BuildCoResidentCluster(cfg, []Service{svc}, n)
 	if err != nil {
-		t.Fatalf("BuildServiceCluster: %v", err)
+		t.Fatalf("BuildCoResidentCluster: %v", err)
 	}
 	c.RunMonitorUntil(2 * cfg.ReconfigTime)
 	return c
@@ -48,7 +48,7 @@ func TestFlowSnapshotTravelsCommandPath(t *testing.T) {
 	// The acceptance assertion: snapshot and replay are real command
 	// transactions executed by the source and target control kernels,
 	// not an out-of-band copy.
-	c := buildStateful(t, DefaultConfig(), 3)
+	c := buildStateful(t, DefaultConfig(), 3, 3)
 	if _, err := c.Serve(200*sim.Microsecond, DefaultTraffic(testApp)); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFlowSnapshotTravelsCommandPath(t *testing.T) {
 func TestDeadNodeFallsBackToPeriodicSnapshot(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SnapshotEvery = 1 // capture on every successful probe
-	c := buildStateful(t, cfg, 3)
+	c := buildStateful(t, cfg, 3, 3)
 	if _, err := c.Serve(200*sim.Microsecond, DefaultTraffic(testApp)); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDeadNodeFallsBackToPeriodicSnapshot(t *testing.T) {
 func TestMigrationDisabledCarriesNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MigrateFlows = false
-	c := buildStateful(t, cfg, 3)
+	c := buildStateful(t, cfg, 3, 3)
 	if _, err := c.Serve(200*sim.Microsecond, DefaultTraffic(testApp)); err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestMigrationDisabledCarriesNothing(t *testing.T) {
 }
 
 func TestClusterRemoveBackendEvicts(t *testing.T) {
-	c := buildStateful(t, DefaultConfig(), 2)
+	c := buildStateful(t, DefaultConfig(), 2, 2)
 	if _, err := c.Serve(200*sim.Microsecond, DefaultTraffic(testApp)); err != nil {
 		t.Fatal(err)
 	}
-	dead := migrationBackends()[1]
+	dead := backends(migrationPool)[1]
 	pinnedToDead := 0
 	for _, r := range c.Replicas() {
 		for _, e := range r.flows.table.Snapshot() {
@@ -284,7 +284,7 @@ func TestDrainRacingSourceDeath(t *testing.T) {
 	// finish — not wedge on the half-read live table or lose the state.
 	cfg := DefaultConfig()
 	cfg.SnapshotEvery = 1 // capture on every successful probe
-	c := buildStateful(t, cfg, 3)
+	c := buildStateful(t, cfg, 3, 3)
 	tr := DefaultTraffic(testApp)
 	tr.Flows = 512 // enough pins that the export spans several rows
 	if _, err := c.Serve(200*sim.Microsecond, tr); err != nil {
@@ -361,7 +361,7 @@ func pinRandomFlows(ft *apps.FlowTable, rng *rand.Rand, n int) {
 			DstIP: net.IPv4(20, 0, 0, 1), Proto: net.ProtoTCP,
 			SrcPort: uint16(rng.Intn(1 << 16)), DstPort: 80,
 		}
-		if _, ok := ft.Peek(k); !ok && ft.Pin(k, migrationBackends()[rng.Intn(8)]) {
+		if _, ok := ft.Peek(k); !ok && ft.Pin(k, backends(migrationPool)[rng.Intn(8)]) {
 			added++
 		}
 	}
@@ -370,7 +370,7 @@ func pinRandomFlows(ft *apps.FlowTable, rng *rand.Rand, n int) {
 // captureFixture returns a fleet whose first node hosts one stateful
 // replica holding a 650-entry connection table, already captured.
 func captureFixture(t testing.TB) (*Cluster, *Node, *Replica) {
-	c := buildStateful(t, DefaultConfig(), 3)
+	c := buildStateful(t, DefaultConfig(), 3, 3)
 	n := c.Nodes()[0]
 	if len(n.stateful) != 1 {
 		t.Fatalf("node %s hosts %d stateful replicas, want 1", n.ID, len(n.stateful))

@@ -162,15 +162,6 @@ type rebalanceCaseSpec struct {
 	killUnrelatedAt int
 }
 
-// rebalanceBackends is the drill's initial backend pool.
-func rebalanceBackends() []net.IPAddr {
-	out := make([]net.IPAddr, 8)
-	for i := range out {
-		out[i] = net.IPv4(10, 3, 0, byte(i+1))
-	}
-	return out
-}
-
 // rebalTraffic derives one window's deterministic traffic phase.
 func rebalTraffic(seed int64, window int) Traffic {
 	return Traffic{
@@ -220,8 +211,8 @@ func runRebalanceCase(opts DrillOptions, spec rebalanceCaseSpec) (*RebalanceCase
 	}
 	svc := AppService(info, 2*opts.Devices, net.IPv4(20, 0, 0, 1))
 	svc.Stateful = true
-	svc.Backends = rebalanceBackends()
-	c, err := BuildServiceCluster(cfg, svc, opts.Devices)
+	svc.Backends = backends(rebalancePool)
+	c, err := BuildCoResidentCluster(cfg, []Service{svc}, opts.Devices)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +246,7 @@ func runRebalanceCase(opts DrillOptions, spec rebalanceCaseSpec) (*RebalanceCase
 	// Drain one backend so the pool disagrees with established pins: a
 	// migration that loses rows now shows up as disruption, exactly as in
 	// the fleet4 baseline this drill is bounded by.
-	if _, err := c.RemoveBackend(chaosApp, rebalanceBackends()[0], false); err != nil {
+	if _, err := c.RemoveBackend(chaosApp, backends(rebalancePool)[0], false); err != nil {
 		return nil, err
 	}
 
@@ -314,9 +305,7 @@ func runRebalanceCase(opts DrillOptions, spec rebalanceCaseSpec) (*RebalanceCase
 		cc.Established += len(entries)
 		cc.Disrupted += disrupted(byName[name], entries)
 	}
-	if cc.Established > 0 {
-		cc.Disruption = float64(cc.Disrupted) / float64(cc.Established)
-	}
+	cc.Disruption = ratio(cc.Disrupted, cc.Established, 0)
 
 	// Preemption evidence from the grant log.
 	cc.PreemptionPairs = len(preemptionPairs(c.LoadEvents()))

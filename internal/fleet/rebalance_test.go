@@ -5,7 +5,6 @@ import (
 
 	"harmonia/internal/apps"
 	"harmonia/internal/faults"
-	"harmonia/internal/net"
 	"harmonia/internal/sim"
 )
 
@@ -64,7 +63,7 @@ func serveRebalanceWindows(t *testing.T, c *Cluster, windows int, done func() bo
 func TestRebalancePlannedCarriesAllFlows(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SnapshotEvery = 2
-	c := buildStateful(t, cfg, 6)
+	c := buildStateful(t, cfg, 6, 6)
 	tr := DefaultTraffic(testApp)
 	tr.Flows = 512
 	if _, err := c.Serve(200*sim.Microsecond, tr); err != nil {
@@ -176,7 +175,7 @@ func TestRebalancePlannedCarriesAllFlows(t *testing.T) {
 func TestRebalanceKillTargetAborts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SnapshotEvery = 2
-	c := buildStateful(t, cfg, 6)
+	c := buildStateful(t, cfg, 6, 6)
 	tr := DefaultTraffic(testApp)
 	tr.Flows = 512
 	if _, err := c.Serve(200*sim.Microsecond, tr); err != nil {
@@ -230,7 +229,7 @@ func TestRebalanceKillTargetAborts(t *testing.T) {
 func TestRebalanceKillSourceSnapshotFallback(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SnapshotEvery = 2
-	c := buildStateful(t, cfg, 6)
+	c := buildStateful(t, cfg, 6, 6)
 	tr := DefaultTraffic(testApp)
 	tr.Flows = 512
 	if _, err := c.Serve(200*sim.Microsecond, tr); err != nil {
@@ -299,18 +298,7 @@ func TestRebalancePreemptedByFailover(t *testing.T) {
 	// Two replicas per device (the drill's density): the rebuild victim
 	// hosts several, so its moves must queue behind the single budget
 	// slot instead of draining in one grant.
-	info, err := apps.Lookup(testApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := AppService(info, 12, net.IPv4(20, 0, 0, 1))
-	svc.Stateful = true
-	svc.Backends = migrationBackends()
-	c, err := BuildServiceCluster(cfg, svc, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunMonitorUntil(2 * cfg.ReconfigTime)
+	c := buildStateful(t, cfg, 6, 12)
 	tr := DefaultTraffic(testApp)
 	tr.Flows = 512
 	if _, err := c.Serve(200*sim.Microsecond, tr); err != nil {

@@ -585,25 +585,22 @@ func (ph *Phase) stats(start sim.Time, before RouterSnapshot, lat *metrics.Histo
 	return stats
 }
 
-// compatiblePlatforms lists catalog devices able to host the service,
-// in catalog order.
-func compatiblePlatforms(svc Service) []*platform.Device {
+// compatiblePlatforms lists the catalog devices able to host every
+// service (each service's demands and PCIe floor must adapt), in
+// catalog order.
+func compatiblePlatforms(svcs ...Service) []*platform.Device {
 	var out []*platform.Device
 	for _, name := range platform.CatalogNames() {
 		dev, err := platform.Lookup(name)
-		if err != nil {
-			continue
-		}
-		if _, err := adaptDemands(dev, svc.Demands); err != nil {
-			continue
-		}
-		if svc.MinPCIeGen > 0 {
-			p, ok := dev.PCIe()
-			if !ok || p.PCIeGen < svc.MinPCIeGen {
-				continue
+		if err == nil && !slices.ContainsFunc(svcs, func(svc Service) bool {
+			if _, err := adaptDemands(dev, svc.Demands); err != nil {
+				return true
 			}
+			p, ok := dev.PCIe()
+			return svc.MinPCIeGen > 0 && (!ok || p.PCIeGen < svc.MinPCIeGen)
+		}) {
+			out = append(out, dev)
 		}
-		out = append(out, dev)
 	}
 	return out
 }
@@ -619,14 +616,7 @@ func BuildCluster(cfg Config, appName string, n, replicas int) (*Cluster, error)
 	if err != nil {
 		return nil, err
 	}
-	return BuildServiceCluster(cfg, AppService(info, replicas, net.IPv4(20, 0, 0, 1)), n)
-}
-
-// BuildServiceCluster commissions a heterogeneous fleet of n devices
-// hosting the given service (which may carry stateful-LB settings
-// AppService does not produce), and places its replicas.
-func BuildServiceCluster(cfg Config, svc Service, n int) (*Cluster, error) {
-	return BuildCoResidentCluster(cfg, []Service{svc}, n)
+	return BuildCoResidentCluster(cfg, []Service{AppService(info, replicas, net.IPv4(20, 0, 0, 1))}, n)
 }
 
 // BuildCoResidentCluster commissions a heterogeneous fleet of n devices
@@ -637,6 +627,21 @@ func BuildServiceCluster(cfg Config, svc Service, n int) (*Cluster, error) {
 // adapt), and placement bin-packs all services' replicas together,
 // anti-affinity spreading each service across the shared nodes.
 func BuildCoResidentCluster(cfg Config, svcs []Service, n int) (*Cluster, error) {
+	c, err := commission(cfg, svcs, n)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := c.Place(0); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// commission registers svcs on a new cluster and commissions n nodes
+// cycling the catalog models compatible with every service: the one
+// commissioning path, behind BuildCoResidentCluster and
+// Workload.Commission.
+func commission(cfg Config, svcs []Service, n int) (*Cluster, error) {
 	if len(svcs) == 0 {
 		return nil, fmt.Errorf("fleet: co-resident cluster needs at least one service")
 	}
@@ -649,22 +654,7 @@ func BuildCoResidentCluster(cfg Config, svcs []Service, n int) (*Cluster, error)
 			return nil, err
 		}
 	}
-	// Intersect per-service compatibility, keeping catalog order from
-	// the first service's list.
-	models := compatiblePlatforms(svcs[0])
-	for _, svc := range svcs[1:] {
-		ok := map[string]bool{}
-		for _, d := range compatiblePlatforms(svc) {
-			ok[d.Name] = true
-		}
-		kept := models[:0]
-		for _, d := range models {
-			if ok[d.Name] {
-				kept = append(kept, d)
-			}
-		}
-		models = kept
-	}
+	models := compatiblePlatforms(svcs...)
 	if len(models) == 0 {
 		names := make([]string, len(svcs))
 		for i, svc := range svcs {
@@ -684,9 +674,6 @@ func BuildCoResidentCluster(cfg Config, svcs []Service, n int) (*Cluster, error)
 		if _, err := c.Commission(id, plat); err != nil {
 			return nil, err
 		}
-	}
-	if _, err := c.Place(0); err != nil {
-		return nil, err
 	}
 	return c, nil
 }

@@ -175,7 +175,8 @@ type sloCase struct {
 	causal   []obs.CausalEvent
 	samples  []SLOWindowSample
 	peakFast map[string]float64
-	pre      map[string]ServiceSnapshot
+	// storm is each service's counter change over the windows.
+	storm []ServiceSnapshot
 }
 
 // burnState renders every (service, window) burn rate in a fixed
@@ -191,82 +192,40 @@ func burnState(c *Cluster) string {
 	return b.String()
 }
 
-// runSLOCase replays the storm (or, with inject false, a fault-free
-// control) against a fresh co-resident fleet with the SLO windows
-// armed and the given determinism-sweep variant.
-func runSLOCase(opts DrillOptions, sched *faults.Schedule, quantum, workers int, inject bool, trace *obs.Recorder) (*sloCase, error) {
-	// Static shedding, deliberately: with the derived-shedding defense
-	// armed the co-resident fleet heals the storm losslessly (fleet8's
-	// artifact records availability 1.0), so there is nothing for an
-	// alert to detect. The SLO layer's job is to catch the fleet when
-	// a defense is imperfect — static thermal shedding keeps degraded
-	// nodes serving (unhealthy serves burn the error budget, exactly
-	// as in fleet5's static cases) and gives the storm a real,
-	// attributable availability signature.
-	cfg := stormConfig(opts.Seed, false)
-	cfg.SlotRes = coresSlotRes
-	cfg.SLOWindowTicks = sloWindowTicks
-	cfg.BatchQuantum = quantum
-	cfg.ServeWorkers = workers
+// runSLOCase replays wl against a fresh co-resident fleet at the given
+// determinism-sweep variant.
+func runSLOCase(wl Workload, quantum, workers int, trace *obs.Recorder) (*sloCase, error) {
+	wl.Config.BatchQuantum, wl.Config.ServeWorkers = quantum, workers
+	run, err := startTraced(&wl, trace, "slo-storm", nil)
+	if err != nil {
+		return nil, err
+	}
+	c := run.Cluster
 
-	svcs, err := coresServices(opts.Devices)
-	if err != nil {
-		return nil, err
-	}
-	c, err := BuildCoResidentCluster(cfg, svcs, opts.Devices)
-	if err != nil {
-		return nil, err
-	}
-	if trace != nil {
-		c.SetTrace(trace.Process("slo-storm"))
-	}
-	st, err := startStorm(c, sched, opts.Budget, func(w int) []Traffic { return coresTraffics(opts.Seed, w) })
-	if err != nil {
-		return nil, err
-	}
-	if err := c.ScaleService(st.start, coresBulkApp, coresScaleOutFor(opts.Budget)); err != nil {
-		return nil, err
-	}
-
-	cs := &sloCase{
-		c:        c,
-		peakFast: make(map[string]float64),
-		pre:      make(map[string]ServiceSnapshot),
-	}
+	cs := &sloCase{c: c, peakFast: make(map[string]float64)}
 	names := c.Services()
-	for _, name := range names {
-		cs.pre[name] = c.ServiceStats(name)
-	}
-	winStats := make(map[string]ServiceSnapshot, len(names))
-	for w := 0; w < stormWindows; w++ {
-		if inject {
-			if err := st.inject(w); err != nil {
-				return nil, err
-			}
+	storm := newServiceDeltas(c)
+	for w := 0; w < wl.Windows; w++ {
+		if err := run.Script(w); err != nil {
+			return nil, err
 		}
-		for _, name := range names {
-			winStats[name] = c.ServiceStats(name)
-		}
-		if _, err := st.serve(w); err != nil {
+		_, deltas, err := run.Serve(w)
+		if err != nil {
 			return nil, err
 		}
 		sample := SLOWindowSample{At: c.Now(), ActiveAlerts: c.ActiveAlerts()}
-		for _, name := range names {
-			before := winStats[name]
-			after := c.ServiceStats(name)
+		for i, name := range names {
+			d := deltas[i]
 			if name == chaosApp {
-				sample.LCAvailability = 1
-				if d := after.Sent - before.Sent; d > 0 {
-					sample.LCAvailability = float64(after.HealthyServed-before.HealthyServed) / float64(d)
-				}
+				sample.LCAvailability = ratio(d.HealthyServed, d.Sent, 1)
 			}
 			// The class shedding order showing up as bulk shed deltas is
 			// itself postmortem evidence: sheds inside an alert's
 			// lookback explain where the lost demand went.
-			if shed := after.Shed - before.Shed; shed > 0 {
+			if d.Shed > 0 {
 				cs.causal = append(cs.causal, obs.CausalEvent{
 					At: c.Now(), Kind: "bulk-shed", Subject: name,
-					Detail: fmt.Sprintf("%d pkts", shed),
+					Detail: fmt.Sprintf("%d pkts", d.Shed),
 				})
 			}
 			if burn := c.BurnRate(name, 0); burn > cs.peakFast[name] {
@@ -275,20 +234,12 @@ func runSLOCase(opts DrillOptions, sched *faults.Schedule, quantum, workers int,
 		}
 		cs.samples = append(cs.samples, sample)
 	}
+	cs.storm = storm.step()
 
 	cs.alerts = c.AlertEvents()
 	cs.alertLog = c.AlertLogBytes()
 	cs.burn = burnState(c)
-	cs.causal = append(cs.causal, c.CausalEvents(st.start)...)
-	if inject {
-		ids := func(node int) string {
-			if node >= 0 && node < len(st.nodes) {
-				return st.nodes[node].ID
-			}
-			return fmt.Sprintf("node-%d", node)
-		}
-		cs.causal = append(cs.causal, sched.CausalEvents(ids)...)
-	}
+	cs.causal = append(cs.causal, c.CausalEvents(run.Start)...)
 	return cs, nil
 }
 
@@ -296,13 +247,19 @@ func runSLOCase(opts DrillOptions, sched *faults.Schedule, quantum, workers int,
 // co-resident fleet with the SLO engine judging it, plus the
 // fault-free control and the determinism sweep.
 func SLODrill(opts DrillOptions) (*SLOResult, error) {
-	if err := opts.check("SLO", 8); err != nil {
-		return nil, err
-	}
-	sched, err := stormPlan(opts, true)
+	wl, sched, err := opts.storm("SLO", 8, CoResidencyWorkload)
 	if err != nil {
 		return nil, err
 	}
+	// Static shedding, deliberately: with the derived-shedding defense
+	// armed the co-resident fleet heals the storm losslessly (fleet8's
+	// artifact records availability 1.0), so there is nothing for an
+	// alert to detect. The SLO layer's job is to catch the fleet when
+	// a defense is imperfect — static thermal shedding keeps degraded
+	// nodes serving (unhealthy serves burn the error budget, exactly
+	// as in fleet5's static cases) and gives the storm a real,
+	// attributable availability signature.
+	wl.Config.DerivedShedding, wl.Config.SLOWindowTicks = false, sloWindowTicks
 	res := &SLOResult{
 		Experiment: "fleet10",
 		Devices:    opts.Devices, RackSize: sched.Spec.RackSize,
@@ -321,7 +278,7 @@ func SLODrill(opts DrillOptions) (*SLOResult, error) {
 		if i == 0 {
 			tr = opts.Trace
 		}
-		cs, err := runSLOCase(opts, sched, v[0], v[1], true, tr)
+		cs, err := runSLOCase(wl, v[0], v[1], tr)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: slo case quantum=%d workers=%d: %w", v[0], v[1], err)
 		}
@@ -356,7 +313,10 @@ func SLODrill(opts DrillOptions) (*SLOResult, error) {
 	res.Lookback = c.GossipDetectionBound() +
 		sim.Time(loadRetries+1)*cfg.ReconfigTime +
 		sim.Time(sloWindowTicks[1])*cfg.Heartbeat
-	pms := obs.Correlate(base.alerts, base.causal, res.Lookback)
+	// The schedule is the ground truth the firings are attributed to.
+	nodes := c.Nodes()
+	causal := append(base.causal, sched.CausalEvents(func(node int) string { return nodes[node].ID })...)
+	pms := obs.Correlate(base.alerts, causal, res.Lookback)
 	res.Timeline = string(obs.RenderTimeline(pms))
 	for _, pm := range pms {
 		p := SLOPostmortem{
@@ -400,25 +360,23 @@ func SLODrill(opts DrillOptions) (*SLOResult, error) {
 
 	// Per-service storm outcomes.
 	log := c.slo.alerter.Log()
-	for _, name := range c.Services() {
-		svc := c.services[name]
-		before := base.pre[name]
-		after := c.ServiceStats(name)
+	for i, name := range c.Services() {
+		svc, d := c.services[name], base.storm[i]
 		sr := SLOServiceResult{
 			Name: name, Class: svc.Class, Target: svc.SLO.Availability,
+			Availability: ratio(d.HealthyServed, d.Sent, 0),
 			PeakFastBurn: base.peakFast[name],
 			Firings:      log.Count(name, "", obs.AlertFiring),
 			Resolves:     log.Count(name, "", obs.AlertResolved),
-		}
-		if d := after.Sent - before.Sent; d > 0 {
-			sr.Availability = float64(after.HealthyServed-before.HealthyServed) / float64(d)
 		}
 		res.Services = append(res.Services, sr)
 	}
 
 	// Control: the same fleet, traffic and elective scale-out with
 	// zero injections must produce zero firings and zero attributions.
-	ctl, err := runSLOCase(opts, sched, sloSweep[0][0], sloSweep[0][1], false, nil)
+	// The control keeps the elective scale-out and drops every injection.
+	wl.Arm = stormArm(&faults.Schedule{Spec: sched.Spec}, true)
+	ctl, err := runSLOCase(wl, sloSweep[0][0], sloSweep[0][1], nil)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: slo control case: %w", err)
 	}

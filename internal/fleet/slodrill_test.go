@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"harmonia/internal/hdl"
 	"harmonia/internal/obs"
 )
 
@@ -13,13 +12,12 @@ import (
 // fast page pair plus the slow ticket pair, bulk services only the
 // ticket pair, and services without an objective no rules at all.
 func TestSLOEngineRules(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SLOWindowTicks = []int{2, 8, 24, 48}
-	cfg.SlotRes = hdl.Resources{LUT: 200_000, REG: 300_000, BRAM: 512, URAM: 96, DSP: 2_048}
-	svcs, err := coresServices(16)
+	wl, _, err := CoResidencyWorkload(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg, svcs := DefaultConfig(), wl.Services
+	cfg.SLOWindowTicks, cfg.SlotRes = []int{2, 8, 24, 48}, coresSlotRes
 	c, err := BuildCoResidentCluster(cfg, svcs, 16)
 	if err != nil {
 		t.Fatal(err)

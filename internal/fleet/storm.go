@@ -5,29 +5,16 @@ import (
 
 	"harmonia/internal/apps"
 	"harmonia/internal/faults"
-	"harmonia/internal/hdl"
+	"harmonia/internal/net"
 	"harmonia/internal/obs"
-	"harmonia/internal/sim"
 )
 
-// The storm driver every failure-storm drill shares (fleet5 chaos,
-// fleet8 co-residency, fleet10 SLO): one options type, the seeded
-// storm plan, the scale-plane fleet configuration, the warm-up up to
-// the storm's start, and the window loop's injection cursor. The
-// drills keep only what they measure around each window; the gate
-// helpers and the evidence helpers at the bottom (flow pins,
+// What every failure-storm drill shares (fleet5 chaos, fleet8
+// co-residency, fleet10 SLO) beyond its Workload: one options type, the
+// gates, a case's traced set-up and the storm script's rendering. The
+// backend pools and the evidence helpers at the bottom (flow pins,
 // disruption, preemption pairs) also serve the fleet4 and fleet9
 // drills.
-
-// stormWindowDur is the measurement window; injections due inside a
-// window are applied at its start (deterministic discretization).
-const stormWindowDur = 100 * sim.Microsecond
-
-// stormWindows spans the storm plus the recovery tail.
-const stormWindows = 160
-
-// stormWarmup is the pre-storm serving phase establishing flows.
-const stormWarmup = 200 * sim.Microsecond
 
 // DrillOptions shapes every storm and rebalance drill.
 type DrillOptions struct {
@@ -79,30 +66,38 @@ func (o DrillOptions) check(drill string, minDevices int) error {
 	return nil
 }
 
-// stormPlan derives the drill's seeded failure storm, starting when
-// the warm-up ends. slowRamp slows the thermal runaway from fleet5's 6°C
-// per half-window — which crosses the whole bulk-shed band inside one
-// measurement window — to one step every two windows, ramping more
-// nodes and cooling after the full climb, so band residency is
-// observable at window granularity.
-func stormPlan(opts DrillOptions, slowRamp bool) (*faults.Schedule, error) {
-	spec := faults.DefaultStorm(opts.Devices, opts.Seed)
-	spec.Start = 2*DefaultConfig().ReconfigTime + stormWarmup
-	if slowRamp {
-		spec.ThermalEvery = 2 * stormWindowDur
-		spec.ThermalCoolAt = 40 * stormWindowDur
-		spec.ThermalNodes = max(opts.Devices/40, 2)
+// storm checks the options against a storm drill needing minDevices,
+// then builds its workload at their size, seed and budget. The planned
+// schedule gets its own trace process, so the Perfetto view shows what
+// the storm intended alongside what each run applied.
+func (o DrillOptions) storm(drill string, minDevices int, shape func(nodes int, seed int64) (Workload, *faults.Schedule, error)) (Workload, *faults.Schedule, error) {
+	if err := o.check(drill, minDevices); err != nil {
+		return Workload{}, nil, err
 	}
-	sched, err := faults.Storm(spec)
+	wl, sched, err := shape(o.Devices, o.Seed)
+	if err == nil && o.Trace != nil {
+		sched.Trace(o.Trace.Process("storm-plan").Track("schedule"))
+	}
+	wl.Budget = o.Budget
+	return wl, sched, err
+}
+
+// startTraced runs a drill case's set-up stages: commission, place,
+// label the metrics, record into the trace process name when rec is
+// set, then start.
+func startTraced(wl *Workload, rec *obs.Recorder, name string, labels map[string]string) (*Run, error) {
+	c, err := wl.Commission()
+	if err == nil {
+		_, err = c.Place(0)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if opts.Trace != nil {
-		// The planned schedule gets its own process, so the Perfetto view
-		// shows what the storm intended alongside what each run applied.
-		sched.Trace(opts.Trace.Process("storm-plan").Track("schedule"))
+	c.Metrics().SetConstLabels(labels)
+	if rec != nil {
+		c.SetTrace(rec.Process(name))
 	}
-	return sched, nil
+	return wl.Start(c)
 }
 
 // injections renders the schedule as the human-readable storm script.
@@ -114,93 +109,21 @@ func injections(sched *faults.Schedule) []string {
 	return out
 }
 
-// coresSlotRes is the co-resident fleet's slot size: retrieval's role
-// logic (180k LUT, 2048 DSP) outgrows the default slot budget, so the
-// fleet carves bigger slots — the catalog's large chips still yield 2-3
-// per device.
-var coresSlotRes = hdl.Resources{LUT: 200_000, REG: 300_000, BRAM: 512, URAM: 96, DSP: 2_048}
+// Each stateful drill starts from its own pool of eight backends,
+// 10.<pool>.0.1-8.
+const (
+	migrationPool byte = 1 // fleet4
+	chaosPool     byte = 2 // fleet5 and fleet8
+	rebalancePool byte = 3 // fleet9
+)
 
-// stormConfig is the scale-plane configuration the storm drills run:
-// health dissemination on the gossip detector and dispatch on the
-// rack-first path — the plane the 10k bench gates — so a storm
-// validates detection bounds and availability under exactly that plane.
-// derived arms thermal-derived shedding.
-func stormConfig(seed int64, derived bool) Config {
-	cfg := DefaultConfig()
-	cfg.Seed = seed
-	// A wide fanout keeps thermal readings fresh enough for derived
-	// shedding on a 300-node fleet.
-	cfg.GossipHealth = true
-	cfg.GossipFanout = 32
-	cfg.GossipPiggyback = 8
-	cfg.RackP2C = true
-	// Gossip probes reach a given node only once per rotation period, so
-	// capture a connection-table snapshot on every successful probe to
-	// keep dead-node fallbacks reasonably fresh.
-	cfg.SnapshotEvery = 1
-	cfg.DerivedShedding = derived
-	// The storm's runaway ramps 6°C every 50µs, so the default 10°C shed
-	// span would be crossed inside one measurement window; a wider span
-	// spreads the derating across several windows, making the gradual
-	// shedding observable in the penalty series and the class shedding
-	// order's pre-alarm band observable across windows. Static shedding
-	// reads the span only for the chaos drill's penalty series.
-	cfg.ShedStartMilliC = cfg.DegradeMilliC - 40_000
-	return cfg
-}
-
-// storm is one storm replay in progress against one fleet.
-type storm struct {
-	c     *Cluster
-	sched *faults.Schedule
-	nodes []*Node
-	// start is the storm's first instant on the cluster clock.
-	start sim.Time
-	// next is the injection cursor: the first schedule entry not yet
-	// applied.
-	next int
-	// traffics derives one window's deterministic traffic (window -1 is
-	// the warm-up).
-	traffics func(window int) []Traffic
-	// warmup is the warm-up phase's statistics.
-	warmup PhaseStats
-}
-
-// startStorm brings a freshly built fleet to the storm's start: the
-// monitor settles the initial placement, a warm-up phase establishes
-// flows, and the PR-load budget is armed — which also resets the
-// budget's grant history, so warm-up placement does not contaminate
-// the storm's peak.
-func startStorm(c *Cluster, sched *faults.Schedule, budget int, traffics func(window int) []Traffic) (*storm, error) {
-	c.RunMonitorUntil(2 * c.cfg.ReconfigTime)
-	warmup, err := c.ServeMulti(stormWarmup, traffics(-1))
-	if err != nil {
-		return nil, err
+// backends returns a fresh copy of a drill's initial backend pool.
+func backends(pool byte) []net.IPAddr {
+	out := make([]net.IPAddr, 8)
+	for i := range out {
+		out[i] = net.IPv4(10, pool, 0, byte(i+1))
 	}
-	c.SetLoadBudget(budget)
-	s := &storm{c: c, sched: sched, nodes: c.Nodes(), start: c.Now(), traffics: traffics, warmup: warmup}
-	if s.start != sched.Spec.Start {
-		return nil, fmt.Errorf("fleet: storm scheduled for %v but warmup ended at %v",
-			sched.Spec.Start, s.start)
-	}
-	return s, nil
-}
-
-// inject applies every injection due before window w ends.
-func (s *storm) inject(w int) error {
-	end := s.start + sim.Time(w+1)*stormWindowDur
-	for ; s.next < len(s.sched.Injections) && s.sched.Injections[s.next].At < end; s.next++ {
-		inj := s.sched.Injections[s.next]
-		if err := applyInjection(s.c, s.nodes, inj); err != nil {
-			return fmt.Errorf("fleet: injection %v: %w", inj, err)
-		}
-	}
-	return nil
-}
-
-// serve runs window w's traffic.
-func (s *storm) serve(w int) (PhaseStats, error) {
-	return s.c.ServeMulti(stormWindowDur, s.traffics(w))
+	return out
 }
 
 // flowPins captures every stateful replica's pinned flows by replica

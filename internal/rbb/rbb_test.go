@@ -81,21 +81,14 @@ func TestDescModuleComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := n.Desc()
-	m := d.Module()
-	if m.Vendor != "harmonia" {
-		t.Errorf("composite vendor = %q", m.Vendor)
+	if d.TotalRes() != d.Instance.Res.Add(d.Reusable.Res) {
+		t.Error("TotalRes is not instance + reusable logic")
 	}
-	if m.Res != d.Instance.Res.Add(d.Reusable.Res) {
-		t.Error("composite resources wrong")
+	if len(d.Params()) != d.Instance.ParamCount()+len(d.Reusable.Params) {
+		t.Error("Params is not instance + reusable logic")
 	}
-	if m.ParamCount() != d.Instance.ParamCount()+len(d.Reusable.Params) {
-		t.Error("composite params wrong")
-	}
-	if m.Deps["cad"] != "quartus" {
-		t.Error("instance deps not carried through")
-	}
-	if d.TotalRes() != m.Res {
-		t.Error("TotalRes mismatch")
+	if d.Instance.Deps["cad"] != "quartus" {
+		t.Error("instance deps not carried")
 	}
 }
 
