@@ -8,12 +8,12 @@ import (
 
 // Micro-benchmarks for the routed-packet hot path at fleet scale. The
 // cluster is built and matured once per benchmark; each iteration
-// prepares a fresh phase outside the timer (packet slab, arrival
+// prepares a fresh phase outside the timer (flow indices, arrival
 // offsets, flow hashes, router freeze) and times only Phase.Run — the
 // batched dispatch loop — reporting ns per routed packet. CI runs
 // these with -benchtime=1x -count=1 as a smoke test on every PR; local
 // perf work should use -benchtime=5x or more so the per-iteration GC of
-// the prepared packet slab amortises out of the average.
+// the prepared phase storage amortises out of the average.
 
 // fleetBenchPhases times ph.Run over b.N prepared phases on c.
 func fleetBenchPhases(b *testing.B, c *fleet.Cluster, nodes int) {

@@ -102,6 +102,11 @@ func TestWindowResetAcrossBarriers(t *testing.T) {
 	if h := c.router.windowHist(); h.Percentile(99) != second.P99 {
 		t.Errorf("window p99 %v != phase P99 %v", h.Percentile(99), second.P99)
 	}
+	// The merge reuses router-owned storage: every phase and registry
+	// read takes one.
+	if a := testing.AllocsPerRun(10, func() { c.router.windowHist() }); a != 0 {
+		t.Errorf("windowHist allocates %.0f objects per read, want 0", a)
+	}
 	// An explicit reset empties every shard's window.
 	c.router.resetWindow()
 	if n := c.router.windowHist().Count(); n != 0 {

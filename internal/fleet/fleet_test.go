@@ -5,6 +5,7 @@ import (
 
 	"harmonia/internal/apps"
 	"harmonia/internal/net"
+	"harmonia/internal/obs"
 	"harmonia/internal/platform"
 	"harmonia/internal/sim"
 )
@@ -259,6 +260,48 @@ func TestRouteAvoidsDeadDevice(t *testing.T) {
 		if ns.ID == victim && ns.Served != 0 {
 			t.Errorf("dead device %s served %d packets", victim, ns.Served)
 		}
+	}
+}
+
+// TestUnsteerableReplicaDrops covers the dispatch view's steering
+// check: once a replica's node's flow director no longer resolves its
+// VIP, every packet sent to it drops before the device crossing. The
+// phase and the service count each drop, the datapath takes nothing,
+// and each drop's trace instant names the node.
+func TestUnsteerableReplicaDrops(t *testing.T) {
+	c := buildTest(t, 1, 1)
+	c.RunMonitorUntil(2 * c.Config().ReconfigTime)
+	rec := obs.NewRecorder()
+	c.SetTrace(rec.Process("fleet"))
+	rep := c.Replicas()[0]
+	n := c.byID[rep.Node]
+	n.Net.Director.RemoveTenant(rep.Tenant)
+
+	stats, err := c.Serve(100*sim.Microsecond, DefaultTraffic(testApp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Sent == 0 || stats.Served != 0 || stats.Dropped != stats.Sent {
+		t.Fatalf("phase = %+v, want every sent packet dropped", stats)
+	}
+	if svc := c.ServiceStats(testApp); svc.Dropped != stats.Sent || svc.Shed != 0 {
+		t.Errorf("service stats = %+v, want %d drops and no sheds", svc, stats.Sent)
+	}
+	if rx := n.Net.RxStats(); rx.Units != 0 || rx.Drops != 0 {
+		t.Errorf("datapath counters = %+v, want untouched", rx)
+	}
+	var drops int64
+	for _, e := range rec.Events() {
+		if e.Name != "drop" {
+			continue
+		}
+		drops++
+		if e.K1 != "node" || e.V1 != n.ID {
+			t.Fatalf("drop instant names %s=%q, want node=%q", e.K1, e.V1, n.ID)
+		}
+	}
+	if drops != stats.Dropped {
+		t.Errorf("trace holds %d drop instants, want %d", drops, stats.Dropped)
 	}
 }
 

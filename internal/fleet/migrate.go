@@ -443,13 +443,10 @@ func runMigrationCase(migrate bool) (*MigrationCase, *Cluster, string, float64, 
 	// snapshot on every other probe — with the production cadence the
 	// victim could die before its first post-traffic capture.
 	cfg.SnapshotEvery = 2
-	info, err := apps.Lookup(chaosApp)
+	svc, err := drillService(chaosApp, migrateDevices, net.IPv4(20, 0, 0, 1), migrationPool)
 	if err != nil {
 		return nil, nil, "", 0, err
 	}
-	svc := AppService(info, migrateDevices, net.IPv4(20, 0, 0, 1))
-	svc.Stateful = true
-	svc.Backends = backends(migrationPool)
 	c, err := BuildCoResidentCluster(cfg, []Service{svc}, migrateDevices)
 	if err != nil {
 		return nil, nil, "", 0, err

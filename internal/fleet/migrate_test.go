@@ -14,13 +14,10 @@ import (
 // replicas of a stateful layer4-lb service with fleet4's backend pool.
 func buildStateful(t testing.TB, cfg Config, n, replicas int) *Cluster {
 	t.Helper()
-	info, err := apps.Lookup(testApp)
+	svc, err := drillService(testApp, replicas, net.IPv4(20, 0, 0, 1), migrationPool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := AppService(info, replicas, net.IPv4(20, 0, 0, 1))
-	svc.Stateful = true
-	svc.Backends = backends(migrationPool)
 	c, err := BuildCoResidentCluster(cfg, []Service{svc}, n)
 	if err != nil {
 		t.Fatalf("BuildCoResidentCluster: %v", err)

@@ -7,6 +7,7 @@ import (
 	"harmonia/internal/apps"
 	"harmonia/internal/hdl"
 	"harmonia/internal/net"
+	"harmonia/internal/workload"
 )
 
 // phaseWindowAllocs bounds one steady heartbeat window in
@@ -40,9 +41,10 @@ func TestPhaseRunsOnce(t *testing.T) {
 	}
 }
 
-// TestPhaseFlowHashes checks the per-flow-index hash memo against
-// hashing every packet's own tuple, for single and co-resident phases
-// and for a flow count past the memo bound, across recycled storage.
+// TestPhaseFlowHashes checks each packet's flow index and flow hash
+// against the packet workload.AppendPackets generates for its traffic
+// shape, for single and co-resident phases and for a flow count past
+// the memo bound (hashed per packet), across recycled storage.
 func TestPhaseFlowHashes(t *testing.T) {
 	c := coResTestCluster(t, DefaultConfig(), 4)
 	c.RunMonitorUntil(2 * c.Config().ReconfigTime)
@@ -54,12 +56,30 @@ func TestPhaseFlowHashes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ph.hashes) != len(ph.pkts) || len(ph.pkts) != ph.Packets() {
-			t.Fatalf("phase %d: %d hashes for %d packets (Packets %d)", i, len(ph.hashes), len(ph.pkts), ph.Packets())
+		if len(ph.hashes) != len(ph.flows) || len(ph.flows) != ph.Packets() {
+			t.Fatalf("phase %d: %d hashes for %d flow indices (Packets %d)", i, len(ph.hashes), len(ph.flows), ph.Packets())
 		}
-		for k := range ph.pkts {
-			if want := ph.pkts[k].Flow().Hash(); ph.hashes[k] != want {
-				t.Fatalf("phase %d packet %d: hash %#x, want %#x", i, k, ph.hashes[k], want)
+		// Each shape's packets, in its own stream order: the merge keeps
+		// every stream's order, so packet k is the next of its service's.
+		counts := make([]int, len(traffics))
+		for _, ti := range ph.svcIdx {
+			counts[ti]++
+		}
+		pkts := make([][]net.Packet, len(traffics))
+		for ti, tr := range traffics {
+			cfg := workload.PacketConfig{Count: counts[ti], Size: tr.PktBytes, Flows: tr.Flows, Seed: tr.Seed}
+			if pkts[ti], err = workload.AppendPackets(nil, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := make([]int, len(traffics))
+		for k, f := range ph.flows {
+			ti := ph.svcIdx[k]
+			want := pkts[ti][next[ti]].Flow()
+			next[ti]++
+			if flowKey(f) != want || ph.hashes[k] != want.Hash() {
+				t.Fatalf("phase %d packet %d: flow %d keys %+v, hash %#x; want %+v, hash %#x",
+					i, k, f, flowKey(f), ph.hashes[k], want, want.Hash())
 			}
 		}
 		if _, err := ph.Run(); err != nil {
@@ -79,16 +99,16 @@ func TestPhaseWindowRecyclesStorage(t *testing.T) {
 	c := coResTestCluster(t, cfg, 4)
 	c.RunMonitorUntil(2 * cfg.ReconfigTime)
 	var sent int64
-	var slab *net.Packet
+	var slab *int32
 	window := func() {
 		ph, err := c.PrepareMultiPhase(cfg.Heartbeat-1, coResTraffics(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slab != nil && &ph.pkts[0] != slab {
-			t.Fatal("prepare allocated a fresh packet slab instead of reusing the last phase's")
+		if slab != nil && &ph.flows[0] != slab {
+			t.Fatal("prepare allocated fresh flow-index storage instead of reusing the last phase's")
 		}
-		slab = &ph.pkts[0]
+		slab = &ph.flows[0]
 		st, err := ph.Run()
 		if err != nil {
 			t.Fatal(err)

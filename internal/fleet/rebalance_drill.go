@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"harmonia/internal/apps"
 	"harmonia/internal/faults"
 	"harmonia/internal/net"
 	"harmonia/internal/obs"
@@ -205,13 +204,10 @@ func runRebalanceCase(opts DrillOptions, spec rebalanceCaseSpec) (*RebalanceCase
 	// kill-source case (fleet4 uses the same setting).
 	cfg.SnapshotEvery = 2
 
-	info, err := apps.Lookup(chaosApp)
+	svc, err := drillService(chaosApp, 2*opts.Devices, net.IPv4(20, 0, 0, 1), rebalancePool)
 	if err != nil {
 		return nil, err
 	}
-	svc := AppService(info, 2*opts.Devices, net.IPv4(20, 0, 0, 1))
-	svc.Stateful = true
-	svc.Backends = backends(rebalancePool)
 	c, err := BuildCoResidentCluster(cfg, []Service{svc}, opts.Devices)
 	if err != nil {
 		return nil, err

@@ -20,13 +20,14 @@ import (
 //
 // Dispatch state is sharded. Each shard owns a disjoint subset of the
 // fleet's nodes (node commission index mod shard count) together with
-// its own RNG, counters and latency histogram; flows hash onto shards,
-// remapped over the shards that currently hold ready replicas. Between
-// control-plane barriers (heartbeat ticks) a shard's state is touched
-// by exactly one goroutine, which is what lets Serve route packets in
-// parallel while staying bit-reproducible across worker counts: the
-// per-shard packet order and RNG stream are fixed by the flow hash, not
-// by goroutine scheduling, and counters/histograms merge exactly.
+// its own RNG, counters and per-service latency histograms; flows hash
+// onto shards, remapped over the shards that currently hold ready
+// replicas. Between control-plane barriers (heartbeat ticks) a shard's
+// state is touched by exactly one goroutine, which is what lets Serve
+// route packets in parallel while staying bit-reproducible across
+// worker counts: the per-shard packet order and RNG stream are fixed by
+// the flow hash, not by goroutine scheduling, and counters/histograms
+// merge exactly.
 
 // degradedPenalty scales a degraded device's apparent queue depth.
 const degradedPenalty = 4
@@ -42,9 +43,11 @@ const autoShardNodes = 64
 const shardSeedStride int64 = 0x5851F42D4C957F2D
 
 // flowCacheSize is the per-(service, shard) flow route cache capacity —
-// a direct-mapped, power-of-two table of cached candidate pairs. 512
-// entries cover the default 256-flow traffic shapes without conflict
-// evictions while costing 16KB per shard.
+// a direct-mapped, power-of-two table of cached candidate pairs indexed
+// by the flow hash's low bits, 12KB per (service, shard). Uniform
+// dispatch picks the shard from the same hash (modulo the active shard
+// count), so at 16 active shards only the 32 lines whose low four bits
+// match the shard's index are reachable.
 const flowCacheSize = 512
 
 // routerShard is the dispatch state one worker owns during a phase.
@@ -56,8 +59,6 @@ type routerShard struct {
 	sent, served, dropped int64
 	healthy               int64
 	bytes                 int64
-	// hist is the current measurement window's latency distribution.
-	hist metrics.Histogram
 	// trace is the shard's trace track (nil when tracing is off — the
 	// zero-cost disabled state). sampleN decimates packet spans; the
 	// per-shard counter keeps sampling deterministic because per-shard
@@ -115,27 +116,22 @@ func (sh *routerShard) hotCost(slot int32, now sim.Time) sim.Time {
 }
 
 // flowEntry is one flow route cache line: the flow's two-choice
-// candidate pair and each candidate's pre-resolved host queue, valid
-// for one dispatch epoch. The RNG pair is drawn once per flow per
-// epoch — the amortized-draw half of batch-quantum dispatch — while
-// the per-packet cost comparison between the two candidates stays
-// live, so queue-depth balancing is preserved but the flow hash,
-// director and tenancy lookups are not repeated per packet.
+// candidate pair, valid for one dispatch epoch. The RNG pair is drawn
+// once per flow per epoch — the amortized-draw half of batch-quantum
+// dispatch — while the per-packet cost comparison between the two
+// candidates stays live, so queue-depth balancing is preserved but the
+// RNG draws are not repeated per packet.
 type flowEntry struct {
 	hash  uint64
 	epoch uint64
 	// a, b index the dispatch view's parallel arrays; b is -1 for a
-	// single-candidate shard. qa, qb are the candidates' host queues
-	// from the VIP-rewritten flow hash; -1 marks steering the tenancy
-	// layer could not resolve (that candidate drops, as the per-packet
-	// Route would).
-	a, b   int32
-	qa, qb int32
+	// single-candidate shard.
+	a, b int32
 }
 
 // shardDisp is one (service, shard) dispatch view: the shard's ready
 // replicas flattened into parallel arrays — replica, VIP, hot-state
-// slot, steering queue range — plus the flow route cache. It is
+// slot, steerable bit — plus the flow route cache. It is
 // rebuilt lazily when the dispatch epoch moves (every control-plane
 // barrier, health or placement transition bumps the epoch) and is
 // owned by the shard's worker between barriers, under the same
@@ -145,9 +141,11 @@ type shardDisp struct {
 	reps  []*Replica
 	vip   []net.IPAddr
 	slot  []int32
-	qlo   []int32
-	qspan []int32
-	cache []flowEntry
+	// steerable is false for a replica whose VIP its node's flow
+	// director does not resolve (ResolveSteering, once per rebuild):
+	// packets sent to it drop, as the per-packet Route would drop them.
+	steerable []bool
+	cache     []flowEntry
 	// bulk mirrors the owning service's class; shed counts ready
 	// replicas this rebuild excluded because their node crossed the
 	// bulk-shed line — when it empties the view, packets landing here
@@ -190,6 +188,8 @@ type router struct {
 	// the per-shard SoA views and flow route caches; all bumps happen on
 	// the serial control-plane path.
 	epoch uint64
+	// win is windowHist's merge target.
+	win metrics.Histogram
 }
 
 func newRouter(c *Cluster, seed int64) *router {
@@ -293,8 +293,7 @@ func (r *router) refreshDisp(si *svcIndex, s int) *shardDisp {
 	d.reps = d.reps[:0]
 	d.vip = d.vip[:0]
 	d.slot = d.slot[:0]
-	d.qlo = d.qlo[:0]
-	d.qspan = d.qspan[:0]
+	d.steerable = d.steerable[:0]
 	d.bulk = si.bulk
 	d.shed = 0
 	derived := r.c.cfg.DerivedShedding
@@ -323,15 +322,11 @@ func (r *router) refreshDisp(si *svcIndex, s int) *shardDisp {
 			}
 			sh.hot = append(sh.hot, h)
 		}
-		lo, span := -1, 0
-		if l, sp, err := n.Tenants.ResolveSteering(rep.VIP); err == nil {
-			lo, span = l, sp
-		}
+		_, span, err := n.Tenants.ResolveSteering(rep.VIP)
 		d.reps = append(d.reps, rep)
 		d.vip = append(d.vip, rep.VIP)
 		d.slot = append(d.slot, n.hotSlot)
-		d.qlo = append(d.qlo, int32(lo))
-		d.qspan = append(d.qspan, int32(span))
+		d.steerable = append(d.steerable, err == nil && span > 0)
 	}
 	if d.cache == nil {
 		d.cache = make([]flowEntry, flowCacheSize)
@@ -339,29 +334,14 @@ func (r *router) refreshDisp(si *svcIndex, s int) *shardDisp {
 	return d
 }
 
-// flowQueue computes the host queue candidate i's flow director would
-// select for this packet: the tenant queue range offset by the
-// VIP-rewritten flow hash — the hash Direct sees, since dispatch
-// rewrites DstIP to the chosen VIP before the device crossing. -1
-// marks unresolvable steering.
-func (d *shardDisp) flowQueue(i int32, p *net.Packet) int32 {
-	span := d.qspan[i]
-	if span <= 0 {
-		return -1
-	}
-	k := p.Flow()
-	k.DstIP = d.vip[i]
-	return d.qlo[i] + int32(k.Hash()%uint64(span))
-}
-
 // flowSlot returns the flow's cache entry, filling it on a miss: the
 // candidate pair is drawn with the shard RNG exactly as per-packet
 // two-choice did (two Intn draws, distinct indices), ordered so cost
-// ties resolve to the lexicographically smaller node ID, and each
-// candidate's host queue is resolved once. RNG is consumed only here —
-// per-shard flow subsequences are fixed by the flow hash, so cache
-// miss order, and with it the RNG stream, is worker-count invariant.
-func (sh *routerShard) flowSlot(d *shardDisp, h uint64, p *net.Packet) *flowEntry {
+// ties resolve to the lexicographically smaller node ID. RNG is
+// consumed only here — per-shard flow subsequences are fixed by the
+// flow hash, so cache miss order, and with it the RNG stream, is
+// worker-count invariant.
+func (sh *routerShard) flowSlot(d *shardDisp, h uint64) *flowEntry {
 	e := &d.cache[h&(flowCacheSize-1)]
 	if e.hash == h && e.epoch == d.epoch {
 		return e
@@ -380,11 +360,6 @@ func (sh *routerShard) flowSlot(d *shardDisp, h uint64, p *net.Packet) *flowEntr
 		}
 		e.a, e.b = a, b
 	}
-	e.qa = d.flowQueue(e.a, p)
-	e.qb = -1
-	if e.b >= 0 {
-		e.qb = d.flowQueue(e.b, p)
-	}
 	return e
 }
 
@@ -393,7 +368,6 @@ func (sh *routerShard) flowSlot(d *shardDisp, h uint64, p *net.Packet) *flowEntr
 type routeResult struct {
 	rep     *Replica
 	node    *Node
-	queue   int32
 	done    sim.Time
 	served  bool
 	healthy bool
@@ -409,21 +383,21 @@ func (c *Cluster) routeCached(sh *routerShard, d *shardDisp, h uint64, now sim.T
 	if len(d.reps) == 0 {
 		return routeResult{}
 	}
-	e := sh.flowSlot(d, h, p)
-	ai, q := e.a, e.qa
+	e := sh.flowSlot(d, h)
+	ai := e.a
 	if e.b >= 0 && sh.hotCost(d.slot[e.b], now) < sh.hotCost(d.slot[e.a], now) {
-		ai, q = e.b, e.qb
+		ai = e.b
 	}
 	hot := &sh.hot[d.slot[ai]]
 	n := hot.n
 	rep := d.reps[ai]
-	if q < 0 {
+	if !d.steerable[ai] {
 		return routeResult{rep: rep, node: n}
 	}
 	p.DstIP = d.vip[ai]
 	done, ok := n.Net.IngressDirected(now, p)
 	if !ok {
-		return routeResult{rep: rep, node: n, queue: q, done: done}
+		return routeResult{rep: rep, node: n, done: done}
 	}
 	if done > hot.busy {
 		hot.busy = done
@@ -441,7 +415,7 @@ func (c *Cluster) routeCached(sh *routerShard, d *shardDisp, h uint64, now sim.T
 	} else {
 		n.classServed[0]++
 	}
-	return routeResult{rep: rep, node: n, queue: q, done: done, served: true, healthy: hot.healthy}
+	return routeResult{rep: rep, node: n, done: done, served: true, healthy: hot.healthy}
 }
 
 // dispatchShard maps a flow hash onto the shard that will route it,
@@ -503,12 +477,9 @@ func (c *Cluster) RouterStats() RouterSnapshot {
 	return snap
 }
 
-// resetWindow starts a fresh latency measurement window on every shard,
-// including each service's share.
+// resetWindow starts a fresh latency measurement window: every
+// service's per-shard share.
 func (r *router) resetWindow() {
-	for _, sh := range r.shards {
-		sh.hist.Reset()
-	}
 	for _, si := range r.idx.svcs {
 		for i := range si.stats {
 			si.stats[i].hist.Reset()
@@ -516,14 +487,19 @@ func (r *router) resetWindow() {
 	}
 }
 
-// windowHist merges the shard windows. Histogram merging is exact, so
-// the result is independent of shard processing order.
+// windowHist merges every service's per-shard windows into the
+// router's own histogram and returns it, valid until the next call:
+// callers read it and let it go. Every served packet lands in exactly
+// one (service, shard) window, and histogram merging is exact, so the
+// result is independent of map and shard order.
 func (r *router) windowHist() *metrics.Histogram {
-	var h metrics.Histogram
-	for _, sh := range r.shards {
-		h.Merge(&sh.hist)
+	r.win.Reset()
+	for _, si := range r.idx.svcs {
+		for i := range si.stats {
+			r.win.Merge(&si.stats[i].hist)
+		}
 	}
-	return &h
+	return &r.win
 }
 
 // ServiceSnapshot is one service's cumulative dispatch view, the

@@ -55,8 +55,8 @@ type PhaseStats struct {
 }
 
 // Phase is one prepared traffic phase: the deterministic workload
-// (packet contents and arrival times) generated up front, ready to run
-// against the cluster. Preparing and running are split so the
+// (each packet's flow index and arrival time) generated up front, ready
+// to run against the cluster. Preparing and running are split so the
 // control-plane benchmark can measure the serving path alone.
 //
 // A phase carries one traffic shape per service; a single-service phase
@@ -73,7 +73,10 @@ type Phase struct {
 	// bufs owns the slices below until the phase runs; nil after.
 	bufs     *phaseBufs
 	traffics []Traffic
-	pkts     []net.Packet
+	// flows is each packet's flow index: its 5-tuple is flowKey(flow)
+	// and its size its traffic shape's PktBytes, so Run rebuilds each
+	// packet from it.
+	flows    []int32
 	arrivals []sim.Time
 	// hashes caches each packet's flow hash — the NIC-RSS analogue:
 	// computed once at prepare time, reused by dispatch, the flow cache
@@ -87,12 +90,11 @@ type Phase struct {
 	sis    []*svcIndex
 }
 
-// stream is one generated packet stream: the packet slab, arrival
-// offsets, and each packet's flow index and flow hash.
+// stream is one generated packet stream: each packet's flow index,
+// arrival offset and flow hash.
 type stream struct {
-	pkts   []net.Packet
-	arr    []sim.Time
 	flows  []int32
+	arr    []sim.Time
 	hashes []uint64
 }
 
@@ -129,7 +131,7 @@ var errPhaseRan = errors.New("fleet: phase already ran; prepare a new one")
 // release hands the phase's storage back to the cluster.
 func (ph *Phase) release() {
 	ph.c.spare = ph.bufs
-	ph.bufs, ph.traffics, ph.pkts, ph.arrivals, ph.hashes, ph.svcIdx, ph.sis = nil, nil, nil, nil, nil, nil, nil
+	ph.bufs, ph.traffics, ph.flows, ph.arrivals, ph.hashes, ph.svcIdx, ph.sis = nil, nil, nil, nil, nil, nil, nil
 }
 
 // Packets reports how many packets the phase offers.
@@ -152,7 +154,7 @@ func (c *Cluster) PreparePhase(dur sim.Time, t Traffic) (*Phase, error) {
 	}
 	// One service: the generated stream is the merged timeline, and
 	// every packet indexes the one traffic shape.
-	n := len(b.pkts)
+	n := len(b.flows)
 	if cap(b.svcIdx) > 2*n {
 		b.svcIdx = nil
 	}
@@ -169,9 +171,9 @@ func (c *Cluster) newPhase(b *phaseBufs, dur sim.Time, traffics []Traffic) *Phas
 	b.traffics = traffics
 	b.sis = slices.Grow(b.sis[:0], len(traffics))[:len(traffics)]
 	return &Phase{
-		c: c, dur: dur, n: len(b.pkts), bufs: b,
+		c: c, dur: dur, n: len(b.flows), bufs: b,
 		traffics: traffics,
-		pkts:     b.pkts,
+		flows:    b.flows,
 		arrivals: b.arr,
 		hashes:   b.hashes,
 		svcIdx:   b.svcIdx,
@@ -183,10 +185,14 @@ func (c *Cluster) newPhase(b *phaseBufs, dur sim.Time, traffics []Traffic) *Phas
 // flows hashes each packet instead.
 const flowHashMemo = 1 << 16
 
-// genWorkload validates one traffic shape and generates its seeded
-// packet stream, arrival offsets and flow hashes into s, reusing s's
-// storage. A flow's key is a pure function of its index, so its hash
-// comes from the cluster's per-index memo rather than from each packet.
+// flowKey is the 5-tuple of flow index f in every generated stream (the
+// fleet's streams carry no VIP set: dispatch rewrites DstIP).
+func flowKey(f int32) net.FlowKey { return workload.PacketConfig{}.FlowKey(int(f)) }
+
+// genWorkload validates one traffic shape and generates its seeded flow
+// indices, arrival offsets and flow hashes into s, reusing s's storage.
+// A flow's key is a pure function of its index, so its hash comes from
+// the cluster's per-index memo rather than from each packet.
 func (c *Cluster) genWorkload(s *stream, dur sim.Time, t Traffic) error {
 	if dur <= 0 || t.OfferedGbps <= 0 || t.PktBytes < net.MinFrame {
 		return fmt.Errorf("fleet: invalid traffic phase %+v over %v", t, dur)
@@ -199,14 +205,14 @@ func (c *Cluster) genWorkload(s *stream, dur sim.Time, t Traffic) error {
 		gap = 1
 	}
 	count := int(dur/gap) + 1
-	if cap(s.pkts) > 2*count {
+	if cap(s.flows) > 2*count {
 		// Storage sized for a much longer phase (a warm-up) would stay
 		// live between windows; let it go.
 		*s = stream{}
 	}
 	cfg := workload.PacketConfig{Count: count, Size: t.PktBytes, Flows: t.Flows, Seed: t.Seed}
 	var err error
-	if s.pkts, s.flows, err = c.gen.AppendPacketFlows(s.pkts[:0], s.flows[:0], cfg); err != nil {
+	if s.flows, err = c.gen.AppendFlows(s.flows[:0], cfg); err != nil {
 		return err
 	}
 	if s.arr, err = c.gen.AppendArrivals(s.arr[:0], count, gap, t.Jitter, t.Seed+1); err != nil {
@@ -215,14 +221,14 @@ func (c *Cluster) genWorkload(s *stream, dur sim.Time, t Traffic) error {
 	s.hashes = slices.Grow(s.hashes[:0], count)
 	if flows := max(t.Flows, 1); flows <= flowHashMemo {
 		for f := len(c.flowHash); f < flows; f++ {
-			c.flowHash = append(c.flowHash, cfg.FlowKey(f).Hash())
+			c.flowHash = append(c.flowHash, flowKey(int32(f)).Hash())
 		}
 		for _, f := range s.flows {
 			s.hashes = append(s.hashes, c.flowHash[f])
 		}
 	} else {
-		for i := range s.pkts {
-			s.hashes = append(s.hashes, s.pkts[i].Flow().Hash())
+		for _, f := range s.flows {
+			s.hashes = append(s.hashes, flowKey(f).Hash())
 		}
 	}
 	return nil
@@ -262,13 +268,13 @@ func (c *Cluster) PrepareMultiPhase(dur sim.Time, traffics []Traffic) (*Phase, e
 			c.spare = b
 			return nil, err
 		}
-		total += len(streams[ti].pkts)
+		total += len(streams[ti].flows)
 	}
 	m := &b.stream
-	if cap(m.pkts) > 2*total {
+	if cap(m.flows) > 2*total {
 		*m, b.svcIdx = stream{}, nil
 	}
-	m.pkts = slices.Grow(m.pkts[:0], total)
+	m.flows = slices.Grow(m.flows[:0], total)
 	m.arr = slices.Grow(m.arr[:0], total)
 	m.hashes = slices.Grow(m.hashes[:0], total)
 	b.svcIdx = slices.Grow(b.svcIdx[:0], total)
@@ -276,7 +282,7 @@ func (c *Cluster) PrepareMultiPhase(dur sim.Time, traffics []Traffic) (*Phase, e
 	for {
 		best := -1
 		for ti := range streams {
-			if next[ti] >= len(streams[ti].pkts) {
+			if next[ti] >= len(streams[ti].flows) {
 				continue
 			}
 			if best < 0 || streams[ti].arr[next[ti]] < streams[best].arr[next[best]] {
@@ -287,7 +293,7 @@ func (c *Cluster) PrepareMultiPhase(dur sim.Time, traffics []Traffic) (*Phase, e
 			break
 		}
 		s, k := &streams[best], next[best]
-		m.pkts = append(m.pkts, s.pkts[k])
+		m.flows = append(m.flows, s.flows[k])
 		m.arr = append(m.arr, s.arr[k])
 		m.hashes = append(m.hashes, s.hashes[k])
 		b.svcIdx = append(b.svcIdx, uint8(best))
@@ -396,7 +402,7 @@ func (ph *Phase) Run() (PhaseStats, error) {
 	at := func(k int) sim.Time { return start + ph.arrivals[k] }
 
 	i := 0
-	for i < len(ph.pkts) && at(i) <= end {
+	for i < ph.n && at(i) <= end {
 		// Fire every heartbeat due before the next packet (a heartbeat
 		// sharing the packet's timestamp probes first, as in the serial
 		// monitor interleaving).
@@ -407,7 +413,7 @@ func (ph *Phase) Run() (PhaseStats, error) {
 		// One barrier window: every packet strictly before the next
 		// barrier, drained in runs of at most quantum packets.
 		j := i
-		for j < len(ph.pkts) && at(j) < nextHB && at(j) <= end {
+		for j < ph.n && at(j) < nextHB && at(j) <= end {
 			j++
 		}
 		for i < j {
@@ -504,17 +510,18 @@ func (ph *Phase) runShard(s int, idxs []int) {
 		for n < len(idxs) && ph.svcIdx[idxs[n]] == ti {
 			n++
 		}
-		ph.routeRun(s, ph.sis[ti], idxs[:n])
+		ph.routeRun(s, ph.sis[ti], ph.traffics[ti].PktBytes, idxs[:n])
 		idxs = idxs[n:]
 	}
 }
 
-// routeRun routes one run of a service's packets on shard s — the
-// batched inner loop: the dispatch view refreshes at most once per
-// epoch, every packet reuses its precomputed flow hash, and the shard
-// and service counters accumulate in locals flushed once per run
-// instead of read-modify-writes per packet.
-func (ph *Phase) routeRun(s int, si *svcIndex, idxs []int) {
+// routeRun routes one run of a service's size-byte packets on shard s
+// — the batched inner loop: the dispatch view refreshes at most once
+// per epoch, every packet reuses its precomputed flow hash, and the
+// shard and service counters accumulate in locals flushed once per run
+// instead of read-modify-writes per packet. Each packet is rebuilt on
+// the stack from its flow index.
+func (ph *Phase) routeRun(s int, si *svcIndex, size int, idxs []int) {
 	c := ph.c
 	r := c.router
 	sh := r.shards[s]
@@ -524,8 +531,10 @@ func (ph *Phase) routeRun(s int, si *svcIndex, idxs []int) {
 	var served, dropped, healthy, shed, bytes int64
 	for _, k := range idxs {
 		now := start + ph.arrivals[k]
-		p := &ph.pkts[k]
-		res := c.routeCached(sh, d, ph.hashes[k], now, p)
+		f := flowKey(ph.flows[k])
+		p := net.Packet{SrcIP: f.SrcIP, DstIP: f.DstIP, Proto: f.Proto,
+			SrcPort: f.SrcPort, DstPort: f.DstPort, WireBytes: size}
+		res := c.routeCached(sh, d, ph.hashes[k], now, &p)
 		if !res.served {
 			dropped++
 			if res.node == nil && d.shed > 0 {
@@ -545,11 +554,10 @@ func (ph *Phase) routeRun(s int, si *svcIndex, idxs []int) {
 		if res.healthy {
 			healthy++
 		}
-		bytes += int64(p.WireBytes)
-		sh.hist.Add(res.done - now)
+		bytes += int64(size)
 		st.hist.Add(res.done - now)
 		if sh.trace != nil {
-			sh.tracePacket(now, res.done, res.node.ID, int64(p.WireBytes))
+			sh.tracePacket(now, res.done, res.node.ID, int64(size))
 		}
 	}
 	sh.sent += int64(len(idxs))

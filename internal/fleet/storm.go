@@ -117,6 +117,21 @@ const (
 	rebalancePool byte = 3 // fleet9
 )
 
+// drillService builds app's service of the given replica count with
+// VIPs from vip; the layer-4 LB (chaosApp) is made stateful, pinning
+// flows over pool's backends. Every drill's stateful LB is built here.
+func drillService(app string, replicas int, vip net.IPAddr, pool byte) (Service, error) {
+	info, err := apps.Lookup(app)
+	if err != nil {
+		return Service{}, err
+	}
+	svc := AppService(info, replicas, vip)
+	if app == chaosApp {
+		svc.Stateful, svc.Backends = true, backends(pool)
+	}
+	return svc, nil
+}
+
 // backends returns a fresh copy of a drill's initial backend pool.
 func backends(pool byte) []net.IPAddr {
 	out := make([]net.IPAddr, 8)

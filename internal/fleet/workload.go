@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"harmonia/internal/apps"
 	"harmonia/internal/faults"
 	"harmonia/internal/hdl"
 	"harmonia/internal/net"
@@ -225,15 +224,11 @@ var coresSlotRes = hdl.Resources{LUT: 200_000, REG: 300_000, BRAM: 512, URAM: 96
 func stormWorkload(nodes int, seed int64, slowRamp bool, svcs ...stormService) (Workload, *faults.Schedule, error) {
 	w := Workload{Nodes: nodes, Warmup: stormWarmup, Window: stormWindowDur, Windows: stormWindows}
 	for i, s := range svcs {
-		info, err := apps.Lookup(s.app)
+		svc, err := drillService(s.app, s.replicas, net.IPv4(20+10*byte(i), 0, 0, 1), chaosPool)
 		if err != nil {
 			return w, nil, err
 		}
-		svc := AppService(info, s.replicas, net.IPv4(20+10*byte(i), 0, 0, 1))
 		svc.Class, svc.SLO = s.class, SLO{Availability: s.availability}
-		if s.app == chaosApp {
-			svc.Stateful, svc.Backends = true, backends(chaosPool)
-		}
 		w.Services = append(w.Services, svc)
 	}
 	cfg := DefaultConfig()

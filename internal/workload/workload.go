@@ -16,7 +16,7 @@ import (
 	"harmonia/internal/sim"
 )
 
-// Gen generates the seeded packet and arrival streams into caller
+// Gen generates the seeded flow-index and arrival streams into caller
 // storage. It keeps one random source and reseeds it for every stream,
 // which yields the same stream a fresh rand.NewSource(seed) would, so a
 // caller that keeps a Gen and recycles its storage generates without
@@ -49,7 +49,7 @@ type PacketConfig struct {
 	Count int
 	// Size is the on-wire frame size in bytes.
 	Size int
-	// Flows spreads traffic over this many 5-tuples.
+	// Flows spreads traffic over this many 5-tuples (at most MaxInt32).
 	Flows int
 	// DstMAC is the destination address (the device under test).
 	DstMAC net.HWAddr
@@ -77,36 +77,15 @@ func Packets(cfg PacketConfig) ([]*net.Packet, error) {
 // and returns the extended slice. A caller that recycles dst between
 // streams allocates no packet storage.
 func AppendPackets(dst []net.Packet, cfg PacketConfig) ([]net.Packet, error) {
-	dst, _, err := new(Gen).appendPackets(dst, nil, false, cfg)
-	return dst, err
-}
-
-// AppendPacketFlows is AppendPackets that also appends each packet's
-// flow index, in [0, cfg.Flows), to flows. Every packet of flow f
-// carries the key cfg.FlowKey(f), so per-flow work (a flow hash) can be
-// done once per index instead of once per packet.
-func (g *Gen) AppendPacketFlows(dst []net.Packet, flows []int32, cfg PacketConfig) ([]net.Packet, []int32, error) {
-	return g.appendPackets(dst, flows, true, cfg)
-}
-
-func (g *Gen) appendPackets(dst []net.Packet, flows []int32, withFlows bool, cfg PacketConfig) ([]net.Packet, []int32, error) {
-	if cfg.Count <= 0 || cfg.Size < net.MinFrame {
-		return dst, flows, fmt.Errorf("workload: invalid packet config %+v", cfg)
+	flows, err := cfg.flowCount()
+	if err != nil {
+		return dst, err
 	}
-	if cfg.Flows <= 0 {
-		cfg.Flows = 1
-	}
-	if withFlows && cfg.Flows > math.MaxInt32 {
-		return dst, flows, fmt.Errorf("workload: %d flows exceed the int32 flow index", cfg.Flows)
-	}
-	rng := g.seeded(cfg.Seed)
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	base := len(dst)
 	dst = slices.Grow(dst, cfg.Count)[:base+cfg.Count]
-	if withFlows {
-		flows = slices.Grow(flows, cfg.Count)
-	}
 	for i := range dst[base:] {
-		flow := rng.Intn(cfg.Flows)
+		flow := rng.Intn(flows)
 		k := cfg.FlowKey(flow)
 		dst[base+i] = net.Packet{
 			DstMAC:    cfg.DstMAC,
@@ -119,11 +98,32 @@ func (g *Gen) appendPackets(dst []net.Packet, flows []int32, withFlows bool, cfg
 			Seq:       uint32(i),
 			WireBytes: cfg.Size,
 		}
-		if withFlows {
-			flows = append(flows, int32(flow))
-		}
 	}
-	return dst, flows, nil
+	return dst, nil
+}
+
+// AppendFlows appends the flow index, in [0, cfg.Flows), of each packet
+// AppendPackets generates for cfg, from the same draws: packet i's key
+// is cfg.FlowKey(index i) and its size cfg.Size.
+func (g *Gen) AppendFlows(dst []int32, cfg PacketConfig) ([]int32, error) {
+	flows, err := cfg.flowCount()
+	if err != nil {
+		return dst, err
+	}
+	rng := g.seeded(cfg.Seed)
+	dst = slices.Grow(dst, cfg.Count)
+	for range cfg.Count {
+		dst = append(dst, int32(rng.Intn(flows)))
+	}
+	return dst, nil
+}
+
+// flowCount validates cfg and returns its flow count, at least 1.
+func (cfg PacketConfig) flowCount() (int, error) {
+	if cfg.Count <= 0 || cfg.Size < net.MinFrame || cfg.Flows > math.MaxInt32 {
+		return 0, fmt.Errorf("workload: invalid packet config %+v", cfg)
+	}
+	return max(cfg.Flows, 1), nil
 }
 
 // FlowKey returns the 5-tuple the stream gives flow index flow: a pure

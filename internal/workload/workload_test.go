@@ -58,14 +58,10 @@ func refPackets(cfg PacketConfig) []*net.Packet {
 
 // TestAppendPacketsGolden checks the value-slab generators against the
 // reference stream field by field, over several seeds, flow counts and
-// a VIP set: Packets, AppendPackets onto a non-empty recycled slab, and
-// AppendPacketFlows from one Gen reseeded for every stream, whose flow
-// indices must key each packet's tuple.
+// a VIP set: Packets, and AppendPackets onto a non-empty recycled slab.
 func TestAppendPacketsGolden(t *testing.T) {
 	vips := []net.IPAddr{net.IPv4(20, 0, 0, 1), net.IPv4(20, 0, 0, 2), net.IPv4(20, 0, 0, 3)}
 	slab := make([]net.Packet, 0, 4096)
-	var flows []int32
-	var gen Gen
 	for seed := int64(1); seed <= 6; seed++ {
 		cfg := PacketConfig{
 			Count: 500 + int(seed)*37, Size: 64 * int(seed), Flows: []int{0, 1, 7, 300, 70000, 1 << 20}[seed-1],
@@ -84,24 +80,71 @@ func TestAppendPacketsGolden(t *testing.T) {
 		if slab, err = AppendPackets(slab, cfg); err != nil {
 			t.Fatal(err)
 		}
-		vals, fl, err := gen.AppendPacketFlows(nil, flows[:0], cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flows = fl
-		if len(ptrs) != len(want) || len(slab) != len(want)+1 || len(vals) != len(want) || len(flows) != len(want) {
-			t.Fatalf("seed %d: lengths %d/%d/%d/%d, want %d", seed, len(ptrs), len(slab)-1, len(vals), len(flows), len(want))
+		if len(ptrs) != len(want) || len(slab) != len(want)+1 {
+			t.Fatalf("seed %d: lengths %d/%d, want %d", seed, len(ptrs), len(slab)-1, len(want))
 		}
 		if !reflect.DeepEqual(slab[0], sentinel) {
 			t.Fatalf("seed %d: AppendPackets overwrote dst's prefix", seed)
 		}
 		for i, w := range want {
-			if !reflect.DeepEqual(*ptrs[i], *w) || !reflect.DeepEqual(slab[i+1], *w) || !reflect.DeepEqual(vals[i], *w) {
-				t.Fatalf("seed %d packet %d: got %+v / %+v / %+v, want %+v", seed, i, *ptrs[i], slab[i+1], vals[i], *w)
+			if !reflect.DeepEqual(*ptrs[i], *w) || !reflect.DeepEqual(slab[i+1], *w) {
+				t.Fatalf("seed %d packet %d: got %+v / %+v, want %+v", seed, i, *ptrs[i], slab[i+1], *w)
 			}
-			if k := cfg.FlowKey(int(flows[i])); k != w.Flow() {
-				t.Fatalf("seed %d packet %d: FlowKey(%d) = %+v, packet flow %+v", seed, i, flows[i], k, w.Flow())
+		}
+	}
+}
+
+// TestAppendFlowsMatchesPackets checks the flow-index generator, from
+// one Gen reseeded for every stream, against AppendPackets over several
+// seeds, flow counts (Flows <= 0 included) and a VIP set: packet i must
+// carry cfg.FlowKey(flows[i]) and cfg.Size bytes, dst's prefix must
+// survive, and an invalid config must fail both generators alike.
+func TestAppendFlowsMatchesPackets(t *testing.T) {
+	vips := []net.IPAddr{net.IPv4(20, 0, 0, 1), net.IPv4(20, 0, 0, 2), net.IPv4(20, 0, 0, 3)}
+	var gen Gen
+	var flows []int32
+	for seed := int64(1); seed <= 7; seed++ {
+		cfg := PacketConfig{
+			Count: 400 + int(seed)*29, Size: 64 * int(seed), Flows: []int{-3, 0, 1, 7, 300, 70000, 1 << 20}[seed-1],
+			Seed: seed,
+		}
+		if seed%2 == 0 {
+			cfg.VIPs = vips
+		}
+		pkts, err := AppendPackets(nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flows, err = gen.AppendFlows(append(flows[:0], -1), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(flows) != len(pkts)+1 || flows[0] != -1 {
+			t.Fatalf("seed %d: %d flow indices with prefix %d for %d packets", seed, len(flows)-1, flows[0], len(pkts))
+		}
+		for i := range pkts {
+			f := flows[i+1]
+			if f < 0 || int(f) >= max(cfg.Flows, 1) {
+				t.Fatalf("seed %d packet %d: flow index %d outside [0, %d)", seed, i, f, max(cfg.Flows, 1))
 			}
+			if k := cfg.FlowKey(int(f)); k != pkts[i].Flow() || pkts[i].WireBytes != cfg.Size {
+				t.Fatalf("seed %d packet %d: FlowKey(%d) = %+v, %d bytes; packet %+v, %d bytes",
+					seed, i, f, k, cfg.Size, pkts[i].Flow(), pkts[i].WireBytes)
+			}
+		}
+	}
+	for _, cfg := range []PacketConfig{
+		{Count: 0, Size: 128, Flows: 4},
+		{Count: -1, Size: 128, Flows: 4},
+		{Count: 10, Size: net.MinFrame - 1, Flows: 4},
+		{Count: 1, Size: 128, Flows: math.MaxInt32 + 1},
+	} {
+		_, perr := AppendPackets(nil, cfg)
+		got, ferr := gen.AppendFlows([]int32{5}, cfg)
+		if perr == nil || ferr == nil || perr.Error() != ferr.Error() {
+			t.Errorf("%+v: AppendPackets err %v, AppendFlows err %v; want the same error", cfg, perr, ferr)
+		}
+		if len(got) != 1 || got[0] != 5 {
+			t.Errorf("%+v: a failed AppendFlows returned %v, want dst untouched", cfg, got)
 		}
 	}
 }
@@ -136,7 +179,7 @@ func TestAppendArrivalsMatchesArrivals(t *testing.T) {
 func TestGenReuseAllocatesNothing(t *testing.T) {
 	var gen Gen
 	cfg := PacketConfig{Count: 256, Size: 128, Flows: 32, Seed: 5}
-	pkts, flows, err := gen.AppendPacketFlows(nil, nil, cfg)
+	flows, err := gen.AppendFlows(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +188,7 @@ func TestGenReuseAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		pkts, flows, _ = gen.AppendPacketFlows(pkts[:0], flows[:0], cfg)
+		flows, _ = gen.AppendFlows(flows[:0], cfg)
 		arr, _ = gen.AppendArrivals(arr[:0], 256, 7*sim.Nanosecond, 0.3, 6)
 	})
 	if allocs != 0 {
