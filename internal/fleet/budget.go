@@ -97,7 +97,8 @@ func (b *reconfigBudget) acquire(now sim.Time) sim.Time {
 	b.prune(now)
 	if b.limit > 0 {
 		for len(b.inflight) >= b.limit {
-			if done := b.pop(); done > start {
+			var done sim.Time
+			if b.inflight, done = heapPop(b.inflight, loadDone); done > start {
 				start = done
 			}
 		}
@@ -115,7 +116,7 @@ func (b *reconfigBudget) acquire(now sim.Time) sim.Time {
 // advanced its start — it never waited on the wire.
 func (b *reconfigBudget) commit(reqAt, start, done sim.Time, node string, class LoadClass, ok bool) {
 	if done > start {
-		b.push(done)
+		b.inflight = heapPush(b.inflight, done, loadDone)
 		if start > reqAt {
 			b.queued++
 		}
@@ -134,45 +135,55 @@ func (b *reconfigBudget) free(now sim.Time) bool {
 // prune drops loads that completed by now.
 func (b *reconfigBudget) prune(now sim.Time) {
 	for len(b.inflight) > 0 && b.inflight[0] <= now {
-		b.pop()
+		b.inflight, _ = heapPop(b.inflight, loadDone)
 	}
 }
 
-func (b *reconfigBudget) push(done sim.Time) {
-	b.inflight = append(b.inflight, done)
-	i := len(b.inflight) - 1
-	for i > 0 {
+// loadDone keys the in-flight heap: each entry is its own completion
+// time.
+func loadDone(t sim.Time) sim.Time { return t }
+
+// heapPush and heapPop keep a binary min-heap ordered by key, the one
+// heap shape shared by the budget's load completions and the replica
+// index's pending readiness times. Equal keys pop in a fixed order:
+// push stops when the parent is <= the child, and pop descends to the
+// right child only when it is strictly smaller. Items stay by value
+// (container/heap would box each one in an interface).
+func heapPush[T any](h []T, v T, key func(T) sim.Time) []T {
+	h = append(h, v)
+	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if b.inflight[parent] <= b.inflight[i] {
+		if key(h[parent]) <= key(h[i]) {
 			break
 		}
-		b.inflight[i], b.inflight[parent] = b.inflight[parent], b.inflight[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
+	return h
 }
 
-func (b *reconfigBudget) pop() sim.Time {
-	top := b.inflight[0]
-	n := len(b.inflight) - 1
-	b.inflight[0] = b.inflight[n]
-	b.inflight = b.inflight[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
+func heapPop[T any](h []T, key func(T) sim.Time) ([]T, T) {
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	var zero T
+	h[n] = zero // drop the vacated slot's references
+	h = h[:n]
+	for i := 0; ; {
+		least := 2*i + 1
+		if least >= n {
 			break
 		}
-		least := left
-		if right := left + 1; right < n && b.inflight[right] < b.inflight[left] {
+		if right := least + 1; right < n && key(h[right]) < key(h[least]) {
 			least = right
 		}
-		if b.inflight[i] <= b.inflight[least] {
+		if key(h[i]) <= key(h[least]) {
 			break
 		}
-		b.inflight[i], b.inflight[least] = b.inflight[least], b.inflight[i]
+		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-	return top
+	return h, top
 }
 
 // SetLoadBudget installs a fleet-wide concurrent PR-load cap (0 removes

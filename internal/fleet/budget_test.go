@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"harmonia/internal/sim"
@@ -193,5 +195,45 @@ func TestBudgetSameTickChainHoldsLimit(t *testing.T) {
 	}
 	if b.queued != 17 {
 		t.Errorf("queued = %d, want 17 (first 3 start immediately)", b.queued)
+	}
+}
+
+// TestHeapPopsInKeyOrder drives the shared min-heap with random pushes
+// and pops, keys drawn from a small range so ties are common: every pop
+// returns the least key held, so a drain pops keys in non-decreasing
+// order, and the vacated slot drops its reference.
+func TestHeapPopsInKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	r := &Replica{}
+	var h []pendingEntry
+	var ref []sim.Time // the keys held, sorted
+	pop := func() sim.Time {
+		var e pendingEntry
+		h, e = heapPop(h, pendingEntry.key)
+		if e.readyAt != ref[0] {
+			t.Fatalf("popped %v, want the least key held %v", e.readyAt, ref[0])
+		}
+		if h[:len(h)+1][len(h)].r != nil {
+			t.Fatal("pop left a reference in the vacated slot")
+		}
+		ref = ref[1:]
+		return e.readyAt
+	}
+	for i := 0; i < 5000; i++ {
+		if len(h) > 0 && rng.Intn(3) == 0 {
+			pop()
+			continue
+		}
+		k := sim.Time(rng.Intn(64))
+		h = heapPush(h, pendingEntry{r: r, readyAt: k}, pendingEntry.key)
+		j, _ := slices.BinarySearch(ref, k)
+		ref = slices.Insert(ref, j, k)
+	}
+	for last := sim.Time(-1); len(h) > 0; {
+		k := pop()
+		if k < last {
+			t.Fatalf("drain popped %v after %v", k, last)
+		}
+		last = k
 	}
 }

@@ -97,6 +97,34 @@ func TestFlowCacheIsolation(t *testing.T) {
 	}
 }
 
+// TestServiceWindowLatenciesAllocatesNothing pins the per-service
+// window read after a served co-resident phase: each service's merged
+// window holds exactly its served packets, and the merge reuses the
+// router's histogram instead of allocating one per call.
+func TestServiceWindowLatenciesAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RouterShards = 4
+	c := coResTestCluster(t, cfg, 8)
+	c.RunMonitorUntil(2 * cfg.ReconfigTime)
+	if _, err := c.ServeMulti(200*sim.Microsecond, coResTraffics(0)); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, name := range []string{testApp, testSecApp} {
+		n, served := c.ServiceWindowLatencies(name).Count(), c.ServiceStats(name).Served
+		if n != served || n == 0 {
+			t.Errorf("service %s window holds %d samples, want Served=%d > 0", name, n, served)
+		}
+		total += n
+	}
+	if n := c.router.windowHist().Count(); n != total {
+		t.Errorf("fleet window holds %d samples, want the services' %d", n, total)
+	}
+	if a := testing.AllocsPerRun(10, func() { c.ServiceWindowLatencies(testApp) }); a != 0 {
+		t.Errorf("ServiceWindowLatencies allocates %.0f objects per call, want 0", a)
+	}
+}
+
 // TestAddServiceDuplicate pins the AddService error paths: a duplicate
 // name and an unknown service class are both rejected before any
 // cluster state moves.

@@ -312,9 +312,8 @@ type Node struct {
 	// svcCounts tracks replicas per service (anti-affinity input),
 	// maintained at admit/evict so placement never iterates replicas.
 	svcCounts map[string]int
-	// hostErr caches the static placement-compatibility outcome per
-	// service (see staticHostErr).
-	hostErr map[string]error
+	// fits caches the static placement fit per service (see staticFit).
+	fits map[string]bool
 	// stateful lists the replicas whose connection tables are bound to
 	// this node's role module, in name order: the order the barrier
 	// captures them in.
@@ -735,6 +734,7 @@ func (c *Cluster) Commission(id string, plat *platform.Device) (*Node, error) {
 		state:     Healthy,
 		replicas:  make(map[string]*Replica),
 		svcCounts: make(map[string]int),
+		fits:      make(map[string]bool),
 	}
 	if slots > 0 {
 		mgr, err := tenancy.NewManager(tenancy.SlotConfig{

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"strings"
 	"testing"
 
 	"harmonia/internal/apps"
@@ -193,7 +194,7 @@ func TestOverheatDegradesThenRecovers(t *testing.T) {
 	if got := len(n.Replicas()); got != 1 {
 		t.Errorf("degraded node lost its replica (have %d)", got)
 	}
-	if err := c.canHost(n, c.services[testApp]); err == nil {
+	if n.canHost(c.services[testApp]) {
 		t.Error("degraded node accepted for new placement")
 	}
 
@@ -374,28 +375,110 @@ func TestKillDrillDeterministic(t *testing.T) {
 }
 
 func TestPlaceRejectsUnsatisfiableService(t *testing.T) {
+	lb, err := apps.Lookup(testApp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retrieval, err := apps.Lookup("retrieval")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcie5 := AppService(lb, 1, net.IPv4(20, 0, 0, 1))
+	pcie5.MinPCIeGen = 5 // no catalog card reaches gen5
+	// device-c carries no DDR4 or HBM: a memory-free service lets it
+	// commission, and layer4-lb's HBM demand, registered afterwards,
+	// cannot adapt to it.
+	noMem := AppService(lb, 1, net.IPv4(20, 0, 1, 1))
+	noMem.Name, noMem.Demands.Memory = "lb-no-memory", nil
+	for _, tc := range []struct {
+		name, device  string
+		before, after []Service // registered before and after commissioning
+		unhosted      string
+	}{
+		{"pcie-floor", "device-a", []Service{pcie5}, nil, testApp},
+		// retrieval's logic is twice the default slot budget.
+		{"slot-budget", "device-a", []Service{AppService(retrieval, 1, net.IPv4(20, 0, 2, 1))}, nil, "retrieval"},
+		{"missing-peripheral", "device-c", []Service{noMem}, []Service{AppService(lb, 1, net.IPv4(20, 0, 3, 1))}, testApp},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plat, err := platform.Lookup(tc.device)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, svc := range tc.before {
+				if err := c.AddService(svc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.Commission("n-1", plat); err != nil {
+				t.Fatal(err)
+			}
+			for _, svc := range tc.after {
+				if err := c.AddService(svc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err = c.Place(0)
+			if err == nil || !strings.Contains(err.Error(), "host "+tc.unhosted+"/") {
+				t.Errorf("Place error = %v, want no device hosting a %s replica", err, tc.unhosted)
+			}
+		})
+	}
+}
+
+// TestPickNodeAllocatesNothing pins the placement scan at zero
+// allocations once each (node, service) static fit is cached, while it
+// rejects a degraded node and a full one on the way.
+func TestPickNodeAllocatesNothing(t *testing.T) {
+	// device-a has 2 slots, device-b and device-d 4: two replicas each
+	// fill the first node only.
+	c := buildTest(t, 3, 6)
+	cfg := c.Config()
+	c.RunMonitorUntil(2 * cfg.ReconfigTime)
+	nodes := c.Nodes()
+	full, degraded, open := nodes[0], nodes[1], nodes[2]
+	if err := c.Overheat(degraded.ID, 80_000); err != nil {
+		t.Fatal(err)
+	}
+	c.RunMonitorUntil(c.Now() + 2*cfg.Heartbeat)
+	if full.Tenants.FreeSlots() != 0 || degraded.State() != Degraded {
+		t.Fatalf("%s has %d free slots and %s is %s; want a full node and a degraded one",
+			full.ID, full.Tenants.FreeSlots(), degraded.ID, degraded.State())
+	}
+	svc := c.services[testApp]
+	if got := c.pickNode(svc, nil); got != open {
+		t.Fatalf("pickNode = %v, want %s", got, open.ID)
+	}
+	if a := testing.AllocsPerRun(100, func() { c.pickNode(svc, nil) }); a != 0 {
+		t.Errorf("pickNode allocates %.0f objects per scan, want 0", a)
+	}
+}
+
+// BenchmarkFleetPlace times the initial placement of a fresh
+// 1000-node layer4-lb fleet with one replica per node; commissioning
+// each iteration's fleet stays outside the timer.
+func BenchmarkFleetPlace(b *testing.B) {
+	const nodes = 1000
 	info, err := apps.Lookup(testApp)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	c, err := NewCluster(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := AppService(info, 1, net.IPv4(20, 0, 0, 1))
-	svc.MinPCIeGen = 5 // no catalog card reaches gen5
-	if err := c.AddService(svc); err != nil {
-		t.Fatal(err)
-	}
-	plat, err := platform.Lookup("device-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Commission("a-1", plat); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Place(0); err == nil {
-		t.Error("Place succeeded with an unsatisfiable PCIe floor")
+	svc := AppService(info, nodes, net.IPv4(20, 0, 0, 1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := commission(DefaultConfig(), []Service{svc}, nodes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := c.Place(0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

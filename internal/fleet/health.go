@@ -290,7 +290,6 @@ func (c *Cluster) evacuate(now sim.Time, n *Node, reason string, evict bool) Fai
 	rep := FailoverReport{Node: n.ID, Reason: reason, DetectedAt: now, RecoveredAt: now}
 	victims := n.Replicas()
 	rep.Moved = len(victims)
-	exclude := map[string]bool{n.ID: true}
 	for _, r := range victims {
 		flows, live, snapAt := c.flowsForMigration(n, r, evict)
 		c.detachFlowState(n, r)
@@ -307,15 +306,12 @@ func (c *Cluster) evacuate(now sim.Time, n *Node, reason string, evict bool) Fai
 		// replaceAttempts candidates.
 		var target *Node
 		tried := map[string]bool{n.ID: true}
-		for k := range exclude {
-			tried[k] = true
-		}
 		for attempt := 0; attempt < replaceAttempts; attempt++ {
 			cand := c.pickNode(c.services[r.Service], tried)
 			if cand == nil {
 				break
 			}
-			if err := c.admit(now, cand, r); err != nil {
+			if err := c.admitLoad(now, now, cand, r, LoadFailover); err != nil {
 				tried[cand.ID] = true
 				continue
 			}

@@ -36,6 +36,8 @@ type pendingEntry struct {
 	readyAt sim.Time
 }
 
+func (e pendingEntry) key() sim.Time { return e.readyAt }
+
 // svcShardStats is one (service, shard) dispatch counter set. Each
 // shard's worker owns its entry between control-plane barriers (the
 // same ownership rule as routerShard), so per-service accounting rides
@@ -81,7 +83,7 @@ type replicaIndex struct {
 	shards int
 	frozen bool
 	svcs   map[string]*svcIndex
-	// pending is a min-heap on readyAt (hand-rolled, by value).
+	// pending is a min-heap on readyAt (heapPush/heapPop).
 	pending []pendingEntry
 }
 
@@ -165,7 +167,7 @@ func (idx *replicaIndex) noteAdmit(r *Replica, now sim.Time) {
 	}
 	n := idx.c.byID[r.Node]
 	if r.ReadyAt > now {
-		idx.pushPending(pendingEntry{r: r, node: r.Node, readyAt: r.ReadyAt})
+		idx.pending = heapPush(idx.pending, pendingEntry{r: r, node: r.Node, readyAt: r.ReadyAt}, pendingEntry.key)
 		return
 	}
 	if idx.routable(n.state) {
@@ -230,7 +232,8 @@ func (idx *replicaIndex) mature(now sim.Time) {
 		return
 	}
 	for len(idx.pending) > 0 && idx.pending[0].readyAt <= now {
-		e := idx.popPending()
+		var e pendingEntry
+		idx.pending, e = heapPop(idx.pending, pendingEntry.key)
 		// Stale entries: the replica moved or was evicted before
 		// maturing, or its node stopped taking traffic.
 		if e.r.Node != e.node || e.r.ReadyAt != e.readyAt {
@@ -256,44 +259,4 @@ func (idx *replicaIndex) candidatesOf(svc string) []*Replica {
 		out = append(out, si.ready[s]...)
 	}
 	return out
-}
-
-// pushPending adds an entry to the readyAt min-heap.
-func (idx *replicaIndex) pushPending(e pendingEntry) {
-	idx.pending = append(idx.pending, e)
-	i := len(idx.pending) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if idx.pending[parent].readyAt <= idx.pending[i].readyAt {
-			break
-		}
-		idx.pending[i], idx.pending[parent] = idx.pending[parent], idx.pending[i]
-		i = parent
-	}
-}
-
-// popPending removes the earliest entry from the readyAt min-heap.
-func (idx *replicaIndex) popPending() pendingEntry {
-	top := idx.pending[0]
-	n := len(idx.pending) - 1
-	idx.pending[0] = idx.pending[n]
-	idx.pending[n] = pendingEntry{}
-	idx.pending = idx.pending[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		least := left
-		if right := left + 1; right < n && idx.pending[right].readyAt < idx.pending[left].readyAt {
-			least = right
-		}
-		if idx.pending[i].readyAt <= idx.pending[least].readyAt {
-			break
-		}
-		idx.pending[i], idx.pending[least] = idx.pending[least], idx.pending[i]
-		i = least
-	}
-	return top
 }

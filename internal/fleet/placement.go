@@ -7,6 +7,7 @@ import (
 
 	"harmonia/internal/net"
 	"harmonia/internal/obs"
+	"harmonia/internal/platform"
 	"harmonia/internal/sim"
 	"harmonia/internal/tenancy"
 )
@@ -21,65 +22,40 @@ import (
 // fullest device (best-fit bin-packing maximizes slot co-residency).
 
 // canHost reports whether a node can take one replica of the service
-// right now, with the reason when it cannot. The structural checks
-// (peripheral demands, PCIe floor, slot budget) depend only on the
-// node's platform and the service definition, so their outcome is
-// computed once per (node, service) pair and cached; only the health
-// state and free-slot checks are evaluated live.
-func (c *Cluster) canHost(n *Node, svc *Service) error {
-	if n.state != Healthy {
-		return fmt.Errorf("node %s is %s", n.ID, n.state)
-	}
-	if n.rebuilding {
-		return fmt.Errorf("node %s is rebuilding", n.ID)
-	}
-	if n.Tenants == nil || n.Tenants.FreeSlots() == 0 {
-		return fmt.Errorf("node %s has no free slot", n.ID)
-	}
-	// Retired queue ranges are never recycled, so a node can exhaust its
-	// hardware queues while slots are still free — exactly the
-	// fragmentation the rebalancer reclaims.
-	if !n.Tenants.CanAllocate() {
-		return fmt.Errorf("node %s has no queue headroom", n.ID)
-	}
-	return n.staticHostErr(svc)
+// right now. Retired queue ranges are never recycled, so a node can
+// exhaust its hardware queues while slots are still free — exactly the
+// fragmentation the rebalancer reclaims. The static fit is cached per
+// service; only the health state and free-slot checks are evaluated
+// live. The scan builds no error values: the one caller that reports a
+// failure (Place) formats its own.
+func (n *Node) canHost(svc *Service) bool {
+	return n.state == Healthy && !n.rebuilding && n.Tenants != nil &&
+		n.Tenants.FreeSlots() > 0 && n.Tenants.CanAllocate() && n.staticFit(svc)
 }
 
-// staticHostErr evaluates (and caches) the placement checks that never
-// change after commission: peripheral adaptation, the PCIe generation
-// floor, and the slot resource budget.
-func (n *Node) staticHostErr(svc *Service) error {
-	if err, ok := n.hostErr[svc.Name]; ok {
-		return err
-	}
-	err := func() error {
-		if _, err := adaptDemands(n.Platform, svc.Demands); err != nil {
-			return err
-		}
-		if svc.MinPCIeGen > 0 {
-			p, ok := n.Platform.PCIe()
-			if !ok || p.PCIeGen < svc.MinPCIeGen {
-				return fmt.Errorf("node %s is below PCIe gen %d", n.ID, svc.MinPCIeGen)
-			}
-		}
+// staticFit reports (and caches) the placement checks that never change
+// after commission: the node's platform hosts the service, and one
+// replica's logic, URAM folded for the chip, fits the slot budget.
+func (n *Node) staticFit(svc *Service) bool {
+	fit, ok := n.fits[svc.Name]
+	if !ok {
 		logic := foldURAM(svc.Logic, n.Platform.Chip.Capacity.URAM > 0)
-		if logic.Utilization(n.slotRes) > 1 {
-			return fmt.Errorf("replica logic exceeds %s slot budget (%s > %s)",
-				n.ID, logic.String(), n.slotRes.String())
-		}
-		return nil
-	}()
-	if n.hostErr == nil {
-		n.hostErr = make(map[string]error)
+		fit = platformHosts(n.Platform, svc) && logic.Utilization(n.slotRes) <= 1
+		n.fits[svc.Name] = fit
 	}
-	n.hostErr[svc.Name] = err
-	return err
+	return fit
 }
 
-// serviceCount reports how many replicas of one service a node hosts,
-// from the count maintained at admit/evict time.
-func (n *Node) serviceCount(service string) int {
-	return n.svcCounts[service]
+// platformHosts reports whether a device model can host a service: its
+// peripherals satisfy the service's demands (after adaptation) and its
+// PCIe generation meets the service's floor. Commissioning picks models
+// with it (compatiblePlatforms) and placement checks nodes with it.
+func platformHosts(dev *platform.Device, svc *Service) bool {
+	if _, err := adaptDemands(dev, svc.Demands); err != nil {
+		return false
+	}
+	p, ok := dev.PCIe()
+	return svc.MinPCIeGen <= 0 || ok && p.PCIeGen >= svc.MinPCIeGen
 }
 
 // pickNode selects the placement target for one replica, or nil. The
@@ -92,13 +68,10 @@ func (c *Cluster) pickNode(svc *Service, exclude map[string]bool) *Node {
 	var best *Node
 	var bestSvc, bestFree int
 	for _, n := range c.nodes {
-		if exclude[n.ID] {
+		if exclude[n.ID] || !n.canHost(svc) {
 			continue
 		}
-		if err := c.canHost(n, svc); err != nil {
-			continue
-		}
-		sc, free := n.serviceCount(svc.Name), n.Tenants.FreeSlots()
+		sc, free := n.svcCounts[svc.Name], n.Tenants.FreeSlots()
 		if best == nil {
 			best, bestSvc, bestFree = n, sc, free
 			continue
@@ -117,12 +90,6 @@ func (c *Cluster) pickNode(svc *Service, exclude map[string]bool) *Node {
 		}
 	}
 	return best
-}
-
-// admit places one replica on a node through the node's tenancy
-// manager with failover priority; see admitLoad.
-func (c *Cluster) admit(now sim.Time, n *Node, r *Replica) error {
-	return c.admitLoad(now, now, n, r, LoadFailover)
 }
 
 // admitLoad places one replica on a node through the node's tenancy

@@ -662,7 +662,7 @@ func (c *Cluster) Fragmentation() FragmentationStats {
 		svc := c.services[name]
 		eligible, placed := 0, 0
 		for _, n := range c.nodes {
-			if n.state == Healthy && n.Tenants != nil && n.staticHostErr(svc) == nil {
+			if n.state == Healthy && n.Tenants != nil && n.staticFit(svc) {
 				eligible++
 			}
 			placed += n.svcCounts[name]

@@ -188,7 +188,7 @@ type router struct {
 	// the per-shard SoA views and flow route caches; all bumps happen on
 	// the serial control-plane path.
 	epoch uint64
-	// win is windowHist's merge target.
+	// win is the merge target of windowHist and ServiceWindowLatencies.
 	win metrics.Histogram
 }
 
@@ -536,17 +536,19 @@ func (c *Cluster) ServiceStats(name string) ServiceSnapshot {
 }
 
 // ServiceWindowLatencies merges one service's current-window latency
-// histograms across shards. Exact merge, shard-order independent.
+// histograms across shards (exact, shard-order independent) into the
+// router's own histogram, the one windowHist fills, and returns it. The
+// result is valid until the next call of either: callers read or merge
+// it at once and let it go.
 func (c *Cluster) ServiceWindowLatencies(name string) *metrics.Histogram {
-	var h metrics.Histogram
-	si, ok := c.router.idx.svcs[name]
-	if !ok {
-		return &h
+	r := c.router
+	r.win.Reset()
+	if si, ok := r.idx.svcs[name]; ok {
+		for i := range si.stats {
+			r.win.Merge(&si.stats[i].hist)
+		}
 	}
-	for i := range si.stats {
-		h.Merge(&si.stats[i].hist)
-	}
-	return &h
+	return &r.win
 }
 
 // NodeStats is one device's live view for operator output. CmdRetries

@@ -594,18 +594,13 @@ func (ph *Phase) stats(start sim.Time, before RouterSnapshot, lat *metrics.Histo
 }
 
 // compatiblePlatforms lists the catalog devices able to host every
-// service (each service's demands and PCIe floor must adapt), in
-// catalog order.
+// service (platformHosts), in catalog order.
 func compatiblePlatforms(svcs ...Service) []*platform.Device {
 	var out []*platform.Device
 	for _, name := range platform.CatalogNames() {
 		dev, err := platform.Lookup(name)
 		if err == nil && !slices.ContainsFunc(svcs, func(svc Service) bool {
-			if _, err := adaptDemands(dev, svc.Demands); err != nil {
-				return true
-			}
-			p, ok := dev.PCIe()
-			return svc.MinPCIeGen > 0 && (!ok || p.PCIeGen < svc.MinPCIeGen)
+			return !platformHosts(dev, &svc)
 		}) {
 			out = append(out, dev)
 		}

@@ -10,8 +10,9 @@ import (
 // O(1) merge per bucket, bounded memory regardless of sample count.
 // It is the streaming counterpart of Latencies for high-volume
 // collectors (the fleet router records millions of per-packet samples
-// per phase); Latencies remains the exact-sample type for the small-N
-// figure regenerators.
+// per phase). Latencies remains the exact-sample type: the exact oracle
+// the histogram's tests check against, and the secgateway example's
+// recorder.
 //
 // Values bucket by octave (floor log2) with histSub linear sub-buckets
 // per octave, so the relative quantization error of a reported
