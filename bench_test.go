@@ -59,7 +59,6 @@ func BenchmarkFig18cDatabaseAccess(b *testing.B)   { runExperiment(b, "fig18c") 
 func BenchmarkFig18dTCPTransmission(b *testing.B)  { runExperiment(b, "fig18d") }
 func BenchmarkFleetScaleOut(b *testing.B)          { runExperiment(b, "fleet1") }
 func BenchmarkFleetRecovery(b *testing.B)          { runExperiment(b, "fleet2") }
-func BenchmarkFleetControlPlane(b *testing.B)      { runExperiment(b, "fleet3") }
 func BenchmarkTable1Capabilities(b *testing.B)     { runExperiment(b, "table1") }
 func BenchmarkTable2Setup(b *testing.B)            { runExperiment(b, "table2") }
 func BenchmarkTable3DeviceSupport(b *testing.B)    { runExperiment(b, "table3") }

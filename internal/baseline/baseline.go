@@ -44,9 +44,6 @@ func (f *Framework) Supports(d *platform.Device) bool { return f.supports(d) }
 // UsesRegisterInterface reports the host-interface style.
 func (f *Framework) UsesRegisterInterface() bool { return f.regInterface }
 
-// InvokeOverhead reports per-invocation host overhead.
-func (f *Framework) InvokeOverhead() sim.Time { return f.invokeOverhead }
-
 // Tailors reports whether the framework generates role-specific shells.
 func (f *Framework) Tailors() bool { return f.tailors }
 

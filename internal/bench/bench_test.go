@@ -29,8 +29,8 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func TestLookupAndIDs(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 28 {
-		t.Errorf("%d experiments, want 28", len(ids))
+	if len(ids) != 27 {
+		t.Errorf("%d experiments, want 27", len(ids))
 	}
 	if _, err := Lookup("fig10a"); err != nil {
 		t.Error(err)

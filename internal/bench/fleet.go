@@ -42,9 +42,6 @@ func FleetScaleOut() (*metrics.Figure, error) {
 	return fig, nil
 }
 
-// ControlPlaneSizes is the default fleet3 figure sweep.
-var ControlPlaneSizes = []int{100, 300, 1000}
-
 // ControlPlaneScaleSizes extends the sweep to the 10k-node scale point
 // the rack-hierarchical path exists for.
 var ControlPlaneScaleSizes = []int{100, 300, 1000, 10000}
@@ -318,9 +315,6 @@ func ControlPlaneSweep(sizes []int) ([]ControlPlanePoint, error) {
 // FleetControlPlaneReport runs the sweep and wraps it as the
 // BENCH_fleet.json artifact.
 func FleetControlPlaneReport(sizes []int) (*ControlPlaneReport, error) {
-	if len(sizes) == 0 {
-		sizes = ControlPlaneSizes
-	}
 	pts, err := ControlPlaneSweep(sizes)
 	if err != nil {
 		return nil, err
@@ -334,27 +328,6 @@ func FleetControlPlaneReport(sizes []int) (*ControlPlaneReport, error) {
 	rep.gateAllocs()
 	rep.gateFastBatched()
 	return rep, nil
-}
-
-// FleetControlPlane is the fleet3 figure: control-plane overhead per
-// routed packet as the fleet scales, flat sharded path vs rack path.
-func FleetControlPlane() (*metrics.Figure, error) {
-	fig := &metrics.Figure{ID: "fleet3", Title: "Fleet control-plane overhead scaling"}
-	fNs := &metrics.Series{Label: "fastpath-ns-per-pkt", XLabel: "devices", YLabel: "ns/pkt"}
-	rNs := &metrics.Series{Label: "rackpath-ns-per-pkt"}
-	fAl := &metrics.Series{Label: "fastpath-allocs-per-pkt"}
-	pts, err := ControlPlaneSweep(ControlPlaneSizes)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range pts {
-		x := float64(p.Nodes)
-		fNs.Add(x, p.FastNsPerPkt)
-		rNs.Add(x, p.RackNsPerPkt)
-		fAl.Add(x, p.FastAllocsPerPkt)
-	}
-	fig.Series = append(fig.Series, fNs, rNs, fAl)
-	return fig, nil
 }
 
 // FleetRecovery measures the kill-a-device drill across fleet sizes:

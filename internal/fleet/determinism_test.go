@@ -43,12 +43,16 @@ type detRun struct {
 	trace     []byte
 }
 
-// phase records one served phase: it folds it into the digest and
-// checks conservation from the services' counter deltas — sent = served
-// + dropped ≥ shed for each, and the services summing to the phase.
+// phase records one served phase: it folds it into the digest, checks
+// conservation from the services' counter deltas — sent = served +
+// dropped ≥ shed for each, and the services summing to the phase — and
+// checks the fleet's ledger.
 func (r *detRun) phase(st PhaseStats, err error) {
 	r.t.Helper()
 	r.must(err)
+	for _, p := range ledger(r.c) {
+		r.problems = append(r.problems, fmt.Sprintf("phase %d: %s", len(r.phases), p))
+	}
 	var sum ServiceSnapshot
 	for i, d := range r.digest.Phase(st) {
 		if d.Sent != d.Served+d.Dropped || d.Shed > d.Dropped {
@@ -60,6 +64,50 @@ func (r *detRun) phase(st PhaseStats, err error) {
 		r.problems = append(r.problems, fmt.Sprintf("phase %d: services sum to %+v, phase is %+v", len(r.phases), sum, st))
 	}
 	r.phases = append(r.phases, st)
+}
+
+// ledger checks that the facts bind and unbind keep in step agree:
+// each node's per-service tallies count its replicas, every replica in
+// a node's set points back at that node and every placed replica is in
+// its node's set, each node's stateful list is exactly its stateful
+// replicas in name order, and the router's counters are the sum of the
+// services'.
+func ledger(c *Cluster) []string {
+	var out []string
+	for _, n := range c.nodes {
+		counts := make([]int, len(c.svcOrder))
+		var stateful []*Replica
+		for _, r := range n.Replicas() {
+			counts[r.svc.idx]++
+			if r.Node != n.ID || r.node != n {
+				out = append(out, fmt.Sprintf("%s in %s's set points at %q", r.Name(), n.ID, r.Node))
+			}
+			if r.svc.Stateful {
+				stateful = append(stateful, r)
+			}
+		}
+		if !slices.Equal(counts, n.svcCounts) {
+			out = append(out, fmt.Sprintf("%s tallies %v, holds %v", n.ID, n.svcCounts, counts))
+		}
+		if !slices.Equal(stateful, n.stateful) {
+			out = append(out, fmt.Sprintf("%s lists %d stateful replicas, holds %d", n.ID, len(n.stateful), len(stateful)))
+		}
+	}
+	for _, r := range c.replicas {
+		if r.Node != "" && (r.node == nil || r.node.ID != r.Node || r.node.replicas[r.Name()] != r) {
+			out = append(out, fmt.Sprintf("%s placed on %q is not in its node's set", r.Name(), r.Node))
+		}
+	}
+	var sum RouterSnapshot
+	for _, name := range c.Services() {
+		s := c.ServiceStats(name)
+		sum.Sent, sum.Served, sum.Dropped = sum.Sent+s.Sent, sum.Served+s.Served, sum.Dropped+s.Dropped
+		sum.HealthyServed, sum.Bytes = sum.HealthyServed+s.HealthyServed, sum.Bytes+s.Bytes
+	}
+	if got := c.RouterStats(); got != sum {
+		out = append(out, fmt.Sprintf("router counts %+v, services sum to %+v", got, sum))
+	}
+	return out
 }
 
 // must fails the test on a script step's error.

@@ -231,6 +231,23 @@ type Service struct {
 	Backends []net.IPAddr
 }
 
+// service is the cluster's own record of a registered Service: its
+// registration index (which indexes every per-node tally), the
+// stateful backend pool, and the SLO engine's per-service state.
+type service struct {
+	Service
+	idx int
+	// pool is the shared backend hash table (stateful services only).
+	pool *apps.Maglev
+	// slo is the error-budget tracker; prev the counters seen at the
+	// last barrier; lastMilli the last traced burn rate per window,
+	// quantized to milli-burn, so the slo track records changes rather
+	// than every barrier (slo.go).
+	slo       *obs.SLOTracker
+	prev      ServiceSnapshot
+	lastMilli []int64
+}
+
 // AppService derives a fleet service from an application catalog entry.
 func AppService(info apps.Info, replicas int, vipBase net.IPAddr) Service {
 	return Service{
@@ -253,23 +270,27 @@ type Replica struct {
 	Tenant int
 	// ReadyAt is when the replica's slot reconfiguration completes.
 	ReadyAt sim.Time
-	// node caches the hosting *Node (nil while unplaced) so the
-	// per-packet dispatch path never takes the byID map lookup.
+	// svc is the replica's registered service; node caches the hosting
+	// *Node (nil while unplaced) so the per-packet dispatch path never
+	// takes the byID map lookup.
+	svc  *service
 	node *Node
 	// flows is the replica's stateful LB state (nil for stateless
-	// services), bound to the hosting device's role control module.
+	// services), bound to the hosting device's role control module; snap
+	// is its last periodic capture (zero until the first one).
 	flows *flowState
+	snap  flowSnap
 	// elective marks a scale-out replica still waiting on the elective
 	// queue for budget headroom; Place skips it (placement.go).
 	elective bool
-	// name is Name, built once at creation: the barrier keys captures
-	// by it on every probe.
-	name string
+	name     string // Name, built once at creation
 }
 
-// newReplica creates replica index of a service.
-func newReplica(service string, index int, vip net.IPAddr) *Replica {
-	return &Replica{Service: service, Index: index, VIP: vip, name: fmt.Sprintf("%s/%d", service, index)}
+// newReplica creates replica index of a service, serving VIPBase+index.
+func newReplica(svc *service, index int) *Replica {
+	vip := svc.VIPBase
+	vip[3] += byte(index)
+	return &Replica{Service: svc.Name, Index: index, VIP: vip, svc: svc, name: fmt.Sprintf("%s/%d", svc.Name, index)}
 }
 
 // Name identifies the replica, e.g. "layer4-lb/2".
@@ -310,10 +331,11 @@ type Node struct {
 	classServed [2]int64
 	replicas    map[string]*Replica
 	// svcCounts tracks replicas per service (anti-affinity input),
-	// maintained at admit/evict so placement never iterates replicas.
-	svcCounts map[string]int
-	// fits caches the static placement fit per service (see staticFit).
-	fits map[string]bool
+	// maintained by bind and unbind so placement never iterates
+	// replicas; fits holds the static placement fit per service (see
+	// staticFit). Both are indexed by the service's registration index.
+	svcCounts []int
+	fits      []bool
 	// stateful lists the replicas whose connection tables are bound to
 	// this node's role module, in name order: the order the barrier
 	// captures them in.
@@ -374,17 +396,15 @@ func (n *Node) Replicas() []*Replica {
 
 // Cluster is the fleet control plane.
 type Cluster struct {
-	cfg      Config
-	services map[string]*Service
-	svcOrder []string
+	cfg Config
+	// services holds the registered services by name, svcOrder the same
+	// records in registration order (svcOrder[i].idx == i).
+	services map[string]*service
+	svcOrder []*service
 	nodes    []*Node
 	byID     map[string]*Node
 	replicas []*Replica
-	// pools holds each stateful service's shared backend hash table;
-	// snapshots the periodic connection-table captures by replica name;
-	// migrations the completed flow-table transfers.
-	pools      map[string]*apps.Maglev
-	snapshots  map[string]flowSnap
+	// migrations are the completed flow-table transfers.
 	migrations []MigrationRecord
 	// tableRow is the buffer every flow table source encodes the row
 	// being read into, and tableWords the buffer readFlowSnapshot joins
@@ -459,11 +479,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		services:  make(map[string]*Service),
-		byID:      make(map[string]*Node),
-		pools:     make(map[string]*apps.Maglev),
-		snapshots: make(map[string]flowSnap),
+		cfg:      cfg,
+		services: make(map[string]*service),
+		byID:     make(map[string]*Node),
 	}
 	c.router = newRouter(c, cfg.Seed)
 	c.racks = &rackTier{c: c}
@@ -491,8 +509,9 @@ func (c *Cluster) advance(now sim.Time) {
 }
 
 // AddService registers a service before placement. Devices already
-// commissioned keep their shells; register services first so merged
-// demands shape every deployment.
+// commissioned keep their shells (their per-service tallies grow by
+// one); register services first so merged demands shape every
+// deployment.
 func (c *Cluster) AddService(s Service) error {
 	if s.Name == "" || s.Replicas <= 0 {
 		return fmt.Errorf("fleet: invalid service %+v", s)
@@ -505,7 +524,7 @@ func (c *Cluster) AddService(s Service) error {
 	default:
 		return fmt.Errorf("fleet: service %q has unknown class %q", s.Name, s.Class)
 	}
-	svc := s
+	svc := &service{Service: s, idx: len(c.svcOrder)}
 	if svc.Class == "" {
 		svc.Class = ClassLatencyCritical
 	}
@@ -518,18 +537,26 @@ func (c *Cluster) AddService(s Service) error {
 		if err != nil {
 			return err
 		}
-		c.pools[s.Name] = pool
+		svc.pool = pool
 	}
-	c.services[s.Name] = &svc
-	c.svcOrder = append(c.svcOrder, s.Name)
+	c.services[s.Name] = svc
+	c.svcOrder = append(c.svcOrder, svc)
+	for _, n := range c.nodes {
+		n.svcCounts = append(n.svcCounts, 0)
+		n.fits = append(n.fits, n.staticFit(svc))
+	}
 	c.registerServiceMetrics(s.Name)
-	c.sloAddService(&svc)
+	c.sloAddService(svc)
 	return nil
 }
 
 // Services lists registered service names in registration order.
 func (c *Cluster) Services() []string {
-	return append([]string(nil), c.svcOrder...)
+	out := make([]string, len(c.svcOrder))
+	for i, svc := range c.svcOrder {
+		out[i] = svc.Name
+	}
+	return out
 }
 
 // foldURAM rewrites a footprint for chips without UltraRAM: each URAM
@@ -591,8 +618,8 @@ func adaptDemands(dev *platform.Device, d shell.Demands) (shell.Demands, error) 
 // placed or failed over onto it.
 func (c *Cluster) mergedDemands() shell.Demands {
 	var out shell.Demands
-	for _, name := range c.svcOrder {
-		d := c.services[name].Demands
+	for _, svc := range c.svcOrder {
+		d := svc.Demands
 		if d.Network != nil {
 			if out.Network == nil {
 				nd := *d.Network
@@ -733,8 +760,11 @@ func (c *Cluster) Commission(id string, plat *platform.Device) (*Node, error) {
 		slotRes: slotRes, slots: slots,
 		state:     Healthy,
 		replicas:  make(map[string]*Replica),
-		svcCounts: make(map[string]int),
-		fits:      make(map[string]bool),
+		svcCounts: make([]int, len(c.svcOrder)),
+		fits:      make([]bool, len(c.svcOrder)),
+	}
+	for i, svc := range c.svcOrder {
+		n.fits[i] = n.staticFit(svc)
 	}
 	if slots > 0 {
 		mgr, err := tenancy.NewManager(tenancy.SlotConfig{

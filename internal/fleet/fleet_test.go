@@ -399,6 +399,9 @@ func TestPlaceRejectsUnsatisfiableService(t *testing.T) {
 		// retrieval's logic is twice the default slot budget.
 		{"slot-budget", "device-a", []Service{AppService(retrieval, 1, net.IPv4(20, 0, 2, 1))}, nil, "retrieval"},
 		{"missing-peripheral", "device-c", []Service{noMem}, []Service{AppService(lb, 1, net.IPv4(20, 0, 3, 1))}, testApp},
+		// No unhosted service: device-a hosts both, the second registered
+		// after commissioning grew the node's per-service tallies.
+		{"registered-after", "device-a", []Service{noMem}, []Service{AppService(lb, 1, net.IPv4(20, 0, 3, 1))}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := NewCluster(DefaultConfig())
@@ -422,7 +425,16 @@ func TestPlaceRejectsUnsatisfiableService(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_, err = c.Place(0)
+			placed, err := c.Place(0)
+			if tc.unhosted == "" {
+				if err != nil || len(placed) != 2 {
+					t.Fatalf("Place placed %d replicas, error %v; want both", len(placed), err)
+				}
+				if p := ledger(c); len(p) > 0 {
+					t.Errorf("ledger: %v", p)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), "host "+tc.unhosted+"/") {
 				t.Errorf("Place error = %v, want no device hosting a %s replica", err, tc.unhosted)
 			}

@@ -292,22 +292,14 @@ func (c *Cluster) evacuate(now sim.Time, n *Node, reason string, evict bool) Fai
 	rep.Moved = len(victims)
 	for _, r := range victims {
 		flows, live, snapAt := c.flowsForMigration(n, r, evict)
-		c.detachFlowState(n, r)
-		if evict && n.Tenants != nil {
-			// Blank the slot; co-resident tenants keep running.
-			_, _ = n.Tenants.Evict(now, r.Tenant)
-		}
-		c.router.idx.noteRemove(r, n)
-		delete(n.replicas, r.Name())
-		n.svcCounts[r.Service]--
-		r.Node, r.node, r.Tenant, r.ReadyAt = "", nil, 0, 0
+		c.unbind(now, n, r, evict)
 		// A candidate whose bitstream load fails every retry is struck
 		// off and the replica falls back to the next-best device, up to
 		// replaceAttempts candidates.
 		var target *Node
 		tried := map[string]bool{n.ID: true}
 		for attempt := 0; attempt < replaceAttempts; attempt++ {
-			cand := c.pickNode(c.services[r.Service], tried)
+			cand := c.pickNode(r.svc, tried)
 			if cand == nil {
 				break
 			}

@@ -42,9 +42,9 @@ const flowTableCap = 1 << 16
 // to the hosting device's role control module as a dynamic table, so
 // the table's only way on or off the device is the command path.
 type flowState struct {
-	c       *Cluster
-	service string
-	table   *apps.FlowTable
+	c     *Cluster
+	svc   *service
+	table *apps.FlowTable
 	// export is the capture being read out: reading row 0 takes the
 	// table's Snapshot, and every row encodes its words from it on
 	// demand.
@@ -63,15 +63,13 @@ type flowState struct {
 	dirty      []apps.ConnEntry
 }
 
-func (fs *flowState) pool() *apps.Maglev { return fs.c.pools[fs.service] }
-
 // process records one routed packet: established flows hit their pin,
 // new flows pin to the pool's current assignment.
 func (fs *flowState) process(k net.FlowKey) {
 	if _, ok := fs.table.Lookup(k); ok {
 		return
 	}
-	b := fs.pool().Lookup(k)
+	b := fs.svc.pool.Lookup(k)
 	if fs.table.Pin(k, b) && fs.dirtyArmed {
 		fs.dirty = append(fs.dirty, apps.ConnEntry{Key: k, Backend: b})
 	}
@@ -84,7 +82,7 @@ func (fs *flowState) assignment(k net.FlowKey) net.IPAddr {
 	if b, ok := fs.table.Peek(k); ok {
 		return b
 	}
-	return fs.pool().Lookup(k)
+	return fs.svc.pool.Lookup(k)
 }
 
 // exportRow serves TableRead: row 0 snapshots the table, and every row
@@ -138,9 +136,9 @@ func (fs *flowState) importRow(index uint32, entry []uint32) error {
 func flowTableID(r *Replica) uint32 { return FlowTableBase | uint32(r.Tenant) }
 
 // newFlowState returns an empty connection table for one replica of
-// service.
-func newFlowState(c *Cluster, service string) *flowState {
-	return &flowState{c: c, service: service, table: apps.NewFlowTable(flowTableCap)}
+// svc.
+func newFlowState(c *Cluster, svc *service) *flowState {
+	return &flowState{c: c, svc: svc, table: apps.NewFlowTable(flowTableCap)}
 }
 
 // bindFlowTable binds fs to table tid on n's role control module,
@@ -160,32 +158,6 @@ func bindFlowTable(n *Node, tid uint32, fs *flowState) bool {
 		m.SetTableSink(tid, fs.importRow)
 	}
 	return true
-}
-
-// attachFlowState creates a replica's flow state on its new node and
-// binds it to the role control module. No-op for stateless services.
-func (c *Cluster) attachFlowState(n *Node, r *Replica) {
-	if !c.services[r.Service].Stateful {
-		return
-	}
-	fs := newFlowState(c, r.Service)
-	if !bindFlowTable(n, flowTableID(r), fs) {
-		return
-	}
-	n.addStateful(r)
-	r.flows = fs
-}
-
-// detachFlowState unbinds a replica's flow state from its node's role
-// module (eviction, failover). The replica keeps its fs pointer only
-// until the next attach.
-func (c *Cluster) detachFlowState(n *Node, r *Replica) {
-	i, ok := n.statefulIndex(r)
-	if !ok {
-		return
-	}
-	bindFlowTable(n, flowTableID(r), nil)
-	n.stateful = slices.Delete(n.stateful, i, i+1)
 }
 
 // statefulIndex finds r's position in the node's name-ordered stateful
@@ -236,7 +208,7 @@ func (c *Cluster) readFlowSnapshot(n *Node, r *Replica, dst []apps.ConnEntry) ([
 	return apps.DecodeFlowSnapshotInto(dst, words)
 }
 
-// flowSnap is one periodic connection-table capture.
+// flowSnap is one periodic connection-table capture (Replica.snap).
 type flowSnap struct {
 	at      sim.Time
 	entries []apps.ConnEntry
@@ -255,11 +227,11 @@ type flowSnap struct {
 // exactly its size.
 func (c *Cluster) snapshotNode(now sim.Time, n *Node) {
 	for _, r := range n.stateful {
-		entries, err := c.readFlowSnapshot(n, r, c.snapshots[r.Name()].entries)
+		entries, err := c.readFlowSnapshot(n, r, r.snap.entries)
 		if err != nil {
 			continue
 		}
-		c.snapshots[r.Name()] = flowSnap{at: now, entries: entries}
+		r.snap = flowSnap{at: now, entries: entries}
 		if c.ctrl != nil {
 			e := obs.Instant(obs.CatMigration, "snapshot", now)
 			e.K1, e.V1 = "replica", r.Name()
@@ -315,7 +287,7 @@ func (c *Cluster) Migrations() []MigrationRecord {
 
 // flowsForMigration obtains the connection table to carry for one
 // evacuating replica: the live table when the node still answers
-// commands, else the last periodic capture.
+// commands, else the last periodic capture (none, if never captured).
 func (c *Cluster) flowsForMigration(n *Node, r *Replica, live bool) (entries []apps.ConnEntry, gotLive bool, at sim.Time) {
 	if !c.cfg.MigrateFlows || r.flows == nil {
 		return nil, false, 0
@@ -325,10 +297,7 @@ func (c *Cluster) flowsForMigration(n *Node, r *Replica, live bool) (entries []a
 			return e, true, 0
 		}
 	}
-	if snap, ok := c.snapshots[r.Name()]; ok {
-		return snap.entries, false, snap.at
-	}
-	return nil, false, 0
+	return r.snap.entries, false, r.snap.at
 }
 
 // RemoveBackend removes one backend from a stateful service's pool,
@@ -363,7 +332,7 @@ func (c *Cluster) RemoveBackend(service string, backend net.IPAddr, evict bool) 
 	if err != nil {
 		return 0, err
 	}
-	c.pools[service] = pool
+	svc.pool = pool
 	evicted := 0
 	if evict {
 		for _, r := range c.replicas {
@@ -461,11 +430,11 @@ func runMigrationCase(migrate bool) (*MigrationCase, *Cluster, string, float64, 
 
 	// Drain one backend: unpinned flows re-hash minimally, established
 	// flows keep their pins. From here the pool disagrees with the pins.
-	oldPool := c.pools[svc.Name]
+	oldPool := c.services[svc.Name].pool
 	if _, err := c.RemoveBackend(svc.Name, backends(migrationPool)[0], false); err != nil {
 		return nil, nil, "", 0, err
 	}
-	bound := oldPool.Disruption(c.pools[svc.Name])
+	bound := oldPool.Disruption(c.services[svc.Name].pool)
 
 	// Kill the most loaded node — the same victim in both cases, since
 	// both run the same seeds — and serve through detection and

@@ -297,8 +297,8 @@ func TestDrainRacingSourceDeath(t *testing.T) {
 	if pinned <= 60 {
 		t.Fatalf("only %d flows pinned, need a multi-row export", pinned)
 	}
-	snap, ok := c.snapshots[r.Name()]
-	if !ok || len(snap.entries) == 0 {
+	snap := r.snap
+	if len(snap.entries) == 0 {
 		t.Fatal("no periodic snapshot captured before the drain")
 	}
 
@@ -387,7 +387,7 @@ func TestFlowCaptureAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(20, capture); got != 0 {
 		t.Errorf("capturing an unchanged table allocates %.1f objects, want 0", got)
 	}
-	if got := c.snapshots[r.Name()].entries; !slices.Equal(got, r.flows.table.Snapshot()) {
+	if got := r.snap.entries; !slices.Equal(got, r.flows.table.Snapshot()) {
 		t.Errorf("capture holds %d entries, want the table's %d", len(got), r.flows.table.Len())
 	}
 }
@@ -397,7 +397,7 @@ func TestFlowCaptureAllocatesNothing(t *testing.T) {
 // successful probe must capture the table as it is.
 func TestFlowCaptureFailureKeepsLastGood(t *testing.T) {
 	c, n, r := captureFixture(t)
-	before := slices.Clone(c.snapshots[r.Name()].entries)
+	before := slices.Clone(r.snap.entries)
 	pinRandomFlows(r.flows.table, rand.New(rand.NewSource(2)), 300)
 	cmds := 0
 	n.Inst.SetWireFaultInjector(func(attempt int, buf []byte) []byte {
@@ -410,12 +410,12 @@ func TestFlowCaptureFailureKeepsLastGood(t *testing.T) {
 		return buf
 	})
 	c.snapshotNode(c.Now(), n)
-	if got := c.snapshots[r.Name()].entries; !slices.Equal(got, before) {
+	if got := r.snap.entries; !slices.Equal(got, before) {
 		t.Fatalf("failed capture changed the last good one: %d entries, had %d", len(got), len(before))
 	}
 	n.Inst.SetWireFaultInjector(nil)
 	c.snapshotNode(c.Now(), n)
-	if got := c.snapshots[r.Name()].entries; !slices.Equal(got, r.flows.table.Snapshot()) {
+	if got := r.snap.entries; !slices.Equal(got, r.flows.table.Snapshot()) {
 		t.Errorf("recovered capture holds %d entries, want the table's %d", len(got), r.flows.table.Len())
 	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"harmonia/internal/net"
@@ -24,26 +25,22 @@ import (
 // canHost reports whether a node can take one replica of the service
 // right now. Retired queue ranges are never recycled, so a node can
 // exhaust its hardware queues while slots are still free — exactly the
-// fragmentation the rebalancer reclaims. The static fit is cached per
-// service; only the health state and free-slot checks are evaluated
-// live. The scan builds no error values: the one caller that reports a
-// failure (Place) formats its own.
-func (n *Node) canHost(svc *Service) bool {
+// fragmentation the rebalancer reclaims. The static fit is held per
+// service in n.fits; only the health state and free-slot checks are
+// evaluated live. The scan builds no error values: the one caller that
+// reports a failure (Place) formats its own.
+func (n *Node) canHost(svc *service) bool {
 	return n.state == Healthy && !n.rebuilding && n.Tenants != nil &&
-		n.Tenants.FreeSlots() > 0 && n.Tenants.CanAllocate() && n.staticFit(svc)
+		n.Tenants.FreeSlots() > 0 && n.Tenants.CanAllocate() && n.fits[svc.idx]
 }
 
-// staticFit reports (and caches) the placement checks that never change
-// after commission: the node's platform hosts the service, and one
-// replica's logic, URAM folded for the chip, fits the slot budget.
-func (n *Node) staticFit(svc *Service) bool {
-	fit, ok := n.fits[svc.Name]
-	if !ok {
-		logic := foldURAM(svc.Logic, n.Platform.Chip.Capacity.URAM > 0)
-		fit = platformHosts(n.Platform, svc) && logic.Utilization(n.slotRes) <= 1
-		n.fits[svc.Name] = fit
-	}
-	return fit
+// staticFit reports the placement checks that never change after
+// commission: the node's platform hosts the service, and one replica's
+// logic, URAM folded for the chip, fits the slot budget. Commission and
+// AddService record it in n.fits.
+func (n *Node) staticFit(svc *service) bool {
+	logic := foldURAM(svc.Logic, n.Platform.Chip.Capacity.URAM > 0)
+	return platformHosts(n.Platform, &svc.Service) && logic.Utilization(n.slotRes) <= 1
 }
 
 // platformHosts reports whether a device model can host a service: its
@@ -64,14 +61,14 @@ func platformHosts(dev *platform.Device, svc *Service) bool {
 // node ID — is a total order, so the single min-scan below picks the
 // same node the previous sort-and-take-first implementation did while
 // keeping placement O(N) per replica instead of O(N log N).
-func (c *Cluster) pickNode(svc *Service, exclude map[string]bool) *Node {
+func (c *Cluster) pickNode(svc *service, exclude map[string]bool) *Node {
 	var best *Node
 	var bestSvc, bestFree int
 	for _, n := range c.nodes {
 		if exclude[n.ID] || !n.canHost(svc) {
 			continue
 		}
-		sc, free := n.svcCounts[svc.Name], n.Tenants.FreeSlots()
+		sc, free := n.svcCounts[svc.idx], n.Tenants.FreeSlots()
 		if best == nil {
 			best, bestSvc, bestFree = n, sc, free
 			continue
@@ -93,23 +90,55 @@ func (c *Cluster) pickNode(svc *Service, exclude map[string]bool) *Node {
 }
 
 // admitLoad places one replica on a node through the node's tenancy
-// manager (see loadSlot) and binds it there: the flow director and host
-// queues take the replica's steering rules and the routing index
-// admits it.
+// manager (see loadSlot) and binds it there with a fresh connection
+// table (stateful services).
 func (c *Cluster) admitLoad(reqAt, now sim.Time, n *Node, r *Replica, class LoadClass) error {
 	t, err := c.loadSlot(reqAt, now, n, r, class)
 	if err != nil {
 		return err
 	}
-	r.Node = n.ID
-	r.node = n
-	r.Tenant = t.ID
-	r.ReadyAt = t.ReadyAt
-	n.replicas[r.Name()] = r
-	n.svcCounts[r.Service]++
-	c.attachFlowState(n, r)
-	c.router.idx.noteAdmit(r, now)
+	var flows *flowState
+	if r.svc.Stateful {
+		flows = newFlowState(c, r.svc)
+	}
+	c.bind(now, n, r, t, flows)
 	return nil
+}
+
+// bind homes a replica on node n as tenant t: the one way a replica
+// joins a node. The replica takes the tenant's ID and ready time, the
+// node's replica set and per-service tally take the replica, a
+// connection table (nil for stateless services) binds to the node's
+// role module, and the routing index admits it.
+func (c *Cluster) bind(now sim.Time, n *Node, r *Replica, t *tenancy.Tenant, flows *flowState) {
+	r.Node, r.node, r.Tenant, r.ReadyAt = n.ID, n, t.ID, t.ReadyAt
+	n.replicas[r.Name()] = r
+	n.svcCounts[r.svc.idx]++
+	if flows != nil && bindFlowTable(n, flowTableID(r), flows) {
+		n.addStateful(r)
+		r.flows = flows
+	}
+	c.router.idx.noteAdmit(r, now)
+}
+
+// unbind takes a replica off node n: the one way a replica leaves a
+// node, undoing bind. Its connection table unbinds (the replica keeps
+// the table until its next bind), the slot blanks when evict is set and
+// the node can still execute evictions, and the routing index, replica
+// set and tally drop it.
+func (c *Cluster) unbind(now sim.Time, n *Node, r *Replica, evict bool) {
+	if i, ok := n.statefulIndex(r); ok {
+		bindFlowTable(n, flowTableID(r), nil)
+		n.stateful = slices.Delete(n.stateful, i, i+1)
+	}
+	if evict && n.Tenants != nil {
+		// Blank the slot; co-resident tenants keep running.
+		_, _ = n.Tenants.Evict(now, r.Tenant)
+	}
+	c.router.idx.noteRemove(r, n)
+	delete(n.replicas, r.Name())
+	n.svcCounts[r.svc.idx]--
+	r.Node, r.node, r.Tenant, r.ReadyAt = "", nil, 0, 0
 }
 
 // loadSlot is the one PR-load grant path: it admits r's tenant on n,
@@ -124,7 +153,7 @@ func (c *Cluster) admitLoad(reqAt, now sim.Time, n *Node, r *Replica, class Load
 // Every grant, failed ones included, lands in the budget log and on
 // the control track.
 func (c *Cluster) loadSlot(reqAt, now sim.Time, n *Node, r *Replica, class LoadClass) (*tenancy.Tenant, error) {
-	logic := foldURAM(c.services[r.Service].Logic, n.Platform.Chip.Capacity.URAM > 0)
+	logic := foldURAM(r.svc.Logic, n.Platform.Chip.Capacity.URAM > 0)
 	start := c.budget.acquire(now)
 	if class == LoadFailover && c.budget.limit > 0 &&
 		(len(c.electives) > 0 || c.pendingRebalanceMoves() > 0) {
@@ -163,13 +192,6 @@ func (c *Cluster) tracePRLoad(reqAt, start, done sim.Time, node string, ok bool)
 	c.ctrl.Add(e)
 }
 
-// vipFor derives replica i's virtual IP from the service base address.
-func vipFor(base net.IPAddr, i int) net.IPAddr {
-	v := base
-	v[3] += byte(i)
-	return v
-}
-
 // Place materializes every registered service's replicas and schedules
 // all unplaced ones. It is incremental: services or devices added later
 // are covered by the next call. Placement failures abort with the
@@ -181,10 +203,9 @@ func (c *Cluster) Place(now sim.Time) ([]*Replica, error) {
 	for _, r := range c.replicas {
 		have[r.Name()] = true
 	}
-	for _, name := range c.svcOrder {
-		svc := c.services[name]
+	for _, svc := range c.svcOrder {
 		for i := 0; i < svc.Replicas; i++ {
-			r := newReplica(name, i, vipFor(svc.VIPBase, i))
+			r := newReplica(svc, i)
 			if !have[r.Name()] {
 				c.replicas = append(c.replicas, r)
 			}
@@ -200,9 +221,7 @@ func (c *Cluster) Place(now sim.Time) ([]*Replica, error) {
 			pending = append(pending, r)
 		}
 	}
-	util := func(r *Replica) float64 {
-		return c.services[r.Service].Logic.Utilization(c.cfg.SlotRes)
-	}
+	util := func(r *Replica) float64 { return r.svc.Logic.Utilization(c.cfg.SlotRes) }
 	sort.Slice(pending, func(i, j int) bool {
 		if ui, uj := util(pending[i]), util(pending[j]); ui != uj {
 			return ui > uj
@@ -211,7 +230,7 @@ func (c *Cluster) Place(now sim.Time) ([]*Replica, error) {
 	})
 	var placed []*Replica
 	for _, r := range pending {
-		n := c.pickNode(c.services[r.Service], nil)
+		n := c.pickNode(r.svc, nil)
 		if n == nil {
 			return placed, fmt.Errorf("fleet: no device can host %s", r.Name())
 		}
@@ -244,7 +263,7 @@ func (c *Cluster) ScaleService(now sim.Time, name string, extra int) error {
 	base := svc.Replicas
 	svc.Replicas += extra
 	for i := 0; i < extra; i++ {
-		r := newReplica(name, base+i, vipFor(svc.VIPBase, base+i))
+		r := newReplica(svc, base+i)
 		r.elective = true
 		c.replicas = append(c.replicas, r)
 		c.electives = append(c.electives, electiveEntry{r: r, reqAt: now})
@@ -264,7 +283,7 @@ func (c *Cluster) ScaleService(now sim.Time, name string, extra int) error {
 func (c *Cluster) drainElectives(now sim.Time) {
 	for len(c.electives) > 0 && c.budget.free(now) {
 		e := c.electives[0]
-		n := c.pickNode(c.services[e.r.Service], nil)
+		n := c.pickNode(e.r.svc, nil)
 		if n == nil {
 			return
 		}

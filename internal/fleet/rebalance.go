@@ -354,8 +354,7 @@ func (c *Cluster) stepPlanned(now sim.Time, mv *rebalanceMove) {
 		return
 	}
 	r := mv.r
-	svc := c.services[r.Service]
-	dst := c.pickNode(svc, map[string]bool{mv.src.ID: true})
+	dst := c.pickNode(r.svc, map[string]bool{mv.src.ID: true})
 	if dst == nil {
 		c.failMoveAttempt(now, mv, "no placement candidate")
 		return
@@ -369,8 +368,8 @@ func (c *Cluster) stepPlanned(now sim.Time, mv *rebalanceMove) {
 	// Bind a fresh connection table for the shadow on the target's role
 	// module: pre-copy and delta rows land there, and it becomes the
 	// replica's table at cutover.
-	if svc.Stateful {
-		mv.dstFlows = newFlowState(c, r.Service)
+	if r.svc.Stateful {
+		mv.dstFlows = newFlowState(c, r.svc)
 		bindFlowTable(dst, mv.shadowTableID(), mv.dstFlows)
 	}
 	mv.phase = movePreCopy
@@ -451,30 +450,17 @@ func (c *Cluster) stepDelta(now sim.Time, mv *rebalanceMove) {
 
 // cutoverMove flips the replica from source to target at the barrier:
 // the source slot blanks (retiring its queue range — reclaimed when
-// the victim rebuilds) and the replica rebinds to the shadow tenant
-// and its table. The routing index re-admits it immediately: the
-// shadow slot finished reconfiguring during the drain window.
+// the victim rebuilds) and the replica binds to the shadow tenant and
+// its pre-filled table. The routing index re-admits it immediately:
+// the shadow slot finished reconfiguring during the drain window.
 func (c *Cluster) cutoverMove(now sim.Time, mv *rebalanceMove) {
 	r, src, dst := mv.r, mv.src, mv.dst
 	if r.flows != nil {
 		r.flows.dirtyArmed = false
 		r.flows.dirty = nil
 	}
-	c.detachFlowState(src, r)
-	if src.Tenants != nil {
-		_, _ = src.Tenants.Evict(now, r.Tenant)
-	}
-	c.router.idx.noteRemove(r, src)
-	delete(src.replicas, r.Name())
-	src.svcCounts[r.Service]--
-	r.Node, r.node, r.Tenant, r.ReadyAt = dst.ID, dst, mv.shadow.ID, mv.shadow.ReadyAt
-	dst.replicas[r.Name()] = r
-	dst.svcCounts[r.Service]++
-	r.flows = mv.dstFlows
-	if mv.dstFlows != nil {
-		dst.addStateful(r)
-	}
-	c.router.idx.noteAdmit(r, now)
+	c.unbind(now, src, r, true)
+	c.bind(now, dst, r, mv.shadow, mv.dstFlows)
 	mv.phase = moveDone
 	c.rebalance.movesDone++
 	c.migrations = append(c.migrations, MigrationRecord{
@@ -658,21 +644,20 @@ func (c *Cluster) Fragmentation() FragmentationStats {
 		fs.SlotImbalance = mad / float64(len(occs))
 	}
 	placedTotal, surplus := 0, 0
-	for _, name := range c.svcOrder {
-		svc := c.services[name]
+	for _, svc := range c.svcOrder {
 		eligible, placed := 0, 0
 		for _, n := range c.nodes {
-			if n.state == Healthy && n.Tenants != nil && n.staticFit(svc) {
+			if n.state == Healthy && n.Tenants != nil && n.fits[svc.idx] {
 				eligible++
 			}
-			placed += n.svcCounts[name]
+			placed += n.svcCounts[svc.idx]
 		}
 		if eligible == 0 || placed == 0 {
 			continue
 		}
 		ideal := (placed + eligible - 1) / eligible
 		for _, n := range c.nodes {
-			if cnt := n.svcCounts[name]; cnt > ideal {
+			if cnt := n.svcCounts[svc.idx]; cnt > ideal {
 				surplus += cnt - ideal
 			}
 		}

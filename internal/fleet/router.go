@@ -20,7 +20,8 @@ import (
 //
 // Dispatch state is sharded. Each shard owns a disjoint subset of the
 // fleet's nodes (node commission index mod shard count) together with
-// its own RNG, counters and per-service latency histograms; flows hash
+// its own RNG and its per-service counters and latency histograms
+// (svcShardStats, the one place a routed packet is counted); flows hash
 // onto shards, remapped over the shards that currently hold ready
 // replicas. Between control-plane barriers (heartbeat ticks) a shard's
 // state is touched by exactly one goroutine, which is what lets Serve
@@ -53,12 +54,6 @@ const flowCacheSize = 512
 // routerShard is the dispatch state one worker owns during a phase.
 type routerShard struct {
 	rng *rand.Rand
-	// Cumulative counters (merged into RouterSnapshot). healthy counts
-	// the served packets that landed on a Healthy node — the numerator
-	// of the chaos drill's availability metric.
-	sent, served, dropped int64
-	healthy               int64
-	bytes                 int64
 	// trace is the shard's trace track (nil when tracing is off — the
 	// zero-cost disabled state). sampleN decimates packet spans; the
 	// per-shard counter keeps sampling deterministic because per-shard
@@ -462,17 +457,18 @@ type RouterSnapshot struct {
 	Bytes                 int64
 }
 
-// RouterStats reports cumulative dispatch counters, merged across
-// shards.
+// RouterStats reports cumulative dispatch counters: the per-service
+// counters summed over services and shards (sums, so independent of
+// map order).
 func (c *Cluster) RouterStats() RouterSnapshot {
-	r := c.router
 	var snap RouterSnapshot
-	for _, sh := range r.shards {
-		snap.Sent += sh.sent
-		snap.Served += sh.served
-		snap.Dropped += sh.dropped
-		snap.HealthyServed += sh.healthy
-		snap.Bytes += sh.bytes
+	for _, si := range c.router.idx.svcs {
+		s := si.snapshot()
+		snap.Sent += s.Sent
+		snap.Served += s.Served
+		snap.Dropped += s.Dropped
+		snap.HealthyServed += s.HealthyServed
+		snap.Bytes += s.Bytes
 	}
 	return snap
 }
@@ -518,11 +514,16 @@ type ServiceSnapshot struct {
 // freeze rebuilds the index map, so the registry's per-service
 // callbacks must not capture the pre-freeze *svcIndex.
 func (c *Cluster) ServiceStats(name string) ServiceSnapshot {
-	var snap ServiceSnapshot
 	si, ok := c.router.idx.svcs[name]
 	if !ok {
-		return snap
+		return ServiceSnapshot{}
 	}
+	return si.snapshot()
+}
+
+// snapshot merges one service's per-shard counters.
+func (si *svcIndex) snapshot() ServiceSnapshot {
+	var snap ServiceSnapshot
 	for i := range si.stats {
 		st := &si.stats[i]
 		snap.Sent += st.sent

@@ -518,7 +518,7 @@ func (ph *Phase) runShard(s int, idxs []int) {
 // routeRun routes one run of a service's size-byte packets on shard s
 // — the batched inner loop: the dispatch view refreshes at most once
 // per epoch, every packet reuses its precomputed flow hash, and the
-// shard and service counters accumulate in locals flushed once per run
+// (service, shard) counters accumulate in locals flushed once per run
 // instead of read-modify-writes per packet. Each packet is rebuilt on
 // the stack from its flow index.
 func (ph *Phase) routeRun(s int, si *svcIndex, size int, idxs []int) {
@@ -560,11 +560,6 @@ func (ph *Phase) routeRun(s int, si *svcIndex, size int, idxs []int) {
 			sh.tracePacket(now, res.done, res.node.ID, int64(size))
 		}
 	}
-	sh.sent += int64(len(idxs))
-	sh.served += served
-	sh.dropped += dropped
-	sh.healthy += healthy
-	sh.bytes += bytes
 	st.sent += int64(len(idxs))
 	st.served += served
 	st.dropped += dropped

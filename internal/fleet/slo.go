@@ -35,17 +35,11 @@ const (
 	alertResolveTicks = 8
 )
 
-// sloEngine owns the per-service trackers and the shared alerter.
+// sloEngine holds the window set and the shared alerter; each
+// service's tracker and barrier state live on its record (service).
 type sloEngine struct {
-	windows  []obs.SLOWindow
-	trackers map[string]*obs.SLOTracker
-	order    []string
-	prev     map[string]ServiceSnapshot
-	alerter  *obs.Alerter
-	// lastMilli holds each service's last traced burn rate per window,
-	// quantized to milli-burn, so the slo track records changes rather
-	// than every barrier.
-	lastMilli map[string][]int64
+	windows []obs.SLOWindow
+	alerter *obs.Alerter
 }
 
 // sloWindowSpecs derives the window set from the config (ticks →
@@ -64,13 +58,7 @@ func sloWindowSpecs(cfg Config) []obs.SLOWindow {
 
 // newSLOEngine builds the always-on engine at cluster construction.
 func newSLOEngine(cfg Config) *sloEngine {
-	return &sloEngine{
-		windows:   sloWindowSpecs(cfg),
-		trackers:  make(map[string]*obs.SLOTracker),
-		prev:      make(map[string]ServiceSnapshot),
-		alerter:   obs.NewAlerter(nil),
-		lastMilli: make(map[string][]int64),
-	}
+	return &sloEngine{windows: sloWindowSpecs(cfg), alerter: obs.NewAlerter(nil)}
 }
 
 // winIdx clamps a preferred window index into the configured set.
@@ -83,7 +71,7 @@ func (e *sloEngine) winIdx(i int) int {
 
 // addService wires one service into the engine (from AddService):
 // tracker, burn rules by class, and the labeled registry series.
-func (c *Cluster) sloAddService(svc *Service) {
+func (c *Cluster) sloAddService(svc *service) {
 	e := c.slo
 	name := svc.Name
 	avail := svc.SLO.Availability
@@ -93,9 +81,8 @@ func (c *Cluster) sloAddService(svc *Service) {
 		avail = 0.999999
 	}
 	tr := obs.NewSLOTracker(avail, e.windows)
-	e.trackers[name] = tr
-	e.order = append(e.order, name)
-	e.lastMilli[name] = make([]int64, len(e.windows))
+	svc.slo = tr
+	svc.lastMilli = make([]int64, len(e.windows))
 
 	// Services without an availability objective are tracked (the
 	// registry still exposes their burn, degenerating to raw error
@@ -141,16 +128,15 @@ func (c *Cluster) sloAddService(svc *Service) {
 // packet hot path.
 func (c *Cluster) stepSLO(now sim.Time) {
 	e := c.slo
-	if e == nil || len(e.order) == 0 {
+	if len(c.svcOrder) == 0 {
 		return
 	}
-	for _, name := range e.order {
+	for _, svc := range c.svcOrder {
+		name := svc.Name
 		cur := c.ServiceStats(name)
-		prev := e.prev[name]
-		e.prev[name] = cur
-		total := cur.Sent - prev.Sent
-		good := cur.HealthyServed - prev.HealthyServed
-		svc := c.services[name]
+		total := cur.Sent - svc.prev.Sent
+		good := cur.HealthyServed - svc.prev.HealthyServed
+		svc.prev = cur
 		p99Viol := false
 		if svc.SLO.P99 > 0 {
 			// The per-service window histogram (reset at each Serve
@@ -160,10 +146,10 @@ func (c *Cluster) stepSLO(now sim.Time) {
 				p99Viol = h.Percentile(99) > svc.SLO.P99
 			}
 		}
-		tr := e.trackers[name]
+		tr := svc.slo
 		tr.Advance(good, total, p99Viol)
 		if c.ctrl != nil {
-			last := e.lastMilli[name]
+			last := svc.lastMilli
 			for wi, w := range e.windows {
 				m := int64(tr.BurnRate(wi) * 1000)
 				if m == last[wi] {
@@ -178,7 +164,7 @@ func (c *Cluster) stepSLO(now sim.Time) {
 		}
 	}
 	evs := e.alerter.Step(now, func(svc string, win int) float64 {
-		return e.trackers[svc].BurnRate(win)
+		return c.services[svc].slo.BurnRate(win)
 	})
 	if c.ctrl != nil {
 		for _, ev := range evs {
@@ -198,21 +184,21 @@ func (c *Cluster) SLOWindows() []obs.SLOWindow { return c.slo.windows }
 // window index — the control signal the autoscaler consumes. Unknown
 // services report 0.
 func (c *Cluster) BurnRate(service string, win int) float64 {
-	tr, ok := c.slo.trackers[service]
+	svc, ok := c.services[service]
 	if !ok || win < 0 || win >= len(c.slo.windows) {
 		return 0
 	}
-	return tr.BurnRate(win)
+	return svc.slo.BurnRate(win)
 }
 
 // ErrorBudgetRemaining reports one service's unburned budget fraction
 // over the given window index (1 = no error, negative = violating).
 func (c *Cluster) ErrorBudgetRemaining(service string, win int) float64 {
-	tr, ok := c.slo.trackers[service]
+	svc, ok := c.services[service]
 	if !ok || win < 0 || win >= len(c.slo.windows) {
 		return 1
 	}
-	return tr.ErrorBudgetRemaining(win)
+	return svc.slo.ErrorBudgetRemaining(win)
 }
 
 // AlertRules reports the derived burn rules in evaluation order.

@@ -184,12 +184,6 @@ func buildModuleInitRegisters(vendor platform.Vendor, category string) ([]uck.Re
 	return ops[:n], nil
 }
 
-// ModuleInitCommand returns the single command that replaces a module's
-// register init sequence.
-func ModuleInitCommand(rbbID, instanceID uint8) *cmdif.Packet {
-	return cmdif.New(rbbID, instanceID, cmdif.ModuleInit)
-}
-
 // DiffRegOps counts the modifications needed to turn sequence a into
 // sequence b: insertions plus deletions under a longest-common-
 // subsequence alignment, the way a developer's diff would count.

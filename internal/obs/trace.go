@@ -232,20 +232,6 @@ func NewFlightRecorder(lastN int) *Recorder {
 	return &Recorder{ring: lastN, sample: 1}
 }
 
-// Flight reports whether the recorder runs in ring (flight) mode.
-func (r *Recorder) Flight() bool { return r.ring > 0 }
-
-// SetPacketSample overrides the packet-span sampling divisor (n <= 1
-// records every packet). Sampling is deterministic: the divisor
-// applies per shard track, and per-shard packet subsequences are fixed
-// by the flow hash.
-func (r *Recorder) SetPacketSample(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.sample = n
-}
-
 // Process creates (or returns) a named process row. Processes take
 // IDs in creation order.
 func (r *Recorder) Process(name string) *Process {

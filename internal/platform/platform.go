@@ -98,21 +98,11 @@ type Peripheral struct {
 func (p Peripheral) TotalGbps() float64 { return float64(p.Count) * p.GbpsPerUnit }
 
 // Network cage constructors. Per-port rates follow the deployed optics:
-// QSFP28 100G, QSFP56 200G, QSFP112 400G, DSFP 100G.
+// QSFP28 100G, DSFP 100G.
 
 // NewQSFP28 returns n QSFP28 (100G) cages.
 func NewQSFP28(n int) Peripheral {
 	return Peripheral{Kind: Network, Model: "QSFP28", Count: n, GbpsPerUnit: 100}
-}
-
-// NewQSFP56 returns n QSFP56 (200G) cages.
-func NewQSFP56(n int) Peripheral {
-	return Peripheral{Kind: Network, Model: "QSFP56", Count: n, GbpsPerUnit: 200}
-}
-
-// NewQSFP112 returns n QSFP112 (400G) cages.
-func NewQSFP112(n int) Peripheral {
-	return Peripheral{Kind: Network, Model: "QSFP112", Count: n, GbpsPerUnit: 400}
 }
 
 // NewDSFP returns n DSFP (100G) cages.
@@ -127,11 +117,6 @@ func NewDSFP(n int) Peripheral {
 // NewDDR4 returns n DDR4 channels.
 func NewDDR4(n int) Peripheral {
 	return Peripheral{Kind: Memory, Model: "DDR4", Count: n, GbpsPerUnit: 153.6}
-}
-
-// NewDDR3 returns n DDR3 channels (12.8 GB/s each).
-func NewDDR3(n int) Peripheral {
-	return Peripheral{Kind: Memory, Model: "DDR3", Count: n, GbpsPerUnit: 102.4}
 }
 
 // NewHBM returns an HBM stack.

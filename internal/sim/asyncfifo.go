@@ -54,9 +54,6 @@ func NewAsyncFIFO(name string, capacity int, wrClk, rdClk *Clock) *AsyncFIFO {
 // Name reports the FIFO's name.
 func (f *AsyncFIFO) Name() string { return f.name }
 
-// Cap reports the FIFO's capacity.
-func (f *AsyncFIFO) Cap() int { return f.capacity }
-
 // Len reports the number of items buffered (visible or not).
 func (f *AsyncFIFO) Len() int { return len(f.items) - f.head }
 

@@ -44,9 +44,6 @@ func NewFIFO(name string, capacity int) *FIFO {
 // Name reports the FIFO's name.
 func (f *FIFO) Name() string { return f.name }
 
-// Cap reports the FIFO's capacity.
-func (f *FIFO) Cap() int { return f.capacity }
-
 // Len reports the current occupancy.
 func (f *FIFO) Len() int { return len(f.items) - f.head }
 

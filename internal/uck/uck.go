@@ -49,9 +49,6 @@ type Module struct {
 	statsFn      func() []uint32
 	inits        int64
 	resets       int64
-	// regOps counts register accesses the kernel performed on this
-	// module — the work commands abstract away from the host.
-	regOps int64
 	// flash models the module's configuration flash: sector -> erased.
 	flash        map[uint32]bool
 	flashSectors uint32
@@ -150,20 +147,13 @@ func (m *Module) SetTableSink(tableID uint32, fn func(index uint32, entry []uint
 // RegWrite writes a register.
 func (m *Module) RegWrite(addr, val uint32) {
 	m.regs[addr] = val
-	m.regOps++
 }
 
 // RegRead reads a register.
-func (m *Module) RegRead(addr uint32) uint32 {
-	m.regOps++
-	return m.regs[addr]
-}
+func (m *Module) RegRead(addr uint32) uint32 { return m.regs[addr] }
 
 // Status reports the module status register.
 func (m *Module) Status() uint32 { return m.regs[StatusAddr] }
-
-// RegOps reports how many register accesses the kernel performed.
-func (m *Module) RegOps() int64 { return m.regOps }
 
 // Inits and Resets report lifecycle counts.
 func (m *Module) Inits() int64 { return m.inits }
