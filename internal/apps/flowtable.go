@@ -15,15 +15,27 @@ import (
 // device-resident state live migration carries across PR slots, so it
 // knows how to snapshot itself into (and restore itself from) the
 // versioned word encoding the command path's table transactions move.
+//
+// Entries live in an open-addressed array of packed 16-byte slots
+// (flowSlot), probed linearly from a mix of the packed key and grown by
+// doubling at 7/8 load, so a lookup compares two words and usually
+// touches one cache line. The table hashes its own key: callers pass
+// the key they serve, which may differ from the one their router hashed
+// (the fleet rewrites the destination to the replica's VIP first).
 type FlowTable struct {
-	conns map[net.FlowKey]net.IPAddr
-	max   int
+	// slots is nil until the first entry, then a power of two long;
+	// n counts the occupied ones. backends holds each slot's backend by
+	// its 1-based index.
+	slots    []flowSlot
+	n        int
+	backends []net.IPAddr
+	max      int
 	// sorted is the table as of the last Snapshot, in key order, and
 	// pinned lists the entries pinned under new keys since then: the
 	// next Snapshot sorts only pinned and merges it in. stale means some
 	// change since the last Snapshot was not a new-key pin (a restore,
 	// an eviction, an overwritten pin, or no Snapshot yet), so the next
-	// one rebuilds from the map and pinned is not kept meanwhile.
+	// one rebuilds from the slots and pinned is not kept meanwhile.
 	sorted []ConnEntry
 	pinned []ConnEntry
 	stale  bool
@@ -34,13 +46,32 @@ type FlowTable struct {
 	hits, misses, tableFull int64
 }
 
+// flowSlot is one table slot: the key packed by keyOrder (hi = SrcIP‖
+// DstIP, the low keyBits of lo = Proto‖SrcPort‖DstPort), with lo's top
+// bits holding the 1-based index of the pinned backend in
+// FlowTable.backends. lo == 0 marks an empty slot.
+type flowSlot struct{ hi, lo uint64 }
+
+const (
+	// keyBits is the width of the key part of flowSlot.lo.
+	keyBits = 40
+	keyMask = 1<<keyBits - 1
+	// minSlots is the slot array's length at the first entry.
+	minSlots = 8
+)
+
+// maxBackends is the most distinct backends one table can index: the
+// 24 bits above the key in flowSlot.lo, with 0 reserved for empty.
+// Tests lower it to reach the guard.
+var maxBackends = 1<<(64-keyBits) - 1
+
 // NewFlowTable returns an empty table bounded at max entries.
 func NewFlowTable(max int) *FlowTable {
-	return &FlowTable{conns: make(map[net.FlowKey]net.IPAddr), max: max, stale: true}
+	return &FlowTable{max: max, stale: true}
 }
 
 // Len reports the established flow count.
-func (t *FlowTable) Len() int { return len(t.conns) }
+func (t *FlowTable) Len() int { return t.n }
 
 // Max reports the table capacity.
 func (t *FlowTable) Max() int { return t.max }
@@ -51,7 +82,7 @@ func (t *FlowTable) SetMax(max int) { t.max = max }
 
 // Lookup finds an established flow's pinned backend, counting the hit.
 func (t *FlowTable) Lookup(k net.FlowKey) (net.IPAddr, bool) {
-	b, ok := t.conns[k]
+	b, ok := t.Peek(k)
 	if ok {
 		t.hits++
 	}
@@ -61,8 +92,32 @@ func (t *FlowTable) Lookup(k net.FlowKey) (net.IPAddr, bool) {
 // Peek reads an entry without touching the counters (measurement and
 // migration use it; the datapath uses Lookup).
 func (t *FlowTable) Peek(k net.FlowKey) (net.IPAddr, bool) {
-	b, ok := t.conns[k]
-	return b, ok
+	if t.n == 0 {
+		return net.IPAddr{}, false
+	}
+	i, ok := t.find(keyOrder(k))
+	if !ok {
+		return net.IPAddr{}, false
+	}
+	return t.backends[t.slots[i].lo>>keyBits-1], true
+}
+
+// find returns the index of the slot holding the packed key (hi, lo),
+// or of the empty slot where it would go, and whether it is present.
+// The table must have slots. The start slot is a multiply-xorshift mix
+// of both words; probe counts from it match uniform hashing's.
+func (t *FlowTable) find(hi, lo uint64) (int, bool) {
+	mask := uint64(len(t.slots) - 1)
+	h := (hi ^ lo*0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.lo == 0 {
+			return int(i), false
+		}
+		if s.hi == hi && s.lo&keyMask == lo {
+			return int(i), true
+		}
+	}
 }
 
 // Pin records a new flow's backend, counting the miss. A full table
@@ -70,14 +125,12 @@ func (t *FlowTable) Peek(k net.FlowKey) (net.IPAddr, bool) {
 // stickiness across pool changes.
 func (t *FlowTable) Pin(k net.FlowKey, b net.IPAddr) bool {
 	t.misses++
-	if len(t.conns) >= t.max {
+	if t.n >= t.max {
 		t.tableFull++
 		return false
 	}
-	n := len(t.conns)
-	t.conns[k] = b
 	switch {
-	case len(t.conns) == n:
+	case !t.put(k, b):
 		t.stale = true // overwrote an existing key
 	case !t.stale:
 		t.pinned = append(t.pinned, ConnEntry{Key: k, Backend: b})
@@ -85,17 +138,91 @@ func (t *FlowTable) Pin(k net.FlowKey, b net.IPAddr) bool {
 	return true
 }
 
-// EvictBackend removes every flow pinned to a backend and reports how
-// many were evicted — the cleanup path for a *failed* backend, whose
-// pinned flows would otherwise blackhole forever.
-func (t *FlowTable) EvictBackend(b net.IPAddr) int {
-	evicted := 0
-	for k, have := range t.conns {
-		if have == b {
-			delete(t.conns, k)
-			evicted++
+// put stores k → b and reports whether k was new.
+func (t *FlowTable) put(k net.FlowKey, b net.IPAddr) bool {
+	hi, lo := keyOrder(k)
+	tag := t.backendIndex(b) << keyBits
+	i, ok := 0, false
+	if len(t.slots) > 0 {
+		i, ok = t.find(hi, lo)
+	}
+	if ok {
+		t.slots[i].lo = lo | tag
+		return false
+	}
+	if (t.n+1)*8 > len(t.slots)*7 {
+		t.resize(max(minSlots, 2*len(t.slots)))
+		i, _ = t.find(hi, lo)
+	}
+	t.slots[i] = flowSlot{hi, lo | tag}
+	t.n++
+	return true
+}
+
+// resize moves every entry into a fresh slot array of the given length.
+func (t *FlowTable) resize(size int) {
+	old := t.slots
+	t.slots = make([]flowSlot, size)
+	for _, s := range old {
+		if s.lo != 0 {
+			i, _ := t.find(s.hi, s.lo&keyMask)
+			t.slots[i] = s
 		}
 	}
+}
+
+// backendIndex returns b's 1-based index in t.backends, adding b when
+// it is new. A full list is first compacted to the backends some entry
+// still uses; a table whose entries use every index panics rather than
+// let an index wrap into the key bits.
+func (t *FlowTable) backendIndex(b net.IPAddr) uint64 {
+	if i := slices.Index(t.backends, b); i >= 0 {
+		return uint64(i + 1)
+	}
+	if len(t.backends) >= maxBackends {
+		t.rebuild(0)
+		if len(t.backends) >= maxBackends {
+			panic(fmt.Sprintf("apps: flow table entries use all %d backend indices", maxBackends))
+		}
+	}
+	t.backends = append(t.backends, b)
+	return uint64(len(t.backends))
+}
+
+// rebuild reinserts every entry not pinned to backend index drop (0
+// drops none) into a fresh slot array of the same length, and renumbers
+// the backends in order of first use so the list holds only backends
+// some entry uses. It reports how many entries it dropped.
+func (t *FlowTable) rebuild(drop uint64) int {
+	old, oldBackends, before := t.slots, t.backends, t.n
+	renum := make([]uint64, len(oldBackends)+1)
+	t.slots, t.backends, t.n = make([]flowSlot, len(old)), nil, 0
+	for _, s := range old {
+		b := s.lo >> keyBits
+		if s.lo == 0 || b == drop {
+			continue
+		}
+		if renum[b] == 0 {
+			t.backends = append(t.backends, oldBackends[b-1])
+			renum[b] = uint64(len(t.backends))
+		}
+		i, _ := t.find(s.hi, s.lo&keyMask)
+		t.slots[i] = flowSlot{s.hi, s.lo&keyMask | renum[b]<<keyBits}
+		t.n++
+	}
+	return before - t.n
+}
+
+// EvictBackend removes every flow pinned to a backend and reports how
+// many were evicted — the cleanup path for a *failed* backend, whose
+// pinned flows would otherwise blackhole forever. It is control-plane
+// work: the table is rebuilt without them.
+func (t *FlowTable) EvictBackend(b net.IPAddr) int {
+	i := slices.Index(t.backends, b)
+	if i < 0 {
+		return 0
+	}
+	evicted := t.rebuild(uint64(i + 1))
 	if evicted > 0 {
 		t.stale = true
 	}
@@ -118,7 +245,7 @@ type ConnEntry struct {
 // consistent capture the export side of migration stages. It sorts only
 // the flows pinned since the last Snapshot and merges them into the
 // previous capture in one sequential pass; a restore, an eviction or an
-// overwritten pin makes it rebuild from the table instead.
+// overwritten pin makes it rebuild from the slots instead.
 //
 // The result is shared with the table and with every later Snapshot
 // that finds nothing new: callers must only read it. The table never
@@ -127,11 +254,17 @@ type ConnEntry struct {
 func (t *FlowTable) Snapshot() []ConnEntry {
 	switch {
 	case t.stale:
-		out := make([]ConnEntry, 0, len(t.conns))
-		for k, b := range t.conns {
-			out = append(out, ConnEntry{Key: k, Backend: b})
+		packed := make([]flowSlot, 0, t.n)
+		for _, s := range t.slots {
+			if s.lo != 0 {
+				packed = append(packed, s)
+			}
 		}
-		slices.SortFunc(out, compareEntries)
+		slices.SortFunc(packed, compareSlots)
+		out := make([]ConnEntry, len(packed))
+		for i, s := range packed {
+			out[i] = t.entry(s)
+		}
 		t.sorted, t.stale = out, false
 	case len(t.pinned) > 0:
 		t.sorted = mergePins(make([]ConnEntry, 0, len(t.sorted)+len(t.pinned)), t.sorted, t.pinned)
@@ -221,11 +354,13 @@ const packedOnStack = 64
 // datapath lookups.
 func (t *FlowTable) Restore(entries []ConnEntry) (added, dropped int) {
 	for _, e := range entries {
-		if _, dup := t.conns[e.Key]; !dup && len(t.conns) >= t.max {
-			dropped++
-			continue
+		if t.n >= t.max {
+			if _, dup := t.Peek(e.Key); !dup {
+				dropped++
+				continue
+			}
 		}
-		t.conns[e.Key] = e.Backend
+		t.put(e.Key, e.Backend)
 		added++
 	}
 	if added > 0 {
@@ -243,14 +378,24 @@ func keyOrder(k net.FlowKey) (hi, lo uint64) {
 	return hi, lo
 }
 
-// compareEntries orders snapshot entries by keyOrder.
-func compareEntries(a, b ConnEntry) int {
-	ah, al := keyOrder(a.Key)
-	bh, bl := keyOrder(b.Key)
-	if c := cmp.Compare(ah, bh); c != 0 {
+// compareSlots orders occupied slots by their keys, ignoring the
+// backend index above them.
+func compareSlots(a, b flowSlot) int {
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
 		return c
 	}
-	return cmp.Compare(al, bl)
+	return cmp.Compare(a.lo<<(64-keyBits), b.lo<<(64-keyBits))
+}
+
+// entry unpacks an occupied slot.
+func (t *FlowTable) entry(s flowSlot) ConnEntry {
+	return ConnEntry{
+		Key: net.FlowKey{
+			SrcIP: wordIP(uint32(s.hi >> 32)), DstIP: wordIP(uint32(s.hi)),
+			Proto: uint8(s.lo >> 32), SrcPort: uint16(s.lo >> 16), DstPort: uint16(s.lo),
+		},
+		Backend: t.backends[s.lo>>keyBits-1],
+	}
 }
 
 // Flow snapshot wire encoding (version 1): the word stream table-read/
@@ -363,9 +508,10 @@ func DecodeFlowSnapshot(words []uint32) ([]ConnEntry, error) {
 
 // DecodeFlowSnapshotInto is DecodeFlowSnapshot decoding into dst's
 // storage: the entries overwrite dst from index 0, reusing its array
-// when it holds them and allocating exactly their count when not. The
-// whole stream is validated before the first write, so a failed decode
-// returns dst untouched.
+// when it holds them. When it does not, the new array has room for an
+// eighth more, so a table that grows by a few pins between decodes
+// reuses it for the next several. The whole stream is validated before
+// the first write, so a failed decode returns dst untouched.
 func DecodeFlowSnapshotInto(dst []ConnEntry, words []uint32) ([]ConnEntry, error) {
 	want, err := FlowSnapshotWords(words)
 	if err != nil {
@@ -382,7 +528,7 @@ func DecodeFlowSnapshotInto(dst []ConnEntry, words []uint32) ([]ConnEntry, error
 	}
 	n := int(words[1])
 	if cap(dst) < n {
-		dst = make([]ConnEntry, n)
+		dst = make([]ConnEntry, n, n+n/8)
 	}
 	dst = dst[:n]
 	body := words[flowSnapHeaderWords:]

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"harmonia/internal/net"
@@ -154,27 +155,48 @@ func oracleKey(k net.FlowKey) string {
 	return string(buf[:])
 }
 
-// oracleSnapshot is the table's contents sorted by oracleKey.
+// oracleSnapshot is the table's contents, read slot by slot, sorted by
+// oracleKey.
 func oracleSnapshot(ft *FlowTable) []ConnEntry {
-	var out []ConnEntry
-	for k, b := range ft.conns {
-		out = append(out, ConnEntry{Key: k, Backend: b})
-	}
+	out := slotEntries(ft)
 	sort.Slice(out, func(i, j int) bool { return oracleKey(out[i].Key) < oracleKey(out[j].Key) })
 	return out
+}
+
+// slotEntries unpacks every occupied slot, in slot order.
+func slotEntries(ft *FlowTable) []ConnEntry {
+	var out []ConnEntry
+	for _, s := range ft.slots {
+		if s.lo != 0 {
+			out = append(out, slotEntry(ft, s))
+		}
+	}
+	return out
+}
+
+// slotEntry unpacks one occupied slot.
+func slotEntry(ft *FlowTable, s flowSlot) ConnEntry {
+	var k net.FlowKey
+	binary.BigEndian.PutUint32(k.SrcIP[:], uint32(s.hi>>32))
+	binary.BigEndian.PutUint32(k.DstIP[:], uint32(s.hi))
+	k.Proto, k.SrcPort, k.DstPort = uint8(s.lo>>32), uint16(s.lo>>16), uint16(s.lo)
+	return ConnEntry{Key: k, Backend: ft.backends[s.lo>>keyBits-1]}
 }
 
 // randKey draws keys from a small space, so pins collide with existing
 // entries and restores carry duplicates; all five fields vary, so the
 // order is tested on each of them.
-func randKey(rng *rand.Rand) net.FlowKey {
+func randKey(rng *rand.Rand) net.FlowKey { return smallKey(rng.Intn) }
+
+// smallKey is randKey's space drawn from any source of bounded ints.
+func smallKey(intn func(int) int) net.FlowKey {
 	return net.FlowKey{
-		SrcIP: net.IPv4(byte(rng.Intn(3)), 0, byte(rng.Intn(2)), byte(rng.Intn(4))),
-		DstIP: net.IPv4(20, byte(rng.Intn(2)), 0, byte(rng.Intn(3)*127)),
-		Proto: []uint8{net.ProtoTCP, net.ProtoUDP, 0xff}[rng.Intn(3)],
+		SrcIP: net.IPv4(byte(intn(3)), 0, byte(intn(2)), byte(intn(4))),
+		DstIP: net.IPv4(20, byte(intn(2)), 0, byte(intn(3)*127)),
+		Proto: []uint8{net.ProtoTCP, net.ProtoUDP, 0xff}[intn(3)],
 		// Ports straddle the byte boundary so big-endian order matters.
-		SrcPort: uint16(rng.Intn(4)) << (8 * rng.Intn(2)),
-		DstPort: uint16(rng.Intn(3)) << (8 * rng.Intn(2)),
+		SrcPort: uint16(intn(4)) << (8 * intn(2)),
+		DstPort: uint16(intn(3)) << (8 * intn(2)),
 	}
 }
 
@@ -377,6 +399,225 @@ func TestFlowSnapshotEncodeRange(t *testing.T) {
 	}
 }
 
+// flowModel is the reference a FlowTable is checked against: a plain
+// map with the table's capacity rule and counters.
+type flowModel struct {
+	conns                   map[net.FlowKey]net.IPAddr
+	max                     int
+	hits, misses, tableFull int64
+}
+
+func (m *flowModel) pin(k net.FlowKey, b net.IPAddr) bool {
+	m.misses++
+	if len(m.conns) >= m.max {
+		m.tableFull++
+		return false
+	}
+	m.conns[k] = b
+	return true
+}
+
+func (m *flowModel) restore(entries []ConnEntry) (added, dropped int) {
+	for _, e := range entries {
+		if _, dup := m.conns[e.Key]; !dup && len(m.conns) >= m.max {
+			dropped++
+			continue
+		}
+		m.conns[e.Key] = e.Backend
+		added++
+	}
+	return added, dropped
+}
+
+func (m *flowModel) evict(b net.IPAddr) int {
+	n := 0
+	for k, have := range m.conns {
+		if have == b {
+			delete(m.conns, k)
+			n++
+		}
+	}
+	return n
+}
+
+// checkFlowOps drives a table and the map model with one operation
+// stream drawn from intn (Pin, Lookup, Peek, Restore with duplicates,
+// EvictBackend, SetMax and Snapshot), for at most steps operations or
+// until done reports the source spent. Keys come from the small space
+// (smallKey) or, when wide, from random source addresses and ports,
+// which grow the table through its doublings. After every operation
+// the return values, Len, Stats and the slots' contents must equal the
+// model's; every Snapshot must equal the model in wire order, and no
+// capture may change afterwards.
+func checkFlowOps(t testing.TB, intn func(int) int, done func() bool, steps int, wide bool) {
+	backends := []net.IPAddr{net.IPv4(10, 0, 0, 1), net.IPv4(10, 0, 0, 2), net.IPv4(10, 0, 0, 3), {}}
+	bound := 1 + intn(1<<12)
+	ft, m := NewFlowTable(bound), &flowModel{conns: map[net.FlowKey]net.IPAddr{}, max: bound}
+	var seen []net.FlowKey // every key drawn, so lookups and pins repeat them
+	key := func() net.FlowKey {
+		if len(seen) > 0 && intn(2) == 0 {
+			return seen[max(0, len(seen)-64)+intn(min(len(seen), 64))]
+		}
+		k := smallKey(intn)
+		if wide {
+			k.SrcIP = net.IPv4(byte(intn(256)), byte(intn(256)), byte(intn(256)), byte(intn(256)))
+			k.SrcPort = uint16(intn(1 << 16))
+		}
+		seen = append(seen, k)
+		return k
+	}
+	backend := func() net.IPAddr { return backends[intn(len(backends))] }
+	type capture struct{ got, want []ConnEntry }
+	var captures []capture
+	for step := 0; step < steps && !done(); step++ {
+		var op string
+		switch r := intn(100); {
+		case r < 45:
+			op = "Pin"
+			k, b := key(), backend()
+			if got, want := ft.Pin(k, b), m.pin(k, b); got != want {
+				t.Fatalf("step %d: Pin = %v, model %v", step, got, want)
+			}
+		case r < 65:
+			op = "Lookup"
+			k := key()
+			b, ok := ft.Lookup(k)
+			wb, wok := m.conns[k]
+			if wok {
+				m.hits++
+			}
+			if b != wb || ok != wok {
+				t.Fatalf("step %d: Lookup = %v/%v, model %v/%v", step, b, ok, wb, wok)
+			}
+		case r < 72:
+			op = "Peek"
+			k := key()
+			b, ok := ft.Peek(k)
+			if wb, wok := m.conns[k]; b != wb || ok != wok {
+				t.Fatalf("step %d: Peek = %v/%v, model %v/%v", step, b, ok, wb, wok)
+			}
+		case r < 78:
+			op = "Restore"
+			entries := make([]ConnEntry, intn(40))
+			for i := range entries {
+				entries[i] = ConnEntry{Key: key(), Backend: backend()}
+				if i > 0 && intn(4) == 0 {
+					entries[i].Key = entries[intn(i)].Key
+				}
+			}
+			a, d := ft.Restore(entries)
+			if wa, wd := m.restore(entries); a != wa || d != wd {
+				t.Fatalf("step %d: Restore = %d/%d, model %d/%d", step, a, d, wa, wd)
+			}
+		case r < 79:
+			op = "EvictBackend"
+			b := backend()
+			if got, want := ft.EvictBackend(b), m.evict(b); got != want {
+				t.Fatalf("step %d: EvictBackend = %d, model %d", step, got, want)
+			}
+		case r < 84:
+			op = "SetMax"
+			// Near the live count as often as far above it.
+			bound := ft.Len()/2 + intn(ft.Len()+8)
+			if intn(2) == 0 {
+				bound = 1 << 12
+			}
+			ft.SetMax(bound)
+			m.max = bound
+		default:
+			op = "Snapshot"
+			type keyed struct {
+				order string
+				e     ConnEntry
+			}
+			order := make([]keyed, 0, len(m.conns))
+			for k, b := range m.conns {
+				order = append(order, keyed{oracleKey(k), ConnEntry{Key: k, Backend: b}})
+			}
+			slices.SortFunc(order, func(a, b keyed) int { return strings.Compare(a.order, b.order) })
+			want := make([]ConnEntry, len(order))
+			for i, o := range order {
+				want[i] = o.e
+			}
+			got := ft.Snapshot()
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: Snapshot has %d entries, model %d, or they differ", step, len(got), len(want))
+			}
+			captures = append(captures, capture{got, want})
+		}
+		if ft.Len() != len(m.conns) || ft.Max() != m.max {
+			t.Fatalf("step %d (%s): Len/Max = %d/%d, model %d/%d", step, op, ft.Len(), ft.Max(), len(m.conns), m.max)
+		}
+		if h, mi, f := ft.Stats(); h != m.hits || mi != m.misses || f != m.tableFull {
+			t.Fatalf("step %d (%s): Stats = %d/%d/%d, model %d/%d/%d", step, op, h, mi, f, m.hits, m.misses, m.tableFull)
+		}
+		occupied := 0
+		for _, s := range ft.slots {
+			if s.lo == 0 {
+				continue
+			}
+			occupied++
+			if e := slotEntry(ft, s); m.conns[e.Key] != e.Backend {
+				t.Fatalf("step %d (%s): slot holds %v → %v, model %v", step, op, e.Key, e.Backend, m.conns[e.Key])
+			}
+		}
+		if occupied != len(m.conns) {
+			t.Fatalf("step %d (%s): %d occupied slots, model %d entries", step, op, occupied, len(m.conns))
+		}
+	}
+	for i, c := range captures {
+		if !slices.Equal(c.got, c.want) {
+			t.Fatalf("capture %d changed after later operations", i)
+		}
+	}
+}
+
+// TestFlowTableMatchesMapModel runs seeded operation streams against
+// the map model: the small key space forces collisions and overwrites,
+// the wide one grows tables through several doublings.
+func TestFlowTableMatchesMapModel(t *testing.T) {
+	never := func() bool { return false }
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		checkFlowOps(t, rng.Intn, never, 1000, false)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		checkFlowOps(t, rng.Intn, never, 2000, true)
+	}
+}
+
+// TestFlowTableBackendIndexGuard lowers the backend index space to
+// three: a fourth backend is indexed once the list is compacted to the
+// backends entries still use, and one that needs a fourth live index
+// panics instead of wrapping into the key bits.
+func TestFlowTableBackendIndexGuard(t *testing.T) {
+	defer func(n int) { maxBackends = n }(maxBackends)
+	maxBackends = 3
+	ft := NewFlowTable(100)
+	for i := byte(1); i <= 3; i++ {
+		ft.Pin(ftKey(uint16(i)), net.IPv4(10, 0, 0, i))
+	}
+	ft.Pin(ftKey(1), net.IPv4(10, 0, 0, 2)) // backend 1 is now unused
+	if !ft.Pin(ftKey(4), net.IPv4(10, 0, 0, 4)) {
+		t.Fatal("pin refused")
+	}
+	if len(ft.backends) != 3 {
+		t.Errorf("backend list holds %d after compaction, want 3", len(ft.backends))
+	}
+	for i, want := range []byte{2, 2, 3, 4} {
+		if b, ok := ft.Peek(ftKey(uint16(i + 1))); !ok || b != net.IPv4(10, 0, 0, want) {
+			t.Errorf("flow %d → %v/%v after compaction, want 10.0.0.%d", i+1, b, ok, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a fourth live backend did not panic")
+		}
+	}()
+	ft.Pin(ftKey(5), net.IPv4(10, 0, 0, 5))
+}
+
 // BenchmarkFlowTableSnapshot measures the two costs a Snapshot can pay:
 // a full rebuild from the map (after a restore, an eviction or an
 // overwritten pin) and the merge of 16 pins made since the last
@@ -417,5 +658,102 @@ func BenchmarkFlowTableSnapshot(b *testing.B) {
 				ft.Snapshot()
 			}
 		})
+	}
+}
+
+// BenchmarkFlowTableLookup probes 300 storm-sized tables (700 entries,
+// one VIP each) in a random table order, so most probes meet a table
+// no longer in cache, as the fleet's serve path does across replicas:
+// hit looks up an established flow; miss+pin looks up a new flow and
+// pins it (64 per table, evicted again, untimed, once all are pinned).
+func BenchmarkFlowTableLookup(b *testing.B) {
+	const tables, entries, fresh = 300, 700, 64
+	rng := rand.New(rand.NewSource(1))
+	key := func(vip int) net.FlowKey {
+		return net.FlowKey{
+			SrcIP: net.IPv4(172, byte(rng.Uint32()), byte(rng.Uint32()), byte(rng.Uint32())),
+			DstIP: net.IPv4(20, 0, byte(vip>>8), byte(vip)), Proto: net.ProtoTCP,
+			SrcPort: uint16(rng.Uint32()), DstPort: 80,
+		}
+	}
+	type probe struct {
+		ft *FlowTable
+		k  net.FlowKey
+	}
+	fts := make([]*FlowTable, tables)
+	established := make([][]net.FlowKey, tables)
+	var pins []probe
+	for t := range fts {
+		fts[t] = NewFlowTable(1 << 16)
+		for fts[t].Len() < entries {
+			k := key(t)
+			if fts[t].Pin(k, net.IPv4(10, 0, 0, byte(1+rng.Intn(8)))) {
+				established[t] = append(established[t], k)
+			}
+		}
+		for range fresh {
+			pins = append(pins, probe{fts[t], key(t)})
+		}
+	}
+	hits := make([]probe, 1<<16)
+	for i := range hits {
+		t := rng.Intn(tables)
+		hits[i] = probe{fts[t], established[t][rng.Intn(entries)]}
+	}
+	rng.Shuffle(len(pins), func(i, j int) { pins[i], pins[j] = pins[j], pins[i] })
+	b.Run("hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p := &hits[i&(len(hits)-1)]
+			if _, ok := p.ft.Lookup(p.k); !ok {
+				b.Fatal("established flow missed")
+			}
+		}
+	})
+	newFlow := net.IPv4(10, 0, 1, 1)
+	b.Run("miss+pin", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			j := i % len(pins)
+			if j == 0 && i > 0 {
+				b.StopTimer()
+				for _, ft := range fts {
+					ft.EvictBackend(newFlow)
+				}
+				b.StartTimer()
+			}
+			p := &pins[j]
+			if _, ok := p.ft.Lookup(p.k); ok {
+				b.Fatal("new flow hit")
+			}
+			p.ft.Pin(p.k, newFlow)
+		}
+		b.StopTimer()
+		for _, ft := range fts {
+			ft.EvictBackend(newFlow)
+		}
+	})
+}
+
+// TestDecodeFlowSnapshotHeadroom decodes a capture, then one a single
+// entry larger into its storage: the first decode left an eighth of
+// headroom, so the second reuses the array and allocates nothing.
+func TestDecodeFlowSnapshotHeadroom(t *testing.T) {
+	entries := make([]ConnEntry, 651)
+	for i := range entries {
+		entries[i] = ConnEntry{Key: keyAt(i), Backend: net.IPv4(10, 0, 0, byte(i%8+1))}
+	}
+	capture, err := DecodeFlowSnapshotInto(nil, EncodeFlowSnapshot(entries[:650]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 650 + 650/8; cap(capture) != want {
+		t.Errorf("a 650-entry capture has capacity %d, want %d", cap(capture), want)
+	}
+	grown := EncodeFlowSnapshot(entries)
+	var got []ConnEntry
+	if allocs := testing.AllocsPerRun(10, func() { got, err = DecodeFlowSnapshotInto(capture, grown) }); allocs != 0 {
+		t.Errorf("decoding one more entry allocates %.1f objects, want 0", allocs)
+	}
+	if err != nil || !slices.Equal(got, entries) || &got[0] != &capture[0] {
+		t.Errorf("grown decode: err %v, %d entries, same array %v", err, len(got), &got[0] == &capture[0])
 	}
 }

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -61,5 +62,33 @@ func FuzzDecodeFlowSnapshot(f *testing.F) {
 		if out := EncodeFlowSnapshot(entries); !slices.Equal(out, words) {
 			t.Fatalf("re-encode mismatch:\naccepted %x\nre-encoded %x", words, out)
 		}
+	})
+}
+
+// FuzzFlowTableOps decodes bytes into the operation stream
+// checkFlowOps draws and checks the table against the map model. The
+// first byte's low bit picks the wide key space; each later draw reads
+// as many bytes as its bound needs, big-endian, modulo the bound, and
+// the stream ends when the input is spent.
+func FuzzFlowTableOps(f *testing.F) {
+	f.Add([]byte{})
+	for seed, size := range []int{64, 600, 3000} {
+		raw := make([]byte, size)
+		rand.New(rand.NewSource(int64(seed))).Read(raw)
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) == 0 {
+			return
+		}
+		wide, src := raw[0]&1 == 1, raw[1:]
+		intn := func(n int) int {
+			v := 0
+			for span := 1; span < n && len(src) > 0; span <<= 8 {
+				v, src = v<<8|int(src[0]), src[1:]
+			}
+			return v % n
+		}
+		checkFlowOps(t, intn, func() bool { return len(src) == 0 }, 2000, wide)
 	})
 }

@@ -222,9 +222,10 @@ type flowSnap struct {
 //
 // Each capture decodes into the storage of the one it replaces, once
 // every row has arrived and the stream has been validated: a failed
-// read leaves the last good capture intact, a table that did not grow
-// is captured without allocating, and one that grew gets an array of
-// exactly its size.
+// read leaves the last good capture intact, and a table that did not
+// outgrow the capture's array is captured without allocating. One that
+// did gets an array an eighth larger than its size, so a table growing
+// by a few pins per probe reuses it for the next several probes.
 func (c *Cluster) snapshotNode(now sim.Time, n *Node) {
 	for _, r := range n.stateful {
 		entries, err := c.readFlowSnapshot(n, r, r.snap.entries)
