@@ -81,7 +81,7 @@ type options struct {
 	gbps     float64
 	seed     int64
 	budget   int // concurrent PR-load cap for the budgeted cases
-	racks    int // rack count override (0 = auto, one rack per 64 nodes)
+	racks    int // gossip only: rack count override (0 = auto, one rack per 64 nodes)
 	// bench scenario only.
 	nodes    string // comma-separated fleet sizes
 	jsonPath string // where a drill writes its report (empty to skip)
@@ -100,7 +100,7 @@ func main() {
 	flag.Float64Var(&o.gbps, "gbps", 40, "offered load per device (Gbps)")
 	flag.Int64Var(&o.seed, "seed", 7, "workload and router seed (artifact drills default to their own)")
 	flag.IntVar(&o.budget, "budget", 0, "concurrent PR-load cap for the budgeted cases (default: the drill's own)")
-	flag.IntVar(&o.racks, "racks", 0, "rack count (0 = auto, one rack per 64 nodes)")
+	flag.IntVar(&o.racks, "racks", 0, "gossip: rack count (0 = auto, one rack per 64 nodes)")
 	flag.StringVar(&o.nodes, "nodes", "", "bench: comma-separated fleet sizes (default 100,300,1000,10000)")
 	flag.StringVar(&o.jsonPath, "json", "", "drill report path (default BENCH_<scenario>.json, bench: BENCH_fleet.json; empty to skip)")
 	flag.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event file; tracecheck: file to validate")
@@ -153,6 +153,11 @@ func fatal(err error) {
 }
 
 func run(w io.Writer, o options) error {
+	if o.racks != 0 && o.scenario != "gossip" {
+		// Only the gossip drill dispatches rack-first; elsewhere the rack
+		// count changes no output.
+		return fmt.Errorf("scenario %s ignores -racks (only gossip dispatches rack-first); drop it", o.scenario)
+	}
 	if d, ok := lookupDrill(o.scenario); ok {
 		return runDrill(w, d, o)
 	}
@@ -161,7 +166,6 @@ func run(w io.Writer, o options) error {
 	traffic.Seed = o.seed
 	cfg := fleet.DefaultConfig()
 	cfg.Seed = o.seed
-	cfg.Racks = o.racks
 
 	switch o.scenario {
 	case "scale":

@@ -160,6 +160,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run(&out, bad); err == nil {
 		t.Error("unknown app accepted")
 	}
+	for _, sc := range []string{"scale", "drill", "chaos", "bench"} {
+		o := opts(sc, 4)
+		o.racks = 3
+		if err := run(&out, o); err == nil || !strings.Contains(err.Error(), "-racks") {
+			t.Errorf("%s with -racks 3: err = %v, want a -racks error", sc, err)
+		}
+	}
 }
 
 // chaosRun is the one traced small storm both chaos tests check:

@@ -61,13 +61,13 @@ func TestFlowCacheIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{testApp, testSecApp} {
-		si := c.router.idx.svcs[name]
-		if si == nil {
-			t.Fatalf("service %s has no index", name)
+		svc := c.services[name]
+		if svc == nil {
+			t.Fatalf("service %s is not registered", name)
 		}
 		cached := 0
-		for s := range si.disp {
-			d := &si.disp[s]
+		for s := range svc.disp {
+			d := &svc.disp[s]
 			for _, r := range d.reps {
 				if r.Service != name {
 					t.Fatalf("service %s shard %d dispatch view holds %s replica", name, s, r.Service)

@@ -70,8 +70,8 @@ func (r *detRun) phase(st PhaseStats, err error) {
 // each node's per-service tallies count its replicas, every replica in
 // a node's set points back at that node and every placed replica is in
 // its node's set, each node's stateful list is exactly its stateful
-// replicas in name order, and the router's counters are the sum of the
-// services'.
+// replicas in name order, the router's counters are the sum of the
+// services', and the dispatch layout holds (layout). It only reads.
 func ledger(c *Cluster) []string {
 	var out []string
 	for _, n := range c.nodes {
@@ -98,14 +98,81 @@ func ledger(c *Cluster) []string {
 			out = append(out, fmt.Sprintf("%s placed on %q is not in its node's set", r.Name(), r.Node))
 		}
 	}
-	var sum RouterSnapshot
+	var sum ServiceSnapshot
 	for _, name := range c.Services() {
-		s := c.ServiceStats(name)
-		sum.Sent, sum.Served, sum.Dropped = sum.Sent+s.Sent, sum.Served+s.Served, sum.Dropped+s.Dropped
-		sum.HealthyServed, sum.Bytes = sum.HealthyServed+s.HealthyServed, sum.Bytes+s.Bytes
+		sum = sum.add(c.ServiceStats(name))
 	}
 	if got := c.RouterStats(); got != sum {
 		out = append(out, fmt.Sprintf("router counts %+v, services sum to %+v", got, sum))
+	}
+	return append(out, layout(c)...)
+}
+
+// layout checks the frozen dispatch layout against the naive scan:
+// every indexed ready replica is a candidates() replica, indexed once,
+// in its node's shard; every candidate missing from the index waits in
+// a live pending entry due after the last maturation; each service's
+// active list is exactly its non-empty shards, ascending; every node
+// sits once in its own rack's node list; and under RackP2C a node's
+// shard is its rack.
+func layout(c *Cluster) []string {
+	r := c.router
+	if !r.frozen {
+		return nil
+	}
+	var out []string
+	for _, svc := range c.svcOrder {
+		cands := c.candidates(svc.Name, c.now)
+		oracle := map[*Replica]bool{}
+		for _, rep := range cands {
+			oracle[rep] = false
+		}
+		var active []int
+		for s, ready := range svc.ready {
+			if len(ready) > 0 {
+				active = append(active, s)
+			}
+			for _, rep := range ready {
+				seen, ok := oracle[rep]
+				switch {
+				case !ok:
+					out = append(out, fmt.Sprintf("%s is indexed but not a candidate", rep.Name()))
+				case seen:
+					out = append(out, fmt.Sprintf("%s is indexed twice", rep.Name()))
+				}
+				oracle[rep] = true
+				if rep.node != nil && rep.node.shard != s {
+					out = append(out, fmt.Sprintf("%s is indexed in shard %d, its node in %d", rep.Name(), s, rep.node.shard))
+				}
+			}
+		}
+		if !slices.Equal(active, svc.active) {
+			out = append(out, fmt.Sprintf("%s lists active shards %v, holds ready replicas in %v", svc.Name, svc.active, active))
+		}
+		for _, rep := range cands {
+			if !oracle[rep] && !slices.ContainsFunc(r.pending, func(e pendingEntry) bool {
+				return e.r == rep && e.node == rep.node && e.readyAt == rep.ReadyAt && e.readyAt > r.matured
+			}) {
+				out = append(out, fmt.Sprintf("%s is a candidate but neither indexed nor pending", rep.Name()))
+			}
+		}
+	}
+	in := make([]int, len(c.nodes))
+	for rack, nodes := range c.racks.nodesIn {
+		for _, i := range nodes {
+			in[i]++
+			if c.nodes[i].rack != rack {
+				out = append(out, fmt.Sprintf("%s is listed in rack %d, sits in %d", c.nodes[i].ID, rack, c.nodes[i].rack))
+			}
+		}
+	}
+	for i, n := range c.nodes {
+		if in[i] != 1 {
+			out = append(out, fmt.Sprintf("%s is listed in %d racks", n.ID, in[i]))
+		}
+		if c.cfg.RackP2C && n.shard != n.rack {
+			out = append(out, fmt.Sprintf("%s is in shard %d, rack %d", n.ID, n.shard, n.rack))
+		}
 	}
 	return out
 }
@@ -292,7 +359,7 @@ func determinismRows(t *testing.T) []detRow {
 	gossip.GossipHealth, gossip.ServeWorkers = true, 1
 	racks, rackP2C, gossipDrill := gossip, gossip, gossip
 	racks.Racks, racks.ServeWorkers = 1, 0
-	rackP2C.Racks, rackP2C.RackP2C = 4, true
+	rackP2C.Racks, rackP2C.RackP2C, rackP2C.DerivedShedding = 4, true, true
 	gossipDrill.Racks, gossipDrill.RackP2C = 2, true
 	alert, rebalance := sharded, sharded
 	alert.SLOWindowTicks, alert.SlotRes = []int{2, 8, 24, 48}, coresSlotRes
@@ -326,8 +393,22 @@ func determinismRows(t *testing.T) []detRow {
 		},
 		{
 			// Rack-first dispatch: barrier-frozen digests, hash-drawn racks.
+			// Power loss takes rack 1 (nodes 2 and 3) whole, so its shard
+			// empties; under derived shedding an alarm takes node 0 out of
+			// dispatch until it cools and its replica re-enters.
 			name: "rack-p2c", base: rackP2C, build: lbFleet(8),
-			script:   killScript(lbTraffic, gossipDetect),
+			script: func(r *detRun) {
+				c := r.c
+				c.RunMonitorUntil(2 * c.cfg.ReconfigTime)
+				r.phase(lbTraffic(c, 120*sim.Microsecond, 0))
+				r.must(c.Overheat(c.Nodes()[0].ID, 70_000))
+				for _, n := range c.Nodes()[2:4] {
+					r.must(c.Kill(n.ID))
+				}
+				r.phase(lbTraffic(c, gossipDetect(c), 50))
+				r.must(c.Cool(c.Nodes()[0].ID))
+				r.phase(lbTraffic(c, 120*sim.Microsecond, 100))
+			},
 			variants: []detVariant{{0, 2, 0}, {0, 8, 0}},
 		},
 		{

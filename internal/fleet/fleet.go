@@ -99,10 +99,10 @@ type Config struct {
 	// in successful heartbeat probes per node (0 = every 8th probe).
 	SnapshotEvery int
 	// Racks groups the fleet into this many contiguous racks — the
-	// digest, metrics and gossip aggregation domains (and, with RackP2C,
-	// the dispatch tier). 0 picks one rack per 64 nodes. Without
-	// RackP2C the rack count never changes results: the tier is
-	// observational and dispatch stays on the flat sharded path.
+	// per-rack metrics domain (and, with RackP2C, the dispatch tier).
+	// 0 picks one rack per 64 nodes. Without RackP2C the rack count
+	// never changes results: the tier is observational and dispatch
+	// stays on the flat sharded path.
 	Racks int
 	// RackP2C enables rack-first dispatch: the router's shard layout
 	// nests in the racks (one shard per contiguous rack) and each
@@ -233,16 +233,23 @@ type Service struct {
 
 // service is the cluster's own record of a registered Service: its
 // registration index (which indexes every per-node tally), the
-// stateful backend pool, and the SLO engine's per-service state.
+// stateful backend pool, its part of the replica index with its
+// dispatch counters, and the SLO engine's per-service state.
 type service struct {
 	Service
 	idx int
 	// pool is the shared backend hash table (stateful services only).
 	pool *apps.Maglev
+	// svcIndex is the service's ready replicas, dispatch views and
+	// counters per router shard (index.go). Between barriers shard s's
+	// worker is the one writer of disp[s] and stats[s], each its own
+	// slice element; the ready lists and active set change only on the
+	// serial control-plane path.
+	svcIndex
 	// slo is the error-budget tracker; prev the counters seen at the
 	// last barrier; lastMilli the last traced burn rate per window,
 	// quantized to milli-burn, so the slo track records changes rather
-	// than every barrier (slo.go).
+	// than every barrier (slo.go). Only the serial barrier writes them.
 	slo       *obs.SLOTracker
 	prev      ServiceSnapshot
 	lastMilli []int64
@@ -361,9 +368,6 @@ type Node struct {
 
 // State reports the node's health state.
 func (n *Node) State() State { return n.state }
-
-// Slots reports how many PR slots the chip's headroom supports.
-func (n *Node) Slots() int { return n.slots }
 
 // LastTemp reports the most recent heartbeat temperature (milli-degC).
 func (n *Node) LastTemp() uint32 { return n.lastTemp }
@@ -539,13 +543,16 @@ func (c *Cluster) AddService(s Service) error {
 		}
 		svc.pool = pool
 	}
+	if c.router.frozen {
+		svc.size(len(c.router.shards))
+	}
 	c.services[s.Name] = svc
 	c.svcOrder = append(c.svcOrder, svc)
 	for _, n := range c.nodes {
 		n.svcCounts = append(n.svcCounts, 0)
 		n.fits = append(n.fits, n.staticFit(svc))
 	}
-	c.registerServiceMetrics(s.Name)
+	c.registerServiceMetrics(svc)
 	c.sloAddService(svc)
 	return nil
 }
@@ -819,15 +826,6 @@ func (c *Cluster) Node(id string) (*Node, error) {
 
 // Replicas lists every replica (placed or not) in creation order.
 func (c *Cluster) Replicas() []*Replica { return append([]*Replica(nil), c.replicas...) }
-
-// ReplicasOn lists the replicas placed on one node.
-func (c *Cluster) ReplicasOn(id string) []*Replica {
-	n, ok := c.byID[id]
-	if !ok {
-		return nil
-	}
-	return n.Replicas()
-}
 
 // Kill silently kills a device: every subsequent command on its wire is
 // corrupted until the driver gives up, so the device stops answering

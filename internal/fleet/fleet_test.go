@@ -33,7 +33,7 @@ func TestBuildClusterPlacesAndSpreads(t *testing.T) {
 		if n.State() != Healthy {
 			t.Errorf("%s state = %s, want healthy", n.ID, n.State())
 		}
-		if n.Slots() == 0 {
+		if n.slots == 0 {
 			t.Errorf("%s has no PR slots", n.ID)
 		}
 		// Anti-affinity: 3 replicas over 3 devices must spread 1:1:1,
@@ -84,7 +84,7 @@ func TestCommissionAdaptsHeterogeneousMemory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Commission(device-b): %v", err)
 	}
-	if n.Slots() == 0 {
+	if n.slots == 0 {
 		t.Error("device-b supports no slots after URAM folding")
 	}
 
@@ -122,7 +122,7 @@ func TestKillFailoverLeavesVictimEmpty(t *testing.T) {
 	if n.State() != Drained {
 		t.Fatalf("victim state = %s, want drained", n.State())
 	}
-	if got := len(c.ReplicasOn(victim)); got != 0 {
+	if got := len(n.Replicas()); got != 0 {
 		t.Fatalf("%d placements remain on failed device %s, want 0", got, victim)
 	}
 	for _, r := range c.Replicas() {
@@ -223,13 +223,13 @@ func TestDrainNodeEvacuatesPlanned(t *testing.T) {
 	if n.State() != Drained {
 		t.Errorf("state = %s, want drained", n.State())
 	}
-	if got := len(c.ReplicasOn(id)); got != 0 {
+	if got := len(n.Replicas()); got != 0 {
 		t.Errorf("%d replicas remain on drained node", got)
 	}
 	// A drained node is live: the tenancy manager really evicted, so its
 	// slots are free again.
-	if free := n.Tenants.FreeSlots(); free != n.Slots() {
-		t.Errorf("drained node has %d free slots, want %d", free, n.Slots())
+	if free := n.Tenants.FreeSlots(); free != n.slots {
+		t.Errorf("drained node has %d free slots, want %d", free, n.slots)
 	}
 }
 
@@ -257,9 +257,9 @@ func TestRouteAvoidsDeadDevice(t *testing.T) {
 		t.Errorf("%d drops routing around a drained device", stats.Dropped)
 	}
 	// The drained device's datapath must have taken nothing.
-	for _, ns := range c.Fleet(c.Now()) {
-		if ns.ID == victim && ns.Served != 0 {
-			t.Errorf("dead device %s served %d packets", victim, ns.Served)
+	for _, n := range c.Nodes() {
+		if served := n.Net.RxStats().Units; n.ID == victim && served != 0 {
+			t.Errorf("dead device %s served %d packets", victim, served)
 		}
 	}
 }
@@ -321,9 +321,9 @@ func TestServeAggregateThroughput(t *testing.T) {
 		t.Errorf("p99 %v below p50 %v", stats.P99, stats.P50)
 	}
 	// Both replicas should take a share under two-choice balancing.
-	for _, ns := range c.Fleet(c.Now()) {
-		if ns.Served == 0 {
-			t.Errorf("device %s served nothing under balanced dispatch", ns.ID)
+	for _, n := range c.Nodes() {
+		if n.Net.RxStats().Units == 0 {
+			t.Errorf("device %s served nothing under balanced dispatch", n.ID)
 		}
 	}
 }

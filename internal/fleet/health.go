@@ -101,7 +101,7 @@ func (c *Cluster) setStateDone(now, completed sim.Time, n *Node, to State, reaso
 	// routability-preserving one (healthy↔degraded) changes the frozen
 	// cost penalty the SoA view carries.
 	c.router.bumpEpoch()
-	c.router.idx.noteState(n, from, to)
+	c.router.noteState(n, from, to)
 	// Keep the gossip detector's membership view in step: nodes dead to
 	// the fleet stop being probed, revived nodes rejoin with a fresh
 	// incarnation.
@@ -153,7 +153,7 @@ func (c *Cluster) Heartbeat(now sim.Time) []Transition {
 	// A heartbeat is a control-plane barrier: backlog mirrors, frozen
 	// penalties (lastTemp moves below) and flow caches all go stale.
 	c.router.bumpEpoch()
-	c.router.idx.mature(now)
+	c.router.mature(now)
 	if c.cfg.GossipHealth {
 		t := c.gossipHeartbeat(now)
 		c.barrierTail(now)

@@ -8,10 +8,13 @@ import (
 // The replica index maintains, incrementally, the per-service set of
 // dispatchable replicas — the same set candidates() derives by scanning
 // every replica — so the router's fast path never walks the fleet per
-// packet. The index is partitioned by router shard: each shard owns the
-// replicas placed on its nodes, and a shard's ready list is read-only
-// between control-plane barriers (heartbeat ticks), which is what lets
-// Serve's packet loop run shards in parallel without locks.
+// packet. Each registered service holds its own part of the index
+// (svcIndex, embedded in the service record); the router holds the
+// pending heap and the maintenance points below. The index is
+// partitioned by router shard: each shard owns the replicas placed on
+// its nodes, and a shard's ready list is read-only between
+// control-plane barriers (heartbeat ticks), which is what lets Serve's
+// packet loop run shards in parallel without locks.
 //
 // Maintenance points:
 //   - admit: a freshly placed replica is pending until its slot
@@ -22,17 +25,12 @@ import (
 //   - health transitions: a node leaving the routable states (healthy,
 //     degraded) takes all its ready replicas with it.
 
-// routable reports whether a node in this state takes traffic; the
-// policy lives on the cluster (derived shedding excludes degraded
-// nodes) so the index and the naive scan always agree.
-func (idx *replicaIndex) routable(s State) bool { return idx.c.routableState(s) }
-
 // pendingEntry is a replica waiting out its slot reconfiguration. The
 // placement snapshot (node, readyAt) invalidates the entry lazily when
 // the replica has been moved or evicted before maturing.
 type pendingEntry struct {
 	r       *Replica
-	node    string
+	node    *Node
 	readyAt sim.Time
 }
 
@@ -41,20 +39,18 @@ func (e pendingEntry) key() sim.Time { return e.readyAt }
 // svcShardStats is one (service, shard) dispatch counter set. Each
 // shard's worker owns its entry between control-plane barriers (the
 // same ownership rule as routerShard), so per-service accounting rides
-// the batched path without locks; shed counts drops caused by the
-// class shedding order (bulk excluded from thermally eroded nodes),
-// a subset of dropped.
+// the batched path without locks.
 type svcShardStats struct {
-	sent, served, dropped int64
-	healthy               int64
-	shed                  int64
-	bytes                 int64
+	ServiceSnapshot
 	// hist is the service's share of the current measurement window's
 	// latency distribution.
 	hist metrics.Histogram
 }
 
-// svcIndex is one service's dispatchable replicas, per router shard.
+// svcIndex is one service's dispatchable replicas and dispatch
+// counters, per router shard. Every slice is sized on the serial path
+// when the router freezes its shard layout, so the per-shard workers
+// only ever index into them.
 type svcIndex struct {
 	// ready holds the matured, routable replicas of each shard, in
 	// maturation order (deterministic: all mutations happen on the
@@ -64,77 +60,17 @@ type svcIndex struct {
 	// the flow-hash remap target set, so flows never hash onto a shard
 	// that has nothing to serve.
 	active []int
-	// disp holds each shard's flattened dispatch view (router.go). The
-	// slice is sized here, on the serial path, so the per-shard lazy
-	// rebuilds only ever index into it — workers never append.
-	disp []shardDisp
-	// bulk mirrors the service's class (fleet.go): bulk services are
-	// excluded from nodes past the bulk-shed line when the dispatch view
-	// rebuilds.
-	bulk bool
-	// stats holds the per-shard service counters, sized on the serial
-	// path like disp.
+	// disp holds each shard's flattened dispatch view (router.go) and
+	// stats its counters.
+	disp  []shardDisp
 	stats []svcShardStats
 }
 
-// replicaIndex is the cluster-wide incremental index.
-type replicaIndex struct {
-	c      *Cluster
-	shards int
-	frozen bool
-	svcs   map[string]*svcIndex
-	// pending is a min-heap on readyAt (heapPush/heapPop).
-	pending []pendingEntry
-}
-
-func newReplicaIndex(c *Cluster) *replicaIndex {
-	return &replicaIndex{c: c, svcs: make(map[string]*svcIndex)}
-}
-
-// freeze fixes the shard count and builds the index from the current
-// placement state. Until the first routing operation freezes the
-// router, placement churn is absorbed here in one pass instead of
-// being tracked incrementally.
-func (idx *replicaIndex) freeze(shards int) {
-	idx.shards = shards
-	idx.frozen = true
-	idx.svcs = make(map[string]*svcIndex)
-	idx.pending = idx.pending[:0]
-	for _, r := range idx.c.replicas {
-		if r.Node == "" {
-			continue
-		}
-		idx.noteAdmit(r, idx.c.now)
-	}
-}
-
-// svc returns (creating if needed) one service's index.
-func (idx *replicaIndex) svc(name string) *svcIndex {
-	si, ok := idx.svcs[name]
-	if !ok {
-		si = &svcIndex{
-			ready: make([][]*Replica, idx.shards),
-			disp:  make([]shardDisp, idx.shards),
-			stats: make([]svcShardStats, idx.shards),
-		}
-		if s, ok := idx.c.services[name]; ok {
-			si.bulk = s.Class == ClassBulk
-		}
-		idx.svcs[name] = si
-	}
-	return si
-}
-
-// addReady appends a matured replica to its shard's ready list. Any
-// ready-list change is a placement transition: the dispatch epoch
-// bumps so stale shard views and flow caches die lazily.
-func (idx *replicaIndex) addReady(r *Replica, shard int) {
-	si := idx.svc(r.Service)
-	if len(si.ready[shard]) == 0 {
-		si.activate(shard)
-	}
-	si.ready[shard] = append(si.ready[shard], r)
-	idx.c.router.bumpEpoch()
+// size allocates the per-shard state for the frozen shard count.
+func (si *svcIndex) size(shards int) {
+	si.ready = make([][]*Replica, shards)
+	si.disp = make([]shardDisp, shards)
+	si.stats = make([]svcShardStats, shards)
 }
 
 // activate inserts a shard id into the sorted active list.
@@ -158,42 +94,60 @@ func (si *svcIndex) deactivate(shard int) {
 	}
 }
 
+// snapshot merges one service's per-shard counters.
+func (si *svcIndex) snapshot() ServiceSnapshot {
+	var snap ServiceSnapshot
+	for i := range si.stats {
+		snap = snap.add(si.stats[i].ServiceSnapshot)
+	}
+	return snap
+}
+
+// addReady appends a matured replica to its shard's ready list. Any
+// ready-list change is a placement transition: the dispatch epoch
+// bumps so stale shard views and flow caches die lazily.
+func (r *router) addReady(rep *Replica, shard int) {
+	si := &rep.svc.svcIndex
+	if len(si.ready[shard]) == 0 {
+		si.activate(shard)
+	}
+	si.ready[shard] = append(si.ready[shard], rep)
+	r.bumpEpoch()
+}
+
 // noteAdmit indexes a replica the placement scheduler just admitted (or,
 // during freeze, an existing placement): pending until ReadyAt, ready
 // immediately when its reconfiguration already completed.
-func (idx *replicaIndex) noteAdmit(r *Replica, now sim.Time) {
-	if !idx.frozen {
+func (r *router) noteAdmit(rep *Replica, now sim.Time) {
+	if !r.frozen {
 		return
 	}
-	n := idx.c.byID[r.Node]
-	if r.ReadyAt > now {
-		idx.pending = heapPush(idx.pending, pendingEntry{r: r, node: r.Node, readyAt: r.ReadyAt}, pendingEntry.key)
+	n := rep.node
+	if rep.ReadyAt > now {
+		r.pending = heapPush(r.pending, pendingEntry{r: rep, node: n, readyAt: rep.ReadyAt}, pendingEntry.key)
 		return
 	}
-	if idx.routable(n.state) {
-		idx.addReady(r, n.shard)
+	if r.c.routableState(n.state) {
+		r.addReady(rep, n.shard)
 	}
 }
 
 // noteRemove drops a replica leaving a node (eviction, failover). The
 // ready list keeps its relative order so routing stays deterministic;
 // a pending entry, if any, dies lazily on maturation.
-func (idx *replicaIndex) noteRemove(r *Replica, n *Node) {
-	if !idx.frozen {
+func (r *router) noteRemove(rep *Replica, n *Node) {
+	if !r.frozen {
 		return
 	}
-	si, ok := idx.svcs[r.Service]
-	if !ok {
-		return
-	}
+	si := &rep.svc.svcIndex
 	list := si.ready[n.shard]
 	for i, have := range list {
-		if have == r {
+		if have == rep {
 			si.ready[n.shard] = append(list[:i], list[i+1:]...)
 			if len(si.ready[n.shard]) == 0 {
 				si.deactivate(n.shard)
 			}
-			idx.c.router.bumpEpoch()
+			r.bumpEpoch()
 			return
 		}
 	}
@@ -207,56 +161,39 @@ func (idx *replicaIndex) noteRemove(r *Replica, n *Node) {
 // discarded while the node was unroutable re-enters here, and no
 // double-add is possible because maturation ran before this transition
 // on the same control-plane tick.
-func (idx *replicaIndex) noteState(n *Node, from, to State) {
-	if !idx.frozen || idx.routable(from) == idx.routable(to) {
+func (r *router) noteState(n *Node, from, to State) {
+	if !r.frozen || r.c.routableState(from) == r.c.routableState(to) {
 		return
 	}
-	if idx.routable(to) {
-		for _, r := range n.Replicas() {
-			if r.ReadyAt <= idx.c.now {
-				idx.addReady(r, n.shard)
+	if r.c.routableState(to) {
+		for _, rep := range n.Replicas() {
+			if rep.ReadyAt <= r.c.now {
+				r.addReady(rep, n.shard)
 			}
 		}
 		return
 	}
-	for _, r := range n.replicas {
-		idx.noteRemove(r, n)
+	for _, rep := range n.replicas {
+		r.noteRemove(rep, n)
 	}
 }
 
 // mature moves pending replicas whose reconfiguration completed by now
 // into their shard's ready list. Runs at control-plane ticks; O(1) when
 // nothing is due.
-func (idx *replicaIndex) mature(now sim.Time) {
-	if !idx.frozen {
+func (r *router) mature(now sim.Time) {
+	if !r.frozen {
 		return
 	}
-	for len(idx.pending) > 0 && idx.pending[0].readyAt <= now {
+	r.matured = now
+	for len(r.pending) > 0 && r.pending[0].readyAt <= now {
 		var e pendingEntry
-		idx.pending, e = heapPop(idx.pending, pendingEntry.key)
+		r.pending, e = heapPop(r.pending, pendingEntry.key)
 		// Stale entries: the replica moved or was evicted before
 		// maturing, or its node stopped taking traffic.
-		if e.r.Node != e.node || e.r.ReadyAt != e.readyAt {
+		if e.r.node != e.node || e.r.ReadyAt != e.readyAt || !r.c.routableState(e.node.state) {
 			continue
 		}
-		n := idx.c.byID[e.node]
-		if !idx.routable(n.state) {
-			continue
-		}
-		idx.addReady(e.r, n.shard)
+		r.addReady(e.r, e.node.shard)
 	}
-}
-
-// candidatesOf lists every indexed ready replica of a service across
-// shards, for oracle cross-checking against the naive scan.
-func (idx *replicaIndex) candidatesOf(svc string) []*Replica {
-	si, ok := idx.svcs[svc]
-	if !ok {
-		return nil
-	}
-	var out []*Replica
-	for _, s := range si.active {
-		out = append(out, si.ready[s]...)
-	}
-	return out
 }

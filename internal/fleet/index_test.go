@@ -8,13 +8,24 @@ import (
 	"harmonia/internal/sim"
 )
 
+// indexed lists every indexed ready replica of a service, across its
+// active shards.
+func indexed(c *Cluster, name string) []*Replica {
+	svc := c.services[name]
+	var out []*Replica
+	for _, s := range svc.active {
+		out = append(out, svc.ready[s]...)
+	}
+	return out
+}
+
 // checkIndexConsistency cross-checks the incremental replica index
 // against the naive candidates() scan — the oracle it replaces — for
 // every registered service at the cluster's current time.
 func checkIndexConsistency(t *testing.T, c *Cluster, when string) {
 	t.Helper()
 	c.router.freeze()
-	c.router.idx.mature(c.now)
+	c.router.mature(c.now)
 	names := func(rs []*Replica) []string {
 		out := make([]string, len(rs))
 		for i, r := range rs {
@@ -25,7 +36,7 @@ func checkIndexConsistency(t *testing.T, c *Cluster, when string) {
 	}
 	for _, svc := range c.Services() {
 		want := names(c.candidates(svc, c.now))
-		got := names(c.router.idx.candidatesOf(svc))
+		got := names(indexed(c, svc))
 		if len(want) != len(got) {
 			t.Fatalf("%s: %s: index has %d candidates, scan has %d\nindex: %v\nscan:  %v",
 				when, svc, len(got), len(want), got, want)
@@ -49,7 +60,7 @@ func TestIndexMatchesScanThroughLifecycle(t *testing.T) {
 	checkIndexConsistency(t, c, "before maturation") // all pending
 	c.RunMonitorUntil(2 * cfg.ReconfigTime)
 	checkIndexConsistency(t, c, "after maturation")
-	if got := len(c.router.idx.candidatesOf(testApp)); got != 4 {
+	if got := len(indexed(c, testApp)); got != 4 {
 		t.Fatalf("index holds %d matured replicas, want 4", got)
 	}
 
@@ -61,7 +72,7 @@ func TestIndexMatchesScanThroughLifecycle(t *testing.T) {
 	checkIndexConsistency(t, c, "after failover (replacement pending)")
 	c.RunMonitorUntil(c.Now() + 2*cfg.ReconfigTime)
 	checkIndexConsistency(t, c, "after replacement matured")
-	for _, r := range c.router.idx.candidatesOf(testApp) {
+	for _, r := range indexed(c, testApp) {
 		if r.Node == victim {
 			t.Fatalf("index still lists replica %s on dead node %s", r.Name(), victim)
 		}

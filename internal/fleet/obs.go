@@ -236,23 +236,22 @@ func (c *Cluster) registerMetrics() {
 }
 
 // registerServiceMetrics wires one service's labeled dispatch counters
-// at registration time (AddService): the callbacks re-look the svcIndex
-// up per read, because the router's freeze rebuilds the index map.
-func (c *Cluster) registerServiceMetrics(name string) {
-	labels := map[string]string{"service": name}
+// at registration time (AddService), reading its record through.
+func (c *Cluster) registerServiceMetrics(svc *service) {
+	labels := map[string]string{"service": svc.Name}
 	reg := c.reg
 	reg.CounterL(mSvcSent, labels, "Packets offered per service.",
-		func() int64 { return c.ServiceStats(name).Sent })
+		func() int64 { return svc.snapshot().Sent })
 	reg.CounterL(mSvcServed, labels, "Packets served per service.",
-		func() int64 { return c.ServiceStats(name).Served })
+		func() int64 { return svc.snapshot().Served })
 	reg.CounterL(mSvcDropped, labels, "Packets dropped per service.",
-		func() int64 { return c.ServiceStats(name).Dropped })
+		func() int64 { return svc.snapshot().Dropped })
 	reg.CounterL(mSvcHealthy, labels, "Served packets landing on Healthy nodes, per service.",
-		func() int64 { return c.ServiceStats(name).HealthyServed })
+		func() int64 { return svc.snapshot().HealthyServed })
 	reg.CounterL(mSvcShed, labels, "Drops caused by the class shedding order, per service.",
-		func() int64 { return c.ServiceStats(name).Shed })
+		func() int64 { return svc.snapshot().Shed })
 	reg.CounterL(mSvcBytes, labels, "Wire bytes served per service.",
-		func() int64 { return c.ServiceStats(name).Bytes })
+		func() int64 { return svc.snapshot().Bytes })
 }
 
 // Metrics returns the cluster's metrics registry.

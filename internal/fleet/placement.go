@@ -118,7 +118,7 @@ func (c *Cluster) bind(now sim.Time, n *Node, r *Replica, t *tenancy.Tenant, flo
 		n.addStateful(r)
 		r.flows = flows
 	}
-	c.router.idx.noteAdmit(r, now)
+	c.router.noteAdmit(r, now)
 }
 
 // unbind takes a replica off node n: the one way a replica leaves a
@@ -135,7 +135,7 @@ func (c *Cluster) unbind(now sim.Time, n *Node, r *Replica, evict bool) {
 		// Blank the slot; co-resident tenants keep running.
 		_, _ = n.Tenants.Evict(now, r.Tenant)
 	}
-	c.router.idx.noteRemove(r, n)
+	c.router.noteRemove(r, n)
 	delete(n.replicas, r.Name())
 	n.svcCounts[r.svc.idx]--
 	r.Node, r.node, r.Tenant, r.ReadyAt = "", nil, 0, 0

@@ -9,18 +9,19 @@ import (
 
 // The rack tier groups the fleet's nodes into contiguous racks — the
 // same contiguous blocks the failure model's rack-power-loss faults
-// cut — and maintains per-rack aggregate digests: datapath queue
-// backlog, ready replicas and node health counts. The digests refresh
-// on the serial control-plane path at barriers (heartbeat ticks and
-// phase starts), never per packet, so they are worker-count
-// deterministic by the same ownership rule as the router shards.
+// cut. The registry reads per-rack backlog, ready-replica and
+// down-node gauges through on demand; only under RackP2C does the
+// per-rack backlog digest also refresh on the serial control-plane
+// path at barriers (heartbeat ticks and phase starts), never per
+// packet, so it is worker-count deterministic by the same ownership
+// rule as the router shards.
 //
 // Two dispatch modes:
 //
 //   - Default (RackP2C off): the rack tier is observational — it feeds
-//     the registry's per-rack metrics and groups the gossip domain —
-//     and dispatch is exactly the flat sharded path, so same-seed
-//     results are byte-identical across rack counts.
+//     only the registry's per-rack metrics — and dispatch is exactly
+//     the flat sharded path, so same-seed results are byte-identical
+//     across rack counts.
 //
 //   - RackP2C: the router's shard layout nests in the racks (one
 //     shard per rack, contiguous nodes), and each packet first
@@ -36,14 +37,11 @@ const autoRackNodes = 64
 
 // rackTier is the cluster's rack grouping and digest state.
 type rackTier struct {
-	c      *Cluster
-	frozen bool
-	count  int
-	// rackOf maps node commission index -> rack id. Racks are
-	// contiguous blocks of the commission order; nodes commissioned
-	// after the freeze join racks round-robin.
-	rackOf []int
-	// nodesIn lists node indices per rack.
+	c     *Cluster
+	count int
+	// nodesIn lists node indices per rack. Racks are contiguous blocks
+	// of the commission order; nodes commissioned after the freeze join
+	// racks round-robin. A node's own rack is Node.rack.
 	nodesIn [][]int
 	// queue is the per-rack aggregate datapath backlog, refreshed at
 	// barriers (refreshedAt guards re-entry at one instant).
@@ -72,19 +70,13 @@ func (c *Cluster) rackCount(n int) int {
 // size and every node joins its contiguous block. Runs once, from the
 // router's own freeze.
 func (rt *rackTier) freeze() {
-	if rt.frozen {
-		return
-	}
-	rt.frozen = true
 	n := len(rt.c.nodes)
 	rt.count = rt.c.rackCount(n)
-	rt.rackOf = make([]int, n)
 	rt.nodesIn = make([][]int, rt.count)
-	for i := range rt.rackOf {
+	for i, node := range rt.c.nodes {
 		r := i * rt.count / n
-		rt.rackOf[i] = r
 		rt.nodesIn[r] = append(rt.nodesIn[r], i)
-		rt.c.nodes[i].rack = r
+		node.rack = r
 	}
 	rt.queue = make([]sim.Time, rt.count)
 	rt.c.registerRackMetrics()
@@ -94,7 +86,6 @@ func (rt *rackTier) freeze() {
 // round-robin by commission index (mirroring the shard join rule).
 func (rt *rackTier) join(i int) int {
 	r := i % rt.count
-	rt.rackOf = append(rt.rackOf, r)
 	rt.nodesIn[r] = append(rt.nodesIn[r], i)
 	return r
 }
@@ -106,7 +97,7 @@ func (rt *rackTier) join(i int) int {
 // refreshes eagerly (and traces the refresh); the observational
 // default computes digests on demand at metric-snapshot time.
 func (rt *rackTier) refresh(now sim.Time) {
-	if !rt.frozen || (rt.refreshes > 0 && now == rt.refreshedAt) {
+	if !rt.c.router.frozen || (rt.refreshes > 0 && now == rt.refreshedAt) {
 		return
 	}
 	rt.refreshedAt = now
@@ -138,9 +129,6 @@ func (rt *rackTier) refresh(now sim.Time) {
 // the metric-snapshot path, which must not disturb the barrier-frozen
 // dispatch digests.
 func (rt *rackTier) digestQueue(r int) sim.Time {
-	if !rt.frozen {
-		return 0
-	}
 	var q sim.Time
 	for _, i := range rt.nodesIn[r] {
 		q += rt.c.nodes[i].QueueDepth(rt.c.now)
@@ -158,53 +146,7 @@ func (c *Cluster) rackRefresh(now sim.Time) {
 
 // RackCount reports the frozen rack count (0 before the first routing
 // operation freezes the layout).
-func (c *Cluster) RackCount() int {
-	if !c.racks.frozen {
-		return 0
-	}
-	return c.racks.count
-}
-
-// RackStats is one rack's aggregate view for operator output.
-type RackStats struct {
-	Rack     int
-	Nodes    int
-	Healthy  int
-	Degraded int
-	Down     int
-	// Ready is the rack's ready replica count across services.
-	Ready int
-	// QueuePs is the rack's aggregate datapath backlog.
-	QueuePs sim.Time
-}
-
-// Racks reports per-rack aggregates at the cluster's current time.
-func (c *Cluster) Racks() []RackStats {
-	rt := c.racks
-	if !rt.frozen {
-		return nil
-	}
-	out := make([]RackStats, rt.count)
-	for r := range out {
-		out[r] = RackStats{Rack: r, Nodes: len(rt.nodesIn[r]), QueuePs: rt.digestQueue(r)}
-		for _, i := range rt.nodesIn[r] {
-			switch rt.c.nodes[i].state {
-			case Healthy:
-				out[r].Healthy++
-			case Degraded:
-				out[r].Degraded++
-			default:
-				out[r].Down++
-			}
-		}
-	}
-	for _, rep := range c.replicas {
-		if rep.node != nil && rep.ReadyAt <= c.now && c.routableState(rep.node.state) {
-			out[rep.node.rack].Ready++
-		}
-	}
-	return out
-}
+func (c *Cluster) RackCount() int { return c.racks.count }
 
 // Rack metric names.
 const (

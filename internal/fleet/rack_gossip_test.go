@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 
 	"harmonia/internal/faults"
@@ -9,7 +10,7 @@ import (
 
 // TestRackP2CServesAndGroups sanity-checks the rack-first path: the
 // shard layout nests in the racks, traffic serves, and the per-rack
-// aggregates cover the fleet.
+// node lists and ready-replica gauges cover the fleet.
 func TestRackP2CServesAndGroups(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Racks = 4
@@ -32,16 +33,17 @@ func TestRackP2CServesAndGroups(t *testing.T) {
 	if got := len(c.router.shards); got != 4 {
 		t.Fatalf("shard count = %d, want one per rack", got)
 	}
-	total, ready := 0, 0
-	for _, rs := range c.Racks() {
-		total += rs.Nodes
-		ready += rs.Ready
+	total, ready := 0, 0.0
+	gauges := c.Metrics().Values()
+	for r := range c.racks.nodesIn {
+		total += len(c.racks.nodesIn[r])
+		ready += gauges[fmt.Sprintf("harmonia_rack_replicas_ready{rack=\"%03d\"}", r)]
 	}
 	if total != 8 {
-		t.Errorf("rack node aggregates sum to %d, want 8", total)
+		t.Errorf("rack node lists sum to %d, want 8", total)
 	}
 	if ready != 8 {
-		t.Errorf("rack ready aggregates sum to %d, want 8", ready)
+		t.Errorf("rack ready gauges sum to %g, want 8", ready)
 	}
 	// Shard = rack: every node's shard must equal its rack.
 	for _, n := range c.Nodes() {

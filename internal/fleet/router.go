@@ -20,8 +20,9 @@ import (
 //
 // Dispatch state is sharded. Each shard owns a disjoint subset of the
 // fleet's nodes (node commission index mod shard count) together with
-// its own RNG and its per-service counters and latency histograms
-// (svcShardStats, the one place a routed packet is counted); flows hash
+// its own RNG and, on every service's record, that service's counters
+// and latency histogram for the shard (svcShardStats, the one place a
+// routed packet is counted); flows hash
 // onto shards, remapped over the shards that currently hold ready
 // replicas. Between control-plane barriers (heartbeat ticks) a shard's
 // state is touched by exactly one goroutine, which is what lets Serve
@@ -171,13 +172,19 @@ func (sh *routerShard) traceDrop(now sim.Time, node string) {
 	sh.trace.Add(e)
 }
 
-// router holds the sharded dispatch state.
+// router holds the sharded dispatch state: the one shard and rack
+// layout freeze, and the replica index's pending heap and maintenance
+// points (index.go); each service holds its own ready lists.
 type router struct {
 	c      *Cluster
 	seed   int64
 	frozen bool
 	shards []*routerShard
-	idx    *replicaIndex
+	// pending is a min-heap on readyAt (heapPush/heapPop) of replicas
+	// waiting out their reconfiguration; matured is the time of the
+	// last maturation.
+	pending []pendingEntry
+	matured sim.Time
 	// epoch is the dispatch epoch. Every control-plane barrier and
 	// every health or placement transition bumps it, lazily invalidating
 	// the per-shard SoA views and flow route caches; all bumps happen on
@@ -189,7 +196,7 @@ type router struct {
 
 func newRouter(c *Cluster, seed int64) *router {
 	// epoch starts at 1 so zero-valued dispatch views are born stale.
-	return &router{c: c, seed: seed, idx: newReplicaIndex(c), epoch: 1}
+	return &router{c: c, seed: seed, epoch: 1}
 }
 
 // bumpEpoch invalidates every shard's dispatch view and flow cache.
@@ -217,9 +224,11 @@ func (r *router) shardCount() int {
 	return s
 }
 
-// freeze fixes the shard layout on the first routing operation: the
-// shard count resolves from the fleet size, nodes get their shard
-// assignment, and the replica index builds. Nodes commissioned later
+// freeze fixes the shard and rack layout on the first routing
+// operation: the rack and shard counts resolve from the fleet size,
+// nodes get their rack and shard, every registered service's index is
+// sized, and the index builds from the current placement state (until
+// now, placement churn was not tracked). Nodes commissioned later
 // join shards round-robin; the shard count never changes afterwards,
 // so seeded phases stay reproducible.
 func (r *router) freeze() {
@@ -239,12 +248,19 @@ func (r *router) freeze() {
 		if r.c.cfg.RackP2C {
 			// Shard = rack: the in-shard two-choice below becomes the
 			// in-rack router, over one contiguous block of nodes.
-			n.shard = r.c.racks.rackOf[i]
+			n.shard = n.rack
 		} else {
 			n.shard = i % s
 		}
 	}
-	r.idx.freeze(s)
+	for _, svc := range r.c.svcOrder {
+		svc.size(s)
+	}
+	for _, rep := range r.c.replicas {
+		if rep.node != nil {
+			r.noteAdmit(rep, r.c.now)
+		}
+	}
 	r.c.attachShardTraces()
 	r.c.rackRefresh(r.c.now)
 }
@@ -272,10 +288,10 @@ func (c *Cluster) candidates(svc string, now sim.Time) []*Replica {
 // it when the dispatch epoch moved since it was last built. Runs on
 // the shard owner's goroutine: distinct shards rebuild concurrently,
 // but each touches only its own shard state and nodes (a node belongs
-// to exactly one shard), and si.disp was sized on the serial path, so
+// to exactly one shard), and svc.disp was sized on the serial path, so
 // no allocation or write here is shared across workers.
-func (r *router) refreshDisp(si *svcIndex, s int) *shardDisp {
-	d := &si.disp[s]
+func (r *router) refreshDisp(svc *service, s int) *shardDisp {
+	d := &svc.disp[s]
 	if d.epoch == r.epoch {
 		return d
 	}
@@ -289,10 +305,10 @@ func (r *router) refreshDisp(si *svcIndex, s int) *shardDisp {
 	d.vip = d.vip[:0]
 	d.slot = d.slot[:0]
 	d.steerable = d.steerable[:0]
-	d.bulk = si.bulk
+	d.bulk = svc.Class == ClassBulk
 	d.shed = 0
 	derived := r.c.cfg.DerivedShedding
-	for _, rep := range si.ready[s] {
+	for _, rep := range svc.ready[s] {
 		n := rep.node
 		// Class shedding order: a bulk service's replicas leave the
 		// dispatch view once their node's thermal margin erodes past the
@@ -300,7 +316,7 @@ func (r *router) refreshDisp(si *svcIndex, s int) *shardDisp {
 		// co-resident latency-critical traffic. lastTemp only moves at
 		// barriers (which bump the epoch), so the exclusion is frozen
 		// per view like every other penalty input.
-		if si.bulk && derived && r.c.shedsBulk(n.lastTemp) {
+		if d.bulk && derived && r.c.shedsBulk(n.lastTemp) {
 			d.shed++
 			continue
 		}
@@ -421,8 +437,8 @@ func (c *Cluster) routeCached(sh *routerShard, d *shardDisp, h uint64, now sim.T
 // whose cost is O(1) in the fleet size. Both candidate indices come
 // from disjoint bit slices of the flow hash, so dispatch is RNG-free
 // and identical for a flow no matter which worker routes it.
-func (r *router) dispatchShard(si *svcIndex, h uint64) int {
-	act := si.active
+func (r *router) dispatchShard(svc *service, h uint64) int {
+	act := svc.active
 	if !r.c.cfg.RackP2C || len(act) < 2 {
 		return act[int(h%uint64(len(act)))]
 	}
@@ -434,8 +450,8 @@ func (r *router) dispatchShard(si *svcIndex, h uint64) int {
 	a, b := act[i], act[j]
 	// Compare backlog per ready replica without division:
 	// queue[a]/|ready[a]| vs queue[b]/|ready[b]| cross-multiplied.
-	qa := int64(r.c.racks.queue[a]) * int64(len(si.ready[b]))
-	qb := int64(r.c.racks.queue[b]) * int64(len(si.ready[a]))
+	qa := int64(r.c.racks.queue[a]) * int64(len(svc.ready[b]))
+	qb := int64(r.c.racks.queue[b]) * int64(len(svc.ready[a]))
 	switch {
 	case qa < qb:
 		return a
@@ -448,27 +464,42 @@ func (r *router) dispatchShard(si *svcIndex, h uint64) int {
 	}
 }
 
-// RouterSnapshot is the router's cumulative view. HealthyServed counts
-// served packets that landed on a Healthy node; HealthyServed/Sent is
-// the chaos drill's availability.
-type RouterSnapshot struct {
+// ServiceSnapshot is a cumulative dispatch counter set: one service's
+// (ServiceStats), one (service, shard)'s, or the router's, summed over
+// services (RouterStats). HealthyServed counts served packets that
+// landed on a Healthy node; HealthyServed/Sent is the availability the
+// drills gate on. Shed counts drops caused by the class shedding order
+// (bulk excluded from thermally eroded nodes), a subset of Dropped; for
+// a latency-critical service it stays zero by construction.
+type ServiceSnapshot struct {
 	Sent, Served, Dropped int64
 	HealthyServed         int64
+	Shed                  int64
 	Bytes                 int64
 }
 
+// add returns s + o, field by field.
+func (s ServiceSnapshot) add(o ServiceSnapshot) ServiceSnapshot {
+	return ServiceSnapshot{
+		Sent: s.Sent + o.Sent, Served: s.Served + o.Served, Dropped: s.Dropped + o.Dropped,
+		HealthyServed: s.HealthyServed + o.HealthyServed, Shed: s.Shed + o.Shed, Bytes: s.Bytes + o.Bytes,
+	}
+}
+
+// sub returns s − o, field by field.
+func (s ServiceSnapshot) sub(o ServiceSnapshot) ServiceSnapshot {
+	return ServiceSnapshot{
+		Sent: s.Sent - o.Sent, Served: s.Served - o.Served, Dropped: s.Dropped - o.Dropped,
+		HealthyServed: s.HealthyServed - o.HealthyServed, Shed: s.Shed - o.Shed, Bytes: s.Bytes - o.Bytes,
+	}
+}
+
 // RouterStats reports cumulative dispatch counters: the per-service
-// counters summed over services and shards (sums, so independent of
-// map order).
-func (c *Cluster) RouterStats() RouterSnapshot {
-	var snap RouterSnapshot
-	for _, si := range c.router.idx.svcs {
-		s := si.snapshot()
-		snap.Sent += s.Sent
-		snap.Served += s.Served
-		snap.Dropped += s.Dropped
-		snap.HealthyServed += s.HealthyServed
-		snap.Bytes += s.Bytes
+// counters summed over services and shards.
+func (c *Cluster) RouterStats() ServiceSnapshot {
+	var snap ServiceSnapshot
+	for _, svc := range c.svcOrder {
+		snap = snap.add(svc.snapshot())
 	}
 	return snap
 }
@@ -476,9 +507,9 @@ func (c *Cluster) RouterStats() RouterSnapshot {
 // resetWindow starts a fresh latency measurement window: every
 // service's per-shard share.
 func (r *router) resetWindow() {
-	for _, si := range r.idx.svcs {
-		for i := range si.stats {
-			si.stats[i].hist.Reset()
+	for _, svc := range r.c.svcOrder {
+		for i := range svc.stats {
+			svc.stats[i].hist.Reset()
 		}
 	}
 }
@@ -487,53 +518,24 @@ func (r *router) resetWindow() {
 // router's own histogram and returns it, valid until the next call:
 // callers read it and let it go. Every served packet lands in exactly
 // one (service, shard) window, and histogram merging is exact, so the
-// result is independent of map and shard order.
+// result is independent of service and shard order.
 func (r *router) windowHist() *metrics.Histogram {
 	r.win.Reset()
-	for _, si := range r.idx.svcs {
-		for i := range si.stats {
-			r.win.Merge(&si.stats[i].hist)
+	for _, svc := range r.c.svcOrder {
+		for i := range svc.stats {
+			r.win.Merge(&svc.stats[i].hist)
 		}
 	}
 	return &r.win
 }
 
-// ServiceSnapshot is one service's cumulative dispatch view, the
-// per-service analogue of RouterSnapshot. Shed counts drops caused by
-// the class shedding order (a subset of Dropped); for a
-// latency-critical service it stays zero by construction.
-type ServiceSnapshot struct {
-	Sent, Served, Dropped int64
-	HealthyServed         int64
-	Shed                  int64
-	Bytes                 int64
-}
-
 // ServiceStats reports one service's cumulative dispatch counters,
-// merged across shards. The svcIndex is looked up at call time —
-// freeze rebuilds the index map, so the registry's per-service
-// callbacks must not capture the pre-freeze *svcIndex.
+// merged across shards (zero for an unknown service).
 func (c *Cluster) ServiceStats(name string) ServiceSnapshot {
-	si, ok := c.router.idx.svcs[name]
-	if !ok {
-		return ServiceSnapshot{}
+	if svc := c.services[name]; svc != nil {
+		return svc.snapshot()
 	}
-	return si.snapshot()
-}
-
-// snapshot merges one service's per-shard counters.
-func (si *svcIndex) snapshot() ServiceSnapshot {
-	var snap ServiceSnapshot
-	for i := range si.stats {
-		st := &si.stats[i]
-		snap.Sent += st.sent
-		snap.Served += st.served
-		snap.Dropped += st.dropped
-		snap.HealthyServed += st.healthy
-		snap.Shed += st.shed
-		snap.Bytes += st.bytes
-	}
-	return snap
+	return ServiceSnapshot{}
 }
 
 // ServiceWindowLatencies merges one service's current-window latency
@@ -544,51 +546,10 @@ func (si *svcIndex) snapshot() ServiceSnapshot {
 func (c *Cluster) ServiceWindowLatencies(name string) *metrics.Histogram {
 	r := c.router
 	r.win.Reset()
-	if si, ok := r.idx.svcs[name]; ok {
-		for i := range si.stats {
-			r.win.Merge(&si.stats[i].hist)
+	if svc := c.services[name]; svc != nil {
+		for i := range svc.stats {
+			r.win.Merge(&svc.stats[i].hist)
 		}
 	}
 	return &r.win
-}
-
-// NodeStats is one device's live view for operator output. CmdRetries
-// and CmdDrops surface the device driver's command-path retransmission
-// counters: a wire going marginal shows up here before the node misses
-// enough heartbeats to fail.
-type NodeStats struct {
-	ID         string
-	State      State
-	Slots      int
-	Free       int
-	Replicas   int
-	Served     int64
-	Dropped    int64
-	CmdIssued  int64
-	CmdRetries int64
-	CmdDrops   int64
-	TempC      float64
-	Depth      sim.Time
-}
-
-// Fleet reports per-device stats at now, in commission order.
-func (c *Cluster) Fleet(now sim.Time) []NodeStats {
-	out := make([]NodeStats, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		free := 0
-		if n.Tenants != nil {
-			free = n.Tenants.FreeSlots()
-		}
-		rx := n.Net.RxStats()
-		issued, retries, drops := n.Inst.CmdStats()
-		out = append(out, NodeStats{
-			ID: n.ID, State: n.state, Slots: n.slots, Free: free,
-			Replicas: len(n.replicas),
-			Served:   rx.Units, Dropped: rx.Drops,
-			CmdIssued: issued, CmdRetries: retries, CmdDrops: drops,
-			TempC: float64(n.lastTemp) / 1000,
-			Depth: n.QueueDepth(now),
-		})
-	}
-	return out
 }

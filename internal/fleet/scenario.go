@@ -82,12 +82,10 @@ type Phase struct {
 	// computed once at prepare time, reused by dispatch, the flow cache
 	// and shard partitioning instead of re-hashing per use.
 	hashes []uint64
-	// svcIdx is each packet's index into traffics. sis caches the
-	// per-traffic service indexes for the current quantum (resolved
-	// serially — freeze rebuilds the index map, so they cannot be
-	// captured at prepare time).
+	// svcIdx is each packet's index into traffics, and svcs each
+	// traffic's registered service, resolved at prepare.
 	svcIdx []uint8
-	sis    []*svcIndex
+	svcs   []*service
 }
 
 // stream is one generated packet stream: each packet's flow index,
@@ -99,16 +97,16 @@ type stream struct {
 }
 
 // phaseBufs is the storage a prepared phase owns until it runs: its
-// traffic shapes, merged stream and service indexes, the per-service
-// streams a co-resident phase merges from, the per-quantum service
-// indexes, and the shard queues Run fills. The cluster keeps the set the
-// last phase handed back, so a steady prepare → run sequence reuses one
-// set instead of allocating a slab per window.
+// traffic shapes and their services, merged stream and service
+// indexes, the per-service streams a co-resident phase merges from, and
+// the shard queues Run fills. The cluster keeps the set the last phase
+// handed back, so a steady prepare → run sequence reuses one set
+// instead of allocating a slab per window.
 type phaseBufs struct {
 	stream
 	traffics []Traffic
 	svcIdx   []uint8
-	sis      []*svcIndex
+	svcs     []*service
 	streams  []stream
 	queues   [][]int
 	work     []int
@@ -131,7 +129,7 @@ var errPhaseRan = errors.New("fleet: phase already ran; prepare a new one")
 // release hands the phase's storage back to the cluster.
 func (ph *Phase) release() {
 	ph.c.spare = ph.bufs
-	ph.bufs, ph.traffics, ph.flows, ph.arrivals, ph.hashes, ph.svcIdx, ph.sis = nil, nil, nil, nil, nil, nil, nil
+	ph.bufs, ph.traffics, ph.flows, ph.arrivals, ph.hashes, ph.svcIdx, ph.svcs = nil, nil, nil, nil, nil, nil, nil
 }
 
 // Packets reports how many packets the phase offers.
@@ -167,9 +165,12 @@ func (c *Cluster) PreparePhase(dur sim.Time, t Traffic) (*Phase, error) {
 // prepared storage as a phase over the given traffic shapes.
 func (c *Cluster) newPhase(b *phaseBufs, dur sim.Time, traffics []Traffic) *Phase {
 	c.router.freeze()
-	c.router.idx.mature(c.now)
+	c.router.mature(c.now)
 	b.traffics = traffics
-	b.sis = slices.Grow(b.sis[:0], len(traffics))[:len(traffics)]
+	b.svcs = b.svcs[:0]
+	for _, t := range traffics {
+		b.svcs = append(b.svcs, c.services[t.Service])
+	}
 	return &Phase{
 		c: c, dur: dur, n: len(b.flows), bufs: b,
 		traffics: traffics,
@@ -177,7 +178,7 @@ func (c *Cluster) newPhase(b *phaseBufs, dur sim.Time, traffics []Traffic) *Phas
 		arrivals: b.arr,
 		hashes:   b.hashes,
 		svcIdx:   b.svcIdx,
-		sis:      b.sis,
+		svcs:     b.svcs,
 	}
 }
 
@@ -367,7 +368,7 @@ func (ph *Phase) Run() (PhaseStats, error) {
 	c := ph.c
 	r := c.router
 	r.freeze()
-	r.idx.mature(c.now)
+	r.mature(c.now)
 	c.rackRefresh(c.now)
 	// A phase start is a barrier: dispatch views refresh before the
 	// first quantum.
@@ -447,18 +448,15 @@ func (ph *Phase) runQuantum(queues [][]int, work *[]int, i, j, workers int) {
 		return
 	}
 	r := ph.c.router
-	for ti, t := range ph.traffics {
-		ph.sis[ti] = r.idx.svc(t.Service)
-	}
 	for s := range queues {
 		queues[s] = queues[s][:0]
 	}
 	for k := i; k < j; k++ {
 		h := ph.hashes[k]
-		si := ph.sis[ph.svcIdx[k]]
+		svc := ph.svcs[ph.svcIdx[k]]
 		var s int
-		if len(si.active) > 0 {
-			s = r.dispatchShard(si, h)
+		if len(svc.active) > 0 {
+			s = r.dispatchShard(svc, h)
 		} else {
 			// Nothing can serve this service: spread the drops over all
 			// shards so counters stay shard-consistent.
@@ -510,7 +508,7 @@ func (ph *Phase) runShard(s int, idxs []int) {
 		for n < len(idxs) && ph.svcIdx[idxs[n]] == ti {
 			n++
 		}
-		ph.routeRun(s, ph.sis[ti], ph.traffics[ti].PktBytes, idxs[:n])
+		ph.routeRun(s, ph.svcs[ti], ph.traffics[ti].PktBytes, idxs[:n])
 		idxs = idxs[n:]
 	}
 }
@@ -521,12 +519,12 @@ func (ph *Phase) runShard(s int, idxs []int) {
 // (service, shard) counters accumulate in locals flushed once per run
 // instead of read-modify-writes per packet. Each packet is rebuilt on
 // the stack from its flow index.
-func (ph *Phase) routeRun(s int, si *svcIndex, size int, idxs []int) {
+func (ph *Phase) routeRun(s int, svc *service, size int, idxs []int) {
 	c := ph.c
 	r := c.router
 	sh := r.shards[s]
-	d := r.refreshDisp(si, s)
-	st := &si.stats[s]
+	d := r.refreshDisp(svc, s)
+	st := &svc.stats[s]
 	start := c.now
 	var served, dropped, healthy, shed, bytes int64
 	for _, k := range idxs {
@@ -560,28 +558,22 @@ func (ph *Phase) routeRun(s int, si *svcIndex, size int, idxs []int) {
 			sh.tracePacket(now, res.done, res.node.ID, int64(size))
 		}
 	}
-	st.sent += int64(len(idxs))
-	st.served += served
-	st.dropped += dropped
-	st.healthy += healthy
-	st.shed += shed
-	st.bytes += bytes
+	st.ServiceSnapshot = st.add(ServiceSnapshot{
+		Sent: int64(len(idxs)), Served: served, Dropped: dropped,
+		HealthyServed: healthy, Shed: shed, Bytes: bytes,
+	})
 }
 
 // stats assembles PhaseStats from the counter delta and the phase's
 // merged latency window.
-func (ph *Phase) stats(start sim.Time, before RouterSnapshot, lat *metrics.Histogram) PhaseStats {
+func (ph *Phase) stats(start sim.Time, before ServiceSnapshot, lat *metrics.Histogram) PhaseStats {
 	c := ph.c
-	after := c.RouterStats()
+	d := c.RouterStats().sub(before)
 	elapsed := c.now - start
 	stats := PhaseStats{
 		From: start, To: c.now,
-		Sent:    after.Sent - before.Sent,
-		Served:  after.Served - before.Served,
-		Dropped: after.Dropped - before.Dropped,
-		Bytes:   after.Bytes - before.Bytes,
-		P50:     lat.Percentile(50),
-		P99:     lat.Percentile(99),
+		Sent: d.Sent, Served: d.Served, Dropped: d.Dropped, Bytes: d.Bytes,
+		P50: lat.Percentile(50), P99: lat.Percentile(99),
 	}
 	stats.GoodputGbps = metrics.Gbps(stats.Bytes, elapsed)
 	stats.QPS = metrics.Rate(stats.Served, elapsed)

@@ -133,9 +133,8 @@ func (c *Cluster) stepSLO(now sim.Time) {
 	}
 	for _, svc := range c.svcOrder {
 		name := svc.Name
-		cur := c.ServiceStats(name)
-		total := cur.Sent - svc.prev.Sent
-		good := cur.HealthyServed - svc.prev.HealthyServed
+		cur := svc.snapshot()
+		d := cur.sub(svc.prev)
 		svc.prev = cur
 		p99Viol := false
 		if svc.SLO.P99 > 0 {
@@ -147,7 +146,7 @@ func (c *Cluster) stepSLO(now sim.Time) {
 			}
 		}
 		tr := svc.slo
-		tr.Advance(good, total, p99Viol)
+		tr.Advance(d.HealthyServed, d.Sent, p99Viol)
 		if c.ctrl != nil {
 			last := svc.lastMilli
 			for wi, w := range e.windows {

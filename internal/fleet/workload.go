@@ -137,12 +137,8 @@ func newServiceDeltas(c *Cluster) serviceDeltas {
 // in svcs order; the slice is reused by the next step.
 func (d *serviceDeltas) step() []ServiceSnapshot {
 	for i, s := range d.svcs {
-		cur, p := d.c.ServiceStats(s), d.prev[i]
-		d.delta[i] = ServiceSnapshot{
-			Sent: cur.Sent - p.Sent, Served: cur.Served - p.Served,
-			Dropped: cur.Dropped - p.Dropped, HealthyServed: cur.HealthyServed - p.HealthyServed,
-			Shed: cur.Shed - p.Shed, Bytes: cur.Bytes - p.Bytes,
-		}
+		cur := d.c.ServiceStats(s)
+		d.delta[i] = cur.sub(d.prev[i])
 		d.prev[i] = cur
 	}
 	return d.delta
