@@ -11,31 +11,38 @@ import (
 	"harmonia/internal/workload"
 )
 
-// wrapperSweep runs a native-vs-wrapped throughput/latency sweep and
-// assembles the four-series figure shape used by Figs. 10a-c.
-func wrapperSweep(id, title, xLabel string, xs []int,
-	run func(x int, native bool) (gbps float64, lat sim.Time, err error)) (*metrics.Figure, error) {
+// abSweep runs a two-configuration throughput/latency sweep and
+// assembles the four-series figure of Figs. 10a-c and 17a-d: the
+// throughput of configuration a (run(x, true)) and of b (run(x, false)),
+// then their latencies in unit, "ns" or "us". yLabel labels the first
+// series.
+func abSweep(id, title, xLabel, yLabel, a, b, unit string, xs []int,
+	run func(x int, isA bool) (tpt float64, lat sim.Time, err error)) (*metrics.Figure, error) {
 
-	fig := &metrics.Figure{ID: id, Title: title}
-	natT := &metrics.Series{Label: "native-tpt", XLabel: xLabel, YLabel: "Gbps"}
-	wrpT := &metrics.Series{Label: "wrapped-tpt"}
-	natL := &metrics.Series{Label: "native-lat-ns"}
-	wrpL := &metrics.Series{Label: "wrapped-lat-ns"}
-	for _, x := range xs {
-		gN, lN, err := run(x, true)
-		if err != nil {
-			return nil, err
-		}
-		gW, lW, err := run(x, false)
-		if err != nil {
-			return nil, err
-		}
-		natT.Add(float64(x), gN)
-		wrpT.Add(float64(x), gW)
-		natL.Add(float64(x), lN.Nanoseconds())
-		wrpL.Add(float64(x), lW.Nanoseconds())
+	latIn := sim.Time.Microseconds
+	if unit == "ns" {
+		latIn = sim.Time.Nanoseconds
 	}
-	fig.Series = append(fig.Series, natT, wrpT, natL, wrpL)
+	fig := &metrics.Figure{ID: id, Title: title}
+	aT := &metrics.Series{Label: a + "-tpt", XLabel: xLabel, YLabel: yLabel}
+	bT := &metrics.Series{Label: b + "-tpt"}
+	aL := &metrics.Series{Label: a + "-lat-" + unit}
+	bL := &metrics.Series{Label: b + "-lat-" + unit}
+	for _, x := range xs {
+		tA, lA, err := run(x, true)
+		if err != nil {
+			return nil, err
+		}
+		tB, lB, err := run(x, false)
+		if err != nil {
+			return nil, err
+		}
+		aT.Add(float64(x), tA)
+		bT.Add(float64(x), tB)
+		aL.Add(float64(x), latIn(lA))
+		bL.Add(float64(x), latIn(lB))
+	}
+	fig.Series = append(fig.Series, aT, bT, aL, bL)
 	return fig, nil
 }
 
@@ -69,7 +76,8 @@ func Fig10a() (*metrics.Figure, error) {
 		}
 		return metrics.Gbps(int64(pkts*size), done), lat, nil
 	}
-	return wrapperSweep("fig10a", "MAC module: native vs wrapper", "pkt-bytes", workload.PacketSizes, run)
+	return abSweep("fig10a", "MAC module: native vs wrapper", "pkt-bytes", "Gbps", "native", "wrapped", "ns",
+		workload.PacketSizes, run)
 }
 
 // Fig10b: PCIe DMA host reads of 1K-16K, native vs wrapped.
@@ -99,7 +107,8 @@ func Fig10b() (*metrics.Figure, error) {
 		}
 		return metrics.Gbps(int64(reads*size), done), lat, nil
 	}
-	return wrapperSweep("fig10b", "PCIe DMA module: native vs wrapper", "read-bytes", workload.ReadSizes, run)
+	return abSweep("fig10b", "PCIe DMA module: native vs wrapper", "read-bytes", "Gbps", "native", "wrapped", "ns",
+		workload.ReadSizes, run)
 }
 
 // Fig10c: DDR random/sequential reads and writes at fixed 64B size,
@@ -152,6 +161,6 @@ func Fig10c() (*metrics.Figure, error) {
 		}
 		return metrics.Gbps(int64(accesses*64), done), lat, nil
 	}
-	return wrapperSweep("fig10c", "DDR module: native vs wrapper (rr/rw/sr/sw)",
-		"pattern-index", []int{0, 1, 2, 3}, run)
+	return abSweep("fig10c", "DDR module: native vs wrapper (rr/rw/sr/sw)", "pattern-index", "Gbps",
+		"native", "wrapped", "ns", []int{0, 1, 2, 3}, run)
 }

@@ -9,52 +9,15 @@ import (
 	"harmonia/internal/workload"
 )
 
-// appSweep runs a with/without-Harmonia throughput+latency sweep and
-// assembles the four-series Fig. 17 shape.
-func appSweep(id, title, xLabel string, xs []float64,
-	run func(x float64, harmonia bool) (tpt float64, lat sim.Time, err error)) (*metrics.Figure, error) {
-
-	fig := &metrics.Figure{ID: id, Title: title}
-	wT := &metrics.Series{Label: "harmonia-tpt", XLabel: xLabel}
-	nT := &metrics.Series{Label: "native-tpt"}
-	wL := &metrics.Series{Label: "harmonia-lat-us"}
-	nL := &metrics.Series{Label: "native-lat-us"}
-	for _, x := range xs {
-		tw, lw, err := run(x, true)
-		if err != nil {
-			return nil, err
-		}
-		tn, ln, err := run(x, false)
-		if err != nil {
-			return nil, err
-		}
-		wT.Add(x, tw)
-		nT.Add(x, tn)
-		wL.Add(x, lw.Microseconds())
-		nL.Add(x, ln.Microseconds())
-	}
-	fig.Series = append(fig.Series, wT, nT, wL, nL)
-	return fig, nil
-}
-
 // e2eRTT is the network/host round-trip added to device latency so
 // end-to-end latencies sit at the microsecond scale the paper reports.
 const e2eRTT = 4 * sim.Microsecond
-
-func packetSizesF() []float64 {
-	out := make([]float64, len(workload.PacketSizes))
-	for i, s := range workload.PacketSizes {
-		out[i] = float64(s)
-	}
-	return out
-}
 
 // Fig17a: Sec-Gateway throughput/latency across packet sizes, with and
 // without Harmonia.
 func Fig17a() (*metrics.Figure, error) {
 	const pkts = 1500
-	run := func(x float64, harmonia bool) (float64, sim.Time, error) {
-		size := int(x)
+	run := func(size int, harmonia bool) (float64, sim.Time, error) {
 		g, err := apps.NewSecGateway(platform.Xilinx, harmonia)
 		if err != nil {
 			return 0, 0, err
@@ -70,7 +33,8 @@ func Fig17a() (*metrics.Figure, error) {
 		}
 		return metrics.Gbps(int64((pkts-1)*size), done), lat + e2eRTT, nil
 	}
-	return appSweep("fig17a", "Sec-Gateway performance", "pkt-bytes", packetSizesF(), run)
+	return abSweep("fig17a", "Sec-Gateway performance", "pkt-bytes", "", "harmonia", "native", "us",
+		workload.PacketSizes, run)
 }
 
 // Fig17b: Layer-4 LB throughput/latency across packet sizes.
@@ -78,8 +42,7 @@ func Fig17b() (*metrics.Figure, error) {
 	const pkts = 1500
 	vip := net.IPv4(20, 0, 0, 1)
 	backends := []net.IPAddr{net.IPv4(10, 0, 0, 1), net.IPv4(10, 0, 0, 2), net.IPv4(10, 0, 0, 3)}
-	run := func(x float64, harmonia bool) (float64, sim.Time, error) {
-		size := int(x)
+	run := func(size int, harmonia bool) (float64, sim.Time, error) {
 		lb, err := apps.NewLayer4LB(platform.Xilinx, harmonia)
 		if err != nil {
 			return 0, 0, err
@@ -100,14 +63,14 @@ func Fig17b() (*metrics.Figure, error) {
 		}
 		return metrics.Gbps(int64((pkts-1)*size), done), lat + e2eRTT, nil
 	}
-	return appSweep("fig17b", "Layer-4 LB performance", "pkt-bytes", packetSizesF(), run)
+	return abSweep("fig17b", "Layer-4 LB performance", "pkt-bytes", "", "harmonia", "native", "us",
+		workload.PacketSizes, run)
 }
 
 // Fig17c: Host Network offload throughput/latency across packet sizes.
 func Fig17c() (*metrics.Figure, error) {
 	const pkts = 1200
-	run := func(x float64, harmonia bool) (float64, sim.Time, error) {
-		size := int(x)
+	run := func(size int, harmonia bool) (float64, sim.Time, error) {
 		hn, err := apps.NewHostNetwork(platform.Xilinx, 4, 16, harmonia)
 		if err != nil {
 			return 0, 0, err
@@ -123,15 +86,16 @@ func Fig17c() (*metrics.Figure, error) {
 		}
 		return metrics.Gbps(int64((pkts-1)*size), done), lat + e2eRTT, nil
 	}
-	return appSweep("fig17c", "Host Network performance", "pkt-bytes", packetSizesF(), run)
+	return abSweep("fig17c", "Host Network performance", "pkt-bytes", "", "harmonia", "native", "us",
+		workload.PacketSizes, run)
 }
 
 // Fig17d: Retrieval QPS and latency versus corpus size (x is log10 of
 // the item count: 9, 7, 5, 3 as in the paper).
 func Fig17d() (*metrics.Figure, error) {
-	run := func(x float64, harmonia bool) (float64, sim.Time, error) {
+	run := func(x int, harmonia bool) (float64, sim.Time, error) {
 		items := int64(1)
-		for i := 0; i < int(x); i++ {
+		for i := 0; i < x; i++ {
 			items *= 10
 		}
 		r, err := apps.NewRetrieval(platform.Xilinx, 64, 32, harmonia)
@@ -142,5 +106,6 @@ func Fig17d() (*metrics.Figure, error) {
 		lat := sim.Time(1 / qps * float64(sim.Second))
 		return qps, lat, nil
 	}
-	return appSweep("fig17d", "Retrieval performance", "log10-corpus", []float64{9, 7, 5, 3}, run)
+	return abSweep("fig17d", "Retrieval performance", "log10-corpus", "", "harmonia", "native", "us",
+		[]int{9, 7, 5, 3}, run)
 }

@@ -47,9 +47,6 @@ type LoadEvent struct {
 	OK bool
 }
 
-// Queued reports whether the budget delayed this load.
-func (e LoadEvent) Queued() bool { return e.Start > e.ReqAt }
-
 // reconfigBudget is the min-heap of in-flight load completion times.
 type reconfigBudget struct {
 	// limit is the concurrent-load cap (0 = unlimited: grants are still

@@ -36,8 +36,8 @@ func TestBudgetBoundsConcurrency(t *testing.T) {
 		t.Errorf("queued = %d, want 2", b.queued)
 	}
 	for i, e := range b.events {
-		if got := e.Queued(); got != (i >= 2) {
-			t.Errorf("event %d Queued() = %v, want %v", i, got, i >= 2)
+		if got := e.Start > e.ReqAt; got != (i >= 2) {
+			t.Errorf("event %d queued = %v, want %v", i, got, i >= 2)
 		}
 	}
 }

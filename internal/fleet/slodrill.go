@@ -60,16 +60,6 @@ type SLOServiceResult struct {
 	Resolves int64 `json:"resolves"`
 }
 
-// SLOCause is one ranked attribution inside a postmortem.
-type SLOCause struct {
-	Kind      string   `json:"kind"`
-	Count     int      `json:"count"`
-	Scheduled bool     `json:"scheduled"`
-	First     sim.Time `json:"first_ps"`
-	Last      sim.Time `json:"last_ps"`
-	Example   string   `json:"example"`
-}
-
 // SLOPostmortem is one firing's causal attribution.
 type SLOPostmortem struct {
 	Service     string            `json:"service"`
@@ -78,8 +68,8 @@ type SLOPostmortem struct {
 	WindowStart sim.Time          `json:"window_start_ps"`
 	WindowEnd   sim.Time          `json:"window_end_ps"`
 	// Attributed marks a firing with at least one scheduled-fault cause.
-	Attributed bool       `json:"attributed"`
-	Causes     []SLOCause `json:"causes"`
+	Attributed bool              `json:"attributed"`
+	Causes     []obs.Attribution `json:"causes"`
 }
 
 // SLOResult is the fleet10 report and the machine-readable artifact
@@ -322,12 +312,7 @@ func SLODrill(opts DrillOptions) (*SLOResult, error) {
 		p := SLOPostmortem{
 			Service: pm.Alert.Service, Severity: pm.Alert.Severity, FiringAt: pm.Alert.At,
 			WindowStart: pm.WindowStart, WindowEnd: pm.WindowEnd, Attributed: pm.Scheduled(),
-		}
-		for _, a := range pm.Causes {
-			p.Causes = append(p.Causes, SLOCause{
-				Kind: a.Kind, Count: a.Count, Scheduled: a.Scheduled,
-				First: a.First, Last: a.Last, Example: a.Example,
-			})
+			Causes: pm.Causes,
 		}
 		res.Postmortems = append(res.Postmortems, p)
 		res.FiringsTotal++

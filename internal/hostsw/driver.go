@@ -62,24 +62,13 @@ func (d *CmdDriver) Retries() int64 { return d.retries }
 // heartbeats.
 func (d *CmdDriver) Drops() int64 { return d.drops }
 
-// Do issues one command at time now and returns the response and its
-// arrival time back at the host. The command really crosses the wire in
-// marshalled form: the kernel executes what it parses, and checksum
-// failures are NAKed and retransmitted (the CheckSum error handling of
-// Fig. 9). The response is a new packet the caller owns.
-func (d *CmdDriver) Do(now sim.Time, p *cmdif.Packet) (*cmdif.Packet, sim.Time, error) {
-	resp := new(cmdif.Packet)
-	done, err := d.DoInto(now, p, resp)
-	if err != nil {
-		return nil, done, err
-	}
-	return resp, done, nil
-}
-
-// DoInto is Do building the response in resp, reusing its Data array:
-// a caller that keeps one response packet round-trips without
-// allocating. resp must not be p; on error its contents are
-// unspecified.
+// DoInto issues one command at time now, builds the response in resp
+// (reusing its Data array) and returns the response's arrival time back
+// at the host. The command really crosses the wire in marshalled form:
+// the kernel executes what it parses, and checksum failures are NAKed
+// and retransmitted (the CheckSum error handling of Fig. 9). A caller
+// that keeps one response packet round-trips without allocating. resp
+// must not be p; on error its contents are unspecified.
 func (d *CmdDriver) DoInto(now sim.Time, p, resp *cmdif.Packet) (sim.Time, error) {
 	buf, err := p.AppendMarshal(d.wire[:0])
 	if err != nil {
@@ -139,73 +128,5 @@ func (d *CmdDriver) DoInto(now sim.Time, p, resp *cmdif.Packet) (sim.Time, error
 	}
 }
 
-// CmdWrite issues a write-style command (no payload expected back).
-func (d *CmdDriver) CmdWrite(now sim.Time, p *cmdif.Packet) (sim.Time, error) {
-	_, done, err := d.Do(now, p)
-	return done, err
-}
-
-// CmdRead issues a read-style command and returns the response payload.
-func (d *CmdDriver) CmdRead(now sim.Time, p *cmdif.Packet) ([]uint32, sim.Time, error) {
-	resp, done, err := d.Do(now, p)
-	if err != nil {
-		return nil, done, err
-	}
-	return resp.Data, done, nil
-}
-
 // Issued reports how many commands completed.
 func (d *CmdDriver) Issued() int64 { return d.issued }
-
-// RegDriver is the traditional register-level driver commercial
-// frameworks expose: every register operation is an individual PCIe
-// round trip performed by the host, and the host itself sequences the
-// platform-specific choreography.
-type RegDriver struct {
-	link   *pcie.Link
-	module *uck.Module
-	ops    int64
-	// PollTries models OpWait as repeated status reads.
-	PollTries int
-}
-
-// NewRegDriver builds a register driver for one module over a link.
-func NewRegDriver(link *pcie.Link, module *uck.Module) (*RegDriver, error) {
-	if link == nil || module == nil {
-		return nil, fmt.Errorf("hostsw: register driver needs a link and a module")
-	}
-	return &RegDriver{link: link, module: module, PollTries: 3}, nil
-}
-
-// regOpBytes is the TLP payload of one register access.
-const regOpBytes = 8
-
-// Run executes a register sequence, charging one PCIe round trip per
-// access (reads and waits also pay the completion return).
-func (d *RegDriver) Run(now sim.Time, ops []uck.RegOp) sim.Time {
-	t := now
-	for _, op := range ops {
-		switch op.Kind {
-		case uck.OpWrite:
-			t = d.link.Transfer(t, regOpBytes)
-			d.module.RegWrite(op.Addr, op.Value)
-			d.ops++
-		case uck.OpRead:
-			t = d.link.Transfer(t, regOpBytes)
-			d.module.RegRead(op.Addr)
-			t = d.link.Transfer(t, regOpBytes) // completion
-			d.ops++
-		case uck.OpWait:
-			for i := 0; i < d.PollTries; i++ {
-				t = d.link.Transfer(t, regOpBytes)
-				d.module.RegRead(op.Addr)
-				t = d.link.Transfer(t, regOpBytes)
-				d.ops++
-			}
-		}
-	}
-	return t
-}
-
-// Ops reports the register operations performed.
-func (d *RegDriver) Ops() int64 { return d.ops }

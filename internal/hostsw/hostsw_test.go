@@ -10,23 +10,6 @@ import (
 	"harmonia/internal/uck"
 )
 
-func TestRegisterProcedureBudgets(t *testing.T) {
-	// Table 4: 84 / 115 / 60 register items per task.
-	want := map[Task]int{Monitoring: 84, NetworkInit: 115, HostConfig: 60}
-	for task, n := range want {
-		ops, err := RegisterProcedure(platform.DeviceC(), task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ops) != n {
-			t.Errorf("%s registers = %d, want %d", task, len(ops), n)
-		}
-	}
-	if _, err := RegisterProcedure(platform.DeviceC(), "bogus"); err == nil {
-		t.Error("unknown task should fail")
-	}
-}
-
 func TestCommandProcedureBudgets(t *testing.T) {
 	// Table 4: 4 / 5 / 4 commands per task.
 	want := map[Task]int{Monitoring: 4, NetworkInit: 5, HostConfig: 4}
@@ -58,29 +41,6 @@ func TestTable4Simplification(t *testing.T) {
 	}
 	if _, _, err := ConfigCounts("bogus"); err == nil {
 		t.Error("unknown task should fail")
-	}
-}
-
-func TestRegisterProceduresDifferAcrossVendors(t *testing.T) {
-	// The same task requires a different register choreography on a
-	// different vendor's device (Fig. 3d).
-	c, _ := RegisterProcedure(platform.DeviceC(), NetworkInit)
-	d, _ := RegisterProcedure(platform.DeviceD(), NetworkInit)
-	if DiffRegOps(c, d) == 0 {
-		t.Error("cross-vendor procedures should differ")
-	}
-	// Same platform: no differences.
-	c2, _ := RegisterProcedure(platform.DeviceC(), NetworkInit)
-	if DiffRegOps(c, c2) != 0 {
-		t.Error("same-platform procedures should match")
-	}
-}
-
-func TestCommandProceduresPlatformIndependent(t *testing.T) {
-	a, _ := CommandProcedure(NetworkInit)
-	b, _ := CommandProcedure(NetworkInit)
-	if DiffCommands(a, b) != 0 {
-		t.Error("command procedures should be platform-independent")
 	}
 }
 
@@ -185,7 +145,8 @@ func newCmdDriver(t testing.TB) (*CmdDriver, *uck.Module) {
 
 func TestCmdDriverRoundTrip(t *testing.T) {
 	d, m := newCmdDriver(t)
-	done, err := d.CmdWrite(0, cmdif.New(1, 0, cmdif.ModuleInit))
+	var resp cmdif.Packet
+	done, err := d.DoInto(0, cmdif.New(1, 0, cmdif.ModuleInit), &resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +156,11 @@ func TestCmdDriverRoundTrip(t *testing.T) {
 	if done <= 0 {
 		t.Error("command took no time")
 	}
-	data, _, err := d.CmdRead(done, cmdif.New(1, 0, cmdif.StatusRead))
-	if err != nil {
+	if _, err := d.DoInto(done, cmdif.New(1, 0, cmdif.StatusRead), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != 1 || data[0] != uck.StatusReady {
-		t.Errorf("status read = %v", data)
+	if len(resp.Data) != 1 || resp.Data[0] != uck.StatusReady {
+		t.Errorf("status read = %v", resp.Data)
 	}
 	if d.Issued() != 2 {
 		t.Errorf("Issued = %d", d.Issued())
@@ -259,58 +219,9 @@ func TestCmdDriverErrors(t *testing.T) {
 		t.Error("nil deps should fail")
 	}
 	d, _ := newCmdDriver(t)
-	if _, err := d.CmdWrite(0, cmdif.New(9, 9, cmdif.ModuleInit)); err == nil {
+	if _, err := d.DoInto(0, cmdif.New(9, 9, cmdif.ModuleInit), new(cmdif.Packet)); err == nil {
 		t.Error("unknown module should fail")
 	}
-}
-
-func TestCmdDriverFasterThanRegDriverForInit(t *testing.T) {
-	// One init command beats sequencing tens of register ops over PCIe
-	// — each register op is its own round trip.
-	d, _ := newCmdDriver(t)
-	cmdDone, err := d.CmdWrite(0, cmdif.New(1, 0, cmdif.ModuleInit))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	link, _ := pcie.NewLink("l2", 4, 16)
-	m := uck.NewModule("mac1", nil)
-	rd, err := NewRegDriver(link, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops, _ := ModuleInitRegisters(platform.DeviceA(), "mac")
-	regDone := rd.Run(0, ops)
-	if cmdDone >= regDone {
-		t.Errorf("command init %v not faster than register init %v", cmdDone, regDone)
-	}
-	if rd.Ops() == 0 {
-		t.Error("register driver performed no ops")
-	}
-}
-
-func TestRegDriverWaitPolls(t *testing.T) {
-	link, _ := pcie.NewLink("l", 3, 8)
-	m := uck.NewModule("m", nil)
-	d, _ := NewRegDriver(link, m)
-	plain := d.Run(0, []uck.RegOp{{Kind: uck.OpWrite, Addr: 0, Value: 1}})
-	d2, _ := NewRegDriver(pcieLink(t), m)
-	waited := d2.Run(0, []uck.RegOp{{Kind: uck.OpWait, Addr: 0, Value: 1}})
-	if waited <= plain {
-		t.Error("wait op should cost more than a single write")
-	}
-	if _, err := NewRegDriver(nil, nil); err == nil {
-		t.Error("nil deps should fail")
-	}
-}
-
-func pcieLink(t *testing.T) *pcie.Link {
-	t.Helper()
-	l, err := pcie.NewLink("l", 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
 }
 
 func TestCmdDriverRetriesOnCorruption(t *testing.T) {
@@ -322,7 +233,7 @@ func TestCmdDriverRetriesOnCorruption(t *testing.T) {
 		}
 		return buf
 	})
-	if _, err := d.CmdWrite(0, cmdif.New(1, 0, cmdif.ModuleInit)); err != nil {
+	if _, err := d.DoInto(0, cmdif.New(1, 0, cmdif.ModuleInit), new(cmdif.Packet)); err != nil {
 		t.Fatalf("retry did not recover: %v", err)
 	}
 	if m.Status() != uck.StatusReady {
@@ -340,7 +251,7 @@ func TestCmdDriverGivesUpAfterMaxRetries(t *testing.T) {
 		buf[6] ^= 0x80 // persistent corruption
 		return buf
 	})
-	if _, err := d.CmdWrite(0, cmdif.New(1, 0, cmdif.ModuleInit)); err == nil {
+	if _, err := d.DoInto(0, cmdif.New(1, 0, cmdif.ModuleInit), new(cmdif.Packet)); err == nil {
 		t.Fatal("persistently corrupted command succeeded")
 	}
 	if m.Status() == uck.StatusReady {
@@ -365,7 +276,7 @@ func TestCmdDriverExecutesParsedBytes(t *testing.T) {
 		}
 		return out
 	})
-	if _, err := d.CmdWrite(0, cmdif.New(1, 0, cmdif.TableWrite, 1, 0, 0xFE)); err != nil {
+	if _, err := d.DoInto(0, cmdif.New(1, 0, cmdif.TableWrite, 1, 0, 0xFE), new(cmdif.Packet)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := m.Table(1, 0); ok {
@@ -383,7 +294,7 @@ func TestCmdDriverCountsDrops(t *testing.T) {
 		buf[6] ^= 0x80 // persistent corruption
 		return buf
 	})
-	if _, err := d.CmdWrite(0, cmdif.New(1, 0, cmdif.ModuleInit)); err == nil {
+	if _, err := d.DoInto(0, cmdif.New(1, 0, cmdif.ModuleInit), new(cmdif.Packet)); err == nil {
 		t.Fatal("persistently corrupted command succeeded")
 	}
 	if d.Drops() != 1 {
@@ -396,7 +307,7 @@ func TestCmdDriverCountsDrops(t *testing.T) {
 		}
 		return buf
 	})
-	if _, err := d.CmdWrite(0, cmdif.New(1, 0, cmdif.ModuleInit)); err != nil {
+	if _, err := d.DoInto(0, cmdif.New(1, 0, cmdif.ModuleInit), new(cmdif.Packet)); err != nil {
 		t.Fatal(err)
 	}
 	if d.Drops() != 1 {

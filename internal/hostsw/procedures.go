@@ -1,8 +1,8 @@
-// Package hostsw models the host-software side of FPGA control: the
-// traditional register-level interface commercial frameworks expose,
-// Harmonia's command-based interface, and the migration analysis that
-// counts how much software must change when an application moves
-// between FPGA platforms (§2.3, §5.2, Fig. 3d, Fig. 13, Table 4).
+// Package hostsw models the host-software side of FPGA control:
+// per-platform register init sequences, Harmonia's command procedures
+// and command-level driver, and the migration analysis that counts how
+// much software must change when an application moves between FPGA
+// platforms (§2.3, §5.2, Fig. 3d, Fig. 13, Table 4).
 package hostsw
 
 import (
@@ -29,19 +29,12 @@ const (
 // Tasks lists the analyzed tasks in canonical order.
 func Tasks() []Task { return []Task{Monitoring, NetworkInit, HostConfig} }
 
-// registerBudget is the per-task register-operation count on the
-// reference platform, matching Table 4 (84 / 115 / 60).
+// registerBudget is Table 4's per-task register-operation count on the
+// reference platform (84 / 115 / 60), calibrated to the paper.
 var registerBudget = map[Task]int{
 	Monitoring:  84,
 	NetworkInit: 115,
 	HostConfig:  60,
-}
-
-// commandBudget is the per-task command count (4 / 5 / 4 in Table 4).
-var commandBudget = map[Task]int{
-	Monitoring:  4,
-	NetworkInit: 5,
-	HostConfig:  4,
 }
 
 // vendorSalt perturbs addresses and sequences per vendor: different
@@ -62,70 +55,36 @@ func vendorSalt(v platform.Vendor) uint32 {
 // direct writes (shell B).
 func usesWaitStyle(v platform.Vendor) bool { return v != platform.Intel }
 
-// RegisterProcedure generates the platform-specific register-operation
-// sequence for a task on a device. The sequence is deterministic in
-// (vendor, task), so diffing two platforms measures exactly the ad-hoc
-// modifications a developer would make.
-func RegisterProcedure(dev *platform.Device, task Task) ([]uck.RegOp, error) {
-	n, ok := registerBudget[task]
-	if !ok {
-		return nil, fmt.Errorf("hostsw: unknown task %q", task)
-	}
-	salt := vendorSalt(dev.Vendor)
-	wait := usesWaitStyle(dev.Vendor)
-	ops := make([]uck.RegOp, 0, n)
-	for i := 0; len(ops) < n; i++ {
-		addr := salt + uint32(i)*4
-		switch {
-		case wait && i%8 == 0:
-			// Wait for a status register before the next block.
-			ops = append(ops, uck.RegOp{Kind: uck.OpWait, Addr: addr, Value: 1})
-		case task == Monitoring && i%3 == 0:
-			ops = append(ops, uck.RegOp{Kind: uck.OpRead, Addr: addr})
-		default:
-			ops = append(ops, uck.RegOp{Kind: uck.OpWrite, Addr: addr, Value: uint32(i)})
-		}
-	}
-	return ops[:n], nil
-}
-
 // CommandProcedure generates the command sequence for a task. Commands
 // are behavior-level and platform-independent: the sequence depends only
 // on the task.
 func CommandProcedure(task Task) ([]*cmdif.Packet, error) {
-	n, ok := commandBudget[task]
-	if !ok {
-		return nil, fmt.Errorf("hostsw: unknown task %q", task)
-	}
-	var cmds []*cmdif.Packet
 	switch task {
 	case Monitoring:
-		cmds = []*cmdif.Packet{
+		return []*cmdif.Packet{
 			cmdif.New(1, 0, cmdif.StatsRead),
 			cmdif.New(2, 0, cmdif.StatsRead),
 			cmdif.New(3, 0, cmdif.StatsRead),
 			cmdif.New(0, 0, cmdif.TimeCount),
-		}
+		}, nil
 	case NetworkInit:
-		cmds = []*cmdif.Packet{
+		return []*cmdif.Packet{
 			cmdif.New(1, 0, cmdif.ModuleReset),
 			cmdif.New(1, 0, cmdif.ModuleInit),
 			cmdif.New(1, 0, cmdif.TableWrite, 0, 0, 1),
 			cmdif.New(1, 0, cmdif.StatusWrite, uck.StatusReady),
 			cmdif.New(1, 0, cmdif.StatusRead),
-		}
+		}, nil
 	case HostConfig:
-		cmds = []*cmdif.Packet{
+		return []*cmdif.Packet{
 			cmdif.New(3, 0, cmdif.ModuleInit),
 			cmdif.New(3, 0, cmdif.TableWrite, 1, 0, 64),
 			cmdif.New(3, 0, cmdif.StatusWrite, uck.StatusReady),
 			cmdif.New(3, 0, cmdif.StatusRead),
-		}
+		}, nil
+	default:
+		return nil, fmt.Errorf("hostsw: unknown task %q", task)
 	}
-	if len(cmds) != n {
-		return nil, fmt.Errorf("hostsw: internal budget mismatch for %q", task)
-	}
-	return cmds, nil
 }
 
 // moduleRegBudget is the per-module init-sequence length by category.
@@ -195,46 +154,6 @@ func DiffRegOps(a, b []uck.RegOp) int {
 	for i := 1; i <= la; i++ {
 		for j := 1; j <= lb; j++ {
 			if a[i-1] == b[j-1] {
-				cur[j] = prev[j-1] + 1
-			} else if prev[j] >= cur[j-1] {
-				cur[j] = prev[j]
-			} else {
-				cur[j] = cur[j-1]
-			}
-		}
-		prev, cur = cur, prev
-		for j := range cur {
-			cur[j] = 0
-		}
-	}
-	lcs := prev[lb]
-	return (la - lcs) + (lb - lcs)
-}
-
-// DiffCommands counts modifications between two command sequences by
-// the same LCS measure over the marshalled bytes.
-func DiffCommands(a, b []*cmdif.Packet) int {
-	key := func(p *cmdif.Packet) string {
-		buf, err := p.Marshal()
-		if err != nil {
-			return fmt.Sprintf("!%v", err)
-		}
-		return string(buf)
-	}
-	ka := make([]string, len(a))
-	for i, p := range a {
-		ka[i] = key(p)
-	}
-	kb := make([]string, len(b))
-	for i, p := range b {
-		kb[i] = key(p)
-	}
-	la, lb := len(ka), len(kb)
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for i := 1; i <= la; i++ {
-		for j := 1; j <= lb; j++ {
-			if ka[i-1] == kb[j-1] {
 				cur[j] = prev[j-1] + 1
 			} else if prev[j] >= cur[j-1] {
 				cur[j] = prev[j]
@@ -325,11 +244,12 @@ func MigrationCost(from, to *platform.Device, categories []string) (MigrationRep
 }
 
 // ConfigCounts reports Table 4's register-vs-command configuration item
-// counts for a task.
+// counts for a task: the calibrated register budget, and the length of
+// the task's command procedure.
 func ConfigCounts(task Task) (registers, commands int, err error) {
-	r, ok := registerBudget[task]
-	if !ok {
-		return 0, 0, fmt.Errorf("hostsw: unknown task %q", task)
+	cmds, err := CommandProcedure(task)
+	if err != nil {
+		return 0, 0, err
 	}
-	return r, commandBudget[task], nil
+	return registerBudget[task], len(cmds), nil
 }

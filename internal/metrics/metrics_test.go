@@ -138,9 +138,6 @@ func TestSamplerWindowedRates(t *testing.T) {
 			t.Errorf("window %d rate = %g, want ~1e7", i+1, w.Rate)
 		}
 	}
-	if s.PeakRate() < s.MeanRate() {
-		t.Error("peak below mean")
-	}
 }
 
 func TestSamplerValidation(t *testing.T) {
@@ -169,7 +166,7 @@ func TestSamplerIdleWindowsReadZero(t *testing.T) {
 			t.Errorf("idle window rate = %g", w.Rate)
 		}
 	}
-	if s.MeanRate() != 0 || s.PeakRate() != 0 {
+	if s.MeanRate() != 0 {
 		t.Error("idle sampler rates nonzero")
 	}
 }

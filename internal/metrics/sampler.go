@@ -68,32 +68,6 @@ func (s *Sampler) LastRate() float64 {
 	return s.samples[len(s.samples)-1].Rate
 }
 
-// GaugeRegistry is the registration surface a Sampler needs to expose
-// its windowed rate as a live gauge. harmonia/internal/obs.Registry
-// satisfies it; declaring the interface here keeps metrics free of an
-// obs dependency (obs already imports nothing above sim).
-type GaugeRegistry interface {
-	Gauge(name, help string, read func() float64)
-}
-
-// RegisterRate registers this sampler's most recent windowed rate as a
-// gauge, so registry snapshots taken mid-run report the live rate the
-// monitoring logic is currently observing.
-func (s *Sampler) RegisterRate(reg GaugeRegistry, name, help string) {
-	reg.Gauge(name, help, s.LastRate)
-}
-
-// PeakRate returns the highest windowed rate.
-func (s *Sampler) PeakRate() float64 {
-	peak := 0.0
-	for _, w := range s.samples {
-		if w.Rate > peak {
-			peak = w.Rate
-		}
-	}
-	return peak
-}
-
 // MeanRate returns the average windowed rate.
 func (s *Sampler) MeanRate() float64 {
 	if len(s.samples) == 0 {

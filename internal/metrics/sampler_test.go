@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"harmonia/internal/metrics"
-	"harmonia/internal/obs"
 	"harmonia/internal/sim"
 )
 
@@ -38,9 +37,6 @@ func TestSamplerWindowedRates(t *testing.T) {
 	if s.LastRate() != 0 {
 		t.Errorf("LastRate = %v, want 0", s.LastRate())
 	}
-	if s.PeakRate() != 30 {
-		t.Errorf("PeakRate = %v, want 30", s.PeakRate())
-	}
 }
 
 func TestSamplerCounterReset(t *testing.T) {
@@ -69,28 +65,5 @@ func TestSamplerCounterReset(t *testing.T) {
 	}
 	if got[1].Rate < 0 {
 		t.Errorf("negative rate leaked through a counter reset: %v", got[1].Rate)
-	}
-}
-
-func TestSamplerRegisterRate(t *testing.T) {
-	eng := sim.NewEngine()
-	counter := int64(0)
-	s, err := metrics.NewSampler(eng, sim.Second, 2, func() int64 { return counter })
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	s.RegisterRate(reg, "test_window_rate", "windowed event rate")
-	if v, ok := reg.Value("test_window_rate"); !ok || v != 0 {
-		t.Fatalf("pre-run rate = %v (ok=%v), want 0", v, ok)
-	}
-	eng.After(sim.Second/2, func() { counter = 42 })
-	eng.RunUntil(sim.Second)
-	if v, _ := reg.Value("test_window_rate"); v != 42 {
-		t.Errorf("registered rate after window 1 = %v, want 42", v)
-	}
-	eng.RunUntil(2 * sim.Second)
-	if v, _ := reg.Value("test_window_rate"); v != 0 {
-		t.Errorf("registered rate after idle window = %v, want 0", v)
 	}
 }

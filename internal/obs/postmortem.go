@@ -31,14 +31,15 @@ type CausalEvent struct {
 }
 
 // Attribution is one ranked cause group in a postmortem: every
-// in-window event of one kind, collapsed.
+// in-window event of one kind, collapsed. The JSON form is the cause
+// record of the SLO drill's artifact.
 type Attribution struct {
-	Kind      string
-	Count     int
-	First     sim.Time
-	Last      sim.Time
-	Scheduled bool
-	Example   string // subject (+ detail) of the earliest event
+	Kind      string   `json:"kind"`
+	Count     int      `json:"count"`
+	Scheduled bool     `json:"scheduled"`
+	First     sim.Time `json:"first_ps"`
+	Last      sim.Time `json:"last_ps"`
+	Example   string   `json:"example"` // subject (+ detail) of the earliest event
 }
 
 // AlertPostmortem is the causal report for one firing alert.

@@ -22,13 +22,3 @@ func FleetHistory() []FleetYear {
 		{Year: 2024, NewDevices: 5, TotalFPGAs: 38_000},
 	}
 }
-
-// DeviceVariety reports the cumulative number of distinct device models
-// in the fleet by the final recorded year.
-func DeviceVariety() int {
-	n := 0
-	for _, y := range FleetHistory() {
-		n += y.NewDevices
-	}
-	return n
-}

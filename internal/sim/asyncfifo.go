@@ -2,6 +2,23 @@ package sim
 
 import "fmt"
 
+// Item is a unit of data moving through a datapath model. Beats carry a
+// payload width in bits so bandwidth accounting stays exact, plus opaque
+// metadata for functional models (packet headers, addresses, ...).
+type Item struct {
+	// Bits is the payload size of this beat or transaction in bits.
+	Bits int
+	// Enqueued is the time the item entered the current stage; stages
+	// update it as the item moves so end-to-end latency can be sampled.
+	Enqueued Time
+	// Born is the time the item entered the system; never updated.
+	Born Time
+	// Meta carries model-specific data (e.g. a *net.Packet).
+	Meta any
+	// Last marks the final beat of a multi-beat stream transfer.
+	Last bool
+}
+
 // AsyncFIFO models the dual-clock gray-pointer FIFO used for clock
 // domain crossings (the paper's "param clock domain crossing", §3.3.1,
 // design per Cummings' classic async-FIFO scheme). Writes land in the

@@ -6,7 +6,6 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -250,43 +249,9 @@ type MatMulWork struct {
 // DefaultMatMul returns the paper's configuration.
 func DefaultMatMul() MatMulWork { return MatMulWork{N: 64, Iterations: 1024} }
 
-// FLOPs reports the floating-point operations per full run.
-func (w MatMulWork) FLOPs() int64 {
-	return int64(w.Iterations) * 2 * int64(w.N) * int64(w.N) * int64(w.N)
-}
-
-// Vector is a 32-bit element vector record for the database benchmark.
-type Vector struct {
-	ID    uint32
-	Elems []uint32
-}
-
-// Bytes serializes the vector's elements.
-func (v Vector) Bytes() []byte {
-	out := make([]byte, 4*len(v.Elems))
-	for i, e := range v.Elems {
-		binary.LittleEndian.PutUint32(out[i*4:], e)
-	}
-	return out
-}
-
 // VectorBytes is the record size used by the database benchmark: one
 // 32-bit element per vector slot times the configured width.
 func VectorBytes(width int) int { return 4 * width }
-
-// Vectors generates a deterministic vector set.
-func Vectors(count, width int, seed int64) []Vector {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Vector, count)
-	for i := range out {
-		elems := make([]uint32, width)
-		for j := range elems {
-			elems[j] = rng.Uint32()
-		}
-		out[i] = Vector{ID: uint32(i), Elems: elems}
-	}
-	return out
-}
 
 // Embedding is a float32 embedding row for the retrieval benchmark.
 type Embedding struct {

@@ -17,9 +17,6 @@ import (
 // inserts on data paths ("consumes a few fixed clock cycles", §3.2).
 const PipelineDepth = 3
 
-// RegAccessCycles is the fixed overhead on control-register accesses.
-const RegAccessCycles = 2
-
 // WrapperFmaxMHz is the timing closure of the translation pipeline.
 const WrapperFmaxMHz = 450
 
@@ -247,24 +244,3 @@ func (d *DataPath) Reset() {
 	d.bytes = 0
 	d.xfers = 0
 }
-
-// RegPath models the wrapped control interface: register reads/writes
-// gain a fixed small cycle cost for address decode and response
-// registration.
-type RegPath struct {
-	clk      *sim.Clock
-	accesses int64
-}
-
-// NewRegPath returns a register-path model in the control clock domain.
-func NewRegPath(clk *sim.Clock) *RegPath { return &RegPath{clk: clk} }
-
-// Access models one register read or write issued at now and returns
-// its completion time.
-func (r *RegPath) Access(now sim.Time) sim.Time {
-	r.accesses++
-	return r.clk.NextEdge(now) + r.clk.CyclesTime(RegAccessCycles)
-}
-
-// Accesses reports the access count.
-func (r *RegPath) Accesses() int64 { return r.accesses }

@@ -194,15 +194,3 @@ func TestDataPathValidation(t *testing.T) {
 		t.Error("zero-byte transfer should be free")
 	}
 }
-
-func TestRegPathOverhead(t *testing.T) {
-	clk := sim.NewClock("ctrl", 125) // 8ns
-	r := NewRegPath(clk)
-	done := r.Access(0)
-	if done != clk.CyclesTime(RegAccessCycles) {
-		t.Errorf("Access(0) = %v, want %v", done, clk.CyclesTime(RegAccessCycles))
-	}
-	if r.Accesses() != 1 {
-		t.Errorf("Accesses = %d", r.Accesses())
-	}
-}
