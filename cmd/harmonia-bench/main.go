@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,35 +33,47 @@ func writeCSV(dir, id string, out fmt.Stringer) error {
 }
 
 func main() {
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	run := flag.String("run", "", "comma-separated experiment IDs (default: all)")
-	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
-	csvDir := flag.String("csv", "", "also write each experiment as <dir>/<id>.csv")
-	flag.Parse()
+	os.Exit(run(os.Stdout, os.Args[1:]))
+}
+
+// run parses args, runs the selected experiments and prints each to w;
+// errors go to stderr. It returns the process exit code.
+func run(w io.Writer, args []string) int {
+	fs := flag.NewFlagSet("harmonia-bench", flag.ContinueOnError)
+	list := fs.Bool("list", false, "list experiment IDs and exit")
+	ids := fs.String("run", "", "comma-separated experiment IDs (default: all)")
+	ablations := fs.Bool("ablations", false, "also run the design-choice ablations")
+	csvDir := fs.String("csv", "", "also write each experiment as <dir>/<id>.csv")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
 	if *list {
 		for _, e := range bench.All() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(w, "%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	var selected []bench.Experiment
-	if *run == "" {
+	if *ids == "" {
 		selected = bench.All()
 	} else {
-		for _, id := range strings.Split(*run, ",") {
+		for _, id := range strings.Split(*ids, ",") {
 			e, err := bench.Lookup(strings.TrimSpace(id))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				return 2
 			}
 			selected = append(selected, e)
 		}
@@ -74,7 +87,7 @@ func main() {
 			failed++
 			continue
 		}
-		fmt.Println(out.String())
+		fmt.Fprintln(w, out.String())
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, e.ID, out); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -88,10 +101,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ablations:", err)
 			failed++
 		} else {
-			fmt.Println(tab.String())
+			fmt.Fprintln(w, tab.String())
 		}
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -1,6 +1,6 @@
 // Package adapter implements Harmonia's automated platform adapters
 // (§3.2): the device adapter managing hardware-resource configurations
-// (static inherent properties plus dynamic logic-to-device mappings) and
+// (the static inherent properties of each device) and
 // the vendor adapter managing deployment differences (CAD tools, IP
 // catalogs, hard-IP availability) as key-value dependency pairs with
 // rigid compatibility inspection.
@@ -21,30 +21,19 @@ type StaticConfig struct {
 	ChannelCounts map[string]int
 	// VirtualFunctions is the SR-IOV VF budget.
 	VirtualFunctions int
-	// ClockSources lists the board clock inputs.
-	ClockSources []string
 	// PCIeGen and PCIeLanes describe the host connection.
 	PCIeGen   int
 	PCIeLanes int
 }
 
-// DynamicConfig holds on-demand mapping constraints between logic and
-// device: I/O pin assignments and clock mappings.
-type DynamicConfig struct {
-	PinAssignments map[string]string // logical pin -> package pin
-	ClockMappings  map[string]string // logical clock -> clock source
-}
-
 // DeviceAdapter manages resource-related configuration for one device.
 type DeviceAdapter struct {
-	device  *platform.Device
-	static  StaticConfig
-	dynamic DynamicConfig
+	device *platform.Device
+	static StaticConfig
 }
 
 // NewDeviceAdapter derives the static configuration from the device
-// description (the part vendor scripts generate) and returns an adapter
-// with empty dynamic mappings.
+// description (the part vendor scripts generate).
 func NewDeviceAdapter(d *platform.Device) (*DeviceAdapter, error) {
 	if d == nil {
 		return nil, fmt.Errorf("adapter: nil device")
@@ -52,7 +41,6 @@ func NewDeviceAdapter(d *platform.Device) (*DeviceAdapter, error) {
 	st := StaticConfig{
 		ChannelCounts:    map[string]int{},
 		VirtualFunctions: 16,
-		ClockSources:     []string{"sys_clk_100", "ref_clk_161", "ref_clk_322"},
 	}
 	for _, p := range d.Peripherals {
 		st.ChannelCounts[p.Model] += p.Count
@@ -61,53 +49,8 @@ func NewDeviceAdapter(d *platform.Device) (*DeviceAdapter, error) {
 			st.PCIeLanes = p.PCIeLanes
 		}
 	}
-	return &DeviceAdapter{
-		device: d,
-		static: st,
-		dynamic: DynamicConfig{
-			PinAssignments: map[string]string{},
-			ClockMappings:  map[string]string{},
-		},
-	}, nil
+	return &DeviceAdapter{device: d, static: st}, nil
 }
-
-// Device returns the adapted device.
-func (a *DeviceAdapter) Device() *platform.Device { return a.device }
-
-// Static returns the static resource configuration.
-func (a *DeviceAdapter) Static() StaticConfig { return a.static }
-
-// MapPin assigns a logical pin to a package pin.
-func (a *DeviceAdapter) MapPin(logical, pkg string) error {
-	if logical == "" || pkg == "" {
-		return fmt.Errorf("adapter: empty pin mapping")
-	}
-	if prev, dup := a.dynamic.PinAssignments[logical]; dup && prev != pkg {
-		return fmt.Errorf("adapter: pin %q already mapped to %q", logical, prev)
-	}
-	a.dynamic.PinAssignments[logical] = pkg
-	return nil
-}
-
-// MapClock binds a logical clock to one of the board clock sources.
-func (a *DeviceAdapter) MapClock(logical, source string) error {
-	found := false
-	for _, s := range a.static.ClockSources {
-		if s == source {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("adapter: clock source %q not on device %s (have %v)",
-			source, a.device.Name, a.static.ClockSources)
-	}
-	a.dynamic.ClockMappings[logical] = source
-	return nil
-}
-
-// Dynamic returns the current dynamic mappings.
-func (a *DeviceAdapter) Dynamic() DynamicConfig { return a.dynamic }
 
 // Script renders the adapter as the tcl-style configuration the vendor
 // toolchain consumes — the artifact the paper generates from vendor tcl
@@ -124,21 +67,5 @@ func (a *DeviceAdapter) Script() string {
 		fmt.Fprintf(&b, "set_property CHANNELS.%s %d [current_design]\n", m, a.static.ChannelCounts[m])
 	}
 	fmt.Fprintf(&b, "set_property SRIOV_VFS %d [current_design]\n", a.static.VirtualFunctions)
-	pins := make([]string, 0, len(a.dynamic.PinAssignments))
-	for p := range a.dynamic.PinAssignments {
-		pins = append(pins, p)
-	}
-	sort.Strings(pins)
-	for _, p := range pins {
-		fmt.Fprintf(&b, "set_property PACKAGE_PIN %s [get_ports %s]\n", a.dynamic.PinAssignments[p], p)
-	}
-	clks := make([]string, 0, len(a.dynamic.ClockMappings))
-	for c := range a.dynamic.ClockMappings {
-		clks = append(clks, c)
-	}
-	sort.Strings(clks)
-	for _, c := range clks {
-		fmt.Fprintf(&b, "create_clock -name %s -source %s\n", c, a.dynamic.ClockMappings[c])
-	}
 	return b.String()
 }

@@ -14,7 +14,7 @@ func TestNewDeviceAdapterStaticConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := a.Static()
+	st := a.static
 	if st.ChannelCounts["QSFP28"] != 2 {
 		t.Errorf("QSFP28 channels = %d, want 2", st.ChannelCounts["QSFP28"])
 	}
@@ -29,40 +29,10 @@ func TestNewDeviceAdapterStaticConfig(t *testing.T) {
 	}
 }
 
-func TestPinAndClockMapping(t *testing.T) {
-	a, _ := NewDeviceAdapter(platform.DeviceB())
-	if err := a.MapPin("qsfp0_rx_p", "AY38"); err != nil {
-		t.Fatal(err)
-	}
-	// Remapping the same pin to the same package pin is idempotent.
-	if err := a.MapPin("qsfp0_rx_p", "AY38"); err != nil {
-		t.Errorf("idempotent remap failed: %v", err)
-	}
-	// Conflicting remap fails.
-	if err := a.MapPin("qsfp0_rx_p", "BA40"); err == nil {
-		t.Error("conflicting pin remap should fail")
-	}
-	if err := a.MapPin("", "X1"); err == nil {
-		t.Error("empty pin mapping should fail")
-	}
-	if err := a.MapClock("core_clk", "ref_clk_322"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.MapClock("core_clk", "no_such_clock"); err == nil {
-		t.Error("unknown clock source should fail")
-	}
-	dyn := a.Dynamic()
-	if dyn.PinAssignments["qsfp0_rx_p"] != "AY38" || dyn.ClockMappings["core_clk"] != "ref_clk_322" {
-		t.Errorf("dynamic config = %+v", dyn)
-	}
-}
-
 func TestDeviceAdapterScript(t *testing.T) {
 	a, _ := NewDeviceAdapter(platform.DeviceA())
-	a.MapPin("qsfp0_rx_p", "AY38")
-	a.MapClock("core_clk", "sys_clk_100")
 	s := a.Script()
-	for _, want := range []string{"device-a", "CHANNELS.QSFP28 2", "PACKAGE_PIN AY38", "create_clock -name core_clk"} {
+	for _, want := range []string{"device-a", "CHANNELS.QSFP28 2", "SRIOV_VFS 16"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("script missing %q:\n%s", want, s)
 		}
@@ -74,24 +44,24 @@ func TestVendorAdapterEnvironment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Provides("cad", "vivado") {
+	if !a.env["cad"]["vivado"] {
 		t.Error("device-a should provide vivado")
 	}
-	if a.Provides("cad", "quartus") {
+	if a.env["cad"]["quartus"] {
 		t.Error("device-a should not provide quartus")
 	}
 	// Gen4 device supports gen3 and gen4 hard IP, not gen5.
-	if !a.Provides("pcie_hard_ip", "gen3") || !a.Provides("pcie_hard_ip", "gen4") {
+	if !a.env["pcie_hard_ip"]["gen3"] || !a.env["pcie_hard_ip"]["gen4"] {
 		t.Error("gen3/gen4 hard IP should be available")
 	}
-	if a.Provides("pcie_hard_ip", "gen5") {
+	if a.env["pcie_hard_ip"]["gen5"] {
 		t.Error("gen5 hard IP should not be available on a Gen4 device")
 	}
-	if !a.Provides("memory_phy", "hbm") || !a.Provides("memory_phy", "ddr4") {
+	if !a.env["memory_phy"]["hbm"] || !a.env["memory_phy"]["ddr4"] {
 		t.Error("device-a memory PHYs missing")
 	}
 	d, _ := NewVendorAdapter(platform.DeviceD())
-	if !d.Provides("cad", "quartus") || !d.Provides("transceiver", "e-tile") {
+	if !d.env["cad"]["quartus"] || !d.env["transceiver"]["e-tile"] {
 		t.Error("device-d environment wrong")
 	}
 	if _, err := NewVendorAdapter(nil); err == nil {

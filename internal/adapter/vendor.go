@@ -85,14 +85,6 @@ func NewVendorAdapter(d *platform.Device) (*VendorAdapter, error) {
 	return &VendorAdapter{device: d, env: env}, nil
 }
 
-// Device returns the adapted device.
-func (a *VendorAdapter) Device() *platform.Device { return a.device }
-
-// Provides reports whether the environment satisfies key=value.
-func (a *VendorAdapter) Provides(key, value string) bool {
-	return a.env[key][value]
-}
-
 // DependencyError describes one unsatisfied module dependency.
 type DependencyError struct {
 	Module string

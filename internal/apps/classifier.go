@@ -136,9 +136,3 @@ func (c *Classifier) Classify(key net.FlowKey) FlowAction {
 	c.exact[key] = act
 	return act
 }
-
-// CacheStats reports exact-match cache hits and wildcard walks.
-func (c *Classifier) CacheStats() (hits, misses int64) { return c.hits, c.misses }
-
-// Rules reports the installed rule count.
-func (c *Classifier) Rules() int { return len(c.rules) }

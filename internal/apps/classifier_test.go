@@ -18,7 +18,7 @@ func TestClassifierDefault(t *testing.T) {
 	if act := c.Classify(flowKey(net.IPv4(1, 1, 1, 1), 1)); act != ActionToHost {
 		t.Errorf("default action = %v", act)
 	}
-	if c.Rules() != 0 {
+	if len(c.rules) != 0 {
 		t.Error("fresh classifier has rules")
 	}
 }
@@ -95,7 +95,7 @@ func TestClassifierExactCache(t *testing.T) {
 	k := flowKey(net.IPv4(7, 1, 2, 3), 4)
 	c.Classify(k) // wildcard walk, caches
 	c.Classify(k) // cache hit
-	hits, misses := c.CacheStats()
+	hits, misses := c.hits, c.misses
 	if hits != 1 || misses != 1 {
 		t.Errorf("cache stats = %d/%d, want 1/1", hits, misses)
 	}

@@ -73,13 +73,6 @@ func NewFlowTable(max int) *FlowTable {
 // Len reports the established flow count.
 func (t *FlowTable) Len() int { return t.n }
 
-// Max reports the table capacity.
-func (t *FlowTable) Max() int { return t.max }
-
-// SetMax rebounds the table; existing entries stay even above the new
-// bound, only future pins are refused.
-func (t *FlowTable) SetMax(max int) { t.max = max }
-
 // Lookup finds an established flow's pinned backend, counting the hit.
 func (t *FlowTable) Lookup(k net.FlowKey) (net.IPAddr, bool) {
 	b, ok := t.Peek(k)

@@ -232,7 +232,7 @@ func TestFlowTableSnapshotProperty(t *testing.T) {
 				ft.EvictBackend(backends[rng.Intn(len(backends))])
 			case op < 76:
 				// Capacity drops below the live count as often as not.
-				ft.SetMax(ft.Len()/2 + rng.Intn(ft.Len()+8))
+				ft.max = ft.Len()/2 + rng.Intn(ft.Len()+8)
 			default:
 				if !ft.stale && len(ft.pinned) > 0 {
 					merges++
@@ -442,7 +442,7 @@ func (m *flowModel) evict(b net.IPAddr) int {
 
 // checkFlowOps drives a table and the map model with one operation
 // stream drawn from intn (Pin, Lookup, Peek, Restore with duplicates,
-// EvictBackend, SetMax and Snapshot), for at most steps operations or
+// EvictBackend, a rebound capacity and Snapshot), for at most steps operations or
 // until done reports the source spent. Keys come from the small space
 // (smallKey) or, when wide, from random source addresses and ports,
 // which grow the table through its doublings. After every operation
@@ -516,13 +516,13 @@ func checkFlowOps(t testing.TB, intn func(int) int, done func() bool, steps int,
 				t.Fatalf("step %d: EvictBackend = %d, model %d", step, got, want)
 			}
 		case r < 84:
-			op = "SetMax"
+			op = "rebound"
 			// Near the live count as often as far above it.
 			bound := ft.Len()/2 + intn(ft.Len()+8)
 			if intn(2) == 0 {
 				bound = 1 << 12
 			}
-			ft.SetMax(bound)
+			ft.max = bound
 			m.max = bound
 		default:
 			op = "Snapshot"
@@ -545,8 +545,8 @@ func checkFlowOps(t testing.TB, intn func(int) int, done func() bool, steps int,
 			}
 			captures = append(captures, capture{got, want})
 		}
-		if ft.Len() != len(m.conns) || ft.Max() != m.max {
-			t.Fatalf("step %d (%s): Len/Max = %d/%d, model %d/%d", step, op, ft.Len(), ft.Max(), len(m.conns), m.max)
+		if ft.Len() != len(m.conns) || ft.max != m.max {
+			t.Fatalf("step %d (%s): Len/max = %d/%d, model %d/%d", step, op, ft.Len(), ft.max, len(m.conns), m.max)
 		}
 		if h, mi, f := ft.Stats(); h != m.hits || mi != m.misses || f != m.tableFull {
 			t.Fatalf("step %d (%s): Stats = %d/%d/%d, model %d/%d/%d", step, op, h, mi, f, m.hits, m.misses, m.tableFull)

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 
 	"harmonia/internal/hdl"
 	"harmonia/internal/ip"
@@ -80,8 +79,9 @@ func (lb *Layer4LB) AddVIP(vip net.IPAddr, backends []net.IPAddr) error {
 // Maglev table; established flows keep their pinned backend
 // (statefulness, so draining connections finish on the old server) and
 // most new-flow mappings stay put (consistency). For a backend that
-// *failed* use FailBackend instead: a dead server's pinned flows must
-// be evicted, not drained.
+// *failed*, also evict its pins from the connection table
+// (FlowTable.EvictBackend, as the fleet does): a dead server's pinned
+// flows must be evicted, not drained.
 func (lb *Layer4LB) RemoveBackend(vip, backend net.IPAddr) error {
 	pool, ok := lb.pools[vip]
 	if !ok {
@@ -102,17 +102,6 @@ func (lb *Layer4LB) RemoveBackend(vip, backend net.IPAddr) error {
 	}
 	lb.pools[vip] = m
 	return nil
-}
-
-// FailBackend removes a dead backend from a VIP's pool and evicts its
-// connection-table entries, so its flows re-hash onto live servers
-// instead of blackholing on pins to a corpse. It reports how many
-// established flows were evicted.
-func (lb *Layer4LB) FailBackend(vip, backend net.IPAddr) (evicted int, err error) {
-	if err := lb.RemoveBackend(vip, backend); err != nil {
-		return 0, err
-	}
-	return lb.flows.EvictBackend(backend), nil
 }
 
 // Process load-balances one packet: ingress, connection-table lookup,
@@ -142,10 +131,6 @@ func (lb *Layer4LB) Process(now sim.Time, p *net.Packet) (backend net.IPAddr, do
 // Connections reports the established flow count.
 func (lb *Layer4LB) Connections() int { return lb.flows.Len() }
 
-// Flows exposes the connection table — the migratable state a fleet
-// control plane snapshots and replays across devices.
-func (lb *Layer4LB) Flows() *FlowTable { return lb.flows }
-
 // LBStats is the load balancer's counter set.
 type LBStats struct {
 	// Hits and Misses count connection-table lookups against
@@ -159,15 +144,4 @@ type LBStats struct {
 func (lb *Layer4LB) Stats() LBStats {
 	hits, misses, full := lb.flows.Stats()
 	return LBStats{Hits: hits, Misses: misses, NoVIP: lb.noVIP, TableFull: full}
-}
-
-// Backends lists a VIP's current pool, sorted for stable output.
-func (lb *Layer4LB) Backends(vip net.IPAddr) []net.IPAddr {
-	pool, ok := lb.pools[vip]
-	if !ok {
-		return nil
-	}
-	out := pool.Backends()
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"math/rand"
 	"testing"
 
 	"harmonia/internal/net"
@@ -89,7 +90,8 @@ func TestLBSurvivesBackendRemoval(t *testing.T) {
 func TestLBFailBackendEvictsPinnedFlows(t *testing.T) {
 	// Regression: RemoveBackend leaves flows pinned to the removed
 	// backend (correct for planned drains), but a *failed* backend's
-	// pins would blackhole forever. FailBackend must evict them.
+	// pins would blackhole forever. Evicting its table entries must
+	// re-hash them.
 	lb := newLB(t)
 	dead, _, _ := lb.Process(0, lbPacket(6000))
 	var pinnedToDead []uint16
@@ -99,10 +101,10 @@ func TestLBFailBackendEvictsPinnedFlows(t *testing.T) {
 		}
 	}
 	before := lb.Connections()
-	evicted, err := lb.FailBackend(vip, dead)
-	if err != nil {
+	if err := lb.RemoveBackend(vip, dead); err != nil {
 		t.Fatal(err)
 	}
+	evicted := lb.flows.EvictBackend(dead)
 	if evicted != len(pinnedToDead) {
 		t.Errorf("evicted %d flows, want %d", evicted, len(pinnedToDead))
 	}
@@ -116,7 +118,7 @@ func TestLBFailBackendEvictsPinnedFlows(t *testing.T) {
 			t.Fatalf("flow %d still lands on failed backend %v", port, b)
 		}
 	}
-	if _, err := lb.FailBackend(vip, net.IPv4(9, 9, 9, 9)); err == nil {
+	if err := lb.RemoveBackend(vip, net.IPv4(9, 9, 9, 9)); err == nil {
 		t.Error("failing unknown backend should error")
 	}
 }
@@ -126,7 +128,7 @@ func TestLBFullTableCountsLostStickiness(t *testing.T) {
 	// so new flows lost stickiness with no signal. The tableFull
 	// counter is that signal, and service must continue.
 	lb := newLB(t)
-	lb.Flows().SetMax(4)
+	lb.flows.max = 4
 	for port := uint16(1000); port < 1010; port++ {
 		if _, _, ok := lb.Process(0, lbPacket(port)); !ok {
 			t.Fatal("packet dropped at full table")
@@ -204,26 +206,14 @@ func TestLBThroughput(t *testing.T) {
 	}
 }
 
-func TestLBBackendsSorted(t *testing.T) {
-	lb := newLB(t)
-	pool := lb.Backends(vip)
-	if len(pool) != 4 {
-		t.Fatalf("pool size %d", len(pool))
-	}
-	for i := 1; i < len(pool); i++ {
-		if pool[i-1].String() > pool[i].String() {
-			t.Error("pool not sorted")
-		}
-	}
-}
-
 func TestLBHeavyHitterHitRate(t *testing.T) {
 	// Under Zipf traffic the connection table absorbs almost all
 	// packets: hits vastly outnumber insertions.
 	lb := newLB(t)
-	flows, err := workload.ZipfFlows(5000, 512, 1.3, 11)
-	if err != nil {
-		t.Fatal(err)
+	zipf := rand.NewZipf(rand.New(rand.NewSource(11)), 1.3, 1, 511)
+	flows := make([]int, 5000)
+	for i := range flows {
+		flows[i] = int(zipf.Uint64())
 	}
 	for _, f := range flows {
 		p := lbPacket(uint16(1000 + f))

@@ -101,23 +101,3 @@ func (m *Maglev) Disruption(o *Maglev) float64 {
 	}
 	return float64(changed) / float64(len(m.table))
 }
-
-// Share reports the fraction of table entries owned by a backend.
-func (m *Maglev) Share(b net.IPAddr) float64 {
-	idx := int32(-1)
-	for i, cand := range m.backends {
-		if cand == b {
-			idx = int32(i)
-		}
-	}
-	if idx < 0 {
-		return 0
-	}
-	n := 0
-	for _, e := range m.table {
-		if e == idx {
-			n++
-		}
-	}
-	return float64(n) / float64(len(m.table))
-}

@@ -176,6 +176,3 @@ func (r *Retrieval) QPS(n int64) float64 {
 	}
 	return 1 / t.Seconds()
 }
-
-// Queries reports the executed query count.
-func (r *Retrieval) Queries() int64 { return r.queries }

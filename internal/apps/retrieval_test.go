@@ -58,8 +58,8 @@ func TestRetrievalTopKCorrect(t *testing.T) {
 	if ids[0] != ref[0].id {
 		t.Errorf("first result %d, want %d", ids[0], ref[0].id)
 	}
-	if r.Queries() != 1 {
-		t.Errorf("Queries = %d", r.Queries())
+	if r.queries != 1 {
+		t.Errorf("queries = %d", r.queries)
 	}
 }
 

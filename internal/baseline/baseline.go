@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"harmonia/internal/hdl"
-	"harmonia/internal/hostsw"
 	"harmonia/internal/platform"
 	"harmonia/internal/shell"
 	"harmonia/internal/sim"
@@ -66,19 +65,6 @@ func (f *Framework) ShellResources(dev *platform.Device, demands shell.Demands) 
 		return hdl.Resources{}, err
 	}
 	return tailored.Resources(), nil
-}
-
-// SoftwareConfigItems reports the configuration items host software
-// manages for a task under this framework's interface (Table 4).
-func (f *Framework) SoftwareConfigItems(task hostsw.Task) (int, error) {
-	regs, cmds, err := hostsw.ConfigCounts(task)
-	if err != nil {
-		return 0, err
-	}
-	if f.regInterface {
-		return regs, nil
-	}
-	return cmds, nil
 }
 
 // Vitis models the AMD/Xilinx Vitis platform: Xilinx devices only

@@ -87,11 +87,7 @@ func TestSoftwareConfigItems(t *testing.T) {
 	// Table 4: register frameworks manage 84/115/60 items, Harmonia
 	// 4/5/4 — a 15-23x simplification.
 	for _, task := range hostsw.Tasks() {
-		v, err := Vitis().SoftwareConfigItems(task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := Harmonia().SoftwareConfigItems(task)
+		v, h, err := hostsw.ConfigCounts(task)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +96,7 @@ func TestSoftwareConfigItems(t *testing.T) {
 			t.Errorf("%s simplification = %.1fx, want 15-23x", task, ratio)
 		}
 	}
-	if _, err := Vitis().SoftwareConfigItems("bogus"); err == nil {
+	if _, _, err := hostsw.ConfigCounts("bogus"); err == nil {
 		t.Error("unknown task should fail")
 	}
 }

@@ -67,16 +67,6 @@ func Lookup(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
 }
 
-// IDs lists experiment IDs in paper order.
-func IDs() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = e.ID
-	}
-	return out
-}
-
 func wrapFig[T fmt.Stringer](f func() (T, error)) func() (fmt.Stringer, error) {
 	return func() (fmt.Stringer, error) {
 		v, err := f()

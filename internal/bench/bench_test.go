@@ -28,9 +28,8 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 func TestLookupAndIDs(t *testing.T) {
-	ids := IDs()
-	if len(ids) != 27 {
-		t.Errorf("%d experiments, want 27", len(ids))
+	if n := len(All()); n != 27 {
+		t.Errorf("%d experiments, want 27", n)
 	}
 	if _, err := Lookup("fig10a"); err != nil {
 		t.Error(err)

@@ -340,19 +340,6 @@ func (s *Schedule) Trace(b *obs.Buffer) {
 	}
 }
 
-// Window reports the scheduled injections with from <= At <= to, in
-// schedule order — the attribution query the postmortem engine asks
-// ("which faults were live inside this alert's lookback window?").
-func (s *Schedule) Window(from, to sim.Time) []Injection {
-	var out []Injection
-	for _, inj := range s.Injections {
-		if inj.At >= from && inj.At <= to {
-			out = append(out, inj)
-		}
-	}
-	return out
-}
-
 // CausalEvents renders the whole schedule as ground-truth causal
 // events for the postmortem engine. subject maps a target node index
 // to its fleet ID ("" for fleet-wide injections); nil uses the raw

@@ -55,7 +55,8 @@ func FuzzFlowImportRows(f *testing.F) {
 	f.Add(importRows([][]uint32{frame[:37], frame[:37], frame[37:]}, func(i int) byte { return byte(min(i, 1)) }))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		fs := &flowState{table: apps.NewFlowTable(16)}
+		const capacity = 16
+		fs := &flowState{table: apps.NewFlowTable(capacity)}
 		var buf []uint32
 		var next uint32
 		for len(raw) >= 2 {
@@ -102,7 +103,7 @@ func FuzzFlowImportRows(f *testing.F) {
 				t.Fatalf("restore of %d entries reported %d added, %d dropped", len(decoded), fs.restored, fs.dropped)
 			}
 			for _, e := range decoded {
-				if _, ok := fs.table.Peek(e.Key); !ok && fs.table.Len() < fs.table.Max() {
+				if _, ok := fs.table.Peek(e.Key); !ok && fs.table.Len() < capacity {
 					t.Fatalf("restored entry %v missing from a table with room", e.Key)
 				}
 			}

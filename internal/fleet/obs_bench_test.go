@@ -31,7 +31,7 @@ func benchRoutedPacket(b *testing.B, trace *obs.Recorder) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pkts += ph.Packets()
+		pkts += ph.n
 		b.StartTimer()
 		if _, err := ph.Run(); err != nil {
 			b.Fatal(err)

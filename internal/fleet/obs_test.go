@@ -159,7 +159,7 @@ func TestRegistryMatchesAccessors(t *testing.T) {
 		t.Errorf("drained node gauge = %v, want 2", got)
 	}
 	var prom bytes.Buffer
-	if err := c.Metrics().WriteProm(&prom); err != nil {
+	if err := obs.WriteProm(&prom, c.Metrics()); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

@@ -28,7 +28,7 @@ func TestPhaseRunsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := ph.Packets()
+	n := ph.n
 	st, err := ph.Run()
 	if err != nil || st.Sent == 0 {
 		t.Fatalf("first Run = %+v, %v", st, err)
@@ -36,8 +36,8 @@ func TestPhaseRunsOnce(t *testing.T) {
 	if _, err := ph.Run(); !errors.Is(err, errPhaseRan) {
 		t.Errorf("second Run err = %v, want %v", err, errPhaseRan)
 	}
-	if ph.Packets() != n {
-		t.Errorf("Packets after Run = %d, want %d", ph.Packets(), n)
+	if ph.n != n {
+		t.Errorf("Packets after Run = %d, want %d", ph.n, n)
 	}
 }
 
@@ -56,8 +56,8 @@ func TestPhaseFlowHashes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ph.hashes) != len(ph.flows) || len(ph.flows) != ph.Packets() {
-			t.Fatalf("phase %d: %d hashes for %d flow indices (Packets %d)", i, len(ph.hashes), len(ph.flows), ph.Packets())
+		if len(ph.hashes) != len(ph.flows) || len(ph.flows) != ph.n {
+			t.Fatalf("phase %d: %d hashes for %d flow indices (Packets %d)", i, len(ph.hashes), len(ph.flows), ph.n)
 		}
 		// Each shape's packets, in its own stream order: the merge keeps
 		// every stream's order, so packet k is the next of its service's.

@@ -132,9 +132,6 @@ func (ph *Phase) release() {
 	ph.bufs, ph.traffics, ph.flows, ph.arrivals, ph.hashes, ph.svcIdx, ph.svcs = nil, nil, nil, nil, nil, nil, nil
 }
 
-// Packets reports how many packets the phase offers.
-func (ph *Phase) Packets() int { return ph.n }
-
 // Shards reports the cluster's router shard count (0 until the router
 // first freezes, i.e. before any phase has been prepared or run).
 func (ph *Phase) Shards() int { return len(ph.c.router.shards) }

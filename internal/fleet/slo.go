@@ -190,16 +190,6 @@ func (c *Cluster) BurnRate(service string, win int) float64 {
 	return svc.slo.BurnRate(win)
 }
 
-// ErrorBudgetRemaining reports one service's unburned budget fraction
-// over the given window index (1 = no error, negative = violating).
-func (c *Cluster) ErrorBudgetRemaining(service string, win int) float64 {
-	svc, ok := c.services[service]
-	if !ok || win < 0 || win >= len(c.slo.windows) {
-		return 1
-	}
-	return svc.slo.ErrorBudgetRemaining(win)
-}
-
 // AlertRules reports the derived burn rules in evaluation order.
 func (c *Cluster) AlertRules() []obs.BurnRule { return c.slo.alerter.Rules() }
 

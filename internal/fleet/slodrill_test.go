@@ -56,9 +56,6 @@ func TestSLOEngineRules(t *testing.T) {
 	if b := c.BurnRate("nope", 0); b != 0 {
 		t.Errorf("BurnRate(unknown) = %v, want 0", b)
 	}
-	if r := c.ErrorBudgetRemaining("nope", 0); r != 1 {
-		t.Errorf("ErrorBudgetRemaining(unknown) = %v, want 1", r)
-	}
 }
 
 // TestSLODrill runs the fleet10 drill at its tentpole configuration:

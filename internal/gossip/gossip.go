@@ -183,9 +183,6 @@ func New(n int, cfg Config) (*Group, error) {
 	return g, nil
 }
 
-// Len reports the membership size.
-func (g *Group) Len() int { return len(g.members) }
-
 // Period reports the rotation period in ticks: every live member is
 // directly probed at least once per Period ticks.
 func (g *Group) Period() int {
@@ -211,12 +208,6 @@ func (g *Group) Add() int {
 	g.members = append(g.members, member{})
 	g.order = append(g.order, id)
 	return id
-}
-
-// Status reports a member's protocol state and incarnation.
-func (g *Group) Status(i int) (Status, uint32) {
-	m := &g.members[i]
-	return m.status, m.inc
 }
 
 // Stats reports cumulative protocol counters.

@@ -54,7 +54,7 @@ func TestDeadMemberConfirmedWithinBound(t *testing.T) {
 		if max := bound(w.g); got > max {
 			t.Errorf("n=%d: confirmed at tick %d, bound %d", n, got, max)
 		}
-		if st, _ := w.g.Status(n / 2); st != Dead {
+		if st := w.g.members[n/2].status; st != Dead {
 			t.Errorf("n=%d: status %v, want dead", n, st)
 		}
 	}
@@ -62,11 +62,11 @@ func TestDeadMemberConfirmedWithinBound(t *testing.T) {
 
 func TestFalseSuspicionRefutedWithIncarnationBump(t *testing.T) {
 	w := newWorld(t, 64, DefaultConfig(3))
-	_, inc0 := w.g.Status(10)
+	inc0 := w.g.members[10].inc
 	if !w.g.Suspect(10) {
 		t.Fatal("suspicion of an alive member must take")
 	}
-	if st, _ := w.g.Status(10); st != Suspect {
+	if st := w.g.members[10].status; st != Suspect {
 		t.Fatalf("status %v, want suspect", st)
 	}
 	// The member is alive: the suspicion must resolve to a refutation
@@ -89,7 +89,7 @@ func TestFalseSuspicionRefutedWithIncarnationBump(t *testing.T) {
 	if !refuted {
 		t.Fatalf("suspicion not refuted within %d ticks", maxTicks)
 	}
-	st, inc1 := w.g.Status(10)
+	st, inc1 := w.g.members[10].status, w.g.members[10].inc
 	if st != Alive {
 		t.Errorf("status %v after refutation, want alive", st)
 	}
@@ -122,7 +122,7 @@ func TestTransientCommandFaultToleratedLikeCentralSweep(t *testing.T) {
 			}
 		}
 	}
-	if st, _ := w.g.Status(7); st != Alive {
+	if st := w.g.members[7].status; st != Alive {
 		t.Errorf("status %v after recovery, want alive", st)
 	}
 }
@@ -197,7 +197,7 @@ func TestDeterministicEventSequence(t *testing.T) {
 func TestMarkDeadAndReset(t *testing.T) {
 	w := newWorld(t, 32, DefaultConfig(1))
 	w.g.MarkDead(5)
-	if st, _ := w.g.Status(5); st != Dead {
+	if st := w.g.members[5].status; st != Dead {
 		t.Fatalf("status %v after MarkDead, want dead", st)
 	}
 	// Dead members are skipped: no probes, no events about them.
@@ -210,9 +210,9 @@ func TestMarkDeadAndReset(t *testing.T) {
 		}
 	}
 	w.down[5] = false
-	_, inc0 := w.g.Status(5)
+	inc0 := w.g.members[5].inc
 	w.g.Reset(5)
-	if st, inc := w.g.Status(5); st != Alive || inc != inc0+1 {
+	if st, inc := w.g.members[5].status, w.g.members[5].inc; st != Alive || inc != inc0+1 {
 		t.Errorf("status %v inc %d after Reset, want alive inc %d", st, inc, inc0+1)
 	}
 }

@@ -144,7 +144,8 @@ func TestInterfaceDiff(t *testing.T) {
 	}
 	// A port present in only one module counts fully.
 	e := a.Clone()
-	e.Ports = append(e.Ports, proto.NewUnifiedIRQ("irq", 1))
+	e.Ports = append(e.Ports, proto.Interface{Name: "irq", Family: proto.Unified, Kind: proto.KindIRQ,
+		Signals: []proto.Signal{{Name: "irq", Width: 1, Dir: proto.Out}}})
 	if d := InterfaceDiff(a, e); d != 1 {
 		t.Errorf("extra-port diff = %d, want 1", d)
 	}
@@ -197,11 +198,21 @@ func TestLibrary(t *testing.T) {
 	if len(names) != 3 || names[0] != "dma-a" {
 		t.Errorf("Names = %v", names)
 	}
-	if macs := l.ByCategory("mac"); len(macs) != 2 {
-		t.Errorf("ByCategory(mac) = %d modules", len(macs))
+	macs, xs := 0, 0
+	for _, n := range names {
+		m, _ := l.Lookup(n)
+		if m.Category == "mac" {
+			macs++
+		}
+		if m.Vendor == "xilinx" {
+			xs++
+		}
 	}
-	if xs := l.ByVendor("xilinx"); len(xs) != 2 {
-		t.Errorf("ByVendor(xilinx) = %d modules", len(xs))
+	if macs != 2 {
+		t.Errorf("%d mac modules, want 2", macs)
+	}
+	if xs != 2 {
+		t.Errorf("%d xilinx modules, want 2", xs)
 	}
 }
 

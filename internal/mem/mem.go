@@ -117,15 +117,6 @@ type Stats struct {
 	RowMisses int64
 }
 
-// HitRate reports the row-buffer hit fraction.
-func (s Stats) HitRate() float64 {
-	total := s.RowHits + s.RowMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(total)
-}
-
 type bank struct {
 	openRow   int64 // -1 when no row is open
 	busyUntil sim.Time
@@ -170,14 +161,6 @@ func NewDevice(cfg Config) *Device {
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
-
-// Stats returns the accumulated statistics.
-func (d *Device) Stats() Stats { return d.stats }
-
-// Capacity reports the total device capacity in bytes.
-func (d *Device) Capacity() int64 {
-	return int64(d.cfg.Channels) * d.cfg.BytesPerChannel
-}
 
 // SetMapping switches the interleaving mode (used by the Memory RBB's
 // Ex-function and the ablation benchmarks).

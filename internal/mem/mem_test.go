@@ -36,8 +36,8 @@ func TestStoreCrossesPages(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Error("page-crossing round trip failed")
 	}
-	if s.PagesTouched() < 3 {
-		t.Errorf("PagesTouched = %d, want >= 3", s.PagesTouched())
+	if len(s.pages) < 3 {
+		t.Errorf("%d pages touched, want >= 3", len(s.pages))
 	}
 }
 
@@ -67,7 +67,7 @@ func TestRowBufferHitVsMiss(t *testing.T) {
 	if hitLat >= missLat {
 		t.Errorf("hit latency %v not below miss latency %v", hitLat, missLat)
 	}
-	st := d.Stats()
+	st := d.stats
 	if st.RowHits != 1 || st.RowMisses != 1 {
 		t.Errorf("stats = %+v, want 1 hit 1 miss", st)
 	}
@@ -125,11 +125,12 @@ func TestStripingEngagesAllChannels(t *testing.T) {
 func TestHBMBandwidthExceedsDDR(t *testing.T) {
 	hbm := NewDevice(HBMConfig())
 	ddr := NewDevice(DDR4Config(2))
-	if hbm.Config().ChannelGbps*float64(hbm.Config().Channels) <=
-		ddr.Config().ChannelGbps*float64(ddr.Config().Channels) {
+	if hbm.cfg.ChannelGbps*float64(hbm.cfg.Channels) <=
+		ddr.cfg.ChannelGbps*float64(ddr.cfg.Channels) {
 		t.Error("HBM aggregate bandwidth should exceed DDR")
 	}
-	if hbm.Capacity() >= ddr.Capacity() {
+	capacity := func(d *Device) int64 { return int64(d.cfg.Channels) * d.cfg.BytesPerChannel }
+	if capacity(hbm) >= capacity(ddr) {
 		t.Error("HBM capacity should be below the DDR board capacity")
 	}
 }
@@ -147,7 +148,7 @@ func TestDeviceReadWrite(t *testing.T) {
 	if done2 <= done {
 		t.Error("read completed instantly")
 	}
-	st := d.Stats()
+	st := d.stats
 	if st.Reads != 1 || st.Writes != 1 || st.Bytes != 8 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -157,17 +158,6 @@ func TestAccessZeroSize(t *testing.T) {
 	d := NewDevice(DDR4Config(1))
 	if done := d.Access(42, 0, 0, false); done != 42 {
 		t.Errorf("zero-size access took time: %v", done)
-	}
-}
-
-func TestHitRate(t *testing.T) {
-	var s Stats
-	if s.HitRate() != 0 {
-		t.Error("empty HitRate should be 0")
-	}
-	s = Stats{RowHits: 3, RowMisses: 1}
-	if s.HitRate() != 0.75 {
-		t.Errorf("HitRate = %v, want 0.75", s.HitRate())
 	}
 }
 

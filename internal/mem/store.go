@@ -46,6 +46,3 @@ func (s *Store) Read(addr int64, size int) []byte {
 	}
 	return out
 }
-
-// PagesTouched reports how many pages have been allocated.
-func (s *Store) PagesTouched() int { return len(s.pages) }

@@ -161,22 +161,6 @@ func (h *Histogram) CumBuckets(f func(upper sim.Time, cum int64)) {
 // Sum reports the exact total of the recorded samples.
 func (h *Histogram) Sum() sim.Time { return h.sum }
 
-// Mean reports the exact average of the recorded samples.
-func (h *Histogram) Mean() sim.Time {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / sim.Time(h.n)
-}
-
-// Min reports the exact smallest sample.
-func (h *Histogram) Min() sim.Time {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max reports the exact largest sample.
 func (h *Histogram) Max() sim.Time {
 	if h.n == 0 {

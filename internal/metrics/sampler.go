@@ -59,15 +59,6 @@ func NewSampler(eng *sim.Engine, interval sim.Time, windows int, read func() int
 // Samples returns the recorded windows.
 func (s *Sampler) Samples() []Sample { return s.samples }
 
-// LastRate returns the most recent windowed rate (zero before the
-// first window completes).
-func (s *Sampler) LastRate() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.samples[len(s.samples)-1].Rate
-}
-
 // MeanRate returns the average windowed rate.
 func (s *Sampler) MeanRate() float64 {
 	if len(s.samples) == 0 {

@@ -77,12 +77,6 @@ func (p *Packet) Flow() FlowKey {
 		SrcPort: p.SrcPort, DstPort: p.DstPort}
 }
 
-// Reverse returns the key of the opposite direction.
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{SrcIP: k.DstIP, DstIP: k.SrcIP, Proto: k.Proto,
-		SrcPort: k.DstPort, DstPort: k.SrcPort}
-}
-
 // Hash returns a stable 64-bit hash of the key (FNV-1a over the tuple
 // followed by an avalanche finalizer), usable for ECMP-style selection.
 // The finalizer matters: raw FNV's low bits are linear in the input
@@ -132,12 +126,9 @@ func Checksum(data []byte) uint16 {
 // their serialization time plus fixed framing overhead, then arrive
 // after the propagation delay.
 type Link struct {
-	name      string
 	gbps      float64
 	propDelay sim.Time
 	busyUntil sim.Time
-	frames    int64
-	bytes     int64
 }
 
 // NewLink returns a link of the given rate and propagation delay.
@@ -145,11 +136,8 @@ func NewLink(name string, gbps float64, propDelay sim.Time) *Link {
 	if gbps <= 0 {
 		panic(fmt.Sprintf("net: link %q rate %v must be positive", name, gbps))
 	}
-	return &Link{name: name, gbps: gbps, propDelay: propDelay}
+	return &Link{gbps: gbps, propDelay: propDelay}
 }
-
-// Gbps reports the line rate.
-func (l *Link) Gbps() float64 { return l.gbps }
 
 // Transmit serializes a frame of wireBytes starting no earlier than now
 // and returns its arrival time at the far end.
@@ -163,19 +151,8 @@ func (l *Link) Transmit(now sim.Time, wireBytes int) (arrive sim.Time) {
 		ser = 1
 	}
 	l.busyUntil = start + ser
-	l.frames++
-	l.bytes += int64(wireBytes)
 	return l.busyUntil + l.propDelay
 }
-
-// Busy reports when the link becomes free.
-func (l *Link) Busy() sim.Time { return l.busyUntil }
-
-// Frames reports transmitted frame count.
-func (l *Link) Frames() int64 { return l.frames }
-
-// Bytes reports transmitted payload byte count (frames, not overhead).
-func (l *Link) Bytes() int64 { return l.bytes }
 
 // EffectiveGbps reports the goodput achievable at a frame size, after
 // framing overhead — the reason small-packet throughput sits below line

@@ -13,7 +13,6 @@ type LossyLink struct {
 	// DropEvery drops every Nth frame (0 disables loss).
 	DropEvery int
 	sent      int64
-	dropped   int64
 }
 
 // NewLossyLink returns a link that drops every dropEvery-th frame.
@@ -27,14 +26,10 @@ func (l *LossyLink) Send(now sim.Time, wireBytes int) (arrive sim.Time, ok bool)
 	arrive = l.Transmit(now, wireBytes)
 	l.sent++
 	if l.DropEvery > 0 && l.sent%int64(l.DropEvery) == 0 {
-		l.dropped++
 		return arrive, false
 	}
 	return arrive, true
 }
-
-// Dropped reports lost frames.
-func (l *LossyLink) Dropped() int64 { return l.dropped }
 
 // Segment is one transport-layer unit.
 type Segment struct {

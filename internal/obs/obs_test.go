@@ -134,14 +134,14 @@ func TestRegistryReadThrough(t *testing.T) {
 	reg.Counter("served_total", "served packets", func() int64 { return served })
 	reg.Gauge("temp_c", "die temperature", func() float64 { return 42.5 })
 	served = 7
-	if v, _ := reg.Value("served_total"); v != 7 {
+	if v := reg.Values()["served_total"]; v != 7 {
 		t.Fatalf("counter read %v before increment visible, want 7", v)
 	}
 	served = 9
-	if v, _ := reg.Value("served_total"); v != 9 {
+	if v := reg.Values()["served_total"]; v != 9 {
 		t.Fatalf("read-through counter stale: %v", v)
 	}
-	if _, ok := reg.Value("missing"); ok {
+	if _, ok := reg.Values()["missing"]; ok {
 		t.Fatal("unknown metric reported a value")
 	}
 }
@@ -167,7 +167,7 @@ func TestWritePromFormat(t *testing.T) {
 		return Summary{Count: 5, Sum: 100, P50: 10, P99: 40, Max: 41}
 	})
 	var buf bytes.Buffer
-	if err := reg.WriteProm(&buf); err != nil {
+	if err := WriteProm(&buf, reg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -218,7 +218,7 @@ func TestWritePromHistogram(t *testing.T) {
 		}
 	})
 	var buf bytes.Buffer
-	if err := reg.WriteProm(&buf); err != nil {
+	if err := WriteProm(&buf, reg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -253,7 +253,7 @@ func TestWritePromSortsSeriesByLabels(t *testing.T) {
 			"burn", func() float64 { return 1 })
 	}
 	var buf bytes.Buffer
-	if err := reg.WriteProm(&buf); err != nil {
+	if err := WriteProm(&buf, reg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -183,23 +183,6 @@ func (r *Registry) HistogramM(name, help string, read func() HistSnapshot) {
 	r.register(name, "", help, kindHistogram, nil, nil, read)
 }
 
-// Value reads one unlabeled counter or gauge by name. ok is false for
-// unknown names.
-func (r *Registry) Value(name string) (float64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fam := r.families[name]
-	if fam == nil {
-		return 0, false
-	}
-	for _, s := range fam.series {
-		if s.labels == "" && s.readF != nil {
-			return s.readF(), true
-		}
-	}
-	return 0, false
-}
-
 // Values snapshots every series into a flat map for embedding in
 // drill JSON: counters and gauges keyed by name (plus {labels} when
 // labeled), summaries expanded into _count/_sum/quantile entries.
@@ -237,11 +220,6 @@ func (r *Registry) Values() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// WriteProm writes this registry in Prometheus text exposition format.
-func (r *Registry) WriteProm(w io.Writer) error {
-	return WriteProm(w, r)
 }
 
 // WriteProm merges several registries into one Prometheus text

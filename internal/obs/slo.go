@@ -56,9 +56,7 @@ func (w *sloRing) push(good, total, viol int64) {
 // rolling windows against an availability target.
 type SLOTracker struct {
 	target float64 // availability objective in [0, 1)
-	specs  []SLOWindow
 	rings  []sloRing
-	ticks  int64
 }
 
 // NewSLOTracker builds a tracker for an availability objective (e.g.
@@ -71,7 +69,7 @@ func NewSLOTracker(availability float64, wins []SLOWindow) *SLOTracker {
 	if len(wins) == 0 {
 		panic("obs: SLO tracker needs at least one window")
 	}
-	t := &SLOTracker{target: availability, specs: wins, rings: make([]sloRing, len(wins))}
+	t := &SLOTracker{target: availability, rings: make([]sloRing, len(wins))}
 	for i, w := range wins {
 		if w.Ticks <= 0 {
 			panic(fmt.Sprintf("obs: SLO window %q has %d ticks", w.Name, w.Ticks))
@@ -85,15 +83,6 @@ func NewSLOTracker(availability float64, wins []SLOWindow) *SLOTracker {
 	return t
 }
 
-// Windows reports the tracker's window specs in registration order.
-func (t *SLOTracker) Windows() []SLOWindow { return t.specs }
-
-// Target reports the availability objective.
-func (t *SLOTracker) Target() float64 { return t.target }
-
-// Ticks reports how many barriers have been accounted.
-func (t *SLOTracker) Ticks() int64 { return t.ticks }
-
 // Advance folds one heartbeat tick's demand into every window: good
 // requests served, total requests offered, and whether the service's
 // windowed p99 breached its latency target during the tick. Must be
@@ -106,7 +95,6 @@ func (t *SLOTracker) Advance(good, total int64, p99Violated bool) {
 	for i := range t.rings {
 		t.rings[i].push(good, total, v)
 	}
-	t.ticks++
 }
 
 // ErrorRate reports the windowed fraction of offered requests that
@@ -136,11 +124,4 @@ func (t *SLOTracker) P99ViolationFraction(win int) float64 {
 		return 0
 	}
 	return float64(r.sumViol) / float64(r.fill)
-}
-
-// ErrorBudgetRemaining reports the window's unburned budget fraction:
-// 1 at zero error, 0 when burning exactly at the objective, negative
-// while violating. (Equivalent to 1 - BurnRate.)
-func (t *SLOTracker) ErrorBudgetRemaining(win int) float64 {
-	return 1 - t.BurnRate(win)
 }

@@ -22,7 +22,7 @@ func TestSLOTrackerWindowMath(t *testing.T) {
 	if got, want := tr.ErrorRate(0), 10.0/200; got != want {
 		t.Errorf("fast ErrorRate = %v, want %v", got, want)
 	}
-	budget := 1 - tr.Target()
+	budget := 1 - tr.target
 	if got, want := tr.BurnRate(0), (10.0/200)/budget; got != want {
 		t.Errorf("fast BurnRate = %v, want %v", got, want)
 	}
@@ -32,9 +32,6 @@ func TestSLOTrackerWindowMath(t *testing.T) {
 	}
 	if got, want := tr.P99ViolationFraction(0), 0.5; got != want {
 		t.Errorf("fast P99ViolationFraction = %v, want %v", got, want)
-	}
-	if got, want := tr.ErrorBudgetRemaining(0), 1-(10.0/200)/budget; got != want {
-		t.Errorf("fast ErrorBudgetRemaining = %v, want %v", got, want)
 	}
 	// Two more clean ticks evict the bad tick from the fast window.
 	tr.Advance(100, 100, false)

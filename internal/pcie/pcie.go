@@ -23,15 +23,10 @@ const (
 // the effective link rate with per-TLP header overhead, then lands
 // after a fixed completion latency.
 type Link struct {
-	name    string
-	gen     int
-	lanes   int
 	gbps    float64
 	latency sim.Time
 
 	busyUntil sim.Time
-	tlps      int64
-	bytes     int64
 }
 
 // effective per-lane rates in Gbps after encoding overhead.
@@ -48,29 +43,13 @@ func NewLink(name string, gen, lanes int) (*Link, error) {
 		return nil, fmt.Errorf("pcie: unsupported lane count x%d", lanes)
 	}
 	return &Link{
-		name: name, gen: gen, lanes: lanes,
 		gbps:    pl * float64(lanes),
 		latency: 500 * sim.Nanosecond,
 	}, nil
 }
 
-// Gen reports the PCIe generation.
-func (l *Link) Gen() int { return l.gen }
-
-// Lanes reports the lane count.
-func (l *Link) Lanes() int { return l.lanes }
-
-// Gbps reports the effective aggregate link rate.
-func (l *Link) Gbps() float64 { return l.gbps }
-
 // Latency reports the fixed completion latency.
 func (l *Link) Latency() sim.Time { return l.latency }
-
-// TLPs reports transmitted TLP count.
-func (l *Link) TLPs() int64 { return l.tlps }
-
-// Bytes reports transferred payload bytes.
-func (l *Link) Bytes() int64 { return l.bytes }
 
 // wireBytes charges TLP header overhead per MaxPayload chunk.
 func wireBytes(payload int) int {
@@ -94,16 +73,5 @@ func (l *Link) Transfer(now sim.Time, payload int) sim.Time {
 		ser = 1
 	}
 	l.busyUntil = start + ser
-	l.tlps += int64((payload + MaxPayload - 1) / MaxPayload)
-	if payload == 0 {
-		l.tlps++
-	}
-	l.bytes += int64(payload)
 	return l.busyUntil + l.latency
-}
-
-// EffectiveGbps reports achievable goodput at a payload size after TLP
-// overhead — the small-read penalty visible in Fig. 10b.
-func EffectiveGbps(linkGbps float64, payload int) float64 {
-	return linkGbps * float64(payload) / float64(wireBytes(payload))
 }

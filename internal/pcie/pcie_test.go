@@ -19,11 +19,8 @@ func TestNewLinkValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Gen() != 4 || l.Lanes() != 16 {
-		t.Errorf("Gen/Lanes = %d/%d", l.Gen(), l.Lanes())
-	}
-	if l.Gbps() != 15.75*16 {
-		t.Errorf("Gbps = %v", l.Gbps())
+	if l.gbps != 15.75*16 {
+		t.Errorf("Gbps = %v", l.gbps)
 	}
 }
 
@@ -31,7 +28,7 @@ func TestLinkGenerationBandwidthOrdering(t *testing.T) {
 	g3, _ := NewLink("g3", 3, 16)
 	g4, _ := NewLink("g4", 4, 16)
 	g5, _ := NewLink("g5", 5, 16)
-	if !(g3.Gbps() < g4.Gbps() && g4.Gbps() < g5.Gbps()) {
+	if !(g3.gbps < g4.gbps && g4.gbps < g5.gbps) {
 		t.Error("bandwidth should increase with generation")
 	}
 }
@@ -41,9 +38,6 @@ func TestTransferIncludesLatency(t *testing.T) {
 	done := l.Transfer(0, 64)
 	if done <= l.Latency() {
 		t.Errorf("done = %v, should exceed completion latency %v", done, l.Latency())
-	}
-	if l.TLPs() != 1 || l.Bytes() != 64 {
-		t.Errorf("TLPs=%d Bytes=%d", l.TLPs(), l.Bytes())
 	}
 }
 
@@ -64,14 +58,26 @@ func TestLargeTransfersApproachLineRate(t *testing.T) {
 		last = l.Transfer(0, size)
 	}
 	gbps := float64(n*size*8) / (last - l.Latency()).Nanoseconds()
-	if gbps < l.Gbps()*0.85 {
-		t.Errorf("sustained %0.1f Gbps, want close to %0.1f", gbps, l.Gbps())
+	if gbps < l.gbps*0.85 {
+		t.Errorf("sustained %0.1f Gbps, want close to %0.1f", gbps, l.gbps)
 	}
 }
 
+// goodput streams back-to-back transfers of size bytes over a fresh
+// Gen4 x16 link and reports the payload rate.
+func goodput(size int) float64 {
+	l, _ := NewLink("l", 4, 16)
+	const n = 1000
+	var last sim.Time
+	for i := 0; i < n; i++ {
+		last = l.Transfer(0, size)
+	}
+	return float64(n*size*8) / (last - l.Latency()).Nanoseconds()
+}
+
 func TestEffectiveGbpsSmallReadsPenalized(t *testing.T) {
-	small := EffectiveGbps(252, 64)
-	large := EffectiveGbps(252, 16384)
+	small := goodput(64)
+	large := goodput(16384)
 	if small >= large {
 		t.Error("small payloads should see lower goodput")
 	}
@@ -112,18 +118,23 @@ func TestEnginePostAndDrain(t *testing.T) {
 			}
 		}
 	}
-	if e.ActiveQueues() != 8 {
-		t.Errorf("ActiveQueues = %d, want 8", e.ActiveQueues())
+	if len(e.activeRing) != 8 {
+		t.Errorf("%d active queues, want 8", len(e.activeRing))
 	}
 	end := e.Drain(0)
 	if end <= 0 {
 		t.Error("drain took no time")
 	}
-	if e.Completed() != 32 {
-		t.Errorf("Completed = %d, want 32", e.Completed())
+	var completed int64
+	for q := 0; q < 8; q++ {
+		st, _ := e.QueueStats(q)
+		completed += st.Completed
 	}
-	if e.ActiveQueues() != 0 {
-		t.Errorf("ActiveQueues after drain = %d", e.ActiveQueues())
+	if completed != 32 {
+		t.Errorf("completed = %d, want 32", completed)
+	}
+	if len(e.activeRing) != 0 {
+		t.Errorf("%d active queues after drain", len(e.activeRing))
 	}
 	st, err := e.QueueStats(0)
 	if err != nil || st.Completed != 4 || st.Bytes != 4096 {

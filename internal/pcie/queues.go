@@ -120,7 +120,6 @@ type Engine struct {
 	ctrl       queue
 	schedBusy  sim.Time
 	schedCost  sim.Time // accumulated scheduling time (for ablation)
-	completed  int64
 }
 
 // NewEngine returns a DMA engine with the given configuration over link.
@@ -136,9 +135,6 @@ func NewEngine(link *Link, cfg EngineConfig) (*Engine, error) {
 	}
 	return &Engine{cfg: cfg, link: link}, nil
 }
-
-// Config returns the engine configuration.
-func (e *Engine) Config() EngineConfig { return e.cfg }
 
 // Link returns the underlying link.
 func (e *Engine) Link() *Link { return e.link }
@@ -162,14 +158,8 @@ func (e *Engine) checkQueue(id int) error {
 	return nil
 }
 
-// ActiveQueues reports how many queues currently hold pending work.
-func (e *Engine) ActiveQueues() int { return len(e.activeRing) }
-
 // SchedulingTime reports the cumulative time spent scanning for work.
 func (e *Engine) SchedulingTime() sim.Time { return e.schedCost }
-
-// Completed reports total completed transfers (data + control).
-func (e *Engine) Completed() int64 { return e.completed }
 
 // Post enqueues a transfer on queue id at time now. The transfer is
 // dispatched by Run.
@@ -261,7 +251,6 @@ func (e *Engine) dispatchControl(now sim.Time) (sim.Time, bool) {
 	done := e.link.Transfer(now, tr.Bytes)
 	e.ctrl.stats.Completed++
 	e.ctrl.stats.Bytes += int64(tr.Bytes)
-	e.completed++
 	return done, true
 }
 
@@ -282,7 +271,6 @@ func (e *Engine) Step(now sim.Time) (done sim.Time, ok bool) {
 	done = e.link.Transfer(ready, tr.Bytes)
 	q.stats.Completed++
 	q.stats.Bytes += int64(tr.Bytes)
-	e.completed++
 	if len(q.pending) == 0 {
 		q.active = false
 		// Remove from the ring, preserving round-robin order.

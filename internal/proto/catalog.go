@@ -173,32 +173,6 @@ func NewAvalonMM(name string, dataBits, addrBits int) Interface {
 // has few signals: data movement plus minimal framing, with sideband
 // information folded into the wrapper's FIFO entries.
 
-// NewUnifiedClock returns the unified clock-array interface carrying n
-// selectable clocks.
-func NewUnifiedClock(name string, n int) Interface {
-	return Interface{
-		Name:   name,
-		Family: Unified,
-		Kind:   KindClock,
-		Signals: []Signal{
-			{Name: "clk", Width: n, Dir: In},
-		},
-	}
-}
-
-// NewUnifiedReset returns the unified reset-array interface carrying n
-// selectable resets.
-func NewUnifiedReset(name string, n int) Interface {
-	return Interface{
-		Name:   name,
-		Family: Unified,
-		Kind:   KindReset,
-		Signals: []Signal{
-			{Name: "rst", Width: n, Dir: In},
-		},
-	}
-}
-
 // NewUnifiedStream returns the unified streaming interface: valid/ready
 // handshake, data, and start/end-of-stream markers.
 func NewUnifiedStream(name string, dataBits int) Interface {
@@ -255,19 +229,6 @@ func NewUnifiedReg(name string, addrBits int) Interface {
 			{Name: "write", Width: 1, Dir: Out},
 			{Name: "read", Width: 1, Dir: Out},
 			{Name: "ack", Width: 1, Dir: In},
-		},
-	}
-}
-
-// NewUnifiedIRQ returns the irq type, which exposes n raw latency-
-// critical signals directly to the upper layer.
-func NewUnifiedIRQ(name string, n int) Interface {
-	return Interface{
-		Name:   name,
-		Family: Unified,
-		Kind:   KindIRQ,
-		Signals: []Signal{
-			{Name: "irq", Width: n, Dir: Out},
 		},
 	}
 }

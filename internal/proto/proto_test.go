@@ -127,15 +127,3 @@ func TestDirectionString(t *testing.T) {
 		t.Error("unknown direction formatting mismatch")
 	}
 }
-
-func TestUnifiedArrays(t *testing.T) {
-	c := NewUnifiedClock("clk", 4)
-	r := NewUnifiedReset("rst", 3)
-	q := NewUnifiedIRQ("irq", 2)
-	if c.Signals[0].Width != 4 || r.Signals[0].Width != 3 || q.Signals[0].Width != 2 {
-		t.Error("array widths not honoured")
-	}
-	if c.Kind != KindClock || r.Kind != KindReset || q.Kind != KindIRQ {
-		t.Error("kinds not set")
-	}
-}

@@ -30,3 +30,8 @@ func StaleDescs() (checked int, stale []string) {
 	})
 	return checked, stale
 }
+
+// HostDesc and NetDesc read an RBB's shared structural description.
+func HostDesc(h *HostRBB) *Desc { return h.desc }
+
+func NetDesc(n *NetworkRBB) *Desc { return n.desc }

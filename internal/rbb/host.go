@@ -85,9 +85,6 @@ func hostDesc(wrapped *hdl.Module, overhead hdl.Resources) *Desc {
 	}
 }
 
-// Desc returns the structural description.
-func (h *HostRBB) Desc() *Desc { return h.desc }
-
 // Spec returns the DMA engine specification.
 func (h *HostRBB) Spec() ip.DMASpec { return h.spec }
 
@@ -153,19 +150,10 @@ func (h *HostRBB) Receive(now sim.Time, queue int, bytes int) (done sim.Time, er
 	return h.path.Transfer(linkDone, bytes), nil
 }
 
-// Stats reports aggregate traffic counters.
-func (h *HostRBB) Stats() Counters { return h.traffic }
-
 // QueueStats reports per-queue monitoring.
 func (h *HostRBB) QueueStats(queue int) (pcie.QueueStats, error) {
 	return h.Engine.QueueStats(queue)
 }
-
-// WrapperLatency reports the wrapper's fixed latency.
-func (h *HostRBB) WrapperLatency() sim.Time { return h.path.FixedLatency() }
-
-// HostGbps reports the PCIe link bandwidth.
-func (h *HostRBB) HostGbps() float64 { return h.Engine.Link().Gbps() }
 
 // SetNative toggles native mode (no wrapper translation pipeline).
 func (h *HostRBB) SetNative(on bool) { h.path.SetBypass(on) }

@@ -67,12 +67,6 @@ func (h *HotCache) Lookup(addr int64) (lat sim.Time, hit bool) {
 	return 0, false
 }
 
-// Hits reports cache hits.
-func (h *HotCache) Hits() int64 { return h.hits }
-
-// Misses reports cache misses.
-func (h *HotCache) Misses() int64 { return h.misses }
-
 // MemoryRBB is the functional Memory building block: a DDR or HBM
 // controller instance behind an interface wrapper, with the address
 // interleaving and hot cache Ex-functions.
@@ -139,9 +133,6 @@ func memoryDesc(wrapped *hdl.Module, overhead hdl.Resources) *Desc {
 	}
 }
 
-// Desc returns the structural description.
-func (m *MemoryRBB) Desc() *Desc { return m.desc }
-
 // Spec returns the controller specification.
 func (m *MemoryRBB) Spec() ip.MemSpec { return m.spec }
 
@@ -177,9 +168,6 @@ func (m *MemoryRBB) Write(now sim.Time, addr int64, data []byte) (done sim.Time)
 	through := m.path.Transfer(now, len(data))
 	return m.dev.Write(through, addr, data)
 }
-
-// Stats reports access counters.
-func (m *MemoryRBB) Stats() Counters { return m.access }
 
 // WrapperLatency reports the wrapper's fixed latency.
 func (m *MemoryRBB) WrapperLatency() sim.Time { return m.path.FixedLatency() }

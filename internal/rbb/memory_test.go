@@ -26,7 +26,7 @@ func TestHotCacheLRU(t *testing.T) {
 	if _, hit := h.Lookup(64); hit {
 		t.Error("LRU line not evicted")
 	}
-	if h.Hits() == 0 || h.Misses() == 0 {
+	if h.hits == 0 || h.misses == 0 {
 		t.Error("stats not tracked")
 	}
 }
@@ -69,8 +69,8 @@ func TestMemoryReadWriteRoundTrip(t *testing.T) {
 	if done2 <= done {
 		t.Error("read completed instantly")
 	}
-	if m.Stats().Units != 2 {
-		t.Errorf("stats = %+v", m.Stats())
+	if m.access.Units != 2 {
+		t.Errorf("stats = %+v", m.access)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestMemoryHotCacheAccelerates(t *testing.T) {
 	if warmLat >= coldLat {
 		t.Errorf("hot-cache read %v not faster than cold %v", warmLat, coldLat)
 	}
-	if m.Cache.Hits() == 0 {
+	if m.Cache.hits == 0 {
 		t.Error("cache hit not recorded")
 	}
 }

@@ -33,18 +33,6 @@ func NewPacketFilter() *PacketFilter {
 // SetEnabled switches filtering on or off (off passes everything).
 func (f *PacketFilter) SetEnabled(on bool) { f.enabled = on }
 
-// AddLocal registers a local unicast address.
-func (f *PacketFilter) AddLocal(a net.HWAddr) { f.local[a] = true }
-
-// Subscribe admits a multicast group.
-func (f *PacketFilter) Subscribe(g net.HWAddr) error {
-	if !g.IsMulticast() {
-		return fmt.Errorf("rbb: %s is not a multicast address", g)
-	}
-	f.groups[g] = true
-	return nil
-}
-
 // Admit reports whether the packet passes the filter.
 func (f *PacketFilter) Admit(p *net.Packet) bool {
 	if !f.enabled {
@@ -63,9 +51,6 @@ func (f *PacketFilter) Admit(p *net.Packet) bool {
 	f.dropped++
 	return false
 }
-
-// Dropped reports filtered packet count.
-func (f *PacketFilter) Dropped() int64 { return f.dropped }
 
 // FlowDirector is the Network RBB's second Ex-function: it steers
 // incoming flows to their tenants' host queue ranges, isolating
@@ -166,9 +151,6 @@ func (d *FlowDirector) Resolve(dst net.IPAddr) (lo, hi, tenant int, ok bool) {
 	return r[0], r[1], t, true
 }
 
-// Misses reports unroutable flow count.
-func (d *FlowDirector) Misses() int64 { return d.misses }
-
 // NetworkRBB is the functional Network building block: a MAC instance
 // behind an interface wrapper, with the packet filter and flow director
 // Ex-functions and real-time monitoring.
@@ -243,12 +225,6 @@ func networkDesc(wrapped *hdl.Module, overhead hdl.Resources) *Desc {
 	}
 }
 
-// Desc returns the structural description.
-func (n *NetworkRBB) Desc() *Desc { return n.desc }
-
-// Spec returns the MAC datapath specification.
-func (n *NetworkRBB) Spec() ip.MACSpec { return n.spec }
-
 // Ingress carries one packet from the wire through the MAC, wrapper,
 // filter and director. It returns the delivery time, the selected host
 // queue, and whether the packet survived.
@@ -318,13 +294,6 @@ func (n *NetworkRBB) WrapperLatency() sim.Time { return n.rxPath.FixedLatency() 
 
 // LineRateGbps reports the MAC line rate.
 func (n *NetworkRBB) LineRateGbps() float64 { return float64(n.spec.Speed) }
-
-// SetRxQueueCap overrides the ingress queueing budget.
-func (n *NetworkRBB) SetRxQueueCap(d sim.Time) { n.rxQueueCap = d }
-
-// MaxBacklog reports the high-water ingress queueing delay — the queue
-// usage statistic the monitoring logic exposes.
-func (n *NetworkRBB) MaxBacklog() sim.Time { return n.maxBacklog }
 
 // SetNative toggles native mode: the vendor instance is used without
 // the interface wrapper's translation pipeline (the "w/o Harmonia"

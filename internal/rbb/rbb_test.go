@@ -20,18 +20,6 @@ func TestCounters(t *testing.T) {
 	if c.Units != 2 || c.Bytes != 2000 || c.Drops != 1 {
 		t.Errorf("counters = %+v", c)
 	}
-	if got := c.Gbps(1000 * sim.Nanosecond); got != 16 {
-		t.Errorf("Gbps = %v, want 16", got)
-	}
-	if got := c.Mpps(sim.Microsecond); got != 2 {
-		t.Errorf("Mpps = %v, want 2", got)
-	}
-	if lr := c.LossRate(); lr < 0.33 || lr > 0.34 {
-		t.Errorf("LossRate = %v", lr)
-	}
-	if (&Counters{}).Gbps(0) != 0 || (&Counters{}).LossRate() != 0 {
-		t.Error("zero counters should report zero rates")
-	}
 }
 
 func TestReuseRatesMatchPaperBands(t *testing.T) {
@@ -41,17 +29,17 @@ func TestReuseRatesMatchPaperBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbbs[NetworkKind] = n.Desc()
+	rbbs[NetworkKind] = n.desc
 	m, err := NewMemory(platform.Xilinx, ip.DDR4Mem, userClk(), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbbs[MemoryKind] = m.Desc()
+	rbbs[MemoryKind] = m.desc
 	h, err := NewHost(platform.Xilinx, 4, 16, ip.SGDMA, userClk(), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbbs[HostKind] = h.Desc()
+	rbbs[HostKind] = h.desc
 
 	for kind, d := range rbbs {
 		cv := d.Reuse(CrossVendor)
@@ -80,7 +68,7 @@ func TestDescModuleComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := n.Desc()
+	d := n.desc
 	if d.TotalRes() != d.Instance.Res.Add(d.Reusable.Res) {
 		t.Error("TotalRes is not instance + reusable logic")
 	}
@@ -168,7 +156,7 @@ func TestSetNativeTogglesLatency(t *testing.T) {
 	if native := n.WrapperLatency(); native >= wrapped {
 		t.Errorf("native latency %v not below wrapped %v", native, wrapped)
 	}
-	if n.Spec().Speed != ip.Speed100G {
+	if n.spec.Speed != ip.Speed100G {
 		t.Error("Spec lost")
 	}
 	m, _ := NewMemory(platform.Xilinx, ip.DDR4Mem, clk, 512)
@@ -178,17 +166,9 @@ func TestSetNativeTogglesLatency(t *testing.T) {
 		t.Error("memory SetNative did not reduce latency")
 	}
 	h, _ := NewHost(platform.Xilinx, 4, 16, ip.SGDMA, clk, 512)
-	hw := h.WrapperLatency()
+	hw := h.path.FixedLatency()
 	h.SetNative(true)
-	if h.WrapperLatency() >= hw {
+	if h.path.FixedLatency() >= hw {
 		t.Error("host SetNative did not reduce latency")
-	}
-}
-
-func TestMppsZeroElapsed(t *testing.T) {
-	var c Counters
-	c.Record(100, false)
-	if c.Mpps(0) != 0 {
-		t.Error("Mpps(0) should be 0")
 	}
 }

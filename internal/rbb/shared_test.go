@@ -59,7 +59,7 @@ func TestSharedDescsStayPristine(t *testing.T) {
 			first[n.Platform.Name] = n
 			continue
 		}
-		if n.Host.Desc() != f.Host.Desc() || n.Net.Desc() != f.Net.Desc() {
+		if rbb.HostDesc(n.Host) != rbb.HostDesc(f.Host) || rbb.NetDesc(n.Net) != rbb.NetDesc(f.Net) {
 			t.Errorf("%s and %s (%s) do not share their host and network Descs", f.ID, n.ID, n.Platform.Name)
 		}
 		a, b := f.Project.Shell.Components, n.Project.Shell.Components

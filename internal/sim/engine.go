@@ -11,7 +11,6 @@ type Engine struct {
 	// allocation and no interface boxing on the hot simulation path.
 	events []event
 	seq    int64
-	ran    int64
 }
 
 // NewEngine returns an engine with simulated time at zero.
@@ -19,12 +18,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// Processed reports the number of events executed so far.
-func (e *Engine) Processed() int64 { return e.ran }
-
-// Pending reports the number of scheduled events not yet executed.
-func (e *Engine) Pending() int { return len(e.events) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) clamps to the current time, preserving causality.
@@ -60,7 +53,6 @@ func (e *Engine) Step() bool {
 		e.siftDown(0)
 	}
 	e.now = ev.at
-	e.ran++
 	ev.fn()
 	return true
 }
@@ -68,18 +60,6 @@ func (e *Engine) Step() bool {
 // Run executes events until none remain.
 func (e *Engine) Run() {
 	for e.Step() {
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline, then advances
-// time to the deadline. Events scheduled beyond the deadline remain
-// pending.
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 }
 

@@ -64,28 +64,6 @@ func TestEnginePastSchedulingClamps(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var count int
-	for _, at := range []Time{5, 10, 15, 20} {
-		e.At(at, func() { count++ })
-	}
-	e.RunUntil(12)
-	if count != 2 {
-		t.Errorf("events run by t=12: %d, want 2", count)
-	}
-	if e.Now() != 12 {
-		t.Errorf("Now() = %d, want 12", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending() = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if count != 4 || e.Now() != 20 {
-		t.Errorf("after Run: count=%d now=%d, want 4, 20", count, e.Now())
-	}
-}
-
 func TestEngineMonotonicTime(t *testing.T) {
 	e := NewEngine()
 	rng := rand.New(rand.NewSource(1))
@@ -101,8 +79,8 @@ func TestEngineMonotonicTime(t *testing.T) {
 	if !sort.SliceIsSorted(observed, func(i, j int) bool { return observed[i] < observed[j] }) {
 		t.Error("engine time went backwards")
 	}
-	if e.Processed() != 1000 {
-		t.Errorf("Processed() = %d, want 1000", e.Processed())
+	if len(observed) != 1000 {
+		t.Errorf("ran %d events, want 1000", len(observed))
 	}
 }
 

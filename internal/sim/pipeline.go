@@ -9,14 +9,11 @@ import "fmt"
 // bubbles and consumes a few fixed clock cycles", §3.2): throughput is
 // preserved exactly while latency grows by depth cycles.
 type Pipeline struct {
-	name  string
 	clk   *Clock
 	depth int64
 
 	// nextIssue is the earliest time the next item may enter.
 	nextIssue Time
-	accepted  int64
-	busyUntil Time
 }
 
 // NewPipeline returns a pipeline of depth stages in clock domain clk.
@@ -27,45 +24,20 @@ func NewPipeline(name string, clk *Clock, depth int) *Pipeline {
 	if clk == nil {
 		panic(fmt.Sprintf("sim: pipeline %q requires a clock", name))
 	}
-	return &Pipeline{name: name, clk: clk, depth: int64(depth)}
+	return &Pipeline{clk: clk, depth: int64(depth)}
 }
-
-// Name reports the pipeline's name.
-func (p *Pipeline) Name() string { return p.name }
-
-// Depth reports the pipeline depth in cycles.
-func (p *Pipeline) Depth() int { return int(p.depth) }
 
 // Latency reports the fixed traversal latency.
 func (p *Pipeline) Latency() Time { return p.clk.CyclesTime(p.depth) }
-
-// Accepted reports how many items have entered the pipeline.
-func (p *Pipeline) Accepted() int64 { return p.accepted }
 
 // NextFree reports the earliest time a new item may issue — the
 // backlog frontier used for queue-occupancy and tail-drop decisions.
 func (p *Pipeline) NextFree() Time { return p.nextIssue }
 
-// Issue admits an item at time now (or at the pipeline's next free issue
-// slot, whichever is later) and returns the time the item exits. Items
-// issue at most one per cycle; back-to-back issues therefore exit
-// back-to-back, preserving full throughput.
-func (p *Pipeline) Issue(now Time) (exit Time) {
-	t := p.clk.NextEdge(now)
-	if t < p.nextIssue {
-		t = p.nextIssue
-	}
-	p.nextIssue = t + p.clk.Period()
-	p.accepted++
-	exit = t + p.Latency()
-	if exit > p.busyUntil {
-		p.busyUntil = exit
-	}
-	return exit
-}
-
-// IssueBeats admits n consecutive beats starting at now and returns the
-// exit time of the final beat. Equivalent to n Issue calls.
+// IssueBeats admits n consecutive beats starting at now (or at the
+// pipeline's next free issue slot, whichever is later) and returns the
+// exit time of the final beat. Beats issue one per cycle, so
+// back-to-back beats exit back-to-back, preserving full throughput.
 func (p *Pipeline) IssueBeats(now Time, n int64) (lastExit Time) {
 	if n <= 0 {
 		return p.clk.NextEdge(now) + p.Latency()
@@ -75,34 +47,16 @@ func (p *Pipeline) IssueBeats(now Time, n int64) (lastExit Time) {
 		t = p.nextIssue
 	}
 	p.nextIssue = t + Time(n)*p.clk.Period()
-	p.accepted += n
-	lastExit = t + Time(n-1)*p.clk.Period() + p.Latency()
-	if lastExit > p.busyUntil {
-		p.busyUntil = lastExit
-	}
-	return lastExit
-}
-
-// Drained reports the time the pipeline last goes empty given the items
-// issued so far.
-func (p *Pipeline) Drained() Time { return p.busyUntil }
-
-// Reset returns the pipeline to an idle state.
-func (p *Pipeline) Reset() {
-	p.nextIssue = 0
-	p.accepted = 0
-	p.busyUntil = 0
+	return t + Time(n-1)*p.clk.Period() + p.Latency()
 }
 
 // StoreAndForward models the non-pipelined alternative used by the
 // ablation benchmarks: each item occupies the stage exclusively for
 // depth cycles, so throughput collapses to one item per depth cycles.
 type StoreAndForward struct {
-	name     string
-	clk      *Clock
-	depth    int64
-	freeAt   Time
-	accepted int64
+	clk    *Clock
+	depth  int64
+	freeAt Time
 }
 
 // NewStoreAndForward returns a store-and-forward stage of the given
@@ -111,7 +65,7 @@ func NewStoreAndForward(name string, clk *Clock, depth int) *StoreAndForward {
 	if depth <= 0 {
 		panic(fmt.Sprintf("sim: store-and-forward %q depth %d must be positive", name, depth))
 	}
-	return &StoreAndForward{name: name, clk: clk, depth: int64(depth)}
+	return &StoreAndForward{clk: clk, depth: int64(depth)}
 }
 
 // Issue admits an item and returns its exit time. The stage is busy until
@@ -123,9 +77,5 @@ func (s *StoreAndForward) Issue(now Time) (exit Time) {
 	}
 	exit = t + s.clk.CyclesTime(s.depth)
 	s.freeAt = exit
-	s.accepted++
 	return exit
 }
-
-// Accepted reports how many items have entered the stage.
-func (s *StoreAndForward) Accepted() int64 { return s.accepted }

@@ -9,14 +9,14 @@ func TestPipelineLatencyAndThroughput(t *testing.T) {
 		t.Errorf("Latency() = %v, want 30ns", p.Latency())
 	}
 	// Back-to-back issues exit back-to-back: full throughput.
-	e0 := p.Issue(0)
-	e1 := p.Issue(0)
-	e2 := p.Issue(0)
+	e0 := p.IssueBeats(0, 1)
+	e1 := p.IssueBeats(0, 1)
+	e2 := p.IssueBeats(0, 1)
 	if e0 != 30*Nanosecond || e1 != 40*Nanosecond || e2 != 50*Nanosecond {
 		t.Errorf("exits = %v %v %v, want 30ns 40ns 50ns", e0, e1, e2)
 	}
-	if p.Accepted() != 3 {
-		t.Errorf("Accepted() = %d, want 3", p.Accepted())
+	if p.NextFree() != 30*Nanosecond {
+		t.Errorf("NextFree() = %v, want 30ns (three issue slots used)", p.NextFree())
 	}
 }
 
@@ -26,8 +26,8 @@ func TestPipelineZeroDepthPassthrough(t *testing.T) {
 	if p.Latency() != 0 {
 		t.Errorf("Latency() = %v, want 0", p.Latency())
 	}
-	if exit := p.Issue(5 * Nanosecond); exit != 10*Nanosecond {
-		t.Errorf("Issue(5ns) = %v, want 10ns (edge-aligned)", exit)
+	if exit := p.IssueBeats(5*Nanosecond, 1); exit != 10*Nanosecond {
+		t.Errorf("IssueBeats(5ns, 1) = %v, want 10ns (edge-aligned)", exit)
 	}
 }
 
@@ -40,11 +40,11 @@ func TestPipelineIssueBeats(t *testing.T) {
 	if last != 110*Nanosecond {
 		t.Errorf("IssueBeats last exit = %v, want 110ns", last)
 	}
-	if p.Accepted() != 10 {
-		t.Errorf("Accepted() = %d, want 10", p.Accepted())
+	if p.NextFree() != 100*Nanosecond {
+		t.Errorf("NextFree() = %v, want 100ns (ten issue slots used)", p.NextFree())
 	}
 	// Next issue must queue after the 10 beats.
-	next := p.Issue(0)
+	next := p.IssueBeats(0, 1)
 	if next != 120*Nanosecond {
 		t.Errorf("Issue after beats = %v, want 120ns", next)
 	}
@@ -56,21 +56,8 @@ func TestPipelineIssueBeatsZero(t *testing.T) {
 	if got := p.IssueBeats(0, 0); got != p.Latency() {
 		t.Errorf("IssueBeats(0,0) = %v, want %v", got, p.Latency())
 	}
-	if p.Accepted() != 0 {
-		t.Error("IssueBeats(0,0) accepted items")
-	}
-}
-
-func TestPipelineReset(t *testing.T) {
-	clk := NewClock("c", 100)
-	p := NewPipeline("pipe", clk, 2)
-	p.IssueBeats(0, 5)
-	p.Reset()
-	if p.Accepted() != 0 || p.Drained() != 0 {
-		t.Error("Reset did not clear state")
-	}
-	if exit := p.Issue(0); exit != p.Latency() {
-		t.Errorf("post-reset Issue(0) = %v, want %v", exit, p.Latency())
+	if p.NextFree() != 0 {
+		t.Error("IssueBeats(0,0) used an issue slot")
 	}
 }
 
@@ -85,8 +72,8 @@ func TestStoreAndForwardSerializes(t *testing.T) {
 	if e1 != 60*Nanosecond {
 		t.Errorf("second exit = %v, want 60ns (serialized)", e1)
 	}
-	if s.Accepted() != 2 {
-		t.Errorf("Accepted() = %d, want 2", s.Accepted())
+	if s.freeAt != e1 {
+		t.Errorf("stage free at %v, want %v (busy until the second exit)", s.freeAt, e1)
 	}
 }
 
@@ -99,7 +86,7 @@ func TestPipelineBeatsStoreAndForward(t *testing.T) {
 	s := NewStoreAndForward("s", clk, depth)
 	var pEnd, sEnd Time
 	for i := 0; i < items; i++ {
-		pEnd = p.Issue(0)
+		pEnd = p.IssueBeats(0, 1)
 		sEnd = s.Issue(0)
 	}
 	// Pipeline: items + depth - 1 cycles. SAF: items * depth cycles.

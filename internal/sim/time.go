@@ -56,7 +56,6 @@ func (t Time) String() string {
 // Clock describes a clock domain with a fixed frequency. The zero value
 // is not usable; construct clocks with NewClock.
 type Clock struct {
-	name   string
 	period Time
 }
 
@@ -70,25 +69,11 @@ func NewClock(name string, freqMHz float64) *Clock {
 	if period < 1 {
 		panic(fmt.Sprintf("sim: clock %q frequency %v MHz exceeds 1 THz", name, freqMHz))
 	}
-	return &Clock{name: name, period: period}
+	return &Clock{period: period}
 }
-
-// Name reports the clock's name.
-func (c *Clock) Name() string { return c.name }
 
 // Period reports the clock period.
 func (c *Clock) Period() Time { return c.period }
-
-// FreqMHz reports the clock frequency in MHz.
-func (c *Clock) FreqMHz() float64 { return 1e6 / float64(c.period) }
-
-// Cycles converts a duration into a whole number of cycles, rounding up.
-func (c *Clock) Cycles(d Time) int64 {
-	if d <= 0 {
-		return 0
-	}
-	return int64((d + c.period - 1) / c.period)
-}
 
 // CyclesTime converts a cycle count into a duration.
 func (c *Clock) CyclesTime(n int64) Time { return Time(n) * c.period }

@@ -39,28 +39,26 @@ func TestNewClockPanics(t *testing.T) {
 }
 
 func TestClockFreqRoundTrip(t *testing.T) {
+	// The picosecond period keeps a round frequency exact.
 	c := NewClock("c", 250)
-	if got := c.FreqMHz(); math.Abs(got-250) > 1e-9 {
-		t.Errorf("FreqMHz() = %v, want 250", got)
+	if got := 1e6 / float64(c.Period()); math.Abs(got-250) > 1e-9 {
+		t.Errorf("frequency from period = %v MHz, want 250", got)
 	}
 }
 
 func TestClockCycles(t *testing.T) {
 	c := NewClock("c", 100) // 10ns period
 	tests := []struct {
-		d    Time
-		want int64
+		n    int64
+		want Time
 	}{
 		{0, 0},
-		{-5, 0},
-		{1, 1},
-		{10_000, 1},
-		{10_001, 2},
-		{100_000, 10},
+		{1, 10 * Nanosecond},
+		{10, 100 * Nanosecond},
 	}
 	for _, tt := range tests {
-		if got := c.Cycles(tt.d); got != tt.want {
-			t.Errorf("Cycles(%d) = %d, want %d", tt.d, got, tt.want)
+		if got := c.CyclesTime(tt.n); got != tt.want {
+			t.Errorf("CyclesTime(%d) = %v, want %v", tt.n, got, tt.want)
 		}
 	}
 }

@@ -265,10 +265,6 @@ func (m *Manager) CanAllocate() bool {
 	return m.nextQ+m.cfg.QueuesPerTenant <= m.host.Spec().QueueCount
 }
 
-// QueueHorizon reports the allocation high-water mark: every queue
-// below it has been handed to some tenant, active or retired.
-func (m *Manager) QueueHorizon() int { return m.nextQ }
-
 // QueuesRetired reports how many host queues past evictions have
 // stranded: the allocation horizon minus what active tenants still own.
 // It only shrinks on Rebuild.
@@ -294,16 +290,6 @@ func (m *Manager) Rebuild() (reclaimed int, err error) {
 	m.host.ReleaseQueues(0, m.nextQ)
 	m.nextQ = 0
 	return reclaimed, nil
-}
-
-// Owner reports which tenant owns a host queue.
-func (m *Manager) Owner(queue int) (*Tenant, bool) {
-	for _, t := range m.tenants {
-		if queue >= t.QueueLo && queue < t.QueueHi {
-			return t, true
-		}
-	}
-	return nil, false
 }
 
 // ResolveSteering resolves the director's steering decision for a

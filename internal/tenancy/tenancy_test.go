@@ -179,11 +179,19 @@ func TestReconfigurationTiming(t *testing.T) {
 	if a.ReadyAt != DefaultSlotConfig().ReconfigTime {
 		t.Errorf("ReadyAt = %v, want %v", a.ReadyAt, DefaultSlotConfig().ReconfigTime)
 	}
-	if _, ok := m.Owner(a.QueueLo); !ok {
-		t.Error("Owner lookup failed")
+	owns := func(queue int) bool {
+		for _, t := range m.tenants {
+			if queue >= t.QueueLo && queue < t.QueueHi {
+				return true
+			}
+		}
+		return false
 	}
-	if _, ok := m.Owner(9999); ok {
-		t.Error("Owner(9999) should miss")
+	if !owns(a.QueueLo) {
+		t.Error("no tenant owns the admitted tenant's first queue")
+	}
+	if owns(9999) {
+		t.Error("a tenant owns queue 9999")
 	}
 }
 
@@ -302,9 +310,9 @@ func TestQueueExhaustionGuard(t *testing.T) {
 	if got := m.QueuesRetired(); got != cycles*m.cfg.QueuesPerTenant {
 		t.Errorf("QueuesRetired = %d, want %d", got, cycles*m.cfg.QueuesPerTenant)
 	}
-	if m.QueueHorizon() != m.QueuesRetired() {
+	if m.nextQ != m.QueuesRetired() {
 		t.Errorf("horizon %d != retired %d with no tenants admitted",
-			m.QueueHorizon(), m.QueuesRetired())
+			m.nextQ, m.QueuesRetired())
 	}
 }
 
@@ -329,7 +337,7 @@ func TestRebuildReclaimsRetiredQueues(t *testing.T) {
 	if _, err := m.Evict(0, b.ID); err != nil {
 		t.Fatal(err)
 	}
-	horizon := m.QueueHorizon()
+	horizon := m.nextQ
 	reclaimed, err := m.Rebuild()
 	if err != nil {
 		t.Fatal(err)
@@ -337,9 +345,9 @@ func TestRebuildReclaimsRetiredQueues(t *testing.T) {
 	if reclaimed != horizon {
 		t.Errorf("reclaimed %d queues, want the whole horizon %d", reclaimed, horizon)
 	}
-	if m.QueuesRetired() != 0 || m.QueueHorizon() != 0 {
+	if m.QueuesRetired() != 0 || m.nextQ != 0 {
 		t.Errorf("retired %d, horizon %d after rebuild, want 0/0",
-			m.QueuesRetired(), m.QueueHorizon())
+			m.QueuesRetired(), m.nextQ)
 	}
 	if owner, ok := h.Owner(0); ok {
 		t.Errorf("queue 0 still owned by tenant %d after rebuild", owner)

@@ -319,22 +319,3 @@ func (g *Gen) AppendArrivals(dst []sim.Time, n int, gap sim.Time, jitter float64
 	}
 	return dst, nil
 }
-
-// ZipfFlows draws per-packet flow indices from a Zipf distribution over
-// the flow space — production traffic mixes are heavy-hitter dominated,
-// which exercises connection-table hit rates realistically.
-func ZipfFlows(count, flows int, skew float64, seed int64) ([]int, error) {
-	if count <= 0 || flows <= 0 {
-		return nil, fmt.Errorf("workload: invalid zipf config count=%d flows=%d", count, flows)
-	}
-	if skew <= 1 {
-		return nil, fmt.Errorf("workload: zipf skew %v must exceed 1", skew)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(rng, skew, 1, uint64(flows-1))
-	out := make([]int, count)
-	for i := range out {
-		out[i] = int(z.Uint64())
-	}
-	return out, nil
-}

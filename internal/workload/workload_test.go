@@ -329,40 +329,6 @@ func TestEmbeddingsAndDot(t *testing.T) {
 	}
 }
 
-func TestZipfFlowsHeavyHitters(t *testing.T) {
-	flows, err := ZipfFlows(10_000, 1000, 1.3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[int]int{}
-	for _, f := range flows {
-		if f < 0 || f >= 1000 {
-			t.Fatalf("flow %d out of range", f)
-		}
-		counts[f]++
-	}
-	// Flow 0 must dominate: heavy-hitter shape.
-	if counts[0] < len(flows)/4 {
-		t.Errorf("top flow has %d of %d packets, want heavy-hitter dominance", counts[0], len(flows))
-	}
-	if len(counts) < 50 {
-		t.Errorf("only %d distinct flows, want a long tail", len(counts))
-	}
-	// Deterministic.
-	again, _ := ZipfFlows(10_000, 1000, 1.3, 7)
-	for i := range flows {
-		if flows[i] != again[i] {
-			t.Fatal("zipf stream not deterministic")
-		}
-	}
-	if _, err := ZipfFlows(0, 10, 1.3, 1); err == nil {
-		t.Error("zero count accepted")
-	}
-	if _, err := ZipfFlows(10, 10, 0.5, 1); err == nil {
-		t.Error("skew <= 1 accepted")
-	}
-}
-
 func TestArrivalsSeededReproducible(t *testing.T) {
 	a, err := Arrivals(5_000, 200*sim.Nanosecond, 0.3, 42)
 	if err != nil {

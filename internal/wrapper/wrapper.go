@@ -113,7 +113,6 @@ func OverheadFraction(overhead, capacity hdl.Resources) float64 {
 // destination domain; the destination side drains at its own clock and
 // width. Selecting S×M ≈ R×U keeps the path lossless (§3.3.1).
 type DataPath struct {
-	name     string
 	srcClk   *sim.Clock
 	dstClk   *sim.Clock
 	srcWidth int
@@ -123,8 +122,6 @@ type DataPath struct {
 	dstPipe  *sim.Pipeline
 	cdc      *sim.AsyncFIFO
 	bypass   bool
-	bytes    int64
-	xfers    int64
 }
 
 // NewDataPath builds a converter between (srcClk, srcWidth bits) and
@@ -137,7 +134,6 @@ func NewDataPath(name string, srcClk *sim.Clock, srcWidth int, dstClk *sim.Clock
 		return nil, fmt.Errorf("wrapper: datapath %q requires both clocks", name)
 	}
 	return &DataPath{
-		name:     name,
 		srcClk:   srcClk,
 		dstClk:   dstClk,
 		srcWidth: srcWidth,
@@ -145,7 +141,7 @@ func NewDataPath(name string, srcClk *sim.Clock, srcWidth int, dstClk *sim.Clock
 		srcPipe:  sim.NewPipeline(name+".src", srcClk, PipelineDepth),
 		rawPipe:  sim.NewPipeline(name+".raw", srcClk, 0),
 		dstPipe:  sim.NewPipeline(name+".dst", dstClk, 0),
-		cdc:      sim.NewAsyncFIFO(name+".cdc", 64, srcClk, dstClk),
+		cdc:      sim.NewAsyncFIFO(dstClk),
 	}, nil
 }
 
@@ -163,24 +159,6 @@ func (d *DataPath) FixedLatency() sim.Time {
 	}
 	return lat
 }
-
-// Lossless reports whether the source and destination sides have equal
-// raw bandwidth (S×M == R×U, within clock-rounding tolerance), the
-// condition roles use to select instances for full-rate operation.
-func (d *DataPath) Lossless() bool {
-	in, out := d.GbpsIn(), d.GbpsOut()
-	diff := in - out
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff <= in*1e-3
-}
-
-// GbpsIn reports the source-side raw bandwidth.
-func (d *DataPath) GbpsIn() float64 { return d.srcClk.FreqMHz() * float64(d.srcWidth) / 1000 }
-
-// GbpsOut reports the destination-side raw bandwidth.
-func (d *DataPath) GbpsOut() float64 { return d.dstClk.FreqMHz() * float64(d.dstWidth) / 1000 }
 
 // Transfer moves n bytes through the converter starting no earlier than
 // now and returns the completion time of the last destination beat.
@@ -206,8 +184,6 @@ func (d *DataPath) Transfer(now sim.Time, n int) sim.Time {
 	if dstDone > done {
 		done = dstDone
 	}
-	d.bytes += int64(n)
-	d.xfers++
 	return done
 }
 
@@ -228,19 +204,4 @@ func (d *DataPath) Backlog(now sim.Time) sim.Time {
 		return free - now
 	}
 	return 0
-}
-
-// Bytes reports total bytes transferred.
-func (d *DataPath) Bytes() int64 { return d.bytes }
-
-// Transfers reports the number of Transfer calls.
-func (d *DataPath) Transfers() int64 { return d.xfers }
-
-// Reset returns the datapath to idle.
-func (d *DataPath) Reset() {
-	d.srcPipe.Reset()
-	d.rawPipe.Reset()
-	d.dstPipe.Reset()
-	d.bytes = 0
-	d.xfers = 0
 }

@@ -93,20 +93,37 @@ func TestWrapOverheadTiny(t *testing.T) {
 	}
 }
 
+// rawGbps is one side's raw bandwidth: width bits per clock period.
+func rawGbps(clk *sim.Clock, width int) float64 {
+	return float64(width) / clk.Period().Nanoseconds()
+}
+
+// sustainedGbps pushes n back-to-back transfers of size bytes through d
+// and reports the rate at which they complete.
+func sustainedGbps(d *DataPath, n, size int) float64 {
+	var done sim.Time
+	for i := 0; i < n; i++ {
+		done = d.Transfer(0, size)
+	}
+	return float64(n*size*8) / (done - d.FixedLatency()).Nanoseconds()
+}
+
 func TestDataPathLosslessCondition(t *testing.T) {
-	// 512b @ 322MHz MAC side, 1024b @ 161MHz user side: S×M == R×U.
+	// 512b @ 322MHz MAC side, 1024b @ 161MHz user side: S×M == R×U, so
+	// the path sustains the source rate.
 	src := sim.NewClock("mac", 322)
 	dst := sim.NewClock("user", 161)
 	d, err := NewDataPath("dp", src, 512, dst, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Lossless() {
-		t.Errorf("S*M=%v R*U=%v should be lossless", d.GbpsIn(), d.GbpsOut())
+	if got, in := sustainedGbps(d, 2000, 1024), rawGbps(src, 512); got < in*0.98 {
+		t.Errorf("S*M=%v R*U=%v sustained %.1f Gbps, want lossless", in, rawGbps(dst, 1024), got)
 	}
+	// Half the destination width: the path loses half the source rate.
 	d2, _ := NewDataPath("dp2", src, 512, dst, 512)
-	if d2.Lossless() {
-		t.Error("mismatched bandwidths reported lossless")
+	if got, in := sustainedGbps(d2, 2000, 1024), rawGbps(src, 512); got > in*0.6 {
+		t.Errorf("mismatched bandwidths sustained %.1f of %.1f Gbps", got, in)
 	}
 }
 
@@ -116,13 +133,8 @@ func TestDataPathThroughputPreserved(t *testing.T) {
 	src := sim.NewClock("src", 322.265625)
 	dst := sim.NewClock("dst", 322.265625)
 	d, _ := NewDataPath("dp", src, 512, dst, 512)
-	const n, size = 5000, 1024
-	var done sim.Time
-	for i := 0; i < n; i++ {
-		done = d.Transfer(0, size)
-	}
-	gbps := float64(n*size*8) / (done - d.FixedLatency()).Nanoseconds()
-	raw := d.GbpsIn()
+	gbps := sustainedGbps(d, 5000, 1024)
+	raw := rawGbps(src, 512)
 	if gbps < raw*0.98 {
 		t.Errorf("sustained %.1f Gbps through wrapper, want about %.1f (no bubbles)", gbps, raw)
 	}
@@ -158,7 +170,7 @@ func TestDataPathSlowerDestinationBounds(t *testing.T) {
 		done = d.Transfer(0, size)
 	}
 	gbps := float64(n*size*8) / done.Nanoseconds()
-	out := d.GbpsOut()
+	out := rawGbps(dst, 512)
 	if gbps > out*1.02 {
 		t.Errorf("sustained %.1f Gbps exceeds destination bandwidth %.1f", gbps, out)
 	}
@@ -171,13 +183,14 @@ func TestDataPathWidthConversionCounts(t *testing.T) {
 	src := sim.NewClock("src", 322)
 	dst := sim.NewClock("dst", 250)
 	d, _ := NewDataPath("dp", src, 2048, dst, 512)
+	// 1024 bytes are four 2048-bit source beats and sixteen 512-bit
+	// destination beats.
 	d.Transfer(0, 1024)
-	if d.Bytes() != 1024 || d.Transfers() != 1 {
-		t.Errorf("Bytes=%d Transfers=%d", d.Bytes(), d.Transfers())
+	if got, want := d.srcPipe.NextFree(), 4*src.Period(); got != want {
+		t.Errorf("source side booked until %v, want %v (4 beats)", got, want)
 	}
-	d.Reset()
-	if d.Bytes() != 0 || d.Transfers() != 0 {
-		t.Error("Reset did not clear counters")
+	if got, want := d.dstPipe.NextFree()-dst.NextEdge(d.FixedLatency()), 16*dst.Period(); got != want {
+		t.Errorf("destination side booked %v past the crossing, want %v (16 beats)", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ package harmonia
 // throughout. Skipped under -short.
 
 import (
+	"math/rand"
 	"testing"
 
 	"harmonia/internal/apps"
@@ -34,9 +35,10 @@ func TestSoakLBUnderChurn(t *testing.T) {
 	if err := lb.AddVIP(vip, backends); err != nil {
 		t.Fatal(err)
 	}
-	flows, err := workload.ZipfFlows(100_000, 4096, 1.2, 21)
-	if err != nil {
-		t.Fatal(err)
+	zipf := rand.NewZipf(rand.New(rand.NewSource(21)), 1.2, 1, 4095)
+	flows := make([]int, 100_000)
+	for i := range flows {
+		flows[i] = int(zipf.Uint64())
 	}
 	pinned := map[net.FlowKey]net.IPAddr{}
 	removed := map[net.IPAddr]bool{}
