@@ -21,9 +21,6 @@ type StaticConfig struct {
 	ChannelCounts map[string]int
 	// VirtualFunctions is the SR-IOV VF budget.
 	VirtualFunctions int
-	// PCIeGen and PCIeLanes describe the host connection.
-	PCIeGen   int
-	PCIeLanes int
 }
 
 // DeviceAdapter manages resource-related configuration for one device.
@@ -44,10 +41,6 @@ func NewDeviceAdapter(d *platform.Device) (*DeviceAdapter, error) {
 	}
 	for _, p := range d.Peripherals {
 		st.ChannelCounts[p.Model] += p.Count
-		if p.Kind == platform.Host {
-			st.PCIeGen = p.PCIeGen
-			st.PCIeLanes = p.PCIeLanes
-		}
 	}
 	return &DeviceAdapter{device: d, static: st}, nil
 }

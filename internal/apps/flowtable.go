@@ -30,15 +30,21 @@ type FlowTable struct {
 	n        int
 	backends []net.IPAddr
 	max      int
-	// sorted is the table as of the last Snapshot, in key order, and
-	// pinned lists the entries pinned under new keys since then: the
-	// next Snapshot sorts only pinned and merges it in. stale means some
-	// change since the last Snapshot was not a new-key pin (a restore,
-	// an eviction, an overwritten pin, or no Snapshot yet), so the next
-	// one rebuilds from the slots and pinned is not kept meanwhile.
-	sorted []ConnEntry
-	pinned []ConnEntry
-	stale  bool
+	// sorted is the capture: the table as of the last Capture, packed
+	// like the slots and in key order (compareSlots). capBackends is the
+	// backend list its indices point into, as of that Capture: backends
+	// only grows by append and rebuild gives it a new array, so the
+	// capture reads the same until the next Capture whatever the table
+	// does meanwhile. pinned lists the slots pinned under new keys since
+	// then: the next Capture sorts only pinned and merges it in place.
+	// stale means some change since the last Capture was not a new-key
+	// pin (a restore, an overwritten pin, a rebuild, or no Capture yet),
+	// so the next one refills from the slots and pinned is not kept
+	// meanwhile.
+	sorted      []flowSlot
+	capBackends []net.IPAddr
+	pinned      []flowSlot
+	stale       bool
 	// hits/misses count lookups against established flows vs new-flow
 	// pins; tableFull counts pins refused because the table was at
 	// capacity — those flows silently lose stickiness, so the counter
@@ -122,34 +128,34 @@ func (t *FlowTable) Pin(k net.FlowKey, b net.IPAddr) bool {
 		t.tableFull++
 		return false
 	}
-	switch {
-	case !t.put(k, b):
+	switch s, fresh := t.put(k, b); {
+	case !fresh:
 		t.stale = true // overwrote an existing key
 	case !t.stale:
-		t.pinned = append(t.pinned, ConnEntry{Key: k, Backend: b})
+		t.pinned = append(t.pinned, s)
 	}
 	return true
 }
 
-// put stores k → b and reports whether k was new.
-func (t *FlowTable) put(k net.FlowKey, b net.IPAddr) bool {
+// put stores k → b and returns the slot it wrote and whether k was new.
+func (t *FlowTable) put(k net.FlowKey, b net.IPAddr) (flowSlot, bool) {
 	hi, lo := keyOrder(k)
-	tag := t.backendIndex(b) << keyBits
+	s := flowSlot{hi, lo | t.backendIndex(b)<<keyBits}
 	i, ok := 0, false
 	if len(t.slots) > 0 {
 		i, ok = t.find(hi, lo)
 	}
 	if ok {
-		t.slots[i].lo = lo | tag
-		return false
+		t.slots[i] = s
+		return s, false
 	}
 	if (t.n+1)*8 > len(t.slots)*7 {
 		t.resize(max(minSlots, 2*len(t.slots)))
 		i, _ = t.find(hi, lo)
 	}
-	t.slots[i] = flowSlot{hi, lo | tag}
+	t.slots[i] = s
 	t.n++
-	return true
+	return s, true
 }
 
 // resize moves every entry into a fresh slot array of the given length.
@@ -185,9 +191,12 @@ func (t *FlowTable) backendIndex(b net.IPAddr) uint64 {
 // rebuild reinserts every entry not pinned to backend index drop (0
 // drops none) into a fresh slot array of the same length, and renumbers
 // the backends in order of first use so the list holds only backends
-// some entry uses. It reports how many entries it dropped.
+// some entry uses. It reports how many entries it dropped. The
+// renumbering marks the capture stale: pins made since the last Capture
+// carry the old numbers.
 func (t *FlowTable) rebuild(drop uint64) int {
 	old, oldBackends, before := t.slots, t.backends, t.n
+	t.stale = true
 	renum := make([]uint64, len(oldBackends)+1)
 	t.slots, t.backends, t.n = make([]flowSlot, len(old)), nil, 0
 	for _, s := range old {
@@ -215,11 +224,7 @@ func (t *FlowTable) EvictBackend(b net.IPAddr) int {
 	if i < 0 {
 		return 0
 	}
-	evicted := t.rebuild(uint64(i + 1))
-	if evicted > 0 {
-		t.stale = true
-	}
-	return evicted
+	return t.rebuild(uint64(i + 1))
 }
 
 // Stats reports the table counters.
@@ -233,35 +238,34 @@ type ConnEntry struct {
 	Backend net.IPAddr
 }
 
-// Snapshot exports the table as a deterministic entry list, sorted by
-// the key's wire bytes (SrcIP, DstIP, Proto, SrcPort, DstPort) — the
-// consistent capture the export side of migration stages. It sorts only
-// the flows pinned since the last Snapshot and merges them into the
-// previous capture in one sequential pass; a restore, an eviction or an
-// overwritten pin makes it rebuild from the slots instead.
-//
-// The result is shared with the table and with every later Snapshot
-// that finds nothing new: callers must only read it. The table never
-// writes to a slice it has returned, so a capture stays valid, and
-// unchanged, across later mutations.
-func (t *FlowTable) Snapshot() []ConnEntry {
+// Capture brings the table's capture up to date and returns the length
+// in words of its encoded stream, which AppendCaptureWords serves: the
+// consistent capture the export side of migration stages, sorted by the
+// key's wire bytes (SrcIP, DstIP, Proto, SrcPort, DstPort). It sorts
+// only the flows pinned since the last Capture and merges them into the
+// capture in place; a restore, an overwritten pin or a rebuild makes it
+// refill the capture from the slots instead. Either way the capture's
+// array is reused while it holds the table; one that does not is
+// replaced by one with an eighth of headroom, so a table growing by a
+// few pins per capture reuses it for the next several.
+func (t *FlowTable) Capture() int {
 	switch {
 	case t.stale:
-		packed := make([]flowSlot, 0, t.n)
+		if cap(t.sorted) < t.n {
+			t.sorted = make([]flowSlot, 0, t.n+t.n/8)
+		}
+		t.sorted = t.sorted[:0]
 		for _, s := range t.slots {
 			if s.lo != 0 {
-				packed = append(packed, s)
+				t.sorted = append(t.sorted, s)
 			}
 		}
-		slices.SortFunc(packed, compareSlots)
-		out := make([]ConnEntry, len(packed))
-		for i, s := range packed {
-			out[i] = t.entry(s)
-		}
-		t.sorted, t.stale = out, false
+		slices.SortFunc(t.sorted, compareSlots)
+		t.stale = false
 	case len(t.pinned) > 0:
-		t.sorted = mergePins(make([]ConnEntry, 0, len(t.sorted)+len(t.pinned)), t.sorted, t.pinned)
+		t.sorted = mergePinned(t.sorted, t.pinned)
 	}
+	t.capBackends = t.backends
 	// Keep a small pin list's array for the next round of pins, but let
 	// a burst (a table filling between two captures) go rather than hold
 	// its peak size for the table's lifetime.
@@ -269,77 +273,109 @@ func (t *FlowTable) Snapshot() []ConnEntry {
 	if cap(t.pinned) > pinnedKeep {
 		t.pinned = nil
 	}
-	return t.sorted
+	return FlowSnapshotLen(len(t.sorted))
 }
 
-// packedEntry is a pinned entry with its key packed by keyOrder, so
-// sorting and merging pins compare words.
-type packedEntry struct {
-	hi, lo uint64
-	e      ConnEntry
-}
-
-// comparePacked orders entries by their packed keys.
-func comparePacked(a, b packedEntry) int {
-	if c := cmp.Compare(a.hi, b.hi); c != 0 {
-		return c
+// mergePinned merges pins, none of whose keys is in the sorted capture
+// a, into a and returns the result. It sorts the pins, then fills the
+// merged array from the back, so the merge runs in a's own array when
+// it has room: each run of a that sorts after the next pin moves up
+// with one copy, found by bisecting what remains of a. An a without
+// room is merged into a new array of n + k + (n+k)/8 entries.
+func mergePinned(a, pins []flowSlot) []flowSlot {
+	slices.SortFunc(pins, compareSlots)
+	n, k := len(a), len(pins)
+	grown := cap(a) < n+k
+	var dst []flowSlot
+	if grown {
+		dst = make([]flowSlot, n+k, n+k+(n+k)/8)
+	} else {
+		dst = a[:n+k]
 	}
-	return cmp.Compare(a.lo, b.lo)
+	end := n
+	for j := k - 1; j >= 0; j-- {
+		i, _ := slices.BinarySearchFunc(a[:end], pins[j], compareSlots)
+		copy(dst[i+j+1:], a[i:end])
+		dst[i+j] = pins[j]
+		end = i
+	}
+	if grown {
+		copy(dst, a[:end])
+	}
+	return dst
 }
 
-// sortsBefore reports whether e's key orders before the packed key
-// (hi, lo).
-func sortsBefore(e *ConnEntry, hi, lo uint64) bool {
-	h, l := keyOrder(e.Key)
-	return h < hi || h == hi && l < lo
-}
-
-// mergePins appends to dst the merge of a sorted entry list and the
-// pins, none of whose keys is in a. The pins are packed and sorted on
-// the stack when there are at most packedOnStack of them. The merge
-// walks a once, front to back: each run of a that sorts before the
-// next pin is found by galloping forward from the run's start and
-// copied in one append, so it reads only entries it is about to copy.
-func mergePins(dst, a, pins []ConnEntry) []ConnEntry {
-	var stack [packedOnStack]packedEntry
-	packed := stack[:0]
-	if len(pins) > len(stack) {
-		packed = make([]packedEntry, 0, len(pins))
-	}
-	for _, e := range pins {
-		hi, lo := keyOrder(e.Key)
-		packed = append(packed, packedEntry{hi: hi, lo: lo, e: e})
-	}
-	slices.SortFunc(packed, comparePacked)
-	for i := range packed {
-		p := &packed[i]
-		// Probe a[0], a[1], a[3], a[7], ... until one sorts after p,
-		// then bisect the last step.
-		step := 1
-		for step <= len(a) && sortsBefore(&a[step-1], p.hi, p.lo) {
-			step *= 2
-		}
-		lo, hi := step/2, min(step, len(a))
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if sortsBefore(&a[mid], p.hi, p.lo) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		dst = append(append(dst, a[:lo]...), p.e)
-		a = a[lo:]
-	}
-	return append(dst, a...)
-}
-
-// pinnedKeep is the largest pin list whose array Snapshot keeps.
+// pinnedKeep is the largest pin list whose array Capture keeps.
 const pinnedKeep = 32
 
-// packedOnStack is the largest pin list mergePins packs without
-// allocating: a few probe intervals' worth of new flows.
-const packedOnStack = 64
+// AppendCaptureWords appends words [lo, hi) of the capture's encoded
+// stream (the version-1 flow snapshot encoding) to dst, so a reader can
+// be served one row at a time without staging the stream. hi must not
+// exceed the length Capture returned. Whole entries encode straight
+// from the packed slots into dst; only an entry a row edge splits is
+// staged. The stream is the one the last Capture fixed, however the
+// table has changed since.
+func (t *FlowTable) AppendCaptureWords(dst []uint32, lo, hi int) []uint32 {
+	if lo < flowSnapHeaderWords {
+		header := [flowSnapHeaderWords]uint32{flowSnapMagic<<16 | FlowSnapshotVersion, uint32(len(t.sorted))}
+		dst = append(dst, header[lo:min(hi, flowSnapHeaderWords)]...)
+		lo = flowSnapHeaderWords
+	}
+	if lo >= hi {
+		return dst
+	}
+	i, off := (lo-flowSnapHeaderWords)/flowSnapEntryWords, (lo-flowSnapHeaderWords)%flowSnapEntryWords
+	var staged [flowSnapEntryWords]uint32
+	if off > 0 {
+		t.putCaptureWords(staged[:], t.sorted[i])
+		n := min(flowSnapEntryWords-off, hi-lo)
+		dst = append(dst, staged[off:off+n]...)
+		lo += n
+		i++
+	}
+	whole := (hi - lo) / flowSnapEntryWords
+	start := len(dst)
+	dst = slices.Grow(dst, whole*flowSnapEntryWords)[:start+whole*flowSnapEntryWords]
+	for j, s := range t.sorted[i : i+whole] {
+		t.putCaptureWords(dst[start+j*flowSnapEntryWords:], s)
+	}
+	if lo += whole * flowSnapEntryWords; lo < hi {
+		t.putCaptureWords(staged[:], t.sorted[i+whole])
+		dst = append(dst, staged[:hi-lo]...)
+	}
+	return dst
+}
+
+// putCaptureWords encodes one captured slot into w's first words: the
+// key's fields straight from the packed words, the backend through the
+// capture's backend list.
+func (t *FlowTable) putCaptureWords(w []uint32, s flowSlot) {
+	_ = w[flowSnapEntryWords-1]
+	w[0] = uint32(s.hi >> 32)
+	w[1] = uint32(s.hi)
+	w[2] = uint32(s.lo) // SrcPort<<16 | DstPort
+	w[3] = uint32(s.lo>>32) & 0xff
+	w[4] = ipWord(t.capBackends[s.lo>>keyBits-1])
+}
+
+// Snapshot brings the capture up to date (Capture) and returns it
+// unpacked into a new entry list the caller owns. The command path
+// reads the capture's words instead; the drills' ground truth and the
+// tests read entries.
+func (t *FlowTable) Snapshot() []ConnEntry {
+	t.Capture()
+	out := make([]ConnEntry, len(t.sorted))
+	for i, s := range t.sorted {
+		out[i] = ConnEntry{
+			Key: net.FlowKey{
+				SrcIP: wordIP(uint32(s.hi >> 32)), DstIP: wordIP(uint32(s.hi)),
+				Proto: uint8(s.lo >> 32), SrcPort: uint16(s.lo >> 16), DstPort: uint16(s.lo),
+			},
+			Backend: t.capBackends[s.lo>>keyBits-1],
+		}
+	}
+	return out
+}
 
 // Restore replays snapshot entries into the table, respecting the
 // capacity bound; it reports how many were added and how many dropped.
@@ -380,17 +416,6 @@ func compareSlots(a, b flowSlot) int {
 	return cmp.Compare(a.lo<<(64-keyBits), b.lo<<(64-keyBits))
 }
 
-// entry unpacks an occupied slot.
-func (t *FlowTable) entry(s flowSlot) ConnEntry {
-	return ConnEntry{
-		Key: net.FlowKey{
-			SrcIP: wordIP(uint32(s.hi >> 32)), DstIP: wordIP(uint32(s.hi)),
-			Proto: uint8(s.lo >> 32), SrcPort: uint16(s.lo >> 16), DstPort: uint16(s.lo),
-		},
-		Backend: t.backends[s.lo>>keyBits-1],
-	}
-}
-
 // Flow snapshot wire encoding (version 1): the word stream table-read/
 // table-write transactions carry across devices during live migration.
 //
@@ -417,65 +442,21 @@ func wordIP(w uint32) net.IPAddr {
 
 // EncodeFlowSnapshot serializes entries into the versioned word stream.
 func EncodeFlowSnapshot(entries []ConnEntry) []uint32 {
-	n := FlowSnapshotLen(len(entries))
-	return AppendFlowSnapshot(make([]uint32, 0, n), entries, 0, n)
+	out := make([]uint32, flowSnapHeaderWords, FlowSnapshotLen(len(entries)))
+	out[0], out[1] = flowSnapMagic<<16|FlowSnapshotVersion, uint32(len(entries))
+	for _, e := range entries {
+		out = append(out,
+			ipWord(e.Key.SrcIP),
+			ipWord(e.Key.DstIP),
+			uint32(e.Key.SrcPort)<<16|uint32(e.Key.DstPort),
+			uint32(e.Key.Proto),
+			ipWord(e.Backend))
+	}
+	return out
 }
 
 // FlowSnapshotLen reports how many words the stream of n entries holds.
 func FlowSnapshotLen(n int) int { return flowSnapHeaderWords + flowSnapEntryWords*n }
-
-// AppendFlowSnapshot appends words [lo, hi) of the entries' encoded
-// stream to dst, so a reader can be served one row of a capture at a
-// time without staging the whole stream. hi must not exceed
-// FlowSnapshotLen(len(entries)). Whole entries encode straight into
-// dst; only an entry a row edge splits is staged.
-func AppendFlowSnapshot(dst []uint32, entries []ConnEntry, lo, hi int) []uint32 {
-	if lo < flowSnapHeaderWords {
-		header := [flowSnapHeaderWords]uint32{flowSnapMagic<<16 | FlowSnapshotVersion, uint32(len(entries))}
-		dst = append(dst, header[lo:min(hi, flowSnapHeaderWords)]...)
-		lo = flowSnapHeaderWords
-	}
-	if lo >= hi {
-		return dst
-	}
-	i, off := (lo-flowSnapHeaderWords)/flowSnapEntryWords, (lo-flowSnapHeaderWords)%flowSnapEntryWords
-	if off > 0 {
-		words := entryWords(entries[i])
-		n := min(flowSnapEntryWords-off, hi-lo)
-		dst = append(dst, words[off:off+n]...)
-		lo += n
-		i++
-	}
-	whole := (hi - lo) / flowSnapEntryWords
-	start := len(dst)
-	dst = slices.Grow(dst, whole*flowSnapEntryWords)[:start+whole*flowSnapEntryWords]
-	out := dst[start:]
-	for j := range entries[i : i+whole] {
-		e := &entries[i+j]
-		w := out[j*flowSnapEntryWords : (j+1)*flowSnapEntryWords : (j+1)*flowSnapEntryWords]
-		w[0] = ipWord(e.Key.SrcIP)
-		w[1] = ipWord(e.Key.DstIP)
-		w[2] = uint32(e.Key.SrcPort)<<16 | uint32(e.Key.DstPort)
-		w[3] = uint32(e.Key.Proto)
-		w[4] = ipWord(e.Backend)
-	}
-	if lo += whole * flowSnapEntryWords; lo < hi {
-		words := entryWords(entries[i+whole])
-		dst = append(dst, words[:hi-lo]...)
-	}
-	return dst
-}
-
-// entryWords encodes one entry's words.
-func entryWords(e ConnEntry) [flowSnapEntryWords]uint32 {
-	return [flowSnapEntryWords]uint32{
-		ipWord(e.Key.SrcIP),
-		ipWord(e.Key.DstIP),
-		uint32(e.Key.SrcPort)<<16 | uint32(e.Key.DstPort),
-		uint32(e.Key.Proto),
-		ipWord(e.Backend),
-	}
-}
 
 // FlowSnapshotWords validates a snapshot's header and returns the total
 // word count the stream declares — how the receive side knows when a

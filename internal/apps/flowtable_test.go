@@ -364,21 +364,29 @@ func TestFlowSnapshotRestoreIdempotent(t *testing.T) {
 	}
 }
 
-// TestFlowSnapshotEncodeRange serves a stream in command-sized pieces
-// and checks the pieces join to the whole encoding, then checks every
-// (lo, hi) range of small streams, the empty one included, so each
-// split inside, at and across entry boundaries appends exactly
-// whole[lo:hi] after what dst held.
+// TestFlowSnapshotEncodeRange serves a capture's stream in command-sized
+// pieces and checks the pieces join to the encoding of the table's
+// Snapshot, then checks every (lo, hi) range of small tables' captures,
+// the empty one included, so each split inside, at and across entry
+// boundaries appends exactly whole[lo:hi] after what dst held.
 func TestFlowSnapshotEncodeRange(t *testing.T) {
-	entries := make([]ConnEntry, 120)
-	for i := range entries {
-		entries[i] = ConnEntry{Key: ftKey(uint16(i)), Backend: net.IPv4(10, 0, 0, byte(i))}
+	table := func(n int) *FlowTable {
+		ft := NewFlowTable(1 << 10)
+		for i := range n {
+			ft.Pin(ftKey(uint16(n-i)), net.IPv4(10, 0, 0, byte(i%7+1)))
+		}
+		return ft
 	}
-	whole := EncodeFlowSnapshot(entries)
+	ft := table(120)
+	total := ft.Capture()
+	whole := EncodeFlowSnapshot(ft.Snapshot())
+	if total != len(whole) {
+		t.Fatalf("Capture reports %d words, the stream has %d", total, len(whole))
+	}
 	for _, step := range []int{1, 3, 5, 7, 253} {
 		var joined []uint32
-		for lo := 0; lo < len(whole); lo += step {
-			joined = AppendFlowSnapshot(joined, entries, lo, min(lo+step, len(whole)))
+		for lo := 0; lo < total; lo += step {
+			joined = ft.AppendCaptureWords(joined, lo, min(lo+step, total))
 		}
 		if !slices.Equal(joined, whole) {
 			t.Errorf("step %d: pieces differ from the whole stream", step)
@@ -386,16 +394,110 @@ func TestFlowSnapshotEncodeRange(t *testing.T) {
 	}
 	prefix := []uint32{0xAAAA, 0xBBBB}
 	for _, n := range []int{0, 1, 2, 4} {
-		small := entries[:n]
-		whole := EncodeFlowSnapshot(small)
-		for lo := 0; lo <= len(whole); lo++ {
-			for hi := lo; hi <= len(whole); hi++ {
-				got := AppendFlowSnapshot(slices.Clip(prefix), small, lo, hi)
+		small := table(n)
+		total := small.Capture()
+		whole := EncodeFlowSnapshot(small.Snapshot())
+		for lo := 0; lo <= total; lo++ {
+			for hi := lo; hi <= total; hi++ {
+				got := small.AppendCaptureWords(slices.Clip(prefix), lo, hi)
 				if want := append(slices.Clip(prefix), whole[lo:hi]...); !slices.Equal(got, want) {
 					t.Fatalf("%d entries [%d, %d): got %x, want %x", n, lo, hi, got, want)
 				}
 			}
 		}
+	}
+}
+
+// TestFlowCaptureStableWhileRead reads a capture row by row, as the
+// command path does, with a mutation landing between row 0 and the last
+// row: the rows must still join to the stream as of row 0, and the next
+// Capture must see the mutation. The backend index space is lowered to
+// four so a pin to a fifth backend compacts the backend list mid-read.
+func TestFlowCaptureStableWhileRead(t *testing.T) {
+	defer func(n int) { maxBackends = n }(maxBackends)
+	maxBackends = 4
+	b := func(i int) net.IPAddr { return net.IPv4(10, 0, 0, byte(i)) }
+	mutations := []struct {
+		name string
+		do   func(ft *FlowTable)
+	}{
+		{"pin", func(ft *FlowTable) { ft.Pin(keyAt(1), b(2)) }},
+		{"overwrite", func(ft *FlowTable) { ft.Pin(keyAt(8), b(3)) }},
+		{"evict", func(ft *FlowTable) { ft.EvictBackend(b(1)) }},
+		{"restore", func(ft *FlowTable) {
+			ft.Restore([]ConnEntry{{Key: keyAt(3), Backend: b(2)}, {Key: keyAt(4), Backend: b(3)}})
+		}},
+		// keyAt(0) alone uses backend 4: moving it leaves an unused index,
+		// and a fifth backend compacts the list to the three in use.
+		{"compact", func(ft *FlowTable) {
+			ft.Pin(keyAt(0), b(1))
+			ft.Pin(keyAt(5), b(5))
+			if len(ft.backends) != 4 || ft.backends[3] != b(5) {
+				t.Fatalf("backend list %v was not compacted", ft.backends)
+			}
+		}},
+	}
+	for _, m := range mutations {
+		for _, width := range []int{3, 5, 7, 253} {
+			ft := NewFlowTable(1 << 10)
+			ft.Pin(keyAt(0), b(4))
+			for i := 1; i < 120; i++ {
+				ft.Pin(keyAt(2*i+6), b(i%3+1))
+			}
+			ft.Capture()
+			ft.Pin(keyAt(2), b(2)) // a pending merge, so row 0 merges
+			want := EncodeFlowSnapshot(oracleSnapshot(ft))
+			total := ft.Capture()
+			var got []uint32
+			for lo := 0; lo < total; lo += width {
+				if lo == width {
+					m.do(ft)
+				}
+				got = ft.AppendCaptureWords(got, lo, min(lo+width, total))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, width %d: rows read across the mutation differ from the capture at row 0", m.name, width)
+			}
+			if got := captureEntries(t, ft); !slices.Equal(got, oracleSnapshot(ft)) {
+				t.Errorf("%s, width %d: the next capture misses the mutation", m.name, width)
+			}
+		}
+	}
+}
+
+// captureEntries brings ft's capture up to date and decodes its whole
+// stream.
+func captureEntries(t testing.TB, ft *FlowTable) []ConnEntry {
+	t.Helper()
+	entries, err := DecodeFlowSnapshot(ft.AppendCaptureWords(nil, 0, ft.Capture()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
+// TestFlowCaptureMergesInPlace pins flows between captures while the
+// capture's array has headroom for them: each capture merges the pins
+// in place and allocates nothing.
+func TestFlowCaptureMergesInPlace(t *testing.T) {
+	ft := NewFlowTable(1 << 12)
+	for i := range 650 {
+		ft.Pin(keyAt(2*i+1), net.IPv4(10, 0, 0, byte(i%8+1)))
+	}
+	ft.Capture()
+	next := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		// One pin lands among the captured keys, one after them all.
+		ft.Pin(keyAt(2*next), net.IPv4(10, 0, 0, 9))
+		ft.Pin(keyAt(4000+next), net.IPv4(10, 0, 0, 1))
+		next++
+		ft.Capture()
+	})
+	if allocs != 0 {
+		t.Errorf("capturing pins that fit the headroom allocates %.1f objects, want 0", allocs)
+	}
+	if got := captureEntries(t, ft); !slices.Equal(got, oracleSnapshot(ft)) {
+		t.Errorf("merged capture holds %d entries, differing from the table's %d", len(got), ft.Len())
 	}
 }
 
@@ -447,8 +549,9 @@ func (m *flowModel) evict(b net.IPAddr) int {
 // (smallKey) or, when wide, from random source addresses and ports,
 // which grow the table through its doublings. After every operation
 // the return values, Len, Stats and the slots' contents must equal the
-// model's; every Snapshot must equal the model in wire order, and no
-// capture may change afterwards.
+// model's; every capture, decoded from its stream and as a Snapshot,
+// must equal the model in wire order, and no Snapshot may change
+// afterwards.
 func checkFlowOps(t testing.TB, intn func(int) int, done func() bool, steps int, wide bool) {
 	backends := []net.IPAddr{net.IPv4(10, 0, 0, 1), net.IPv4(10, 0, 0, 2), net.IPv4(10, 0, 0, 3), {}}
 	bound := 1 + intn(1<<12)
@@ -539,6 +642,9 @@ func checkFlowOps(t testing.TB, intn func(int) int, done func() bool, steps int,
 			for i, o := range order {
 				want[i] = o.e
 			}
+			if stream := captureEntries(t, ft); !slices.Equal(stream, want) {
+				t.Fatalf("step %d: capture stream has %d entries, model %d, or they differ", step, len(stream), len(want))
+			}
 			got := ft.Snapshot()
 			if !slices.Equal(got, want) {
 				t.Fatalf("step %d: Snapshot has %d entries, model %d, or they differ", step, len(got), len(want))
@@ -618,10 +724,10 @@ func TestFlowTableBackendIndexGuard(t *testing.T) {
 	ft.Pin(ftKey(5), net.IPv4(10, 0, 0, 5))
 }
 
-// BenchmarkFlowTableSnapshot measures the two costs a Snapshot can pay:
-// a full rebuild from the map (after a restore, an eviction or an
-// overwritten pin) and the merge of 16 pins made since the last
-// Snapshot, at the fleet's typical and larger table sizes.
+// BenchmarkFlowTableSnapshot measures the two costs a Capture can pay:
+// a full refill from the slots (after a restore, an overwritten pin or
+// a rebuild) and the in-place merge of 16 pins made since the last
+// Capture, at the fleet's typical and larger table sizes.
 func BenchmarkFlowTableSnapshot(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	key := func() net.FlowKey {
@@ -636,26 +742,28 @@ func BenchmarkFlowTableSnapshot(b *testing.B) {
 		for ft.Len() < n {
 			ft.Pin(key(), net.IPv4(10, 0, 0, 1))
 		}
-		base := ft.Snapshot()
-		one := base[:1]
+		one := ft.Snapshot()[:1]
 		b.Run(fmt.Sprintf("rebuild/%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ft.Restore(one) // rewrites an existing entry: forces a rebuild
-				ft.Snapshot()
+				ft.Restore(one) // rewrites an existing entry: forces a refill
+				ft.Capture()
 			}
 		})
-		fresh := make([]ConnEntry, 16)
-		for i := range fresh {
-			fresh[i] = ConnEntry{Key: key(), Backend: net.IPv4(10, 0, 0, 2)}
+		base := slices.Clone(ft.sorted)
+		for range 16 {
+			ft.Pin(key(), net.IPv4(10, 0, 0, 2))
 		}
+		fresh := slices.Clone(ft.pinned)
 		b.Run(fmt.Sprintf("merge16/%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				// Rewind to the n-entry capture with the same 16 pins
 				// pending, so every iteration merges at the same size.
-				ft.sorted, ft.pinned = base, append(ft.pinned[:0], fresh...)
-				ft.Snapshot()
+				// The rewind copies n slots, as many as the merge moves.
+				ft.sorted = append(ft.sorted[:0], base...)
+				ft.pinned = append(ft.pinned[:0], fresh...)
+				ft.Capture()
 			}
 		})
 	}

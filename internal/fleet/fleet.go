@@ -253,6 +253,10 @@ type service struct {
 	slo       *obs.SLOTracker
 	prev      ServiceSnapshot
 	lastMilli []int64
+	// materialized is set once Place has created the service's replicas
+	// [0, Replicas) as of that call; ScaleService creates each replica it
+	// adds from then on (placement.go).
+	materialized bool
 }
 
 // AppService derives a fleet service from an application catalog entry.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -394,14 +395,21 @@ func TestPlaceRejectsUnsatisfiableService(t *testing.T) {
 		name, device  string
 		before, after []Service // registered before and after commissioning
 		unhosted      string
+		// scale grows the first service before the first Place; order is
+		// then the replica order Place must leave.
+		scale int
+		order []string
 	}{
-		{"pcie-floor", "device-a", []Service{pcie5}, nil, testApp},
+		{"pcie-floor", "device-a", []Service{pcie5}, nil, testApp, 0, nil},
 		// retrieval's logic is twice the default slot budget.
-		{"slot-budget", "device-a", []Service{AppService(retrieval, 1, net.IPv4(20, 0, 2, 1))}, nil, "retrieval"},
-		{"missing-peripheral", "device-c", []Service{noMem}, []Service{AppService(lb, 1, net.IPv4(20, 0, 3, 1))}, testApp},
+		{"slot-budget", "device-a", []Service{AppService(retrieval, 1, net.IPv4(20, 0, 2, 1))}, nil, "retrieval", 0, nil},
+		{"missing-peripheral", "device-c", []Service{noMem}, []Service{AppService(lb, 1, net.IPv4(20, 0, 3, 1))}, testApp, 0, nil},
 		// No unhosted service: device-a hosts both, the second registered
 		// after commissioning grew the node's per-service tallies.
-		{"registered-after", "device-a", []Service{noMem}, []Service{AppService(lb, 1, net.IPv4(20, 0, 3, 1))}, ""},
+		{"registered-after", "device-a", []Service{noMem}, []Service{AppService(lb, 1, net.IPv4(20, 0, 3, 1))}, "", 0, nil},
+		// A scale-out before the first Place: the elective replica comes
+		// first, and Place materializes only the registered one after it.
+		{"scaled-before-place", "device-a", []Service{noMem}, nil, "", 1, []string{"lb-no-memory/1", "lb-no-memory/0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := NewCluster(DefaultConfig())
@@ -425,7 +433,25 @@ func TestPlaceRejectsUnsatisfiableService(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if tc.scale > 0 {
+				if err := c.ScaleService(0, tc.before[0].Name, tc.scale); err != nil {
+					t.Fatal(err)
+				}
+			}
 			placed, err := c.Place(0)
+			if tc.order != nil {
+				var names []string
+				for _, r := range c.Replicas() {
+					names = append(names, r.Name())
+				}
+				if err != nil || !slices.Equal(names, tc.order) {
+					t.Errorf("replicas %v after Place (error %v), want %v", names, err, tc.order)
+				}
+				if p := ledger(c); len(p) > 0 {
+					t.Errorf("ledger: %v", p)
+				}
+				return
+			}
 			if tc.unhosted == "" {
 				if err != nil || len(placed) != 2 {
 					t.Fatalf("Place placed %d replicas, error %v; want both", len(placed), err)
@@ -439,6 +465,24 @@ func TestPlaceRejectsUnsatisfiableService(t *testing.T) {
 				t.Errorf("Place error = %v, want no device hosting a %s replica", err, tc.unhosted)
 			}
 		})
+	}
+}
+
+// TestPlaceAllocationsFlat places fleets of 64 and 512 replicas, then
+// places each again: with nothing new to materialize or schedule, a
+// call's allocations must not grow with the replica count.
+func TestPlaceAllocationsFlat(t *testing.T) {
+	var allocs []float64
+	for _, replicas := range []int{64, 512} {
+		c := buildTest(t, replicas/2, replicas)
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
+			if placed, err := c.Place(c.Now()); err != nil || len(placed) > 0 {
+				t.Fatalf("Place on a placed fleet placed %d replicas, error %v", len(placed), err)
+			}
+		}))
+	}
+	if allocs[1] > allocs[0] {
+		t.Errorf("Place allocates %.0f objects at 64 replicas and %.0f at 512, want no growth", allocs[0], allocs[1])
 	}
 }
 

@@ -45,10 +45,10 @@ type flowState struct {
 	c     *Cluster
 	svc   *service
 	table *apps.FlowTable
-	// export is the capture being read out: reading row 0 takes the
-	// table's Snapshot, and every row encodes its words from it on
-	// demand.
-	export []apps.ConnEntry
+	// exportWords is the length of the capture stream being read out:
+	// reading row 0 brings the table's capture up to date, and every row
+	// encodes its words from the capture on demand.
+	exportWords int
 	// importBuf accumulates written rows until the framed length
 	// (declared by the row-0 header) is reached, then restores.
 	importBuf  []uint32
@@ -85,20 +85,20 @@ func (fs *flowState) assignment(k net.FlowKey) net.IPAddr {
 	return fs.svc.pool.Lookup(k)
 }
 
-// exportRow serves TableRead: row 0 snapshots the table, and every row
-// returns its command-sized slice of the framed stream, encoded into the
-// cluster's shared row buffer: it is only valid until the next table
-// read, and readFlowSnapshot copies each row out.
+// exportRow serves TableRead: row 0 brings the table's capture up to
+// date, and every row returns its command-sized slice of the capture's
+// framed stream, encoded straight from the table's packed capture into
+// the cluster's shared row buffer: it is only valid until the next
+// table read, and readFlowSnapshot copies each row out.
 func (fs *flowState) exportRow(index uint32) ([]uint32, bool) {
 	if index == 0 {
-		fs.export = fs.table.Snapshot()
+		fs.exportWords = fs.table.Capture()
 	}
-	total := apps.FlowSnapshotLen(len(fs.export))
 	lo := int(index) * cmdif.MaxTableRowWords
-	if lo >= total {
+	if lo >= fs.exportWords {
 		return nil, false
 	}
-	fs.c.tableRow = apps.AppendFlowSnapshot(fs.c.tableRow[:0], fs.export, lo, min(lo+cmdif.MaxTableRowWords, total))
+	fs.c.tableRow = fs.table.AppendCaptureWords(fs.c.tableRow[:0], lo, min(lo+cmdif.MaxTableRowWords, fs.exportWords))
 	return fs.c.tableRow, true
 }
 

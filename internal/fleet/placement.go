@@ -192,23 +192,29 @@ func (c *Cluster) tracePRLoad(reqAt, start, done sim.Time, node string, ok bool)
 	c.ctrl.Add(e)
 }
 
-// Place materializes every registered service's replicas and schedules
-// all unplaced ones. It is incremental: services or devices added later
-// are covered by the next call. Placement failures abort with the
-// scheduler's reason.
+// Place materializes the replicas of every service registered since the
+// last call and schedules all unplaced ones. It is incremental: services
+// or devices added later are covered by the next call. Placement
+// failures abort with the scheduler's reason.
 func (c *Cluster) Place(now sim.Time) ([]*Replica, error) {
 	c.advance(now)
-	// Materialize replicas for newly registered services.
-	have := map[string]bool{}
-	for _, r := range c.replicas {
-		have[r.Name()] = true
-	}
+	// Materialize replicas for newly registered services, once each: a
+	// materialized service's replicas only grow through ScaleService,
+	// which creates each one it adds. Before that, ScaleService may
+	// already have created the indices past the registered count.
 	for _, svc := range c.svcOrder {
-		for i := 0; i < svc.Replicas; i++ {
-			r := newReplica(svc, i)
-			if !have[r.Name()] {
-				c.replicas = append(c.replicas, r)
+		if svc.materialized {
+			continue
+		}
+		svc.materialized = true
+		scaled := 0
+		for _, r := range c.replicas {
+			if r.svc == svc {
+				scaled++
 			}
+		}
+		for i := range svc.Replicas - scaled {
+			c.replicas = append(c.replicas, newReplica(svc, i))
 		}
 	}
 	// Schedule unplaced replicas, largest slot-utilization first
