@@ -305,8 +305,11 @@ func mergePinned(a, pins []flowSlot) []flowSlot {
 	return dst
 }
 
-// pinnedKeep is the largest pin list whose array Capture keeps.
-const pinnedKeep = 32
+// pinnedKeep is the largest pin list whose array Capture keeps. At 64
+// a storm table's list survives a probe interval's pins instead of
+// being regrown from nil after each capture; a table keeps at most a
+// 1 KiB array.
+const pinnedKeep = 64
 
 // AppendCaptureWords appends words [lo, hi) of the capture's encoded
 // stream (the version-1 flow snapshot encoding) to dst, so a reader can

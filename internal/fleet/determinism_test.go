@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -15,7 +16,8 @@ import (
 // The determinism harness. Seeded results must not depend on the batch
 // quantum, the worker count or (without RackP2C) the rack count. Each
 // row runs under its base Config and every variant, traced, and each run
-// must match the base on PhaseStats, Digest, trace bytes and burnState.
+// must match the base on PhaseStats, Digest, trace bytes, burnState and
+// probeState.
 
 // detVariant sets a row's batch quantum and worker count and, when
 // non-zero, its rack count.
@@ -34,13 +36,14 @@ type detRow struct {
 
 // detRun is one traced run of a row.
 type detRun struct {
-	t         *testing.T
-	c         *Cluster
-	digest    *Digest
-	phases    []PhaseStats
-	problems  []string
-	sum, burn string // set when the run ends
-	trace     []byte
+	t        *testing.T
+	c        *Cluster
+	digest   *Digest
+	phases   []PhaseStats
+	problems []string
+	// sum, burn and probes are set when the run ends.
+	sum, burn, probes string
+	trace             []byte
 }
 
 // phase records one served phase: it folds it into the digest, checks
@@ -195,8 +198,25 @@ func runDet(t *testing.T, row detRow, cfg Config) *detRun {
 	row.script(r)
 	var buf bytes.Buffer
 	r.must(rec.WriteTrace(&buf))
-	r.sum, r.burn, r.trace = r.digest.Sum(), burnState(c), buf.Bytes()
+	r.sum, r.burn, r.probes, r.trace = r.digest.Sum(), burnState(c), probeState(c), buf.Bytes()
 	return r
+}
+
+// probeState renders what the heartbeat probes leave behind that no
+// digest or trace need show: each node's miss count, answered probes,
+// last temperature, command-path counters and device clock, and each
+// replica's periodic capture.
+func probeState(c *Cluster) string {
+	var b strings.Builder
+	for _, n := range c.nodes {
+		issued, retries, drops := n.Inst.CmdStats()
+		fmt.Fprintf(&b, "%s %s missed=%d probes=%d temp=%d cmds=%d/%d/%d clock=%d\n",
+			n.ID, n.state, n.missed, n.probes, n.lastTemp, issued, retries, drops, n.Inst.Uptime())
+	}
+	for _, r := range c.replicas {
+		fmt.Fprintf(&b, "%s capture at %d of %d\n", r.Name(), r.snap.at, len(r.snap.entries))
+	}
+	return b.String()
 }
 
 // determinism runs row's base and variants and returns every
@@ -233,6 +253,7 @@ func determinism(t *testing.T, row detRow) []string {
 		diverge(fmt.Sprintf("digest %s != base %s", got.sum, base.sum), got.sum != base.sum)
 		diverge("trace bytes diverge from base", !bytes.Equal(got.trace, base.trace))
 		diverge(fmt.Sprintf("burn state diverges:\nbase:\n%s\ngot:\n%s", base.burn, got.burn), got.burn != base.burn)
+		diverge(fmt.Sprintf("probe state diverges:\nbase:\n%s\ngot:\n%s", base.probes, got.probes), got.probes != base.probes)
 	}
 	return out
 }
@@ -374,8 +395,16 @@ func determinismRows(t *testing.T) []detRow {
 		w.Config.ServeWorkers, w.Budget, w.Windows = 1, 2, 10
 	}
 	stateful := func(t *testing.T, cfg Config) *Cluster { return buildStateful(t, cfg, 6, 6) }
+	// The probe rows capture every node's tables on every probe, so each
+	// barrier's probe stage fans out at two and eight workers.
+	probeVariants := []detVariant{{64, 2, 0}, {64, 1, 0}, {4096, 2, 0}, {64, 8, 0}, {4096, 8, 0}}
+	probeSweep, probeGossip := DefaultConfig(), DefaultConfig()
+	probeSweep.ServeWorkers, probeSweep.SnapshotEvery = 1, 1
+	probeGossip = probeSweep
+	probeGossip.GossipHealth, probeGossip.GossipFanout, probeGossip.DerivedShedding = true, 4, true
+	probeGossip.FailedAfter = 4
 
-	return []detRow{
+	return append(probeRows(probeSweep, probeGossip, probeVariants), []detRow{
 		{
 			// Two co-resident services in one merged phase.
 			name: "coresident", base: sharded,
@@ -511,7 +540,133 @@ func determinismRows(t *testing.T) []detRow {
 			},
 			variants: drill,
 		},
+	}...)
+}
+
+// probeRows are the workloads whose barrier probe stage fans out, with
+// everything its apply stage must replay in probe order: staged irq
+// events, missed probes with their command-path trace, failovers, and
+// repeated probes of one node within a tick.
+func probeRows(sweep, gossip Config, variants []detVariant) []detRow {
+	return []detRow{
+		{
+			// The central sweep: a thermal alarm and recovery, then node 0
+			// dies and fails over; its replica lands on a node later in
+			// the same sweep, whose capture must include it.
+			name: "probe-sweep", base: sweep, build: statefulFleet(6),
+			script: func(r *detRun) {
+				c := r.c
+				hb := c.cfg.Heartbeat
+				r.phase(lbTraffic(c, 200*sim.Microsecond, 0))
+				thermalRamp(r, c.Nodes()[3], 1)
+				r.must(c.Kill(c.Nodes()[0].ID))
+				r.phase(lbTraffic(c, heartbeatDetect(c), 20))
+				later := slices.ContainsFunc(c.Migrations(), func(m MigrationRecord) bool {
+					return m.From == c.nodes[0].ID && c.byID[m.To].index > 0
+				})
+				if !later {
+					r.t.Fatalf("no failover of %s re-placed a replica later in the sweep: %+v", c.nodes[0].ID, c.Migrations())
+				}
+				r.phase(lbTraffic(c, 4*hb, 30))
+			},
+			variants: variants,
+		},
+		{
+			// Gossip with a rotation period of two ticks: a thermal ramp
+			// and recovery, a corrupt-wire burst whose probes first retry
+			// and then miss, and a kill whose escalated suspicion the
+			// rotation reaches again within one tick.
+			name: "probe-gossip", base: gossip, build: statefulFleet(8),
+			script: func(r *detRun) {
+				c := r.c
+				hb := c.cfg.Heartbeat
+				r.phase(lbTraffic(c, 100*sim.Microsecond, 0))
+				thermalRamp(r, c.Nodes()[2], 1)
+				burst := c.Nodes()[5]
+				corruptWire(burst, 2)
+				r.phase(lbTraffic(c, 2*hb, 10))
+				corruptWire(burst, 8)
+				r.phase(lbTraffic(c, 2*hb, 11))
+				burst.Inst.SetWireFaultInjector(nil)
+				r.phase(lbTraffic(c, 4*hb, 12))
+				if burst.State() != Healthy {
+					r.t.Fatalf("%s is %s after its corrupt-wire burst", burst.ID, burst.State())
+				}
+				victim := c.Nodes()[6]
+				r.must(c.Kill(victim.ID))
+				twice := false
+				for tick := int64(0); victim.State() != Drained && tick < 20; tick++ {
+					// One tick per phase: every slot Due lists is probed
+					// when the probe count grows by its length.
+					due := c.ensureGossip().Due(nil)
+					before := c.GossipStats().Probes
+					r.phase(lbTraffic(c, hb, 20+tick))
+					repeat := false
+					for k, i := range due {
+						repeat = repeat || slices.Index(due, i) < k
+					}
+					twice = twice || repeat && c.GossipStats().Probes-before == int64(len(due))
+				}
+				r.phase(lbTraffic(c, gossipDetect(c), 50))
+				if !twice {
+					r.t.Fatal("no tick probed the escalated suspect twice")
+				}
+				seen := map[string]bool{}
+				for _, ev := range c.GossipEvents() {
+					seen[ev.Node+" "+ev.Kind] = true
+				}
+				if !seen[burst.ID+" refuted"] || !seen[victim.ID+" confirmed"] {
+					r.t.Fatalf("gossip events %v, want %s refuted after missed probes and %s confirmed", seen, burst.ID, victim.ID)
+				}
+			},
+			variants: variants,
+		},
 	}
+}
+
+// statefulFleet builds n stateful layer4-lb nodes hosting n replicas,
+// each replica's connection table holding 3000 established flows: a
+// tick's due captures then hold more than stageMinEntries entries, so
+// the probe stage fans out.
+func statefulFleet(n int) func(t *testing.T, cfg Config) *Cluster {
+	return func(t *testing.T, cfg Config) *Cluster {
+		c := buildStateful(t, cfg, n, n)
+		rng := rand.New(rand.NewSource(7))
+		for _, r := range c.replicas {
+			pinRandomFlows(r.flows.table, rng, 3000)
+		}
+		return c
+	}
+}
+
+// thermalRamp heats n past its alarm threshold in steps, serving two
+// heartbeats per step, then cools it and serves until it recovers.
+func thermalRamp(r *detRun, n *Node, bump int64) {
+	c := r.c
+	for i, off := range []uint32{30_000, 45_000, 55_000, 65_000} {
+		r.must(c.Overheat(n.ID, off))
+		r.phase(lbTraffic(c, 2*c.cfg.Heartbeat, bump+int64(i)))
+	}
+	if n.State() != Degraded {
+		r.t.Fatalf("%s is %s after its thermal ramp", n.ID, n.State())
+	}
+	r.must(c.Cool(n.ID))
+	r.phase(lbTraffic(c, 2*c.cfg.Heartbeat, bump+4))
+	if n.State() != Healthy {
+		r.t.Fatalf("%s is %s after cooling", n.ID, n.State())
+	}
+}
+
+// corruptWire corrupts every command on n's wire for its first limit
+// attempts: below the driver's retry budget commands retry, above it
+// they drop.
+func corruptWire(n *Node, limit int) {
+	n.Inst.SetWireFaultInjector(func(attempt int, buf []byte) []byte {
+		if attempt < limit && len(buf) > 0 {
+			buf[0] ^= 0xFF
+		}
+		return buf
+	})
 }
 
 // workloadRow runs wl's warm-up and windows as one row, wl.Config

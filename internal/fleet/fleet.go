@@ -81,8 +81,10 @@ type Config struct {
 	// within FailedAfter*cohorts*Heartbeat. 0 or 1 probes every node
 	// each tick.
 	HeartbeatCohorts int
-	// ServeWorkers caps the goroutines Serve fans shards out to.
-	// 0 uses GOMAXPROCS. The worker count never changes results.
+	// ServeWorkers caps the goroutines Serve fans shards out to, and
+	// the goroutines a heartbeat barrier runs its device probes and
+	// connection-table captures on (probe.go). 0 uses GOMAXPROCS. The
+	// worker count never changes results.
 	ServeWorkers int
 	// BatchQuantum caps how many packets one dispatch run drains
 	// between control-plane barriers before Serve re-partitions
@@ -414,12 +416,14 @@ type Cluster struct {
 	replicas []*Replica
 	// migrations are the completed flow-table transfers.
 	migrations []MigrationRecord
-	// tableRow is the buffer every flow table source encodes the row
-	// being read into, and tableWords the buffer readFlowSnapshot joins
-	// rows in. Both are reused across reads: table reads run only on the
-	// serial control-plane path, and each row is copied out, and each
-	// stream decoded, before the next read starts.
-	tableRow, tableWords []uint32
+	// tables holds the flow-table read buffers, one pair per heartbeat
+	// probe worker (migrate.go: tableBufs). tables[0] is the caller's:
+	// the probe stage's first worker and every serial reader (live
+	// drains, moves, failover reads) use it; a worker lends its pair to
+	// each table it captures. stage is the barrier's probe stage
+	// (probe.go).
+	tables []tableBufs
+	stage  probeStage
 	// spare is the workload storage the last phase to run handed back,
 	// taken by the next prepare; gen is the seeded stream generator
 	// every prepare reuses; flowHash memoizes the flow hash of each
@@ -490,6 +494,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg:      cfg,
 		services: make(map[string]*service),
 		byID:     make(map[string]*Node),
+		tables:   make([]tableBufs, 1),
 	}
 	c.router = newRouter(c, cfg.Seed)
 	c.racks = &rackTier{c: c}

@@ -66,11 +66,25 @@ func (c *Cluster) ensureGossip() *gossip.Group {
 func (c *Cluster) gossipHeartbeat(now sim.Time) []Transition {
 	before := len(c.transitions)
 	g := c.ensureGossip()
-	probed := 0
+	// The probe stage runs the tick's first probes up front; the
+	// detector's own calls then apply them in its order. Tick makes the
+	// calls Due lists, less the later slots of a member it confirmed
+	// dead earlier in the tick — never a first slot, which is the one
+	// that staged.
+	due := g.Due(c.stage.list[:0])
+	c.stage.list = due
+	c.stageProbes(now, due)
+	probed, k := 0, 0
 	events := g.Tick(
 		func(i int) bool {
+			for ; due[k] != i; k++ {
+				if k < len(c.stage.slots) && c.stage.slots[k].n != nil {
+					panic(fmt.Sprintf("fleet: gossip tick skipped the staged probe of %s", c.nodes[due[k]].ID))
+				}
+			}
 			probed++
-			return c.probe(now, c.nodes[i])
+			k++
+			return c.probeAt(now, k-1, c.nodes[i])
 		},
 		// A peer's digest reflects data-plane liveness: a killed device
 		// is dark on the LAN, a device with a corrupted command wire

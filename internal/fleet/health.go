@@ -122,6 +122,10 @@ func (c *Cluster) setStateDone(now, completed sim.Time, n *Node, to State, reaso
 
 // onEvent consumes one irq-path notification from a device.
 func (c *Cluster) onEvent(n *Node, ev device.Event) {
+	if c.stage.on {
+		c.stageEvent(n, ev)
+		return
+	}
 	switch ev.Code {
 	case device.EventThermalAlarm:
 		if n.state == Healthy {
@@ -164,16 +168,32 @@ func (c *Cluster) Heartbeat(now sim.Time) []Transition {
 	cohort := int(c.hbTick % int64(cohortCount))
 	c.hbTick++
 	probed := 0
-	for i, n := range c.nodes {
-		if cohortCount > 1 && i%cohortCount != cohort {
-			continue
+	for i := 0; i < len(c.nodes); {
+		// One segment of the sweep: the due live nodes up to the first
+		// whose probe could fail it. That node's failover sends commands
+		// to other nodes' devices, so it probes serially after the
+		// segment's staged probes, and the next segment stages afresh.
+		list, last := c.stage.list[:0], false
+		for ; i < len(c.nodes) && !last; i++ {
+			n := c.nodes[i]
+			if (cohortCount > 1 && i%cohortCount != cohort) || n.state == Failed || n.state == Drained {
+				continue
+			}
+			list = append(list, i)
+			last = n.missed >= c.cfg.FailedAfter-1
 		}
-		if n.state == Failed || n.state == Drained {
-			continue
+		c.stage.list = list
+		staged := list
+		if last {
+			staged = list[:len(list)-1]
 		}
-		probed++
-		if !c.probe(now, n) && n.missed >= c.cfg.FailedAfter {
-			c.failNode(now, n, fmt.Sprintf("%d consecutive missed heartbeats", n.missed))
+		c.stageProbes(now, staged)
+		for k, idx := range list {
+			n := c.nodes[idx]
+			probed++
+			if !c.probeAt(now, k, n) && n.missed >= c.cfg.FailedAfter {
+				c.failNode(now, n, fmt.Sprintf("%d consecutive missed heartbeats", n.missed))
+			}
 		}
 	}
 	if c.ctrl != nil {
@@ -184,33 +204,6 @@ func (c *Cluster) Heartbeat(now sim.Time) []Transition {
 	}
 	c.barrierTail(now)
 	return c.transitions[before:]
-}
-
-// probe is one direct health probe over the command path, shared by the
-// central sweep and the gossip detector; the failure decision stays
-// with the caller. It reports whether the node answered.
-func (c *Cluster) probe(now sim.Time, n *Node) bool {
-	temp, err := n.Inst.CheckHealth()
-	if err != nil {
-		n.missed++
-		return false
-	}
-	n.missed = 0
-	n.lastTemp = temp
-	// CheckHealth already raised the thermal irq if over threshold; the
-	// handler degraded the node. Here we also detect recovery.
-	if temp < c.cfg.DegradeMilliC && n.state == Degraded {
-		c.setState(now, n, Healthy, "temperature recovered")
-	}
-	// A responsive probe also refreshes the node's periodic
-	// connection-table snapshots — the state dead-node failover falls
-	// back to. A node that stops answering keeps its last capture, which
-	// is exactly the staleness the fallback carries.
-	n.probes++
-	if c.cfg.MigrateFlows && len(n.stateful) > 0 && n.probes%c.snapshotEvery() == 0 {
-		c.snapshotNode(now, n)
-	}
-	return true
 }
 
 // barrierTail is the serial end-of-barrier work both heartbeat paths

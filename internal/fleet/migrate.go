@@ -49,6 +49,10 @@ type flowState struct {
 	// reading row 0 brings the table's capture up to date, and every row
 	// encodes its words from the capture on demand.
 	exportWords int
+	// lent is the read buffer pair a heartbeat probe worker lends the
+	// table for the length of its capture (nil: the cluster's serial
+	// pair, tables[0]).
+	lent *tableBufs
 	// importBuf accumulates written rows until the framed length
 	// (declared by the row-0 header) is reached, then restores.
 	importBuf  []uint32
@@ -85,11 +89,27 @@ func (fs *flowState) assignment(k net.FlowKey) net.IPAddr {
 	return fs.svc.pool.Lookup(k)
 }
 
+// tableBufs is one reader's pair of flow-table read buffers: row is
+// where a table source encodes the row being read, words where
+// readFlowSnapshot joins the rows. Both are reused across reads: each
+// row is copied out, and each stream decoded, before the reader's next
+// read starts.
+type tableBufs struct{ row, words []uint32 }
+
+// bufs returns the read buffers of whoever is reading the table: the
+// pair a probe worker lent it, else the cluster's serial pair.
+func (fs *flowState) bufs() *tableBufs {
+	if fs.lent != nil {
+		return fs.lent
+	}
+	return &fs.c.tables[0]
+}
+
 // exportRow serves TableRead: row 0 brings the table's capture up to
 // date, and every row returns its command-sized slice of the capture's
 // framed stream, encoded straight from the table's packed capture into
-// the cluster's shared row buffer: it is only valid until the next
-// table read, and readFlowSnapshot copies each row out.
+// the reader's row buffer: it is only valid until the next table read,
+// and readFlowSnapshot copies each row out.
 func (fs *flowState) exportRow(index uint32) ([]uint32, bool) {
 	if index == 0 {
 		fs.exportWords = fs.table.Capture()
@@ -98,8 +118,9 @@ func (fs *flowState) exportRow(index uint32) ([]uint32, bool) {
 	if lo >= fs.exportWords {
 		return nil, false
 	}
-	fs.c.tableRow = fs.table.AppendCaptureWords(fs.c.tableRow[:0], lo, min(lo+cmdif.MaxTableRowWords, fs.exportWords))
-	return fs.c.tableRow, true
+	b := fs.bufs()
+	b.row = fs.table.AppendCaptureWords(b.row[:0], lo, min(lo+cmdif.MaxTableRowWords, fs.exportWords))
+	return b.row, true
 }
 
 // importRow accepts TableWrite: rows arrive in order starting at 0;
@@ -179,15 +200,17 @@ func (n *Node) addStateful(r *Replica) {
 // readFlowSnapshot pulls a replica's connection table off its device
 // through TableRead transactions: row 0 carries the framed header
 // declaring the stream length, later rows follow until complete. The
+// rows join in the table's reader buffers (flowState.bufs) and the
 // entries decode into dst's storage (apps.DecodeFlowSnapshotInto); a
 // nil dst returns a new slice.
 func (c *Cluster) readFlowSnapshot(n *Node, r *Replica, dst []apps.ConnEntry) ([]apps.ConnEntry, error) {
 	tid := flowTableID(r)
-	words, err := n.Inst.AppendTableRow(c.tableWords[:0], device.RBBRole, 0, tid, 0)
+	b := r.flows.bufs()
+	words, err := n.Inst.AppendTableRow(b.words[:0], device.RBBRole, 0, tid, 0)
 	if err != nil {
 		return nil, err
 	}
-	c.tableWords = words
+	b.words = words
 	total, err := apps.FlowSnapshotWords(words)
 	if err != nil {
 		return nil, err
@@ -197,7 +220,7 @@ func (c *Cluster) readFlowSnapshot(n *Node, r *Replica, dst []apps.ConnEntry) ([
 		if words, err = n.Inst.AppendTableRow(words, device.RBBRole, 0, tid, row); err != nil {
 			return nil, err
 		}
-		c.tableWords = words
+		b.words = words
 		if len(words) == have {
 			return nil, fmt.Errorf("fleet: flow snapshot truncated at row %d", row)
 		}
@@ -216,9 +239,11 @@ type flowSnap struct {
 
 // snapshotNode refreshes the periodic captures of every stateful
 // replica on a live node, over the command path. Called from the
-// heartbeat sweep; a node that stops answering commands keeps its last
+// heartbeat probe; a node that stops answering commands keeps its last
 // successful capture — that staleness is exactly what dead-node
-// failover inherits.
+// failover inherits. The captures read through bufs (nil: the
+// cluster's serial pair) and record on ctrl, which is the control
+// track or, on a probe worker, the probe's staging buffer.
 //
 // Each capture decodes into the storage of the one it replaces, once
 // every row has arrived and the stream has been validated: a failed
@@ -226,20 +251,28 @@ type flowSnap struct {
 // outgrow the capture's array is captured without allocating. One that
 // did gets an array an eighth larger than its size, so a table growing
 // by a few pins per probe reuses it for the next several probes.
-func (c *Cluster) snapshotNode(now sim.Time, n *Node) {
+func (c *Cluster) snapshotNode(now sim.Time, n *Node, ctrl *obs.Buffer, bufs *tableBufs) {
 	for _, r := range n.stateful {
+		r.flows.lent = bufs
 		entries, err := c.readFlowSnapshot(n, r, r.snap.entries)
+		r.flows.lent = nil
 		if err != nil {
 			continue
 		}
 		r.snap = flowSnap{at: now, entries: entries}
-		if c.ctrl != nil {
+		if ctrl != nil {
 			e := obs.Instant(obs.CatMigration, "snapshot", now)
 			e.K1, e.V1 = "replica", r.Name()
 			e.K2, e.V2 = "entries", int64(len(entries))
-			c.ctrl.Add(e)
+			ctrl.Add(e)
 		}
 	}
+}
+
+// captureDue reports whether n's next successful probe refreshes its
+// periodic captures.
+func (c *Cluster) captureDue(n *Node) bool {
+	return c.cfg.MigrateFlows && len(n.stateful) > 0 && (n.probes+1)%c.snapshotEvery() == 0
 }
 
 // snapshotEvery resolves the periodic snapshot cadence.

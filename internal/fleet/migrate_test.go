@@ -374,7 +374,7 @@ func captureFixture(t testing.TB) (*Cluster, *Node, *Replica) {
 	}
 	r := n.stateful[0]
 	pinRandomFlows(r.flows.table, rand.New(rand.NewSource(1)), 650)
-	c.snapshotNode(c.Now(), n)
+	c.snapshotNode(c.Now(), n, c.ctrl, nil)
 	return c, n, r
 }
 
@@ -383,7 +383,7 @@ func captureFixture(t testing.TB) (*Cluster, *Node, *Replica) {
 // holds the table, no layer of the round trip allocates.
 func TestFlowCaptureAllocatesNothing(t *testing.T) {
 	c, n, r := captureFixture(t)
-	capture := func() { c.snapshotNode(c.Now(), n) }
+	capture := func() { c.snapshotNode(c.Now(), n, c.ctrl, nil) }
 	if got := testing.AllocsPerRun(20, capture); got != 0 {
 		t.Errorf("capturing an unchanged table allocates %.1f objects, want 0", got)
 	}
@@ -409,12 +409,12 @@ func TestFlowCaptureFailureKeepsLastGood(t *testing.T) {
 		}
 		return buf
 	})
-	c.snapshotNode(c.Now(), n)
+	c.snapshotNode(c.Now(), n, c.ctrl, nil)
 	if got := r.snap.entries; !slices.Equal(got, before) {
 		t.Fatalf("failed capture changed the last good one: %d entries, had %d", len(got), len(before))
 	}
 	n.Inst.SetWireFaultInjector(nil)
-	c.snapshotNode(c.Now(), n)
+	c.snapshotNode(c.Now(), n, c.ctrl, nil)
 	if got := r.snap.entries; !slices.Equal(got, r.flows.table.Snapshot()) {
 		t.Errorf("recovered capture holds %d entries, want the table's %d", len(got), r.flows.table.Len())
 	}
@@ -435,10 +435,10 @@ func BenchmarkFlowCapture(b *testing.B) {
 			b.StopTimer()
 			r.flows.table = apps.NewFlowTable(flowTableCap)
 			pinRandomFlows(r.flows.table, rng, 650)
-			c.snapshotNode(c.Now(), n)
+			c.snapshotNode(c.Now(), n, c.ctrl, nil)
 			b.StartTimer()
 		}
 		pinRandomFlows(r.flows.table, rng, 20)
-		c.snapshotNode(c.Now(), n)
+		c.snapshotNode(c.Now(), n, c.ctrl, nil)
 	}
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -371,10 +370,7 @@ func (ph *Phase) Run() (PhaseStats, error) {
 	// first quantum.
 	r.bumpEpoch()
 
-	workers := c.cfg.ServeWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := c.workers()
 	if workers > len(r.shards) {
 		workers = len(r.shards)
 	}

@@ -163,8 +163,10 @@ type Group struct {
 	cursor int
 	tick   int64
 	// suspects holds current suspect ids, ascending, so the per-tick
-	// escalation scan is O(|suspects|) and deterministic.
+	// escalation scan is O(|suspects|) and deterministic; expired is
+	// the scan's reused result.
 	suspects []int
+	expired  []int
 	stats    Stats
 }
 
@@ -251,6 +253,38 @@ func (g *Group) Reset(i int) {
 	m.misses = 0
 }
 
+// Due appends to dst, without changing any state, the members Tick
+// will pass to direct, in call order: the suspects whose timer expires
+// at the next tick, then the rotation's next Fanout members that are
+// not dead. A member appears twice when it is an expired suspect and
+// the rotation reaches it in the same tick (or the rotation wraps). The
+// list is exact except that Tick skips the later slots of a member its
+// own probe confirmed dead earlier in the tick; any member's first slot
+// is always probed. A caller can therefore run the members' first
+// probes ahead of Tick and feed them back in order.
+func (g *Group) Due(dst []int) []int {
+	dst = g.appendExpired(dst, g.tick+1)
+	c := g.cursor
+	for k := 0; k < g.cfg.Fanout; k++ {
+		if i := g.order[c]; g.members[i].status != Dead {
+			dst = append(dst, i)
+		}
+		c = (c + 1) % len(g.order)
+	}
+	return dst
+}
+
+// appendExpired appends the suspects whose suspicion has stood
+// SuspectAfter ticks by tick, ascending.
+func (g *Group) appendExpired(dst []int, tick int64) []int {
+	for _, i := range g.suspects {
+		if tick-g.members[i].suspectAt >= int64(g.cfg.SuspectAfter) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
 // Tick runs one protocol round. direct probes a member over the
 // authoritative command path and reports whether it answered; observe
 // reports a LAN peer's view of a member's data-plane liveness (the
@@ -265,16 +299,9 @@ func (g *Group) Tick(direct func(int) bool, observe func(int) bool) []Event {
 	// Escalation: suspects whose timer expired take a confirmation
 	// probe every tick until they answer or burn FailedAfter misses.
 	// The scan copies the id list because probes mutate the set.
-	if len(g.suspects) > 0 {
-		expired := make([]int, 0, len(g.suspects))
-		for _, i := range g.suspects {
-			if g.tick-g.members[i].suspectAt >= int64(g.cfg.SuspectAfter) {
-				expired = append(expired, i)
-			}
-		}
-		for _, i := range expired {
-			events = g.probe(i, direct, events)
-		}
+	g.expired = g.appendExpired(g.expired[:0], g.tick)
+	for _, i := range g.expired {
+		events = g.probe(i, direct, events)
 	}
 
 	// Rotation: the next Fanout members in the fixed permutation.

@@ -1,6 +1,10 @@
 package gossip
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // world is a synthetic membership: direct probes answer and peers
 // observe alive unless the member is down.
@@ -230,5 +234,76 @@ func TestPerTickCostIsFanoutBounded(t *testing.T) {
 	}
 	if st.Digests > int64(50*cfg.Fanout*cfg.Piggyback) {
 		t.Errorf("%d digests over 50 ticks, want <= %d", st.Digests, 50*cfg.Fanout*cfg.Piggyback)
+	}
+}
+
+// TestDueMatchesTick: across random groups under missed probes,
+// injected suspicions, MarkDead/Reset and piggybacked observations, the
+// list Due returns before each Tick is the sequence of direct calls
+// Tick makes, duplicates included, except for the later slots of a
+// member a probe earlier in the same tick confirmed dead. Due changes
+// no state: a second call returns the same list.
+func TestDueMatchesTick(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dups, skips := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		cfg := Config{Fanout: 1 + rng.Intn(12), Piggyback: rng.Intn(5), SuspectAfter: rng.Intn(4),
+			FailedAfter: 1 + rng.Intn(4), Seed: rng.Int63()}
+		g, err := New(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		missP := rng.Float64() * 0.6
+		for tick := 0; tick < 60; tick++ {
+			switch k := rng.Intn(len(g.members)); rng.Intn(8) {
+			case 0:
+				g.Suspect(k)
+			case 1:
+				g.MarkDead(k)
+			case 2:
+				if g.members[k].status == Dead {
+					g.Reset(k)
+				}
+			case 3:
+				g.Add()
+			}
+			due := g.Due(nil)
+			if again := g.Due(nil); !slices.Equal(again, due) {
+				t.Fatalf("trial %d tick %d: Due changed state: %v then %v", trial, tick, due, again)
+			}
+			// skip advances past due slots Tick may leave out: each must
+			// be a member already probed this tick and now dead.
+			p := 0
+			called := map[int]bool{}
+			skip := func(upTo func(int) bool) {
+				for p < len(due) && !upTo(due[p]) {
+					if i := due[p]; !called[i] || g.members[i].status != Dead {
+						t.Fatalf("trial %d tick %d: Tick skipped slot %d (member %d) of %v", trial, tick, p, i, due)
+					}
+					skips++
+					p++
+				}
+			}
+			g.Tick(
+				func(i int) bool {
+					skip(func(d int) bool { return d == i })
+					if p == len(due) {
+						t.Fatalf("trial %d tick %d: Tick probed %d beyond Due %v", trial, tick, i, due)
+					}
+					p++
+					if called[i] {
+						dups++
+					}
+					called[i] = true
+					return rng.Float64() >= missP
+				},
+				func(int) bool { return rng.Float64() >= missP/2 },
+			)
+			skip(func(int) bool { return false })
+		}
+	}
+	if dups == 0 || skips == 0 {
+		t.Fatalf("the random groups probed a member twice %d times and skipped %d slots; want both", dups, skips)
 	}
 }

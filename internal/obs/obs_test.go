@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,6 +103,36 @@ func TestFlightRecorderKeepsLastN(t *testing.T) {
 		if e.Ts != sim.Time(12+i) {
 			t.Fatalf("ring order wrong at %d: ts=%v", i, e.Ts)
 		}
+	}
+}
+
+// TestMoveToReplaysAsAdd: events staged in a private buffer and moved
+// into a ring track leave it exactly as adding them directly would, and
+// the staging buffer empties for reuse.
+func TestMoveToReplaysAsAdd(t *testing.T) {
+	direct := NewFlightRecorder(5).Process("p").Track("t")
+	staged := NewFlightRecorder(5).Process("p").Track("t")
+	var stage Buffer
+	for i := 0; i < 13; i++ {
+		e := Instant(CatPacket, "e", sim.Time(i))
+		direct.Add(e)
+		stage.Add(e)
+		if i%4 == 3 {
+			stage.MoveTo(staged)
+			if stage.Len() != 0 {
+				t.Fatalf("staging buffer holds %d events after MoveTo", stage.Len())
+			}
+		}
+	}
+	stage.MoveTo(staged)
+	if !slices.Equal(staged.ordered(), direct.ordered()) || staged.Dropped() != direct.Dropped() {
+		t.Fatalf("moved track %v (dropped %d), direct %v (dropped %d)",
+			staged.ordered(), staged.Dropped(), direct.ordered(), direct.Dropped())
+	}
+	stage.Add(Instant(CatPacket, "e", 0))
+	stage.MoveTo(nil)
+	if stage.Len() != 0 {
+		t.Fatal("MoveTo(nil) kept the events")
 	}
 }
 

@@ -144,6 +144,21 @@ func (b *Buffer) Add(e Event) {
 	b.events = append(b.events, e)
 }
 
+// MoveTo adds b's events to dst oldest-first, as if each had gone to
+// dst.Add directly, then empties b and keeps its storage. A worker can
+// stage a track's events in a private Buffer while a serial merge
+// replays them in a fixed order; a ring-mode dst drops exactly what it
+// would have dropped. A nil dst discards them.
+func (b *Buffer) MoveTo(dst *Buffer) {
+	if b == nil {
+		return
+	}
+	for _, e := range b.ordered() {
+		dst.Add(e)
+	}
+	b.events, b.head = b.events[:0], 0
+}
+
 // Len reports how many events the track currently holds.
 func (b *Buffer) Len() int {
 	if b == nil {
